@@ -85,9 +85,11 @@ def build_model(config):
     kind = section.get("kind")
     rep = None
     if kind == "so3":
-        diag = section.get("inertia", [1.0, 1.0, 1.0])
-        diag = np.asarray(diag, dtype=float)
+        diag = np.asarray(section.get("inertia", [1.0, 1.0, 1.0]), dtype=float)
         if diag.ndim == 2:
+            if diag.shape != (3, 3) or np.any(diag != np.diag(np.diag(diag))):
+                raise UsageError("so3 inertia must be diagonal (a list of 3 or a diagonal "
+                                 "3x3 matrix); use a custom algebra for a full inertia")
             diag = np.diag(diag)
         try:
             model = algebra.so3_model(tuple(diag), m=int(section.get("m", 3)))

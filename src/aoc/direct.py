@@ -16,13 +16,12 @@ costs all 2 N m gradient perturbations run as one batched rollout
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import groups
-from .dynamics import State, Trajectory, zoh_rollout
+from .dynamics import State, Trajectory, batch_slices, zoh_rollout
 from .errors import NoConvergence
 
 
@@ -69,13 +68,7 @@ def _simpson_panel(spb, h):
 def _boundary_sq(gm, problem, xT, yT):
     """Squared boundary error; xT may carry a batch dimension."""
     dy = yT - np.asarray(problem.yT, dtype=float)
-    if np.asarray(xT).ndim == 3:
-        log_err = np.stack([
-            groups.log_map(gm, groups.compose(groups.inverse(gm, xT[b]), problem.xT))
-            for b in range(len(xT))
-        ])
-    else:
-        log_err = groups.log_map(gm, groups.compose(groups.inverse(gm, xT), problem.xT))
+    log_err = groups.log_map(gm, groups.compose(groups.inverse(gm, xT), problem.xT))
     return (np.einsum("...i,...i->...", log_err, log_err)
             + np.einsum("...i,...i->...", dy, dy))
 
@@ -119,17 +112,6 @@ def transcription_objective(model, gm, cost, problem, U, config) -> float:
     return _objective_batch(model, gm, cost, problem, U, config)
 
 
-def _batch_chunks(total):
-    raw = os.environ.get("AOC_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        return [slice(0, total)]
-    if cap <= 0:
-        return [slice(0, total)]
-    return [slice(i, min(i + cap, total)) for i in range(0, total, cap)]
-
-
 def _fd_gradient(model, gm, cost, problem, U, config):
     """Component-wise central differences, batched when the cost allows."""
     N, m = U.shape
@@ -141,7 +123,7 @@ def _fd_gradient(model, gm, cost, problem, U, config):
             pert[2 * i + 1, i] = -eps
         stack = U.reshape(1, N, m) + pert.reshape(-1, N, m)
         vals = np.empty(2 * N * m)
-        for sl in _batch_chunks(len(stack)):
+        for sl in batch_slices(len(stack)):
             vals[sl] = _objective_batch(model, gm, cost, problem, stack[sl], config)
     else:
         vals = np.empty(2 * N * m)

@@ -13,6 +13,7 @@ layout is ``t, x (row-major d^2), y (n), u (m)`` plus optional
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -134,6 +135,21 @@ def zoh_control(model, U, T):
         return U[min(max(j, 0), N - 1)]
 
     return u
+
+
+def batch_slices(total):
+    """Slices of at most ``AOC_THREADS`` rows covering ``range(total)``.
+
+    The environment variable caps how many flows one batched evaluation
+    carries; unset, non-integer or <= 0 means no cap (one slice).
+    """
+    try:
+        cap = int(os.environ.get("AOC_THREADS", ""))
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        return [slice(0, total)]
+    return [slice(i, min(i + cap, total)) for i in range(0, total, cap)]
 
 
 def zoh_rollout(model, gm, x0, y0, U, T, steps_per_segment=2):

@@ -8,24 +8,32 @@ scheme composes ``x`` with the exponential of a bracket-corrected
 combination of the stage velocities and stays on the manifold up to the
 accuracy of ``exp``.
 
-so(3) uses closed forms (Rodrigues for exp, quaternion extraction for
-log) with series fallbacks below angle 1e-4 to avoid cancellation; the
+so(3) uses batched closed forms (Rodrigues for exp, quaternion
+extraction for log) with series fallbacks below angle 1e-4 to avoid
+cancellation; each row of a batch gets the bits it gets alone.  The
 generic branch uses scaling and squaring on the exponential series and
-delegates the logarithm to scipy.
+delegates the logarithm to scipy row by row.  ``dexpinv`` forms the
+matrix ad(omega) once from the structure constants and applies it twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, sqrt
+from math import atan2
 
 import numpy as np
 import scipy.linalg
 
-from .algebra import LieAlgebraModel, bracket
+from .algebra import LieAlgebraModel
 from .errors import AngleOutOfRange, DimensionMismatch
 
 SO3_MAX_LOG_ANGLE = np.pi - 1e-6
+
+# hat map of so(3): E_i v = e_i x v
+_SO3_BASIS = np.array([[[0, 0, 0], [0, 0, -1], [0, 1, 0]],
+                       [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+                       [[0, -1, 0], [1, 0, 0], [0, 0, 0]]], dtype=float)
+_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,11 +64,7 @@ def _make_group(model, basis, kind) -> GroupModel:
 def so3_group(model) -> GroupModel:
     if model.n != 3:
         raise DimensionMismatch("so3 group needs a 3-dimensional algebra")
-    basis = np.zeros((3, 3, 3))
-    basis[0] = [[0, 0, 0], [0, 0, -1], [0, 1, 0]]
-    basis[1] = [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]
-    basis[2] = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
-    return _make_group(model, basis, "so3")
+    return _make_group(model, _SO3_BASIS.copy(), "so3")
 
 
 def abelian_group(model) -> GroupModel:
@@ -114,62 +118,54 @@ def inverse(gm, g) -> np.ndarray:
 # -- so(3) closed forms ------------------------------------------------------
 
 def _so3_exp(w):
-    """Rodrigues formula, batched over leading dimensions of (..., 3)."""
+    """Rodrigues formula, batched over leading dimensions of (..., 3); sin(t)/t
+    and (1-cos t)/t^2 switch to their series below t = 1e-4."""
     w = np.asarray(w, dtype=float)
     theta2 = np.einsum("...i,...i->...", w, w)
     theta = np.sqrt(theta2)
     small = theta < 1e-4
-    # sin(t)/t and (1-cos t)/t^2 with series fallbacks near zero
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = np.where(small, 1.0 - theta2 / 6.0 + theta2 * theta2 / 120.0,
-                     np.sin(theta) / np.where(small, 1.0, theta))
-        b = np.where(small, 0.5 - theta2 / 24.0 + theta2 * theta2 / 720.0,
-                     (1.0 - np.cos(theta)) / np.where(small, 1.0, theta2))
-    K = np.zeros(w.shape[:-1] + (3, 3))
-    K[..., 0, 1] = -w[..., 2]
-    K[..., 0, 2] = w[..., 1]
-    K[..., 1, 0] = w[..., 2]
-    K[..., 1, 2] = -w[..., 0]
-    K[..., 2, 0] = -w[..., 1]
-    K[..., 2, 1] = w[..., 0]
-    eye = np.broadcast_to(np.eye(3), K.shape)
-    return eye + a[..., None, None] * K + b[..., None, None] * np.matmul(K, K)
+    with np.errstate(invalid="ignore"):
+        a = np.sin(theta) / np.where(small, 1.0, theta)
+        b = (1.0 - np.cos(theta)) / np.where(small, 1.0, theta2)
+    if small.any():
+        a = np.where(small, 1.0 - theta2 / 6.0 + theta2 * theta2 / 120.0, a)
+        b = np.where(small, 0.5 - theta2 / 24.0 + theta2 * theta2 / 720.0, b)
+    K = np.einsum("...i,ijk->...jk", w, _SO3_BASIS)
+    return _EYE3 + a[..., None, None] * K + b[..., None, None] * np.matmul(K, K)
 
 
-def _so3_log_single(R, max_angle):
-    """Rotation vector of one rotation matrix via quaternion extraction.
-
-    Stable over the whole angle range including near pi (where the
-    skew part alone cancels); branch on the largest quaternion entry.
-    """
-    t = R[0, 0] + R[1, 1] + R[2, 2]
-    if t > 0.0:
-        s = sqrt(t + 1.0) * 2.0
-        qw = 0.25 * s
-        qv = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]) / s
-    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
-        s = sqrt(max(1.0 + R[0, 0] - R[1, 1] - R[2, 2], 0.0)) * 2.0
-        qw = (R[2, 1] - R[1, 2]) / s
-        qv = np.array([0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s])
-    elif R[1, 1] >= R[2, 2]:
-        s = sqrt(max(1.0 + R[1, 1] - R[0, 0] - R[2, 2], 0.0)) * 2.0
-        qw = (R[0, 2] - R[2, 0]) / s
-        qv = np.array([(R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s])
-    else:
-        s = sqrt(max(1.0 + R[2, 2] - R[0, 0] - R[1, 1], 0.0)) * 2.0
-        qw = (R[1, 0] - R[0, 1]) / s
-        qv = np.array([(R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s])
-    if qw < 0.0:
-        qw, qv = -qw, -qv
-    vn = float(np.linalg.norm(qv))
-    angle = 2.0 * atan2(vn, qw)
-    if angle >= max_angle:
+def _so3_log(R, max_angle):
+    """Rotation vectors of a (B, 3, 3) stack by quaternion extraction: q is the
+    row of Q = 4 q q^T (q = w, x, y, z) at the pivot (w if the trace is positive,
+    else the largest diagonal axis) over 2 sqrt(pivot entry), which stays stable
+    near pi where the skew part alone cancels."""
+    t = R[:, 0, 0] + R[:, 1, 1] + R[:, 2, 2]
+    d = np.diagonal(R, axis1=1, axis2=2)
+    Q = np.empty((len(R), 4, 4))
+    Q[:, 0, 0] = t + 1.0
+    Q[:, 1:, 1:] = R + np.swapaxes(R, 1, 2)
+    Q[:, [1, 2, 3], [1, 2, 3]] = 1.0 + d - d[:, [1, 0, 0]] - d[:, [2, 2, 1]]
+    Q[:, 0, 1:] = Q[:, 1:, 0] = R[:, [2, 0, 1], [1, 2, 0]] - R[:, [1, 2, 0], [2, 0, 1]]
+    rows = np.arange(len(R))
+    pivot = np.where(t > 0.0, 0, 1 + np.argmax(d, axis=1))
+    s = 2.0 * np.sqrt(np.maximum(Q[rows, pivot, pivot], 0.0))
+    q = Q[rows, pivot] / s[:, None]
+    q[rows, pivot] = 0.25 * s
+    q *= np.where(q[:, :1] < 0.0, -1.0, 1.0)
+    qw, qv = q[:, 0], np.ascontiguousarray(q[:, 1:])
+    # a dot product and libm's atan2 per row, so every row gets the bits
+    # of the one-matrix computation (numpy's SIMD arctan2 differs in the last bit)
+    vn = np.sqrt(np.matmul(qv[:, None, :], qv[:, :, None])[:, 0, 0])
+    angle = 2.0 * np.fromiter(map(atan2, vn.tolist(), qw.tolist()), float, len(vn))
+    if (angle >= max_angle).any():
         raise AngleOutOfRange(
-            f"rotation angle {angle:.6f} >= {max_angle:.6f}; log is ill conditioned here"
+            f"rotation angle {angle.max():.6f} >= {max_angle:.6f}; log is ill conditioned here"
         )
-    if vn < 1e-12:
-        return (2.0 / qw) * qv
-    return (angle / vn) * qv
+    tiny = vn < 1e-12
+    scale = angle / np.where(tiny, 1.0, vn)
+    if tiny.any():
+        scale[tiny] = 2.0 / qw[tiny]
+    return scale[:, None] * qv
 
 
 # -- generic matrix exponential ----------------------------------------------
@@ -222,19 +218,18 @@ def log_map(gm, g, max_angle=SO3_MAX_LOG_ANGLE) -> np.ndarray:
         return g[..., : gm.algebra.n, gm.algebra.n].copy()
     lead = g.shape[:-2]
     flat_g = g.reshape((-1, d, d))
+    if gm.kind == "so3":
+        return _so3_log(flat_g, max_angle).reshape(lead + (3,))
     out = np.empty((flat_g.shape[0], gm.algebra.n))
     for b in range(flat_g.shape[0]):
-        if gm.kind == "so3":
-            out[b] = _so3_log_single(flat_g[b], max_angle)
-        else:
-            L = scipy.linalg.logm(flat_g[b])
-            if np.abs(L.imag).max() > 1e-9:
-                raise AngleOutOfRange("matrix logarithm left the real algebra")
-            coords = unhat(gm, L.real)
-            back = exp_map(gm, coords)
-            if np.abs(back - flat_g[b]).max() > 1e-9 * (1.0 + np.abs(flat_g[b]).max()):
-                raise AngleOutOfRange("logarithm round trip failed; element outside chart")
-            out[b] = coords
+        L = scipy.linalg.logm(flat_g[b])
+        if np.abs(L.imag).max() > 1e-9:
+            raise AngleOutOfRange("matrix logarithm left the real algebra")
+        coords = unhat(gm, L.real)
+        back = exp_map(gm, coords)
+        if np.abs(back - flat_g[b]).max() > 1e-9 * (1.0 + np.abs(flat_g[b]).max()):
+            raise AngleOutOfRange("logarithm round trip failed; element outside chart")
+        out[b] = coords
     return out.reshape(lead + (gm.algebra.n,))
 
 
@@ -242,9 +237,11 @@ def log_map(gm, g, max_angle=SO3_MAX_LOG_ANGLE) -> np.ndarray:
 
 def dexpinv(model, omega, v) -> np.ndarray:
     """Inverse differential of exp truncated for order 4:
-    v + [omega, v]/2 + [omega, [omega, v]]/12."""
-    c1 = bracket(model, omega, v)
-    return v + 0.5 * c1 + bracket(model, omega, c1) / 12.0
+    v + [omega, v]/2 + [omega, [omega, v]]/12, with the matrix ad(omega)
+    formed once from the structure constants and applied twice."""
+    ad = np.einsum("kij,...i->...kj", model.C, omega)
+    c1 = np.einsum("...kj,...j->...k", ad, v)
+    return v + 0.5 * c1 + np.einsum("...kj,...j->...k", ad, c1) / 12.0
 
 
 def rkmk_coupled_step(gm, x, v, t, h, rhs, needs_x=False):

@@ -22,8 +22,13 @@ the Hamiltonian field of H for the trivialized symplectic form
     Omega((z,w,vmu,vxi), (z',w',vmu',vxi'))
         = vmu'(z) + vxi'(w) - vmu(z') - vxi(w') + <mu, [z, z']>.
 
-Only normal extremals are treated; irregular points raise
-SingularRegularity instead of entering a constraint algorithm.
+For x-independent quadratic costs the flow is bilinear in (y; mu, xi):
+``extremal_field`` builds its tensor once per (model, cost) and evaluates
+a batch of RK-MK stages with one einsum.  ``flow_extremal`` records
+(x, y, mu, xi) from the stepper loop it shares with ``propagate_endpoints``
+and, for quadratic costs, gets u and H of the grid in one batched pass.
+Only normal extremals are treated; a control Hessian with condition
+number above 1 / RCOND_MIN raises SingularRegularity.
 
 Note on orientation: with the five-term linear Poisson bracket
 implemented here ({xi_i, y_j} = delta_ij), observables evolve along the
@@ -33,19 +38,19 @@ flow as df/dt = {H, f}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import groups
-from .algebra import (ad_star, bias, bracket, embed_control, flat,
-                      restrict_covector, sharp)
+from .algebra import ad_star, bias, bracket, embed_control, flat, sharp
 from .dynamics import State, Trajectory
 from .errors import DimensionMismatch, NonFinite, SingularRegularity, NoConvergence
 
 FD_STEP_CHECK = 1e-5   # verification finite differences
 FD_STEP_COST = 1e-6    # cost derivative helper
+RCOND_MIN = 1e-12      # smallest inverse condition number of a regular control Hessian
 
 
 @dataclass(frozen=True)
@@ -138,6 +143,14 @@ def hamiltonian(model, cost, a) -> float:
                  - cost.eval(a.state, u))
 
 
+def _check_regular(H, what):
+    """Raise SingularRegularity if cond(H) > 1 / RCOND_MIN (a scale-invariant test)."""
+    sv = np.linalg.svd(H, compute_uv=False)
+    if not sv[-1] > RCOND_MIN * sv[0]:
+        raise SingularRegularity(f"{what} is singular (singular values {sv[0]:.3g} "
+                                 f".. {sv[-1]:.3g})")
+
+
 def eliminate_control(model, cost, s, xi, tol=1e-12, max_iter=50) -> np.ndarray:
     """Solve the stationarity condition dL/du = restricted xi for u.
 
@@ -150,8 +163,7 @@ def eliminate_control(model, cost, s, xi, tol=1e-12, max_iter=50) -> np.ndarray:
     target = xi[..., : model.m]
     if cost.quad_weight is not None:
         R = cost.quad_weight
-        if abs(np.linalg.det(R)) < 1e-10:
-            raise SingularRegularity("quadratic weight is singular")
+        _check_regular(R, "quadratic weight")
         return np.linalg.solve(R, target[..., None])[..., 0] if target.ndim > 1 \
             else np.linalg.solve(R, target)
 
@@ -162,8 +174,7 @@ def eliminate_control(model, cost, s, xi, tol=1e-12, max_iter=50) -> np.ndarray:
             if np.abs(g).max() < tol:
                 return u
             Hm = np.asarray(cost.d2L_du2(s, u), dtype=float)
-            if abs(np.linalg.det(Hm)) < 1e-10:
-                raise SingularRegularity("control Hessian singular during elimination")
+            _check_regular(Hm, "control Hessian")
             du = np.linalg.solve(Hm, -g)
             step = 1.0
             base = float(np.dot(g, g))
@@ -193,14 +204,6 @@ class ExtremalRHS(NamedTuple):
     xdot_body: np.ndarray
 
 
-def _costate_rates(model, y, mu, xi):
-    """The bracket terms shared by every extremal: (mudot drift, xidot)."""
-    sx = sharp(model, xi)
-    mudot = ad_star(model, y, mu)
-    xidot = -mu - flat(model, bracket(model, y, sx)) + ad_star(model, sx, flat(model, y))
-    return mudot, xidot
-
-
 def extremal_rhs(model, gm, cost, a) -> ExtremalRHS:
     """Critical-flow right-hand sides at a stationarity point."""
     y = np.asarray(a.state.y, dtype=float)
@@ -208,7 +211,9 @@ def extremal_rhs(model, gm, cost, a) -> ExtremalRHS:
     xi = np.asarray(a.costate.xi, dtype=float)
     u = np.asarray(a.u, dtype=float)
     ydot = embed_control(model, u) + bias(model, y)
-    mudot, xidot = _costate_rates(model, y, mu, xi)
+    sx = sharp(model, xi)
+    mudot = ad_star(model, y, mu)
+    xidot = -mu - flat(model, bracket(model, y, sx)) + ad_star(model, sx, flat(model, y))
     if not cost.x_independent:
         mudot = mudot + np.asarray(cost.dL_dx_triv(a.state, u), dtype=float)
     dLdy = np.asarray(cost.dL_dy(a.state, u), dtype=float)
@@ -219,126 +224,120 @@ def extremal_rhs(model, gm, cost, a) -> ExtremalRHS:
 
 def min_acc_rhs(model, gm, a) -> ExtremalRHS:
     """Minimum-acceleration specialization with the control inlined:
-    ydot = sharp(restricted xi) + bias(y)."""
-    y = np.asarray(a.state.y, dtype=float)
-    mu = np.asarray(a.costate.mu, dtype=float)
-    xi = np.asarray(a.costate.xi, dtype=float)
-    ydot = sharp(model, restrict_covector(model, xi)) + bias(model, y)
-    mudot, xidot = _costate_rates(model, y, mu, xi)
-    return ExtremalRHS(ydot=ydot, mudot=mudot, xidot=xidot, xdot_body=y)
+    ydot = sharp(restricted xi) + bias(y), evaluated by the fused field."""
+    v = np.concatenate([a.state.y, a.costate.mu, a.costate.xi]).astype(float)
+    y, vdot = extremal_field(model, gm, min_acc_cost(model))(0.0, a.state.x, v)
+    return ExtremalRHS(*np.split(vdot, 3), xdot_body=y)
 
 
 # -- extremal flow --------------------------------------------------------------
 
-def _quad_solver(cost):
-    factor = cho_factor(cost.quad_weight)
-
-    def solve(target):
-        flat_t = np.atleast_2d(target)
-        out = cho_solve(factor, flat_t.T).T
-        return out.reshape(target.shape)
-
-    return solve
+def _is_quadratic(cost):
+    return cost.quad_weight is not None and cost.x_independent
 
 
-def _flow_rhs_quad(model, solve_R):
-    """Batched extremal RHS for x-independent quadratic costs."""
+def _quadratic_tensor(model, R):
+    """K with vdot_o = K[o, a, q] y1_a v_q for v = (y, mu, xi), y1 = (1, y): slice
+    a = 0 is linear (the control map embed(R^-1 xi[:m]) and -mu), the y slices
+    hold sharp(ad_star(y, flat y)), ad_star(y, mu) and the xi terms
+    -flat([y, sharp xi]) + ad_star(sharp xi, flat y)."""
+    _check_regular(R, "quadratic weight")
     n, m = model.n, model.m
+    C, J, Jinv = model.C, model.inertia, model.inertia_inv
+    K = np.zeros((3, n, n + 1, 3, n))  # (out block, out, 1 or y index, in block, in)
+    K[0, :m, 0, 2, :m] = np.linalg.inv(R)
+    K[0, :, 1:, 0] = np.einsum("lj,kij,kp->lip", Jinv, C, J)
+    K[1, :, 1:, 1] = np.einsum("kij->jik", C)
+    K[2, :, 0, 1] = -np.eye(n)
+    K[2, :, 1:, 2] = (np.einsum("kij,iq,kp->jpq", C, Jinv, J)
+                      - np.einsum("lk,kij,jq->liq", J, C, Jinv))
+    return K.reshape(3 * n, n + 1, 3 * n)
+
+
+@lru_cache(maxsize=16)
+def extremal_field(model, gm, cost):
+    """The extremal flow as a stepper right-hand side ``rhs(t, x, v) -> (y, vdot)``
+    with v = (y, mu, xi): the fused field, batched over leading dimensions of
+    v, for quadratic x-independent costs, else ``extremal_rhs`` per point."""
+    n = model.n
+    if _is_quadratic(cost):
+        K = _quadratic_tensor(model, cost.quad_weight)
+
+        def rhs(t, x, v):
+            y1 = np.empty(v.shape[:-1] + (n + 1,))
+            y1[..., 0] = 1.0
+            y1[..., 1:] = v[..., :n]
+            return v[..., :n], np.einsum("...a,...q,oaq->...o", y1, v, K)
+
+        return rhs
 
     def rhs(t, x, v):
-        y, mu, xi = v[..., :n], v[..., n:2 * n], v[..., 2 * n:]
-        u = solve_R(xi[..., :m])
-        ydot = embed_control(model, u) + bias(model, y)
-        mudot, xidot = _costate_rates(model, y, mu, xi)
-        return y, np.concatenate([ydot, mudot, xidot], axis=-1)
-
-    return rhs
-
-
-def _flow_rhs_general(model, gm, cost):
-    def rhs(t, x, v):
-        n = model.n
         y, mu, xi = v[:n], v[n:2 * n], v[2 * n:]
         s = State(x, y)
         u = eliminate_control(model, cost, s, xi)
-        a = ExtremalPoint(s, Costate(mu, xi), u)
-        r = extremal_rhs(model, gm, cost, a)
+        r = extremal_rhs(model, gm, cost, ExtremalPoint(s, Costate(mu, xi), u))
         return y, np.concatenate([r.ydot, r.mudot, r.xidot])
 
     return rhs
 
 
+def _integrate(model, gm, cost, x, v, T, steps, record=lambda state: None):
+    """``steps`` RK-MK steps of the extremal field over [0, T]; ``record((x, v))``
+    sees the state after each step.  Raises NonFinite at the first blow-up."""
+    h = T / steps
+    rhs = extremal_field(model, gm, cost)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            x, v = groups.rkmk_coupled_step(gm, x, v, k * h, h, rhs,
+                                            needs_x=not cost.x_independent)
+            if not (np.isfinite(v).all() and np.isfinite(x).all()):
+                raise NonFinite(k + 1)
+            record((x, v))
+    return x, v
+
+
 def flow_extremal(model, gm, cost, a0, T, steps) -> Trajectory:
-    """Integrate the critical flow, recording controls and H on the grid."""
+    """Integrate the critical flow, recording controls and H on the grid (in one
+    batched pass after the loop for quadratic costs, point by point otherwise)."""
     if T <= 0:
         raise ValueError("T must be positive")
     steps = int(steps)
-    h = T / steps
-    n = model.n
-    fast = cost.quad_weight is not None and cost.x_independent
-    if fast:
-        rhs = _flow_rhs_quad(model, _quad_solver(cost))
+    n, m = model.n, model.m
+    path = [(np.asarray(a0.state.x, dtype=float),
+             np.concatenate([a0.state.y, a0.costate.mu, a0.costate.xi]).astype(float))]
+    _integrate(model, gm, cost, *path[0], T, steps, record=path.append)
+    xs, vs = np.stack([x for x, _ in path]), np.stack([v for _, v in path])
+    ys, mus, xis = vs[:, :n], vs[:, n:2 * n], vs[:, 2 * n:]
+    if _is_quadratic(cost):
+        us = eliminate_control(model, cost, None, xis)
+        ydot = extremal_field(model, gm, cost)(0.0, None, vs)[1][:, :n]
+        hams = (np.einsum("ki,ki->k", mus, ys) + np.einsum("ki,ki->k", xis, ydot)
+                - 0.5 * np.einsum("ka,ab,kb->k", us, cost.quad_weight, us))
     else:
-        rhs = _flow_rhs_general(model, gm, cost)
-
-    times = np.linspace(0.0, T, steps + 1)
-    xs = np.empty((steps + 1, gm.rep_dim, gm.rep_dim))
-    ys = np.empty((steps + 1, n))
-    mus = np.empty((steps + 1, n))
-    xis = np.empty((steps + 1, n))
-    us = np.empty((steps + 1, model.m))
-    hams = np.empty(steps + 1)
-
-    x = np.asarray(a0.state.x, dtype=float)
-    v = np.concatenate([np.asarray(a0.state.y, dtype=float),
-                        np.asarray(a0.costate.mu, dtype=float),
-                        np.asarray(a0.costate.xi, dtype=float)])
-
-    def record(k, x, v):
-        y, mu, xi = v[:n], v[n:2 * n], v[2 * n:]
-        s = State(x, y)
-        u = eliminate_control(model, cost, s, xi)
-        xs[k], ys[k], mus[k], xis[k], us[k] = x, y, mu, xi, u
-        hams[k] = hamiltonian(model, cost, ExtremalPoint(s, Costate(mu, xi), u))
-
-    record(0, x, v)
-    needs_x = not cost.x_independent
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            x, v = groups.rkmk_coupled_step(gm, x, v, times[k], h, rhs, needs_x=needs_x)
-            if not (np.isfinite(v).all() and np.isfinite(x).all()):
-                raise NonFinite(k + 1)
-            record(k + 1, x, v)
-    return Trajectory(times=times, xs=xs, ys=ys, us=us, mus=mus, xis=xis, hams=hams)
+        us = np.empty((steps + 1, m))
+        hams = np.empty(steps + 1)
+        for k in range(steps + 1):
+            s = State(xs[k], ys[k])
+            us[k] = eliminate_control(model, cost, s, xis[k])
+            hams[k] = hamiltonian(model, cost, ExtremalPoint(s, Costate(mus[k], xis[k]), us[k]))
+    return Trajectory(times=np.linspace(0.0, T, steps + 1), xs=xs, ys=ys, us=us,
+                      mus=mus, xis=xis, hams=hams)
 
 
 def propagate_endpoints(model, gm, cost, x0, y0, mu0, xi0, T, steps):
     """Terminal (x, y) of the extremal flow; mu0/xi0 may carry a batch dim.
 
-    Shares the stepper and right-hand sides with flow_extremal, so a
+    Shares the stepper and right-hand side with flow_extremal, so a
     batch of flows is bitwise the run of each element alone.  Used by
     the shooting solver to evaluate Jacobian columns concurrently.
     """
     mu0 = np.asarray(mu0, dtype=float)
-    xi0 = np.asarray(xi0, dtype=float)
-    n = model.n
-    h = T / int(steps)
-    fast = cost.quad_weight is not None and cost.x_independent
-    if not fast and mu0.ndim > 1:
+    if not _is_quadratic(cost) and mu0.ndim > 1:
         raise DimensionMismatch("batched propagation requires a quadratic x-independent cost")
-    rhs = _flow_rhs_quad(model, _quad_solver(cost)) if fast else _flow_rhs_general(model, gm, cost)
-
-    y0b = np.broadcast_to(np.asarray(y0, dtype=float), mu0.shape).copy()
-    v = np.concatenate([y0b, mu0, xi0], axis=-1)
-    x = np.asarray(x0, dtype=float)
-    t = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(int(steps)):
-            x, v = groups.rkmk_coupled_step(gm, x, v, t, h, rhs, needs_x=not cost.x_independent)
-            if not (np.isfinite(v).all() and np.isfinite(np.asarray(x)).all()):
-                raise NonFinite(k + 1)
-            t += h
-    return x, v[..., :n]
+    y0b = np.broadcast_to(np.asarray(y0, dtype=float), mu0.shape)
+    v = np.concatenate([y0b, mu0, np.asarray(xi0, dtype=float)], axis=-1)
+    x, v = _integrate(model, gm, cost, np.asarray(x0, dtype=float), v, T, int(steps))
+    return x, v[..., : model.n]
 
 
 def running_cost(cost, traj) -> float:

@@ -15,13 +15,12 @@ continuation or homotopy in this version.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import groups, pmp
-from .dynamics import State, Trajectory
+from .dynamics import State, Trajectory, batch_slices
 from .errors import AngleOutOfRange, NonFinite
 
 
@@ -53,29 +52,16 @@ class ShootingResult:
     converged: bool
 
 
-def _batch_limit():
-    raw = os.environ.get("AOC_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        return None
-    return cap if cap > 0 else None
-
-
 def _residual_batch(model, gm, cost, problem, thetas):
     """Boundary residuals for a (B, 2n) array of costate seeds."""
     n = model.n
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    cap = _batch_limit()
-    chunks = [thetas] if cap is None else np.array_split(thetas, max(1, -(-len(thetas) // cap)))
     out = []
-    for chunk in chunks:
+    for rows in batch_slices(len(thetas)):
+        chunk = thetas[rows]
         xT, yT = pmp.propagate_endpoints(model, gm, cost, problem.x0, problem.y0,
                                          chunk[:, :n], chunk[:, n:], problem.T, problem.steps)
-        err_x = np.stack([
-            groups.log_map(gm, groups.compose(groups.inverse(gm, xT[b]), problem.xT))
-            for b in range(len(chunk))
-        ])
+        err_x = groups.log_map(gm, groups.compose(groups.inverse(gm, xT), problem.xT))
         out.append(np.concatenate([err_x, np.asarray(problem.yT) - yT], axis=-1))
     return np.concatenate(out, axis=0)
 

@@ -51,6 +51,21 @@ def test_config_error_m_greater_than_n(tmp_path, capsys):
     assert main(["validate", "--config", str(cfg)]) == 1
 
 
+def test_so3_full_inertia_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    full = [[1.0, 0.2, 0.0], [0.2, 2.0, 0.0], [0.0, 0.0, 3.0]]
+    write_config(cfg, algebra={"kind": "so3", "inertia": full, "m": 3})
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert "diagonal" in capsys.readouterr().err
+
+
+def test_so3_diagonal_matrix_inertia_accepted(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, algebra={"kind": "so3", "inertia": np.diag([1.0, 2.0, 3.0]).tolist(), "m": 3})
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     config = write_config(cfg)

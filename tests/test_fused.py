@@ -1,0 +1,143 @@
+"""Property tests pinning the fused flow kernels to their reference forms.
+
+The fused extremal field and the ad-matrix ``dexpinv`` are checked on
+random valid algebras: so(3) with a diagonal inertia, abelian R^n with a
+block-diagonal inertia, and se(2)-style semidirect products with scaled,
+permuted generators and an adapted inertia.  The batch tests pin the
+bitwise equality of a batched flow with each of its rows run alone.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+
+import aoc
+from aoc.dynamics import State
+from aoc.groups import dexpinv
+from aoc.pmp import (Costate, ExtremalPoint, eliminate_control, extremal_field,
+                     extremal_rhs, min_acc_cost, propagate_endpoints, quadratic_cost)
+from aoc.shooting import BoundaryProblem, solve_shooting
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def spd(rng, k):
+    """A random symmetric positive definite k x k matrix, eigenvalues in [0.2, ~5]."""
+    A = rng.uniform(-1.0, 1.0, (k, k))
+    return A @ A.T / k + rng.uniform(0.2, 1.0) * np.eye(k)
+
+
+def block_inertia(rng, n, m):
+    J = np.zeros((n, n))
+    J[:m, :m] = spd(rng, m)
+    if m < n:
+        J[m:, m:] = spd(rng, n - m)
+    return J
+
+
+def so3_case(rng):
+    m = int(rng.integers(1, 4))
+    return aoc.so3_model(tuple(rng.uniform(0.2, 5.0, 3)), m=m)
+
+
+def abelian_case(rng):
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(1, n + 1))
+    return aoc.abelian_model(n, m=m, inertia=block_inertia(rng, n, m))
+
+
+def se2_basis(rng):
+    """se(2) generators (rotation, two translations), scaled and permuted."""
+    E = np.zeros((3, 3, 3))
+    E[0, 0, 1], E[0, 1, 0] = -1.0, 1.0
+    E[1, 0, 2] = 1.0
+    E[2, 1, 2] = 1.0
+    E *= rng.uniform(0.5, 2.0, 3)[:, None, None]
+    return E[rng.permutation(3)]
+
+
+def se2_case(rng):
+    basis = se2_basis(rng)
+    # structure constants from the commutators: [E_i, E_j] = C[k, i, j] E_k
+    comm = np.einsum("iab,jbc->ijac", basis, basis)
+    comm = comm - np.transpose(comm, (1, 0, 2, 3))
+    C = np.einsum("kp,ijp->kij", np.linalg.pinv(basis.reshape(3, 9).T), comm.reshape(3, 3, 9))
+    m = int(rng.integers(1, 4))
+    return aoc.make_model(3, m, C, block_inertia(rng, 3, m), name="se2")
+
+
+CASES = {"so3": so3_case, "abelian": abelian_case, "se2": se2_case}
+
+algebras = st.tuples(st.sampled_from(sorted(CASES)), st.integers(0, 2 ** 32 - 1))
+
+
+def draw(kind, seed):
+    rng = np.random.default_rng(seed)
+    model = CASES[kind](rng)
+    return model, rng
+
+
+@given(algebras)
+@SETTINGS
+def test_fused_field_matches_extremal_rhs(case):
+    model, rng = draw(*case)
+    n, m = model.n, model.m
+    cost = quadratic_cost(model, spd(rng, m))
+    rhs = extremal_field(model, None, cost)
+    V = rng.uniform(-1.0, 1.0, (5, 3 * n))
+    z, vdot = rhs(0.0, None, V)
+    assert_allclose(z, V[:, :n], rtol=0, atol=0)
+    for v, row in zip(V, vdot):
+        y, mu, xi = v[:n], v[n:2 * n], v[2 * n:]
+        s = State(np.eye(n + 1), y)
+        u = eliminate_control(model, cost, s, xi)
+        r = extremal_rhs(model, None, cost, ExtremalPoint(s, Costate(mu, xi), u))
+        assert_allclose(row, np.concatenate([r.ydot, r.mudot, r.xidot]), rtol=0, atol=1e-13)
+        assert_allclose(rhs(0.0, None, v)[1], row, rtol=0, atol=0)
+
+
+@given(algebras)
+@SETTINGS
+def test_dexpinv_matches_bracket_series(case):
+    model, rng = draw(*case)
+    w, v = rng.uniform(-1.0, 1.0, (2, 4, model.n))
+    c1 = aoc.bracket(model, w, v)
+    ref = v + c1 / 2.0 + aoc.bracket(model, w, c1) / 12.0
+    assert_allclose(dexpinv(model, w, v), ref, rtol=0, atol=1e-14)
+    for b in range(4):
+        assert_allclose(dexpinv(model, w[b], v[b]), dexpinv(model, w, v)[b], rtol=0, atol=0)
+
+
+@pytest.fixture(scope="module")
+def so3_m2_problem():
+    model = aoc.so3_model((1.0, 2.0, 3.0), m=2)
+    gm = aoc.so3_group(model)
+    xT = aoc.exp_map(gm, np.array([0.3, 0.2, 0.1]))
+    prob = BoundaryProblem(x0=np.eye(3), xT=xT, y0=np.zeros(3), yT=np.zeros(3),
+                           T=1.0, steps=20)
+    return model, gm, min_acc_cost(model), prob
+
+
+def test_so3_underactuated_batch_is_bitwise_single(so3_m2_problem):
+    model, gm, cost, prob = so3_m2_problem
+    thetas = np.random.default_rng(3).uniform(-2.0, 2.0, (13, 6))
+    xb, yb = propagate_endpoints(model, gm, cost, prob.x0, prob.y0,
+                                 thetas[:, :3], thetas[:, 3:], prob.T, prob.steps)
+    for b in range(13):
+        x1, y1 = propagate_endpoints(model, gm, cost, prob.x0, prob.y0,
+                                     thetas[b, :3], thetas[b, 3:], prob.T, prob.steps)
+        assert np.array_equal(x1, xb[b]) and np.array_equal(y1, yb[b])
+
+
+def test_so3_underactuated_batch_cap_is_bitwise(so3_m2_problem, monkeypatch):
+    model, gm, cost, prob = so3_m2_problem
+    guess = (np.array([0.5, -0.5, 0.5]), np.array([0.5, 0.5, -0.5]))
+    monkeypatch.delenv("AOC_THREADS", raising=False)
+    res1 = solve_shooting(model, gm, cost, prob, initial_guess=guess, max_iter=8)
+    monkeypatch.setenv("AOC_THREADS", "2")
+    res2 = solve_shooting(model, gm, cost, prob, initial_guess=guess, max_iter=8)
+    assert res1.iterations == res2.iterations > 0
+    assert res1.residual_norm == res2.residual_norm
+    assert np.array_equal(res1.mu0, res2.mu0) and np.array_equal(res1.xi0, res2.xi0)

@@ -81,6 +81,67 @@ def test_log_raises_near_pi(so3_j123_group):
         aoc.log_map(so3_j123_group, g)
 
 
+def scalar_log(R):
+    """One rotation matrix to (rotation vector, branch) by quaternion extraction."""
+    t = R[0, 0] + R[1, 1] + R[2, 2]
+    skew = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    if t > 0.0:
+        branch = 0
+        s = 2.0 * np.sqrt(t + 1.0)
+        q = np.concatenate([[0.25 * s], skew / s])
+    else:
+        branch = 1 + int(np.argmax(np.diag(R)))
+        i = branch - 1
+        j, k = (i + 1) % 3, (i + 2) % 3
+        s = 2.0 * np.sqrt(max(1.0 + R[i, i] - R[j, j] - R[k, k], 0.0))
+        q = np.empty(4)
+        q[0] = skew[i] / s
+        q[1 + i] = 0.25 * s
+        q[1 + j] = (R[i, j] + R[j, i]) / s
+        q[1 + k] = (R[i, k] + R[k, i]) / s
+    if q[0] < 0.0:
+        q = -q
+    vn = np.linalg.norm(q[1:])
+    if vn < 1e-12:
+        return (2.0 / q[0]) * q[1:], branch
+    return (2.0 * np.arctan2(vn, q[0]) / vn) * q[1:], branch
+
+
+def test_batched_log_matches_scalar_on_every_branch(so3_j123_group, rng):
+    near_axis = np.eye(3)[rng.integers(0, 3, 300)] + 0.1 * rng.standard_normal((300, 3))
+    axes = np.concatenate([rng.standard_normal((300, 3)), near_axis])
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    angles = np.concatenate([rng.uniform(0.0, np.pi - 1e-3, 300),
+                             rng.uniform(2.0, np.pi - 1e-3, 300)])
+    R = aoc.exp_map(so3_j123_group, axes * angles[:, None])
+    got = aoc.log_map(so3_j123_group, R)
+    ref = [scalar_log(r) for r in R]
+    assert {branch for _, branch in ref} == {0, 1, 2, 3}
+    assert_allclose(got, np.stack([w for w, _ in ref]), rtol=0, atol=1e-14)
+    assert_allclose(aoc.log_map(so3_j123_group, R.reshape(20, 30, 3, 3)),
+                    got.reshape(20, 30, 3), rtol=0, atol=0)
+
+
+def test_batched_log_near_zero(so3_j123_group, rng):
+    axes = rng.standard_normal((4, 3))
+    w = axes * np.array([0.0, 1e-14, 1e-9, 1e-6])[:, None]
+    got = aoc.log_map(so3_j123_group, aoc.exp_map(so3_j123_group, w))
+    assert_allclose(got, w, rtol=1e-9, atol=1e-300)
+    assert_allclose(got, np.stack([scalar_log(r)[0] for r in aoc.exp_map(so3_j123_group, w)]),
+                    rtol=1e-15, atol=0)
+
+
+def test_batched_log_raises_if_any_row_near_pi(so3_j123_group):
+    angles = np.array([0.1, np.pi - 2e-6, np.pi - 1e-9, 1.0])
+    R = aoc.exp_map(so3_j123_group, np.outer(angles, [0.0, 0.6, 0.8]))
+    assert_allclose(np.linalg.norm(aoc.log_map(so3_j123_group, R[:2]), axis=1), angles[:2],
+                    atol=1e-9)
+    with pytest.raises(aoc.AngleOutOfRange):
+        aoc.log_map(so3_j123_group, R)
+    with pytest.raises(aoc.AngleOutOfRange):
+        aoc.log_map(so3_j123_group, R[2])
+
+
 def test_abelian_log(abelian3):
     gm = aoc.abelian_group(abelian3)
     y = np.array([0.3, -0.7, 2.0])

@@ -9,8 +9,8 @@ from aoc.pmp import (Costate, CostModel, ExtremalPoint, TangentTuple,
                      fd_dL_dx_triv, fd_observable, flow_extremal, hamiltonian,
                      hamiltonian_field_check, hamiltonian_observable,
                      min_acc_cost, min_acc_rhs, poisson_bracket,
-                     quadratic_cost, running_cost, spatial_momentum,
-                     symplectic_form)
+                     propagate_endpoints, quadratic_cost, running_cost,
+                     spatial_momentum, symplectic_form)
 
 E1, E2, E3 = np.eye(3)
 
@@ -100,9 +100,26 @@ def test_eliminate_newton_on_quartic(so3_m2):
 
 
 def test_eliminate_singular_quadratic(so3_m2):
-    cost = quadratic_cost(so3_m2, np.diag([1e-12, 1e-12]))
+    # rank one at the 1e-12 scale: singular whatever the units of the weight
+    cost = quadratic_cost(so3_m2, np.full((2, 2), 1e-12))
     with pytest.raises(aoc.SingularRegularity):
         eliminate_control(so3_m2, cost, State(np.eye(3), np.zeros(3)), np.ones(3))
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1e-12, 1e8])
+def test_eliminate_small_weight_is_regular(so3_j123, scale):
+    # the regularity test is scale invariant: c*I is perfectly conditioned
+    cost = quadratic_cost(so3_j123, scale * np.eye(3))
+    xi = np.array([1.0, -2.0, 0.5])
+    u = eliminate_control(so3_j123, cost, State(np.eye(3), np.zeros(3)), xi)
+    assert_allclose(u, xi / scale, rtol=1e-14)
+
+
+def test_singular_weight_rejected_by_flow(so3_m2):
+    cost = quadratic_cost(so3_m2, np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(aoc.SingularRegularity):
+        propagate_endpoints(so3_m2, aoc.so3_group(so3_m2), cost, np.eye(3), np.zeros(3),
+                            np.ones(3), np.ones(3), 1.0, 4)
 
 
 def test_eliminate_singular_hessian_newton(so3_m2):
