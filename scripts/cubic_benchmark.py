@@ -48,7 +48,7 @@ def main():
     print(f"  analytic seeds are (+12, +6); sup|x - cubic| = {sup:.2e}")
     print(f"  cost = {running_cost(cost, ind.trajectory):.8f}  (analytic 6)")
     print(f"direct:     cost = {dir_res.running_cost:.8f}  "
-          f"boundary error = {dir_res.boundary_error:.2e}  "
+          f"boundary error = {dir_res.boundary_error:.2e}  converged = {dir_res.converged}  "
           f"iterations = {dir_res.iterations}  ({t_dir:.2f}s)")
     mids = (np.arange(args.segments) + 0.5) / args.segments
     print(f"  sup|U - u*(midpoints)| = "

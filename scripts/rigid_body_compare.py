@@ -57,10 +57,13 @@ def main():
     out = optimize_direct(model, gm, cost, prob,
                           TranscriptionConfig(segments=args.segments))
     t_dir = time.perf_counter() - t0
+    print(f"direct ({args.segments} segments): cost = {out.running_cost:.6f}  "
+          f"boundary = {out.boundary_error:.2e}  converged = {out.converged}  ({t_dir:.1f}s)")
+    if not out.converged:
+        print("gap: none, the direct oracle did not converge")
+        return
     gap = (out.running_cost - ind_cost) / ind_cost if abs(ind_cost) > 1e-12 \
         else out.running_cost - ind_cost
-    print(f"direct ({args.segments} segments): cost = {out.running_cost:.6f}  "
-          f"boundary = {out.boundary_error:.2e}  ({t_dir:.1f}s)")
     print(f"gap = {gap:+.4%}")
 
 

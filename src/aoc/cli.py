@@ -37,16 +37,15 @@ _SCHEMA = {
     "algebra": {"kind", "inertia", "n", "m", "structure_constants", "file"},
     "cost": {"kind", "R"},
     "problem": {"x0", "xT", "y0", "yT", "T", "steps"},
-    "solver": {"tol", "max_iter", "fd_step", "guess", "seed"},
-    "oracle": {"segments", "penalty_weight", "max_outer", "grad_step", "lr",
-               "momentum", "lr_grow", "max_halvings", "grad_tol", "steps_per_segment"},
+    "solver": {"tol", "max_iter", "fd_step", "guess"},
+    "oracle": {"segments", "steps_per_segment"},
     "control": None,
     "costate0": {"mu0", "xi0"},
-    "output": {"path", "format"},
+    "output": {"path"},
 }
 
-_SOLVER_DEFAULTS = {"tol": 1e-8, "max_iter": 200, "fd_step": 1e-6, "guess": None, "seed": 0}
-_OUTPUT_DEFAULTS = {"path": "aoc_out", "format": "csv"}
+_SOLVER_DEFAULTS = {"tol": 1e-8, "max_iter": 200, "fd_step": 1e-6, "guess": None}
+_OUTPUT_DEFAULTS = {"path": "aoc_out"}
 
 
 def load_config(path):
@@ -356,12 +355,18 @@ def cmd_compare(config, args):
             "objective": direct_res.objective,
             "boundary_error": direct_res.boundary_error,
             "iterations": direct_res.iterations,
+            "converged": direct_res.converged,
         },
     }
     base = _out_base(config, args)
     _write_json(base.with_suffix(".json"), payload)
     print(f"wrote {base.with_suffix('.json')}")
     print(f"indirect {indirect_cost:.6f}  direct {direct_cost:.6f}  gap {gap:+.4%}")
+    if not direct_res.converged:
+        print(f"direct oracle did not converge (boundary error "
+              f"{direct_res.boundary_error:.3e} after {direct_res.iterations} iterations)",
+              file=sys.stderr)
+        return 4
     return 0
 
 
@@ -387,8 +392,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the run config (JSON)")
     parser.add_argument("--out", default=None, help="output base path (overrides config)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized fallbacks (overrides config)")
     parser.add_argument("--dump-config", action="store_true",
                         help="print the fully resolved config and exit")
     parser.add_argument("--mu0", default=None, help="initial mu costate, comma separated")
@@ -396,8 +399,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = load_config(args.config)
-        if args.seed is not None:
-            config["solver"]["seed"] = int(args.seed)
         if args.out is not None:
             config["output"]["path"] = str(_out_base(config, args))
         if args.mu0 is not None:

@@ -156,10 +156,12 @@ def test_criterion_07_oracle_equivalence():
     indirect_cost = running_cost(cost, indirect.trajectory)
     out = optimize_direct(model, gm, cost, prob, TranscriptionConfig(segments=100))
     gap = abs(out.running_cost - indirect_cost) / indirect_cost
-    ok = indirect.converged and indirect.residual_norm < 1e-8 and gap < 0.02
+    ok = (indirect.converged and indirect.residual_norm < 1e-8 and gap < 0.02
+          and out.boundary_error < 1e-10)
     report(7, "direct transcription agrees with shooting", ok,
            time.perf_counter() - t0, 120.0,
-           f"indirect {indirect_cost:.6f}, direct {out.running_cost:.6f}, gap {gap:.4%}")
+           f"indirect {indirect_cost:.6f}, direct {out.running_cost:.6f}, gap {gap:.4%}, "
+           f"boundary {out.boundary_error:.1e}")
 
 
 def test_criterion_08_underactuated_run():

@@ -14,7 +14,7 @@ def write_config(path, **overrides):
         "cost": {"kind": "min_acc"},
         "problem": {"x0": [0, 0, 0], "xT": [0, 0, 0.5], "y0": [0, 0, 0],
                     "yT": [0, 0, 0], "T": 1.0, "steps": 100},
-        "output": {"path": str(path.parent / "out"), "format": "csv"},
+        "output": {"path": str(path.parent / "out")},
     }
     config.update(overrides)
     path.write_text(json.dumps(config))
@@ -142,6 +142,7 @@ def test_compare_abelian_small_gap(tmp_path):
     payload = json.loads((tmp_path / "out.json").read_text())
     assert abs(payload["gap"]) < 0.01
     assert payload["indirect_cost"] == pytest.approx(6.0, abs=1e-6)
+    assert payload["direct_summary"]["converged"] is True
 
 
 def test_compare_zero_motion_gap_zero(tmp_path):
@@ -153,6 +154,34 @@ def test_compare_zero_motion_gap_zero(tmp_path):
     assert main(["compare", "--config", str(cfg)]) == 0
     payload = json.loads((tmp_path / "out.json").read_text())
     assert payload["gap"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_compare_unconverged_oracle_exit_code(tmp_path, capsys):
+    # criterion-8 problem: the m = 2 oracle cannot step from U = 0
+    axis = 0.4 * np.array([0.6, 0.7, 0.25]) / np.linalg.norm([0.6, 0.7, 0.25])
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, algebra={"kind": "so3", "inertia": [1.0, 2.0, 3.0], "m": 2},
+                 problem={"x0": [0, 0, 0], "xT": axis.tolist(), "y0": [0, 0, 0],
+                          "yT": [0, 0, 0], "T": 1.0, "steps": 20},
+                 oracle={"segments": 10})
+    assert main(["compare", "--config", str(cfg)]) == 4
+    assert "direct oracle did not converge" in capsys.readouterr().err
+    payload = json.loads((tmp_path / "out.json").read_text())
+    assert payload["direct_summary"]["converged"] is False
+
+
+@pytest.mark.parametrize("section", [{"output": {"path": "out", "format": "csv"}},
+                                     {"solver": {"seed": 0}}])
+def test_removed_config_keys_rejected(tmp_path, section):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **section)
+    assert main(["validate", "--config", str(cfg)]) == 1
+
+
+def test_seed_flag_is_usage_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg)
+    assert main(["validate", "--config", str(cfg), "--seed", "3"]) == 1
 
 
 def test_dump_config_roundtrip_byte_identical(tmp_path, capsys):

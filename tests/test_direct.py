@@ -3,9 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import aoc
-from aoc.direct import (TranscriptionConfig, _objective_batch, optimize_direct,
+from aoc.direct import (TranscriptionConfig, _boundary_residual, _jacobian, optimize_direct,
                         transcription_objective)
-from aoc.pmp import min_acc_cost, running_cost
+from aoc.dynamics import zoh_rollout
+from aoc.pmp import CostModel, min_acc_cost, running_cost
 from aoc.shooting import BoundaryProblem, solve_shooting
 
 
@@ -61,23 +62,77 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TranscriptionConfig(segments=1)
     with pytest.raises(ValueError):
-        TranscriptionConfig(penalty_weight=0.0)
-    with pytest.raises(ValueError):
         TranscriptionConfig(steps_per_segment=3)
 
 
-def test_batched_objective_matches_single(rng):
+def test_batched_boundary_residual_matches_single(rng):
     model = aoc.so3_model((1.0, 2.0, 3.0))
     gm = aoc.so3_group(model)
-    cost = min_acc_cost(model)
     xT = aoc.exp_map(gm, [0.1, 0.2, 0.3])
     prob = BoundaryProblem(x0=np.eye(3), xT=xT, y0=np.zeros(3), yT=np.zeros(3),
                            T=1.0, steps=10)
-    cfg = TranscriptionConfig(segments=6)
     U = rng.standard_normal((7, 6, 3))
-    batch = _objective_batch(model, gm, cost, prob, U, cfg)
+    _, xs, ys = zoh_rollout(model, gm, prob.x0, prob.y0, U, prob.T)
+    batch = _boundary_residual(gm, prob, xs[-1], ys[-1])
     for b in range(7):
-        assert batch[b] == _objective_batch(model, gm, cost, prob, U[b], cfg)
+        _, xs, ys = zoh_rollout(model, gm, prob.x0, prob.y0, U[b], prob.T)
+        assert np.array_equal(batch[b], _boundary_residual(gm, prob, xs[-1], ys[-1]))
+
+
+def so3_problem(target, m=3, steps=200):
+    model = aoc.so3_model((1.0, 2.0, 3.0), m=m)
+    gm = aoc.so3_group(model)
+    prob = BoundaryProblem(x0=np.eye(3), xT=aoc.exp_map(gm, target), y0=np.zeros(3),
+                           yT=np.zeros(3), T=1.0, steps=steps)
+    return model, gm, min_acc_cost(model), prob
+
+
+def test_non_quadratic_cost_rejected():
+    ab, gm, quad, prob = abelian_problem()
+    cost = CostModel(eval=lambda s, u: float(np.sum(u ** 4)), dL_dx_triv=quad.dL_dx_triv,
+                     dL_dy=quad.dL_dy, dL_du=lambda s, u: 4.0 * u ** 3,
+                     d2L_du2=lambda s, u: np.diag(12.0 * u ** 2), x_independent=True)
+    cfg = TranscriptionConfig(segments=10)
+    with pytest.raises(ValueError, match="quadratic"):
+        optimize_direct(ab, gm, cost, prob, cfg)
+    with pytest.raises(ValueError, match="quadratic"):
+        transcription_objective(ab, gm, cost, prob, np.zeros((10, 1)), cfg)
+
+
+def test_generic_axis_matches_shooting():
+    model, gm, cost, prob = so3_problem([0.3, -0.6, 0.5])
+    indirect = running_cost(cost, solve_shooting(model, gm, cost, prob).trajectory)
+    gaps = []
+    for N in (20, 50):
+        out = optimize_direct(model, gm, cost, prob, TranscriptionConfig(segments=N))
+        assert out.converged and out.boundary_error < 1e-10
+        assert out.running_cost >= indirect * (1 - 1e-3)
+        gaps.append(abs(out.running_cost - indirect) / indirect)
+    assert gaps[0] < 0.02
+    assert gaps[1] < gaps[0]
+
+
+def test_solution_satisfies_kkt_conditions():
+    # at a constrained minimum of z^T W z / 2 the gradient W z is A^T lambda
+    model, gm, cost, prob = so3_problem([0.3, -0.6, 0.5])
+    N = 12
+    out = optimize_direct(model, gm, cost, prob, TranscriptionConfig(segments=N))
+    assert out.converged
+    _, xs, ys = zoh_rollout(model, gm, prob.x0, prob.y0, out.U, prob.T)
+    A = _jacobian(model, gm, prob, out.U, _boundary_residual(gm, prob, xs[-1], ys[-1]), 2)
+    grad = (prob.T / N) * (out.U @ cost.quad_weight).reshape(-1)
+    lam = np.linalg.lstsq(A.T, grad, rcond=None)[0]
+    assert np.linalg.norm(A.T @ lam - grad) < 1e-6 * np.linalg.norm(grad)
+
+
+def test_underactuated_zero_start_reports_unconverged():
+    # criterion-8 problem: at U = 0 the m = 2 linearization has rank 4 of 6
+    axis = np.array([0.6, 0.7, 0.25])
+    model, gm, cost, prob = so3_problem(0.4 * axis / np.linalg.norm(axis), m=2)
+    out = optimize_direct(model, gm, cost, prob, TranscriptionConfig(segments=10))
+    assert not out.converged and out.iterations == 0
+    assert np.isfinite(out.U).all() and np.isfinite(out.running_cost)
+    assert out.boundary_error > 0.1
 
 
 def test_optimize_abelian_cubic_benchmark():
