@@ -10,9 +10,7 @@ from .algebra import (LieAlgebraModel, ValidationReport, abelian_model, ad_star,
                       kinetic_energy, load_model, make_model, restrict_covector,
                       sharp, so3_model, validate_model)
 from .direct import DirectResult, TranscriptionConfig, optimize_direct, transcription_objective
-from .dynamics import (State, Trajectory, covariant_acceleration,
-                       euler_poincare_rhs, simulate, write_trajectory_csv,
-                       zero_control, zoh_control)
+from .dynamics import State, Trajectory, simulate, write_trajectory_csv, zero_control
 from .errors import (AngleOutOfRange, DimensionMismatch, NoConvergence,
                      NonFinite, SingularRegularity)
 from .groups import (GroupModel, abelian_group, adjoint_matrix, compose,

@@ -6,11 +6,12 @@ z^T W z / 2 with W = (T / N) blockdiag(R), and the transcription is
 
     min  z^T W z / 2   subject to   c(z) = 0,
 
-where c = (log(x(T)^-1 xT), y(T) - yT) is the 2n-vector boundary
-residual of a ``zoh_rollout``.  Each iteration rolls out the current U,
-builds the 2n x Nm Jacobian A of c by forward differences (one batched
-rollout of Nm rows, chunked by the AOC_THREADS cap) and takes the
-minimum W-norm point on the linearized constraints,
+where c = (log(x(T)^-1 xT), yT - y(T)) is the 2n-vector boundary
+residual of a ``zoh_rollout``, the one shooting closes
+(``shooting.endpoint_residual``).  Each iteration rolls out the current
+U, builds the 2n x Nm Jacobian A of c by forward differences (one
+batched rollout of Nm rows) and takes the minimum W-norm point on the
+linearized constraints,
 
     z <- W^-1 A^T (A W^-1 A^T)^-1 (A z - c),
 
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import groups
-from .dynamics import Trajectory, batch_slices, zoh_rollout
+from .dynamics import Trajectory, zoh_rollout
+from .shooting import endpoint_residual
 
 FD_STEP = 1e-7      # forward-difference step of the constraint Jacobian
 TOL = 1e-10         # boundary residual norm that counts as converged
@@ -69,22 +70,13 @@ def _weight(cost):
     return cost.quad_weight
 
 
-def _boundary_residual(gm, problem, xT, yT):
-    """Boundary residual c = (log(x(T)^-1 xT), y(T) - yT); xT and yT may carry a batch dimension."""
-    log_err = groups.log_map(gm, groups.compose(groups.inverse(gm, xT), problem.xT))
-    return np.concatenate([log_err, yT - np.asarray(problem.yT, dtype=float)], axis=-1)
-
-
 def _jacobian(model, gm, problem, U, c, spb):
-    """Forward-difference Jacobian of c at U, one batched rollout per AOC_THREADS slice."""
+    """Forward-difference Jacobian of c at U, one batched rollout of all N m columns."""
     N, m = U.shape
     Z = U + FD_STEP * np.eye(N * m).reshape(-1, N, m)
-    cs = np.empty((N * m, len(c)))
-    for sl in batch_slices(len(Z)):
-        _, xs, ys = zoh_rollout(model, gm, problem.x0, problem.y0, Z[sl], problem.T,
-                                steps_per_segment=spb)
-        cs[sl] = _boundary_residual(gm, problem, xs[-1], ys[-1])
-    return (cs - c).T / FD_STEP
+    _, xs, ys = zoh_rollout(model, gm, problem.x0, problem.y0, Z, problem.T,
+                            steps_per_segment=spb)
+    return (endpoint_residual(gm, problem, xs[-1], ys[-1]) - c).T / FD_STEP
 
 
 def transcription_objective(model, gm, cost, problem, U, config) -> float:
@@ -105,7 +97,7 @@ def optimize_direct(model, gm, cost, problem, config) -> DirectResult:
     while True:
         times, xs, ys = zoh_rollout(model, gm, problem.x0, problem.y0, U, problem.T,
                                     steps_per_segment=spb)
-        c = _boundary_residual(gm, problem, xs[-1], ys[-1])
+        c = endpoint_residual(gm, problem, xs[-1], ys[-1])
         converged = bool(np.linalg.norm(c) < TOL)
         if converged or iterations == MAX_ITER:
             break

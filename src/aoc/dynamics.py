@@ -13,7 +13,6 @@ layout is ``t, x (row-major d^2), y (n), u (m)`` plus optional
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import groups
 from .algebra import bias, embed_control, kinetic_energy
-from .errors import DimensionMismatch, NonFinite
+from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -58,26 +57,6 @@ class Trajectory:
         return State(x=self.xs[k], y=self.ys[k])
 
 
-def euler_poincare_rhs(model, y, u):
-    """Right-hand sides of the controlled velocity system.
-
-    Returns ``(ydot, xdot_body)``: the velocity derivative
-    ``bias(y) + embed(u)`` and the body direction of xdot (which is y).
-    """
-    y = np.asarray(y, dtype=float)
-    return bias(model, y) + embed_control(model, u), y
-
-
-def covariant_acceleration(model, y, ydot) -> np.ndarray:
-    """ydot - bias(y); along a controlled trajectory this equals embed(u)."""
-    return np.asarray(ydot, dtype=float) - bias(model, y)
-
-
-def _check_finite(x, y, step):
-    if not (np.isfinite(y).all() and np.isfinite(x).all()):
-        raise NonFinite(step)
-
-
 def simulate(model, gm, s0, u, T, steps) -> Trajectory:
     """Integrate the controlled system on a uniform grid.
 
@@ -100,15 +79,15 @@ def simulate(model, gm, s0, u, T, steps) -> Trajectory:
     xs = np.empty((steps + 1, gm.rep_dim, gm.rep_dim))
     ys = np.empty((steps + 1, n))
     us = np.empty((steps + 1, m))
+
+    def record(k, x, y):
+        xs[k], ys[k] = x, y
+        us[k] = np.asarray(u(times[k]), dtype=float)
+
     x = np.asarray(s0.x, dtype=float)
     y = np.asarray(s0.y, dtype=float)
     xs[0], ys[0], us[0] = x, y, np.asarray(u(0.0), dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            x, y = groups.rkmk_coupled_step(gm, x, y, times[k], h, rhs)
-            _check_finite(x, y, k + 1)
-            xs[k + 1], ys[k + 1] = x, y
-            us[k + 1] = np.asarray(u(times[k + 1]), dtype=float)
+    groups.rkmk_integrate(gm, x, y, times, h, rhs, record=record)
     return Trajectory(times=times, xs=xs, ys=ys, us=us)
 
 
@@ -118,40 +97,6 @@ def zero_control(model):
     return lambda t: z
 
 
-def zoh_control(model, U, T):
-    """Piecewise-constant control over N equal segments of [0, T].
-
-    Exact segment boundaries are attributed to the segment on their
-    left.  Note that ``simulate`` samples this callable at RK stage
-    times, so a step straddling a control jump sees mixed values; the
-    transcription oracle therefore integrates through ``zoh_rollout``,
-    which aligns steps with segments.
-    """
-    U = np.asarray(U, dtype=float)
-    N = U.shape[0]
-
-    def u(t):
-        j = int(np.floor(t * N / T - 1e-9))
-        return U[min(max(j, 0), N - 1)]
-
-    return u
-
-
-def batch_slices(total):
-    """Slices of at most ``AOC_THREADS`` rows covering ``range(total)``.
-
-    The environment variable caps how many flows one batched evaluation
-    carries; unset, non-integer or <= 0 means no cap (one slice).
-    """
-    try:
-        cap = int(os.environ.get("AOC_THREADS", ""))
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        return [slice(0, total)]
-    return [slice(i, min(i + cap, total)) for i in range(0, total, cap)]
-
-
 def zoh_rollout(model, gm, x0, y0, U, T, steps_per_segment=2):
     """Batched rollout under piecewise-constant controls.
 
@@ -159,7 +104,8 @@ def zoh_rollout(model, gm, x0, y0, U, T, steps_per_segment=2):
     ``steps_per_segment`` steps per control segment so that every step
     (stage times included) lies inside one segment and sees that
     segment's control.  Returns ``(times, xs, ys)`` sampled on the full
-    sub-grid, with shapes (K, B?, d, d) and (K, B?, n).
+    sub-grid, with shapes (K, B?, d, d) and (K, B?, n).  Raises NonFinite
+    with the sub-grid step index if the state blows up.
     """
     U = np.asarray(U, dtype=float)
     batched = U.ndim == 3
@@ -176,21 +122,19 @@ def zoh_rollout(model, gm, x0, y0, U, T, steps_per_segment=2):
     ys = np.empty((len(times),) + y.shape)
     xs = np.empty((len(times),) + x.shape)
     xs[0], ys[0] = x, y
-    k = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(N):
-            drift = embed_control(gm.algebra, U[..., j, :])
 
-            def rhs(t, _x, yy, drift=drift):
-                return yy, bias(gm.algebra, yy) + drift
+    def record(k, x, y):
+        xs[k], ys[k] = x, y
 
-            for _ in range(spb):
-                x, y = groups.rkmk_coupled_step(gm, x, y, times[k], h, rhs)
-                k += 1
-                xs[k], ys[k] = x, y
-    if not (np.isfinite(ys).all() and np.isfinite(xs).all()):
-        bad = np.where(~np.isfinite(ys).reshape(len(times), -1).all(axis=1))[0]
-        raise NonFinite(int(bad[0]) if len(bad) else len(times) - 1)
+    for j in range(N):
+        drift = embed_control(gm.algebra, U[..., j, :])
+
+        def rhs(t, _x, yy, drift=drift):
+            return yy, bias(gm.algebra, yy) + drift
+
+        k = j * spb
+        x, y = groups.rkmk_integrate(gm, x, y, times[k:k + spb + 1], h, rhs,
+                                     record=record, first_step=k)
     return times, xs, ys
 
 

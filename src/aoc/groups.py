@@ -10,10 +10,17 @@ accuracy of ``exp``.
 
 so(3) uses batched closed forms (Rodrigues for exp, quaternion
 extraction for log) with series fallbacks below angle 1e-4 to avoid
-cancellation; each row of a batch gets the bits it gets alone.  The
-generic branch uses scaling and squaring on the exponential series and
-delegates the logarithm to scipy row by row.  ``dexpinv`` forms the
-matrix ad(omega) once from the structure constants and applies it twice.
+cancellation.  The generic branch uses scaling and squaring on the
+exponential series, with the scaling exponent and the last term chosen
+per matrix, and delegates the logarithm to scipy row by row.  On every
+branch each row of a batch gets the bits it gets alone.  ``dexpinv``
+forms the matrix ad(omega) once from the structure constants and
+applies it twice.
+
+``rkmk_integrate`` is the one time loop: the forward simulation, the
+zero-order-hold rollout of the oracle and the extremal flows all step
+through it, so they share one finite check that reports the global step
+number and one recorder convention.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import LieAlgebraModel
-from .errors import AngleOutOfRange, DimensionMismatch
+from .errors import AngleOutOfRange, DimensionMismatch, NonFinite
 
 SO3_MAX_LOG_ANGLE = np.pi - 1e-6
 
@@ -171,20 +178,26 @@ def _so3_log(R, max_angle):
 # -- generic matrix exponential ----------------------------------------------
 
 def _exp_series(A, rtol=1e-13, max_terms=60):
-    """Scaling and squaring on the exponential series, batched."""
+    """Scaling and squaring on the exponential series, batched.  Each matrix
+    takes its own scaling exponent and stopping term, so every row of a batch
+    gets the bits it gets alone."""
     A = np.asarray(A, dtype=float)
-    nrm = float(np.max(np.sqrt(np.einsum("...ij,...ij->...", A, A)))) if A.size else 0.0
-    s = max(0, int(np.ceil(np.log2(nrm / 0.5))) if nrm > 0.5 else 0)
-    B = A / (2.0 ** s)
-    out = np.broadcast_to(np.eye(A.shape[-1]), A.shape).copy() + B
+    nrm = np.sqrt(np.einsum("...ij,...ij->...", A, A))
+    m, e = np.frexp(nrm)
+    s = np.where(nrm > 0.5, e + (m > 0.5), 0)  # ceil(log2(nrm / 0.5)), exactly
+    B = np.ldexp(A, -s[..., None, None])
+    out = np.eye(A.shape[-1]) + B
     term = B
+    done = np.zeros(A.shape[:-2], dtype=bool)
     for k in range(2, max_terms + 1):
         term = np.matmul(term, B) / k
-        out = out + term
-        if np.max(np.abs(term)) <= rtol * max(np.max(np.abs(out)), 1.0):
+        out = np.where(done[..., None, None], out, out + term)
+        done |= (np.abs(term).max(axis=(-2, -1))
+                 <= rtol * np.maximum(np.abs(out).max(axis=(-2, -1)), 1.0))
+        if done.all():
             break
-    for _ in range(s):
-        out = np.matmul(out, out)
+    for i in range(int(s.max(initial=0))):
+        out = np.where((s > i)[..., None, None], np.matmul(out, out), out)
     return out
 
 
@@ -276,6 +289,25 @@ def rkmk_coupled_step(gm, x, v, t, h, rhs, needs_x=False):
     return x_next, v_next
 
 
+def rkmk_integrate(gm, x, v, times, h, rhs, needs_x=False, record=None, first_step=0):
+    """RK-MK steps of size ``h`` from each of ``times[:-1]``, the one time loop
+    of the package.
+
+    ``rhs`` and ``needs_x`` are as in ``rkmk_coupled_step``.  After each step
+    the state must be finite, else NonFinite is raised with the global step
+    number ``first_step + k + 1``; ``record(first_step + k + 1, x, v)``, if
+    given, then sees it.  Returns the final (x, v).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, t in enumerate(times[:-1], start=first_step + 1):
+            x, v = rkmk_coupled_step(gm, x, v, t, h, rhs, needs_x)
+            if not (np.isfinite(v).all() and np.isfinite(x).all()):
+                raise NonFinite(k)
+            if record is not None:
+                record(k, x, v)
+    return x, v
+
+
 def reconstruct_step(gm, x, y_of_t, t, h) -> np.ndarray:
     """Advance x by one step of the group integrator for a known y(t)."""
     if h <= 0:
@@ -287,32 +319,6 @@ def reconstruct_step(gm, x, y_of_t, t, h) -> np.ndarray:
 
     x_next, _ = rkmk_coupled_step(gm, np.asarray(x, dtype=float), empty, t, h, rhs)
     return x_next
-
-
-def rk4_project_step(gm, x, y_of_t, t, h) -> np.ndarray:
-    """Classical RK4 on raw matrix entries, then projection to the manifold.
-
-    Baseline for accuracy comparisons only; the drivers always use the
-    Munthe-Kaas step.  Projection takes the polar factor for so3 and is
-    a no-op otherwise (abelian integrates exactly, generic has no
-    canonical projection).
-    """
-    def f(s, X):
-        return X @ hat(gm, np.asarray(y_of_t(s), dtype=float))
-
-    x = np.asarray(x, dtype=float)
-    k1 = f(t, x)
-    k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-    k4 = f(t + h, x + h * k3)
-    out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if gm.kind == "so3":
-        u, _, vt = np.linalg.svd(out)
-        out = u @ vt
-        if np.linalg.det(out) < 0:
-            u[:, -1] *= -1.0
-            out = u @ vt
-    return out
 
 
 def orthogonality_defect(g) -> float:

@@ -24,9 +24,10 @@ the Hamiltonian field of H for the trivialized symplectic form
 
 For x-independent quadratic costs the flow is bilinear in (y; mu, xi):
 ``extremal_field`` builds its tensor once per (model, cost) and evaluates
-a batch of RK-MK stages with one einsum.  ``flow_extremal`` records
-(x, y, mu, xi) from the stepper loop it shares with ``propagate_endpoints``
-and, for quadratic costs, gets u and H of the grid in one batched pass.
+a batch of RK-MK stages with one einsum.  ``flow_extremal`` and
+``propagate_endpoints`` both step it through ``groups.rkmk_integrate``;
+the former records (x, y, mu, xi) and, for quadratic costs, gets u and H
+of the grid in one batched pass.
 Only normal extremals are treated; a control Hessian with condition
 number above 1 / RCOND_MIN raises SingularRegularity.
 
@@ -46,7 +47,7 @@ import numpy as np
 from . import groups
 from .algebra import ad_star, bias, bracket, embed_control, flat, sharp
 from .dynamics import State, Trajectory
-from .errors import DimensionMismatch, NonFinite, SingularRegularity, NoConvergence
+from .errors import DimensionMismatch, SingularRegularity, NoConvergence
 
 FD_STEP_CHECK = 1e-5   # verification finite differences
 FD_STEP_COST = 1e-6    # cost derivative helper
@@ -281,21 +282,6 @@ def extremal_field(model, gm, cost):
     return rhs
 
 
-def _integrate(model, gm, cost, x, v, T, steps, record=lambda state: None):
-    """``steps`` RK-MK steps of the extremal field over [0, T]; ``record((x, v))``
-    sees the state after each step.  Raises NonFinite at the first blow-up."""
-    h = T / steps
-    rhs = extremal_field(model, gm, cost)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            x, v = groups.rkmk_coupled_step(gm, x, v, k * h, h, rhs,
-                                            needs_x=not cost.x_independent)
-            if not (np.isfinite(v).all() and np.isfinite(x).all()):
-                raise NonFinite(k + 1)
-            record((x, v))
-    return x, v
-
-
 def flow_extremal(model, gm, cost, a0, T, steps) -> Trajectory:
     """Integrate the critical flow, recording controls and H on the grid (in one
     batched pass after the loop for quadratic costs, point by point otherwise)."""
@@ -303,10 +289,18 @@ def flow_extremal(model, gm, cost, a0, T, steps) -> Trajectory:
         raise ValueError("T must be positive")
     steps = int(steps)
     n, m = model.n, model.m
-    path = [(np.asarray(a0.state.x, dtype=float),
-             np.concatenate([a0.state.y, a0.costate.mu, a0.costate.xi]).astype(float))]
-    _integrate(model, gm, cost, *path[0], T, steps, record=path.append)
-    xs, vs = np.stack([x for x, _ in path]), np.stack([v for _, v in path])
+    h = T / steps
+    xs = np.empty((steps + 1, gm.rep_dim, gm.rep_dim))
+    vs = np.empty((steps + 1, 3 * n))
+    xs[0] = a0.state.x
+    vs[0] = np.concatenate([a0.state.y, a0.costate.mu, a0.costate.xi])
+
+    def record(k, x, v):
+        xs[k], vs[k] = x, v
+
+    groups.rkmk_integrate(gm, xs[0], vs[0], h * np.arange(steps + 1), h,
+                          extremal_field(model, gm, cost),
+                          needs_x=not cost.x_independent, record=record)
     ys, mus, xis = vs[:, :n], vs[:, n:2 * n], vs[:, 2 * n:]
     if _is_quadratic(cost):
         us = eliminate_control(model, cost, None, xis)
@@ -336,7 +330,11 @@ def propagate_endpoints(model, gm, cost, x0, y0, mu0, xi0, T, steps):
         raise DimensionMismatch("batched propagation requires a quadratic x-independent cost")
     y0b = np.broadcast_to(np.asarray(y0, dtype=float), mu0.shape)
     v = np.concatenate([y0b, mu0, np.asarray(xi0, dtype=float)], axis=-1)
-    x, v = _integrate(model, gm, cost, np.asarray(x0, dtype=float), v, T, int(steps))
+    steps = int(steps)
+    h = T / steps
+    x, v = groups.rkmk_integrate(gm, np.asarray(x0, dtype=float), v, h * np.arange(steps + 1),
+                                 h, extremal_field(model, gm, cost),
+                                 needs_x=not cost.x_independent)
     return x, v[..., : model.n]
 
 

@@ -3,10 +3,12 @@
 The unknowns are the 2n components of (mu0, xi0); the residual stacks
 the body-frame configuration error log(x(T)^{-1} xT) with the velocity
 error yT - y(T), so a zero residual is exactly the boundary conditions.
-The Jacobian uses central finite differences with per-column steps
-1e-6 (1 + |component|); all 4n+1 flows of one Jacobian evaluation run
-as a single batched propagation (see ``propagate_endpoints``), which is
-how columns are evaluated concurrently.
+The direct oracle closes the same boundary conditions with the same
+residual, ``endpoint_residual``.  The Jacobian uses central finite
+differences with per-column steps 1e-6 (1 + |component|); all 4n flows
+of one Jacobian evaluation run as a single batched propagation (see
+``propagate_endpoints``), which is how columns are evaluated
+concurrently.
 
 Globalization is a deterministic multi-start (scale patterns
 {0, +-1, +-10} on two sign masks, 8 seeds total); there is no
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups, pmp
-from .dynamics import State, Trajectory, batch_slices
+from .dynamics import State, Trajectory
 from .errors import AngleOutOfRange, NonFinite
 
 
@@ -42,6 +44,12 @@ class BoundaryProblem:
             raise ValueError("steps must be at least 1")
 
 
+def endpoint_residual(gm, problem, xT, yT) -> np.ndarray:
+    """(log(x(T)^-1 xT), yT - y(T)) for terminal states that may carry a batch dimension."""
+    err_x = groups.log_map(gm, groups.compose(groups.inverse(gm, xT), problem.xT))
+    return np.concatenate([err_x, np.asarray(problem.yT, dtype=float) - yT], axis=-1)
+
+
 @dataclass
 class ShootingResult:
     mu0: np.ndarray
@@ -53,17 +61,12 @@ class ShootingResult:
 
 
 def _residual_batch(model, gm, cost, problem, thetas):
-    """Boundary residuals for a (B, 2n) array of costate seeds."""
+    """Boundary residuals for a (B, 2n) array of costate seeds, one batched flow."""
     n = model.n
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    out = []
-    for rows in batch_slices(len(thetas)):
-        chunk = thetas[rows]
-        xT, yT = pmp.propagate_endpoints(model, gm, cost, problem.x0, problem.y0,
-                                         chunk[:, :n], chunk[:, n:], problem.T, problem.steps)
-        err_x = groups.log_map(gm, groups.compose(groups.inverse(gm, xT), problem.xT))
-        out.append(np.concatenate([err_x, np.asarray(problem.yT) - yT], axis=-1))
-    return np.concatenate(out, axis=0)
+    xT, yT = pmp.propagate_endpoints(model, gm, cost, problem.x0, problem.y0,
+                                     thetas[:, :n], thetas[:, n:], problem.T, problem.steps)
+    return endpoint_residual(gm, problem, xT, yT)
 
 
 def boundary_residual(model, gm, cost, problem, mu0, xi0) -> np.ndarray:

@@ -3,11 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import aoc
-from aoc.direct import (TranscriptionConfig, _boundary_residual, _jacobian, optimize_direct,
-                        transcription_objective)
+from aoc.direct import TranscriptionConfig, _jacobian, optimize_direct, transcription_objective
 from aoc.dynamics import zoh_rollout
 from aoc.pmp import CostModel, min_acc_cost, running_cost
-from aoc.shooting import BoundaryProblem, solve_shooting
+from aoc.shooting import BoundaryProblem, endpoint_residual, solve_shooting
 
 
 def abelian_problem(xT_val=1.0):
@@ -73,10 +72,10 @@ def test_batched_boundary_residual_matches_single(rng):
                            T=1.0, steps=10)
     U = rng.standard_normal((7, 6, 3))
     _, xs, ys = zoh_rollout(model, gm, prob.x0, prob.y0, U, prob.T)
-    batch = _boundary_residual(gm, prob, xs[-1], ys[-1])
+    batch = endpoint_residual(gm, prob, xs[-1], ys[-1])
     for b in range(7):
         _, xs, ys = zoh_rollout(model, gm, prob.x0, prob.y0, U[b], prob.T)
-        assert np.array_equal(batch[b], _boundary_residual(gm, prob, xs[-1], ys[-1]))
+        assert np.array_equal(batch[b], endpoint_residual(gm, prob, xs[-1], ys[-1]))
 
 
 def so3_problem(target, m=3, steps=200):
@@ -119,7 +118,7 @@ def test_solution_satisfies_kkt_conditions():
     out = optimize_direct(model, gm, cost, prob, TranscriptionConfig(segments=N))
     assert out.converged
     _, xs, ys = zoh_rollout(model, gm, prob.x0, prob.y0, out.U, prob.T)
-    A = _jacobian(model, gm, prob, out.U, _boundary_residual(gm, prob, xs[-1], ys[-1]), 2)
+    A = _jacobian(model, gm, prob, out.U, endpoint_residual(gm, prob, xs[-1], ys[-1]), 2)
     grad = (prob.T / N) * (out.U @ cost.quad_weight).reshape(-1)
     lam = np.linalg.lstsq(A.T, grad, rcond=None)[0]
     assert np.linalg.norm(A.T @ lam - grad) < 1e-6 * np.linalg.norm(grad)

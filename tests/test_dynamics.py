@@ -4,25 +4,22 @@ from numpy.testing import assert_allclose
 
 import aoc
 from aoc.dynamics import (State, Trajectory, energy_drift, simulate,
-                          write_trajectory_csv, zero_control, zoh_control,
-                          zoh_rollout)
+                          write_trajectory_csv, zero_control, zoh_rollout)
 from aoc.groups import orthogonality_defect
 
 
 def test_ep_rhs_abelian(abelian3):
-    ydot, xdir = aoc.euler_poincare_rhs(abelian3, [0.1, 0.2, 0.3], [1.0, -1.0])
+    # ydot = bias(y) + embed(u); an abelian algebra has no drift
+    ydot = aoc.bias(abelian3, [0.1, 0.2, 0.3]) + aoc.embed_control(abelian3, [1.0, -1.0])
     assert_allclose(ydot, [1.0, -1.0, 0.0])
-    assert_allclose(xdir, [0.1, 0.2, 0.3])
 
 
 def test_ep_rhs_principal_axis_equilibrium(so3_j123):
-    ydot, _ = aoc.euler_poincare_rhs(so3_j123, [1.0, 0.0, 0.0], np.zeros(3))
-    assert_allclose(ydot, 0.0, atol=1e-15)
+    assert_allclose(aoc.bias(so3_j123, [1.0, 0.0, 0.0]), 0.0, atol=1e-15)
 
 
 def test_ep_rhs_bias_value(so3_j123):
-    ydot, _ = aoc.euler_poincare_rhs(so3_j123, [1.0, 1.0, 0.0], np.zeros(3))
-    assert_allclose(ydot, [0.0, 0.0, -1.0 / 3.0])
+    assert_allclose(aoc.bias(so3_j123, [1.0, 1.0, 0.0]), [0.0, 0.0, -1.0 / 3.0])
 
 
 def test_simulate_abelian_straight_line(abelian3):
@@ -47,21 +44,6 @@ def test_free_rigid_body_energy_conserved(so3_j123, so3_j123_group):
     assert orthogonality_defect(traj.xs[-1]) < 1e-9
 
 
-def test_covariant_acceleration_identities(so3_j123, rng):
-    y = rng.standard_normal(3)
-    # geodesic: ydot equals the drift
-    assert_allclose(aoc.covariant_acceleration(so3_j123, y, aoc.bias(so3_j123, y)),
-                    0.0, atol=1e-15)
-    u = rng.standard_normal(3)
-    ydot, _ = aoc.euler_poincare_rhs(so3_j123, y, u)
-    assert_allclose(aoc.covariant_acceleration(so3_j123, y, ydot), u, atol=1e-15)
-
-
-def test_covariant_acceleration_abelian_is_ydot(abelian3, rng):
-    ydot = rng.standard_normal(3)
-    assert_allclose(aoc.covariant_acceleration(abelian3, rng.standard_normal(3), ydot), ydot)
-
-
 def test_covariant_acceleration_along_simulated_grid(so3_j123, so3_j123_group):
     u_fn = lambda t: np.array([0.2 * np.sin(t), -0.1 * t, 0.3 * np.cos(2 * t)])
     T, steps = 2.0, 400
@@ -70,7 +52,7 @@ def test_covariant_acceleration_along_simulated_grid(so3_j123, so3_j123_group):
     h = T / steps
     # fourth order stencil for ydot on interior points
     ydot = (traj.ys[:-4] - 8 * traj.ys[1:-3] + 8 * traj.ys[3:-1] - traj.ys[4:]) / (12 * h)
-    acc = aoc.covariant_acceleration(so3_j123, traj.ys[2:-2], ydot)
+    acc = ydot - aoc.bias(so3_j123, traj.ys[2:-2])
     embedded = np.stack([aoc.embed_control(so3_j123, u_fn(t)) for t in traj.times[2:-2]])
     assert np.abs(acc - embedded).max() < 1e-8
 
@@ -94,7 +76,17 @@ def test_nonfinite_reports_step_index(abelian3):
 
     with pytest.raises(aoc.NonFinite) as err:
         simulate(abelian3, gm, State(np.eye(4), np.zeros(3)), u, 1.0, 10)
-    assert err.value.step_index > 0
+    # step 6 runs from t = 0.5; its midpoint stage samples the NaN
+    assert err.value.step_index == 6
+
+
+def test_rollout_nonfinite_reports_global_step_index(so3_j123, so3_j123_group):
+    U = np.zeros((5, 3))
+    U[3, 0] = np.nan  # segment 3 holds steps 7 and 8 of the sub-grid
+    with pytest.raises(aoc.NonFinite) as err:
+        zoh_rollout(so3_j123, so3_j123_group, np.eye(3), np.zeros(3), U, 1.0,
+                    steps_per_segment=2)
+    assert err.value.step_index == 7
 
 
 def test_csv_roundtrip(tmp_path, so3_j123, so3_j123_group):
@@ -133,20 +125,11 @@ def test_zoh_rollout_batch_matches_loop(so3_j123, so3_j123_group, rng):
         assert_allclose(ys[-1][b], ys1[-1], atol=0.0)
 
 
-def test_zoh_control_boundary_convention(abelian3):
-    U = np.arange(8.0).reshape(4, 2)
-    u = zoh_control(abelian3, U, 2.0)
-    assert_allclose(u(0.0), U[0])
-    assert_allclose(u(0.5), U[0])   # boundary belongs to the left segment
-    assert_allclose(u(0.51), U[1])
-    assert_allclose(u(2.0), U[3])
-
-
 def test_simulate_single_segment_matches_rollout(so3_j123, so3_j123_group):
     # with one control segment there are no interior jumps, paths agree exactly
     U = np.array([[0.3, -0.2, 0.1]])
     traj = simulate(so3_j123, so3_j123_group, State(np.eye(3), np.zeros(3)),
-                    zoh_control(so3_j123, U, 1.0), 1.0, 2)
+                    lambda t: U[0], 1.0, 2)
     _, xs, ys = zoh_rollout(so3_j123, so3_j123_group, np.eye(3), np.zeros(3), U, 1.0,
                             steps_per_segment=2)
     assert_allclose(traj.xs[-1], xs[-1], atol=0.0)

@@ -18,7 +18,7 @@ from aoc.dynamics import State
 from aoc.groups import dexpinv
 from aoc.pmp import (Costate, ExtremalPoint, eliminate_control, extremal_field,
                      extremal_rhs, min_acc_cost, propagate_endpoints, quadratic_cost)
-from aoc.shooting import BoundaryProblem, solve_shooting
+from aoc.shooting import BoundaryProblem
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -129,15 +129,3 @@ def test_so3_underactuated_batch_is_bitwise_single(so3_m2_problem):
         x1, y1 = propagate_endpoints(model, gm, cost, prob.x0, prob.y0,
                                      thetas[b, :3], thetas[b, 3:], prob.T, prob.steps)
         assert np.array_equal(x1, xb[b]) and np.array_equal(y1, yb[b])
-
-
-def test_so3_underactuated_batch_cap_is_bitwise(so3_m2_problem, monkeypatch):
-    model, gm, cost, prob = so3_m2_problem
-    guess = (np.array([0.5, -0.5, 0.5]), np.array([0.5, 0.5, -0.5]))
-    monkeypatch.delenv("AOC_THREADS", raising=False)
-    res1 = solve_shooting(model, gm, cost, prob, initial_guess=guess, max_iter=8)
-    monkeypatch.setenv("AOC_THREADS", "2")
-    res2 = solve_shooting(model, gm, cost, prob, initial_guess=guess, max_iter=8)
-    assert res1.iterations == res2.iterations > 0
-    assert res1.residual_norm == res2.residual_norm
-    assert np.array_equal(res1.mu0, res2.mu0) and np.array_equal(res1.xi0, res2.xi0)

@@ -10,16 +10,26 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(name, *args):
+    """Run a script in a subprocess; require exit 0 without a traceback, return stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    return proc.stdout
+
+
 @pytest.mark.parametrize("argv", [
     ["cubic_benchmark.py", "--segments", "20"],
     ["rigid_body_compare.py", "--segments", "20"],
     ["rigid_body_compare.py", "--segments", "20", "--m", "2", "--steps", "50"],
 ])
 def test_script_runs(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert "direct" in proc.stdout
+    assert "direct" in run_script(*argv)
+
+
+def test_integrator_order_script_runs():
+    out = run_script("integrator_order.py", "--base-steps", "10", "--doublings", "2")
+    assert out.split()[0] == "steps"

@@ -160,12 +160,3 @@ def test_residual_propagates_angle_out_of_range():
                            T=1.0, steps=20)
     with pytest.raises(aoc.AngleOutOfRange):
         boundary_residual(model, gm, cost, prob, np.zeros(3), np.zeros(3))
-
-
-def test_batch_cap_env_gives_identical_results(monkeypatch):
-    ab, gm, cost, prob = abelian_problem()
-    res1 = solve_shooting(ab, gm, cost, prob)
-    monkeypatch.setenv("AOC_THREADS", "2")
-    res2 = solve_shooting(ab, gm, cost, prob)
-    assert res1.residual_norm == res2.residual_norm
-    assert_allclose(res1.mu0, res2.mu0, atol=0.0)
