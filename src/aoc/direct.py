@@ -70,11 +70,11 @@ def _weight(cost):
     return cost.quad_weight
 
 
-def _jacobian(model, gm, problem, U, c, spb):
+def _jacobian(gm, problem, U, c, spb):
     """Forward-difference Jacobian of c at U, one batched rollout of all N m columns."""
     N, m = U.shape
     Z = U + FD_STEP * np.eye(N * m).reshape(-1, N, m)
-    _, xs, ys = zoh_rollout(model, gm, problem.x0, problem.y0, Z, problem.T,
+    _, xs, ys = zoh_rollout(gm, problem.x0, problem.y0, Z, problem.T,
                             steps_per_segment=spb)
     return (endpoint_residual(gm, problem, xs[-1], ys[-1]) - c).T / FD_STEP
 
@@ -95,13 +95,13 @@ def optimize_direct(model, gm, cost, problem, config) -> DirectResult:
     U = np.zeros((N, m))
     iterations = 0
     while True:
-        times, xs, ys = zoh_rollout(model, gm, problem.x0, problem.y0, U, problem.T,
+        times, xs, ys = zoh_rollout(gm, problem.x0, problem.y0, U, problem.T,
                                     steps_per_segment=spb)
         c = endpoint_residual(gm, problem, xs[-1], ys[-1])
         converged = bool(np.linalg.norm(c) < TOL)
         if converged or iterations == MAX_ITER:
             break
-        A = _jacobian(model, gm, problem, U, c, spb)
+        A = _jacobian(gm, problem, U, c, spb)
         WAt = W_inv @ A.T
         M = A @ WAt
         sv = np.linalg.svd(M, compute_uv=False)

@@ -97,7 +97,7 @@ def zero_control(model):
     return lambda t: z
 
 
-def zoh_rollout(model, gm, x0, y0, U, T, steps_per_segment=2):
+def zoh_rollout(gm, x0, y0, U, T, steps_per_segment=2):
     """Batched rollout under piecewise-constant controls.
 
     ``U`` has shape (N, m) or (B, N, m); integrates with

@@ -323,7 +323,8 @@ def propagate_endpoints(model, gm, cost, x0, y0, mu0, xi0, T, steps):
 
     Shares the stepper and right-hand side with flow_extremal, so a
     batch of flows is bitwise the run of each element alone.  Used by
-    the shooting solver to evaluate Jacobian columns concurrently.
+    the shooting solver to evaluate a trial point and the columns of its
+    Jacobian in one call.
     """
     mu0 = np.asarray(mu0, dtype=float)
     if not _is_quadratic(cost) and mu0.ndim > 1:

@@ -4,11 +4,20 @@ The unknowns are the 2n components of (mu0, xi0); the residual stacks
 the body-frame configuration error log(x(T)^{-1} xT) with the velocity
 error yT - y(T), so a zero residual is exactly the boundary conditions.
 The direct oracle closes the same boundary conditions with the same
-residual, ``endpoint_residual``.  The Jacobian uses central finite
-differences with per-column steps 1e-6 (1 + |component|); all 4n flows
-of one Jacobian evaluation run as a single batched propagation (see
-``propagate_endpoints``), which is how columns are evaluated
-concurrently.
+residual, ``endpoint_residual``.
+
+Each LM step is one batched propagation (see ``propagate_endpoints``)
+of 4n + 1 rows: the trial point and its central-difference
+perturbations, with per-column steps fd_step (1 + |component|).  An
+accepted step therefore already has its Jacobian, and a rejected one
+costs a single flow.  A batch whose flow blows up or whose boundary log
+is ill-posed is a rejected step (a failed start at the seed); no row is
+rerun on its own.  The damping follows Nielsen's gain-ratio rule (H. B.
+Nielsen, "Damping parameter in Marquardt's method", 1999): it starts at
+1e-6 max diag(J^T J), shrinks by max(1/3, 1 - (2 rho - 1)^3) after an
+accepted step and grows by a doubling factor after a rejected one.  A
+start ends on convergence, after ``max_iter`` steps, when the damping
+exceeds 1e16 or when the step is negligible against theta.
 
 Globalization is a deterministic multi-start (scale patterns
 {0, +-1, +-10} on two sign masks, 8 seeds total); there is no
@@ -75,37 +84,21 @@ def boundary_residual(model, gm, cost, problem, mu0, xi0) -> np.ndarray:
     return _residual_batch(model, gm, cost, problem, theta[None, :])[0]
 
 
-def _safe_residual(model, gm, cost, problem, thetas):
-    """Residuals with flow blow-ups and ill-posed logs mapped to +inf rows."""
-    try:
-        return _residual_batch(model, gm, cost, problem, thetas)
-    except (NonFinite, AngleOutOfRange):
-        pass
-    # retry row by row so one bad column does not poison the batch
-    thetas = np.atleast_2d(thetas)
-    n2 = thetas.shape[1]
-    out = np.empty((len(thetas), n2))
-    for b in range(len(thetas)):
-        try:
-            out[b] = _residual_batch(model, gm, cost, problem, thetas[b][None, :])[0]
-        except (NonFinite, AngleOutOfRange):
-            out[b] = np.inf
-    return out
+def _residual_and_jacobian(model, gm, cost, problem, theta, fd_step):
+    """Residual at theta and its central-difference Jacobian from one batched flow.
 
-
-def _fd_jacobian(model, gm, cost, problem, theta, fd_step):
-    """Central-difference Jacobian; all columns in one batched propagation."""
+    Row 0 of the batch is theta; rows 1..p and p+1..2p add and subtract
+    the per-column steps fd_step (1 + |theta_i|).  Returns None when the
+    flow blows up or a boundary log is ill-posed anywhere in the batch.
+    """
     p = len(theta)
-    steps = fd_step * (1.0 + np.abs(theta))
-    pert = np.zeros((2 * p, p))
-    for i in range(p):
-        pert[2 * i, i] = steps[i]
-        pert[2 * i + 1, i] = -steps[i]
-    res = _safe_residual(model, gm, cost, problem, theta[None, :] + pert)
-    J = np.empty((p, p))
-    for i in range(p):
-        J[:, i] = (res[2 * i] - res[2 * i + 1]) / (2.0 * steps[i])
-    return J
+    h = fd_step * (1.0 + np.abs(theta))
+    try:
+        res = _residual_batch(model, gm, cost, problem,
+                              theta + np.vstack([np.zeros(p), np.diag(h), -np.diag(h)]))
+    except (NonFinite, AngleOutOfRange):
+        return None
+    return res[0], (res[1:p + 1] - res[p + 1:]).T / (2.0 * h)
 
 
 def _start_points(n):
@@ -118,47 +111,41 @@ def _start_points(n):
     return seeds
 
 
-def _levenberg_marquardt(fun, jac, theta0, tol, max_iter):
+def _levenberg_marquardt(evaluate, theta0, tol, max_iter):
+    """Levenberg-Marquardt with Nielsen's gain-ratio damping update.
+
+    ``evaluate(theta)`` returns (r, J) or None, so every step costs one
+    call: a rejected trial is one lost flow, and an accepted one already
+    carries the Jacobian of the next step.  Returns (theta, sup-norm
+    residual, steps, converged).
+    """
     theta = np.asarray(theta0, dtype=float).copy()
-    r = fun(theta[None, :])[0]
-    if not np.isfinite(r).all():
+    point = evaluate(theta)
+    if point is None:
         return theta, np.inf, 0, False
-    lam = 1e-3
-    best_theta, best_norm = theta.copy(), float(np.abs(r).max())
-    iters = 0
-    while iters < max_iter:
-        if np.abs(r).max() < tol:
-            return theta, float(np.abs(r).max()), iters, True
-        J = jac(theta)
-        if not np.isfinite(J).all():
+    r, J = point
+    lam, nu = 1e-6 * (J ** 2).sum(axis=0).max(), 2.0
+    steps = 0
+    while np.abs(r).max() >= tol and steps < max_iter and lam <= 1e16:
+        g = J.T @ r
+        try:
+            delta = np.linalg.solve(J.T @ J + lam * np.eye(len(theta)), -g)
+        except np.linalg.LinAlgError:
             break
-        JTJ = J.T @ J
-        JTr = J.T @ r
-        accepted = False
-        for _ in range(40):
-            try:
-                delta = np.linalg.solve(JTJ + lam * np.eye(len(theta)), -JTr)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            r_try = fun((theta + delta)[None, :])[0]
-            if np.isfinite(r_try).all() and np.linalg.norm(r_try) < np.linalg.norm(r):
-                theta = theta + delta
-                r = r_try
-                lam = max(lam / 10.0, 1e-14)
-                accepted = True
-                break
-            lam *= 10.0
-            if lam > 1e14:
-                break
-        iters += 1
-        norm = float(np.abs(r).max())
-        if norm < best_norm:
-            best_theta, best_norm = theta.copy(), norm
-        if not accepted:
+        if np.linalg.norm(delta) <= 1e-12 * (np.linalg.norm(theta) + 1e-12):
             break
-    converged = best_norm < tol
-    return best_theta, best_norm, iters, converged
+        steps += 1
+        trial = evaluate(theta + delta)
+        gain = -1.0 if trial is None else (r @ r - trial[0] @ trial[0]) / (delta @ (lam * delta - g))
+        if gain > 0:
+            theta, (r, J) = theta + delta, trial
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu = 2.0
+        else:
+            lam *= nu
+            nu *= 2.0
+    norm = float(np.abs(r).max())
+    return theta, norm, steps, norm < tol
 
 
 def solve_shooting(model, gm, cost, problem, initial_guess=None,
@@ -172,11 +159,8 @@ def solve_shooting(model, gm, cost, problem, initial_guess=None,
     """
     n = model.n
 
-    def fun(thetas):
-        return _safe_residual(model, gm, cost, problem, thetas)
-
-    def jac(theta):
-        return _fd_jacobian(model, gm, cost, problem, theta, fd_step)
+    def evaluate(theta):
+        return _residual_and_jacobian(model, gm, cost, problem, theta, fd_step)
 
     if initial_guess is not None:
         mu0, xi0 = initial_guess
@@ -187,7 +171,7 @@ def solve_shooting(model, gm, cost, problem, initial_guess=None,
     best = None
     total_iters = 0
     for theta0 in starts:
-        theta, norm, iters, ok = _levenberg_marquardt(fun, jac, theta0, tol, max_iter)
+        theta, norm, iters, ok = _levenberg_marquardt(evaluate, theta0, tol, max_iter)
         total_iters += iters
         if best is None or norm < best[1]:
             best = (theta, norm, ok)

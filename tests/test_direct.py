@@ -71,10 +71,10 @@ def test_batched_boundary_residual_matches_single(rng):
     prob = BoundaryProblem(x0=np.eye(3), xT=xT, y0=np.zeros(3), yT=np.zeros(3),
                            T=1.0, steps=10)
     U = rng.standard_normal((7, 6, 3))
-    _, xs, ys = zoh_rollout(model, gm, prob.x0, prob.y0, U, prob.T)
+    _, xs, ys = zoh_rollout(gm, prob.x0, prob.y0, U, prob.T)
     batch = endpoint_residual(gm, prob, xs[-1], ys[-1])
     for b in range(7):
-        _, xs, ys = zoh_rollout(model, gm, prob.x0, prob.y0, U[b], prob.T)
+        _, xs, ys = zoh_rollout(gm, prob.x0, prob.y0, U[b], prob.T)
         assert np.array_equal(batch[b], endpoint_residual(gm, prob, xs[-1], ys[-1]))
 
 
@@ -117,8 +117,8 @@ def test_solution_satisfies_kkt_conditions():
     N = 12
     out = optimize_direct(model, gm, cost, prob, TranscriptionConfig(segments=N))
     assert out.converged
-    _, xs, ys = zoh_rollout(model, gm, prob.x0, prob.y0, out.U, prob.T)
-    A = _jacobian(model, gm, prob, out.U, endpoint_residual(gm, prob, xs[-1], ys[-1]), 2)
+    _, xs, ys = zoh_rollout(gm, prob.x0, prob.y0, out.U, prob.T)
+    A = _jacobian(gm, prob, out.U, endpoint_residual(gm, prob, xs[-1], ys[-1]), 2)
     grad = (prob.T / N) * (out.U @ cost.quad_weight).reshape(-1)
     lam = np.linalg.lstsq(A.T, grad, rcond=None)[0]
     assert np.linalg.norm(A.T @ lam - grad) < 1e-6 * np.linalg.norm(grad)

@@ -80,11 +80,11 @@ def test_nonfinite_reports_step_index(abelian3):
     assert err.value.step_index == 6
 
 
-def test_rollout_nonfinite_reports_global_step_index(so3_j123, so3_j123_group):
+def test_rollout_nonfinite_reports_global_step_index(so3_j123_group):
     U = np.zeros((5, 3))
     U[3, 0] = np.nan  # segment 3 holds steps 7 and 8 of the sub-grid
     with pytest.raises(aoc.NonFinite) as err:
-        zoh_rollout(so3_j123, so3_j123_group, np.eye(3), np.zeros(3), U, 1.0,
+        zoh_rollout(so3_j123_group, np.eye(3), np.zeros(3), U, 1.0,
                     steps_per_segment=2)
     assert err.value.step_index == 7
 
@@ -108,18 +108,18 @@ def test_zoh_rollout_exact_abelian():
     ab = aoc.abelian_model(1)
     gm = aoc.abelian_group(ab)
     U = np.array([[3.0], [1.0], [-1.0], [-3.0]])
-    _, xs, ys = zoh_rollout(ab, gm, np.eye(2), np.zeros(1), U, 1.0, steps_per_segment=2)
+    _, xs, ys = zoh_rollout(gm, np.eye(2), np.zeros(1), U, 1.0, steps_per_segment=2)
     # exact ZOH integration: y piecewise linear, x its exact integral
     assert_allclose(ys[-1], 0.0, atol=1e-15)
     assert_allclose(xs[-1][0, 1], 0.625, atol=1e-15)
 
 
-def test_zoh_rollout_batch_matches_loop(so3_j123, so3_j123_group, rng):
+def test_zoh_rollout_batch_matches_loop(so3_j123_group, rng):
     U = rng.standard_normal((5, 8, 3))
-    _, xs, ys = zoh_rollout(so3_j123, so3_j123_group, np.eye(3), np.array([0.1, 0, 0]),
+    _, xs, ys = zoh_rollout(so3_j123_group, np.eye(3), np.array([0.1, 0, 0]),
                             U, 1.0)
     for b in range(5):
-        _, xs1, ys1 = zoh_rollout(so3_j123, so3_j123_group, np.eye(3),
+        _, xs1, ys1 = zoh_rollout(so3_j123_group, np.eye(3),
                                   np.array([0.1, 0, 0]), U[b], 1.0)
         assert_allclose(xs[-1][b], xs1[-1], atol=0.0)
         assert_allclose(ys[-1][b], ys1[-1], atol=0.0)
@@ -130,7 +130,7 @@ def test_simulate_single_segment_matches_rollout(so3_j123, so3_j123_group):
     U = np.array([[0.3, -0.2, 0.1]])
     traj = simulate(so3_j123, so3_j123_group, State(np.eye(3), np.zeros(3)),
                     lambda t: U[0], 1.0, 2)
-    _, xs, ys = zoh_rollout(so3_j123, so3_j123_group, np.eye(3), np.zeros(3), U, 1.0,
+    _, xs, ys = zoh_rollout(so3_j123_group, np.eye(3), np.zeros(3), U, 1.0,
                             steps_per_segment=2)
     assert_allclose(traj.xs[-1], xs[-1], atol=0.0)
     assert_allclose(traj.ys[-1], ys[-1], atol=0.0)

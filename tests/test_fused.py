@@ -4,7 +4,8 @@ The fused extremal field and the ad-matrix ``dexpinv`` are checked on
 random valid algebras: so(3) with a diagonal inertia, abelian R^n with a
 block-diagonal inertia, and se(2)-style semidirect products with scaled,
 permuted generators and an adapted inertia.  The batch tests pin the
-bitwise equality of a batched flow with each of its rows run alone.
+bitwise equality of a batched flow with each of its rows run alone, and
+of shooting's fused residual-and-Jacobian batch with separate flows.
 """
 
 import numpy as np
@@ -18,7 +19,8 @@ from aoc.dynamics import State
 from aoc.groups import dexpinv
 from aoc.pmp import (Costate, ExtremalPoint, eliminate_control, extremal_field,
                      extremal_rhs, min_acc_cost, propagate_endpoints, quadratic_cost)
-from aoc.shooting import BoundaryProblem
+from aoc.shooting import (BoundaryProblem, _residual_and_jacobian, _residual_batch,
+                          boundary_residual)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -129,3 +131,18 @@ def test_so3_underactuated_batch_is_bitwise_single(so3_m2_problem):
         x1, y1 = propagate_endpoints(model, gm, cost, prob.x0, prob.y0,
                                      thetas[b, :3], thetas[b, 3:], prob.T, prob.steps)
         assert np.array_equal(x1, xb[b]) and np.array_equal(y1, yb[b])
+
+
+def test_so3_underactuated_fused_step_is_bitwise_separate_flows(so3_m2_problem):
+    model, gm, cost, prob = so3_m2_problem
+    theta = np.random.default_rng(5).uniform(-2.0, 2.0, 6)
+    fd_step = 1e-6
+    r, J = _residual_and_jacobian(model, gm, cost, prob, theta, fd_step)
+    assert np.array_equal(r, boundary_residual(model, gm, cost, prob, theta[:3], theta[3:]))
+    h = fd_step * (1.0 + np.abs(theta))
+    for i in range(6):
+        e = np.zeros(6)
+        e[i] = h[i]
+        plus = _residual_batch(model, gm, cost, prob, theta + e)[0]
+        minus = _residual_batch(model, gm, cost, prob, theta - e)[0]
+        assert np.array_equal(J[:, i], (plus - minus) / (2.0 * h[i]))

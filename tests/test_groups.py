@@ -65,9 +65,9 @@ def test_generic_batch_is_bitwise_single(so3_j123, so3_j123_group):
         assert np.array_equal(batch[b], aoc.exp_map(generic, y[b]))
     U = rng.standard_normal((4, 6, 3))
     y0 = np.array([0.1, 0.0, 0.0])
-    _, xs, ys = zoh_rollout(so3_j123, generic, np.eye(3), y0, U, 1.0)
+    _, xs, ys = zoh_rollout(generic, np.eye(3), y0, U, 1.0)
     for b in range(4):
-        _, xs1, ys1 = zoh_rollout(so3_j123, generic, np.eye(3), y0, U[b], 1.0)
+        _, xs1, ys1 = zoh_rollout(generic, np.eye(3), y0, U[b], 1.0)
         assert np.array_equal(xs[:, b], xs1) and np.array_equal(ys[:, b], ys1)
 
 

@@ -4,8 +4,8 @@ from numpy.testing import assert_allclose
 
 import aoc
 from aoc.pmp import min_acc_cost, running_cost
-from aoc.shooting import (BoundaryProblem, boundary_residual, extremal_defect,
-                          solve_shooting)
+from aoc.shooting import (BoundaryProblem, _residual_and_jacobian, boundary_residual,
+                          extremal_defect, solve_shooting)
 
 
 def abelian_problem(xT_val=1.0, steps=200):
@@ -81,6 +81,24 @@ def so3_problem(m=3, axis=(0.0, 0.0, 1.0), angle=0.5, steps=200):
     prob = BoundaryProblem(x0=np.eye(3), xT=xT, y0=np.zeros(3), yT=np.zeros(3),
                            T=1.0, steps=steps)
     return model, gm, min_acc_cost(model), prob
+
+
+def test_criterion_7_problem_converges_in_few_steps():
+    res = solve_shooting(*so3_problem())
+    assert res.converged
+    assert res.iterations <= 5
+
+
+def test_criterion_8_problem_steps_and_costates():
+    axis = np.array([0.6, 0.7, 0.25])
+    res = solve_shooting(*so3_problem(m=2, axis=axis / np.linalg.norm(axis), angle=0.4, steps=50))
+    assert res.converged
+    assert res.iterations <= 60
+    # the extremal found by the previous unscaled-damping solver
+    assert_allclose(res.mu0, [13.561039142878464, -77.63564240586926, 265.62913222703054],
+                    rtol=1e-6)
+    assert_allclose(res.xi0, [7.538837769846545, -10.553330829291816, 89.35205682989016],
+                    rtol=1e-6)
 
 
 def test_so3_fully_actuated_rest_to_rest():
@@ -160,3 +178,11 @@ def test_residual_propagates_angle_out_of_range():
                            T=1.0, steps=20)
     with pytest.raises(aoc.AngleOutOfRange):
         boundary_residual(model, gm, cost, prob, np.zeros(3), np.zeros(3))
+
+
+def test_shooting_survives_ill_posed_first_batch():
+    problem = so3_problem(angle=np.pi - 1e-9, steps=20)
+    # the zero-costate seed's batch raises AngleOutOfRange: a failed start, not an error
+    assert _residual_and_jacobian(*problem, np.zeros(6), 1e-6) is None
+    res = solve_shooting(*problem)
+    assert np.isfinite(res.residual_norm)
