@@ -1,10 +1,11 @@
 """Forward simulation of the controlled velocity equations.
 
 The state is a pair (x, y): group element and body velocity.  The
-velocity equation ``ydot = bias(y) + embed(u)`` does not involve x, so a
-classical RK4 on y rides along with the Munthe-Kaas reconstruction of x
-inside one coupled step.  Controls are sampled at the RK stage times
-from the control callable (no zero order hold inside a step).
+velocity equation ``ydot = bias(y) + embed(u)`` does not involve x, so
+``groups.rkmk_integrate`` steps y alone by classical RK4 and reconstructs
+x from the stage velocities after its loop, by the Munthe-Kaas scheme.
+Controls are sampled at the RK stage times from the control callable (no
+zero order hold inside a step).
 
 Trajectories store their samples as arrays (struct of arrays); the CSV
 layout is ``t, x (row-major d^2), y (n), u (m)`` plus optional
@@ -14,7 +15,6 @@ layout is ``t, x (row-major d^2), y (n), u (m)`` plus optional
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -162,16 +162,12 @@ def trajectory_header(model, gm, with_costates):
 def write_trajectory_csv(traj, path, model, gm):
     """Write a trajectory with 17 significant digits per value."""
     with_costates = traj.mus is not None and traj.xis is not None and traj.hams is not None
-    rows = []
-    for k in range(len(traj)):
-        vals = [traj.times[k]]
-        vals += list(traj.xs[k].reshape(-1))
-        vals += list(traj.ys[k])
-        vals += list(traj.us[k])
-        if with_costates:
-            vals += list(traj.mus[k])
-            vals += list(traj.xis[k])
-            vals.append(traj.hams[k])
-        rows.append(",".join("%.17g" % v for v in vals))
-    text = ",".join(trajectory_header(model, gm, with_costates)) + "\n" + "\n".join(rows) + "\n"
-    Path(path).write_text(text)
+    cols = [traj.times, traj.xs.reshape(len(traj), gm.rep_dim ** 2), traj.ys, traj.us]
+    if with_costates:
+        cols += [traj.mus, traj.xis, traj.hams]
+    table = np.column_stack(cols)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w") as f:
+        f.write(",".join(trajectory_header(model, gm, with_costates)) + "\n")
+        for vals in table:
+            f.write(row % tuple(vals.tolist()))

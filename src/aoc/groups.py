@@ -20,7 +20,14 @@ applies it twice.
 ``rkmk_integrate`` is the one time loop: the forward simulation, the
 zero-order-hold rollout of the oracle and the extremal flows all step
 through it, so they share one finite check that reports the global step
-number and one recorder convention.
+number and one recorder convention.  ``munthe_kaas_increment`` is the one
+place of the scheme's bracket-corrected combination.  A vector field that
+reads x takes coupled steps (``rkmk_coupled_step``).  One that does not,
+which is every cost the CLI accepts, is split as Munthe-Kaas splits a
+Lie-group integrator: the loop takes classical RK4 steps of v alone and
+keeps the stage velocities, and one batched pass after the loop forms the
+increments and exponentials of all steps, then the product over the
+steps in order.  The split path gives the coupled step's bits.
 """
 
 from __future__ import annotations
@@ -257,54 +264,130 @@ def dexpinv(model, omega, v) -> np.ndarray:
     return v + 0.5 * c1 + np.einsum("...kj,...j->...k", ad, c1) / 12.0
 
 
-def rkmk_coupled_step(gm, x, v, t, h, rhs, needs_x=False):
-    """One fourth order Munthe-Kaas step for (x in G, v in R^p).
+def munthe_kaas_increment(model, h, z1, stage):
+    """The bracket-corrected increment omega of one fourth order Munthe-Kaas
+    step, so that x advances to x exp(omega).
+
+    ``z1`` is the body velocity at the start of the step and ``stage(i, theta)``
+    returns the body velocity of stage i = 1, 2, 3 (times t + h/2, t + h/2,
+    t + h), taken at the group element x exp(theta).  All arrays broadcast
+    over leading dimensions, a leading axis of steps included.
+    """
+    th = 0.5 * h * z1
+    k2 = dexpinv(model, th, stage(1, th))
+    th = 0.5 * h * k2
+    k3 = dexpinv(model, th, stage(2, th))
+    th = h * k3
+    k4 = dexpinv(model, th, stage(3, th))
+    return (h / 6.0) * (z1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+_RK4_NODES = (0.0, 0.5, 0.5, 1.0)
+
+
+def rkmk_coupled_step(gm, x, v, t, h, rhs):
+    """One fourth order Munthe-Kaas step for (x in G, v in R^p) whose vector
+    field reads x.
 
     ``rhs(t, x, v) -> (z, vdot)`` returns the body velocity ``z`` of the
     group part and the plain derivative of the vector part; all arrays
-    broadcast over leading batch dimensions.  When ``needs_x`` is false
-    the stage group elements are not formed (rhs must then ignore x).
+    broadcast over leading batch dimensions.  Each stage is evaluated at its
+    own group element x exp(theta), and v takes the classical RK4 step.
     """
-    model = gm.algebra
-
-    def stage_x(theta):
-        if not needs_x:
-            return x
-        return compose(x, exp_map(gm, theta))
-
     z1, f1 = rhs(t, x, v)
-    th = 0.5 * h * z1
-    z2, f2 = rhs(t + 0.5 * h, stage_x(th), v + 0.5 * h * f1)
-    k2 = dexpinv(model, th, z2)
-    th = 0.5 * h * k2
-    z3, f3 = rhs(t + 0.5 * h, stage_x(th), v + 0.5 * h * f2)
-    k3 = dexpinv(model, th, z3)
-    th = h * k3
-    z4, f4 = rhs(t + h, stage_x(th), v + h * f3)
-    k4 = dexpinv(model, th, z4)
+    fs = [f1]
 
-    omega = (h / 6.0) * (z1 + 2.0 * k2 + 2.0 * k3 + k4)
-    x_next = compose(x, exp_map(gm, omega))
-    v_next = v + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-    return x_next, v_next
+    def stage(i, theta):
+        c = _RK4_NODES[i]
+        z, f = rhs(t + c * h, compose(x, exp_map(gm, theta)), v + c * h * fs[-1])
+        fs.append(f)
+        return z
+
+    omega = munthe_kaas_increment(gm.algebra, h, z1, stage)
+    f1, f2, f3, f4 = fs
+    return compose(x, exp_map(gm, omega)), v + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+
+
+# rows times steps per batched reconstruction pass: its temporaries take about
+# 0.5 kB per row and step on so(3), so a pass stays under a few MB however
+# long or wide the flow
+_PASS_ROWS = 4096
+
+
+def _reconstruct(gm, x, zs, h, vs, record, first_step):
+    """x after each of the steps whose stage velocities are ``zs``, shape
+    (4, steps, ..., n): the increments and their exponentials in one batched
+    pass, then the product over the steps in order, written over the
+    exponentials.  ``record`` sees each finite step with its v from ``vs``;
+    NonFinite is raised at the first step whose x is not.  Returns the last x.
+    """
+    omega = munthe_kaas_increment(gm.algebra, h, zs[0], lambda i, theta: zs[i])
+    if np.shape(x)[:-2] != omega.shape[1:-1]:
+        lead = np.broadcast_shapes(np.shape(x)[:-2], omega.shape[1:-1])
+        omega = np.broadcast_to(omega, omega.shape[:1] + lead + omega.shape[-1:])
+    xs = exp_map(gm, omega)
+    for k in range(len(xs)):
+        x = xs[k] = compose(x, xs[k])
+    good = len(xs)
+    if not np.isfinite(xs).all():
+        good = int(np.argmin(np.isfinite(xs).reshape(good, -1).all(axis=1)))
+    if record is not None:
+        for k in range(good):
+            record(first_step + k + 1, xs[k], vs[k])
+    if good < len(xs):
+        raise NonFinite(first_step + good + 1)
+    return x
 
 
 def rkmk_integrate(gm, x, v, times, h, rhs, needs_x=False, record=None, first_step=0):
     """RK-MK steps of size ``h`` from each of ``times[:-1]``, the one time loop
     of the package.
 
-    ``rhs`` and ``needs_x`` are as in ``rkmk_coupled_step``.  After each step
-    the state must be finite, else NonFinite is raised with the global step
-    number ``first_step + k + 1``; ``record(first_step + k + 1, x, v)``, if
-    given, then sees it.  Returns the final (x, v).
+    ``rhs`` is as in ``rkmk_coupled_step``.  With ``needs_x`` each step is a
+    coupled step.  Otherwise rhs must ignore x (it is passed the initial x),
+    and the step splits: the loop takes classical RK4 steps of v and keeps
+    the four stage velocities z1..z4 of every step, and x is reconstructed
+    from them after the loop (``_reconstruct``), with the bits of the
+    coupled step.  The state after each step must be finite, else NonFinite
+    is raised with the global step number ``first_step + k + 1`` of the
+    first step that is not; ``record(first_step + k + 1, x, v)``, if given,
+    sees every step before it, in order.  Returns the final (x, v).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, t in enumerate(times[:-1], start=first_step + 1):
-            x, v = rkmk_coupled_step(gm, x, v, t, h, rhs, needs_x)
-            if not (np.isfinite(v).all() and np.isfinite(x).all()):
-                raise NonFinite(k)
-            if record is not None:
-                record(k, x, v)
+        if needs_x:
+            for k, t in enumerate(times[:-1], start=first_step + 1):
+                x, v = rkmk_coupled_step(gm, x, v, t, h, rhs)
+                if not (np.isfinite(v).all() and np.isfinite(x).all()):
+                    raise NonFinite(k)
+                if record is not None:
+                    record(k, x, v)
+            return x, v
+        steps = len(times) - 1
+        zs = vs = None
+        done, per_pass = steps, 1
+        for k, t in enumerate(times[:-1]):
+            z1, f1 = rhs(t, x, v)
+            z2, f2 = rhs(t + 0.5 * h, x, v + 0.5 * h * f1)
+            z3, f3 = rhs(t + 0.5 * h, x, v + 0.5 * h * f2)
+            z4, f4 = rhs(t + h, x, v + h * f3)
+            v = v + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+            if zs is None:
+                zs = np.empty((4, steps) + np.shape(z1))
+                rows = max(1, np.size(z1) // np.shape(z1)[-1])
+                per_pass = max(1, _PASS_ROWS // rows)
+                if record is not None:
+                    vs = np.empty((steps,) + np.shape(v))
+            zs[:, k] = z1, z2, z3, z4
+            if not np.isfinite(v).all():
+                done = k
+                break
+            if vs is not None:
+                vs[k] = v
+        for j in range(0, done, per_pass):
+            x = _reconstruct(gm, x, zs[:, j:min(j + per_pass, done)], h,
+                             None if vs is None else vs[j:], record, first_step + j)
+        if done < steps:
+            raise NonFinite(first_step + done + 1)
     return x, v
 
 
@@ -317,7 +400,7 @@ def reconstruct_step(gm, x, y_of_t, t, h) -> np.ndarray:
     def rhs(s, _x, _v):
         return np.asarray(y_of_t(s), dtype=float), empty
 
-    x_next, _ = rkmk_coupled_step(gm, np.asarray(x, dtype=float), empty, t, h, rhs)
+    x_next, _ = rkmk_integrate(gm, np.asarray(x, dtype=float), empty, (t, t + h), h, rhs)
     return x_next
 
 

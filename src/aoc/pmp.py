@@ -24,10 +24,12 @@ the Hamiltonian field of H for the trivialized symplectic form
 
 For x-independent quadratic costs the flow is bilinear in (y; mu, xi):
 ``extremal_field`` builds its tensor once per (model, cost) and evaluates
-a batch of RK-MK stages with one einsum.  ``flow_extremal`` and
-``propagate_endpoints`` both step it through ``groups.rkmk_integrate``;
-the former records (x, y, mu, xi) and, for quadratic costs, gets u and H
-of the grid in one batched pass.
+a batch of RK stages with one einsum.  ``flow_extremal`` and
+``propagate_endpoints`` both step it through ``groups.rkmk_integrate``.
+For x-independent costs the fibre part (y, mu, xi) never reads x, so the
+loop steps it alone and x is reconstructed after the loop; x-dependent
+costs take coupled steps.  ``flow_extremal`` records (x, y, mu, xi) and,
+for quadratic costs, gets u and H of the grid in one batched pass.
 Only normal extremals are treated; a control Hessian with condition
 number above 1 / RCOND_MIN raises SingularRegularity.
 

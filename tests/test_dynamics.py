@@ -6,6 +6,7 @@ import aoc
 from aoc.dynamics import (State, Trajectory, energy_drift, simulate,
                           write_trajectory_csv, zero_control, zoh_rollout)
 from aoc.groups import orthogonality_defect
+from aoc.pmp import Costate, ExtremalPoint, flow_extremal, min_acc_cost
 
 
 def test_ep_rhs_abelian(abelian3):
@@ -102,6 +103,29 @@ def test_csv_roundtrip(tmp_path, so3_j123, so3_j123_group):
     assert data.shape == (11, 16)
     assert_allclose(data[:, 0], traj.times, atol=1e-16)
     assert_allclose(data[-1, 1:10], traj.xs[-1].reshape(-1), atol=1e-16)
+
+
+def rowwise_csv(traj, model, gm):
+    """The trajectory CSV formatted one value at a time, as the reference layout."""
+    rows = []
+    for k in range(len(traj)):
+        vals = [traj.times[k], *traj.xs[k].reshape(-1), *traj.ys[k], *traj.us[k],
+                *traj.mus[k], *traj.xis[k], traj.hams[k]]
+        rows.append(",".join("%.17g" % v for v in vals))
+    header = ",".join(aoc.dynamics.trajectory_header(model, gm, True))
+    return header + "\n" + "\n".join(rows) + "\n"
+
+
+def test_csv_bytes_match_rowwise_formatting(tmp_path, so3_m2, so3_m2_group):
+    a0 = ExtremalPoint(State(np.eye(3), np.array([0.1, -0.2, 0.3])),
+                       Costate(np.array([0.5, -1.0, 0.25]), np.array([1.5, 0.0, -0.75])),
+                       np.zeros(2))
+    traj = flow_extremal(so3_m2, so3_m2_group, min_acc_cost(so3_m2), a0, 1.0, 40)
+    # values whose formatting has corner cases: signed zero, subnormal, huge, integral
+    traj.hams[:4] = [-0.0, 5e-324, -1.7976931348623157e308, 3.0]
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path, so3_m2, so3_m2_group)
+    assert path.read_bytes() == rowwise_csv(traj, so3_m2, so3_m2_group).encode()
 
 
 def test_zoh_rollout_exact_abelian():

@@ -4,8 +4,9 @@ The fused extremal field and the ad-matrix ``dexpinv`` are checked on
 random valid algebras: so(3) with a diagonal inertia, abelian R^n with a
 block-diagonal inertia, and se(2)-style semidirect products with scaled,
 permuted generators and an adapted inertia.  The batch tests pin the
-bitwise equality of a batched flow with each of its rows run alone, and
-of shooting's fused residual-and-Jacobian batch with separate flows.
+bitwise equality of a batched flow with each of its rows run alone, of
+the split x-independent flow with a loop of coupled steps, and of
+shooting's fused residual-and-Jacobian batch with separate flows.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from numpy.testing import assert_allclose
 
 import aoc
 from aoc.dynamics import State
-from aoc.groups import dexpinv
+from aoc.groups import dexpinv, rkmk_coupled_step, rkmk_integrate
 from aoc.pmp import (Costate, ExtremalPoint, eliminate_control, extremal_field,
                      extremal_rhs, min_acc_cost, propagate_endpoints, quadratic_cost)
 from aoc.shooting import (BoundaryProblem, _residual_and_jacobian, _residual_batch,
@@ -41,13 +42,15 @@ def block_inertia(rng, n, m):
 
 def so3_case(rng):
     m = int(rng.integers(1, 4))
-    return aoc.so3_model(tuple(rng.uniform(0.2, 5.0, 3)), m=m)
+    model = aoc.so3_model(tuple(rng.uniform(0.2, 5.0, 3)), m=m)
+    return model, aoc.so3_group(model)
 
 
 def abelian_case(rng):
     n = int(rng.integers(1, 5))
     m = int(rng.integers(1, n + 1))
-    return aoc.abelian_model(n, m=m, inertia=block_inertia(rng, n, m))
+    model = aoc.abelian_model(n, m=m, inertia=block_inertia(rng, n, m))
+    return model, aoc.abelian_group(model)
 
 
 def se2_basis(rng):
@@ -67,7 +70,8 @@ def se2_case(rng):
     comm = comm - np.transpose(comm, (1, 0, 2, 3))
     C = np.einsum("kp,ijp->kij", np.linalg.pinv(basis.reshape(3, 9).T), comm.reshape(3, 3, 9))
     m = int(rng.integers(1, 4))
-    return aoc.make_model(3, m, C, block_inertia(rng, 3, m), name="se2")
+    model = aoc.make_model(3, m, C, block_inertia(rng, 3, m), name="se2")
+    return model, aoc.generic_group(model, basis)
 
 
 CASES = {"so3": so3_case, "abelian": abelian_case, "se2": se2_case}
@@ -77,14 +81,14 @@ algebras = st.tuples(st.sampled_from(sorted(CASES)), st.integers(0, 2 ** 32 - 1)
 
 def draw(kind, seed):
     rng = np.random.default_rng(seed)
-    model = CASES[kind](rng)
-    return model, rng
+    model, gm = CASES[kind](rng)
+    return model, gm, rng
 
 
 @given(algebras)
 @SETTINGS
 def test_fused_field_matches_extremal_rhs(case):
-    model, rng = draw(*case)
+    model, _, rng = draw(*case)
     n, m = model.n, model.m
     cost = quadratic_cost(model, spd(rng, m))
     rhs = extremal_field(model, None, cost)
@@ -103,13 +107,40 @@ def test_fused_field_matches_extremal_rhs(case):
 @given(algebras)
 @SETTINGS
 def test_dexpinv_matches_bracket_series(case):
-    model, rng = draw(*case)
+    model, _, rng = draw(*case)
     w, v = rng.uniform(-1.0, 1.0, (2, 4, model.n))
     c1 = aoc.bracket(model, w, v)
     ref = v + c1 / 2.0 + aoc.bracket(model, w, c1) / 12.0
     assert_allclose(dexpinv(model, w, v), ref, rtol=0, atol=1e-14)
     for b in range(4):
         assert_allclose(dexpinv(model, w[b], v[b]), dexpinv(model, w, v)[b], rtol=0, atol=0)
+
+
+@given(algebras, st.sampled_from([1, 13]), st.integers(0, 50))
+@settings(max_examples=20, deadline=None)
+def test_split_flow_is_bitwise_coupled_steps_and_single_rows(case, width, first_step):
+    # x-independent fields take the split path: RK4 on v in the loop, the group
+    # product after it; it must give the bits of coupled steps, row by row
+    model, gm, rng = draw(*case)
+    n = model.n
+    rhs = extremal_field(model, gm, quadratic_cost(model, spd(rng, model.m)))
+    v0 = rng.uniform(-1.0, 1.0, (width, 3 * n))
+    x0 = np.eye(gm.rep_dim)
+    h = 0.04
+    times = h * np.arange(first_step, first_step + 26)
+    seen = []
+    x, v = rkmk_integrate(gm, x0, v0, times, h, rhs, first_step=first_step,
+                          record=lambda k, xk, vk: seen.append((k, xk.copy(), vk.copy())))
+    xc, vc = x0, v0
+    for j, t in enumerate(times[:-1]):
+        xc, vc = rkmk_coupled_step(gm, xc, vc, t, h, rhs)
+        k, xk, vk = seen[j]
+        assert k == first_step + j + 1
+        assert np.array_equal(xk, xc) and np.array_equal(vk, vc)
+    assert len(seen) == 25 and np.array_equal(x, xc) and np.array_equal(v, vc)
+    for b in {0, width - 1}:
+        xb, vb = rkmk_integrate(gm, x0, v0[b], times, h, rhs, first_step=first_step)
+        assert np.array_equal(xb, x[b]) and np.array_equal(vb, v[b])
 
 
 @pytest.fixture(scope="module")

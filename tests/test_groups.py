@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 import aoc
 from aoc.dynamics import zoh_rollout
 from aoc.groups import (dexpinv, orthogonality_defect, reconstruct_step,
-                        rkmk_coupled_step, validate_group)
+                        rkmk_coupled_step, rkmk_integrate, validate_group)
+from aoc.pmp import extremal_field, min_acc_cost
 
 
 def series_exp(A, terms=30):
@@ -234,6 +235,14 @@ def test_reconstruct_manifold_defect_long_run(so3_j123_group):
     assert orthogonality_defect(x) < 1e-12
 
 
+def test_reconstruct_batch_of_elements_is_bitwise_single(so3_j123_group, rng):
+    xs = aoc.exp_map(so3_j123_group, rng.standard_normal((4, 3)))
+    y_of_t = lambda t: np.array([np.sin(t), 0.3, -0.2])
+    batch = reconstruct_step(so3_j123_group, xs, y_of_t, 0.2, 0.1)
+    for b in range(4):
+        assert np.array_equal(batch[b], reconstruct_step(so3_j123_group, xs[b], y_of_t, 0.2, 0.1))
+
+
 def reconstruction_error(gm, y_of_t, T, steps, x_ref):
     x = np.eye(3)
     h = T / steps
@@ -296,3 +305,73 @@ def test_rkmk_stays_on_manifold_where_rk4_drifts(so3_j123_group):
     assert orthogonality_defect(x_mk) < 1e-13
     assert orthogonality_defect(x_raw) > 1e-8
     assert np.linalg.norm(x_mk - x_raw) < 1e-4
+
+
+def coupled_loop(gm, x, v, times, h, rhs, first_step):
+    """The reference for the split flow: one coupled step at a time, with the
+    finite check and the recorder of the time loop."""
+    seen = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, t in enumerate(times[:-1], start=first_step + 1):
+            x, v = rkmk_coupled_step(gm, x, v, t, h, rhs)
+            if not (np.isfinite(v).all() and np.isfinite(x).all()):
+                raise aoc.NonFinite(k)
+            seen.append((k, x, v))
+    return x, v, seen
+
+
+@pytest.mark.parametrize("kind", ["so3", "abelian", "generic"])
+@pytest.mark.parametrize("width", [1, 13])
+@pytest.mark.parametrize("pass_rows", [None, 20])
+def test_split_flow_is_bitwise_the_coupled_loop(kind, width, pass_rows, so3_m2, abelian3,
+                                                monkeypatch):
+    # pass_rows 20 splits the reconstruction into several passes of whole steps
+    if pass_rows is not None:
+        monkeypatch.setattr(aoc.groups, "_PASS_ROWS", pass_rows)
+    model = abelian3 if kind == "abelian" else so3_m2
+    gm = {"so3": aoc.so3_group, "abelian": aoc.abelian_group,
+          "generic": lambda m: aoc.generic_group(m, aoc.so3_group(m).basis)}[kind](model)
+    rhs = extremal_field(model, gm, min_acc_cost(model))
+    v0 = np.random.default_rng(7).uniform(-1.5, 1.5, (width, 9))
+    x0 = aoc.exp_map(gm, np.array([0.3, -0.2, 0.4]))
+    h = 0.05
+    times = 0.35 + h * np.arange(31)
+    x1, v1, seen1 = coupled_loop(gm, x0, v0, times, h, rhs, first_step=7)
+    seen2 = []
+    x2, v2 = rkmk_integrate(gm, x0, v0, times, h, rhs, first_step=7,
+                            record=lambda k, xk, vk: seen2.append((k, xk.copy(), vk.copy())))
+    assert np.array_equal(x1, x2) and np.array_equal(v1, v2)
+    assert [k for k, _, _ in seen2] == list(range(8, 38))
+    for (k1, xa, va), (k2, xb, vb) in zip(seen1, seen2, strict=True):
+        assert k1 == k2 and np.array_equal(xa, xb) and np.array_equal(va, vb)
+
+
+@pytest.mark.parametrize("pass_rows", [None, 3])
+def test_abelian_translation_overflow_reports_first_bad_step(abelian3, pass_rows, monkeypatch):
+    # v stays finite, but x translates by 2.5e307 per step and overflows at step 8
+    if pass_rows is not None:
+        monkeypatch.setattr(aoc.groups, "_PASS_ROWS", pass_rows)
+    gm = aoc.abelian_group(abelian3)
+    times = np.arange(21.0)
+
+    def coasting(t, x, v):
+        return v, np.zeros_like(v)
+
+    def coasting_then_nan(t, x, v):
+        return v, np.full_like(v, np.nan if t >= 12.0 else 0.0)
+
+    v0 = np.array([2.5e307, 0.0, 0.0])
+    for rhs in (coasting, coasting_then_nan):
+        with pytest.raises(aoc.NonFinite) as ref:
+            coupled_loop(gm, np.eye(4), v0, times, 1.0, rhs, first_step=3)
+        seen = []
+        with pytest.raises(aoc.NonFinite) as err:
+            rkmk_integrate(gm, np.eye(4), v0, times, 1.0, rhs, first_step=3,
+                           record=lambda k, x, v: seen.append(k))
+        assert err.value.step_index == ref.value.step_index == 3 + 8
+        assert seen == list(range(4, 11))
+    # with a small velocity the NaN that the step from t = 11 samples at t = 12 comes first
+    with pytest.raises(aoc.NonFinite) as err:
+        rkmk_integrate(gm, np.eye(4), np.array([1.0, 0.0, 0.0]), times, 1.0,
+                       coasting_then_nan, first_step=3)
+    assert err.value.step_index == 3 + 12
