@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -47,6 +48,26 @@ _SCHEMA = {
 _SOLVER_DEFAULTS = {"tol": 1e-8, "max_iter": 200, "fd_step": 1e-6, "guess": None}
 _OUTPUT_DEFAULTS = {"path": "aoc_out"}
 
+_INTEGERS = (("problem", "steps"), ("solver", "max_iter"),
+             ("oracle", "segments"), ("oracle", "steps_per_segment"))
+_POSITIVE = (("problem", "T"), ("solver", "tol"), ("solver", "fd_step"))
+
+
+def _check_numbers(data):
+    """Counts must be JSON integers (bools are not), T, tol and fd_step
+    finite positive numbers, and max_iter must not be negative."""
+    def given(keys):
+        return [(f"{s}.{k}", data[s][k]) for s, k in keys if k in data.get(s, {})]
+
+    for where, value in given(_INTEGERS):
+        if type(value) is not int:
+            raise UsageError(f"{where} must be an integer, got {value!r}")
+    for where, value in given(_POSITIVE):
+        if type(value) not in (int, float) or not (math.isfinite(value) and value > 0):
+            raise UsageError(f"{where} must be a finite positive number, got {value!r}")
+    if data["solver"]["max_iter"] < 0:
+        raise UsageError(f"solver.max_iter must be >= 0, got {data['solver']['max_iter']}")
+
 
 def load_config(path):
     try:
@@ -74,6 +95,7 @@ def load_config(path):
     data["solver"] = {**_SOLVER_DEFAULTS, **data.get("solver", {})}
     data["output"] = {**_OUTPUT_DEFAULTS, **data.get("output", {})}
     data.setdefault("control", "zero")
+    _check_numbers(data)
     return data
 
 
@@ -162,7 +184,7 @@ def build_problem(config, model, gm):
         return shooting.BoundaryProblem(
             x0=_group_element(gm, section["x0"], "x0"),
             xT=_group_element(gm, section["xT"], "xT"),
-            y0=y0, yT=yT, T=float(section["T"]), steps=int(section["steps"]))
+            y0=y0, yT=yT, T=float(section["T"]), steps=section["steps"])
     except ValueError as e:
         raise UsageError(str(e))
 
@@ -184,8 +206,7 @@ def build_control(config, model):
     raise UsageError("control must be \"zero\" or an object with 'times' and 'values'")
 
 
-def _out_base(config, args):
-    path = args.out if args.out else config["output"]["path"]
+def _out_base(path):
     p = Path(path)
     if p.suffix in (".csv", ".json"):
         p = p.with_suffix("")
@@ -196,7 +217,7 @@ def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_validate(config, args):
+def cmd_validate(config):
     model, gm = build_model(config)
     report = algebra.validate_model(model)
     lines = report.lines()
@@ -227,7 +248,7 @@ def _need_group(gm):
                          "(custom models must carry rep_dim/basis_matrices)")
 
 
-def cmd_simulate(config, args):
+def cmd_simulate(config):
     model, gm = build_model(config)
     _need_group(gm)
     if not _require_valid(model, gm):
@@ -236,7 +257,7 @@ def cmd_simulate(config, args):
     u = build_control(config, model)
     traj = dynamics.simulate(model, gm, dynamics.State(problem.x0, problem.y0),
                              u, problem.T, problem.steps)
-    base = _out_base(config, args)
+    base = _out_base(config["output"]["path"])
     dynamics.write_trajectory_csv(traj, base.with_suffix(".csv"), model, gm)
     drift = dynamics.energy_drift(model, traj)
     print(f"wrote {base.with_suffix('.csv')}")
@@ -244,7 +265,7 @@ def cmd_simulate(config, args):
     return 0
 
 
-def cmd_extremal(config, args):
+def cmd_extremal(config):
     model, gm = build_model(config)
     _need_group(gm)
     if not _require_valid(model, gm):
@@ -252,8 +273,7 @@ def cmd_extremal(config, args):
     problem = build_problem(config, model, gm)
     cost = build_cost(config, model)
     seed_cfg = config.get("costate0", {})
-    mu0 = args.mu0 if args.mu0 is not None else seed_cfg.get("mu0")
-    xi0 = args.xi0 if args.xi0 is not None else seed_cfg.get("xi0")
+    mu0, xi0 = seed_cfg.get("mu0"), seed_cfg.get("xi0")
     if mu0 is None or xi0 is None:
         raise UsageError("extremal needs mu0 and xi0 (flags --mu0/--xi0 or config costate0)")
     mu0 = np.asarray(mu0, dtype=float)
@@ -263,7 +283,7 @@ def cmd_extremal(config, args):
     a0 = pmp.ExtremalPoint(dynamics.State(problem.x0, problem.y0),
                            pmp.Costate(mu0, xi0), np.zeros(model.m))
     traj = pmp.flow_extremal(model, gm, cost, a0, problem.T, problem.steps)
-    base = _out_base(config, args)
+    base = _out_base(config["output"]["path"])
     dynamics.write_trajectory_csv(traj, base.with_suffix(".csv"), model, gm)
     print(f"wrote {base.with_suffix('.csv')}")
     print(f"H drift: {np.abs(traj.hams - traj.hams[0]).max():.6e}")
@@ -271,15 +291,13 @@ def cmd_extremal(config, args):
 
 
 def _oracle_config(config):
-    section = dict(config.get("oracle", {}))
-    section.setdefault("segments", 50)
     try:
-        return direct.TranscriptionConfig(**section)
+        return direct.TranscriptionConfig(**config.get("oracle", {}))
     except (TypeError, ValueError) as e:
         raise UsageError(f"bad oracle section: {e}")
 
 
-def cmd_shoot(config, args):
+def cmd_shoot(config):
     model, gm = build_model(config)
     _need_group(gm)
     if not _require_valid(model, gm):
@@ -294,9 +312,9 @@ def cmd_shoot(config, args):
             raise UsageError(f"solver guess must have {2 * model.n} components")
         guess = (guess[: model.n], guess[model.n:])
     result = shooting.solve_shooting(model, gm, cost, problem, initial_guess=guess,
-                                     tol=float(sol["tol"]), max_iter=int(sol["max_iter"]),
+                                     tol=float(sol["tol"]), max_iter=sol["max_iter"],
                                      fd_step=float(sol["fd_step"]))
-    base = _out_base(config, args)
+    base = _out_base(config["output"]["path"])
     payload = {
         "mu0": list(result.mu0),
         "xi0": list(result.xi0),
@@ -313,23 +331,23 @@ def cmd_shoot(config, args):
     return 0 if result.converged else 4
 
 
-def cmd_compare(config, args):
+def cmd_compare(config):
     model, gm = build_model(config)
     _need_group(gm)
     if not _require_valid(model, gm):
         return 2
     problem = build_problem(config, model, gm)
     cost = build_cost(config, model)
+    oracle_cfg = _oracle_config(config)
     sol = config["solver"]
     indirect = shooting.solve_shooting(model, gm, cost, problem,
-                                       tol=float(sol["tol"]), max_iter=int(sol["max_iter"]),
+                                       tol=float(sol["tol"]), max_iter=sol["max_iter"],
                                        fd_step=float(sol["fd_step"]))
     if not indirect.converged or indirect.trajectory is None:
         print("indirect solver did not converge; no comparison", file=sys.stderr)
         return 4
     indirect_cost = pmp.running_cost(cost, indirect.trajectory)
 
-    oracle_cfg = _oracle_config(config)
     direct_res = direct.optimize_direct(model, gm, cost, problem, oracle_cfg)
     direct_cost = direct_res.running_cost
 
@@ -358,7 +376,7 @@ def cmd_compare(config, args):
             "converged": direct_res.converged,
         },
     }
-    base = _out_base(config, args)
+    base = _out_base(config["output"]["path"])
     _write_json(base.with_suffix(".json"), payload)
     print(f"wrote {base.with_suffix('.json')}")
     print(f"indirect {indirect_cost:.6f}  direct {direct_cost:.6f}  gap {gap:+.4%}")
@@ -399,18 +417,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = load_config(args.config)
-        if args.out is not None:
-            config["output"]["path"] = str(_out_base(config, args))
-        if args.mu0 is not None:
-            args.mu0 = _parse_vector(args.mu0)
-            config.setdefault("costate0", {})["mu0"] = args.mu0
-        if args.xi0 is not None:
-            args.xi0 = _parse_vector(args.xi0)
-            config.setdefault("costate0", {})["xi0"] = args.xi0
+        if args.out:
+            config["output"]["path"] = str(_out_base(args.out))
+        for key in ("mu0", "xi0"):
+            if getattr(args, key) is not None:
+                config.setdefault("costate0", {})[key] = _parse_vector(getattr(args, key))
         if args.dump_config:
             print(json.dumps(config, indent=2, sort_keys=True))
             return 0
-        return _COMMANDS[args.command](config, args)
+        return _COMMANDS[args.command](config)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -4,8 +4,11 @@ The state is a pair (x, y): group element and body velocity.  The
 velocity equation ``ydot = bias(y) + embed(u)`` does not involve x, so
 ``groups.rkmk_integrate`` steps y alone by classical RK4 and reconstructs
 x from the stage velocities after its loop, by the Munthe-Kaas scheme.
-Controls are sampled at the RK stage times from the control callable (no
-zero order hold inside a step).
+``simulate`` samples the control callable at the RK stage times (no zero
+order hold inside a step).  ``zoh_rollout`` is one stepper call over all
+N * steps_per_segment steps; its right-hand side adds the drift of step
+k's segment, read from one table of all N segments.  Both hand the
+stepper their sample arrays, which it fills.
 
 Trajectories store their samples as arrays (struct of arrays); the CSV
 layout is ``t, x (row-major d^2), y (n), u (m)`` plus optional
@@ -69,25 +72,19 @@ def simulate(model, gm, s0, u, T, steps) -> Trajectory:
     if steps < 1:
         raise ValueError("steps must be at least 1")
     h = T / steps
-    n, m = model.n, model.m
+    times = np.linspace(0.0, T, steps + 1)
 
-    def rhs(t, _x, y):
-        uu = np.asarray(u(t), dtype=float)
+    def rhs(k, c, _x, y):
+        uu = np.asarray(u(times[k] + c * h), dtype=float)
         return y, bias(model, y) + embed_control(model, uu)
 
-    times = np.linspace(0.0, T, steps + 1)
     xs = np.empty((steps + 1, gm.rep_dim, gm.rep_dim))
-    ys = np.empty((steps + 1, n))
-    us = np.empty((steps + 1, m))
-
-    def record(k, x, y):
-        xs[k], ys[k] = x, y
-        us[k] = np.asarray(u(times[k]), dtype=float)
-
-    x = np.asarray(s0.x, dtype=float)
-    y = np.asarray(s0.y, dtype=float)
-    xs[0], ys[0], us[0] = x, y, np.asarray(u(0.0), dtype=float)
-    groups.rkmk_integrate(gm, x, y, times, h, rhs, record=record)
+    ys = np.empty((steps + 1, model.n))
+    us = np.empty((steps + 1, model.m))
+    xs[0], ys[0] = s0.x, s0.y
+    groups.rkmk_integrate(gm, xs[0], ys[0], steps, h, rhs, out=(xs, ys))
+    for k, t in enumerate(times):
+        us[k] = np.asarray(u(t), dtype=float)
     return Trajectory(times=times, xs=xs, ys=ys, us=us)
 
 
@@ -105,36 +102,22 @@ def zoh_rollout(gm, x0, y0, U, T, steps_per_segment=2):
     (stage times included) lies inside one segment and sees that
     segment's control.  Returns ``(times, xs, ys)`` sampled on the full
     sub-grid, with shapes (K, B?, d, d) and (K, B?, n).  Raises NonFinite
-    with the sub-grid step index if the state blows up.
+    with the 1-based sub-grid step index if the state blows up.
     """
     U = np.asarray(U, dtype=float)
-    batched = U.ndim == 3
-    N = U.shape[-2]
     spb = int(steps_per_segment)
-    h = T / (N * spb)
-    times = np.linspace(0.0, T, N * spb + 1)
+    steps = U.shape[-2] * spb
+    h = T / steps
+    times = np.linspace(0.0, T, steps + 1)
+    drifts = np.moveaxis(embed_control(gm.algebra, U), -2, 0)  # (N, B?, n)
+    ys = np.empty((steps + 1,) + drifts.shape[1:])
+    xs = np.empty((steps + 1,) + drifts.shape[1:-1] + (gm.rep_dim, gm.rep_dim))
+    xs[0], ys[0] = x0, y0
 
-    x = np.asarray(x0, dtype=float)
-    y = np.asarray(y0, dtype=float)
-    if batched:
-        y = np.broadcast_to(y, (U.shape[0], y.shape[-1])).copy()
-        x = np.broadcast_to(x, (U.shape[0],) + x.shape).copy()
-    ys = np.empty((len(times),) + y.shape)
-    xs = np.empty((len(times),) + x.shape)
-    xs[0], ys[0] = x, y
+    def rhs(k, c, _x, y):
+        return y, bias(gm.algebra, y) + drifts[k // spb]
 
-    def record(k, x, y):
-        xs[k], ys[k] = x, y
-
-    for j in range(N):
-        drift = embed_control(gm.algebra, U[..., j, :])
-
-        def rhs(t, _x, yy, drift=drift):
-            return yy, bias(gm.algebra, yy) + drift
-
-        k = j * spb
-        x, y = groups.rkmk_integrate(gm, x, y, times[k:k + spb + 1], h, rhs,
-                                     record=record, first_step=k)
+    groups.rkmk_integrate(gm, xs[0], ys[0], steps, h, rhs, out=(xs, ys))
     return times, xs, ys
 
 

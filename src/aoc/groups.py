@@ -19,15 +19,18 @@ applies it twice.
 
 ``rkmk_integrate`` is the one time loop: the forward simulation, the
 zero-order-hold rollout of the oracle and the extremal flows all step
-through it, so they share one finite check that reports the global step
-number and one recorder convention.  ``munthe_kaas_increment`` is the one
-place of the scheme's bracket-corrected combination.  A vector field that
-reads x takes coupled steps (``rkmk_coupled_step``).  One that does not,
-which is every cost the CLI accepts, is split as Munthe-Kaas splits a
-Lie-group integrator: the loop takes classical RK4 steps of v alone and
-keeps the stage velocities, and one batched pass after the loop forms the
-increments and exponentials of all steps, then the product over the
-steps in order.  The split path gives the coupled step's bits.
+through it, each in one call over its whole uniform grid.  The stepper
+owns the grid: a right-hand side ``rhs(k, c, x, v)`` sees the index k of
+the step and its RK4 node c, and the states go into the caller's arrays
+``out = (xs, vs)``.  All callers share one finite check, which reports the
+1-based step number.  ``munthe_kaas_increment`` is the one place of the
+scheme's bracket-corrected combination.  A vector field that reads x
+takes coupled steps (``rkmk_coupled_step``).  One that does not, which is
+every cost the CLI accepts, is split as Munthe-Kaas splits a Lie-group
+integrator: the loop takes classical RK4 steps of v alone and keeps the
+stage velocities, and batched passes after the loop form the increments
+and exponentials of all steps, then the product over the steps in order.
+The split path gives the coupled step's bits.
 """
 
 from __future__ import annotations
@@ -285,21 +288,22 @@ def munthe_kaas_increment(model, h, z1, stage):
 _RK4_NODES = (0.0, 0.5, 0.5, 1.0)
 
 
-def rkmk_coupled_step(gm, x, v, t, h, rhs):
-    """One fourth order Munthe-Kaas step for (x in G, v in R^p) whose vector
-    field reads x.
+def rkmk_coupled_step(gm, x, v, k, h, rhs):
+    """Step k (0-based) of the fourth order Munthe-Kaas scheme for
+    (x in G, v in R^p) whose vector field reads x.
 
-    ``rhs(t, x, v) -> (z, vdot)`` returns the body velocity ``z`` of the
-    group part and the plain derivative of the vector part; all arrays
-    broadcast over leading batch dimensions.  Each stage is evaluated at its
-    own group element x exp(theta), and v takes the classical RK4 step.
+    ``rhs(k, c, x, v) -> (z, vdot)`` returns, at the RK4 node c in
+    {0, 0.5, 1} of step k, the body velocity ``z`` of the group part and the
+    plain derivative of the vector part; all arrays broadcast over leading
+    batch dimensions.  Each stage is evaluated at its own group element
+    x exp(theta), and v takes the classical RK4 step.
     """
-    z1, f1 = rhs(t, x, v)
+    z1, f1 = rhs(k, 0.0, x, v)
     fs = [f1]
 
     def stage(i, theta):
         c = _RK4_NODES[i]
-        z, f = rhs(t + c * h, compose(x, exp_map(gm, theta)), v + c * h * fs[-1])
+        z, f = rhs(k, c, compose(x, exp_map(gm, theta)), v + c * h * fs[-1])
         fs.append(f)
         return z
 
@@ -314,80 +318,72 @@ def rkmk_coupled_step(gm, x, v, t, h, rhs):
 _PASS_ROWS = 4096
 
 
-def _reconstruct(gm, x, zs, h, vs, record, first_step):
+def _reconstruct(gm, x, zs, h, xs):
     """x after each of the steps whose stage velocities are ``zs``, shape
     (4, steps, ..., n): the increments and their exponentials in one batched
-    pass, then the product over the steps in order, written over the
-    exponentials.  ``record`` sees each finite step with its v from ``vs``;
-    NonFinite is raised at the first step whose x is not.  Returns the last x.
+    pass, then the product over the steps in order, written to ``xs`` (over
+    the exponentials when None).  Returns the last x and, per step, whether
+    its x is finite.
     """
     omega = munthe_kaas_increment(gm.algebra, h, zs[0], lambda i, theta: zs[i])
     if np.shape(x)[:-2] != omega.shape[1:-1]:
         lead = np.broadcast_shapes(np.shape(x)[:-2], omega.shape[1:-1])
         omega = np.broadcast_to(omega, omega.shape[:1] + lead + omega.shape[-1:])
-    xs = exp_map(gm, omega)
-    for k in range(len(xs)):
-        x = xs[k] = compose(x, xs[k])
-    good = len(xs)
-    if not np.isfinite(xs).all():
-        good = int(np.argmin(np.isfinite(xs).reshape(good, -1).all(axis=1)))
-    if record is not None:
-        for k in range(good):
-            record(first_step + k + 1, xs[k], vs[k])
-    if good < len(xs):
-        raise NonFinite(first_step + good + 1)
-    return x
+    es = exp_map(gm, omega)
+    xs = es if xs is None else xs
+    for k in range(len(es)):
+        x = xs[k] = compose(x, es[k])
+    return x, np.isfinite(xs.reshape(len(xs), -1)).all(axis=1)
 
 
-def rkmk_integrate(gm, x, v, times, h, rhs, needs_x=False, record=None, first_step=0):
-    """RK-MK steps of size ``h`` from each of ``times[:-1]``, the one time loop
-    of the package.
+def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False, out=None):
+    """``steps`` RK-MK steps of size ``h``, the one time loop of the package.
 
     ``rhs`` is as in ``rkmk_coupled_step``.  With ``needs_x`` each step is a
     coupled step.  Otherwise rhs must ignore x (it is passed the initial x),
     and the step splits: the loop takes classical RK4 steps of v and keeps
     the four stage velocities z1..z4 of every step, and x is reconstructed
     from them after the loop (``_reconstruct``), with the bits of the
-    coupled step.  The state after each step must be finite, else NonFinite
-    is raised with the global step number ``first_step + k + 1`` of the
-    first step that is not; ``record(first_step + k + 1, x, v)``, if given,
-    sees every step before it, in order.  Returns the final (x, v).
+    coupled step.  With ``out = (xs, vs)``, arrays of steps + 1 states, the
+    state after step k (0-based) is written to ``xs[k + 1], vs[k + 1]``.
+    The state after each step must be finite, else NonFinite is raised
+    with the 1-based number of the first step that is not, and ``out``
+    holds every step before it.  Returns the final (x, v).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if needs_x:
-            for k, t in enumerate(times[:-1], start=first_step + 1):
-                x, v = rkmk_coupled_step(gm, x, v, t, h, rhs)
+            for k in range(steps):
+                x, v = rkmk_coupled_step(gm, x, v, k, h, rhs)
                 if not (np.isfinite(v).all() and np.isfinite(x).all()):
-                    raise NonFinite(k)
-                if record is not None:
-                    record(k, x, v)
+                    raise NonFinite(k + 1)
+                if out is not None:
+                    out[0][k + 1], out[1][k + 1] = x, v
             return x, v
-        steps = len(times) - 1
-        zs = vs = None
+        zs = None
         done, per_pass = steps, 1
-        for k, t in enumerate(times[:-1]):
-            z1, f1 = rhs(t, x, v)
-            z2, f2 = rhs(t + 0.5 * h, x, v + 0.5 * h * f1)
-            z3, f3 = rhs(t + 0.5 * h, x, v + 0.5 * h * f2)
-            z4, f4 = rhs(t + h, x, v + h * f3)
+        for k in range(steps):
+            z1, f1 = rhs(k, 0.0, x, v)
+            z2, f2 = rhs(k, 0.5, x, v + 0.5 * h * f1)
+            z3, f3 = rhs(k, 0.5, x, v + 0.5 * h * f2)
+            z4, f4 = rhs(k, 1.0, x, v + h * f3)
             v = v + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
             if zs is None:
                 zs = np.empty((4, steps) + np.shape(z1))
-                rows = max(1, np.size(z1) // np.shape(z1)[-1])
-                per_pass = max(1, _PASS_ROWS // rows)
-                if record is not None:
-                    vs = np.empty((steps,) + np.shape(v))
+                per_pass = max(1, _PASS_ROWS // max(1, np.size(z1) // np.shape(z1)[-1]))
             zs[:, k] = z1, z2, z3, z4
             if not np.isfinite(v).all():
                 done = k
                 break
-            if vs is not None:
-                vs[k] = v
+            if out is not None:
+                out[1][k + 1] = v
         for j in range(0, done, per_pass):
-            x = _reconstruct(gm, x, zs[:, j:min(j + per_pass, done)], h,
-                             None if vs is None else vs[j:], record, first_step + j)
+            stop = min(j + per_pass, done)
+            x, finite = _reconstruct(gm, x, zs[:, j:stop], h,
+                                     None if out is None else out[0][j + 1:stop + 1])
+            if not finite.all():
+                raise NonFinite(j + int(np.argmin(finite)) + 1)
         if done < steps:
-            raise NonFinite(first_step + done + 1)
+            raise NonFinite(done + 1)
     return x, v
 
 
@@ -397,11 +393,10 @@ def reconstruct_step(gm, x, y_of_t, t, h) -> np.ndarray:
         raise ValueError("step size must be positive")
     empty = np.zeros(0)
 
-    def rhs(s, _x, _v):
-        return np.asarray(y_of_t(s), dtype=float), empty
+    def rhs(_k, c, _x, _v):
+        return np.asarray(y_of_t(t + c * h), dtype=float), empty
 
-    x_next, _ = rkmk_integrate(gm, np.asarray(x, dtype=float), empty, (t, t + h), h, rhs)
-    return x_next
+    return rkmk_integrate(gm, np.asarray(x, dtype=float), empty, 1, h, rhs)[0]
 
 
 def orthogonality_defect(g) -> float:

@@ -25,11 +25,13 @@ the Hamiltonian field of H for the trivialized symplectic form
 For x-independent quadratic costs the flow is bilinear in (y; mu, xi):
 ``extremal_field`` builds its tensor once per (model, cost) and evaluates
 a batch of RK stages with one einsum.  ``flow_extremal`` and
-``propagate_endpoints`` both step it through ``groups.rkmk_integrate``.
-For x-independent costs the fibre part (y, mu, xi) never reads x, so the
-loop steps it alone and x is reconstructed after the loop; x-dependent
-costs take coupled steps.  ``flow_extremal`` records (x, y, mu, xi) and,
-for quadratic costs, gets u and H of the grid in one batched pass.
+``propagate_endpoints`` both step it through ``groups.rkmk_integrate``,
+in one call over the whole grid; the field ignores the step index and
+node the stepper passes it.  For x-independent costs the fibre part
+(y, mu, xi) never reads x, so the loop steps it alone and x is
+reconstructed after the loop; x-dependent costs take coupled steps.
+``flow_extremal`` has the stepper fill its (x, y, mu, xi) arrays and, for
+quadratic costs, gets u and H of the grid in one batched pass.
 Only normal extremals are treated; a control Hessian with condition
 number above 1 / RCOND_MIN raises SingularRegularity.
 
@@ -229,7 +231,7 @@ def min_acc_rhs(model, gm, a) -> ExtremalRHS:
     """Minimum-acceleration specialization with the control inlined:
     ydot = sharp(restricted xi) + bias(y), evaluated by the fused field."""
     v = np.concatenate([a.state.y, a.costate.mu, a.costate.xi]).astype(float)
-    y, vdot = extremal_field(model, gm, min_acc_cost(model))(0.0, a.state.x, v)
+    y, vdot = extremal_field(model, gm, min_acc_cost(model))(0, 0.0, a.state.x, v)
     return ExtremalRHS(*np.split(vdot, 3), xdot_body=y)
 
 
@@ -259,14 +261,14 @@ def _quadratic_tensor(model, R):
 
 @lru_cache(maxsize=16)
 def extremal_field(model, gm, cost):
-    """The extremal flow as a stepper right-hand side ``rhs(t, x, v) -> (y, vdot)``
+    """The extremal flow as a stepper right-hand side ``rhs(k, c, x, v) -> (y, vdot)``
     with v = (y, mu, xi): the fused field, batched over leading dimensions of
     v, for quadratic x-independent costs, else ``extremal_rhs`` per point."""
     n = model.n
     if _is_quadratic(cost):
         K = _quadratic_tensor(model, cost.quad_weight)
 
-        def rhs(t, x, v):
+        def rhs(k, c, x, v):
             y1 = np.empty(v.shape[:-1] + (n + 1,))
             y1[..., 0] = 1.0
             y1[..., 1:] = v[..., :n]
@@ -274,7 +276,7 @@ def extremal_field(model, gm, cost):
 
         return rhs
 
-    def rhs(t, x, v):
+    def rhs(k, c, x, v):
         y, mu, xi = v[:n], v[n:2 * n], v[2 * n:]
         s = State(x, y)
         u = eliminate_control(model, cost, s, xi)
@@ -296,17 +298,12 @@ def flow_extremal(model, gm, cost, a0, T, steps) -> Trajectory:
     vs = np.empty((steps + 1, 3 * n))
     xs[0] = a0.state.x
     vs[0] = np.concatenate([a0.state.y, a0.costate.mu, a0.costate.xi])
-
-    def record(k, x, v):
-        xs[k], vs[k] = x, v
-
-    groups.rkmk_integrate(gm, xs[0], vs[0], h * np.arange(steps + 1), h,
-                          extremal_field(model, gm, cost),
-                          needs_x=not cost.x_independent, record=record)
+    groups.rkmk_integrate(gm, xs[0], vs[0], steps, h, extremal_field(model, gm, cost),
+                          needs_x=not cost.x_independent, out=(xs, vs))
     ys, mus, xis = vs[:, :n], vs[:, n:2 * n], vs[:, 2 * n:]
     if _is_quadratic(cost):
         us = eliminate_control(model, cost, None, xis)
-        ydot = extremal_field(model, gm, cost)(0.0, None, vs)[1][:, :n]
+        ydot = extremal_field(model, gm, cost)(0, 0.0, None, vs)[1][:, :n]
         hams = (np.einsum("ki,ki->k", mus, ys) + np.einsum("ki,ki->k", xis, ydot)
                 - 0.5 * np.einsum("ka,ab,kb->k", us, cost.quad_weight, us))
     else:
@@ -334,9 +331,8 @@ def propagate_endpoints(model, gm, cost, x0, y0, mu0, xi0, T, steps):
     y0b = np.broadcast_to(np.asarray(y0, dtype=float), mu0.shape)
     v = np.concatenate([y0b, mu0, np.asarray(xi0, dtype=float)], axis=-1)
     steps = int(steps)
-    h = T / steps
-    x, v = groups.rkmk_integrate(gm, np.asarray(x0, dtype=float), v, h * np.arange(steps + 1),
-                                 h, extremal_field(model, gm, cost),
+    x, v = groups.rkmk_integrate(gm, np.asarray(x0, dtype=float), v, steps, T / steps,
+                                 extremal_field(model, gm, cost),
                                  needs_x=not cost.x_independent)
     return x, v[..., : model.n]
 

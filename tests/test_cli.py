@@ -241,3 +241,29 @@ def test_missing_model_file_is_config_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     write_config(cfg, algebra={"kind": "custom", "file": str(tmp_path / "ghost.json")})
     assert main(["validate", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("command,section", [
+    ("simulate", {"problem": {"x0": [0, 0, 0], "xT": [0, 0, 0.5], "y0": [0, 0, 0],
+                              "yT": [0, 0, 0], "T": 1.0, "steps": 40.7}}),
+    ("shoot", {"solver": {"max_iter": 3.7}}),
+    ("shoot", {"solver": {"fd_step": 0}}),
+    ("shoot", {"solver": {"tol": -1}}),
+    ("shoot", {"solver": {"max_iter": -5}}),
+    ("shoot", {"solver": {"tol": "1e-8"}}),
+    ("compare", {"oracle": {"segments": 20.5}}),
+    ("compare", {"oracle": {"steps_per_segment": 2.0}}),
+], ids=["steps-float", "max_iter-float", "fd_step-zero", "tol-negative", "max_iter-negative",
+        "tol-string", "segments-float", "steps_per_segment-float"])
+def test_bad_numeric_config_value_is_config_error(tmp_path, capsys, monkeypatch,
+                                                  command, section):
+    # rejected at load time: no flow runs and nothing is written
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr("aoc.groups.rkmk_integrate", no_flow)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **section)
+    assert main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.glob("out*"))

@@ -149,6 +149,39 @@ def test_zoh_rollout_batch_matches_loop(so3_j123_group, rng):
         assert_allclose(ys[-1][b], ys1[-1], atol=0.0)
 
 
+def segment_chain(gm, x0, y0, U, T, spb):
+    """The reference rollout: one rkmk_integrate call per control segment,
+    each starting from the state the one before it left."""
+    lead = U.shape[:-2]
+    x = np.broadcast_to(x0, lead + x0.shape).copy()
+    y = np.broadcast_to(y0, lead + y0.shape).copy()
+    xs, ys = [x], [y]
+    h = T / (U.shape[-2] * spb)
+    for j in range(U.shape[-2]):
+        drift = aoc.embed_control(gm.algebra, U[..., j, :])
+
+        def rhs(k, c, _x, yy, drift=drift):
+            return yy, aoc.bias(gm.algebra, yy) + drift
+
+        seg = np.empty((spb + 1,) + x.shape), np.empty((spb + 1,) + y.shape)
+        x, y = aoc.groups.rkmk_integrate(gm, x, y, spb, h, rhs, out=seg)
+        xs += list(seg[0][1:])
+        ys += list(seg[1][1:])
+    return np.array(xs), np.array(ys)
+
+
+@pytest.mark.parametrize("spb", [2, 4])
+@pytest.mark.parametrize("lead", [(), (5,)])
+def test_zoh_rollout_is_bitwise_a_chain_of_segments(so3_j123_group, lead, spb):
+    U = np.random.default_rng(11).standard_normal(lead + (6, 3))
+    x0 = aoc.exp_map(so3_j123_group, np.array([0.2, -0.1, 0.3]))
+    y0 = np.array([0.1, -0.4, 0.2])
+    times, xs, ys = zoh_rollout(so3_j123_group, x0, y0, U, 1.3, steps_per_segment=spb)
+    ref_xs, ref_ys = segment_chain(so3_j123_group, x0, y0, U, 1.3, spb)
+    assert np.array_equal(times, np.linspace(0.0, 1.3, 6 * spb + 1))
+    assert np.array_equal(xs, ref_xs) and np.array_equal(ys, ref_ys)
+
+
 def test_simulate_single_segment_matches_rollout(so3_j123, so3_j123_group):
     # with one control segment there are no interior jumps, paths agree exactly
     U = np.array([[0.3, -0.2, 0.1]])

@@ -2,8 +2,10 @@
 
 The fused extremal field and the ad-matrix ``dexpinv`` are checked on
 random valid algebras: so(3) with a diagonal inertia, abelian R^n with a
-block-diagonal inertia, and se(2)-style semidirect products with scaled,
-permuted generators and an adapted inertia.  The batch tests pin the
+block-diagonal inertia, and se(2)- and se(3)-style semidirect products with
+scaled, permuted generators and an adapted inertia.  Every case is checked
+to be a valid model (Jacobi identity included) whose connection is metric
+compatible and whose extremal field is Hamiltonian.  The batch tests pin the
 bitwise equality of a batched flow with each of its rows run alone, of
 the split x-independent flow with a loop of coupled steps, and of
 shooting's fused residual-and-Jacobian batch with separate flows.
@@ -53,28 +55,39 @@ def abelian_case(rng):
     return model, aoc.abelian_group(model)
 
 
-def se2_basis(rng):
-    """se(2) generators (rotation, two translations), scaled and permuted."""
+def matrix_case(rng, E, name):
+    """A generic group from the generators E, scaled and permuted, with a
+    random m and an adapted inertia."""
+    n, d = E.shape[:2]
+    basis = (E * rng.uniform(0.5, 2.0, n)[:, None, None])[rng.permutation(n)]
+    # structure constants from the commutators: [E_i, E_j] = C[k, i, j] E_k
+    comm = np.einsum("iab,jbc->ijac", basis, basis)
+    comm = comm - np.transpose(comm, (1, 0, 2, 3))
+    C = np.einsum("kp,ijp->kij", np.linalg.pinv(basis.reshape(n, d * d).T),
+                  comm.reshape(n, n, d * d))
+    m = int(rng.integers(1, n + 1))
+    model = aoc.make_model(n, m, C, block_inertia(rng, n, m), name=name)
+    return model, aoc.generic_group(model, basis)
+
+
+def se2_case(rng):
+    """se(2): a rotation and two translations of the plane."""
     E = np.zeros((3, 3, 3))
     E[0, 0, 1], E[0, 1, 0] = -1.0, 1.0
     E[1, 0, 2] = 1.0
     E[2, 1, 2] = 1.0
-    E *= rng.uniform(0.5, 2.0, 3)[:, None, None]
-    return E[rng.permutation(3)]
+    return matrix_case(rng, E, "se2")
 
 
-def se2_case(rng):
-    basis = se2_basis(rng)
-    # structure constants from the commutators: [E_i, E_j] = C[k, i, j] E_k
-    comm = np.einsum("iab,jbc->ijac", basis, basis)
-    comm = comm - np.transpose(comm, (1, 0, 2, 3))
-    C = np.einsum("kp,ijp->kij", np.linalg.pinv(basis.reshape(3, 9).T), comm.reshape(3, 3, 9))
-    m = int(rng.integers(1, 4))
-    model = aoc.make_model(3, m, C, block_inertia(rng, 3, m), name="se2")
-    return model, aoc.generic_group(model, basis)
+def se3_case(rng):
+    """se(3): three rotations and three translations of space, as 4 x 4 matrices."""
+    E = np.zeros((6, 4, 4))
+    E[:3, :3, :3] = aoc.so3_group(aoc.so3_model()).basis
+    E[[3, 4, 5], [0, 1, 2], 3] = 1.0
+    return matrix_case(rng, E, "se3")
 
 
-CASES = {"so3": so3_case, "abelian": abelian_case, "se2": se2_case}
+CASES = {"so3": so3_case, "abelian": abelian_case, "se2": se2_case, "se3": se3_case}
 
 algebras = st.tuples(st.sampled_from(sorted(CASES)), st.integers(0, 2 ** 32 - 1))
 
@@ -93,7 +106,7 @@ def test_fused_field_matches_extremal_rhs(case):
     cost = quadratic_cost(model, spd(rng, m))
     rhs = extremal_field(model, None, cost)
     V = rng.uniform(-1.0, 1.0, (5, 3 * n))
-    z, vdot = rhs(0.0, None, V)
+    z, vdot = rhs(0, 0.0, None, V)
     assert_allclose(z, V[:, :n], rtol=0, atol=0)
     for v, row in zip(V, vdot):
         y, mu, xi = v[:n], v[n:2 * n], v[2 * n:]
@@ -101,7 +114,32 @@ def test_fused_field_matches_extremal_rhs(case):
         u = eliminate_control(model, cost, s, xi)
         r = extremal_rhs(model, None, cost, ExtremalPoint(s, Costate(mu, xi), u))
         assert_allclose(row, np.concatenate([r.ydot, r.mudot, r.xidot]), rtol=0, atol=1e-13)
-        assert_allclose(rhs(0.0, None, v)[1], row, rtol=0, atol=0)
+        assert_allclose(rhs(0, 0.0, None, v)[1], row, rtol=0, atol=0)
+
+
+@given(algebras)
+@SETTINGS
+def test_model_is_valid_with_a_metric_connection(case):
+    # Jacobi and the other model invariants, and <D_y z, w> + <z, D_y w> = 0
+    model, gm, rng = draw(*case)
+    assert aoc.validate_model(model).passed
+    assert aoc.validate_group(gm).passed
+    y, z, w = rng.uniform(-1.0, 1.0, (3, 8, model.n))
+    pair = lambda a, b: np.einsum("...i,...i->...", aoc.flat(model, a), b)
+    res = (pair(aoc.connection_bilinear(model, y, z), w)
+           + pair(z, aoc.connection_bilinear(model, y, w)))
+    assert_allclose(res, 0.0, rtol=0, atol=1e-12)
+
+
+@given(algebras)
+@settings(max_examples=30, deadline=None)
+def test_extremal_field_is_hamiltonian(case):
+    # Omega(X_H, V) = dH(V) for the field of a random quadratic cost
+    model, gm, rng = draw(*case)
+    cost = quadratic_cost(model, spd(rng, model.m))
+    y, mu, xi = rng.uniform(-1.0, 1.0, (3, model.n))
+    a = ExtremalPoint(State(np.eye(gm.rep_dim), y), Costate(mu, xi), np.zeros(model.m))
+    assert aoc.hamiltonian_field_check(model, gm, cost, a, n_directions=4) < 1e-6
 
 
 @given(algebras)
@@ -116,9 +154,9 @@ def test_dexpinv_matches_bracket_series(case):
         assert_allclose(dexpinv(model, w[b], v[b]), dexpinv(model, w, v)[b], rtol=0, atol=0)
 
 
-@given(algebras, st.sampled_from([1, 13]), st.integers(0, 50))
+@given(algebras, st.sampled_from([1, 13]))
 @settings(max_examples=20, deadline=None)
-def test_split_flow_is_bitwise_coupled_steps_and_single_rows(case, width, first_step):
+def test_split_flow_is_bitwise_coupled_steps_and_single_rows(case, width):
     # x-independent fields take the split path: RK4 on v in the loop, the group
     # product after it; it must give the bits of coupled steps, row by row
     model, gm, rng = draw(*case)
@@ -127,19 +165,16 @@ def test_split_flow_is_bitwise_coupled_steps_and_single_rows(case, width, first_
     v0 = rng.uniform(-1.0, 1.0, (width, 3 * n))
     x0 = np.eye(gm.rep_dim)
     h = 0.04
-    times = h * np.arange(first_step, first_step + 26)
-    seen = []
-    x, v = rkmk_integrate(gm, x0, v0, times, h, rhs, first_step=first_step,
-                          record=lambda k, xk, vk: seen.append((k, xk.copy(), vk.copy())))
+    xs = np.full((26, width) + x0.shape, np.nan)
+    vs = np.full((26,) + v0.shape, np.nan)
+    x, v = rkmk_integrate(gm, x0, v0, 25, h, rhs, out=(xs, vs))
     xc, vc = x0, v0
-    for j, t in enumerate(times[:-1]):
-        xc, vc = rkmk_coupled_step(gm, xc, vc, t, h, rhs)
-        k, xk, vk = seen[j]
-        assert k == first_step + j + 1
-        assert np.array_equal(xk, xc) and np.array_equal(vk, vc)
-    assert len(seen) == 25 and np.array_equal(x, xc) and np.array_equal(v, vc)
+    for k in range(25):
+        xc, vc = rkmk_coupled_step(gm, xc, vc, k, h, rhs)
+        assert np.array_equal(xs[k + 1], xc) and np.array_equal(vs[k + 1], vc)
+    assert np.array_equal(x, xc) and np.array_equal(v, vc)
     for b in {0, width - 1}:
-        xb, vb = rkmk_integrate(gm, x0, v0[b], times, h, rhs, first_step=first_step)
+        xb, vb = rkmk_integrate(gm, x0, v0[b], 25, h, rhs)
         assert np.array_equal(xb, x[b]) and np.array_equal(vb, v[b])
 
 

@@ -269,13 +269,14 @@ def test_rkmk4_order_ratio(so3_j123_group):
 
 def test_coupled_step_vector_part_is_rk4(so3_j123_group):
     # with zero group velocity the vector part must reduce to classical RK4
-    def rhs(t, x, v):
-        return np.zeros(3), -v + np.sin(t)
+    h = 0.1
+
+    def rhs(k, c, x, v):
+        return np.zeros(3), -v + np.sin((k + c) * h)
 
     v = np.array([1.0, 0.5, -0.2])
-    x, v1 = rkmk_coupled_step(so3_j123_group, np.eye(3), v, 0.0, 0.1, rhs)
+    x, v1 = rkmk_coupled_step(so3_j123_group, np.eye(3), v, 0, h, rhs)
     # classical RK4 by hand
-    h = 0.1
     f = lambda t, w: -w + np.sin(t)
     k1 = f(0.0, v)
     k2 = f(0.05, v + 0.05 * k1)
@@ -307,17 +308,25 @@ def test_rkmk_stays_on_manifold_where_rk4_drifts(so3_j123_group):
     assert np.linalg.norm(x_mk - x_raw) < 1e-4
 
 
-def coupled_loop(gm, x, v, times, h, rhs, first_step):
+def coupled_loop(gm, x, v, steps, h, rhs, out):
     """The reference for the split flow: one coupled step at a time, with the
-    finite check and the recorder of the time loop."""
-    seen = []
+    finite check and the output arrays of the time loop."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, t in enumerate(times[:-1], start=first_step + 1):
-            x, v = rkmk_coupled_step(gm, x, v, t, h, rhs)
+        for k in range(steps):
+            x, v = rkmk_coupled_step(gm, x, v, k, h, rhs)
             if not (np.isfinite(v).all() and np.isfinite(x).all()):
-                raise aoc.NonFinite(k)
-            seen.append((k, x, v))
-    return x, v, seen
+                raise aoc.NonFinite(k + 1)
+            out[0][k + 1], out[1][k + 1] = x, v
+    return x, v
+
+
+def grid(steps, x, v):
+    """Output arrays of ``steps`` + 1 states, NaN but for the initial state."""
+    lead = np.shape(v)[:-1]
+    xs = np.full((steps + 1,) + lead + np.shape(x), np.nan)
+    vs = np.full((steps + 1,) + np.shape(v), np.nan)
+    xs[0], vs[0] = x, v
+    return xs, vs
 
 
 @pytest.mark.parametrize("kind", ["so3", "abelian", "generic"])
@@ -335,15 +344,15 @@ def test_split_flow_is_bitwise_the_coupled_loop(kind, width, pass_rows, so3_m2, 
     v0 = np.random.default_rng(7).uniform(-1.5, 1.5, (width, 9))
     x0 = aoc.exp_map(gm, np.array([0.3, -0.2, 0.4]))
     h = 0.05
-    times = 0.35 + h * np.arange(31)
-    x1, v1, seen1 = coupled_loop(gm, x0, v0, times, h, rhs, first_step=7)
-    seen2 = []
-    x2, v2 = rkmk_integrate(gm, x0, v0, times, h, rhs, first_step=7,
-                            record=lambda k, xk, vk: seen2.append((k, xk.copy(), vk.copy())))
+    ref = grid(30, x0, v0)
+    x1, v1 = coupled_loop(gm, x0, v0, 30, h, rhs, ref)
+    out = grid(30, x0, v0)
+    x2, v2 = rkmk_integrate(gm, x0, v0, 30, h, rhs, out=out)
     assert np.array_equal(x1, x2) and np.array_equal(v1, v2)
-    assert [k for k, _, _ in seen2] == list(range(8, 38))
-    for (k1, xa, va), (k2, xb, vb) in zip(seen1, seen2, strict=True):
-        assert k1 == k2 and np.array_equal(xa, xb) and np.array_equal(va, vb)
+    assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])
+    # without output arrays only the final state is kept, with the same bits
+    x3, v3 = rkmk_integrate(gm, x0, v0, 30, h, rhs)
+    assert np.array_equal(x3, x2) and np.array_equal(v3, v2)
 
 
 @pytest.mark.parametrize("pass_rows", [None, 3])
@@ -352,26 +361,26 @@ def test_abelian_translation_overflow_reports_first_bad_step(abelian3, pass_rows
     if pass_rows is not None:
         monkeypatch.setattr(aoc.groups, "_PASS_ROWS", pass_rows)
     gm = aoc.abelian_group(abelian3)
-    times = np.arange(21.0)
 
-    def coasting(t, x, v):
+    def coasting(k, c, x, v):
         return v, np.zeros_like(v)
 
-    def coasting_then_nan(t, x, v):
-        return v, np.full_like(v, np.nan if t >= 12.0 else 0.0)
+    def coasting_then_nan(k, c, x, v):
+        return v, np.full_like(v, np.nan if k + c >= 12.0 else 0.0)
 
-    v0 = np.array([2.5e307, 0.0, 0.0])
-    for rhs in (coasting, coasting_then_nan):
-        with pytest.raises(aoc.NonFinite) as ref:
-            coupled_loop(gm, np.eye(4), v0, times, 1.0, rhs, first_step=3)
-        seen = []
+    for v0, rhs, bad in ((np.array([2.5e307, 0.0, 0.0]), coasting, 8),
+                         (np.array([2.5e307, 0.0, 0.0]), coasting_then_nan, 8),
+                         # with a small velocity the NaN that step 12 samples
+                         # at its last stage comes first
+                         (np.array([1.0, 0.0, 0.0]), coasting_then_nan, 12)):
+        ref = grid(20, np.eye(4), v0)
+        with pytest.raises(aoc.NonFinite) as refd:
+            coupled_loop(gm, np.eye(4), v0, 20, 1.0, rhs, ref)
+        out = grid(20, np.eye(4), v0)
         with pytest.raises(aoc.NonFinite) as err:
-            rkmk_integrate(gm, np.eye(4), v0, times, 1.0, rhs, first_step=3,
-                           record=lambda k, x, v: seen.append(k))
-        assert err.value.step_index == ref.value.step_index == 3 + 8
-        assert seen == list(range(4, 11))
-    # with a small velocity the NaN that the step from t = 11 samples at t = 12 comes first
-    with pytest.raises(aoc.NonFinite) as err:
-        rkmk_integrate(gm, np.eye(4), np.array([1.0, 0.0, 0.0]), times, 1.0,
-                       coasting_then_nan, first_step=3)
-    assert err.value.step_index == 3 + 12
+            rkmk_integrate(gm, np.eye(4), v0, 20, 1.0, rhs, out=out)
+        assert err.value.step_index == refd.value.step_index == bad
+        # every step before the bad one is written, with the coupled loop's bits
+        assert np.isfinite(out[0][:bad]).all() and np.isfinite(out[1][:bad]).all()
+        assert np.array_equal(out[0][:bad], ref[0][:bad])
+        assert np.array_equal(out[1][:bad], ref[1][:bad])
