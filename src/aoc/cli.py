@@ -69,6 +69,18 @@ def _check_numbers(data):
         raise UsageError(f"solver.max_iter must be >= 0, got {data['solver']['max_iter']}")
 
 
+def _floats(raw, what):
+    """A config number or nested list of numbers as a float array; anything
+    else (strings, null, ragged lists) is a usage error."""
+    try:
+        arr = np.asarray(raw)
+    except ValueError:
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise UsageError(f"{what} must be a number or a list of numbers, got {raw!r}")
+    return arr.astype(float)
+
+
 def load_config(path):
     try:
         data = json.loads(Path(path).read_text())
@@ -106,7 +118,7 @@ def build_model(config):
     kind = section.get("kind")
     rep = None
     if kind == "so3":
-        diag = np.asarray(section.get("inertia", [1.0, 1.0, 1.0]), dtype=float)
+        diag = _floats(section.get("inertia", [1.0, 1.0, 1.0]), "algebra.inertia")
         if diag.ndim == 2:
             if diag.shape != (3, 3) or np.any(diag != np.diag(np.diag(diag))):
                 raise UsageError("so3 inertia must be diagonal (a list of 3 or a diagonal "
@@ -121,6 +133,8 @@ def build_model(config):
         if "n" not in section:
             raise UsageError("abelian algebra needs 'n'")
         inertia = section.get("inertia")
+        if inertia is not None:
+            inertia = _floats(inertia, "algebra.inertia")
         try:
             model = algebra.abelian_model(int(section["n"]), m=section.get("m"), inertia=inertia)
         except ValueError as e:
@@ -153,14 +167,14 @@ def build_cost(config, model):
         if "R" not in section:
             raise UsageError("quadratic cost needs 'R'")
         try:
-            return pmp.quadratic_cost(model, np.asarray(section["R"], dtype=float))
+            return pmp.quadratic_cost(model, _floats(section["R"], "cost.R"))
         except ValueError as e:
             raise UsageError(f"bad quadratic weight: {e}")
     raise UsageError(f"cost kind must be min_acc or quadratic, got {kind!r}")
 
 
 def _group_element(gm, raw, what):
-    arr = np.asarray(raw, dtype=float)
+    arr = _floats(raw, what)
     d, n = gm.rep_dim, gm.algebra.n
     if arr.shape == (d, d):
         return arr
@@ -176,14 +190,14 @@ def build_problem(config, model, gm):
     for key in ("x0", "xT", "y0", "yT", "T", "steps"):
         if key not in section:
             raise UsageError(f"problem section missing '{key}'")
-    y0 = np.asarray(section["y0"], dtype=float)
-    yT = np.asarray(section["yT"], dtype=float)
+    y0 = _floats(section["y0"], "problem.y0")
+    yT = _floats(section["yT"], "problem.yT")
     if y0.shape != (model.n,) or yT.shape != (model.n,):
         raise UsageError(f"y0 and yT must have {model.n} components")
     try:
         return shooting.BoundaryProblem(
-            x0=_group_element(gm, section["x0"], "x0"),
-            xT=_group_element(gm, section["xT"], "xT"),
+            x0=_group_element(gm, section["x0"], "problem.x0"),
+            xT=_group_element(gm, section["xT"], "problem.xT"),
             y0=y0, yT=yT, T=float(section["T"]), steps=section["steps"])
     except ValueError as e:
         raise UsageError(str(e))
@@ -194,8 +208,8 @@ def build_control(config, model):
     if section == "zero":
         return dynamics.zero_control(model)
     if isinstance(section, dict) and set(section) <= {"times", "values"}:
-        times = np.asarray(section.get("times", []), dtype=float)
-        values = np.asarray(section.get("values", []), dtype=float)
+        times = _floats(section.get("times", []), "control.times")
+        values = _floats(section.get("values", []), "control.values")
         if times.ndim != 1 or values.shape != (len(times), model.m) or len(times) < 2:
             raise UsageError("control samples need matching 'times' (k) and 'values' (k x m), k >= 2")
 
@@ -276,8 +290,8 @@ def cmd_extremal(config):
     mu0, xi0 = seed_cfg.get("mu0"), seed_cfg.get("xi0")
     if mu0 is None or xi0 is None:
         raise UsageError("extremal needs mu0 and xi0 (flags --mu0/--xi0 or config costate0)")
-    mu0 = np.asarray(mu0, dtype=float)
-    xi0 = np.asarray(xi0, dtype=float)
+    mu0 = _floats(mu0, "costate0.mu0")
+    xi0 = _floats(xi0, "costate0.xi0")
     if mu0.shape != (model.n,) or xi0.shape != (model.n,):
         raise UsageError(f"mu0 and xi0 must have {model.n} components")
     a0 = pmp.ExtremalPoint(dynamics.State(problem.x0, problem.y0),
@@ -307,7 +321,7 @@ def cmd_shoot(config):
     sol = config["solver"]
     guess = sol.get("guess")
     if guess is not None:
-        guess = np.asarray(guess, dtype=float)
+        guess = _floats(guess, "solver.guess")
         if guess.shape != (2 * model.n,):
             raise UsageError(f"solver guess must have {2 * model.n} components")
         guess = (guess[: model.n], guess[model.n:])

@@ -267,3 +267,24 @@ def test_bad_numeric_config_value_is_config_error(tmp_path, capsys, monkeypatch,
     assert main([command, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(tmp_path.glob("out*"))
+
+
+_PROBLEM = {"x0": [0, 0, 0], "xT": [0, 0, 0.5], "y0": [0, 0, 0], "yT": [0, 0, 0],
+            "T": 1.0, "steps": 20}
+
+
+@pytest.mark.parametrize("command,section,where", [
+    ("validate", {"algebra": {"kind": "so3", "inertia": [1, "b", 3], "m": 3}}, "algebra.inertia"),
+    ("simulate", {"problem": {**_PROBLEM, "y0": [0, 0, "a"]}}, "problem.y0"),
+    ("simulate", {"problem": {**_PROBLEM, "yT": [0, None, 0]}}, "problem.yT"),
+    ("simulate", {"problem": {**_PROBLEM, "x0": [0, [0], 0]}}, "problem.x0"),
+    ("shoot", {"solver": {"guess": [0, 0, 0, 0, 0, "1"]}}, "solver.guess"),
+    ("extremal", {"costate0": {"mu0": "abc", "xi0": [0, 0, 0]}}, "costate0.mu0"),
+    ("extremal", {"costate0": {"mu0": [0, 0, 0], "xi0": [0, {}, 0]}}, "costate0.xi0"),
+], ids=["inertia", "y0", "yT", "x0-ragged", "guess", "mu0", "xi0"])
+def test_non_numeric_array_entry_is_config_error(tmp_path, capsys, command, section, where):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **section)
+    assert main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {where} must be a number")
+    assert not list(tmp_path.glob("out*"))

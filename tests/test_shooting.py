@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -89,16 +91,44 @@ def test_criterion_7_problem_converges_in_few_steps():
     assert res.iterations <= 5
 
 
-def test_criterion_8_problem_steps_and_costates():
-    axis = np.array([0.6, 0.7, 0.25])
-    res = solve_shooting(*so3_problem(m=2, axis=axis / np.linalg.norm(axis), angle=0.4, steps=50))
+def test_fully_actuated_steps_take_no_probe_flow(monkeypatch):
+    # m = n: plain LM, one seed flow plus one 4n + 1-row flow per step
+    widths = []
+    propagate = aoc.pmp.propagate_endpoints
+
+    def counted(model, gm, cost, x0, y0, mu0, xi0, T, steps):
+        widths.append(np.shape(mu0)[0])
+        return propagate(model, gm, cost, x0, y0, mu0, xi0, T, steps)
+
+    monkeypatch.setattr(aoc.pmp, "propagate_endpoints", counted)
+    res = solve_shooting(*so3_problem())
     assert res.converged
-    assert res.iterations <= 60
+    assert res.flows == res.iterations + 1 == len(widths)
+    assert widths == [4 * 3 + 1] * len(widths)
+
+
+CRIT8_AXIS = np.array([0.6, 0.7, 0.25]) / np.linalg.norm([0.6, 0.7, 0.25])
+
+
+def test_criterion_8_problem_steps_and_costates():
+    res = solve_shooting(*so3_problem(m=2, axis=CRIT8_AXIS, angle=0.4, steps=50))
+    assert res.converged
+    assert res.iterations <= 30
+    # a seed flow plus a probe and a trial flow per step at most
+    assert res.flows <= 2 * res.iterations + 1
     # the extremal found by the previous unscaled-damping solver
     assert_allclose(res.mu0, [13.561039142878464, -77.63564240586926, 265.62913222703054],
                     rtol=1e-6)
     assert_allclose(res.xi0, [7.538837769846545, -10.553330829291816, 89.35205682989016],
                     rtol=1e-6)
+
+
+def test_large_angle_underactuated_converges_on_first_start():
+    # plain LM stalls here on every start; geodesic acceleration reaches it from the first seed
+    res = solve_shooting(*so3_problem(m=2, axis=CRIT8_AXIS, angle=3.0, steps=50),
+                         initial_guess=(np.zeros(3), np.zeros(3)), max_iter=120)
+    assert res.converged
+    assert res.residual_norm < 1e-8
 
 
 def test_so3_fully_actuated_rest_to_rest():
@@ -186,3 +216,15 @@ def test_shooting_survives_ill_posed_first_batch():
     assert _residual_and_jacobian(*problem, np.zeros(6), 1e-6) is None
     res = solve_shooting(*problem)
     assert np.isfinite(res.residual_norm)
+
+
+def test_batched_defect_matches_per_point_path():
+    model, gm, cost, prob = so3_problem(m=2, axis=CRIT8_AXIS, angle=0.4, steps=50)
+    res = solve_shooting(model, gm, cost, prob)
+    # the same cost without its quadratic marker takes the per-point path
+    generic = dataclasses.replace(cost, quad_weight=None)
+    batched = extremal_defect(model, gm, cost, res.trajectory)
+    per_point = extremal_defect(model, gm, generic, res.trajectory)
+    for key in ("y", "mu", "xi"):
+        assert batched[key] == pytest.approx(per_point[key], rel=1e-6)
+    assert batched["stationarity"] < 1e-12 and per_point["stationarity"] < 1e-12
