@@ -48,7 +48,7 @@ _SCHEMA = {
 _SOLVER_DEFAULTS = {"tol": 1e-8, "max_iter": 200, "fd_step": 1e-6, "guess": None}
 _OUTPUT_DEFAULTS = {"path": "aoc_out"}
 
-_INTEGERS = (("problem", "steps"), ("solver", "max_iter"),
+_INTEGERS = (("algebra", "n"), ("algebra", "m"), ("problem", "steps"), ("solver", "max_iter"),
              ("oracle", "segments"), ("oracle", "steps_per_segment"))
 _POSITIVE = (("problem", "T"), ("solver", "tol"), ("solver", "fd_step"))
 

@@ -14,8 +14,9 @@ cancellation.  The generic branch uses scaling and squaring on the
 exponential series, with the scaling exponent and the last term chosen
 per matrix, and delegates the logarithm to scipy row by row.  On every
 branch each row of a batch gets the bits it gets alone.  ``dexpinv``
-forms the matrix ad(omega) once from the structure constants and
-applies it twice.
+forms the matrix ad(omega) once by a stacked matmul against the
+structure constants and applies it twice; a stacked matmul runs the same
+product per row, which keeps those bits.
 
 ``rkmk_integrate`` is the one time loop: the forward simulation, the
 zero-order-hold rollout of the oracle and the extremal flows all step
@@ -261,10 +262,14 @@ def log_map(gm, g, max_angle=SO3_MAX_LOG_ANGLE) -> np.ndarray:
 def dexpinv(model, omega, v) -> np.ndarray:
     """Inverse differential of exp truncated for order 4:
     v + [omega, v]/2 + [omega, [omega, v]]/12, with the matrix ad(omega)
-    formed once from the structure constants and applied twice."""
-    ad = np.einsum("kij,...i->...kj", model.C, omega)
-    c1 = np.einsum("...kj,...j->...k", ad, v)
-    return v + 0.5 * c1 + np.einsum("...kj,...j->...k", ad, c1) / 12.0
+    formed once, by a stacked matmul of omega against the structure
+    constants held as an (n, n n) matrix, and applied twice by stacked
+    matmuls, so each row of a batch gets the bits it gets alone."""
+    n = model.n
+    Ct = model.C.transpose(1, 0, 2).reshape(n, n * n)
+    ad = (omega[..., None, :] @ Ct).reshape(omega.shape[:-1] + (n, n))
+    c1 = (ad @ v[..., None])[..., 0]
+    return v + 0.5 * c1 + (ad @ c1[..., None])[..., 0] / 12.0
 
 
 def munthe_kaas_increment(model, h, z1, stage):

@@ -24,14 +24,17 @@ the Hamiltonian field of H for the trivialized symplectic form
 
 For x-independent quadratic costs the flow is bilinear in (y; mu, xi):
 ``extremal_field`` builds its tensor once per (model, cost) and evaluates
-a batch of RK stages with one einsum.  ``flow_extremal`` and
-``propagate_endpoints`` both step it through ``groups.rkmk_integrate``,
-in one call over the whole grid; the field ignores the step index and
-node the stepper passes it.  For x-independent costs the fibre part
-(y, mu, xi) never reads x, so the loop steps it alone and x is
-reconstructed after the loop; x-dependent costs take coupled steps.
-``flow_extremal`` has the stepper fill its (x, y, mu, xi) arrays and, for
-quadratic costs, gets u and H of the grid in one batched pass.
+a batch of RK stages with two stacked matmuls, v against the tensor and
+the result against y.  ``flow_extremal`` and ``propagate_endpoints``
+both step it through ``groups.rkmk_integrate``, in one call over the
+whole grid; the field ignores the step index and node the stepper passes
+it.  For x-independent costs the fibre part (y, mu, xi) never reads x,
+so the loop steps it alone and x is reconstructed after the loop;
+x-dependent costs take coupled steps.  ``flow_extremal`` has the stepper
+fill its (x, y, mu, xi) arrays, and ``propagate_endpoints`` can have it
+fill the arrays of a batch; ``extremal_trajectory`` turns a recorded
+flow into a trajectory and, for quadratic costs, gets u and H of the
+grid in one batched pass.
 Only normal extremals are treated; a control Hessian with condition
 number above 1 / RCOND_MIN raises SingularRegularity.
 
@@ -263,16 +266,22 @@ def _quadratic_tensor(model, R):
 def extremal_field(model, gm, cost):
     """The extremal flow as a stepper right-hand side ``rhs(k, c, x, v) -> (y, vdot)``
     with v = (y, mu, xi): the fused field, batched over leading dimensions of
-    v, for quadratic x-independent costs, else ``extremal_rhs`` per point."""
+    v, for quadratic x-independent costs, else ``extremal_rhs`` per point.
+
+    The fused field contracts v with the tensor K of ``_quadratic_tensor``,
+    held as a (3n, 3n (n + 1)) matrix, by one stacked matmul, which gives
+    W[o, a] = K[o, a, q] v_q, and then takes W[:, 0] + W[:, 1:] y.  A stacked
+    matmul runs the same product for every row of a batch, so each row gets
+    the bits it gets alone."""
     n = model.n
     if _is_quadratic(cost):
         K = _quadratic_tensor(model, cost.quad_weight)
+        Kt = np.ascontiguousarray(K.transpose(2, 0, 1).reshape(3 * n, 3 * n * (n + 1)))
 
         def rhs(k, c, x, v):
-            y1 = np.empty(v.shape[:-1] + (n + 1,))
-            y1[..., 0] = 1.0
-            y1[..., 1:] = v[..., :n]
-            return v[..., :n], np.einsum("...a,...q,oaq->...o", y1, v, K)
+            y = v[..., :n]
+            W = (v[..., None, :] @ Kt).reshape(v.shape[:-1] + (3 * n, n + 1))
+            return y, W[..., 0] + (W[..., 1:] @ y[..., None])[..., 0]
 
         return rhs
 
@@ -287,19 +296,29 @@ def extremal_field(model, gm, cost):
 
 
 def flow_extremal(model, gm, cost, a0, T, steps) -> Trajectory:
-    """Integrate the critical flow, recording controls and H on the grid (in one
-    batched pass after the loop for quadratic costs, point by point otherwise)."""
+    """Integrate the critical flow, recording controls and H on the grid
+    (see ``extremal_trajectory``)."""
     if T <= 0:
         raise ValueError("T must be positive")
     steps = int(steps)
-    n, m = model.n, model.m
-    h = T / steps
     xs = np.empty((steps + 1, gm.rep_dim, gm.rep_dim))
-    vs = np.empty((steps + 1, 3 * n))
+    vs = np.empty((steps + 1, 3 * model.n))
     xs[0] = a0.state.x
     vs[0] = np.concatenate([a0.state.y, a0.costate.mu, a0.costate.xi])
-    groups.rkmk_integrate(gm, xs[0], vs[0], steps, h, extremal_field(model, gm, cost),
+    groups.rkmk_integrate(gm, xs[0], vs[0], steps, T / steps, extremal_field(model, gm, cost),
                           needs_x=not cost.x_independent, out=(xs, vs))
+    return extremal_trajectory(model, gm, cost, T, xs, vs)
+
+
+def extremal_trajectory(model, gm, cost, T, xs, vs) -> Trajectory:
+    """The trajectory of an extremal flow recorded on the uniform grid of [0, T]:
+    group elements ``xs`` and v = (y, mu, xi) rows ``vs``, with the controls and
+    H of the grid in one batched pass for quadratic costs, point by point
+    otherwise.  ``xs`` and ``vs`` may be one row of a recorded batch; the
+    trajectory keeps compact copies, not views that pin the batch."""
+    n, m = model.n, model.m
+    xs, vs = np.ascontiguousarray(xs), np.ascontiguousarray(vs)
+    steps = len(vs) - 1
     ys, mus, xis = vs[:, :n], vs[:, n:2 * n], vs[:, 2 * n:]
     if _is_quadratic(cost):
         us = eliminate_control(model, cost, None, xis)
@@ -317,31 +336,38 @@ def flow_extremal(model, gm, cost, a0, T, steps) -> Trajectory:
                       mus=mus, xis=xis, hams=hams)
 
 
-def propagate_endpoints(model, gm, cost, x0, y0, mu0, xi0, T, steps):
+def propagate_endpoints(model, gm, cost, x0, y0, mu0, xi0, T, steps, out=None):
     """Terminal (x, y) of the extremal flow; mu0/xi0 may carry a batch dim.
 
     Shares the stepper and right-hand side with flow_extremal, so a
     batch of flows is bitwise the run of each element alone.  Used by
     the shooting solver to evaluate a trial point and the columns of its
-    Jacobian in one call.
+    Jacobian in one call.  With ``out = (xs, vs)``, arrays of steps + 1
+    states of the batch, the stepper records the whole flow there, the
+    initial state included (see ``groups.rkmk_integrate``).
     """
     mu0 = np.asarray(mu0, dtype=float)
     if not _is_quadratic(cost) and mu0.ndim > 1:
         raise DimensionMismatch("batched propagation requires a quadratic x-independent cost")
     y0b = np.broadcast_to(np.asarray(y0, dtype=float), mu0.shape)
     v = np.concatenate([y0b, mu0, np.asarray(xi0, dtype=float)], axis=-1)
+    x0 = np.asarray(x0, dtype=float)
+    if out is not None:
+        out[0][0], out[1][0] = x0, v
     steps = int(steps)
-    x, v = groups.rkmk_integrate(gm, np.asarray(x0, dtype=float), v, steps, T / steps,
-                                 extremal_field(model, gm, cost),
-                                 needs_x=not cost.x_independent)
+    x, v = groups.rkmk_integrate(gm, x0, v, steps, T / steps, extremal_field(model, gm, cost),
+                                 needs_x=not cost.x_independent, out=out)
     return x, v[..., : model.n]
 
 
 def running_cost(cost, traj) -> float:
-    """Composite Simpson quadrature of the running cost along a trajectory."""
+    """Composite Simpson quadrature of the running cost along a trajectory
+    (the trapezoid on a grid of one interval)."""
     K = len(traj) - 1
     vals = np.array([cost.eval(traj.state(k), traj.us[k]) for k in range(K + 1)])
     h = float(traj.times[1] - traj.times[0])
+    if K == 1:
+        return float(0.5 * h * (vals[0] + vals[1]))
     if K % 2 == 0:
         w = np.ones(K + 1)
         w[1:-1:2] = 4.0

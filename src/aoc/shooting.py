@@ -36,6 +36,12 @@ few plain steps, where the probe would only add flows, so they run
 without it.  ``ShootingResult.flows`` counts every propagation of a
 solve: seeds, probes and trials.
 
+Every 4n + 1-row flow records its states on the grid, so the returned
+trajectory is row 0 of the last accepted flow of the best start (its
+seed flow when no step was accepted): bitwise the flow of the returned
+costates, with no flow run for it.  It is None only when no start's
+seed flow succeeded.
+
 Globalization is a deterministic multi-start (scale patterns
 {0, +-1, +-10} on two sign masks, 8 seeds total); there is no
 continuation or homotopy in this version.
@@ -48,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups, pmp
-from .dynamics import State, Trajectory
+from .dynamics import Trajectory
 from .errors import AngleOutOfRange, NonFinite
 
 # Geodesic acceleration (Transtrum and Sethna, arXiv:1201.5885): the
@@ -92,12 +98,14 @@ class ShootingResult:
     flows: int
 
 
-def _residual_batch(model, gm, cost, problem, thetas):
-    """Boundary residuals for a (B, 2n) array of costate seeds, one batched flow."""
+def _residual_batch(model, gm, cost, problem, thetas, out=None):
+    """Boundary residuals for a (B, 2n) array of costate seeds, one batched flow
+    (recorded to ``out`` as in ``propagate_endpoints``)."""
     n = model.n
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     xT, yT = pmp.propagate_endpoints(model, gm, cost, problem.x0, problem.y0,
-                                     thetas[:, :n], thetas[:, n:], problem.T, problem.steps)
+                                     thetas[:, :n], thetas[:, n:], problem.T, problem.steps,
+                                     out=out)
     return endpoint_residual(gm, problem, xT, yT)
 
 
@@ -108,20 +116,26 @@ def boundary_residual(model, gm, cost, problem, mu0, xi0) -> np.ndarray:
 
 
 def _residual_and_jacobian(model, gm, cost, problem, theta, fd_step):
-    """Residual at theta and its central-difference Jacobian from one batched flow.
+    """Residual at theta, its central-difference Jacobian and the flow from theta,
+    from one batched flow.
 
     Row 0 of the batch is theta; rows 1..p and p+1..2p add and subtract
-    the per-column steps fd_step (1 + |theta_i|).  Returns None when the
-    flow blows up or a boundary log is ill-posed anywhere in the batch.
+    the per-column steps fd_step (1 + |theta_i|).  The flow is row 0's
+    (xs, vs) on the grid, as ``flow_extremal`` records it.  Returns None
+    when the flow blows up or a boundary log is ill-posed anywhere in the
+    batch.
     """
     p = len(theta)
     h = fd_step * (1.0 + np.abs(theta))
+    steps, d, rows = int(problem.steps), gm.rep_dim, 2 * p + 1
+    xs, vs = np.empty((steps + 1, rows, d, d)), np.empty((steps + 1, rows, 3 * model.n))
     try:
         res = _residual_batch(model, gm, cost, problem,
-                              theta + np.vstack([np.zeros(p), np.diag(h), -np.diag(h)]))
+                              theta + np.vstack([np.zeros(p), np.diag(h), -np.diag(h)]),
+                              out=(xs, vs))
     except (NonFinite, AngleOutOfRange):
         return None
-    return res[0], (res[1:p + 1] - res[p + 1:]).T / (2.0 * h)
+    return res[0], (res[1:p + 1] - res[p + 1:]).T / (2.0 * h), (xs[:, 0], vs[:, 0])
 
 
 def _start_points(n):
@@ -137,18 +151,18 @@ def _start_points(n):
 def _levenberg_marquardt(evaluate, theta0, tol, max_iter, probe=None):
     """Levenberg-Marquardt with Nielsen's gain-ratio damping update.
 
-    ``evaluate(theta)`` returns (r, J) or None, so every step costs one
-    call: a rejected trial is one lost flow, and an accepted one already
-    carries the Jacobian of the next step.  With ``probe(theta)``, which
-    returns r or None, each step adds the geodesic acceleration of the
-    module docstring.  Returns (theta, sup-norm residual, steps,
-    converged).
+    ``evaluate(theta)`` returns (r, J, flow) or None, so every step costs
+    one call: a rejected trial is one lost flow, and an accepted one
+    already carries the Jacobian of the next step.  With ``probe(theta)``,
+    which returns r or None, each step adds the geodesic acceleration of
+    the module docstring.  Returns (theta, sup-norm residual, steps,
+    converged, flow of theta), the flow None when the seed failed.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     point = evaluate(theta)
     if point is None:
-        return theta, np.inf, 0, False
-    r, J = point
+        return theta, np.inf, 0, False, None
+    r, J, flow = point
     lam, nu = 1e-6 * (J ** 2).sum(axis=0).max(), 2.0
     steps = 0
     while np.abs(r).max() >= tol and steps < max_iter and lam <= 1e16:
@@ -173,14 +187,14 @@ def _levenberg_marquardt(evaluate, theta0, tol, max_iter, probe=None):
         trial = None if step is None else evaluate(theta + step)
         gain = -1.0 if trial is None else (r @ r - trial[0] @ trial[0]) / (delta @ (lam * delta - g))
         if gain > 0:
-            theta, (r, J) = theta + step, trial
+            theta, (r, J, flow) = theta + step, trial
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             nu = 2.0
         else:
             lam *= nu
             nu *= 2.0
     norm = float(np.abs(r).max())
-    return theta, norm, steps, norm < tol
+    return theta, norm, steps, norm < tol, flow
 
 
 def solve_shooting(model, gm, cost, problem, initial_guess=None,
@@ -190,7 +204,7 @@ def solve_shooting(model, gm, cost, problem, initial_guess=None,
     Runs Levenberg-Marquardt from the supplied guess, or from the eight
     deterministic multi-start seeds when none is given; returns the best
     iterate with ``converged=False`` rather than raising when every
-    start stalls.
+    start stalls.  The trajectory is row 0 of that iterate's LM flow.
     """
     n = model.n
     flows = 0
@@ -217,23 +231,17 @@ def solve_shooting(model, gm, cost, problem, initial_guess=None,
     best = None
     total_iters = 0
     for theta0 in starts:
-        theta, norm, iters, ok = _levenberg_marquardt(evaluate, theta0, tol, max_iter,
-                                                      probe if model.m < n else None)
+        theta, norm, iters, ok, flow = _levenberg_marquardt(evaluate, theta0, tol, max_iter,
+                                                            probe if model.m < n else None)
         total_iters += iters
         if best is None or norm < best[1]:
-            best = (theta, norm, ok)
+            best = (theta, norm, ok, flow)
         if ok:
             break
 
-    theta, norm, ok = best
-    try:
-        start = pmp.ExtremalPoint(
-            state=State(np.asarray(problem.x0, dtype=float), np.asarray(problem.y0, dtype=float)),
-            costate=pmp.Costate(theta[:n], theta[n:]),
-            u=np.zeros(model.m))
-        trajectory = pmp.flow_extremal(model, gm, cost, start, problem.T, problem.steps)
-    except (NonFinite, AngleOutOfRange):
-        trajectory = None
+    theta, norm, ok, flow = best
+    trajectory = None if flow is None else pmp.extremal_trajectory(model, gm, cost,
+                                                                   problem.T, *flow)
     return ShootingResult(mu0=theta[:n].copy(), xi0=theta[n:].copy(),
                           residual_norm=norm, iterations=total_iters,
                           trajectory=trajectory, converged=bool(ok), flows=flows)

@@ -253,8 +253,12 @@ def test_missing_model_file_is_config_error(tmp_path):
     ("shoot", {"solver": {"tol": "1e-8"}}),
     ("compare", {"oracle": {"segments": 20.5}}),
     ("compare", {"oracle": {"steps_per_segment": 2.0}}),
+    ("validate", {"algebra": {"kind": "so3", "m": 2.7}}),
+    ("validate", {"algebra": {"kind": "abelian", "n": 3.9}}),
+    ("validate", {"algebra": {"kind": "abelian", "n": 3, "m": True}}),
 ], ids=["steps-float", "max_iter-float", "fd_step-zero", "tol-negative", "max_iter-negative",
-        "tol-string", "segments-float", "steps_per_segment-float"])
+        "tol-string", "segments-float", "steps_per_segment-float", "so3-m-float",
+        "abelian-n-float", "abelian-m-bool"])
 def test_bad_numeric_config_value_is_config_error(tmp_path, capsys, monkeypatch,
                                                   command, section):
     # rejected at load time: no flow runs and nothing is written

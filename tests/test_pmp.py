@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import aoc
-from aoc.dynamics import State
+from aoc.dynamics import State, Trajectory
 from aoc.pmp import (Costate, CostModel, ExtremalPoint, TangentTuple,
                      coordinate_observable, eliminate_control, extremal_rhs,
                      fd_dL_dx_triv, fd_observable, flow_extremal, hamiltonian,
@@ -218,6 +220,15 @@ def test_flow_abelian_cubic(abelian1, abelian1_group):
     assert_allclose(traj.xis[:, 0], 6 - 12 * t, atol=1e-12)
     assert_allclose(traj.us[:, 0], 6 - 12 * t, atol=1e-12)
     assert running_cost(cost, traj) == pytest.approx(6.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_running_cost_of_a_constant_on_every_grid(K):
+    # Simpson, Simpson plus a trapezoid cell, or (K = 1) the trapezoid alone
+    one = dataclasses.replace(zero_cost(1), eval=lambda s, u: 1.0)
+    traj = Trajectory(times=np.linspace(0.0, 1.0, K + 1), xs=np.zeros((K + 1, 2, 2)),
+                      ys=np.zeros((K + 1, 1)), us=np.zeros((K + 1, 0)))
+    assert running_cost(one, traj) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_flow_hamiltonian_drift_small(so3_j123, so3_j123_group):

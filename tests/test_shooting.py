@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import aoc
-from aoc.pmp import min_acc_cost, running_cost
+from aoc.dynamics import State
+from aoc.pmp import Costate, ExtremalPoint, flow_extremal, min_acc_cost, running_cost
 from aoc.shooting import (BoundaryProblem, _residual_and_jacobian, boundary_residual,
                           extremal_defect, solve_shooting)
 
@@ -92,19 +93,25 @@ def test_criterion_7_problem_converges_in_few_steps():
 
 
 def test_fully_actuated_steps_take_no_probe_flow(monkeypatch):
-    # m = n: plain LM, one seed flow plus one 4n + 1-row flow per step
+    # m = n: plain LM, one seed flow plus one 4n + 1-row flow per step, and the
+    # trajectory comes from the last accepted flow, not from a flow of its own
     widths = []
     propagate = aoc.pmp.propagate_endpoints
 
-    def counted(model, gm, cost, x0, y0, mu0, xi0, T, steps):
-        widths.append(np.shape(mu0)[0])
-        return propagate(model, gm, cost, x0, y0, mu0, xi0, T, steps)
+    def counted(*args, **kwargs):
+        widths.append(np.shape(args[5])[0])
+        return propagate(*args, **kwargs)
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("flow_extremal re-ran the solved extremal")
 
     monkeypatch.setattr(aoc.pmp, "propagate_endpoints", counted)
+    monkeypatch.setattr(aoc.pmp, "flow_extremal", not_called)
     res = solve_shooting(*so3_problem())
     assert res.converged
     assert res.flows == res.iterations + 1 == len(widths)
     assert widths == [4 * 3 + 1] * len(widths)
+    assert res.trajectory is not None
 
 
 CRIT8_AXIS = np.array([0.6, 0.7, 0.25]) / np.linalg.norm([0.6, 0.7, 0.25])
@@ -121,6 +128,18 @@ def test_criterion_8_problem_steps_and_costates():
                     rtol=1e-6)
     assert_allclose(res.xi0, [7.538837769846545, -10.553330829291816, 89.35205682989016],
                     rtol=1e-6)
+
+
+@pytest.mark.parametrize("m, axis, angle, steps", [(3, (0.0, 0.0, 1.0), 0.5, 200),
+                                                   (2, CRIT8_AXIS, 0.4, 50)])
+def test_trajectory_is_bitwise_the_flow_of_the_returned_costates(m, axis, angle, steps):
+    model, gm, cost, prob = so3_problem(m=m, axis=axis, angle=angle, steps=steps)
+    res = solve_shooting(model, gm, cost, prob)
+    assert res.converged
+    a0 = ExtremalPoint(State(prob.x0, prob.y0), Costate(res.mu0, res.xi0), np.zeros(m))
+    ref = flow_extremal(model, gm, cost, a0, prob.T, prob.steps)
+    for name in ("times", "xs", "ys", "us", "mus", "xis", "hams"):
+        assert np.array_equal(getattr(res.trajectory, name), getattr(ref, name)), name
 
 
 def test_large_angle_underactuated_converges_on_first_start():
@@ -180,8 +199,6 @@ def test_defect_is_fourth_order():
     res = solve_shooting(model, gm, cost, coarse)
     assert res.converged
     d1 = extremal_defect(model, gm, cost, res.trajectory)
-    from aoc.dynamics import State
-    from aoc.pmp import Costate, ExtremalPoint, flow_extremal
     a0 = ExtremalPoint(State(coarse.x0, coarse.y0), Costate(res.mu0, res.xi0),
                        np.zeros(model.m))
     fine = flow_extremal(model, gm, cost, a0, coarse.T, 2 * coarse.steps)
@@ -215,7 +232,7 @@ def test_shooting_survives_ill_posed_first_batch():
     # the zero-costate seed's batch raises AngleOutOfRange: a failed start, not an error
     assert _residual_and_jacobian(*problem, np.zeros(6), 1e-6) is None
     res = solve_shooting(*problem)
-    assert np.isfinite(res.residual_norm)
+    assert np.isfinite(res.residual_norm) and res.trajectory is not None
 
 
 def test_batched_defect_matches_per_point_path():
