@@ -311,6 +311,20 @@ def _oracle_config(config):
         raise UsageError(f"bad oracle section: {e}")
 
 
+def _solve(config, model, gm, cost, problem):
+    """``solve_shooting`` with the solver section, its guess included."""
+    sol = config["solver"]
+    guess = sol["guess"]
+    if guess is not None:
+        guess = _floats(guess, "solver.guess")
+        if guess.shape != (2 * model.n,):
+            raise UsageError(f"solver guess must have {2 * model.n} components")
+        guess = (guess[: model.n], guess[model.n:])
+    return shooting.solve_shooting(model, gm, cost, problem, initial_guess=guess,
+                                   tol=float(sol["tol"]), max_iter=sol["max_iter"],
+                                   fd_step=float(sol["fd_step"]))
+
+
 def cmd_shoot(config):
     model, gm = build_model(config)
     _need_group(gm)
@@ -318,16 +332,7 @@ def cmd_shoot(config):
         return 2
     problem = build_problem(config, model, gm)
     cost = build_cost(config, model)
-    sol = config["solver"]
-    guess = sol.get("guess")
-    if guess is not None:
-        guess = _floats(guess, "solver.guess")
-        if guess.shape != (2 * model.n,):
-            raise UsageError(f"solver guess must have {2 * model.n} components")
-        guess = (guess[: model.n], guess[model.n:])
-    result = shooting.solve_shooting(model, gm, cost, problem, initial_guess=guess,
-                                     tol=float(sol["tol"]), max_iter=sol["max_iter"],
-                                     fd_step=float(sol["fd_step"]))
+    result = _solve(config, model, gm, cost, problem)
     base = _out_base(config["output"]["path"])
     payload = {
         "mu0": list(result.mu0),
@@ -353,10 +358,7 @@ def cmd_compare(config):
     problem = build_problem(config, model, gm)
     cost = build_cost(config, model)
     oracle_cfg = _oracle_config(config)
-    sol = config["solver"]
-    indirect = shooting.solve_shooting(model, gm, cost, problem,
-                                       tol=float(sol["tol"]), max_iter=sol["max_iter"],
-                                       fd_step=float(sol["fd_step"]))
+    indirect = _solve(config, model, gm, cost, problem)
     if not indirect.converged or indirect.trajectory is None:
         print("indirect solver did not converge; no comparison", file=sys.stderr)
         return 4
@@ -384,7 +386,7 @@ def cmd_compare(config):
         "control_sup_distance": sup,
         "shooting_residual": indirect.residual_norm,
         "direct_summary": {
-            "objective": direct_res.objective,
+            "objective": direct_res.running_cost,
             "boundary_error": direct_res.boundary_error,
             "iterations": direct_res.iterations,
             "converged": direct_res.converged,

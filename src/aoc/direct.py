@@ -56,7 +56,6 @@ class TranscriptionConfig:
 @dataclass
 class DirectResult:
     U: np.ndarray
-    objective: float
     trajectory: Trajectory
     iterations: int
     converged: bool
@@ -112,7 +111,6 @@ def optimize_direct(model, gm, cost, problem, config) -> DirectResult:
 
     node_u = U[np.minimum(np.arange(N * spb + 1) // spb, N - 1)]
     run = transcription_objective(model, gm, cost, problem, U, config)
-    return DirectResult(U=U, objective=run,
-                        trajectory=Trajectory(times=times, xs=xs, ys=ys, us=node_u),
+    return DirectResult(U=U, trajectory=Trajectory(times=times, xs=xs, ys=ys, us=node_u),
                         iterations=iterations, converged=converged,
                         boundary_error=float(np.linalg.norm(c)), running_cost=run)

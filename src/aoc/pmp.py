@@ -22,19 +22,18 @@ the Hamiltonian field of H for the trivialized symplectic form
     Omega((z,w,vmu,vxi), (z',w',vmu',vxi'))
         = vmu'(z) + vxi'(w) - vmu(z') - vxi(w') + <mu, [z, z']>.
 
-For x-independent quadratic costs the flow is bilinear in (y; mu, xi):
-``extremal_field`` builds its tensor once per (model, cost) and evaluates
-a batch of RK stages with two stacked matmuls, v against the tensor and
-the result against y.  ``flow_extremal`` and ``propagate_endpoints``
-both step it through ``groups.rkmk_integrate``, in one call over the
-whole grid; the field ignores the step index and node the stepper passes
-it.  For x-independent costs the fibre part (y, mu, xi) never reads x,
-so the loop steps it alone and x is reconstructed after the loop;
-x-dependent costs take coupled steps.  ``flow_extremal`` has the stepper
-fill its (x, y, mu, xi) arrays, and ``propagate_endpoints`` can have it
-fill the arrays of a batch; ``extremal_trajectory`` turns a recorded
-flow into a trajectory and, for quadratic costs, gets u and H of the
-grid in one batched pass.
+``extremal_field`` is the flow as a right-hand side batched over rows for
+every cost; it and ``eliminate_control`` are the only code that reads the
+cost's form.  For x-independent quadratic costs the flow is bilinear in
+(y; mu, xi), and the field evaluates a batch of RK stages by two stacked
+matmuls against a tensor built once per (model, cost); any other cost
+runs row by row, each row as a single point.  ``propagate_endpoints``
+steps the field through ``groups.rkmk_integrate`` in one call over the
+grid, for a batch of shooting rows as for the single flow of
+``flow_extremal``, and can have the stepper fill the (x, y, mu, xi)
+arrays of the batch; ``extremal_trajectory`` turns a recorded flow into
+a trajectory.  x-independent flows step (y, mu, xi) alone and
+reconstruct x after the loop; x-dependent costs take coupled steps.
 Only normal extremals are treated; a control Hessian with condition
 number above 1 / RCOND_MIN raises SingularRegularity.
 
@@ -163,7 +162,9 @@ def eliminate_control(model, cost, s, xi, tol=1e-12, max_iter=50) -> np.ndarray:
     """Solve the stationarity condition dL/du = restricted xi for u.
 
     Closed form for quadratic costs, damped Newton otherwise (start at
-    u = 0, retry from the restricted xi components on failure).  Raises
+    u = 0, retry from the restricted xi components on failure).  ``xi``
+    may carry a batch, which Newton takes row by row, ``s`` carrying the
+    matching states (x broadcasts).  Raises
     SingularRegularity when the control Hessian is numerically singular
     and NoConvergence when Newton stalls.
     """
@@ -174,6 +175,10 @@ def eliminate_control(model, cost, s, xi, tol=1e-12, max_iter=50) -> np.ndarray:
         _check_regular(R, "quadratic weight")
         return np.linalg.solve(R, target[..., None])[..., 0] if target.ndim > 1 \
             else np.linalg.solve(R, target)
+    if xi.ndim > 1:
+        rows = [eliminate_control(model, cost, State(x, y), row, tol, max_iter)
+                for x, y, row in _rows(s.x, s.y, xi)]
+        return np.reshape(rows, target.shape)
 
     def newton(u0):
         u = u0.copy()
@@ -262,17 +267,23 @@ def _quadratic_tensor(model, R):
     return K.reshape(3 * n, n + 1, 3 * n)
 
 
+def _rows(x, *arrays):
+    """The rows of a batch of ``arrays``, each with its x (x broadcasts)."""
+    d = np.shape(x)[-2:]
+    x = np.broadcast_to(x, arrays[0].shape[:-1] + d).reshape((-1,) + d)
+    return zip(x, *(a.reshape(-1, a.shape[-1]) for a in arrays))
+
+
 @lru_cache(maxsize=16)
 def extremal_field(model, gm, cost):
     """The extremal flow as a stepper right-hand side ``rhs(k, c, x, v) -> (y, vdot)``
-    with v = (y, mu, xi): the fused field, batched over leading dimensions of
-    v, for quadratic x-independent costs, else ``extremal_rhs`` per point.
+    with v = (y, mu, xi), batched over leading dimensions of v for every cost.
 
-    The fused field contracts v with the tensor K of ``_quadratic_tensor``,
-    held as a (3n, 3n (n + 1)) matrix, by one stacked matmul, which gives
-    W[o, a] = K[o, a, q] v_q, and then takes W[:, 0] + W[:, 1:] y.  A stacked
-    matmul runs the same product for every row of a batch, so each row gets
-    the bits it gets alone."""
+    Quadratic x-independent costs get the fused field: one stacked matmul of
+    v against the tensor K of ``_quadratic_tensor``, held as a (3n, 3n (n + 1))
+    matrix, gives W[o, a] = K[o, a, q] v_q, and then W[:, 0] + W[:, 1:] y.
+    Other costs run ``eliminate_control`` and ``extremal_rhs`` row by row.
+    Either way each row gets the bits it gets alone."""
     n = model.n
     if _is_quadratic(cost):
         K = _quadratic_tensor(model, cost.quad_weight)
@@ -285,53 +296,49 @@ def extremal_field(model, gm, cost):
 
         return rhs
 
-    def rhs(k, c, x, v):
-        y, mu, xi = v[:n], v[n:2 * n], v[2 * n:]
-        s = State(x, y)
+    def point(x, y, v):
+        s, mu, xi = State(x, y), v[n:2 * n], v[2 * n:]
         u = eliminate_control(model, cost, s, xi)
         r = extremal_rhs(model, gm, cost, ExtremalPoint(s, Costate(mu, xi), u))
-        return y, np.concatenate([r.ydot, r.mudot, r.xidot])
+        return np.concatenate([r.ydot, r.mudot, r.xidot])
+
+    def rhs(k, c, x, v):
+        y = v[..., :n]
+        return y, np.reshape([point(*row) for row in _rows(x, y, v)], v.shape)
 
     return rhs
 
 
 def flow_extremal(model, gm, cost, a0, T, steps) -> Trajectory:
-    """Integrate the critical flow, recording controls and H on the grid
-    (see ``extremal_trajectory``)."""
+    """Integrate the critical flow by ``propagate_endpoints``, recording
+    controls and H on the grid (see ``extremal_trajectory``)."""
     if T <= 0:
         raise ValueError("T must be positive")
     steps = int(steps)
     xs = np.empty((steps + 1, gm.rep_dim, gm.rep_dim))
     vs = np.empty((steps + 1, 3 * model.n))
-    xs[0] = a0.state.x
-    vs[0] = np.concatenate([a0.state.y, a0.costate.mu, a0.costate.xi])
-    groups.rkmk_integrate(gm, xs[0], vs[0], steps, T / steps, extremal_field(model, gm, cost),
-                          needs_x=not cost.x_independent, out=(xs, vs))
+    propagate_endpoints(model, gm, cost, a0.state.x, a0.state.y, a0.costate.mu,
+                        a0.costate.xi, T, steps, out=(xs, vs))
     return extremal_trajectory(model, gm, cost, T, xs, vs)
 
 
 def extremal_trajectory(model, gm, cost, T, xs, vs) -> Trajectory:
     """The trajectory of an extremal flow recorded on the uniform grid of [0, T]:
     group elements ``xs`` and v = (y, mu, xi) rows ``vs``, with the controls and
-    H of the grid in one batched pass for quadratic costs, point by point
-    otherwise.  ``xs`` and ``vs`` may be one row of a recorded batch; the
-    trajectory keeps compact copies, not views that pin the batch."""
-    n, m = model.n, model.m
+    H of the grid in one batched pass (L point by point for generic costs).
+    ``xs`` and ``vs`` may be one row of a recorded batch; the trajectory keeps
+    compact copies, not views that pin the batch."""
+    n = model.n
     xs, vs = np.ascontiguousarray(xs), np.ascontiguousarray(vs)
     steps = len(vs) - 1
     ys, mus, xis = vs[:, :n], vs[:, n:2 * n], vs[:, 2 * n:]
+    us = eliminate_control(model, cost, State(xs, ys), xis)
+    ydot = extremal_field(model, gm, cost)(0, 0.0, xs, vs)[1][:, :n]
     if _is_quadratic(cost):
-        us = eliminate_control(model, cost, None, xis)
-        ydot = extremal_field(model, gm, cost)(0, 0.0, None, vs)[1][:, :n]
-        hams = (np.einsum("ki,ki->k", mus, ys) + np.einsum("ki,ki->k", xis, ydot)
-                - 0.5 * np.einsum("ka,ab,kb->k", us, cost.quad_weight, us))
+        L = 0.5 * np.einsum("ka,ab,kb->k", us, cost.quad_weight, us)
     else:
-        us = np.empty((steps + 1, m))
-        hams = np.empty(steps + 1)
-        for k in range(steps + 1):
-            s = State(xs[k], ys[k])
-            us[k] = eliminate_control(model, cost, s, xis[k])
-            hams[k] = hamiltonian(model, cost, ExtremalPoint(s, Costate(mus[k], xis[k]), us[k]))
+        L = np.array([cost.eval(State(x, y), u) for x, y, u in zip(xs, ys, us)])
+    hams = np.einsum("ki,ki->k", mus, ys) + np.einsum("ki,ki->k", xis, ydot) - L
     return Trajectory(times=np.linspace(0.0, T, steps + 1), xs=xs, ys=ys, us=us,
                       mus=mus, xis=xis, hams=hams)
 
@@ -339,16 +346,13 @@ def extremal_trajectory(model, gm, cost, T, xs, vs) -> Trajectory:
 def propagate_endpoints(model, gm, cost, x0, y0, mu0, xi0, T, steps, out=None):
     """Terminal (x, y) of the extremal flow; mu0/xi0 may carry a batch dim.
 
-    Shares the stepper and right-hand side with flow_extremal, so a
-    batch of flows is bitwise the run of each element alone.  Used by
-    the shooting solver to evaluate a trial point and the columns of its
-    Jacobian in one call.  With ``out = (xs, vs)``, arrays of steps + 1
+    Every extremal flow runs here, the rows of a shooting step as well as
+    the single flow of ``flow_extremal``, and a batch of flows is bitwise
+    the run of each element alone.  With ``out = (xs, vs)``, arrays of steps + 1
     states of the batch, the stepper records the whole flow there, the
     initial state included (see ``groups.rkmk_integrate``).
     """
     mu0 = np.asarray(mu0, dtype=float)
-    if not _is_quadratic(cost) and mu0.ndim > 1:
-        raise DimensionMismatch("batched propagation requires a quadratic x-independent cost")
     y0b = np.broadcast_to(np.asarray(y0, dtype=float), mu0.shape)
     v = np.concatenate([y0b, mu0, np.asarray(xi0, dtype=float)], axis=-1)
     x0 = np.asarray(x0, dtype=float)

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups, pmp
-from .dynamics import Trajectory
+from .dynamics import State, Trajectory
 from .errors import AngleOutOfRange, NonFinite
 
 # Geodesic acceleration (Transtrum and Sethna, arXiv:1201.5885): the
@@ -253,9 +253,9 @@ def extremal_defect(model, gm, cost, traj):
     Fourth order five-point stencils approximate the time derivatives of
     (y, mu, xi) at interior grid points; the stationarity condition is
     re-checked exactly.  Defects shrink as O(h^4) for a valid extremal.
-    Quadratic costs take the rates and controls of the whole grid in one
-    batched pass (the fused field evaluates ydot at the stationary control);
-    other costs evaluate ``extremal_rhs`` at the stored controls point by point.
+    The rates and controls of the whole grid come from one batched pass of
+    ``pmp.extremal_field`` (which evaluates ydot at the stationary control)
+    and ``pmp.eliminate_control``.
     """
     h = float(traj.times[1] - traj.times[0])
     n = model.n
@@ -263,17 +263,9 @@ def extremal_defect(model, gm, cost, traj):
     def ddt(arr):
         return (arr[:-4] - 8 * arr[1:-3] + 8 * arr[3:-1] - arr[4:]) / (12.0 * h)
 
-    if pmp._is_quadratic(cost):
-        vs = np.concatenate([traj.ys, traj.mus, traj.xis], axis=1)
-        vdot = pmp.extremal_field(model, gm, cost)(0, 0.0, None, vs)[1]
-        us = pmp.eliminate_control(model, cost, None, traj.xis)
-    else:
-        points = [(traj.state(k), pmp.Costate(traj.mus[k], traj.xis[k]), traj.us[k])
-                  for k in range(len(traj))]
-        vdot = np.stack([np.concatenate(pmp.extremal_rhs(model, gm, cost,
-                                                         pmp.ExtremalPoint(*a))[:3])
-                         for a in points])
-        us = np.stack([pmp.eliminate_control(model, cost, s, c.xi) for s, c, _ in points])
+    vs = np.concatenate([traj.ys, traj.mus, traj.xis], axis=1)
+    vdot = pmp.extremal_field(model, gm, cost)(0, 0.0, traj.xs, vs)[1]
+    us = pmp.eliminate_control(model, cost, State(traj.xs, traj.ys), traj.xis)
     return {
         "y": float(np.abs(ddt(traj.ys) - vdot[2:-2, :n]).max()),
         "mu": float(np.abs(ddt(traj.mus) - vdot[2:-2, n:2 * n]).max()),

@@ -283,9 +283,10 @@ _PROBLEM = {"x0": [0, 0, 0], "xT": [0, 0, 0.5], "y0": [0, 0, 0], "yT": [0, 0, 0]
     ("simulate", {"problem": {**_PROBLEM, "yT": [0, None, 0]}}, "problem.yT"),
     ("simulate", {"problem": {**_PROBLEM, "x0": [0, [0], 0]}}, "problem.x0"),
     ("shoot", {"solver": {"guess": [0, 0, 0, 0, 0, "1"]}}, "solver.guess"),
+    ("compare", {"solver": {"guess": [0, 0, 0, 0, 0, "1"]}}, "solver.guess"),
     ("extremal", {"costate0": {"mu0": "abc", "xi0": [0, 0, 0]}}, "costate0.mu0"),
     ("extremal", {"costate0": {"mu0": [0, 0, 0], "xi0": [0, {}, 0]}}, "costate0.xi0"),
-], ids=["inertia", "y0", "yT", "x0-ragged", "guess", "mu0", "xi0"])
+], ids=["inertia", "y0", "yT", "x0-ragged", "guess", "compare-guess", "mu0", "xi0"])
 def test_non_numeric_array_entry_is_config_error(tmp_path, capsys, command, section, where):
     cfg = tmp_path / "cfg.json"
     write_config(cfg, **section)

@@ -146,7 +146,7 @@ def test_optimize_at_rest_returns_zero_control():
     ab, gm, cost, prob = abelian_problem(xT_val=0.0)
     res = optimize_direct(ab, gm, cost, prob, TranscriptionConfig(segments=16))
     assert_allclose(res.U, 0.0)
-    assert res.objective == 0.0
+    assert res.running_cost == 0.0
     assert res.converged
 
 

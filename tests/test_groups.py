@@ -384,3 +384,40 @@ def test_abelian_translation_overflow_reports_first_bad_step(abelian3, pass_rows
         assert np.isfinite(out[0][:bad]).all() and np.isfinite(out[1][:bad]).all()
         assert np.array_equal(out[0][:bad], ref[0][:bad])
         assert np.array_equal(out[1][:bad], ref[1][:bad])
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 3)])
+def test_coupled_flow_is_bitwise_the_coupled_loop(shape, so3_j123_group):
+    gm = so3_j123_group
+
+    def attracted(k, c, x, v):
+        # the velocity relaxes toward the first column of x, so the field reads x
+        return v, x[..., :, 0] - v
+
+    def attracted_then_nan(k, c, x, v):
+        # the last stage of step 7 leaves x finite and v[0] alone NaN
+        z, f = attracted(k, c, x, v)
+        if k == 6 and c == 1.0:
+            f[..., 0] = np.nan
+        return z, f
+
+    v0 = np.random.default_rng(9).uniform(-1.0, 1.0, shape)
+    x0 = aoc.exp_map(gm, np.array([0.3, -0.2, 0.4]))
+    ref = grid(20, x0, v0)
+    x1, v1 = coupled_loop(gm, x0, v0, 20, 0.1, attracted, ref)
+    out = grid(20, x0, v0)
+    x2, v2 = rkmk_integrate(gm, x0, v0, 20, 0.1, attracted, needs_x=True, out=out)
+    assert np.array_equal(x1, x2) and np.array_equal(v1, v2)
+    assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])
+
+    # NonFinite(7), with steps 0..6 written and step 7 not
+    ref = grid(20, x0, v0)
+    with pytest.raises(aoc.NonFinite) as refd:
+        coupled_loop(gm, x0, v0, 20, 0.1, attracted_then_nan, ref)
+    out = grid(20, x0, v0)
+    with pytest.raises(aoc.NonFinite) as err:
+        rkmk_integrate(gm, x0, v0, 20, 0.1, attracted_then_nan, needs_x=True, out=out)
+    assert err.value.step_index == refd.value.step_index == 7
+    assert np.isfinite(out[0][:7]).all() and np.isfinite(out[1][:7]).all()
+    assert np.array_equal(out[0][:7], ref[0][:7]) and np.array_equal(out[1][:7], ref[1][:7])
+    assert np.isnan(out[0][7:]).all() and np.isnan(out[1][7:]).all()

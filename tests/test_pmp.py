@@ -13,6 +13,7 @@ from aoc.pmp import (Costate, CostModel, ExtremalPoint, TangentTuple,
                      min_acc_cost, min_acc_rhs, poisson_bracket,
                      propagate_endpoints, quadratic_cost, running_cost,
                      spatial_momentum, symplectic_form)
+from aoc.shooting import BoundaryProblem, solve_shooting
 
 E1, E2, E3 = np.eye(3)
 
@@ -499,3 +500,39 @@ def test_field_check_underactuated(so3_m2, so3_m2_group, rng):
         res = hamiltonian_field_check(so3_m2, so3_m2_group, cost, a,
                                       n_directions=8, seed=k)
         assert res < 1e-6
+
+
+# -- generic costs through the batched flow and shooting ------------------------------
+
+def generic_costs(model, gm):
+    """A quartic-plus-quadratic control cost (damped Newton) and a cost that reads x
+    (coupled steps), the two forms the fused field does not take."""
+    A = 0.5 * np.random.default_rng(3).standard_normal((3, 3))
+    return {"quartic": quartic_cost(model), "x-dependent": x_dependent_cost(model, gm, A)}
+
+
+@pytest.mark.parametrize("which", ["quartic", "x-dependent"])
+def test_generic_cost_batch_is_bitwise_single(so3_j123, so3_j123_group, which):
+    cost = generic_costs(so3_j123, so3_j123_group)[which]
+    x0 = aoc.exp_map(so3_j123_group, np.array([0.1, 0.2, -0.3]))
+    y0 = np.array([0.2, -0.1, 0.3])
+    thetas = np.random.default_rng(11).uniform(-1.0, 1.0, (5, 6))
+    xb, yb = propagate_endpoints(so3_j123, so3_j123_group, cost, x0, y0,
+                                 thetas[:, :3], thetas[:, 3:], 1.0, 4)
+    for b in range(5):
+        x1, y1 = propagate_endpoints(so3_j123, so3_j123_group, cost, x0, y0,
+                                     thetas[b, :3], thetas[b, 3:], 1.0, 4)
+        assert np.array_equal(x1, xb[b]) and np.array_equal(y1, yb[b])
+
+
+@pytest.mark.parametrize("which", ["quartic", "x-dependent"])
+def test_shooting_converges_for_generic_cost(so3_j123, so3_j123_group, which):
+    cost = generic_costs(so3_j123, so3_j123_group)[which]
+    xT = aoc.exp_map(so3_j123_group, np.array([0.3, -0.2, 0.4]))
+    prob = BoundaryProblem(x0=np.eye(3), xT=xT, y0=np.zeros(3), yT=np.zeros(3),
+                           T=1.0, steps=4)
+    res = solve_shooting(so3_j123, so3_j123_group, cost, prob)
+    assert res.converged and res.residual_norm < 1e-8
+    traj = res.trajectory
+    assert len(traj) == 5 and np.abs(traj.xs[-1] - xT).max() < 1e-8
+    assert np.array_equal(traj.mus[0], res.mu0) and np.array_equal(traj.xis[0], res.xi0)
