@@ -5,6 +5,11 @@ d x d matrices or as exponential coordinates (an n-vector expanded
 through the group exponential at load time).  Unknown keys anywhere in
 the config are rejected.
 
+Every command runs one pipeline (``run``): build the model and group and
+validate them once, then build the problem, the cost and the command's
+own inputs before any flow runs.  A flag the command does not read is a
+usage error.
+
 Exit codes: 0 ok, 1 usage or config error, 2 validation failure,
 3 numeric blow-up, 4 no convergence.
 """
@@ -16,6 +21,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,49 +119,41 @@ def load_config(path):
 
 def build_model(config):
     """Model plus group from the algebra section.  Raises UsageError on
-    config problems; returns the validation reports for the caller to gate."""
+    config problems; the model is built without its invariant checks, which
+    ``run`` makes once for every kind."""
     section = config["algebra"]
     kind = section.get("kind")
-    rep = None
-    if kind == "so3":
-        diag = _floats(section.get("inertia", [1.0, 1.0, 1.0]), "algebra.inertia")
-        if diag.ndim == 2:
-            if diag.shape != (3, 3) or np.any(diag != np.diag(np.diag(diag))):
-                raise UsageError("so3 inertia must be diagonal (a list of 3 or a diagonal "
-                                 "3x3 matrix); use a custom algebra for a full inertia")
-            diag = np.diag(diag)
-        try:
-            model = algebra.so3_model(tuple(diag), m=int(section.get("m", 3)))
-        except ValueError as e:
-            raise UsageError(str(e))
-        gm = groups.so3_group(model)
-    elif kind == "abelian":
-        if "n" not in section:
-            raise UsageError("abelian algebra needs 'n'")
-        inertia = section.get("inertia")
-        if inertia is not None:
-            inertia = _floats(inertia, "algebra.inertia")
-        try:
-            model = algebra.abelian_model(int(section["n"]), m=section.get("m"), inertia=inertia)
-        except ValueError as e:
-            raise UsageError(str(e))
-        gm = groups.abelian_group(model)
-    elif kind == "custom":
-        if "file" not in section:
-            raise UsageError("custom algebra needs 'file'")
-        try:
+    try:
+        if kind == "so3":
+            diag = _floats(section.get("inertia", [1.0, 1.0, 1.0]), "algebra.inertia")
+            if diag.ndim == 2:
+                if diag.shape != (3, 3) or np.any(diag != np.diag(np.diag(diag))):
+                    raise UsageError("so3 inertia must be diagonal (a list of 3 or a diagonal "
+                                     "3x3 matrix); use a custom algebra for a full inertia")
+                diag = np.diag(diag)
+            model = algebra.so3_model(diag, m=section.get("m", 3))
+            return model, groups.so3_group(model)
+        if kind == "abelian":
+            if "n" not in section:
+                raise UsageError("abelian algebra needs 'n'")
+            n = section["n"]
+            inertia = section.get("inertia")
+            inertia = np.eye(n) if inertia is None else _floats(inertia, "algebra.inertia")
+            model = algebra.make_model(n, section.get("m", n), np.zeros((n, n, n)),
+                                       np.diag(inertia) if inertia.ndim == 1 else inertia,
+                                       name="abelian", strict=False)
+            return model, groups.abelian_group(model)
+        if kind == "custom":
+            if "file" not in section:
+                raise UsageError("custom algebra needs 'file'")
             model, rep = algebra.load_model(section["file"])
-        except FileNotFoundError:
-            raise UsageError(f"model file not found: {section['file']}")
-        except (ValueError, KeyError) as e:
-            raise UsageError(f"bad model file: {e}")
-        if rep is None:
-            gm = None
-        else:
-            gm = groups.generic_group(model, rep["basis_matrices"])
-    else:
-        raise UsageError(f"algebra kind must be so3, abelian or custom, got {kind!r}")
-    return model, gm
+            gm = None if rep is None else groups.generic_group(model, rep["basis_matrices"])
+            return model, gm
+    except FileNotFoundError:
+        raise UsageError(f"model file not found: {section['file']}")
+    except (ValueError, KeyError) as e:
+        raise UsageError(f"bad model file: {e}" if kind == "custom" else str(e))
+    raise UsageError(f"algebra kind must be so3, abelian or custom, got {kind!r}")
 
 
 def build_cost(config, model):
@@ -174,13 +172,26 @@ def build_cost(config, model):
 
 
 def _group_element(gm, raw, what):
+    """A group element from a matrix, which must lie in the group (a rotation
+    for so3, a translation [[I, t], [0, 1]] for abelian; a custom
+    representation has no membership test), or from exp coordinates."""
     arr = _floats(raw, what)
     d, n = gm.rep_dim, gm.algebra.n
-    if arr.shape == (d, d):
-        return arr
     if arr.shape == (n,):
         return groups.exp_map(gm, arr)
-    raise UsageError(f"{what} must be a {d}x{d} matrix or an {n}-vector of exp coordinates")
+    if arr.shape != (d, d):
+        raise UsageError(f"{what} must be a {d}x{d} matrix or an {n}-vector of exp coordinates")
+    if gm.kind == "so3":
+        err, det = float(np.abs(arr.T @ arr - np.eye(3)).max()), float(np.linalg.det(arr))
+        if not (err <= 1e-9 and det > 0):
+            raise UsageError(f"{what} is not a rotation: |R^T R - I| = {err:.3g}, "
+                             f"det R = {det:.3g}")
+    elif gm.kind == "abelian":
+        translation = np.eye(d)
+        translation[:n, n] = arr[:n, n]
+        if not np.array_equal(arr, translation):
+            raise UsageError(f"{what} is not a translation matrix [[I, t], [0, 1]]")
+    return arr
 
 
 def build_problem(config, model, gm):
@@ -220,7 +231,40 @@ def build_control(config, model):
     raise UsageError("control must be \"zero\" or an object with 'times' and 'values'")
 
 
+def _costate(config, model):
+    seed = config.get("costate0", {})
+    if seed.get("mu0") is None or seed.get("xi0") is None:
+        raise UsageError("extremal needs mu0 and xi0 (flags --mu0/--xi0 or config costate0)")
+    mu0 = _floats(seed["mu0"], "costate0.mu0")
+    xi0 = _floats(seed["xi0"], "costate0.xi0")
+    if mu0.shape != (model.n,) or xi0.shape != (model.n,):
+        raise UsageError(f"mu0 and xi0 must have {model.n} components")
+    return pmp.Costate(mu0, xi0)
+
+
+def _solver(config, model):
+    """``solve_shooting`` keywords from the solver section, its guess included."""
+    sol = config["solver"]
+    guess = sol["guess"]
+    if guess is not None:
+        guess = _floats(guess, "solver.guess")
+        if guess.shape != (2 * model.n,):
+            raise UsageError(f"solver guess must have {2 * model.n} components")
+        guess = (guess[: model.n], guess[model.n:])
+    return {"initial_guess": guess, "tol": float(sol["tol"]), "max_iter": sol["max_iter"],
+            "fd_step": float(sol["fd_step"])}
+
+
+def _oracle_config(config):
+    try:
+        return direct.TranscriptionConfig(**config.get("oracle", {}))
+    except (TypeError, ValueError) as e:
+        raise UsageError(f"bad oracle section: {e}")
+
+
 def _out_base(path):
+    if not isinstance(path, str) or not Path(path).name:
+        raise UsageError(f"output path must name a file, got {path!r}")
     p = Path(path)
     if p.suffix in (".csv", ".json"):
         p = p.with_suffix("")
@@ -231,140 +275,92 @@ def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_validate(config):
+class Setup(NamedTuple):
+    """The validated model and group, the problem, the cost and the output
+    base path (without suffix) that every command but ``validate`` runs on."""
+
+    model: algebra.LieAlgebraModel
+    gm: groups.GroupModel
+    problem: shooting.BoundaryProblem
+    cost: pmp.CostModel
+    base: Path
+
+
+def run(command, config):
+    """The pipeline of every command.  Builds the model and group and
+    validates them once: ``validate`` prints the report, and any other
+    command exits 2 on a failed one.  Then builds the problem, the cost and
+    the command's own inputs, so that a bad input exits 1 before any flow
+    runs, and hands them to the command."""
     model, gm = build_model(config)
-    report = algebra.validate_model(model)
-    lines = report.lines()
-    ok = report.passed
-    if gm is not None:
-        greport = groups.validate_group(gm)
-        lines += greport.lines()
-        ok = ok and greport.passed
-    print("\n".join(lines))
-    print("overall:", "PASS" if ok else "FAIL")
-    return 0 if ok else 2
-
-
-def _require_valid(model, gm):
-    report = algebra.validate_model(model)
-    if not report.passed:
-        print("model validation failed: " + ", ".join(report.failures()), file=sys.stderr)
-        return False
-    if gm is not None and not groups.validate_group(gm).passed:
-        print("group representation validation failed", file=sys.stderr)
-        return False
-    return True
-
-
-def _need_group(gm):
-    if gm is None:
+    if command != "validate" and gm is None:
         raise UsageError("this command needs a matrix representation "
                          "(custom models must carry rep_dim/basis_matrices)")
-
-
-def cmd_simulate(config):
-    model, gm = build_model(config)
-    _need_group(gm)
-    if not _require_valid(model, gm):
+    checks = algebra.validate_model(model).checks
+    if gm is not None:
+        checks += groups.validate_group(gm).checks
+    report = algebra.ValidationReport(checks)
+    if command == "validate":
+        print("\n".join(report.lines()))
+        print("overall:", "PASS" if report.passed else "FAIL")
+        return 0 if report.passed else 2
+    if not report.passed:
+        print("validation failed: " + ", ".join(report.failures()), file=sys.stderr)
         return 2
-    problem = build_problem(config, model, gm)
-    u = build_control(config, model)
-    traj = dynamics.simulate(model, gm, dynamics.State(problem.x0, problem.y0),
-                             u, problem.T, problem.steps)
-    base = _out_base(config["output"]["path"])
-    dynamics.write_trajectory_csv(traj, base.with_suffix(".csv"), model, gm)
-    drift = dynamics.energy_drift(model, traj)
-    print(f"wrote {base.with_suffix('.csv')}")
-    print(f"kinetic energy drift: {drift:.6e}")
+    setup = Setup(model, gm, build_problem(config, model, gm), build_cost(config, model),
+                  _out_base(config["output"]["path"]))
+    if command == "simulate":
+        return cmd_simulate(setup, build_control(config, model))
+    if command == "extremal":
+        return cmd_extremal(setup, _costate(config, model))
+    solver = _solver(config, model)
+    if command == "shoot":
+        return cmd_shoot(setup, solver)
+    return cmd_compare(setup, solver, _oracle_config(config))
+
+
+def cmd_simulate(s, u):
+    traj = dynamics.simulate(s.model, s.gm, dynamics.State(s.problem.x0, s.problem.y0),
+                             u, s.problem.T, s.problem.steps)
+    dynamics.write_trajectory_csv(traj, s.base.with_suffix(".csv"), s.model, s.gm)
+    print(f"wrote {s.base.with_suffix('.csv')}")
+    print(f"kinetic energy drift: {dynamics.energy_drift(s.model, traj):.6e}")
     return 0
 
 
-def cmd_extremal(config):
-    model, gm = build_model(config)
-    _need_group(gm)
-    if not _require_valid(model, gm):
-        return 2
-    problem = build_problem(config, model, gm)
-    cost = build_cost(config, model)
-    seed_cfg = config.get("costate0", {})
-    mu0, xi0 = seed_cfg.get("mu0"), seed_cfg.get("xi0")
-    if mu0 is None or xi0 is None:
-        raise UsageError("extremal needs mu0 and xi0 (flags --mu0/--xi0 or config costate0)")
-    mu0 = _floats(mu0, "costate0.mu0")
-    xi0 = _floats(xi0, "costate0.xi0")
-    if mu0.shape != (model.n,) or xi0.shape != (model.n,):
-        raise UsageError(f"mu0 and xi0 must have {model.n} components")
-    a0 = pmp.ExtremalPoint(dynamics.State(problem.x0, problem.y0),
-                           pmp.Costate(mu0, xi0), np.zeros(model.m))
-    traj = pmp.flow_extremal(model, gm, cost, a0, problem.T, problem.steps)
-    base = _out_base(config["output"]["path"])
-    dynamics.write_trajectory_csv(traj, base.with_suffix(".csv"), model, gm)
-    print(f"wrote {base.with_suffix('.csv')}")
+def cmd_extremal(s, costate):
+    a0 = pmp.ExtremalPoint(dynamics.State(s.problem.x0, s.problem.y0), costate,
+                           np.zeros(s.model.m))
+    traj = pmp.flow_extremal(s.model, s.gm, s.cost, a0, s.problem.T, s.problem.steps)
+    dynamics.write_trajectory_csv(traj, s.base.with_suffix(".csv"), s.model, s.gm)
+    print(f"wrote {s.base.with_suffix('.csv')}")
     print(f"H drift: {np.abs(traj.hams - traj.hams[0]).max():.6e}")
     return 0
 
 
-def _oracle_config(config):
-    try:
-        return direct.TranscriptionConfig(**config.get("oracle", {}))
-    except (TypeError, ValueError) as e:
-        raise UsageError(f"bad oracle section: {e}")
-
-
-def _solve(config, model, gm, cost, problem):
-    """``solve_shooting`` with the solver section, its guess included."""
-    sol = config["solver"]
-    guess = sol["guess"]
-    if guess is not None:
-        guess = _floats(guess, "solver.guess")
-        if guess.shape != (2 * model.n,):
-            raise UsageError(f"solver guess must have {2 * model.n} components")
-        guess = (guess[: model.n], guess[model.n:])
-    return shooting.solve_shooting(model, gm, cost, problem, initial_guess=guess,
-                                   tol=float(sol["tol"]), max_iter=sol["max_iter"],
-                                   fd_step=float(sol["fd_step"]))
-
-
-def cmd_shoot(config):
-    model, gm = build_model(config)
-    _need_group(gm)
-    if not _require_valid(model, gm):
-        return 2
-    problem = build_problem(config, model, gm)
-    cost = build_cost(config, model)
-    result = _solve(config, model, gm, cost, problem)
-    base = _out_base(config["output"]["path"])
-    payload = {
-        "mu0": list(result.mu0),
-        "xi0": list(result.xi0),
-        "residual_norm": result.residual_norm,
-        "iterations": result.iterations,
-        "converged": result.converged,
-    }
+def cmd_shoot(s, solver):
+    result = shooting.solve_shooting(s.model, s.gm, s.cost, s.problem, **solver)
+    payload = {"mu0": list(result.mu0), "xi0": list(result.xi0),
+               "residual_norm": result.residual_norm, "iterations": result.iterations,
+               "converged": result.converged}
     if result.trajectory is not None:
-        payload["cost"] = pmp.running_cost(cost, result.trajectory)
-        dynamics.write_trajectory_csv(result.trajectory, base.with_suffix(".csv"), model, gm)
-    _write_json(base.with_suffix(".json"), payload)
-    print(f"wrote {base.with_suffix('.json')}")
+        payload["cost"] = pmp.running_cost(s.cost, result.trajectory)
+        dynamics.write_trajectory_csv(result.trajectory, s.base.with_suffix(".csv"),
+                                      s.model, s.gm)
+    _write_json(s.base.with_suffix(".json"), payload)
+    print(f"wrote {s.base.with_suffix('.json')}")
     print(f"converged: {result.converged}  residual: {result.residual_norm:.3e}")
     return 0 if result.converged else 4
 
 
-def cmd_compare(config):
-    model, gm = build_model(config)
-    _need_group(gm)
-    if not _require_valid(model, gm):
-        return 2
-    problem = build_problem(config, model, gm)
-    cost = build_cost(config, model)
-    oracle_cfg = _oracle_config(config)
-    indirect = _solve(config, model, gm, cost, problem)
+def cmd_compare(s, solver, oracle_cfg):
+    indirect = shooting.solve_shooting(s.model, s.gm, s.cost, s.problem, **solver)
     if not indirect.converged or indirect.trajectory is None:
         print("indirect solver did not converge; no comparison", file=sys.stderr)
         return 4
-    indirect_cost = pmp.running_cost(cost, indirect.trajectory)
+    indirect_cost = pmp.running_cost(s.cost, indirect.trajectory)
 
-    direct_res = direct.optimize_direct(model, gm, cost, problem, oracle_cfg)
+    direct_res = direct.optimize_direct(s.model, s.gm, s.cost, s.problem, oracle_cfg)
     direct_cost = direct_res.running_cost
 
     if abs(indirect_cost) > 1e-12:
@@ -373,10 +369,9 @@ def cmd_compare(config):
         gap = direct_cost - indirect_cost
 
     # compare controls at the direct segment midpoints
-    N = oracle_cfg.segments
-    mids = (np.arange(N) + 0.5) * problem.T / N
-    idx = np.clip(np.round(mids / problem.T * (len(indirect.trajectory) - 1)).astype(int),
-                  0, len(indirect.trajectory) - 1)
+    T, N, K = s.problem.T, oracle_cfg.segments, len(indirect.trajectory)
+    mids = (np.arange(N) + 0.5) * T / N
+    idx = np.clip(np.round(mids / T * (K - 1)).astype(int), 0, K - 1)
     sup = float(np.abs(direct_res.U - indirect.trajectory.us[idx]).max())
 
     payload = {
@@ -392,9 +387,8 @@ def cmd_compare(config):
             "converged": direct_res.converged,
         },
     }
-    base = _out_base(config["output"]["path"])
-    _write_json(base.with_suffix(".json"), payload)
-    print(f"wrote {base.with_suffix('.json')}")
+    _write_json(s.base.with_suffix(".json"), payload)
+    print(f"wrote {s.base.with_suffix('.json')}")
     print(f"indirect {indirect_cost:.6f}  direct {direct_cost:.6f}  gap {gap:+.4%}")
     if not direct_res.converged:
         print(f"direct oracle did not converge (boundary error "
@@ -404,13 +398,9 @@ def cmd_compare(config):
     return 0
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "simulate": cmd_simulate,
-    "extremal": cmd_extremal,
-    "shoot": cmd_shoot,
-    "compare": cmd_compare,
-}
+# the optional flags each command reads; giving it any other is a usage error
+_FLAGS = {"validate": (), "simulate": ("out",), "extremal": ("out", "mu0", "xi0"),
+          "shoot": ("out",), "compare": ("out",)}
 
 
 def _parse_vector(text):
@@ -423,17 +413,24 @@ def _parse_vector(text):
 def main(argv=None) -> int:
     parser = _Parser(prog="aoc", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("command", choices=sorted(_COMMANDS))
+    parser.add_argument("command", choices=sorted(_FLAGS))
     parser.add_argument("--config", required=True, help="path to the run config (JSON)")
-    parser.add_argument("--out", default=None, help="output base path (overrides config)")
+    parser.add_argument("--out", default=None,
+                        help="output base path (overrides config; all but validate)")
     parser.add_argument("--dump-config", action="store_true",
                         help="print the fully resolved config and exit")
-    parser.add_argument("--mu0", default=None, help="initial mu costate, comma separated")
-    parser.add_argument("--xi0", default=None, help="initial xi costate, comma separated")
+    parser.add_argument("--mu0", default=None,
+                        help="initial mu costate, comma separated (extremal only)")
+    parser.add_argument("--xi0", default=None,
+                        help="initial xi costate, comma separated (extremal only)")
     try:
         args = parser.parse_args(argv)
+        unread = [f"--{flag}" for flag in ("out", "mu0", "xi0")
+                  if getattr(args, flag) is not None and flag not in _FLAGS[args.command]]
+        if unread:
+            raise UsageError(f"{args.command} does not read {', '.join(unread)}")
         config = load_config(args.config)
-        if args.out:
+        if args.out is not None:
             config["output"]["path"] = str(_out_base(args.out))
         for key in ("mu0", "xi0"):
             if getattr(args, key) is not None:
@@ -441,16 +438,10 @@ def main(argv=None) -> int:
         if args.dump_config:
             print(json.dumps(config, indent=2, sort_keys=True))
             return 0
-        return _COMMANDS[args.command](config)
-    except UsageError as e:
+        return run(args.command, config)
+    except (UsageError, NonFinite, NoConvergence, SingularRegularity, AngleOutOfRange) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except NonFinite as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (NoConvergence, SingularRegularity, AngleOutOfRange) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+        return 1 if isinstance(e, UsageError) else 3 if isinstance(e, NonFinite) else 4
 
 
 if __name__ == "__main__":

@@ -32,10 +32,11 @@ steps the field through ``groups.rkmk_integrate`` in one call over the
 grid, for a batch of shooting rows as for the single flow of
 ``flow_extremal``, and can have the stepper fill the (x, y, mu, xi)
 arrays of the batch; ``extremal_trajectory`` turns a recorded flow into
-a trajectory.  x-independent flows step (y, mu, xi) alone and
-reconstruct x after the loop; x-dependent costs take coupled steps.
-Only normal extremals are treated; a control Hessian with condition
-number above 1 / RCOND_MIN raises SingularRegularity.
+a trajectory, eliminating the control once per grid point.
+x-independent flows step (y, mu, xi) alone and reconstruct x after the
+loop; x-dependent costs take coupled steps.  Only normal extremals are
+treated; a control Hessian with condition number above 1 / RCOND_MIN at
+the eliminated control raises SingularRegularity.
 
 Note on orientation: with the five-term linear Poisson bracket
 implemented here ({xi_i, y_j} = delta_ij), observables evolve along the
@@ -164,9 +165,11 @@ def eliminate_control(model, cost, s, xi, tol=1e-12, max_iter=50) -> np.ndarray:
     Closed form for quadratic costs, damped Newton otherwise (start at
     u = 0, retry from the restricted xi components on failure).  ``xi``
     may carry a batch, which Newton takes row by row, ``s`` carrying the
-    matching states (x broadcasts).  Raises
-    SingularRegularity when the control Hessian is numerically singular
-    and NoConvergence when Newton stalls.
+    matching states (x broadcasts).  Regularity is checked once per point,
+    on the weight or on the control Hessian at the returned u: it raises
+    SingularRegularity when that matrix is numerically singular, as does a
+    Newton iterate whose Hessian cannot be solved.  Raises NoConvergence
+    when Newton stalls.
     """
     xi = np.asarray(xi, dtype=float)
     target = xi[..., : model.m]
@@ -187,8 +190,10 @@ def eliminate_control(model, cost, s, xi, tol=1e-12, max_iter=50) -> np.ndarray:
             if np.abs(g).max() < tol:
                 return u
             Hm = np.asarray(cost.d2L_du2(s, u), dtype=float)
-            _check_regular(Hm, "control Hessian")
-            du = np.linalg.solve(Hm, -g)
+            try:
+                du = np.linalg.solve(Hm, -g)
+            except np.linalg.LinAlgError:
+                raise SingularRegularity("control Hessian is singular at a Newton iterate")
             step = 1.0
             base = float(np.dot(g, g))
             for _ in range(30):
@@ -207,6 +212,7 @@ def eliminate_control(model, cost, s, xi, tol=1e-12, max_iter=50) -> np.ndarray:
         u = newton(target.copy())
     if u is None:
         raise NoConvergence("control elimination Newton failed to converge")
+    _check_regular(np.asarray(cost.d2L_du2(s, u), dtype=float), "control Hessian")
     return u
 
 
@@ -326,14 +332,16 @@ def extremal_trajectory(model, gm, cost, T, xs, vs) -> Trajectory:
     """The trajectory of an extremal flow recorded on the uniform grid of [0, T]:
     group elements ``xs`` and v = (y, mu, xi) rows ``vs``, with the controls and
     H of the grid in one batched pass (L point by point for generic costs).
-    ``xs`` and ``vs`` may be one row of a recorded batch; the trajectory keeps
-    compact copies, not views that pin the batch."""
+    The controls are eliminated once per point, and H reads
+    ydot = embed(u) + bias(y) from them.  ``xs`` and ``vs`` may be one row of
+    a recorded batch; the trajectory keeps compact copies, not views that pin
+    the batch."""
     n = model.n
     xs, vs = np.ascontiguousarray(xs), np.ascontiguousarray(vs)
     steps = len(vs) - 1
     ys, mus, xis = vs[:, :n], vs[:, n:2 * n], vs[:, 2 * n:]
     us = eliminate_control(model, cost, State(xs, ys), xis)
-    ydot = extremal_field(model, gm, cost)(0, 0.0, xs, vs)[1][:, :n]
+    ydot = embed_control(model, us) + bias(model, ys)
     if _is_quadratic(cost):
         L = 0.5 * np.einsum("ka,ab,kb->k", us, cost.quad_weight, us)
     else:

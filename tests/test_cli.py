@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import aoc
 from aoc.cli import main
 
 
@@ -184,22 +185,30 @@ def test_seed_flag_is_usage_error(tmp_path):
     assert main(["validate", "--config", str(cfg), "--seed", "3"]) == 1
 
 
-def test_dump_config_roundtrip_byte_identical(tmp_path, capsys):
+@pytest.mark.parametrize("command,flags,outputs", [
+    ("simulate", [], [".csv"]),
+    ("extremal", ["--mu0", "0.5,-0.2,0.3", "--xi0", "1,0.4,-0.6"], [".csv"]),
+    ("shoot", [], [".json", ".csv"]),
+    ("compare", [], [".json"]),
+], ids=["simulate", "extremal", "shoot", "compare"])
+def test_dump_config_roundtrip_byte_identical(tmp_path, capsys, command, flags, outputs):
     cfg = tmp_path / "cfg.json"
     write_config(cfg, problem={"x0": [0, 0, 0], "xT": [0, 0, 0.5],
                                "y0": [0.1, 0, 0], "yT": [0, 0, 0],
-                               "T": 1.0, "steps": 60})
-    assert main(["simulate", "--config", str(cfg)]) == 0
-    first = (tmp_path / "out.csv").read_bytes()
-    capsys.readouterr()  # drop the simulate chatter
+                               "T": 1.0, "steps": 60},
+                 oracle={"segments": 10})
+    assert main([command, "--config", str(cfg), *flags]) == 0
+    first = [(tmp_path / "out").with_suffix(ext).read_bytes() for ext in outputs]
+    capsys.readouterr()  # drop the command's chatter
 
-    assert main(["simulate", "--config", str(cfg), "--dump-config"]) == 0
+    assert main([command, "--config", str(cfg), *flags, "--dump-config"]) == 0
     dumped = capsys.readouterr().out
     cfg2 = tmp_path / "resolved.json"
     cfg2.write_text(dumped)
-    (tmp_path / "out.csv").unlink()
-    assert main(["simulate", "--config", str(cfg2)]) == 0
-    assert (tmp_path / "out.csv").read_bytes() == first
+    for ext in outputs:
+        (tmp_path / "out").with_suffix(ext).unlink()
+    assert main([command, "--config", str(cfg2)]) == 0
+    assert [(tmp_path / "out").with_suffix(ext).read_bytes() for ext in outputs] == first
 
 
 def test_control_samples_interpolated(tmp_path):
@@ -293,3 +302,126 @@ def test_non_numeric_array_entry_is_config_error(tmp_path, capsys, command, sect
     assert main([command, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {where} must be a number")
     assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("algebra_section,problem", [
+    ({"kind": "so3", "inertia": [1.0, 2.0, 3.0], "m": 3}, _PROBLEM),
+    ({"kind": "abelian", "n": 1},
+     {"x0": [0.0], "xT": [1.0], "y0": [0.0], "yT": [0.0], "T": 1.0, "steps": 20}),
+], ids=["so3", "abelian"])
+def test_shoot_validates_the_model_once(tmp_path, monkeypatch, algebra_section, problem):
+    calls = []
+    original = aoc.algebra.validate_model
+
+    def counted(model, *args, **kwargs):
+        calls.append(model)
+        return original(model, *args, **kwargs)
+
+    monkeypatch.setattr(aoc.algebra, "validate_model", counted)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, algebra=algebra_section, problem=problem)
+    assert main(["shoot", "--config", str(cfg)]) == 0
+    assert len(calls) == 1
+
+
+_NOT_ADAPTED = [[1.0, 0.5], [0.5, 2.0]]
+
+
+@pytest.mark.parametrize("inertia,failed", [(_NOT_ADAPTED, "adapted_basis"),
+                                            ([1.0, -1.0], "inertia_positive")],
+                         ids=["not-adapted", "not-positive"])
+def test_invalid_abelian_model_reports_like_the_same_custom_model(tmp_path, capsys,
+                                                                  inertia, failed):
+    model_file = tmp_path / "model.json"
+    full = np.diag(inertia) if np.ndim(inertia) == 1 else np.array(inertia)
+    model_file.write_text(json.dumps({"n": 2, "m": 1, "inertia": full.tolist(),
+                                      "rep_dim": 3, "basis_matrices": [
+                                          [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+                                          [[0, 0, 0], [0, 0, 1], [0, 0, 0]]]}))
+    reports = []
+    for algebra_section in ({"kind": "abelian", "n": 2, "m": 1, "inertia": inertia},
+                            {"kind": "custom", "file": str(model_file)}):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, algebra=algebra_section)
+        assert main(["validate", "--config", str(cfg)]) == 2
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert f"FAIL  {failed}" in reports[0] and "overall: FAIL" in reports[0]
+    write_config(cfg, algebra={"kind": "abelian", "n": 2, "m": 1, "inertia": inertia},
+                 problem={"x0": [0, 0], "xT": [1, 0], "y0": [0, 0], "yT": [0, 0],
+                          "T": 1.0, "steps": 10})
+    assert main(["shoot", "--config", str(cfg)]) == 2
+    assert failed in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+_FLIP = np.diag([1.0, -1.0, -1.0])
+
+
+@pytest.mark.parametrize("command,section,where", [
+    ("shoot", {"algebra": {"kind": "so3", "inertia": [1.0, 2.0, 3.0], "m": 3},
+               "problem": {**_PROBLEM, "xT": np.diag([2.0, 1.0, 1.0]).tolist()}}, "problem.xT"),
+    ("simulate", {"algebra": {"kind": "so3", "inertia": [1.0, 2.0, 3.0], "m": 3},
+                  "problem": {**_PROBLEM, "x0": np.diag([1.0, 1.0, -1.0]).tolist()}},
+     "problem.x0"),
+    ("shoot", {"algebra": {"kind": "abelian", "n": 1},
+               "problem": {"x0": [0.0], "xT": [[1.0, 1.0], [0.5, 1.0]], "y0": [0.0],
+                           "yT": [0.0], "T": 1.0, "steps": 20}}, "problem.xT"),
+    ("simulate", {"algebra": {"kind": "abelian", "n": 1},
+                  "problem": {"x0": [[2.0, 0.0], [0.0, 1.0]], "xT": [0.0], "y0": [0.0],
+                              "yT": [0.0], "T": 1.0, "steps": 20}}, "problem.x0"),
+], ids=["so3-scaled", "so3-reflection", "abelian-shear", "abelian-scaled"])
+def test_matrix_outside_the_group_is_config_error(tmp_path, capsys, command, section, where):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **section)
+    assert main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {where} is not a")
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_group_matrices_of_the_benchmark_load(tmp_path):
+    gm = aoc.so3_group(aoc.so3_model((1.0, 2.0, 3.0)))
+    x0 = aoc.exp_map(gm, np.array([0.3, -1.2, 2.9])) @ aoc.exp_map(gm, np.array([2.0, 0.4, 1.1]))
+    for start, target in ((x0, x0 @ aoc.exp_map(gm, np.array([0.0, 0.0, 0.5]))),
+                          (_FLIP, _FLIP @ aoc.exp_map(gm, np.array([0.0, 0.0, 0.5])))):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, problem={**_PROBLEM, "x0": start.tolist(), "xT": target.tolist()})
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        rows = np.loadtxt(tmp_path / "out.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(rows[0, 1:10], start.ravel())
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--mu0", "1,2"],
+    ["simulate", "--xi0", "1"],
+    ["validate", "--out", "x"],
+    ["shoot", "--mu0", "9,9,9"],
+    ["compare", "--xi0", "1,2,3", "--mu0", "1,2,3"],
+    ["validate", "--out", "x", "--dump-config"],
+], ids=["validate-mu0", "simulate-xi0", "validate-out", "shoot-mu0", "compare-costate",
+        "validate-out-dump"])
+def test_flag_the_command_does_not_read_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr("aoc.groups.rkmk_integrate", no_flow)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg)
+    assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {argv[0]} does not read --")
+    assert "overall" not in captured.out
+    assert not list(tmp_path.glob("out*")) and not list(tmp_path.glob("x*"))
+
+
+@pytest.mark.parametrize("section,argv", [
+    ({"output": {"path": ""}}, []),
+    ({"output": {"path": 5}}, []),
+    ({}, ["--out", ""]),
+    ({"algebra": {"kind": "so3", "inertia": 2.0}}, []),
+], ids=["empty-path", "numeric-path", "empty-out", "so3-scalar-inertia"])
+def test_malformed_output_path_or_inertia_is_config_error(tmp_path, capsys, section, argv):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **section)
+    assert main(["simulate", "--config", str(cfg), *argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

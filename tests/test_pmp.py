@@ -491,6 +491,51 @@ def test_eliminate_newton_no_convergence(so3_m2):
                           np.array([50.0, -80.0, 0.0]), max_iter=1)
 
 
+def test_eliminate_checks_regularity_at_the_returned_control(so3_m2):
+    # L = |u|^4 / 4: at xi = 0 Newton stops at once at u = 0, where the Hessian vanishes
+    z = np.zeros(3)
+
+    def hessian(s, u):
+        u = np.asarray(u)
+        return np.dot(u, u) * np.eye(2) + 2.0 * np.outer(u, u)
+
+    pure_quartic = CostModel(eval=lambda s, u: 0.25 * float(np.dot(u, u)) ** 2,
+                             dL_dx_triv=lambda s, u: z, dL_dy=lambda s, u: z,
+                             dL_du=lambda s, u: np.dot(u, u) * np.asarray(u),
+                             d2L_du2=hessian, x_independent=True)
+    with pytest.raises(aoc.SingularRegularity):
+        eliminate_control(so3_m2, pure_quartic, State(np.eye(3), np.zeros(3)), np.zeros(3))
+
+
+def test_trajectory_eliminates_control_once_per_point(so3_j123, so3_j123_group):
+    calls = [0]
+    base = quartic_cost(so3_j123)
+
+    def counted(s, u):
+        calls[0] += 1
+        return base.d2L_du2(s, u)
+
+    cost = dataclasses.replace(base, d2L_du2=counted)
+    steps = 20
+    xs = np.empty((steps + 1, 3, 3))
+    vs = np.empty((steps + 1, 9))
+    propagate_endpoints(so3_j123, so3_j123_group, cost, np.eye(3), np.array([0.2, -0.1, 0.3]),
+                        np.array([0.5, 0.2, -0.4]), np.array([1.0, -0.6, 0.8]), 1.0, steps,
+                        out=(xs, vs))
+    calls[0] = 0
+    eliminate_control(so3_j123, cost, State(xs, vs[:, :3]), vs[:, 6:])
+    once = calls[0]
+    calls[0] = 0
+    traj = aoc.pmp.extremal_trajectory(so3_j123, so3_j123_group, cost, 1.0, xs, vs)
+    assert once >= steps + 1 and calls[0] == once
+    ydot = np.array([extremal_rhs(so3_j123, so3_j123_group, cost,
+                                  point(x, y, mu, xi, u)).ydot
+                     for x, y, mu, xi, u in zip(traj.xs, traj.ys, traj.mus, traj.xis, traj.us)])
+    hams = (np.einsum("ki,ki->k", traj.mus, traj.ys) + np.einsum("ki,ki->k", traj.xis, ydot)
+            - [cost.eval(traj.state(k), traj.us[k]) for k in range(steps + 1)])
+    assert np.array_equal(traj.hams, hams)
+
+
 def test_field_check_underactuated(so3_m2, so3_m2_group, rng):
     # restricted elimination path: the flow must still solve the
     # symplectic equation on the stationarity locus
