@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionMismatch
 
@@ -38,7 +37,7 @@ class LieAlgebraModel:
 
     ``C[k, i, j]`` is the coefficient of the k-th basis vector in the
     bracket of basis vectors i and j.  ``inertia_inv`` is precomputed
-    once from a Cholesky factorization at construction.
+    once at construction.
     """
 
     n: int
@@ -52,9 +51,13 @@ class LieAlgebraModel:
 def make_model(n, m, C, inertia, name="custom", strict=True) -> LieAlgebraModel:
     """Build a model from raw arrays, checking shapes and (optionally) invariants.
 
-    With ``strict`` the full invariant suite runs and a failure raises
-    ``ValueError``; pass ``strict=False`` to construct deliberately broken
-    models for validation reporting.
+    The symmetrized inertia must pass a Cholesky factorization
+    (``np.linalg.cholesky``), which is the positive-definiteness test;
+    ``inertia_inv`` is then its ``np.linalg.inv``, exactly ``1/d`` on a
+    diagonal.  With ``strict`` a failed factorization or invariant
+    raises ``ValueError``; pass ``strict=False`` to construct
+    deliberately broken models for validation reporting, in which case a
+    failed factorization leaves ``inertia_inv`` all NaN.
     """
     n = int(n)
     m = int(m)
@@ -73,8 +76,8 @@ def make_model(n, m, C, inertia, name="custom", strict=True) -> LieAlgebraModel:
 
     sym = 0.5 * (inertia + inertia.T)
     try:
-        factor = cho_factor(sym)
-        inv = cho_solve(factor, np.eye(n))
+        np.linalg.cholesky(sym)
+        inv = np.linalg.inv(sym)
     except np.linalg.LinAlgError:
         if strict:
             raise ValueError("inertia is not positive definite")

@@ -12,8 +12,10 @@ so(3) uses batched closed forms (Rodrigues for exp, quaternion
 extraction for log) with series fallbacks below angle 1e-4 to avoid
 cancellation.  The generic branch uses scaling and squaring on the
 exponential series, with the scaling exponent and the last term chosen
-per matrix, and delegates the logarithm to scipy row by row.  On every
-branch each row of a batch gets the bits it gets alone.  ``dexpinv``
+per matrix, and delegates the logarithm to ``scipy.linalg.logm`` row by
+row.  That is the only scipy use in the package, and it imports scipy on
+its first call, so ``import aoc`` loads numpy alone.  On every branch
+each row of a batch gets the bits it gets alone.  ``dexpinv``
 forms the matrix ad(omega) once by a stacked matmul against the
 structure constants and applies it twice; a stacked matmul runs the same
 product per row, which keeps those bits.
@@ -40,7 +42,6 @@ from dataclasses import dataclass
 from math import atan2
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import LieAlgebraModel
 from .errors import AngleOutOfRange, DimensionMismatch, NonFinite
@@ -244,6 +245,8 @@ def log_map(gm, g, max_angle=SO3_MAX_LOG_ANGLE) -> np.ndarray:
     flat_g = g.reshape((-1, d, d))
     if gm.kind == "so3":
         return _so3_log(flat_g, max_angle).reshape(lead + (3,))
+    import scipy.linalg  # here, not at module level: see the module docstring
+
     out = np.empty((flat_g.shape[0], gm.algebra.n))
     for b in range(flat_g.shape[0]):
         L = scipy.linalg.logm(flat_g[b])

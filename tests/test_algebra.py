@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -183,6 +184,35 @@ def test_strict_construction_rejects_bad_model():
         make_model(3, 3, C, np.eye(3))
     with pytest.raises(ValueError):
         make_model(3, 4, np.zeros((3, 3, 3)), np.eye(3))
+
+
+@pytest.mark.parametrize("inertia", [np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 0.0, 1.0]),
+                                     np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])],
+                         ids=["indefinite", "semidefinite", "off-diagonal-indefinite"])
+def test_inertia_not_positive_definite(inertia):
+    with pytest.raises(ValueError, match="inertia is not positive definite"):
+        make_model(3, 3, np.zeros((3, 3, 3)), inertia)
+    model = make_model(3, 3, np.zeros((3, 3, 3)), inertia, strict=False)
+    assert np.isnan(model.inertia_inv).all()
+    assert "inertia_positive" in validate_model(model).failures()
+
+
+def test_diagonal_inertia_inverse_is_exact():
+    d = np.array([2.0, 3.0, 7.0, 0.1, 1e-3])
+    model = make_model(5, 5, np.zeros((5, 5, 5)), np.diag(d))
+    assert np.array_equal(model.inertia_inv, np.diag(1.0 / d))
+    assert np.array_equal(aoc.so3_model((1.0, 2.0, 3.0)).inertia_inv.diagonal(),
+                          [1.0, 0.5, 1.0 / 3.0])
+
+
+def test_inertia_inverse_matches_cholesky_solve(rng):
+    for n in range(1, 9):
+        for _ in range(10):
+            B = rng.standard_normal((n, n))
+            inertia = B @ B.T + n * np.eye(n)  # eigenvalues from n to about 5 n
+            got = make_model(n, n, np.zeros((n, n, n)), inertia).inertia_inv
+            ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(inertia), np.eye(n))
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_kinetic_energy(so3_j123):

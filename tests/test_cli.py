@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -425,3 +427,41 @@ def test_malformed_output_path_or_inertia_is_config_error(tmp_path, capsys, sect
     write_config(cfg, **section)
     assert main(["simulate", "--config", str(cfg), *argv]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# A fresh interpreter, since this test session may have imported scipy already.
+_NO_SCIPY_RUN = """
+import json, sys
+import numpy as np
+import aoc
+from aoc.cli import main
+so3, abelian, out = sys.argv[1:4]
+codes = [main(["shoot", "--config", so3, "--out", out + "/shoot"]),
+         main(["compare", "--config", so3, "--out", out + "/compare"]),
+         main(["extremal", "--config", abelian, "--out", out + "/extremal",
+               "--mu0", "12", "--xi0", "6"])]
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+model = aoc.so3_model((1.0, 2.0, 3.0))
+y = np.array([0.4, -0.2, 0.9])
+generic = aoc.generic_group(model, aoc.so3_group(model).basis)
+log = aoc.log_map(generic, aoc.exp_map(aoc.so3_group(model), y))
+print(json.dumps({"codes": codes, "scipy": loaded, "log_error": float(np.abs(log - y).max())}))
+"""
+
+
+def test_commands_run_without_importing_scipy(tmp_path):
+    so3, abelian = tmp_path / "so3.json", tmp_path / "abelian.json"
+    write_config(so3, problem=_PROBLEM, oracle={"segments": 8})
+    write_config(abelian, algebra={"kind": "abelian", "n": 1},
+                 problem={"x0": [0.0], "xT": [1.0], "y0": [0.0], "yT": [0.0],
+                          "T": 1.0, "steps": 20})
+    src = str(Path(aoc.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, str(so3), str(abelian),
+                           str(tmp_path)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0]
+    assert result["scipy"] == []
+    # a custom representation still takes its logarithm, through scipy
+    assert result["log_error"] < 1e-10
