@@ -41,7 +41,8 @@ def main():
     ind = solve_shooting(model, gm, cost, prob)
     t_ind = time.perf_counter() - t0
     print(f"shooting: converged={ind.converged}  residual={ind.residual_norm:.2e}  "
-          f"iterations={ind.iterations}  flows={ind.flows}  ({t_ind:.1f}s)")
+          f"iterations={ind.iterations}  flows={ind.flows} (coarse {ind.coarse_flows})  "
+          f"({t_ind:.1f}s)")
     print(f"  mu0 = {np.array2string(ind.mu0, precision=6)}")
     print(f"  xi0 = {np.array2string(ind.xi0, precision=6)}")
     if ind.trajectory is None:

@@ -33,23 +33,38 @@ probe fails, is rejected without a trial flow; the gain ratio is still
 measured against the model of delta.  A step therefore costs a probe
 flow plus a trial flow.  Fully actuated problems (m = n) converge in a
 few plain steps, where the probe would only add flows, so they run
-without it.  ``ShootingResult.flows`` counts every propagation of a
-solve: seeds, probes and trials.
+without it.
 
-Every 4n + 1-row flow records its states on the grid, so the returned
-trajectory is row 0 of the last accepted flow of the best start (its
-seed flow when no step was accepted): bitwise the flow of the returned
-costates, with no flow run for it.  It is None only when no start's
-seed flow succeeded.
+Each start is nested over two grids (nested iteration; P. Deuflhard,
+"Newton Methods for Nonlinear Problems", Springer, 2004).  LM first runs
+to the same tol on a coarse copy of the problem with
+max(COARSE_MIN_STEPS, steps // COARSE_DIVISOR) steps, when that is at
+most half the requested grid, and then continues on the requested grid
+from the coarse costates with the damping (lambda, nu) it reached, so
+the early steps far from the root cost short flows.  When the coarse
+phase does not converge, the start reruns on the requested grid from
+its seed with fresh damping, bitwise the single-grid run.  ``max_iter``
+caps the steps of each grid's run, so a start takes at most 2 max_iter
+steps.  ``ShootingResult.iterations`` counts the steps
+on both grids, ``flows`` every propagation of a solve (seeds, probes and
+trials, on both grids) and ``coarse_flows`` those on the coarse grid.
+
+Every 4n + 1-row flow on the requested grid records its states there
+(coarse flows record nothing), so the returned trajectory is row 0 of
+the last accepted requested-grid flow of the best start (its seed flow
+when no step was accepted): bitwise the flow of the returned costates,
+with no flow run for it.  It is None only when no start's seed flow
+succeeded.
 
 Globalization is a deterministic multi-start (scale patterns
 {0, +-1, +-10} on two sign masks, 8 seeds total); there is no
-continuation or homotopy in this version.
+continuation or homotopy in the costates or the weights, only the
+nested grids above.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,6 +76,11 @@ from .errors import AngleOutOfRange, NonFinite
 # finite-difference step along delta and the largest accepted 2 |a| / |delta|
 GEO_H = 0.1
 GEO_ALPHA = 0.75
+# Nested iteration: each start is first solved on a coarse copy of the
+# problem with max(COARSE_MIN_STEPS, steps // COARSE_DIVISOR) steps, when
+# that is at most half the requested grid
+COARSE_MIN_STEPS = 16
+COARSE_DIVISOR = 8
 
 
 @dataclass(frozen=True)
@@ -96,6 +116,7 @@ class ShootingResult:
     trajectory: Trajectory | None
     converged: bool
     flows: int
+    coarse_flows: int
 
 
 def _residual_batch(model, gm, cost, problem, thetas, out=None):
@@ -115,27 +136,30 @@ def boundary_residual(model, gm, cost, problem, mu0, xi0) -> np.ndarray:
     return _residual_batch(model, gm, cost, problem, theta[None, :])[0]
 
 
-def _residual_and_jacobian(model, gm, cost, problem, theta, fd_step):
+def _residual_and_jacobian(model, gm, cost, problem, theta, fd_step, record=True):
     """Residual at theta, its central-difference Jacobian and the flow from theta,
     from one batched flow.
 
     Row 0 of the batch is theta; rows 1..p and p+1..2p add and subtract
     the per-column steps fd_step (1 + |theta_i|).  The flow is row 0's
-    (xs, vs) on the grid, as ``flow_extremal`` records it.  Returns None
-    when the flow blows up or a boundary log is ill-posed anywhere in the
-    batch.
+    (xs, vs) on the grid, as ``flow_extremal`` records it, or None when
+    not ``record``.  Returns None when the flow blows up or a boundary log
+    is ill-posed anywhere in the batch.
     """
     p = len(theta)
     h = fd_step * (1.0 + np.abs(theta))
     steps, d, rows = int(problem.steps), gm.rep_dim, 2 * p + 1
-    xs, vs = np.empty((steps + 1, rows, d, d)), np.empty((steps + 1, rows, 3 * model.n))
+    out = None
+    if record:
+        out = np.empty((steps + 1, rows, d, d)), np.empty((steps + 1, rows, 3 * model.n))
     try:
         res = _residual_batch(model, gm, cost, problem,
                               theta + np.vstack([np.zeros(p), np.diag(h), -np.diag(h)]),
-                              out=(xs, vs))
+                              out=out)
     except (NonFinite, AngleOutOfRange):
         return None
-    return res[0], (res[1:p + 1] - res[p + 1:]).T / (2.0 * h), (xs[:, 0], vs[:, 0])
+    flow = None if out is None else (out[0][:, 0], out[1][:, 0])
+    return res[0], (res[1:p + 1] - res[p + 1:]).T / (2.0 * h), flow
 
 
 def _start_points(n):
@@ -148,22 +172,24 @@ def _start_points(n):
     return seeds
 
 
-def _levenberg_marquardt(evaluate, theta0, tol, max_iter, probe=None):
+def _levenberg_marquardt(evaluate, theta0, tol, max_iter, probe=None, damping=None):
     """Levenberg-Marquardt with Nielsen's gain-ratio damping update.
 
     ``evaluate(theta)`` returns (r, J, flow) or None, so every step costs
     one call: a rejected trial is one lost flow, and an accepted one
     already carries the Jacobian of the next step.  With ``probe(theta)``,
     which returns r or None, each step adds the geodesic acceleration of
-    the module docstring.  Returns (theta, sup-norm residual, steps,
-    converged, flow of theta), the flow None when the seed failed.
+    the module docstring.  ``damping`` is the (lambda, nu) to start from,
+    by default 1e-6 max diag(J^T J) and 2.  Returns (theta, sup-norm
+    residual, steps, converged, flow of theta, damping reached), the flow
+    None when the seed failed.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     point = evaluate(theta)
     if point is None:
-        return theta, np.inf, 0, False, None
+        return theta, np.inf, 0, False, None, damping
     r, J, flow = point
-    lam, nu = 1e-6 * (J ** 2).sum(axis=0).max(), 2.0
+    lam, nu = damping if damping is not None else (1e-6 * (J ** 2).sum(axis=0).max(), 2.0)
     steps = 0
     while np.abs(r).max() >= tol and steps < max_iter and lam <= 1e16:
         g = J.T @ r
@@ -194,7 +220,7 @@ def _levenberg_marquardt(evaluate, theta0, tol, max_iter, probe=None):
             lam *= nu
             nu *= 2.0
     norm = float(np.abs(r).max())
-    return theta, norm, steps, norm < tol, flow
+    return theta, norm, steps, norm < tol, flow, (lam, nu)
 
 
 def solve_shooting(model, gm, cost, problem, initial_guess=None,
@@ -202,25 +228,34 @@ def solve_shooting(model, gm, cost, problem, initial_guess=None,
     """Find (mu0, xi0) whose extremal flow meets the boundary data.
 
     Runs Levenberg-Marquardt from the supplied guess, or from the eight
-    deterministic multi-start seeds when none is given; returns the best
-    iterate with ``converged=False`` rather than raising when every
-    start stalls.  The trajectory is row 0 of that iterate's LM flow.
+    deterministic multi-start seeds when none is given, each start nested
+    as in the module docstring; returns the best iterate with
+    ``converged=False`` rather than raising when every start stalls.  The
+    trajectory is row 0 of that iterate's LM flow on the requested grid.
     """
     n = model.n
-    flows = 0
+    coarse_steps = max(COARSE_MIN_STEPS, int(problem.steps) // COARSE_DIVISOR)
+    coarse = (replace(problem, steps=coarse_steps)
+              if 2 * coarse_steps <= int(problem.steps) else None)
+    flows = {"fine": 0, "coarse": 0}
 
-    def evaluate(theta):
-        nonlocal flows
-        flows += 1
-        return _residual_and_jacobian(model, gm, cost, problem, theta, fd_step)
+    def lm(prob, theta0, damping=None):
+        record = prob is problem
+        grid = "fine" if record else "coarse"
 
-    def probe(theta):
-        nonlocal flows
-        flows += 1
-        try:
-            return _residual_batch(model, gm, cost, problem, theta[None, :])[0]
-        except (NonFinite, AngleOutOfRange):
-            return None
+        def evaluate(theta):
+            flows[grid] += 1
+            return _residual_and_jacobian(model, gm, cost, prob, theta, fd_step, record)
+
+        def probe(theta):
+            flows[grid] += 1
+            try:
+                return _residual_batch(model, gm, cost, prob, theta[None, :])[0]
+            except (NonFinite, AngleOutOfRange):
+                return None
+
+        return _levenberg_marquardt(evaluate, theta0, tol, max_iter,
+                                    probe if model.m < n else None, damping)
 
     if initial_guess is not None:
         mu0, xi0 = initial_guess
@@ -231,8 +266,15 @@ def solve_shooting(model, gm, cost, problem, initial_guess=None,
     best = None
     total_iters = 0
     for theta0 in starts:
-        theta, norm, iters, ok, flow = _levenberg_marquardt(evaluate, theta0, tol, max_iter,
-                                                            probe if model.m < n else None)
+        run = None
+        if coarse is not None:
+            theta_c, _, iters, ok, _, damping = lm(coarse, theta0)
+            total_iters += iters
+            if ok:
+                run = lm(problem, theta_c, damping)
+        if run is None:
+            run = lm(problem, theta0)
+        theta, norm, iters, ok, flow, _ = run
         total_iters += iters
         if best is None or norm < best[1]:
             best = (theta, norm, ok, flow)
@@ -244,7 +286,8 @@ def solve_shooting(model, gm, cost, problem, initial_guess=None,
                                                                    problem.T, *flow)
     return ShootingResult(mu0=theta[:n].copy(), xi0=theta[n:].copy(),
                           residual_norm=norm, iterations=total_iters,
-                          trajectory=trajectory, converged=bool(ok), flows=flows)
+                          trajectory=trajectory, converged=bool(ok),
+                          flows=flows["fine"] + flows["coarse"], coarse_flows=flows["coarse"])
 
 
 def extremal_defect(model, gm, cost, traj):

@@ -93,8 +93,8 @@ def test_criterion_7_problem_converges_in_few_steps():
 
 
 def test_fully_actuated_steps_take_no_probe_flow(monkeypatch):
-    # m = n: plain LM, one seed flow plus one 4n + 1-row flow per step, and the
-    # trajectory comes from the last accepted flow, not from a flow of its own
+    # m = n: plain LM, one seed flow per grid plus one 4n + 1-row flow per step,
+    # and the trajectory comes from the last accepted flow, not from a flow of its own
     widths = []
     propagate = aoc.pmp.propagate_endpoints
 
@@ -109,7 +109,9 @@ def test_fully_actuated_steps_take_no_probe_flow(monkeypatch):
     monkeypatch.setattr(aoc.pmp, "flow_extremal", not_called)
     res = solve_shooting(*so3_problem())
     assert res.converged
-    assert res.flows == res.iterations + 1 == len(widths)
+    # the coarse phase converged, so each grid ran one seed flow
+    assert 0 < res.coarse_flows < res.flows
+    assert res.flows == res.iterations + 2 == len(widths)
     assert widths == [4 * 3 + 1] * len(widths)
     assert res.trajectory is not None
 
@@ -121,8 +123,8 @@ def test_criterion_8_problem_steps_and_costates():
     res = solve_shooting(*so3_problem(m=2, axis=CRIT8_AXIS, angle=0.4, steps=50))
     assert res.converged
     assert res.iterations <= 30
-    # a seed flow plus a probe and a trial flow per step at most
-    assert res.flows <= 2 * res.iterations + 1
+    # a seed flow per grid plus a probe and a trial flow per step at most
+    assert res.flows <= 2 * res.iterations + 2
     # the extremal found by the previous unscaled-damping solver
     assert_allclose(res.mu0, [13.561039142878464, -77.63564240586926, 265.62913222703054],
                     rtol=1e-6)
@@ -140,6 +142,81 @@ def test_trajectory_is_bitwise_the_flow_of_the_returned_costates(m, axis, angle,
     ref = flow_extremal(model, gm, cost, a0, prob.T, prob.steps)
     for name in ("times", "xs", "ys", "us", "mus", "xis", "hams"):
         assert np.array_equal(getattr(res.trajectory, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("m, axis, angle, steps", [(3, (0.0, 0.0, 1.0), 0.5, 200),
+                                                   (2, CRIT8_AXIS, 0.4, 50)],
+                         ids=["criterion-7", "criterion-8"])
+def test_coarse_flows_come_first(monkeypatch, m, axis, angle, steps):
+    # the coarse grid has max(16, steps // 8) steps and records nothing; on the
+    # requested grid only the 4n + 1-row flows record, not the 1-row probes
+    flows = []
+    propagate = aoc.pmp.propagate_endpoints
+
+    def counted(*args, out=None):
+        flows.append((args[8], np.shape(args[5])[0], out is not None))
+        return propagate(*args, out=out)
+
+    monkeypatch.setattr(aoc.pmp, "propagate_endpoints", counted)
+    res = solve_shooting(*so3_problem(m=m, axis=axis, angle=angle, steps=steps))
+    assert res.converged and len(flows) == res.flows
+    coarse, fine = flows[:res.coarse_flows], flows[res.coarse_flows:]
+    assert coarse and fine
+    assert all(f[0] == max(16, steps // 8) and not f[2] for f in coarse)
+    assert all(f[0] == steps and f[2] == (f[1] == 13) for f in fine)
+
+
+@pytest.mark.parametrize("steps", [50, 200])
+def test_requested_grid_finishes_from_the_coarse_root_in_few_steps(steps):
+    # criterion 8: the coarse damping carries over, so the requested grid takes a
+    # seed flow and at most 3 probe-and-trial steps (about 10 with fresh damping)
+    res = solve_shooting(*so3_problem(m=2, axis=CRIT8_AXIS, angle=0.4, steps=steps))
+    assert res.converged
+    assert res.flows - res.coarse_flows <= 1 + 2 * 3
+
+
+@pytest.mark.parametrize("steps, nested", [(20, False), (31, False), (32, True)])
+def test_coarse_grid_only_at_most_half_the_requested_one(steps, nested):
+    res = solve_shooting(*so3_problem(steps=steps))
+    assert res.converged
+    assert (res.coarse_flows > 0) == nested
+    if not nested:
+        assert res.flows == res.iterations + 1
+
+
+@pytest.mark.parametrize("target, guess, max_iter", [
+    ((2, (0.0, 0.0, 1.0), 0.5, 32), np.ones(6), 200),  # a stalled start, on both grids
+    ((2, CRIT8_AXIS, 0.4, 50), np.zeros(6), 5),  # max_iter caps each grid's steps
+], ids=["stalled-start", "max-iter"])
+def test_failed_coarse_phase_reruns_single_grid_from_the_seed(monkeypatch, target, guess,
+                                                              max_iter):
+    problem = so3_problem(*target)
+    kwargs = {"initial_guess": (guess[:3], guess[3:]), "max_iter": max_iter}
+    nested = solve_shooting(*problem, **kwargs)
+    monkeypatch.setattr(aoc.shooting, "COARSE_MIN_STEPS", 10 ** 9)
+    single = solve_shooting(*problem, **kwargs)
+    assert single.coarse_flows == 0 < nested.coarse_flows
+    assert not nested.converged and not single.converged
+    assert nested.residual_norm == single.residual_norm
+    assert np.array_equal(nested.mu0, single.mu0) and np.array_equal(nested.xi0, single.xi0)
+    assert nested.flows - nested.coarse_flows == single.flows
+    assert single.iterations < nested.iterations <= 2 * max_iter
+    for name in ("xs", "ys", "us", "mus", "xis"):
+        assert np.array_equal(getattr(nested.trajectory, name), getattr(single.trajectory, name))
+
+
+@pytest.mark.parametrize("m, axis, angle, steps, cost", [
+    (3, (0.0, 0.0, 1.0), 0.5, 200, 4.499999994884515),  # criterion 7
+    (2, CRIT8_AXIS, 0.4, 50, 18.753363965936963),  # criterion 8
+    (2, CRIT8_AXIS, 0.4, 200, 18.753204777416176),
+    (2, CRIT8_AXIS, 3.0, 50, 765.1393334771421),
+], ids=["criterion-7", "criterion-8", "criterion-8-200-steps", "3-rad-m2"])
+def test_nested_grid_finds_the_single_grid_extremal(m, axis, angle, steps, cost):
+    # costs of the extremals that the single-grid solver found on the requested grid
+    model, gm, c, prob = so3_problem(m=m, axis=axis, angle=angle, steps=steps)
+    res = solve_shooting(model, gm, c, prob)
+    assert res.converged and res.residual_norm < 1e-8
+    assert running_cost(c, res.trajectory) == pytest.approx(cost, rel=1e-7)
 
 
 def test_large_angle_underactuated_converges_on_first_start():
