@@ -38,16 +38,22 @@ without it.
 Each start is nested over two grids (nested iteration; P. Deuflhard,
 "Newton Methods for Nonlinear Problems", Springer, 2004).  LM first runs
 to the same tol on a coarse copy of the problem with
-max(COARSE_MIN_STEPS, steps // COARSE_DIVISOR) steps, when that is at
-most half the requested grid, and then continues on the requested grid
-from the coarse costates with the damping (lambda, nu) it reached, so
-the early steps far from the root cost short flows.  When the coarse
-phase does not converge, the start reruns on the requested grid from
-its seed with fresh damping, bitwise the single-grid run.  ``max_iter``
-caps the steps of each grid's run, so a start takes at most 2 max_iter
-steps.  ``ShootingResult.iterations`` counts the steps
-on both grids, ``flows`` every propagation of a solve (seeds, probes and
-trials, on both grids) and ``coarse_flows`` those on the coarse grid.
+max(COARSE_MIN_STEPS, steps // COARSE_DIVISOR) steps, when the requested
+grid is at least COARSE_RATIO times longer, and then continues on the
+requested grid from the coarse costates with the damping (lambda, nu) it
+reached, so the early steps far from the root cost short flows.  When
+that continuation does not converge, the start reruns on the requested
+grid from its seed with fresh damping, the single-grid run.  A start
+whose coarse run does not converge takes no requested-grid flow: the
+solve moves on to the next seed, so a stalled start costs only coarse
+flows.  When no start converges this way, the solve is the single-grid
+multi-start (every seed's run on the requested grid, each run at most
+once), bitwise the solve without a coarse grid, so nesting never loses
+a convergence.  ``max_iter`` caps the steps of each run, so a start takes
+at most 3 max_iter steps.  ``ShootingResult.iterations`` counts the
+steps on both grids, ``flows`` every propagation of a solve (seeds,
+probes and trials, on both grids) and ``coarse_flows`` those on the
+coarse grid.
 
 Every 4n + 1-row flow on the requested grid records its states there
 (coarse flows record nothing), so the returned trajectory is row 0 of
@@ -78,9 +84,14 @@ GEO_H = 0.1
 GEO_ALPHA = 0.75
 # Nested iteration: each start is first solved on a coarse copy of the
 # problem with max(COARSE_MIN_STEPS, steps // COARSE_DIVISOR) steps, when
-# that is at most half the requested grid
+# the requested grid is at least COARSE_RATIO times longer (40 steps and up).
+# Paired solves of seeded so(3) targets (BENCH_pr13_nested_grid.json,
+# "break_even") put the break-even there: fully actuated ones took
+# 0.92-1.06x the single-grid time at 32-36 steps and 0.87-0.92x at 40 over
+# three runs, while underactuated ones already won at 28.
 COARSE_MIN_STEPS = 16
 COARSE_DIVISOR = 8
+COARSE_RATIO = 2.5
 
 
 @dataclass(frozen=True)
@@ -236,26 +247,28 @@ def solve_shooting(model, gm, cost, problem, initial_guess=None,
     n = model.n
     coarse_steps = max(COARSE_MIN_STEPS, int(problem.steps) // COARSE_DIVISOR)
     coarse = (replace(problem, steps=coarse_steps)
-              if 2 * coarse_steps <= int(problem.steps) else None)
-    flows = {"fine": 0, "coarse": 0}
+              if COARSE_RATIO * coarse_steps <= int(problem.steps) else None)
+    counts = {"fine": 0, "coarse": 0, "iterations": 0}
 
     def lm(prob, theta0, damping=None):
         record = prob is problem
         grid = "fine" if record else "coarse"
 
         def evaluate(theta):
-            flows[grid] += 1
+            counts[grid] += 1
             return _residual_and_jacobian(model, gm, cost, prob, theta, fd_step, record)
 
         def probe(theta):
-            flows[grid] += 1
+            counts[grid] += 1
             try:
                 return _residual_batch(model, gm, cost, prob, theta[None, :])[0]
             except (NonFinite, AngleOutOfRange):
                 return None
 
-        return _levenberg_marquardt(evaluate, theta0, tol, max_iter,
-                                    probe if model.m < n else None, damping)
+        run = _levenberg_marquardt(evaluate, theta0, tol, max_iter,
+                                   probe if model.m < n else None, damping)
+        counts["iterations"] += run[2]
+        return run
 
     if initial_guess is not None:
         mu0, xi0 = initial_guess
@@ -263,31 +276,40 @@ def solve_shooting(model, gm, cost, problem, initial_guess=None,
     else:
         starts = _start_points(n)
 
-    best = None
-    total_iters = 0
-    for theta0 in starts:
-        run = None
-        if coarse is not None:
-            theta_c, _, iters, ok, _, damping = lm(coarse, theta0)
-            total_iters += iters
-            if ok:
-                run = lm(problem, theta_c, damping)
-        if run is None:
-            run = lm(problem, theta0)
-        theta, norm, iters, ok, flow, _ = run
-        total_iters += iters
-        if best is None or norm < best[1]:
-            best = (theta, norm, ok, flow)
-        if ok:
-            break
+    single_runs = {}
 
-    theta, norm, ok, flow = best
+    def single(i):
+        # the requested-grid run from start i's seed, run at most once per solve
+        if i not in single_runs:
+            single_runs[i] = lm(problem, starts[i])
+        return single_runs[i]
+
+    found = None
+    for i in range(len(starts) if coarse is not None else 0):
+        theta_c, _, _, ok, _, damping = lm(coarse, starts[i])
+        if ok:
+            run = lm(problem, theta_c, damping)
+            if not run[3]:
+                run = single(i)
+            if run[3]:
+                found = run
+                break
+    if found is None:
+        # the single-grid multi-start
+        for i in range(len(starts)):
+            run = single(i)
+            if found is None or run[1] < found[1]:
+                found = run
+            if run[3]:
+                break
+
+    theta, norm, _, ok, flow, _ = found
     trajectory = None if flow is None else pmp.extremal_trajectory(model, gm, cost,
                                                                    problem.T, *flow)
     return ShootingResult(mu0=theta[:n].copy(), xi0=theta[n:].copy(),
-                          residual_norm=norm, iterations=total_iters,
+                          residual_norm=norm, iterations=counts["iterations"],
                           trajectory=trajectory, converged=bool(ok),
-                          flows=flows["fine"] + flows["coarse"], coarse_flows=flows["coarse"])
+                          flows=counts["fine"] + counts["coarse"], coarse_flows=counts["coarse"])
 
 
 def extremal_defect(model, gm, cost, traj):

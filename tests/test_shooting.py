@@ -175,8 +175,9 @@ def test_requested_grid_finishes_from_the_coarse_root_in_few_steps(steps):
     assert res.flows - res.coarse_flows <= 1 + 2 * 3
 
 
-@pytest.mark.parametrize("steps, nested", [(20, False), (31, False), (32, True)])
-def test_coarse_grid_only_at_most_half_the_requested_one(steps, nested):
+@pytest.mark.parametrize("steps, nested", [(20, False), (39, False), (40, True)])
+def test_coarse_grid_only_from_40_requested_steps(steps, nested):
+    # the 16-step coarse grid needs a requested grid at least 2.5 times longer
     res = solve_shooting(*so3_problem(steps=steps))
     assert res.converged
     assert (res.coarse_flows > 0) == nested
@@ -184,33 +185,85 @@ def test_coarse_grid_only_at_most_half_the_requested_one(steps, nested):
         assert res.flows == res.iterations + 1
 
 
-@pytest.mark.parametrize("target, guess, max_iter", [
-    ((2, (0.0, 0.0, 1.0), 0.5, 32), np.ones(6), 200),  # a stalled start, on both grids
-    ((2, CRIT8_AXIS, 0.4, 50), np.zeros(6), 5),  # max_iter caps each grid's steps
-], ids=["stalled-start", "max-iter"])
-def test_failed_coarse_phase_reruns_single_grid_from_the_seed(monkeypatch, target, guess,
-                                                              max_iter):
-    problem = so3_problem(*target)
-    kwargs = {"initial_guess": (guess[:3], guess[3:]), "max_iter": max_iter}
-    nested = solve_shooting(*problem, **kwargs)
-    monkeypatch.setattr(aoc.shooting, "COARSE_MIN_STEPS", 10 ** 9)
-    single = solve_shooting(*problem, **kwargs)
-    assert single.coarse_flows == 0 < nested.coarse_flows
-    assert not nested.converged and not single.converged
-    assert nested.residual_norm == single.residual_norm
-    assert np.array_equal(nested.mu0, single.mu0) and np.array_equal(nested.xi0, single.xi0)
-    assert nested.flows - nested.coarse_flows == single.flows
-    assert single.iterations < nested.iterations <= 2 * max_iter
+def single_grid(monkeypatch, problem, **kwargs):
+    with monkeypatch.context() as patch:
+        patch.setattr(aoc.shooting, "COARSE_MIN_STEPS", 10 ** 9)
+        res = solve_shooting(*problem, **kwargs)
+    assert res.coarse_flows == 0
+    return res
+
+
+def assert_same_iterate(res, ref):
+    assert res.converged == ref.converged and res.residual_norm == ref.residual_norm
+    assert np.array_equal(res.mu0, ref.mu0) and np.array_equal(res.xi0, ref.xi0)
     for name in ("xs", "ys", "us", "mus", "xis"):
-        assert np.array_equal(getattr(nested.trajectory, name), getattr(single.trajectory, name))
+        assert np.array_equal(getattr(res.trajectory, name), getattr(ref.trajectory, name)), name
+
+
+@pytest.mark.parametrize("target, guess, max_iter", [
+    ((2, (0.0, 0.0, 1.0), 0.5, 50), np.ones(6), 200),  # a start that stalls on both grids
+    ((2, CRIT8_AXIS, 0.4, 50), None, 2),  # max_iter caps each run, so every start stops early
+], ids=["stalled-start", "max-iter"])
+def test_no_nested_convergence_gives_the_single_grid_solve(monkeypatch, target, guess,
+                                                          max_iter):
+    # no start converges on the coarse grid, so every requested-grid flow is
+    # the single-grid multi-start's, bitwise
+    problem = so3_problem(*target)
+    kwargs = {"max_iter": max_iter}
+    if guess is not None:
+        kwargs["initial_guess"] = (guess[:3], guess[3:])
+    nested = solve_shooting(*problem, **kwargs)
+    single = single_grid(monkeypatch, problem, **kwargs)
+    assert nested.coarse_flows > 0 and not single.converged
+    assert_same_iterate(nested, single)
+    assert nested.flows - nested.coarse_flows == single.flows
+    # the rest are the coarse runs' steps, at most max_iter per start
+    assert 0 < nested.iterations - single.iterations <= max_iter * (1 if guess is not None else 8)
+
+
+def test_stalled_starts_take_no_requested_grid_flow(monkeypatch):
+    # e3 with m = 2: the first four seeds stall on the coarse grid and the
+    # fifth converges, so only that start runs on the requested grid
+    flows = []
+    propagate = aoc.pmp.propagate_endpoints
+
+    def counted(*args, out=None):
+        flows.append(args[8])
+        return propagate(*args, out=out)
+
+    monkeypatch.setattr(aoc.pmp, "propagate_endpoints", counted)
+    model, gm, c, prob = so3_problem(m=2, axis=(0.0, 0.0, 1.0), angle=0.5, steps=50)
+    res = solve_shooting(model, gm, c, prob)
+    assert res.converged and res.residual_norm < 1e-8
+    assert flows == [16] * res.coarse_flows + [50] * (res.flows - res.coarse_flows)
+    assert res.flows - res.coarse_flows <= 1 + 2 * 3
+    # the single-grid solve takes 180 flows of 50 steps to the same extremal
+    assert running_cost(c, res.trajectory) == pytest.approx(238.25792808865097, rel=1e-7)
+
+
+def test_failed_continuation_reruns_the_seed_on_the_requested_grid(monkeypatch):
+    # criterion 8 with every continuation from a coarse root cut to 0 steps: the
+    # start reruns from its seed on the requested grid, bitwise the single-grid solve
+    problem = so3_problem(m=2, axis=CRIT8_AXIS, angle=0.4, steps=50)
+    single = single_grid(monkeypatch, problem)
+    lm = aoc.shooting._levenberg_marquardt
+
+    def cut(evaluate, theta0, tol, max_iter, probe=None, damping=None):
+        return lm(evaluate, theta0, tol, 0 if damping is not None else max_iter, probe, damping)
+
+    monkeypatch.setattr(aoc.shooting, "_levenberg_marquardt", cut)
+    nested = solve_shooting(*problem)
+    assert single.converged
+    assert_same_iterate(nested, single)
+    # the continuation's seed flow, then the single-grid run
+    assert nested.flows - nested.coarse_flows == 1 + single.flows
 
 
 @pytest.mark.parametrize("m, axis, angle, steps, cost", [
     (3, (0.0, 0.0, 1.0), 0.5, 200, 4.499999994884515),  # criterion 7
     (2, CRIT8_AXIS, 0.4, 50, 18.753363965936963),  # criterion 8
     (2, CRIT8_AXIS, 0.4, 200, 18.753204777416176),
-    (2, CRIT8_AXIS, 3.0, 50, 765.1393334771421),
-], ids=["criterion-7", "criterion-8", "criterion-8-200-steps", "3-rad-m2"])
+], ids=["criterion-7", "criterion-8", "criterion-8-200-steps"])
 def test_nested_grid_finds_the_single_grid_extremal(m, axis, angle, steps, cost):
     # costs of the extremals that the single-grid solver found on the requested grid
     model, gm, c, prob = so3_problem(m=m, axis=axis, angle=angle, steps=steps)
@@ -221,10 +274,13 @@ def test_nested_grid_finds_the_single_grid_extremal(m, axis, angle, steps, cost)
 
 def test_large_angle_underactuated_converges_on_first_start():
     # plain LM stalls here on every start; geodesic acceleration reaches it from the first seed
-    res = solve_shooting(*so3_problem(m=2, axis=CRIT8_AXIS, angle=3.0, steps=50),
-                         initial_guess=(np.zeros(3), np.zeros(3)), max_iter=120)
+    model, gm, c, prob = so3_problem(m=2, axis=CRIT8_AXIS, angle=3.0, steps=50)
+    res = solve_shooting(model, gm, c, prob, initial_guess=(np.zeros(3), np.zeros(3)),
+                         max_iter=120)
     assert res.converged
     assert res.residual_norm < 1e-8
+    # the cost of the extremal the single-grid solver found on the requested grid
+    assert running_cost(c, res.trajectory) == pytest.approx(765.1393334771421, rel=1e-7)
 
 
 def test_so3_fully_actuated_rest_to_rest():
