@@ -11,6 +11,13 @@ no sign flip.  On so(3) with the cross-product bracket this makes
 ``ad_star(y, mu) = mu x y``, which is the convention the rest of the
 library (extremal flows included) relies on.
 
+The drift ``bias(y) = sharp(ad_star(y, flat(y)))`` is a fixed quadratic
+form in y.  ``make_model`` builds it once as the (n, n n) matrix
+``drift``, and ``bias`` contracts it with y by two stacked matmuls, the
+pattern of the fused extremal kernel in ``pmp``: numpy runs the same
+product on every row of a stack, so a batch keeps the bits each row gets
+alone.  The extremal kernel reads its y-block from the same matrix.
+
 The basis must be adapted to the actuated subspace: the first ``m``
 basis vectors span it, the remaining ``n - m`` span its inertia
 orthogonal complement, and the inertia matrix is block diagonal across
@@ -36,8 +43,10 @@ class LieAlgebraModel:
     """Structure constants, inertia and actuation split of a Lie algebra.
 
     ``C[k, i, j]`` is the coefficient of the k-th basis vector in the
-    bracket of basis vectors i and j.  ``inertia_inv`` is precomputed
-    once at construction.
+    bracket of basis vectors i and j.  ``inertia_inv`` and ``drift`` are
+    precomputed once at construction: ``drift`` is the quadratic form of
+    ``bias`` as an (n, n n) matrix, ``drift[p, l n + i]`` being the
+    coefficient of y_p y_i in component l.
     """
 
     n: int
@@ -45,6 +54,7 @@ class LieAlgebraModel:
     C: np.ndarray
     inertia: np.ndarray
     inertia_inv: np.ndarray
+    drift: np.ndarray
     name: str = "custom"
 
 
@@ -57,7 +67,7 @@ def make_model(n, m, C, inertia, name="custom", strict=True) -> LieAlgebraModel:
     diagonal.  With ``strict`` a failed factorization or invariant
     raises ``ValueError``; pass ``strict=False`` to construct
     deliberately broken models for validation reporting, in which case a
-    failed factorization leaves ``inertia_inv`` all NaN.
+    failed factorization leaves ``inertia_inv`` (and so ``drift``) all NaN.
     """
     n = int(n)
     m = int(m)
@@ -83,8 +93,10 @@ def make_model(n, m, C, inertia, name="custom", strict=True) -> LieAlgebraModel:
             raise ValueError("inertia is not positive definite")
         inv = np.full((n, n), np.nan)
 
+    # sharp(ad_star(y, flat y))_l = inv[l, j] C[k, i, j] y_i inertia[k, p] y_p
+    drift = np.einsum("lj,kij,kp->pli", inv, C, inertia).reshape(n, n * n)
     model = LieAlgebraModel(n=n, m=m, C=C.copy(), inertia=inertia.copy(),
-                            inertia_inv=inv, name=name)
+                            inertia_inv=inv, drift=drift, name=name)
     if strict:
         report = validate_model(model)
         if not report.passed:
@@ -211,9 +223,16 @@ def bias(model, y) -> np.ndarray:
     """Drift of the velocity equation: sharp(ad_star(y, flat(y))).
 
     Equals minus connection_bilinear(y, y); on so(3) it is
-    inertia^{-1}((inertia y) x y), the free rigid body term.
+    inertia^{-1}((inertia y) x y), the free rigid body term.  Evaluated
+    as two stacked matmuls against ``model.drift``: each row's (1, n)
+    vector times the (n, n n) matrix gives that row's (n, n) matrix,
+    which then multiplies the row's y.  A stacked matmul runs the same
+    product for every row, so a batch gets the bits of each row alone.
     """
-    return sharp(model, ad_star(model, y, flat(model, y)))
+    y = _check_dim(model, y, "y")
+    n = model.n
+    M = (y[..., None, :] @ model.drift).reshape(y.shape[:-1] + (n, n))
+    return (M @ y[..., None])[..., 0]
 
 
 def restrict_covector(model, xi) -> np.ndarray:

@@ -8,7 +8,10 @@ x from the stage velocities after its loop, by the Munthe-Kaas scheme.
 order hold inside a step).  ``zoh_rollout`` is one stepper call over all
 N * steps_per_segment steps; its right-hand side adds the drift of step
 k's segment, read from one table of all N segments.  Both hand the
-stepper their sample arrays, which it fills.
+stepper their sample arrays, which it fills.  The drift ``bias`` is one
+stacked matmul against the model's ``drift`` matrix, the tensor that the
+extremal field of ``pmp`` reads its y-block from, so the rollouts and
+the extremal flows share one drift kernel.
 
 Trajectories store their samples as arrays (struct of arrays); the CSV
 layout is ``t, x (row-major d^2), y (n), u (m)`` plus optional

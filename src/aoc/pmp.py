@@ -23,18 +23,21 @@ the Hamiltonian field of H for the trivialized symplectic form
         = vmu'(z) + vxi'(w) - vmu(z') - vxi(w') + <mu, [z, z']>.
 
 ``extremal_field`` is the flow as a right-hand side batched over rows for
-every cost; it and ``eliminate_control`` are the only code that reads the
-cost's form.  For x-independent quadratic costs the flow is bilinear in
-(y; mu, xi), and the field evaluates a batch of RK stages by two stacked
-matmuls against a tensor built once per (model, cost); any other cost
-runs row by row, each row as a single point.  ``propagate_endpoints``
-steps the field through ``groups.rkmk_integrate`` in one call over the
-grid, for a batch of shooting rows as for the single flow of
-``flow_extremal``, and can have the stepper fill the (x, y, mu, xi)
-arrays of the batch; ``extremal_trajectory`` turns a recorded flow into
-a trajectory, eliminating the control once per grid point.
-x-independent flows step (y, mu, xi) alone and reconstruct x after the
-loop; x-dependent costs take coupled steps.  Only normal extremals are
+every cost; it, ``eliminate_control`` and ``_cost_values`` (L on a grid)
+are the only code that reads the cost's form.  For x-independent
+quadratic costs the flow is bilinear in (y; mu, xi), and the field
+evaluates a batch of RK stages by two stacked matmuls against a tensor
+built once per (model, cost); any other cost runs row by row, each row
+as a single point.  The y-block of that tensor is the model's ``drift``
+matrix, the one that ``algebra.bias`` contracts, so the extremal field
+and the forward rollouts of ``dynamics`` share one drift tensor.
+``propagate_endpoints`` steps the field through ``groups.rkmk_integrate``
+in one call over the grid, for a batch of shooting rows as for the
+single flow of ``flow_extremal``, and can have the stepper fill the
+(x, y, mu, xi) arrays of the batch; ``extremal_trajectory`` turns a
+recorded flow into a trajectory, eliminating the control once per grid
+point.  x-independent flows step (y, mu, xi) alone and reconstruct x
+after the loop; x-dependent costs take coupled steps.  Only normal extremals are
 treated; a control Hessian with condition number above 1 / RCOND_MIN at
 the eliminated control raises SingularRegularity.
 
@@ -258,14 +261,15 @@ def _is_quadratic(cost):
 def _quadratic_tensor(model, R):
     """K with vdot_o = K[o, a, q] y1_a v_q for v = (y, mu, xi), y1 = (1, y): slice
     a = 0 is linear (the control map embed(R^-1 xi[:m]) and -mu), the y slices
-    hold sharp(ad_star(y, flat y)), ad_star(y, mu) and the xi terms
+    hold sharp(ad_star(y, flat y)) (the model's ``drift`` matrix, the tensor
+    ``algebra.bias`` contracts), ad_star(y, mu) and the xi terms
     -flat([y, sharp xi]) + ad_star(sharp xi, flat y)."""
     _check_regular(R, "quadratic weight")
     n, m = model.n, model.m
     C, J, Jinv = model.C, model.inertia, model.inertia_inv
     K = np.zeros((3, n, n + 1, 3, n))  # (out block, out, 1 or y index, in block, in)
     K[0, :m, 0, 2, :m] = np.linalg.inv(R)
-    K[0, :, 1:, 0] = np.einsum("lj,kij,kp->lip", Jinv, C, J)
+    K[0, :, 1:, 0] = model.drift.reshape(n, n, n).transpose(1, 2, 0)
     K[1, :, 1:, 1] = np.einsum("kij->jik", C)
     K[2, :, 0, 1] = -np.eye(n)
     K[2, :, 1:, 2] = (np.einsum("kij,iq,kp->jpq", C, Jinv, J)
@@ -331,7 +335,7 @@ def flow_extremal(model, gm, cost, a0, T, steps) -> Trajectory:
 def extremal_trajectory(model, gm, cost, T, xs, vs) -> Trajectory:
     """The trajectory of an extremal flow recorded on the uniform grid of [0, T]:
     group elements ``xs`` and v = (y, mu, xi) rows ``vs``, with the controls and
-    H of the grid in one batched pass (L point by point for generic costs).
+    H of the grid in one batched pass (L by ``_cost_values``).
     The controls are eliminated once per point, and H reads
     ydot = embed(u) + bias(y) from them.  ``xs`` and ``vs`` may be one row of
     a recorded batch; the trajectory keeps compact copies, not views that pin
@@ -342,10 +346,7 @@ def extremal_trajectory(model, gm, cost, T, xs, vs) -> Trajectory:
     ys, mus, xis = vs[:, :n], vs[:, n:2 * n], vs[:, 2 * n:]
     us = eliminate_control(model, cost, State(xs, ys), xis)
     ydot = embed_control(model, us) + bias(model, ys)
-    if _is_quadratic(cost):
-        L = 0.5 * np.einsum("ka,ab,kb->k", us, cost.quad_weight, us)
-    else:
-        L = np.array([cost.eval(State(x, y), u) for x, y, u in zip(xs, ys, us)])
+    L = _cost_values(cost, xs, ys, us)
     hams = np.einsum("ki,ki->k", mus, ys) + np.einsum("ki,ki->k", xis, ydot) - L
     return Trajectory(times=np.linspace(0.0, T, steps + 1), xs=xs, ys=ys, us=us,
                       mus=mus, xis=xis, hams=hams)
@@ -372,11 +373,20 @@ def propagate_endpoints(model, gm, cost, x0, y0, mu0, xi0, T, steps, out=None):
     return x, v[..., : model.n]
 
 
+def _cost_values(cost, xs, ys, us):
+    """L at every grid point.  A quadratic x-independent cost takes one batched
+    pass, whose stacked matmuls give each point the bits of ``cost.eval``;
+    any other cost runs ``cost.eval`` point by point."""
+    if _is_quadratic(cost):
+        return 0.5 * (us[:, None, :] @ (cost.quad_weight @ us[..., None]))[:, 0, 0]
+    return np.array([cost.eval(State(x, y), u) for x, y, u in zip(xs, ys, us)])
+
+
 def running_cost(cost, traj) -> float:
     """Composite Simpson quadrature of the running cost along a trajectory
     (the trapezoid on a grid of one interval)."""
     K = len(traj) - 1
-    vals = np.array([cost.eval(traj.state(k), traj.us[k]) for k in range(K + 1)])
+    vals = _cost_values(cost, traj.xs, traj.ys, traj.us)
     h = float(traj.times[1] - traj.times[0])
     if K == 1:
         return float(0.5 * h * (vals[0] + vals[1]))

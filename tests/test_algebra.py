@@ -132,6 +132,32 @@ def test_bias_identity_inertia_vanishes(so3_unit, rng):
     assert np.abs(aoc.bias(so3_unit, ys)).max() < 1e-12
 
 
+def random_model(rng, n):
+    """An n-dimensional model with random antisymmetric structure constants
+    (the Jacobi identity need not hold) and a random positive definite inertia."""
+    C = rng.standard_normal((n, n, n))
+    A = rng.standard_normal((n, n))
+    return make_model(n, n, C - C.transpose(0, 2, 1), A @ A.T / n + np.eye(n), strict=False)
+
+
+@pytest.mark.parametrize("kind", ["so3", "random6"])
+def test_bias_batch_is_bitwise_each_row_alone(kind, so3_j123, rng):
+    model = so3_j123 if kind == "so3" else random_model(rng, 6)
+    ys = rng.standard_normal((4, 7, model.n))
+    rows = np.array([[aoc.bias(model, y) for y in block] for block in ys])
+    assert np.array_equal(aoc.bias(model, ys), rows)
+    for block, want in zip(ys, rows):
+        assert np.array_equal(aoc.bias(model, block), want)
+
+
+@pytest.mark.parametrize("kind", ["so3", "random6"])
+def test_bias_matches_sharp_ad_star_flat(kind, so3_j123, rng):
+    model = so3_j123 if kind == "so3" else random_model(rng, 6)
+    ys = rng.standard_normal((1000, model.n))
+    ref = aoc.sharp(model, aoc.ad_star(model, ys, aoc.flat(model, ys)))
+    assert np.abs(aoc.bias(model, ys) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 def test_restrict_covector(so3_m2, so3_j123):
     assert_allclose(aoc.restrict_covector(so3_m2, [5.0, 7.0, 9.0]), [5.0, 7.0, 0.0])
     assert_allclose(aoc.restrict_covector(so3_j123, [5.0, 7.0, 9.0]), [5.0, 7.0, 9.0])

@@ -145,8 +145,7 @@ def test_zoh_rollout_batch_matches_loop(so3_j123_group, rng):
     for b in range(5):
         _, xs1, ys1 = zoh_rollout(so3_j123_group, np.eye(3),
                                   np.array([0.1, 0, 0]), U[b], 1.0)
-        assert_allclose(xs[-1][b], xs1[-1], atol=0.0)
-        assert_allclose(ys[-1][b], ys1[-1], atol=0.0)
+        assert np.array_equal(xs[:, b], xs1) and np.array_equal(ys[:, b], ys1)
 
 
 def segment_chain(gm, x0, y0, U, T, spb):

@@ -20,8 +20,9 @@ from numpy.testing import assert_allclose
 import aoc
 from aoc.dynamics import State
 from aoc.groups import dexpinv, rkmk_coupled_step, rkmk_integrate
-from aoc.pmp import (Costate, ExtremalPoint, eliminate_control, extremal_field,
-                     extremal_rhs, min_acc_cost, propagate_endpoints, quadratic_cost)
+from aoc.pmp import (Costate, ExtremalPoint, _quadratic_tensor, eliminate_control,
+                     extremal_field, extremal_rhs, min_acc_cost, propagate_endpoints,
+                     quadratic_cost)
 from aoc.shooting import (BoundaryProblem, _residual_and_jacobian, _residual_batch,
                           boundary_residual)
 
@@ -115,6 +116,18 @@ def test_fused_field_matches_extremal_rhs(case):
         r = extremal_rhs(model, None, cost, ExtremalPoint(s, Costate(mu, xi), u))
         assert_allclose(row, np.concatenate([r.ydot, r.mudot, r.xidot]), rtol=0, atol=1e-13)
         assert_allclose(rhs(0, 0.0, None, v)[1], row, rtol=0, atol=0)
+
+
+@given(algebras)
+@SETTINGS
+def test_fused_y_block_is_the_drift_matrix(case):
+    # the block bias contracts, bitwise the einsum of sharp(ad_star(y, flat y))
+    model, _, rng = draw(*case)
+    n = model.n
+    K = _quadratic_tensor(model, spd(rng, model.m)).reshape(3, n, n + 1, 3, n)
+    assert np.array_equal(K[0, :, 1:, 0], model.drift.reshape(n, n, n).transpose(1, 2, 0))
+    ref = np.einsum("lj,kij,kp->lip", model.inertia_inv, model.C, model.inertia)
+    assert np.array_equal(K[0, :, 1:, 0], ref)
 
 
 @given(algebras)

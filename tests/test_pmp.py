@@ -232,6 +232,21 @@ def test_running_cost_of_a_constant_on_every_grid(K):
     assert running_cost(one, traj) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("K", [1, 2, 3, 200, 201])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_batched_quadratic_running_cost_is_the_per_point_sum(K, m, rng):
+    # the same cost without its quad_weight takes the per-point cost.eval loop
+    model = aoc.so3_model((1.0, 2.0, 3.0), m=m)
+    A = rng.standard_normal((m, m))
+    cost = quadratic_cost(model, A @ A.T + np.eye(m))
+    per_point = dataclasses.replace(cost, quad_weight=None)
+    traj = Trajectory(times=np.linspace(0.0, 1.0, K + 1),
+                      xs=np.broadcast_to(np.eye(3), (K + 1, 3, 3)),
+                      ys=rng.standard_normal((K + 1, 3)),
+                      us=rng.standard_normal((K + 1, m)) * 10.0)
+    assert running_cost(cost, traj) == running_cost(per_point, traj)
+
+
 def test_flow_hamiltonian_drift_small(so3_j123, so3_j123_group):
     cost = min_acc_cost(so3_j123)
     a0 = point(np.eye(3), [0.3, -0.2, 0.4], [0.5, 0.1, -0.3], [0.2, 0.4, -0.1], np.zeros(3))
