@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Seeded shooting traffic: ``solve_shooting`` on so(3) targets, per source tree.
+
+Target k of a kind draws rng = default_rng([7, k]), then an axis
+rng.standard_normal(3) (normalised) and an angle rng.uniform(lo, hi).  Every
+target is rest to rest from the identity, with T = 1, inertia (1, 2, 3), the
+minimum covariant acceleration cost and the default solver arguments.
+
+    act    m = 3, 0.2-1.0 rad
+    under  m = 2, 0.2-0.8 rad
+    wide   m = 2, 1.0-3.1 rad
+
+Each ``--src`` is a source tree holding the ``aoc`` package (say ``src`` of a
+checkout of another commit, and ``src`` of this one); by default it is this
+tree's.  Each tree gets its own copy of the package, and the trees take turns
+to run first, target by target.  For each steps and kind, and each side, the
+summary prints the converged targets, the flows on the requested grid and on
+the coarse grid, the LM steps, the wall time of the solves and the summed
+running cost of the converged targets.  With two sides it adds how many
+targets reach the same extremal (running cost within 1e-6 relative) and the
+largest relative cost difference.
+
+    python scripts/shooting_traffic.py --src ../parent/src --src src --json rows.json
+"""
+
+import argparse
+import importlib
+import json
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+KINDS = {"act": (3, 0.2, 1.0), "under": (2, 0.2, 0.8), "wide": (2, 1.0, 3.1)}
+
+
+def load(src):
+    """The ``aoc`` package of the tree ``src``, imported apart from any other copy."""
+    def drop():
+        for name in [k for k in sys.modules if k == "aoc" or k.startswith("aoc.")]:
+            del sys.modules[name]
+
+    drop()
+    sys.path.insert(0, str(src))
+    try:
+        aoc = importlib.import_module("aoc")
+    finally:
+        sys.path.remove(str(src))
+        drop()
+    return aoc
+
+
+def target(k, lo, hi):
+    rng = np.random.default_rng([7, k])
+    axis = rng.standard_normal(3)
+    return axis / np.linalg.norm(axis), rng.uniform(lo, hi)
+
+
+def solve(aoc, m, axis, angle, steps):
+    model = aoc.so3_model((1.0, 2.0, 3.0), m=m)
+    gm = aoc.so3_group(model)
+    cost = aoc.min_acc_cost(model)
+    prob = aoc.BoundaryProblem(x0=np.eye(3), xT=aoc.exp_map(gm, axis, angle),
+                               y0=np.zeros(3), yT=np.zeros(3), T=1.0, steps=steps)
+    t0 = time.perf_counter()
+    res = aoc.solve_shooting(model, gm, cost, prob)
+    wall = time.perf_counter() - t0
+    return {"converged": bool(res.converged), "requested": res.flows - res.coarse_flows,
+            "coarse": res.coarse_flows, "lm_steps": res.iterations, "wall_s": wall,
+            "cost": None if res.trajectory is None else aoc.running_cost(cost, res.trajectory)}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--src", action="append", type=Path,
+                    help="a source tree holding the aoc package; give it once per side")
+    ap.add_argument("--kinds", nargs="+", choices=sorted(KINDS), default=["act", "under", "wide"])
+    ap.add_argument("--steps", type=int, nargs="+", default=[50, 200])
+    ap.add_argument("--targets", type=int, default=12)
+    ap.add_argument("--json", type=Path, help="also write the rows here")
+    args = ap.parse_args()
+    srcs = args.src or [ROOT / "src"]
+    sides = [load(src) for src in srcs]
+
+    rows = []
+    for steps in args.steps:
+        for kind in args.kinds:
+            m, lo, hi = KINDS[kind]
+            runs = [[] for _ in sides]
+            for k in range(args.targets):
+                axis, angle = target(k, lo, hi)
+                order = range(len(sides)) if k % 2 == 0 else reversed(range(len(sides)))
+                for s in order:
+                    runs[s].append(solve(sides[s], m, axis, angle, steps))
+            row = {"steps": steps, "kind": kind, "targets": args.targets}
+            for key in ("converged", "requested", "coarse", "lm_steps"):
+                row[key] = [sum(r[key] for r in side) for side in runs]
+            row["wall_s"] = [round(sum(r["wall_s"] for r in side), 3) for side in runs]
+            row["cost"] = [sum(r["cost"] for r in side if r["converged"]) for side in runs]
+            if len(sides) == 2:
+                rel = [abs(a["cost"] - b["cost"]) / abs(a["cost"])
+                       for a, b in zip(*runs) if a["converged"] and b["converged"]]
+                row["same_extremal"] = sum(x <= 1e-6 for x in rel)
+                row["max_cost_rel"] = max(rel, default=0.0)
+            rows.append(row)
+            print(" ".join(f"{key}={value}" for key, value in row.items()), flush=True)
+    if args.json:
+        args.json.write_text(json.dumps({"sources": [str(s) for s in srcs], "rows": rows},
+                                        indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

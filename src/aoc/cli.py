@@ -272,7 +272,9 @@ def _out_base(path):
 
 
 def _write_json(path, payload):
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a non-finite float anywhere in ``payload`` raises ValueError
+    rather than writing a bare Infinity or NaN."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 class Setup(NamedTuple):
@@ -340,8 +342,10 @@ def cmd_extremal(s, costate):
 
 def cmd_shoot(s, solver):
     result = shooting.solve_shooting(s.model, s.gm, s.cost, s.problem, **solver)
+    # the residual is inf when no start's seed flow succeeded; JSON has null for it
+    residual = result.residual_norm if np.isfinite(result.residual_norm) else None
     payload = {"mu0": list(result.mu0), "xi0": list(result.xi0),
-               "residual_norm": result.residual_norm, "iterations": result.iterations,
+               "residual_norm": residual, "iterations": result.iterations,
                "converged": result.converged}
     if result.trajectory is not None:
         payload["cost"] = pmp.running_cost(s.cost, result.trajectory)

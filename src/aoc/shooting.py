@@ -6,18 +6,20 @@ error yT - y(T), so a zero residual is exactly the boundary conditions.
 The direct oracle closes the same boundary conditions with the same
 residual, ``endpoint_residual``.
 
-Each LM step is one batched propagation (see ``propagate_endpoints``)
-of 4n + 1 rows: the trial point and its central-difference
-perturbations, with per-column steps fd_step (1 + |component|).  An
-accepted step therefore already has its Jacobian, and a rejected one
-costs a single flow.  A batch whose flow blows up or whose boundary log
-is ill-posed is a rejected step (a failed start at the seed); no row is
-rerun on its own.  The damping follows Nielsen's gain-ratio rule (H. B.
-Nielsen, "Damping parameter in Marquardt's method", 1999): it starts at
-1e-6 max diag(J^T J), shrinks by max(1/3, 1 - (2 rho - 1)^3) after an
-accepted step and grows by a doubling factor after a rejected one.  A
-start ends on convergence, after ``max_iter`` steps, when the damping
-exceeds 1e16 or when the step is negligible against theta.
+Each LM step of a run from a seed is one batched propagation (see
+``propagate_endpoints``) of 4n + 1 rows: the trial point and its
+central-difference perturbations, with per-column steps
+fd_step (1 + |component|).  An accepted step therefore already has its
+Jacobian, and a rejected one costs a single flow.  (A continuation on
+the requested grid, below, steps with a carried Jacobian instead.)  A
+batch whose flow blows up or whose boundary log is ill-posed is a
+rejected step (a failed start at the seed); no row is rerun on its own.
+The damping follows Nielsen's gain-ratio rule (H. B. Nielsen, "Damping
+parameter in Marquardt's method", 1999): it starts at 1e-6 max
+diag(J^T J), shrinks by max(1/3, 1 - (2 rho - 1)^3) after an accepted
+step and grows by a doubling factor after a rejected one.  A start ends
+on convergence, after ``max_iter`` steps, when the damping exceeds 1e16
+or when the step is negligible against theta.
 
 For underactuated problems (m < n) the unactuated directions are reached
 only through brackets, so the residual is strongly curved in the
@@ -40,23 +42,32 @@ Each start is nested over two grids (nested iteration; P. Deuflhard,
 to the same tol on a coarse copy of the problem with
 max(COARSE_MIN_STEPS, steps // COARSE_DIVISOR) steps, when the requested
 grid is at least COARSE_RATIO times longer, and then continues on the
-requested grid from the coarse costates with the damping (lambda, nu) it
-reached, so the early steps far from the root cost short flows.  When
-that continuation does not converge, the start reruns on the requested
-grid from its seed with fresh damping, the single-grid run.  A start
-whose coarse run does not converge takes no requested-grid flow: the
-solve moves on to the next seed, so a stalled start costs only coarse
-flows.  When no start converges this way, the solve is the single-grid
-multi-start (every seed's run on the requested grid, each run at most
-once), bitwise the solve without a coarse grid, so nesting never loses
-a convergence.  ``max_iter`` caps the steps of each run, so a start takes
-at most 3 max_iter steps.  ``ShootingResult.iterations`` counts the
-steps on both grids, ``flows`` every propagation of a solve (seeds,
-probes and trials, on both grids) and ``coarse_flows`` those on the
-coarse grid.
+requested grid from the coarse costates with the damping (lambda, nu) and
+the Jacobian it reached, so the early steps far from the root cost short
+flows.  The continuation is Deuflhard's simplified Newton iteration: the
+root moves by only O(h_coarse^4) between the grids, so the coarse Jacobian
+still gives good steps, and each of its evaluations is a 1-row flow of
+the residual alone.  While the Jacobian is stale (not taken at the
+current theta) a step takes no geodesic probe.  A step rejected with a
+stale Jacobian costs one 4n-row flow at theta, the perturbation rows
+alone since r(theta) is known, which refreshes it; the retry keeps
+(lambda, nu), and only a step rejected with a fresh Jacobian grows the
+damping.  When that continuation does not converge, the start reruns on
+the requested grid from its seed with fresh damping, the single-grid
+run.  A start whose coarse run does not converge takes no requested-grid
+flow: the solve moves on to the next seed, so a stalled start costs only
+coarse flows.  When no start converges this way, the solve is the
+single-grid multi-start (every seed's run on the requested grid, each
+run at most once), bitwise the solve without a coarse grid, so nesting
+never loses a convergence.  ``max_iter`` caps the steps of each run, so a
+start takes at most 3 max_iter steps.  ``ShootingResult.iterations``
+counts the steps on both grids, ``flows`` every propagation of a solve
+(seeds, probes, trials and refreshes, on both grids) and ``coarse_flows``
+those on the coarse grid.
 
-Every 4n + 1-row flow on the requested grid records its states there
-(coarse flows record nothing), so the returned trajectory is row 0 of
+On the requested grid, the 4n + 1-row flows of a run from a seed and the
+1-row flows of a continuation record their states (coarse flows, probes
+and refreshes record nothing), so the returned trajectory is row 0 of
 the last accepted requested-grid flow of the best start (its seed flow
 when no step was accepted): bitwise the flow of the returned costates,
 with no flow run for it.  It is None only when no start's seed flow
@@ -147,30 +158,37 @@ def boundary_residual(model, gm, cost, problem, mu0, xi0) -> np.ndarray:
     return _residual_batch(model, gm, cost, problem, theta[None, :])[0]
 
 
-def _residual_and_jacobian(model, gm, cost, problem, theta, fd_step, record=True):
+def _residual_and_jacobian(model, gm, cost, problem, theta, fd_step, record=True,
+                           residual=True, jacobian=True):
     """Residual at theta, its central-difference Jacobian and the flow from theta,
     from one batched flow.
 
     Row 0 of the batch is theta; rows 1..p and p+1..2p add and subtract
     the per-column steps fd_step (1 + |theta_i|).  The flow is row 0's
     (xs, vs) on the grid, as ``flow_extremal`` records it, or None when
-    not ``record``.  Returns None when the flow blows up or a boundary log
-    is ill-posed anywhere in the batch.
+    not ``record``.  Without ``residual`` the batch is only the 2p
+    perturbation rows, and without ``jacobian`` only row 0; the residual,
+    the Jacobian or the flow that is not computed is None.  Each row keeps
+    its bits in any of these batches.  Returns None when the flow blows up
+    or a boundary log is ill-posed anywhere in the batch.
     """
     p = len(theta)
     h = fd_step * (1.0 + np.abs(theta))
-    steps, d, rows = int(problem.steps), gm.rep_dim, 2 * p + 1
+    blocks = ([np.zeros(p)] if residual else []) + ([np.diag(h), -np.diag(h)] if jacobian else [])
+    steps, d, rows = int(problem.steps), gm.rep_dim, residual + 2 * p * jacobian
     out = None
-    if record:
+    if record and residual:
         out = np.empty((steps + 1, rows, d, d)), np.empty((steps + 1, rows, 3 * model.n))
     try:
-        res = _residual_batch(model, gm, cost, problem,
-                              theta + np.vstack([np.zeros(p), np.diag(h), -np.diag(h)]),
-                              out=out)
+        res = _residual_batch(model, gm, cost, problem, theta + np.vstack(blocks), out=out)
     except (NonFinite, AngleOutOfRange):
         return None
     flow = None if out is None else (out[0][:, 0], out[1][:, 0])
-    return res[0], (res[1:p + 1] - res[p + 1:]).T / (2.0 * h), flow
+    J = None
+    if jacobian:
+        pert = res[int(residual):]
+        J = (pert[:p] - pert[p:]).T / (2.0 * h)
+    return (res[0] if residual else None), J, flow
 
 
 def _start_points(n):
@@ -183,23 +201,36 @@ def _start_points(n):
     return seeds
 
 
-def _levenberg_marquardt(evaluate, theta0, tol, max_iter, probe=None, damping=None):
+def _levenberg_marquardt(evaluate, theta0, tol, max_iter, probe=None, damping=None,
+                         jacobian=None):
     """Levenberg-Marquardt with Nielsen's gain-ratio damping update.
 
-    ``evaluate(theta)`` returns (r, J, flow) or None, so every step costs
-    one call: a rejected trial is one lost flow, and an accepted one
-    already carries the Jacobian of the next step.  With ``probe(theta)``,
-    which returns r or None, each step adds the geodesic acceleration of
-    the module docstring.  ``damping`` is the (lambda, nu) to start from,
-    by default 1e-6 max diag(J^T J) and 2.  Returns (theta, sup-norm
-    residual, steps, converged, flow of theta, damping reached), the flow
-    None when the seed failed.
+    ``evaluate(theta, residual=True, jacobian=True)`` returns (r, J, flow)
+    or None, each part None when not asked for, so every step costs one
+    call: a rejected trial is one lost flow, and an accepted one already
+    carries the Jacobian of the next step.  With ``probe(theta)``, which
+    returns r or None, each step adds the geodesic acceleration of the
+    module docstring.  ``damping`` is the (lambda, nu) to start from, by
+    default 1e-6 max diag(J^T J) and 2.
+
+    A carried ``jacobian`` makes the run a simplified Newton iteration:
+    every evaluation is residual only, and steps use the carried J until a
+    step is rejected while J is stale (not taken at theta).  That rejection
+    refreshes J at theta from the perturbation rows alone and retries with
+    the same (lambda, nu); only a rejection with a fresh J grows the
+    damping, and a refresh that fails ends the run.  A stale J takes no
+    probe.  Returns (theta, sup-norm residual, steps, converged, flow of
+    theta, damping reached, last J), the flow None when the seed failed.
     """
     theta = np.asarray(theta0, dtype=float).copy()
-    point = evaluate(theta)
+    carried = jacobian is not None
+    point = evaluate(theta, jacobian=not carried)
     if point is None:
-        return theta, np.inf, 0, False, None, damping
+        return theta, np.inf, 0, False, None, damping, jacobian
     r, J, flow = point
+    if carried:
+        J = jacobian
+    fresh = not carried
     lam, nu = damping if damping is not None else (1e-6 * (J ** 2).sum(axis=0).max(), 2.0)
     steps = 0
     while np.abs(r).max() >= tol and steps < max_iter and lam <= 1e16:
@@ -213,7 +244,7 @@ def _levenberg_marquardt(evaluate, theta0, tol, max_iter, probe=None, damping=No
             break
         steps += 1
         step = delta
-        if probe is not None:
+        if probe is not None and fresh:
             r_h = probe(theta + GEO_H * delta)
             step = None
             if r_h is not None:
@@ -221,17 +252,23 @@ def _levenberg_marquardt(evaluate, theta0, tol, max_iter, probe=None, damping=No
                 a = -np.linalg.solve(A, J.T @ r_vv)
                 if 2.0 * np.linalg.norm(a) <= GEO_ALPHA * np.linalg.norm(delta):
                     step = delta + 0.5 * a
-        trial = None if step is None else evaluate(theta + step)
+        trial = None if step is None else evaluate(theta + step, jacobian=not carried)
         gain = -1.0 if trial is None else (r @ r - trial[0] @ trial[0]) / (delta @ (lam * delta - g))
         if gain > 0:
-            theta, (r, J, flow) = theta + step, trial
+            theta, (r, J_trial, flow) = theta + step, trial
+            J, fresh = (J, False) if carried else (J_trial, True)
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             nu = 2.0
+        elif not fresh:
+            point = evaluate(theta, residual=False)
+            if point is None:
+                break
+            J, fresh = point[1], True
         else:
             lam *= nu
             nu *= 2.0
     norm = float(np.abs(r).max())
-    return theta, norm, steps, norm < tol, flow, (lam, nu)
+    return theta, norm, steps, norm < tol, flow, (lam, nu), J
 
 
 def solve_shooting(model, gm, cost, problem, initial_guess=None,
@@ -250,13 +287,14 @@ def solve_shooting(model, gm, cost, problem, initial_guess=None,
               if COARSE_RATIO * coarse_steps <= int(problem.steps) else None)
     counts = {"fine": 0, "coarse": 0, "iterations": 0}
 
-    def lm(prob, theta0, damping=None):
+    def lm(prob, theta0, damping=None, J0=None):
         record = prob is problem
         grid = "fine" if record else "coarse"
 
-        def evaluate(theta):
+        def evaluate(theta, residual=True, jacobian=True):
             counts[grid] += 1
-            return _residual_and_jacobian(model, gm, cost, prob, theta, fd_step, record)
+            return _residual_and_jacobian(model, gm, cost, prob, theta, fd_step, record,
+                                          residual, jacobian)
 
         def probe(theta):
             counts[grid] += 1
@@ -266,7 +304,7 @@ def solve_shooting(model, gm, cost, problem, initial_guess=None,
                 return None
 
         run = _levenberg_marquardt(evaluate, theta0, tol, max_iter,
-                                   probe if model.m < n else None, damping)
+                                   probe if model.m < n else None, damping, J0)
         counts["iterations"] += run[2]
         return run
 
@@ -286,9 +324,9 @@ def solve_shooting(model, gm, cost, problem, initial_guess=None,
 
     found = None
     for i in range(len(starts) if coarse is not None else 0):
-        theta_c, _, _, ok, _, damping = lm(coarse, starts[i])
+        theta_c, _, _, ok, _, damping, J_c = lm(coarse, starts[i])
         if ok:
-            run = lm(problem, theta_c, damping)
+            run = lm(problem, theta_c, damping, J_c)
             if not run[3]:
                 run = single(i)
             if run[3]:
@@ -303,7 +341,7 @@ def solve_shooting(model, gm, cost, problem, initial_guess=None,
             if run[3]:
                 break
 
-    theta, norm, _, ok, flow, _ = found
+    theta, norm, _, ok, flow, _, _ = found
     trajectory = None if flow is None else pmp.extremal_trajectory(model, gm, cost,
                                                                    problem.T, *flow)
     return ShootingResult(mu0=theta[:n].copy(), xi0=theta[n:].copy(),

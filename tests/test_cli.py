@@ -135,6 +135,31 @@ def test_shoot_nonconvergence_exit_code(tmp_path):
     assert (tmp_path / "out.json").exists()  # best iterate still written
 
 
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_shoot_without_a_seed_flow_writes_strict_json(tmp_path):
+    # a half-turn in T = 1000 over 2 steps: every seed's flow fails, so no
+    # residual is known and the summary carries null for it
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={"x0": [0, 0, 0], "xT": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+                               "y0": [0, 0, 0], "yT": [0, 0, 0], "T": 1000.0, "steps": 2})
+    assert main(["shoot", "--config", str(cfg)]) == 4
+    payload = strict_json((tmp_path / "out.json").read_text())
+    assert payload["residual_norm"] is None and payload["converged"] is False
+    assert "cost" not in payload and not (tmp_path / "out.csv").exists()
+
+
+def test_json_summaries_reject_other_non_finite_values(tmp_path):
+    with pytest.raises(ValueError):
+        aoc.cli._write_json(tmp_path / "out.json", {"gap": float("nan")})
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_compare_abelian_small_gap(tmp_path):
     cfg = tmp_path / "cfg.json"
     write_config(cfg, algebra={"kind": "abelian", "n": 1},

@@ -8,7 +8,8 @@ to be a valid model (Jacobi identity included) whose connection is metric
 compatible and whose extremal field is Hamiltonian.  The batch tests pin the
 bitwise equality of a batched flow with each of its rows run alone, of
 the split x-independent flow with a loop of coupled steps, and of
-shooting's fused residual-and-Jacobian batch with separate flows.
+shooting's fused residual-and-Jacobian batch with separate flows and with
+its row subsets (the residual row alone, the perturbation rows alone).
 """
 
 import numpy as np
@@ -234,3 +235,24 @@ def test_so3_underactuated_fused_step_is_bitwise_separate_flows(so3_m2_problem):
         plus = _residual_batch(model, gm, cost, prob, theta + e)[0]
         minus = _residual_batch(model, gm, cost, prob, theta - e)[0]
         assert np.array_equal(J[:, i], (plus - minus) / (2.0 * h[i]))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_shooting_row_subsets_keep_their_bits(m):
+    # a Jacobian refresh runs only the 4n perturbation rows and a continuation
+    # step only row 0; each gives the bits of the full 4n + 1-row batch
+    model = aoc.so3_model((1.0, 2.0, 3.0), m=m)
+    gm = aoc.so3_group(model)
+    cost = min_acc_cost(model)
+    prob = BoundaryProblem(x0=np.eye(3), xT=aoc.exp_map(gm, np.array([0.3, 0.2, 0.1])),
+                           y0=np.zeros(3), yT=np.zeros(3), T=1.0, steps=20)
+    theta = np.random.default_rng(7).uniform(-2.0, 2.0, 6)
+    r, J, flow = _residual_and_jacobian(model, gm, cost, prob, theta, 1e-6)
+    r_only, no_J, row_flow = _residual_and_jacobian(model, gm, cost, prob, theta, 1e-6,
+                                                    jacobian=False)
+    no_r, J_only, no_flow = _residual_and_jacobian(model, gm, cost, prob, theta, 1e-6,
+                                                   residual=False)
+    assert no_J is None and no_r is None and no_flow is None
+    assert np.array_equal(J_only, J)
+    assert np.array_equal(r_only, r)
+    assert all(np.array_equal(a, b) for a, b in zip(row_flow, flow))

@@ -30,6 +30,11 @@ def test_script_runs(argv):
     assert "direct" in run_script(*argv)
 
 
+def test_shooting_traffic_script_runs():
+    out = run_script("shooting_traffic.py", "--kinds", "act", "--steps", "50", "--targets", "2")
+    assert "converged=[2]" in out
+
+
 def test_integrator_order_script_runs():
     out = run_script("integrator_order.py", "--base-steps", "10", "--doublings", "2")
     assert out.split()[0] == "steps"

@@ -93,8 +93,10 @@ def test_criterion_7_problem_converges_in_few_steps():
 
 
 def test_fully_actuated_steps_take_no_probe_flow(monkeypatch):
-    # m = n: plain LM, one seed flow per grid plus one 4n + 1-row flow per step,
-    # and the trajectory comes from the last accepted flow, not from a flow of its own
+    # m = n: plain LM, one seed flow per grid plus one flow per step: 4n + 1 rows
+    # on the coarse grid, 1 row on the requested grid, which carries the coarse
+    # Jacobian; the trajectory comes from the last accepted flow, not from a flow
+    # of its own
     widths = []
     propagate = aoc.pmp.propagate_endpoints
 
@@ -112,7 +114,7 @@ def test_fully_actuated_steps_take_no_probe_flow(monkeypatch):
     # the coarse phase converged, so each grid ran one seed flow
     assert 0 < res.coarse_flows < res.flows
     assert res.flows == res.iterations + 2 == len(widths)
-    assert widths == [4 * 3 + 1] * len(widths)
+    assert widths == [4 * 3 + 1] * res.coarse_flows + [1] * (res.flows - res.coarse_flows)
     assert res.trajectory is not None
 
 
@@ -132,12 +134,34 @@ def test_criterion_8_problem_steps_and_costates():
                     rtol=1e-6)
 
 
+def spy_flows(monkeypatch, problem):
+    """Record (steps, theta rows, recorded, residuals) of every flow of the solve."""
+    flows = []
+    propagate = aoc.pmp.propagate_endpoints
+
+    def counted(*args, out=None):
+        xT, yT = propagate(*args, out=out)
+        flows.append((args[8], np.hstack([args[5], args[6]]), out is not None,
+                      aoc.shooting.endpoint_residual(args[1], problem, xT, yT)))
+        return xT, yT
+
+    monkeypatch.setattr(aoc.pmp, "propagate_endpoints", counted)
+    return flows
+
+
 @pytest.mark.parametrize("m, axis, angle, steps", [(3, (0.0, 0.0, 1.0), 0.5, 200),
                                                    (2, CRIT8_AXIS, 0.4, 50)])
-def test_trajectory_is_bitwise_the_flow_of_the_returned_costates(m, axis, angle, steps):
+def test_trajectory_is_bitwise_the_flow_of_the_returned_costates(monkeypatch, m, axis, angle,
+                                                                 steps):
+    # the requested grid runs 1-row flows only (no 4n + 1-row flow records the
+    # trajectory), and the trajectory is still the flow of the returned costates
     model, gm, cost, prob = so3_problem(m=m, axis=axis, angle=angle, steps=steps)
+    flows = spy_flows(monkeypatch, prob)
     res = solve_shooting(model, gm, cost, prob)
     assert res.converged
+    fine = [f for f in flows if f[0] == steps]
+    assert len(fine) == res.flows - res.coarse_flows > 0
+    assert all(len(f[1]) == 1 and f[2] for f in fine)
     a0 = ExtremalPoint(State(prob.x0, prob.y0), Costate(res.mu0, res.xi0), np.zeros(m))
     ref = flow_extremal(model, gm, cost, a0, prob.T, prob.steps)
     for name in ("times", "xs", "ys", "us", "mus", "xis", "hams"):
@@ -149,7 +173,8 @@ def test_trajectory_is_bitwise_the_flow_of_the_returned_costates(m, axis, angle,
                          ids=["criterion-7", "criterion-8"])
 def test_coarse_flows_come_first(monkeypatch, m, axis, angle, steps):
     # the coarse grid has max(16, steps // 8) steps and records nothing; on the
-    # requested grid only the 4n + 1-row flows record, not the 1-row probes
+    # requested grid the 1-row residual flows record, and neither a Jacobian
+    # refresh nor a probe (these targets take neither)
     flows = []
     propagate = aoc.pmp.propagate_endpoints
 
@@ -163,7 +188,7 @@ def test_coarse_flows_come_first(monkeypatch, m, axis, angle, steps):
     coarse, fine = flows[:res.coarse_flows], flows[res.coarse_flows:]
     assert coarse and fine
     assert all(f[0] == max(16, steps // 8) and not f[2] for f in coarse)
-    assert all(f[0] == steps and f[2] == (f[1] == 13) for f in fine)
+    assert all(f[0] == steps and f[2] == (f[1] == 1) for f in fine)
 
 
 @pytest.mark.parametrize("steps", [50, 200])
@@ -248,8 +273,9 @@ def test_failed_continuation_reruns_the_seed_on_the_requested_grid(monkeypatch):
     single = single_grid(monkeypatch, problem)
     lm = aoc.shooting._levenberg_marquardt
 
-    def cut(evaluate, theta0, tol, max_iter, probe=None, damping=None):
-        return lm(evaluate, theta0, tol, 0 if damping is not None else max_iter, probe, damping)
+    def cut(evaluate, theta0, tol, max_iter, probe=None, damping=None, jacobian=None):
+        return lm(evaluate, theta0, tol, 0 if damping is not None else max_iter, probe, damping,
+                  jacobian)
 
     monkeypatch.setattr(aoc.shooting, "_levenberg_marquardt", cut)
     nested = solve_shooting(*problem)
@@ -257,6 +283,65 @@ def test_failed_continuation_reruns_the_seed_on_the_requested_grid(monkeypatch):
     assert_same_iterate(nested, single)
     # the continuation's seed flow, then the single-grid run
     assert nested.flows - nested.coarse_flows == 1 + single.flows
+
+
+def wide_target():
+    # a "wide" target of scripts/shooting_traffic.py (k = 8): about 2.30 rad
+    rng = np.random.default_rng([7, 8])
+    axis = rng.standard_normal(3)
+    return axis / np.linalg.norm(axis), rng.uniform(1.0, 3.1)
+
+
+def test_rejected_step_with_a_stale_jacobian_refreshes_it(monkeypatch):
+    axis, angle = wide_target()
+    problem = so3_problem(m=2, axis=axis, angle=angle, steps=50)
+    prob = problem[3]
+    lm = aoc.shooting._levenberg_marquardt
+    continuations = []
+
+    def spy(evaluate, theta0, tol, max_iter, probe=None, damping=None, jacobian=None):
+        if jacobian is not None:
+            continuations.append((evaluate, theta0, tol, probe, damping, jacobian))
+        return lm(evaluate, theta0, tol, max_iter, probe, damping, jacobian)
+
+    monkeypatch.setattr(aoc.shooting, "_levenberg_marquardt", spy)
+    flows = spy_flows(monkeypatch, prob)
+    res = solve_shooting(*problem)
+    assert res.converged and len(continuations) == 1
+    # with a fresh Jacobian on every step the requested grid took 42 flows
+    fine = [f for f in flows if f[0] == 50]
+    assert len(fine) == res.flows - res.coarse_flows <= 10
+    refreshes = [k for k, f in enumerate(fine) if len(f[1]) == 12]
+    assert len(refreshes) == 1
+    k = refreshes[0]
+    assert not fine[k][2]
+    # the iterate is the last recorded flow that lowered |r|, since a step is
+    # accepted exactly when it does; the flow before the refresh was rejected
+    current = None
+    for _, thetas, recorded, r in fine[:k]:
+        assert recorded and len(thetas) == 1
+        if current is None or r[0] @ r[0] < current[1] @ current[1]:
+            current = thetas[0], r[0]
+    theta, r = current
+    assert fine[k - 1][3][0] @ fine[k - 1][3][0] >= r @ r
+    h = 1e-6 * (1.0 + np.abs(theta))
+    assert np.array_equal(fine[k][1], theta + np.vstack([np.diag(h), -np.diag(h)]))
+    # rerun the continuation one step at a time: the step that refreshes leaves
+    # (lambda, nu) as the step before left it
+    evaluate, theta0, tol, probe, damping, J0 = continuations[0]
+    reached = [damping]
+    for steps in range(1, res.iterations + 1):
+        start = len(flows)
+        reached.append(lm(evaluate, theta0, tol, steps, probe, damping, J0)[5])
+        if any(len(f[1]) == 12 for f in flows[start:]):
+            break
+    assert len(reached) > 2 and reached[-1] == reached[-2] and reached[-2] != damping
+    # the same extremal as the single-grid solve
+    single = single_grid(monkeypatch, problem)
+    assert single.converged
+    c = problem[2]
+    assert running_cost(c, res.trajectory) == pytest.approx(running_cost(c, single.trajectory),
+                                                            rel=1e-7)
 
 
 @pytest.mark.parametrize("m, axis, angle, steps, cost", [
