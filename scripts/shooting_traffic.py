@@ -18,9 +18,18 @@ summary prints the converged targets, the flows on the requested grid and on
 the coarse grid, the LM steps, the wall time of the solves and the summed
 running cost of the converged targets.  With two sides it adds how many
 targets reach the same extremal (running cost within 1e-6 relative) and the
-largest relative cost difference.
+largest relative cost difference.  ``--json`` writes these rows and, per
+target, the converged flag and running cost of each side.
+
+``--check FILE`` runs one side and compares each target with its record in
+FILE, a ``--json`` file: the converged flag must match and the cost must be
+within CHECK_RTOL relative.  It prints every target that does not and exits
+1 if there is one.  ``shooting_corpus.json`` next to this script is the
+pinned corpus of all 72 targets; a change that moves an answer rewrites it
+with ``--json`` and says why.
 
     python scripts/shooting_traffic.py --src ../parent/src --src src --json rows.json
+    python scripts/shooting_traffic.py --check scripts/shooting_corpus.json
 """
 
 import argparse
@@ -34,6 +43,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 KINDS = {"act": (3, 0.2, 1.0), "under": (2, 0.2, 0.8), "wide": (2, 1.0, 3.1)}
+CHECK_RTOL = 1e-6
 
 
 def load(src):
@@ -80,12 +90,16 @@ def main():
     ap.add_argument("--kinds", nargs="+", choices=sorted(KINDS), default=["act", "under", "wide"])
     ap.add_argument("--steps", type=int, nargs="+", default=[50, 200])
     ap.add_argument("--targets", type=int, default=12)
-    ap.add_argument("--json", type=Path, help="also write the rows here")
+    ap.add_argument("--json", type=Path, help="also write the rows and targets here")
+    ap.add_argument("--check", type=Path, metavar="FILE",
+                    help="compare each target with its record in this --json file")
     args = ap.parse_args()
     srcs = args.src or [ROOT / "src"]
+    if args.check and len(srcs) != 1:
+        ap.error("--check runs one side")
     sides = [load(src) for src in srcs]
 
-    rows = []
+    rows, targets = [], []
     for steps in args.steps:
         for kind in args.kinds:
             m, lo, hi = KINDS[kind]
@@ -95,6 +109,9 @@ def main():
                 order = range(len(sides)) if k % 2 == 0 else reversed(range(len(sides)))
                 for s in order:
                     runs[s].append(solve(sides[s], m, axis, angle, steps))
+                targets.append({"steps": steps, "kind": kind, "k": k,
+                                "converged": [side[k]["converged"] for side in runs],
+                                "cost": [side[k]["cost"] for side in runs]})
             row = {"steps": steps, "kind": kind, "targets": args.targets}
             for key in ("converged", "requested", "coarse", "lm_steps"):
                 row[key] = [sum(r[key] for r in side) for side in runs]
@@ -108,8 +125,33 @@ def main():
             rows.append(row)
             print(" ".join(f"{key}={value}" for key, value in row.items()), flush=True)
     if args.json:
-        args.json.write_text(json.dumps({"sources": [str(s) for s in srcs], "rows": rows},
-                                        indent=1) + "\n")
+        args.json.write_text(json.dumps({"sources": [str(s) for s in srcs], "rows": rows,
+                                         "targets": targets}, indent=1) + "\n")
+    if args.check:
+        sys.exit(check(targets, json.loads(args.check.read_text())["targets"]))
+
+
+def check(targets, pinned):
+    """Compare each run target with its pinned record; print the ones that
+    differ and return the exit code."""
+    pinned = {(t["steps"], t["kind"], t["k"]): t for t in pinned}
+    bad = 0
+    for t in targets:
+        key = (t["steps"], t["kind"], t["k"])
+        if key not in pinned:
+            print(f"check: steps={key[0]} kind={key[1]} k={key[2]} is not in the corpus")
+            bad += 1
+            continue
+        ok, cost = t["converged"][0], t["cost"][0]
+        ok0, cost0 = pinned[key]["converged"][0], pinned[key]["cost"][0]
+        same = ok == ok0 and (cost == cost0 if cost is None or cost0 is None
+                              else abs(cost - cost0) <= CHECK_RTOL * abs(cost0))
+        if not same:
+            print(f"check: steps={key[0]} kind={key[1]} k={key[2]} converged={ok} cost={cost}"
+                  f", pinned converged={ok0} cost={cost0}")
+            bad += 1
+    print(f"check: {len(targets) - bad} of {len(targets)} targets match the corpus")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

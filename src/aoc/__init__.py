@@ -7,8 +7,8 @@ direct-transcription oracle.
 
 from .algebra import (LieAlgebraModel, ValidationReport, abelian_model, ad_star,
                       bias, bracket, connection_bilinear, embed_control, flat,
-                      kinetic_energy, load_model, make_model, restrict_covector,
-                      sharp, so3_model, validate_model)
+                      kinetic_energy, load_model, make_model, sharp, so3_model,
+                      validate_model)
 from .direct import DirectResult, TranscriptionConfig, optimize_direct, transcription_objective
 from .dynamics import State, Trajectory, simulate, write_trajectory_csv, zero_control
 from .errors import (AngleOutOfRange, DimensionMismatch, NoConvergence,

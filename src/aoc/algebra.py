@@ -235,14 +235,6 @@ def bias(model, y) -> np.ndarray:
     return (M @ y[..., None])[..., 0]
 
 
-def restrict_covector(model, xi) -> np.ndarray:
-    """Zero the components of a covector outside the actuated subspace."""
-    xi = _check_dim(model, xi, "xi")
-    out = np.zeros_like(xi)
-    out[..., : model.m] = xi[..., : model.m]
-    return out
-
-
 def embed_control(model, u) -> np.ndarray:
     """Pad an m-vector of controls with n - m zeros."""
     u = np.asarray(u, dtype=float)

@@ -365,18 +365,20 @@ def cmd_compare(s, solver, oracle_cfg):
     indirect_cost = pmp.running_cost(s.cost, indirect.trajectory)
 
     direct_res = direct.optimize_direct(s.model, s.gm, s.cost, s.problem, oracle_cfg)
-    direct_cost = direct_res.running_cost
+    # an unconverged oracle has no answer to compare: null, not the values at its iterate
+    direct_cost = gap = sup = None
+    if direct_res.converged:
+        direct_cost = direct_res.running_cost
+        if abs(indirect_cost) > 1e-12:
+            gap = (direct_cost - indirect_cost) / indirect_cost
+        else:
+            gap = direct_cost - indirect_cost
 
-    if abs(indirect_cost) > 1e-12:
-        gap = (direct_cost - indirect_cost) / indirect_cost
-    else:
-        gap = direct_cost - indirect_cost
-
-    # compare controls at the direct segment midpoints
-    T, N, K = s.problem.T, oracle_cfg.segments, len(indirect.trajectory)
-    mids = (np.arange(N) + 0.5) * T / N
-    idx = np.clip(np.round(mids / T * (K - 1)).astype(int), 0, K - 1)
-    sup = float(np.abs(direct_res.U - indirect.trajectory.us[idx]).max())
+        # compare controls at the direct segment midpoints
+        T, N, K = s.problem.T, oracle_cfg.segments, len(indirect.trajectory)
+        mids = (np.arange(N) + 0.5) * T / N
+        idx = np.clip(np.round(mids / T * (K - 1)).astype(int), 0, K - 1)
+        sup = float(np.abs(direct_res.U - indirect.trajectory.us[idx]).max())
 
     payload = {
         "indirect_cost": indirect_cost,
@@ -393,12 +395,13 @@ def cmd_compare(s, solver, oracle_cfg):
     }
     _write_json(s.base.with_suffix(".json"), payload)
     print(f"wrote {s.base.with_suffix('.json')}")
-    print(f"indirect {indirect_cost:.6f}  direct {direct_cost:.6f}  gap {gap:+.4%}")
     if not direct_res.converged:
+        print(f"indirect {indirect_cost:.6f}")
         print(f"direct oracle did not converge (boundary error "
               f"{direct_res.boundary_error:.3e} after {direct_res.iterations} iterations)",
               file=sys.stderr)
         return 4
+    print(f"indirect {indirect_cost:.6f}  direct {direct_cost:.6f}  gap {gap:+.4%}")
     return 0
 
 

@@ -7,8 +7,8 @@ x from the stage velocities after its loop, by the Munthe-Kaas scheme.
 ``simulate`` samples the control callable at the RK stage times (no zero
 order hold inside a step).  ``zoh_rollout`` is one stepper call over all
 N * steps_per_segment steps; its right-hand side adds the drift of step
-k's segment, read from one table of all N segments.  Both hand the
-stepper their sample arrays, which it fills.  The drift ``bias`` is one
+k's segment, read from one table of all N segments.  Both return the
+stepper's record of the grid as their samples.  The drift ``bias`` is one
 stacked matmul against the model's ``drift`` matrix, the tensor that the
 extremal field of ``pmp`` reads its y-block from, so the rollouts and
 the extremal flows share one drift kernel.
@@ -81,11 +81,8 @@ def simulate(model, gm, s0, u, T, steps) -> Trajectory:
         uu = np.asarray(u(times[k] + c * h), dtype=float)
         return y, bias(model, y) + embed_control(model, uu)
 
-    xs = np.empty((steps + 1, gm.rep_dim, gm.rep_dim))
-    ys = np.empty((steps + 1, model.n))
+    xs, ys = groups.rkmk_integrate(gm, s0.x, s0.y, steps, h, rhs)
     us = np.empty((steps + 1, model.m))
-    xs[0], ys[0] = s0.x, s0.y
-    groups.rkmk_integrate(gm, xs[0], ys[0], steps, h, rhs, out=(xs, ys))
     for k, t in enumerate(times):
         us[k] = np.asarray(u(t), dtype=float)
     return Trajectory(times=times, xs=xs, ys=ys, us=us)
@@ -113,14 +110,12 @@ def zoh_rollout(gm, x0, y0, U, T, steps_per_segment=2):
     h = T / steps
     times = np.linspace(0.0, T, steps + 1)
     drifts = np.moveaxis(embed_control(gm.algebra, U), -2, 0)  # (N, B?, n)
-    ys = np.empty((steps + 1,) + drifts.shape[1:])
-    xs = np.empty((steps + 1,) + drifts.shape[1:-1] + (gm.rep_dim, gm.rep_dim))
-    xs[0], ys[0] = x0, y0
 
     def rhs(k, c, _x, y):
         return y, bias(gm.algebra, y) + drifts[k // spb]
 
-    groups.rkmk_integrate(gm, xs[0], ys[0], steps, h, rhs, out=(xs, ys))
+    xs, ys = groups.rkmk_integrate(gm, x0, np.broadcast_to(y0, drifts.shape[1:]), steps, h,
+                                   rhs)
     return times, xs, ys
 
 

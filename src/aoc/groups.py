@@ -23,11 +23,12 @@ product per row, which keeps those bits.
 ``rkmk_integrate`` is the one time loop: the forward simulation, the
 zero-order-hold rollout of the oracle and the extremal flows all step
 through it, each in one call over its whole uniform grid.  The stepper
-owns the grid: a right-hand side ``rhs(k, c, x, v)`` sees the index k of
-the step and its RK4 node c, and the states go into the caller's arrays
-``out = (xs, vs)``.  All callers share one finite check, which reports the
-1-based step number.  ``munthe_kaas_increment`` is the one place of the
-scheme's bracket-corrected combination.  A vector field that reads x
+owns the grid and the flow record: a right-hand side ``rhs(k, c, x, v)``
+sees the index k of the step and its RK4 node c, and the stepper returns
+the states of every grid point, the initial state first.  All callers
+share one finite check, which reports the 1-based step number.
+``munthe_kaas_increment`` is the one place of the scheme's
+bracket-corrected combination.  A vector field that reads x
 takes coupled steps (``rkmk_coupled_step``).  One that does not, which is
 every cost the CLI accepts, is split as Munthe-Kaas splits a Lie-group
 integrator: the loop takes classical RK4 steps of v alone and keeps the
@@ -326,25 +327,20 @@ def rkmk_coupled_step(gm, x, v, k, h, rhs):
 _PASS_ROWS = 4096
 
 
-def _reconstruct(gm, x, zs, h, xs):
-    """x after each of the steps whose stage velocities are ``zs``, shape
-    (4, steps, ..., n): the increments and their exponentials in one batched
-    pass, then the product over the steps in order, written to ``xs`` (over
-    the exponentials when None).  Returns the last x and, per step, whether
-    its x is finite.
+def _reconstruct(gm, zs, h, xs):
+    """Fill ``xs[1:]`` with x after each of the steps whose stage velocities
+    are ``zs``, shape (4, steps, ..., n), from x = ``xs[0]``: the increments
+    and their exponentials in one batched pass, then the product over the
+    steps in order.  Returns, per step, whether its x is finite.
     """
     omega = munthe_kaas_increment(gm.algebra, h, zs[0], lambda i, theta: zs[i])
-    if np.shape(x)[:-2] != omega.shape[1:-1]:
-        lead = np.broadcast_shapes(np.shape(x)[:-2], omega.shape[1:-1])
-        omega = np.broadcast_to(omega, omega.shape[:1] + lead + omega.shape[-1:])
     es = exp_map(gm, omega)
-    xs = es if xs is None else xs
     for k in range(len(es)):
-        x = xs[k] = compose(x, es[k])
-    return x, np.isfinite(xs.reshape(len(xs), -1)).all(axis=1)
+        xs[k + 1] = compose(xs[k], es[k])
+    return np.isfinite(xs[1:].reshape(len(es), -1)).all(axis=1)
 
 
-def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False, out=None):
+def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False):
     """``steps`` RK-MK steps of size ``h``, the one time loop of the package.
 
     ``rhs`` is as in ``rkmk_coupled_step``.  With ``needs_x`` each step is a
@@ -352,21 +348,24 @@ def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False, out=None):
     and the step splits: the loop takes classical RK4 steps of v and keeps
     the four stage velocities z1..z4 of every step, and x is reconstructed
     from them after the loop (``_reconstruct``), with the bits of the
-    coupled step.  With ``out = (xs, vs)``, arrays of steps + 1 states, the
-    state after step k (0-based) is written to ``xs[k + 1], vs[k + 1]``.
-    The state after each step must be finite, else NonFinite is raised
-    with the 1-based number of the first step that is not, and ``out``
-    holds every step before it.  Returns the final (x, v).
+    coupled step.  Returns the flow (xs, vs) on the grid: steps + 1 states,
+    the initial one first, of the batch of x and v broadcast together.  The
+    state after each step must be finite, else NonFinite is raised with the
+    1-based number of the first step that is not.
     """
+    lead = np.broadcast_shapes(np.shape(x)[:-2], np.shape(v)[:-1])
+    xs = np.empty((steps + 1,) + lead + np.shape(x)[-2:])
+    vs = np.empty((steps + 1,) + lead + np.shape(v)[-1:])
+    xs[0], vs[0] = x, v
+    x, v = xs[0], vs[0]
     with np.errstate(over="ignore", invalid="ignore"):
         if needs_x:
             for k in range(steps):
                 x, v = rkmk_coupled_step(gm, x, v, k, h, rhs)
                 if not (np.isfinite(v).all() and np.isfinite(x).all()):
                     raise NonFinite(k + 1)
-                if out is not None:
-                    out[0][k + 1], out[1][k + 1] = x, v
-            return x, v
+                xs[k + 1], vs[k + 1] = x, v
+            return xs, vs
         zs = None
         done, per_pass = steps, 1
         for k in range(steps):
@@ -382,17 +381,15 @@ def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False, out=None):
             if not np.isfinite(v).all():
                 done = k
                 break
-            if out is not None:
-                out[1][k + 1] = v
+            vs[k + 1] = v
         for j in range(0, done, per_pass):
             stop = min(j + per_pass, done)
-            x, finite = _reconstruct(gm, x, zs[:, j:stop], h,
-                                     None if out is None else out[0][j + 1:stop + 1])
+            finite = _reconstruct(gm, zs[:, j:stop], h, xs[j:stop + 1])
             if not finite.all():
                 raise NonFinite(j + int(np.argmin(finite)) + 1)
         if done < steps:
             raise NonFinite(done + 1)
-    return x, v
+    return xs, vs
 
 
 def reconstruct_step(gm, x, y_of_t, t, h) -> np.ndarray:
@@ -404,7 +401,7 @@ def reconstruct_step(gm, x, y_of_t, t, h) -> np.ndarray:
     def rhs(_k, c, _x, _v):
         return np.asarray(y_of_t(t + c * h), dtype=float), empty
 
-    return rkmk_integrate(gm, np.asarray(x, dtype=float), empty, 1, h, rhs)[0]
+    return rkmk_integrate(gm, np.asarray(x, dtype=float), empty, 1, h, rhs)[0][-1]
 
 
 def orthogonality_defect(g) -> float:

@@ -33,8 +33,8 @@ matrix, the one that ``algebra.bias`` contracts, so the extremal field
 and the forward rollouts of ``dynamics`` share one drift tensor.
 ``propagate_endpoints`` steps the field through ``groups.rkmk_integrate``
 in one call over the grid, for a batch of shooting rows as for the
-single flow of ``flow_extremal``, and can have the stepper fill the
-(x, y, mu, xi) arrays of the batch; ``extremal_trajectory`` turns a
+single flow of ``flow_extremal``, and returns the stepper's record of the
+batch's flow with its terminal states; ``extremal_trajectory`` turns a
 recorded flow into a trajectory, eliminating the control once per grid
 point.  x-independent flows step (y, mu, xi) alone and reconstruct x
 after the loop; x-dependent costs take coupled steps.  Only normal extremals are
@@ -324,11 +324,8 @@ def flow_extremal(model, gm, cost, a0, T, steps) -> Trajectory:
     controls and H on the grid (see ``extremal_trajectory``)."""
     if T <= 0:
         raise ValueError("T must be positive")
-    steps = int(steps)
-    xs = np.empty((steps + 1, gm.rep_dim, gm.rep_dim))
-    vs = np.empty((steps + 1, 3 * model.n))
-    propagate_endpoints(model, gm, cost, a0.state.x, a0.state.y, a0.costate.mu,
-                        a0.costate.xi, T, steps, out=(xs, vs))
+    _, _, (xs, vs) = propagate_endpoints(model, gm, cost, a0.state.x, a0.state.y,
+                                         a0.costate.mu, a0.costate.xi, T, steps)
     return extremal_trajectory(model, gm, cost, T, xs, vs)
 
 
@@ -352,25 +349,25 @@ def extremal_trajectory(model, gm, cost, T, xs, vs) -> Trajectory:
                       mus=mus, xis=xis, hams=hams)
 
 
-def propagate_endpoints(model, gm, cost, x0, y0, mu0, xi0, T, steps, out=None):
-    """Terminal (x, y) of the extremal flow; mu0/xi0 may carry a batch dim.
+def propagate_endpoints(model, gm, cost, x0, y0, mu0, xi0, T, steps):
+    """Terminal (x, y) of the extremal flow, and the flow; mu0/xi0 may carry a
+    batch dim.
 
     Every extremal flow runs here, the rows of a shooting step as well as
     the single flow of ``flow_extremal``, and a batch of flows is bitwise
-    the run of each element alone.  With ``out = (xs, vs)``, arrays of steps + 1
-    states of the batch, the stepper records the whole flow there, the
-    initial state included (see ``groups.rkmk_integrate``).
+    the run of each element alone.  Returns (x_T, y_T, (xs, vs)), where
+    (xs, vs) is the stepper's record of the batch's group elements and
+    v = (y, mu, xi) at the steps + 1 grid points, the initial state first
+    (see ``groups.rkmk_integrate``).
     """
     mu0 = np.asarray(mu0, dtype=float)
     y0b = np.broadcast_to(np.asarray(y0, dtype=float), mu0.shape)
     v = np.concatenate([y0b, mu0, np.asarray(xi0, dtype=float)], axis=-1)
-    x0 = np.asarray(x0, dtype=float)
-    if out is not None:
-        out[0][0], out[1][0] = x0, v
     steps = int(steps)
-    x, v = groups.rkmk_integrate(gm, x0, v, steps, T / steps, extremal_field(model, gm, cost),
-                                 needs_x=not cost.x_independent, out=out)
-    return x, v[..., : model.n]
+    xs, vs = groups.rkmk_integrate(gm, np.asarray(x0, dtype=float), v, steps, T / steps,
+                                   extremal_field(model, gm, cost),
+                                   needs_x=not cost.x_independent)
+    return xs[-1], vs[-1, ..., : model.n], (xs, vs)
 
 
 def _cost_values(cost, xs, ys, us):

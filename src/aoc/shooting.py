@@ -14,6 +14,8 @@ Jacobian, and a rejected one costs a single flow.  (A continuation on
 the requested grid, below, steps with a carried Jacobian instead.)  A
 batch whose flow blows up or whose boundary log is ill-posed is a
 rejected step (a failed start at the seed); no row is rerun on its own.
+So is a batch in which the control elimination stalls (NoConvergence;
+only the Newton elimination of a non-quadratic cost can).
 The damping follows Nielsen's gain-ratio rule (H. B. Nielsen, "Damping
 parameter in Marquardt's method", 1999): it starts at 1e-6 max
 diag(J^T J), shrinks by max(1/3, 1 - (2 rho - 1)^3) after an accepted
@@ -65,13 +67,11 @@ counts the steps on both grids, ``flows`` every propagation of a solve
 (seeds, probes, trials and refreshes, on both grids) and ``coarse_flows``
 those on the coarse grid.
 
-On the requested grid, the 4n + 1-row flows of a run from a seed and the
-1-row flows of a continuation record their states (coarse flows, probes
-and refreshes record nothing), so the returned trajectory is row 0 of
-the last accepted requested-grid flow of the best start (its seed flow
-when no step was accepted): bitwise the flow of the returned costates,
-with no flow run for it.  It is None only when no start's seed flow
-succeeded.
+The stepper records every flow on its grid, so the returned trajectory
+is row 0 of the last accepted requested-grid flow of the best start (its
+seed flow when no step was accepted): bitwise the flow of the returned
+costates, with no flow run for it.  It is None only when no start's seed
+flow succeeded.
 
 Globalization is a deterministic multi-start (scale patterns
 {0, +-1, +-10} on two sign masks, 8 seeds total); there is no
@@ -87,7 +87,7 @@ import numpy as np
 
 from . import groups, pmp
 from .dynamics import State, Trajectory
-from .errors import AngleOutOfRange, NonFinite
+from .errors import AngleOutOfRange, NoConvergence, NonFinite
 
 # Geodesic acceleration (Transtrum and Sethna, arXiv:1201.5885): the
 # finite-difference step along delta and the largest accepted 2 |a| / |delta|
@@ -141,54 +141,51 @@ class ShootingResult:
     coarse_flows: int
 
 
-def _residual_batch(model, gm, cost, problem, thetas, out=None):
-    """Boundary residuals for a (B, 2n) array of costate seeds, one batched flow
-    (recorded to ``out`` as in ``propagate_endpoints``)."""
+def _residual_batch(model, gm, cost, problem, thetas):
+    """Boundary residuals for a (B, 2n) array of costate seeds, from one batched
+    flow, and that flow (xs, vs) as ``propagate_endpoints`` records it."""
     n = model.n
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    xT, yT = pmp.propagate_endpoints(model, gm, cost, problem.x0, problem.y0,
-                                     thetas[:, :n], thetas[:, n:], problem.T, problem.steps,
-                                     out=out)
-    return endpoint_residual(gm, problem, xT, yT)
+    xT, yT, flow = pmp.propagate_endpoints(model, gm, cost, problem.x0, problem.y0,
+                                           thetas[:, :n], thetas[:, n:], problem.T,
+                                           problem.steps)
+    return endpoint_residual(gm, problem, xT, yT), flow
 
 
 def boundary_residual(model, gm, cost, problem, mu0, xi0) -> np.ndarray:
     """(log(x(T)^{-1} xT), yT - y(T)) stacked; zero iff the flow hits the target."""
     theta = np.concatenate([np.asarray(mu0, dtype=float), np.asarray(xi0, dtype=float)])
-    return _residual_batch(model, gm, cost, problem, theta[None, :])[0]
+    return _residual_batch(model, gm, cost, problem, theta[None, :])[0][0]
 
 
-def _residual_and_jacobian(model, gm, cost, problem, theta, fd_step, record=True,
-                           residual=True, jacobian=True):
+def _residual_and_jacobian(model, gm, cost, problem, theta, fd_step, residual=True,
+                           jacobian=True):
     """Residual at theta, its central-difference Jacobian and the flow from theta,
     from one batched flow.
 
     Row 0 of the batch is theta; rows 1..p and p+1..2p add and subtract
     the per-column steps fd_step (1 + |theta_i|).  The flow is row 0's
-    (xs, vs) on the grid, as ``flow_extremal`` records it, or None when
-    not ``record``.  Without ``residual`` the batch is only the 2p
-    perturbation rows, and without ``jacobian`` only row 0; the residual,
-    the Jacobian or the flow that is not computed is None.  Each row keeps
-    its bits in any of these batches.  Returns None when the flow blows up
-    or a boundary log is ill-posed anywhere in the batch.
+    (xs, vs) on the grid, as ``flow_extremal`` records it.  Without
+    ``residual`` the batch is only the 2p perturbation rows, and without
+    ``jacobian`` only row 0; the residual, the Jacobian or the flow that is
+    not computed is None.  Each row keeps its bits in any of these batches.
+    Returns None when the flow blows up, the control elimination stalls or
+    a boundary log is ill-posed anywhere in the batch.
     """
     p = len(theta)
     h = fd_step * (1.0 + np.abs(theta))
     blocks = ([np.zeros(p)] if residual else []) + ([np.diag(h), -np.diag(h)] if jacobian else [])
-    steps, d, rows = int(problem.steps), gm.rep_dim, residual + 2 * p * jacobian
-    out = None
-    if record and residual:
-        out = np.empty((steps + 1, rows, d, d)), np.empty((steps + 1, rows, 3 * model.n))
     try:
-        res = _residual_batch(model, gm, cost, problem, theta + np.vstack(blocks), out=out)
-    except (NonFinite, AngleOutOfRange):
+        res, (xs, vs) = _residual_batch(model, gm, cost, problem, theta + np.vstack(blocks))
+    except (NonFinite, AngleOutOfRange, NoConvergence):
         return None
-    flow = None if out is None else (out[0][:, 0], out[1][:, 0])
     J = None
     if jacobian:
         pert = res[int(residual):]
         J = (pert[:p] - pert[p:]).T / (2.0 * h)
-    return (res[0] if residual else None), J, flow
+    if not residual:
+        return None, J, None
+    return res[0], J, (xs[:, 0], vs[:, 0])
 
 
 def _start_points(n):
@@ -288,19 +285,18 @@ def solve_shooting(model, gm, cost, problem, initial_guess=None,
     counts = {"fine": 0, "coarse": 0, "iterations": 0}
 
     def lm(prob, theta0, damping=None, J0=None):
-        record = prob is problem
-        grid = "fine" if record else "coarse"
+        grid = "fine" if prob is problem else "coarse"
 
         def evaluate(theta, residual=True, jacobian=True):
             counts[grid] += 1
-            return _residual_and_jacobian(model, gm, cost, prob, theta, fd_step, record,
-                                          residual, jacobian)
+            return _residual_and_jacobian(model, gm, cost, prob, theta, fd_step, residual,
+                                          jacobian)
 
         def probe(theta):
             counts[grid] += 1
             try:
-                return _residual_batch(model, gm, cost, prob, theta[None, :])[0]
-            except (NonFinite, AngleOutOfRange):
+                return _residual_batch(model, gm, cost, prob, theta[None, :])[0][0]
+            except (NonFinite, AngleOutOfRange, NoConvergence):
                 return None
 
         run = _levenberg_marquardt(evaluate, theta0, tol, max_iter,

@@ -158,12 +158,6 @@ def test_bias_matches_sharp_ad_star_flat(kind, so3_j123, rng):
     assert np.abs(aoc.bias(model, ys) - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
-def test_restrict_covector(so3_m2, so3_j123):
-    assert_allclose(aoc.restrict_covector(so3_m2, [5.0, 7.0, 9.0]), [5.0, 7.0, 0.0])
-    assert_allclose(aoc.restrict_covector(so3_j123, [5.0, 7.0, 9.0]), [5.0, 7.0, 9.0])
-    assert_allclose(aoc.restrict_covector(so3_m2, np.zeros(3)), 0.0)
-
-
 def test_embed_control_pads(so3_m2):
     assert_allclose(aoc.embed_control(so3_m2, [4.0, 5.0]), [4.0, 5.0, 0.0])
     with pytest.raises(aoc.DimensionMismatch):

@@ -193,9 +193,15 @@ def test_compare_unconverged_oracle_exit_code(tmp_path, capsys):
                           "yT": [0, 0, 0], "T": 1.0, "steps": 20},
                  oracle={"segments": 10})
     assert main(["compare", "--config", str(cfg)]) == 4
-    assert "direct oracle did not converge" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "direct oracle did not converge" in captured.err
+    assert "gap" not in captured.out
     payload = json.loads((tmp_path / "out.json").read_text())
     assert payload["direct_summary"]["converged"] is False
+    # no answer from the oracle: no cost, gap or control distance, not the U = 0 values
+    assert payload["direct_cost"] is None and payload["gap"] is None
+    assert payload["control_sup_distance"] is None
+    assert payload["indirect_cost"] > 0.0
 
 
 @pytest.mark.parametrize("section", [{"output": {"path": "out", "format": "csv"}},

@@ -162,10 +162,10 @@ def segment_chain(gm, x0, y0, U, T, spb):
         def rhs(k, c, _x, yy, drift=drift):
             return yy, aoc.bias(gm.algebra, yy) + drift
 
-        seg = np.empty((spb + 1,) + x.shape), np.empty((spb + 1,) + y.shape)
-        x, y = aoc.groups.rkmk_integrate(gm, x, y, spb, h, rhs, out=seg)
-        xs += list(seg[0][1:])
-        ys += list(seg[1][1:])
+        seg_xs, seg_ys = aoc.groups.rkmk_integrate(gm, x, y, spb, h, rhs)
+        x, y = seg_xs[-1], seg_ys[-1]
+        xs += list(seg_xs[1:])
+        ys += list(seg_ys[1:])
     return np.array(xs), np.array(ys)
 
 

@@ -308,25 +308,18 @@ def test_rkmk_stays_on_manifold_where_rk4_drifts(so3_j123_group):
     assert np.linalg.norm(x_mk - x_raw) < 1e-4
 
 
-def coupled_loop(gm, x, v, steps, h, rhs, out):
+def coupled_loop(gm, x, v, steps, h, rhs):
     """The reference for the split flow: one coupled step at a time, with the
-    finite check and the output arrays of the time loop."""
+    finite check of the time loop.  Returns the states of the grid."""
+    xs, vs = [np.broadcast_to(x, np.shape(v)[:-1] + np.shape(x))], [v]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             x, v = rkmk_coupled_step(gm, x, v, k, h, rhs)
             if not (np.isfinite(v).all() and np.isfinite(x).all()):
                 raise aoc.NonFinite(k + 1)
-            out[0][k + 1], out[1][k + 1] = x, v
-    return x, v
-
-
-def grid(steps, x, v):
-    """Output arrays of ``steps`` + 1 states, NaN but for the initial state."""
-    lead = np.shape(v)[:-1]
-    xs = np.full((steps + 1,) + lead + np.shape(x), np.nan)
-    vs = np.full((steps + 1,) + np.shape(v), np.nan)
-    xs[0], vs[0] = x, v
-    return xs, vs
+            xs.append(x)
+            vs.append(v)
+    return np.array(xs), np.array(vs)
 
 
 @pytest.mark.parametrize("kind", ["so3", "abelian", "generic"])
@@ -344,15 +337,10 @@ def test_split_flow_is_bitwise_the_coupled_loop(kind, width, pass_rows, so3_m2, 
     v0 = np.random.default_rng(7).uniform(-1.5, 1.5, (width, 9))
     x0 = aoc.exp_map(gm, np.array([0.3, -0.2, 0.4]))
     h = 0.05
-    ref = grid(30, x0, v0)
-    x1, v1 = coupled_loop(gm, x0, v0, 30, h, rhs, ref)
-    out = grid(30, x0, v0)
-    x2, v2 = rkmk_integrate(gm, x0, v0, 30, h, rhs, out=out)
-    assert np.array_equal(x1, x2) and np.array_equal(v1, v2)
-    assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])
-    # without output arrays only the final state is kept, with the same bits
-    x3, v3 = rkmk_integrate(gm, x0, v0, 30, h, rhs)
-    assert np.array_equal(x3, x2) and np.array_equal(v3, v2)
+    xs1, vs1 = coupled_loop(gm, x0, v0, 30, h, rhs)
+    xs2, vs2 = rkmk_integrate(gm, x0, v0, 30, h, rhs)
+    assert xs2.shape == (31, width) + x0.shape and vs2.shape == (31, width, 9)
+    assert np.array_equal(xs1, xs2) and np.array_equal(vs1, vs2)
 
 
 @pytest.mark.parametrize("pass_rows", [None, 3])
@@ -373,17 +361,11 @@ def test_abelian_translation_overflow_reports_first_bad_step(abelian3, pass_rows
                          # with a small velocity the NaN that step 12 samples
                          # at its last stage comes first
                          (np.array([1.0, 0.0, 0.0]), coasting_then_nan, 12)):
-        ref = grid(20, np.eye(4), v0)
         with pytest.raises(aoc.NonFinite) as refd:
-            coupled_loop(gm, np.eye(4), v0, 20, 1.0, rhs, ref)
-        out = grid(20, np.eye(4), v0)
+            coupled_loop(gm, np.eye(4), v0, 20, 1.0, rhs)
         with pytest.raises(aoc.NonFinite) as err:
-            rkmk_integrate(gm, np.eye(4), v0, 20, 1.0, rhs, out=out)
+            rkmk_integrate(gm, np.eye(4), v0, 20, 1.0, rhs)
         assert err.value.step_index == refd.value.step_index == bad
-        # every step before the bad one is written, with the coupled loop's bits
-        assert np.isfinite(out[0][:bad]).all() and np.isfinite(out[1][:bad]).all()
-        assert np.array_equal(out[0][:bad], ref[0][:bad])
-        assert np.array_equal(out[1][:bad], ref[1][:bad])
 
 
 @pytest.mark.parametrize("shape", [(3,), (4, 3)])
@@ -403,21 +385,13 @@ def test_coupled_flow_is_bitwise_the_coupled_loop(shape, so3_j123_group):
 
     v0 = np.random.default_rng(9).uniform(-1.0, 1.0, shape)
     x0 = aoc.exp_map(gm, np.array([0.3, -0.2, 0.4]))
-    ref = grid(20, x0, v0)
-    x1, v1 = coupled_loop(gm, x0, v0, 20, 0.1, attracted, ref)
-    out = grid(20, x0, v0)
-    x2, v2 = rkmk_integrate(gm, x0, v0, 20, 0.1, attracted, needs_x=True, out=out)
-    assert np.array_equal(x1, x2) and np.array_equal(v1, v2)
-    assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])
+    xs1, vs1 = coupled_loop(gm, x0, v0, 20, 0.1, attracted)
+    xs2, vs2 = rkmk_integrate(gm, x0, v0, 20, 0.1, attracted, needs_x=True)
+    assert xs2.shape == (21,) + shape[:-1] + x0.shape and vs2.shape == (21,) + shape
+    assert np.array_equal(xs1, xs2) and np.array_equal(vs1, vs2)
 
-    # NonFinite(7), with steps 0..6 written and step 7 not
-    ref = grid(20, x0, v0)
     with pytest.raises(aoc.NonFinite) as refd:
-        coupled_loop(gm, x0, v0, 20, 0.1, attracted_then_nan, ref)
-    out = grid(20, x0, v0)
+        coupled_loop(gm, x0, v0, 20, 0.1, attracted_then_nan)
     with pytest.raises(aoc.NonFinite) as err:
-        rkmk_integrate(gm, x0, v0, 20, 0.1, attracted_then_nan, needs_x=True, out=out)
+        rkmk_integrate(gm, x0, v0, 20, 0.1, attracted_then_nan, needs_x=True)
     assert err.value.step_index == refd.value.step_index == 7
-    assert np.isfinite(out[0][:7]).all() and np.isfinite(out[1][:7]).all()
-    assert np.array_equal(out[0][:7], ref[0][:7]) and np.array_equal(out[1][:7], ref[1][:7])
-    assert np.isnan(out[0][7:]).all() and np.isnan(out[1][7:]).all()

@@ -13,7 +13,8 @@ from aoc.pmp import (Costate, CostModel, ExtremalPoint, TangentTuple,
                      min_acc_cost, min_acc_rhs, poisson_bracket,
                      propagate_endpoints, quadratic_cost, running_cost,
                      spatial_momentum, symplectic_form)
-from aoc.shooting import BoundaryProblem, solve_shooting
+from aoc.shooting import (BoundaryProblem, _residual_and_jacobian, boundary_residual,
+                          solve_shooting)
 
 E1, E2, E3 = np.eye(3)
 
@@ -205,7 +206,9 @@ def test_min_acc_rhs_abelian(abelian3, rng):
     gm = aoc.abelian_group(abelian3)
     y, mu, xi = rng.standard_normal((3, 3))
     r = min_acc_rhs(abelian3, gm, point(np.eye(4), y, mu, xi, np.zeros(2)))
-    assert_allclose(r.ydot, aoc.sharp(abelian3, aoc.restrict_covector(abelian3, xi)))
+    actuated = xi.copy()
+    actuated[abelian3.m:] = 0.0
+    assert_allclose(r.ydot, aoc.sharp(abelian3, actuated))
     assert_allclose(r.mudot, 0.0)
     assert_allclose(r.xidot, -mu)
 
@@ -506,6 +509,18 @@ def test_eliminate_newton_no_convergence(so3_m2):
                           np.array([50.0, -80.0, 0.0]), max_iter=1)
 
 
+def test_stalled_control_elimination_is_a_failed_flow(so3_m2, so3_m2_group):
+    # with this cost the elimination Newton stalls at these large costates: the
+    # batch is a failed flow, as a blow-up is, not an error out of the solve
+    cost = quartic_cost(so3_m2)
+    prob = BoundaryProblem(x0=np.eye(3), xT=np.eye(3), y0=np.zeros(3), yT=np.zeros(3),
+                           T=1.0, steps=5)
+    theta = 1e4 * np.array([1.0, -2.0, 3.0, 2.0, 1.0, -1.0])
+    with pytest.raises(aoc.NoConvergence):
+        boundary_residual(so3_m2, so3_m2_group, cost, prob, theta[:3], theta[3:])
+    assert _residual_and_jacobian(so3_m2, so3_m2_group, cost, prob, theta, 1e-6) is None
+
+
 def test_eliminate_checks_regularity_at_the_returned_control(so3_m2):
     # L = |u|^4 / 4: at xi = 0 Newton stops at once at u = 0, where the Hessian vanishes
     z = np.zeros(3)
@@ -532,11 +547,9 @@ def test_trajectory_eliminates_control_once_per_point(so3_j123, so3_j123_group):
 
     cost = dataclasses.replace(base, d2L_du2=counted)
     steps = 20
-    xs = np.empty((steps + 1, 3, 3))
-    vs = np.empty((steps + 1, 9))
-    propagate_endpoints(so3_j123, so3_j123_group, cost, np.eye(3), np.array([0.2, -0.1, 0.3]),
-                        np.array([0.5, 0.2, -0.4]), np.array([1.0, -0.6, 0.8]), 1.0, steps,
-                        out=(xs, vs))
+    _, _, (xs, vs) = propagate_endpoints(so3_j123, so3_j123_group, cost, np.eye(3),
+                                         np.array([0.2, -0.1, 0.3]), np.array([0.5, 0.2, -0.4]),
+                                         np.array([1.0, -0.6, 0.8]), 1.0, steps)
     calls[0] = 0
     eliminate_control(so3_j123, cost, State(xs, vs[:, :3]), vs[:, 6:])
     once = calls[0]
@@ -577,10 +590,10 @@ def test_generic_cost_batch_is_bitwise_single(so3_j123, so3_j123_group, which):
     x0 = aoc.exp_map(so3_j123_group, np.array([0.1, 0.2, -0.3]))
     y0 = np.array([0.2, -0.1, 0.3])
     thetas = np.random.default_rng(11).uniform(-1.0, 1.0, (5, 6))
-    xb, yb = propagate_endpoints(so3_j123, so3_j123_group, cost, x0, y0,
-                                 thetas[:, :3], thetas[:, 3:], 1.0, 4)
+    xb, yb, _ = propagate_endpoints(so3_j123, so3_j123_group, cost, x0, y0,
+                                    thetas[:, :3], thetas[:, 3:], 1.0, 4)
     for b in range(5):
-        x1, y1 = propagate_endpoints(so3_j123, so3_j123_group, cost, x0, y0,
+        x1, y1, _ = propagate_endpoints(so3_j123, so3_j123_group, cost, x0, y0,
                                      thetas[b, :3], thetas[b, 3:], 1.0, 4)
         assert np.array_equal(x1, xb[b]) and np.array_equal(y1, yb[b])
 

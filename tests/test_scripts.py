@@ -35,6 +35,14 @@ def test_shooting_traffic_script_runs():
     assert "converged=[2]" in out
 
 
+def test_shooting_answers_match_the_pinned_corpus():
+    # the fast part of the 72-target corpus: the 24 act and under targets at 50 steps
+    corpus = ROOT / "scripts" / "shooting_corpus.json"
+    out = run_script("shooting_traffic.py", "--check", str(corpus),
+                     "--kinds", "act", "under", "--steps", "50")
+    assert "check: 24 of 24 targets match the corpus" in out
+
+
 def test_integrator_order_script_runs():
     out = run_script("integrator_order.py", "--base-steps", "10", "--doublings", "2")
     assert out.split()[0] == "steps"

@@ -135,15 +135,15 @@ def test_criterion_8_problem_steps_and_costates():
 
 
 def spy_flows(monkeypatch, problem):
-    """Record (steps, theta rows, recorded, residuals) of every flow of the solve."""
+    """Record (steps, theta rows, residuals) of every flow of the solve."""
     flows = []
     propagate = aoc.pmp.propagate_endpoints
 
-    def counted(*args, out=None):
-        xT, yT = propagate(*args, out=out)
-        flows.append((args[8], np.hstack([args[5], args[6]]), out is not None,
+    def counted(*args):
+        xT, yT, flow = propagate(*args)
+        flows.append((args[8], np.hstack([args[5], args[6]]),
                       aoc.shooting.endpoint_residual(args[1], problem, xT, yT)))
-        return xT, yT
+        return xT, yT, flow
 
     monkeypatch.setattr(aoc.pmp, "propagate_endpoints", counted)
     return flows
@@ -153,7 +153,7 @@ def spy_flows(monkeypatch, problem):
                                                    (2, CRIT8_AXIS, 0.4, 50)])
 def test_trajectory_is_bitwise_the_flow_of_the_returned_costates(monkeypatch, m, axis, angle,
                                                                  steps):
-    # the requested grid runs 1-row flows only (no 4n + 1-row flow records the
+    # the requested grid runs 1-row flows only (no 4n + 1-row flow holds the
     # trajectory), and the trajectory is still the flow of the returned costates
     model, gm, cost, prob = so3_problem(m=m, axis=axis, angle=angle, steps=steps)
     flows = spy_flows(monkeypatch, prob)
@@ -161,7 +161,7 @@ def test_trajectory_is_bitwise_the_flow_of_the_returned_costates(monkeypatch, m,
     assert res.converged
     fine = [f for f in flows if f[0] == steps]
     assert len(fine) == res.flows - res.coarse_flows > 0
-    assert all(len(f[1]) == 1 and f[2] for f in fine)
+    assert all(len(f[1]) == 1 for f in fine)
     a0 = ExtremalPoint(State(prob.x0, prob.y0), Costate(res.mu0, res.xi0), np.zeros(m))
     ref = flow_extremal(model, gm, cost, a0, prob.T, prob.steps)
     for name in ("times", "xs", "ys", "us", "mus", "xis", "hams"):
@@ -172,23 +172,23 @@ def test_trajectory_is_bitwise_the_flow_of_the_returned_costates(monkeypatch, m,
                                                    (2, CRIT8_AXIS, 0.4, 50)],
                          ids=["criterion-7", "criterion-8"])
 def test_coarse_flows_come_first(monkeypatch, m, axis, angle, steps):
-    # the coarse grid has max(16, steps // 8) steps and records nothing; on the
-    # requested grid the 1-row residual flows record, and neither a Jacobian
-    # refresh nor a probe (these targets take neither)
+    # the coarse grid has max(16, steps // 8) steps; the requested grid runs
+    # only 1-row residual flows, and neither a Jacobian refresh nor a probe
+    # (these targets take neither)
     flows = []
     propagate = aoc.pmp.propagate_endpoints
 
-    def counted(*args, out=None):
-        flows.append((args[8], np.shape(args[5])[0], out is not None))
-        return propagate(*args, out=out)
+    def counted(*args):
+        flows.append((args[8], np.shape(args[5])[0]))
+        return propagate(*args)
 
     monkeypatch.setattr(aoc.pmp, "propagate_endpoints", counted)
     res = solve_shooting(*so3_problem(m=m, axis=axis, angle=angle, steps=steps))
     assert res.converged and len(flows) == res.flows
     coarse, fine = flows[:res.coarse_flows], flows[res.coarse_flows:]
     assert coarse and fine
-    assert all(f[0] == max(16, steps // 8) and not f[2] for f in coarse)
-    assert all(f[0] == steps and f[2] == (f[1] == 1) for f in fine)
+    assert all(f[0] == max(16, steps // 8) for f in coarse)
+    assert all(f == (steps, 1) for f in fine)
 
 
 @pytest.mark.parametrize("steps", [50, 200])
@@ -252,9 +252,9 @@ def test_stalled_starts_take_no_requested_grid_flow(monkeypatch):
     flows = []
     propagate = aoc.pmp.propagate_endpoints
 
-    def counted(*args, out=None):
+    def counted(*args):
         flows.append(args[8])
-        return propagate(*args, out=out)
+        return propagate(*args)
 
     monkeypatch.setattr(aoc.pmp, "propagate_endpoints", counted)
     model, gm, c, prob = so3_problem(m=2, axis=(0.0, 0.0, 1.0), angle=0.5, steps=50)
@@ -314,16 +314,15 @@ def test_rejected_step_with_a_stale_jacobian_refreshes_it(monkeypatch):
     refreshes = [k for k, f in enumerate(fine) if len(f[1]) == 12]
     assert len(refreshes) == 1
     k = refreshes[0]
-    assert not fine[k][2]
-    # the iterate is the last recorded flow that lowered |r|, since a step is
+    # the iterate is the last 1-row flow that lowered |r|, since a step is
     # accepted exactly when it does; the flow before the refresh was rejected
     current = None
-    for _, thetas, recorded, r in fine[:k]:
-        assert recorded and len(thetas) == 1
+    for _, thetas, r in fine[:k]:
+        assert len(thetas) == 1
         if current is None or r[0] @ r[0] < current[1] @ current[1]:
             current = thetas[0], r[0]
     theta, r = current
-    assert fine[k - 1][3][0] @ fine[k - 1][3][0] >= r @ r
+    assert fine[k - 1][2][0] @ fine[k - 1][2][0] >= r @ r
     h = 1e-6 * (1.0 + np.abs(theta))
     assert np.array_equal(fine[k][1], theta + np.vstack([np.diag(h), -np.diag(h)]))
     # rerun the continuation one step at a time: the step that refreshes leaves
