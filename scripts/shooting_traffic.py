@@ -17,8 +17,10 @@ to run first, target by target.  For each steps and kind, and each side, the
 summary prints the converged targets, the flows on the requested grid and on
 the coarse grid, the LM steps, the wall time of the solves and the summed
 running cost of the converged targets.  With two sides it adds how many
-targets reach the same extremal (running cost within 1e-6 relative) and the
-largest relative cost difference.  ``--json`` writes these rows and, per
+targets reach the same extremal (running cost within 1e-6 relative), the
+largest relative cost difference, and how many targets do the same work
+(``same_work``: the converged flag, the requested and coarse flows, the LM
+steps and the running cost all equal, the cost bit for bit).  ``--json`` writes these rows and, per
 target, the converged flag and running cost of each side.
 
 ``--check FILE`` runs one side and compares each target with its record in
@@ -44,6 +46,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 KINDS = {"act": (3, 0.2, 1.0), "under": (2, 0.2, 0.8), "wide": (2, 1.0, 3.1)}
 CHECK_RTOL = 1e-6
+# what a solve did, compared bit for bit between two sides for same_work
+WORK = ("converged", "requested", "coarse", "lm_steps", "cost")
 
 
 def load(src):
@@ -122,6 +126,8 @@ def main():
                        for a, b in zip(*runs) if a["converged"] and b["converged"]]
                 row["same_extremal"] = sum(x <= 1e-6 for x in rel)
                 row["max_cost_rel"] = max(rel, default=0.0)
+                row["same_work"] = sum(all(a[key] == b[key] for key in WORK)
+                                       for a, b in zip(*runs))
             rows.append(row)
             print(" ".join(f"{key}={value}" for key, value in row.items()), flush=True)
     if args.json:

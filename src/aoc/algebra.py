@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-DEFAULT_TOL = 1e-12
+VALIDATE_TOL = 1e-12  # the residual below which a model or group invariant holds
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +145,8 @@ def load_model(path):
     ``validate_model`` on the result.
     """
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"a model file holds a JSON object, got {data!r}")
     known = {"n", "m", "structure_constants", "inertia", "rep_dim", "basis_matrices", "name"}
     unknown = set(data) - known
     if unknown:
@@ -152,15 +154,22 @@ def load_model(path):
     for key in ("n", "m", "inertia"):
         if key not in data:
             raise ValueError(f"model file missing required key '{key}'")
-    n = int(data["n"])
+    for key in ("n", "m", "rep_dim"):
+        if key in data and type(data[key]) is not int:
+            raise ValueError(f"'{key}' must be an integer, got {data[key]!r}")
+    n, entries = data["n"], data.get("structure_constants", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"structure_constants must be a list, got {entries!r}")
     C = np.zeros((n, n, n))
-    for entry in data.get("structure_constants", []):
-        if len(entry) != 4:
-            raise ValueError(f"structure constant entries are (k, i, j, value), got {entry}")
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 4
+                and all(type(v) is int for v in entry[:3]) and type(entry[3]) in (int, float)):
+            raise ValueError("structure constant entries are [k, i, j, value] with integer "
+                             f"k, i, j, got {entry!r}")
         k, i, j, value = entry
         if not (1 <= k <= n and 1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"structure constant index out of range in {entry}")
-        C[int(k) - 1, int(i) - 1, int(j) - 1] = float(value)
+        C[k - 1, i - 1, j - 1] = value
     model = make_model(n, data["m"], C, data["inertia"],
                        name=str(data.get("name", "custom")), strict=False)
     rep = None
@@ -168,7 +177,7 @@ def load_model(path):
         if not ("basis_matrices" in data and "rep_dim" in data):
             raise ValueError("rep_dim and basis_matrices must be given together")
         basis = np.asarray(data["basis_matrices"], dtype=float)
-        d = int(data["rep_dim"])
+        d = data["rep_dim"]
         if basis.shape != (n, d, d):
             raise DimensionMismatch(f"basis_matrices must have shape {(n, d, d)}, got {basis.shape}")
         rep = {"rep_dim": d, "basis_matrices": basis}
@@ -280,13 +289,13 @@ class ValidationReport:
         ]
 
 
-def validate_model(model, tol=DEFAULT_TOL) -> ValidationReport:
+def validate_model(model) -> ValidationReport:
     """Check all model invariants; reports rather than throws."""
     C, inertia = model.C, model.inertia
     checks = []
 
     res = float(np.abs(C + np.transpose(C, (0, 2, 1))).max())
-    checks.append(CheckResult("antisymmetry", res < tol, res))
+    checks.append(CheckResult("antisymmetry", res < VALIDATE_TOL, res))
 
     jac = (
         np.einsum("lij,plk->pijk", C, C)
@@ -294,10 +303,10 @@ def validate_model(model, tol=DEFAULT_TOL) -> ValidationReport:
         + np.einsum("lki,plj->pijk", C, C)
     )
     res = float(np.abs(jac).max())
-    checks.append(CheckResult("jacobi_identity", res < tol, res))
+    checks.append(CheckResult("jacobi_identity", res < VALIDATE_TOL, res))
 
     res = float(np.abs(inertia - inertia.T).max())
-    checks.append(CheckResult("inertia_symmetric", res < tol, res))
+    checks.append(CheckResult("inertia_symmetric", res < VALIDATE_TOL, res))
 
     eigs = np.linalg.eigvalsh(0.5 * (inertia + inertia.T))
     lam_min = float(eigs.min())
@@ -307,6 +316,6 @@ def validate_model(model, tol=DEFAULT_TOL) -> ValidationReport:
         res = float(np.abs(inertia[: model.m, model.m:]).max())
     else:
         res = 0.0
-    checks.append(CheckResult("adapted_basis", res < tol, res))
+    checks.append(CheckResult("adapted_basis", res < VALIDATE_TOL, res))
 
     return ValidationReport(tuple(checks))

@@ -77,13 +77,15 @@ def _check_numbers(data):
 
 def _floats(raw, what):
     """A config number or nested list of numbers as a float array; anything
-    else (strings, null, ragged lists) is a usage error."""
+    else (strings, null, ragged lists, NaN or infinities) is a usage error."""
     try:
         arr = np.asarray(raw)
     except ValueError:
         arr = None
     if arr is None or arr.dtype.kind not in "iuf":
         raise UsageError(f"{what} must be a number or a list of numbers, got {raw!r}")
+    if not np.isfinite(arr).all():
+        raise UsageError(f"{what} must be finite, got {raw!r}")
     return arr.astype(float)
 
 
@@ -223,6 +225,8 @@ def build_control(config, model):
         values = _floats(section.get("values", []), "control.values")
         if times.ndim != 1 or values.shape != (len(times), model.m) or len(times) < 2:
             raise UsageError("control samples need matching 'times' (k) and 'values' (k x m), k >= 2")
+        if np.any(np.diff(times) <= 0):
+            raise UsageError(f"control.times must be strictly increasing, got {times.tolist()}")
 
         def u(t):
             return np.array([np.interp(t, times, values[:, a]) for a in range(model.m)])

@@ -44,10 +44,11 @@ from math import atan2
 
 import numpy as np
 
-from .algebra import LieAlgebraModel
+from .algebra import VALIDATE_TOL, LieAlgebraModel
 from .errors import AngleOutOfRange, DimensionMismatch, NonFinite
 
 SO3_MAX_LOG_ANGLE = np.pi - 1e-6
+EXP_RTOL, EXP_MAX_TERMS = 1e-13, 60  # where _exp_series stops its series
 
 # hat map of so(3): E_i v = e_i x v
 _SO3_BASIS = np.array([[[0, 0, 0], [0, 0, -1], [0, 1, 0]],
@@ -190,7 +191,7 @@ def _so3_log(R, max_angle):
 
 # -- generic matrix exponential ----------------------------------------------
 
-def _exp_series(A, rtol=1e-13, max_terms=60):
+def _exp_series(A):
     """Scaling and squaring on the exponential series, batched.  Each matrix
     takes its own scaling exponent and stopping term, so every row of a batch
     gets the bits it gets alone."""
@@ -202,11 +203,11 @@ def _exp_series(A, rtol=1e-13, max_terms=60):
     out = np.eye(A.shape[-1]) + B
     term = B
     done = np.zeros(A.shape[:-2], dtype=bool)
-    for k in range(2, max_terms + 1):
+    for k in range(2, EXP_MAX_TERMS + 1):
         term = np.matmul(term, B) / k
         out = np.where(done[..., None, None], out, out + term)
         done |= (np.abs(term).max(axis=(-2, -1))
-                 <= rtol * np.maximum(np.abs(out).max(axis=(-2, -1)), 1.0))
+                 <= EXP_RTOL * np.maximum(np.abs(out).max(axis=(-2, -1)), 1.0))
         if done.all():
             break
     for i in range(int(s.max(initial=0))):
@@ -418,7 +419,7 @@ def adjoint_matrix(gm, g) -> np.ndarray:
     return unhat(gm, conj).T
 
 
-def validate_group(gm, tol=1e-12):
+def validate_group(gm):
     """Check commutator consistency of the representation (reports, no throw)."""
     from .algebra import CheckResult, ValidationReport  # local to avoid cycle noise
 
@@ -427,8 +428,8 @@ def validate_group(gm, tol=1e-12):
     comm = comm - np.transpose(comm, (1, 0, 2, 3))
     expected = np.einsum("kij,kab->ijab", gm.algebra.C, gm.basis)
     res = float(np.abs(comm - expected).max())
-    checks = [CheckResult("commutator_consistency", res < tol, res)]
+    checks = [CheckResult("commutator_consistency", res < VALIDATE_TOL, res)]
     if gm.kind == "so3":
         res = float(np.abs(gm.basis + np.transpose(gm.basis, (0, 2, 1))).max())
-        checks.append(CheckResult("so3_skew_generators", res < tol, res))
+        checks.append(CheckResult("so3_skew_generators", res < VALIDATE_TOL, res))
     return ValidationReport(tuple(checks))

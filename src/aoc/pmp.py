@@ -62,6 +62,8 @@ from .errors import DimensionMismatch, SingularRegularity, NoConvergence
 FD_STEP_CHECK = 1e-5   # verification finite differences
 FD_STEP_COST = 1e-6    # cost derivative helper
 RCOND_MIN = 1e-12      # smallest inverse condition number of a regular control Hessian
+NEWTON_TOL = 1e-12     # sup-norm stationarity residual of a solved control
+NEWTON_MAX_ITER = 50   # Newton steps of one control elimination
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,7 @@ def _check_regular(H, what):
                                  f".. {sv[-1]:.3g})")
 
 
-def eliminate_control(model, cost, s, xi, tol=1e-12, max_iter=50) -> np.ndarray:
+def eliminate_control(model, cost, s, xi) -> np.ndarray:
     """Solve the stationarity condition dL/du = restricted xi for u.
 
     Closed form for quadratic costs, damped Newton otherwise (start at
@@ -182,15 +184,15 @@ def eliminate_control(model, cost, s, xi, tol=1e-12, max_iter=50) -> np.ndarray:
         return np.linalg.solve(R, target[..., None])[..., 0] if target.ndim > 1 \
             else np.linalg.solve(R, target)
     if xi.ndim > 1:
-        rows = [eliminate_control(model, cost, State(x, y), row, tol, max_iter)
+        rows = [eliminate_control(model, cost, State(x, y), row)
                 for x, y, row in _rows(s.x, s.y, xi)]
         return np.reshape(rows, target.shape)
 
     def newton(u0):
         u = u0.copy()
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             g = np.asarray(cost.dL_du(s, u), dtype=float) - target
-            if np.abs(g).max() < tol:
+            if np.abs(g).max() < NEWTON_TOL:
                 return u
             Hm = np.asarray(cost.d2L_du2(s, u), dtype=float)
             try:
@@ -208,7 +210,7 @@ def eliminate_control(model, cost, s, xi, tol=1e-12, max_iter=50) -> np.ndarray:
                 return None
             u = u + step * du
         g = np.asarray(cost.dL_du(s, u), dtype=float) - target
-        return u if np.abs(g).max() < tol else None
+        return u if np.abs(g).max() < NEWTON_TOL else None
 
     u = newton(np.zeros(model.m))
     if u is None:

@@ -12,10 +12,10 @@ central-difference perturbations, with per-column steps
 fd_step (1 + |component|).  An accepted step therefore already has its
 Jacobian, and a rejected one costs a single flow.  (A continuation on
 the requested grid, below, steps with a carried Jacobian instead.)  A
-batch whose flow blows up or whose boundary log is ill-posed is a
-rejected step (a failed start at the seed); no row is rerun on its own.
-So is a batch in which the control elimination stalls (NoConvergence;
-only the Newton elimination of a non-quadratic cost can).
+batch whose flow blows up, whose control elimination stalls
+(NoConvergence, which only the Newton of a non-quadratic cost raises) or
+whose boundary log is ill-posed is a rejected step (a failed start at
+the seed); no row is rerun on its own.
 The damping follows Nielsen's gain-ratio rule (H. B. Nielsen, "Damping
 parameter in Marquardt's method", 1999): it starts at 1e-6 max
 diag(J^T J), shrinks by max(1/3, 1 - (2 rho - 1)^3) after an accepted
@@ -28,9 +28,10 @@ only through brackets, so the residual is strongly curved in the
 costates and plain LM creeps along a curved valley.  There each step
 adds geodesic acceleration (M. K. Transtrum and J. P. Sethna,
 "Improvements to the Levenberg-Marquardt algorithm for nonlinear
-least-squares minimization", arXiv:1201.5885, 2012): a 1-row probe flow
-at theta + GEO_H delta gives the second directional derivative r_vv of
-the residual, the same damped normal matrix gives the acceleration
+least-squares minimization", arXiv:1201.5885, 2012): a residual-only
+evaluation (a 1-row probe flow) at theta + GEO_H delta gives the second
+directional derivative r_vv of the residual, the same damped normal
+matrix gives the acceleration
 a = -(J^T J + lambda I)^-1 J^T r_vv, and the trial moves to
 theta + delta + a / 2.  A step with 2 |a| > GEO_ALPHA |delta|, or whose
 probe fails, is rejected without a trial flow; the gain ratio is still
@@ -50,22 +51,20 @@ flows.  The continuation is Deuflhard's simplified Newton iteration: the
 root moves by only O(h_coarse^4) between the grids, so the coarse Jacobian
 still gives good steps, and each of its evaluations is a 1-row flow of
 the residual alone.  While the Jacobian is stale (not taken at the
-current theta) a step takes no geodesic probe.  A step rejected with a
-stale Jacobian costs one 4n-row flow at theta, the perturbation rows
-alone since r(theta) is known, which refreshes it; the retry keeps
-(lambda, nu), and only a step rejected with a fresh Jacobian grows the
-damping.  When that continuation does not converge, the start reruns on
-the requested grid from its seed with fresh damping, the single-grid
-run.  A start whose coarse run does not converge takes no requested-grid
-flow: the solve moves on to the next seed, so a stalled start costs only
-coarse flows.  When no start converges this way, the solve is the
-single-grid multi-start (every seed's run on the requested grid, each
-run at most once), bitwise the solve without a coarse grid, so nesting
-never loses a convergence.  ``max_iter`` caps the steps of each run, so a
-start takes at most 3 max_iter steps.  ``ShootingResult.iterations``
-counts the steps on both grids, ``flows`` every propagation of a solve
-(seeds, probes, trials and refreshes, on both grids) and ``coarse_flows``
-those on the coarse grid.
+current theta) a step takes no geodesic probe, and a step rejected with
+a stale Jacobian refreshes it with one full 4n + 1-row evaluation at
+theta (whose row 0 repeats r(theta) bit for bit) and retries with the
+same (lambda, nu).  When that continuation does not converge, the start
+reruns on the requested grid from its seed with fresh damping, the
+single-grid run.  A start whose coarse run does not converge takes no
+requested-grid flow: the solve moves on to the next seed.  When no start
+converges this way, the solve is the single-grid multi-start (every
+seed's run on the requested grid, each run at most once), bitwise the
+solve without a coarse grid, so nesting never loses a convergence.
+``max_iter`` caps the steps of each run, so a start takes at most
+3 max_iter steps.  ``ShootingResult.iterations``, ``flows`` and
+``coarse_flows`` sum the steps, the flows (seeds, probes, trials and
+refreshes) and the coarse-grid flows of the solve's runs (``_Run``).
 
 The stepper records every flow on its grid, so the returned trajectory
 is row 0 of the last accepted requested-grid flow of the best start (its
@@ -73,15 +72,16 @@ seed flow when no step was accepted): bitwise the flow of the returned
 costates, with no flow run for it.  It is None only when no start's seed
 flow succeeded.
 
-Globalization is a deterministic multi-start (scale patterns
-{0, +-1, +-10} on two sign masks, 8 seeds total); there is no
-continuation or homotopy in the costates or the weights, only the
-nested grids above.
+Globalization is a deterministic multi-start (scale patterns {0, +-1,
++-10} on two sign masks, 8 seeds total); there is no continuation or
+homotopy in the costates or the weights, only the nested grids above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,33 +158,25 @@ def boundary_residual(model, gm, cost, problem, mu0, xi0) -> np.ndarray:
     return _residual_batch(model, gm, cost, problem, theta[None, :])[0][0]
 
 
-def _residual_and_jacobian(model, gm, cost, problem, theta, fd_step, residual=True,
-                           jacobian=True):
+def _residual_and_jacobian(model, gm, cost, problem, theta, fd_step, jacobian=True):
     """Residual at theta, its central-difference Jacobian and the flow from theta,
     from one batched flow.
 
     Row 0 of the batch is theta; rows 1..p and p+1..2p add and subtract
     the per-column steps fd_step (1 + |theta_i|).  The flow is row 0's
-    (xs, vs) on the grid, as ``flow_extremal`` records it.  Without
-    ``residual`` the batch is only the 2p perturbation rows, and without
-    ``jacobian`` only row 0; the residual, the Jacobian or the flow that is
-    not computed is None.  Each row keeps its bits in any of these batches.
-    Returns None when the flow blows up, the control elimination stalls or
-    a boundary log is ill-posed anywhere in the batch.
+    (xs, vs), as ``flow_extremal`` records it.  Without ``jacobian`` the
+    batch is row 0 alone, with the same bits, and J is None.  Returns None
+    when the flow blows up, the control elimination stalls or a boundary
+    log is ill-posed anywhere in the batch.
     """
     p = len(theta)
-    h = fd_step * (1.0 + np.abs(theta))
-    blocks = ([np.zeros(p)] if residual else []) + ([np.diag(h), -np.diag(h)] if jacobian else [])
+    h = fd_step * (1.0 + np.abs(theta)) if jacobian else None
+    offsets = np.vstack([np.zeros(p), np.diag(h), -np.diag(h)]) if jacobian else np.zeros((1, p))
     try:
-        res, (xs, vs) = _residual_batch(model, gm, cost, problem, theta + np.vstack(blocks))
+        res, (xs, vs) = _residual_batch(model, gm, cost, problem, theta + offsets)
     except (NonFinite, AngleOutOfRange, NoConvergence):
         return None
-    J = None
-    if jacobian:
-        pert = res[int(residual):]
-        J = (pert[:p] - pert[p:]).T / (2.0 * h)
-    if not residual:
-        return None, J, None
+    J = (res[1:p + 1] - res[p + 1:]).T / (2.0 * h) if jacobian else None
     return res[0], J, (xs[:, 0], vs[:, 0])
 
 
@@ -198,36 +190,44 @@ def _start_points(n):
     return seeds
 
 
-def _levenberg_marquardt(evaluate, theta0, tol, max_iter, probe=None, damping=None,
+class _Run(NamedTuple):
+    """One LM run as ``_levenberg_marquardt`` returns it; flow is None when its seed failed."""
+
+    theta: np.ndarray
+    norm: float
+    steps: int
+    converged: bool
+    flow: tuple | None
+    damping: tuple | None
+    jacobian: np.ndarray | None
+    flows: int
+
+
+def _levenberg_marquardt(evaluate, theta0, tol, max_iter, geodesic=False, damping=None,
                          jacobian=None):
     """Levenberg-Marquardt with Nielsen's gain-ratio damping update.
 
-    ``evaluate(theta, residual=True, jacobian=True)`` returns (r, J, flow)
-    or None, each part None when not asked for, so every step costs one
-    call: a rejected trial is one lost flow, and an accepted one already
-    carries the Jacobian of the next step.  With ``probe(theta)``, which
-    returns r or None, each step adds the geodesic acceleration of the
-    module docstring.  ``damping`` is the (lambda, nu) to start from, by
-    default 1e-6 max diag(J^T J) and 2.
+    ``evaluate(theta, jacobian=True)`` returns (r, J, flow) or None (J None
+    without ``jacobian``), so every step costs one call: a rejected trial
+    is one lost flow, and an accepted one already carries the Jacobian of
+    the next step.  ``geodesic`` adds the geodesic acceleration of the
+    module docstring, from a residual-only probe.  ``damping`` is the
+    (lambda, nu) to start from, by default 1e-6 max diag(J^T J) and 2.
 
-    A carried ``jacobian`` makes the run a simplified Newton iteration:
-    every evaluation is residual only, and steps use the carried J until a
-    step is rejected while J is stale (not taken at theta).  That rejection
-    refreshes J at theta from the perturbation rows alone and retries with
-    the same (lambda, nu); only a rejection with a fresh J grows the
-    damping, and a refresh that fails ends the run.  A stale J takes no
-    probe.  Returns (theta, sup-norm residual, steps, converged, flow of
-    theta, damping reached, last J), the flow None when the seed failed.
+    A carried ``jacobian`` makes the run the simplified Newton iteration of
+    the module docstring: every evaluation is residual only until a step
+    is rejected while J is stale (not taken at theta), which refreshes J
+    by a full evaluation at theta; only a rejection with a fresh J grows
+    the damping, and a refresh that fails ends the run.  Returns the run's
+    ``_Run`` record.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     carried = jacobian is not None
-    point = evaluate(theta, jacobian=not carried)
+    point, flows = evaluate(theta, jacobian=not carried), 1
     if point is None:
-        return theta, np.inf, 0, False, None, damping, jacobian
+        return _Run(theta, np.inf, 0, False, None, damping, jacobian, flows)
     r, J, flow = point
-    if carried:
-        J = jacobian
-    fresh = not carried
+    J, fresh = (jacobian, False) if carried else (J, True)
     lam, nu = damping if damping is not None else (1e-6 * (J ** 2).sum(axis=0).max(), 2.0)
     steps = 0
     while np.abs(r).max() >= tol and steps < max_iter and lam <= 1e16:
@@ -241,15 +241,17 @@ def _levenberg_marquardt(evaluate, theta0, tol, max_iter, probe=None, damping=No
             break
         steps += 1
         step = delta
-        if probe is not None and fresh:
-            r_h = probe(theta + GEO_H * delta)
+        if geodesic and fresh:
+            probe, flows = evaluate(theta + GEO_H * delta, jacobian=False), flows + 1
             step = None
-            if r_h is not None:
-                r_vv = (2.0 / GEO_H) * ((r_h - r) / GEO_H - J @ delta)
+            if probe is not None:
+                r_vv = (2.0 / GEO_H) * ((probe[0] - r) / GEO_H - J @ delta)
                 a = -np.linalg.solve(A, J.T @ r_vv)
                 if 2.0 * np.linalg.norm(a) <= GEO_ALPHA * np.linalg.norm(delta):
                     step = delta + 0.5 * a
-        trial = None if step is None else evaluate(theta + step, jacobian=not carried)
+        trial = None
+        if step is not None:
+            trial, flows = evaluate(theta + step, jacobian=not carried), flows + 1
         gain = -1.0 if trial is None else (r @ r - trial[0] @ trial[0]) / (delta @ (lam * delta - g))
         if gain > 0:
             theta, (r, J_trial, flow) = theta + step, trial
@@ -257,7 +259,7 @@ def _levenberg_marquardt(evaluate, theta0, tol, max_iter, probe=None, damping=No
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             nu = 2.0
         elif not fresh:
-            point = evaluate(theta, residual=False)
+            point, flows = evaluate(theta), flows + 1
             if point is None:
                 break
             J, fresh = point[1], True
@@ -265,7 +267,7 @@ def _levenberg_marquardt(evaluate, theta0, tol, max_iter, probe=None, damping=No
             lam *= nu
             nu *= 2.0
     norm = float(np.abs(r).max())
-    return theta, norm, steps, norm < tol, flow, (lam, nu), J
+    return _Run(theta, norm, steps, norm < tol, flow, (lam, nu), J, flows)
 
 
 def solve_shooting(model, gm, cost, problem, initial_guess=None,
@@ -282,68 +284,49 @@ def solve_shooting(model, gm, cost, problem, initial_guess=None,
     coarse_steps = max(COARSE_MIN_STEPS, int(problem.steps) // COARSE_DIVISOR)
     coarse = (replace(problem, steps=coarse_steps)
               if COARSE_RATIO * coarse_steps <= int(problem.steps) else None)
-    counts = {"fine": 0, "coarse": 0, "iterations": 0}
+    fine_runs, coarse_runs = [], []
 
     def lm(prob, theta0, damping=None, J0=None):
-        grid = "fine" if prob is problem else "coarse"
-
-        def evaluate(theta, residual=True, jacobian=True):
-            counts[grid] += 1
-            return _residual_and_jacobian(model, gm, cost, prob, theta, fd_step, residual,
-                                          jacobian)
-
-        def probe(theta):
-            counts[grid] += 1
-            try:
-                return _residual_batch(model, gm, cost, prob, theta[None, :])[0][0]
-            except (NonFinite, AngleOutOfRange, NoConvergence):
-                return None
-
-        run = _levenberg_marquardt(evaluate, theta0, tol, max_iter,
-                                   probe if model.m < n else None, damping, J0)
-        counts["iterations"] += run[2]
+        evaluate = partial(_residual_and_jacobian, model, gm, cost, prob, fd_step=fd_step)
+        run = _levenberg_marquardt(evaluate, theta0, tol, max_iter, model.m < n, damping, J0)
+        (coarse_runs if prob is coarse else fine_runs).append(run)
         return run
 
-    if initial_guess is not None:
-        mu0, xi0 = initial_guess
-        starts = [np.concatenate([np.asarray(mu0, dtype=float), np.asarray(xi0, dtype=float)])]
-    else:
-        starts = _start_points(n)
+    starts = (_start_points(n) if initial_guess is None
+              else [np.concatenate([np.asarray(part, dtype=float) for part in initial_guess])])
 
-    single_runs = {}
-
+    @cache
     def single(i):
         # the requested-grid run from start i's seed, run at most once per solve
-        if i not in single_runs:
-            single_runs[i] = lm(problem, starts[i])
-        return single_runs[i]
+        return lm(problem, starts[i])
 
     found = None
     for i in range(len(starts) if coarse is not None else 0):
-        theta_c, _, _, ok, _, damping, J_c = lm(coarse, starts[i])
-        if ok:
-            run = lm(problem, theta_c, damping, J_c)
-            if not run[3]:
+        coarse_run = lm(coarse, starts[i])
+        if coarse_run.converged:
+            run = lm(problem, coarse_run.theta, coarse_run.damping, coarse_run.jacobian)
+            if not run.converged:
                 run = single(i)
-            if run[3]:
+            if run.converged:
                 found = run
                 break
     if found is None:
         # the single-grid multi-start
         for i in range(len(starts)):
             run = single(i)
-            if found is None or run[1] < found[1]:
+            if found is None or run.norm < found.norm:
                 found = run
-            if run[3]:
+            if run.converged:
                 break
 
-    theta, norm, _, ok, flow, _, _ = found
-    trajectory = None if flow is None else pmp.extremal_trajectory(model, gm, cost,
-                                                                   problem.T, *flow)
-    return ShootingResult(mu0=theta[:n].copy(), xi0=theta[n:].copy(),
-                          residual_norm=norm, iterations=counts["iterations"],
-                          trajectory=trajectory, converged=bool(ok),
-                          flows=counts["fine"] + counts["coarse"], coarse_flows=counts["coarse"])
+    trajectory = None if found.flow is None else pmp.extremal_trajectory(
+        model, gm, cost, problem.T, *found.flow)
+    runs = fine_runs + coarse_runs
+    return ShootingResult(mu0=found.theta[:n].copy(), xi0=found.theta[n:].copy(),
+                          residual_norm=found.norm, iterations=sum(run.steps for run in runs),
+                          trajectory=trajectory, converged=bool(found.converged),
+                          flows=sum(run.flows for run in runs),
+                          coarse_flows=sum(run.flows for run in coarse_runs))
 
 
 def extremal_defect(model, gm, cost, traj):

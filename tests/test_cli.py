@@ -337,6 +337,86 @@ def test_non_numeric_array_entry_is_config_error(tmp_path, capsys, command, sect
     assert not list(tmp_path.glob("out*"))
 
 
+_NAN, _INF = float("nan"), float("inf")  # json writes these as NaN and Infinity
+
+
+@pytest.mark.parametrize("command,section,argv,where", [
+    ("shoot", {"cost": {"kind": "quadratic", "R": [[_NAN, 0, 0], [0, 1, 0], [0, 0, 1]]}}, [],
+     "cost.R"),
+    ("shoot", {"solver": {"guess": [0, 0, 0, 0, 0, _INF]}}, [], "solver.guess"),
+    ("extremal", {"costate0": {"mu0": [_NAN, 0, 0], "xi0": [0, 0, 0]}}, [], "costate0.mu0"),
+    ("extremal", {}, ["--mu0", "0,0,0", "--xi0", "0,-inf,0"], "costate0.xi0"),
+    ("shoot", {"problem": {**_PROBLEM, "y0": [0, _NAN, 0]}}, [], "problem.y0"),
+    ("shoot", {"problem": {**_PROBLEM, "xT": [0, 0, _NAN]}}, [], "problem.xT"),
+], ids=["R-nan", "guess-inf", "mu0-nan", "xi0-flag-inf", "y0-nan", "xT-nan"])
+def test_non_finite_input_is_config_error(tmp_path, capsys, monkeypatch, command, section,
+                                          argv, where):
+    # valid JSON literals and valid flag values, rejected before any flow runs
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr("aoc.groups.rkmk_integrate", no_flow)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **section)
+    assert main([command, "--config", str(cfg), *argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {where} must be finite")
+    assert not list(tmp_path.glob("out*"))
+
+
+# so(3) with its matrix representation, a model file that validates
+_SO3_FILE = {"n": 3, "m": 3, "inertia": np.diag([1.0, 2.0, 3.0]).tolist(),
+             "structure_constants": [[3, 1, 2, 1.0], [3, 2, 1, -1.0], [1, 2, 3, 1.0],
+                                     [1, 3, 2, -1.0], [2, 3, 1, 1.0], [2, 1, 3, -1.0]],
+             "rep_dim": 3, "basis_matrices": [[[0, 0, 0], [0, 0, -1], [0, 1, 0]],
+                                              [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+                                              [[0, -1, 0], [1, 0, 0], [0, 0, 0]]]}
+
+
+@pytest.mark.parametrize("content", [
+    {**_SO3_FILE, "m": 2.7},
+    {**_SO3_FILE, "n": 3.9},
+    {**_SO3_FILE, "m": True},
+    {**_SO3_FILE, "rep_dim": 3.5},
+    {**_SO3_FILE, "n": "3"},
+    {**_SO3_FILE, "structure_constants": [[3, 1.5, 2, 1.0]] + _SO3_FILE["structure_constants"][1:]},
+    {**_SO3_FILE, "structure_constants": [[3, 1, 2, "1"]] + _SO3_FILE["structure_constants"][1:]},
+    {**_SO3_FILE, "structure_constants": 7},
+    5,
+    None,
+    [[1]],
+], ids=["m-float", "n-float", "m-bool", "rep_dim-float", "n-string", "index-float",
+        "value-string", "constants-number", "number", "null", "list"])
+def test_malformed_model_file_is_config_error(tmp_path, capsys, content):
+    # never truncated or converted into a model that validates
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps(content))
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, algebra={"kind": "custom", "file": str(model_file)})
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: bad model file: ")
+
+
+def test_the_valid_model_file_validates(tmp_path, capsys):
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps(_SO3_FILE))
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, algebra={"kind": "custom", "file": str(model_file)})
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("times", [[0.0, 1.0, 0.5], [0.0, 0.5, 0.5]], ids=["back", "repeated"])
+def test_control_times_must_increase(tmp_path, capsys, times):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, algebra={"kind": "abelian", "n": 1},
+                 problem={"x0": [0.0], "xT": [0.0], "y0": [0.0], "yT": [0.0],
+                          "T": 1.0, "steps": 10},
+                 control={"times": times, "values": [[1.0], [0.0], [1.0]]})
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert "control.times must be strictly increasing" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
 @pytest.mark.parametrize("algebra_section,problem", [
     ({"kind": "so3", "inertia": [1.0, 2.0, 3.0], "m": 3}, _PROBLEM),
     ({"kind": "abelian", "n": 1},

@@ -502,11 +502,12 @@ def test_flow_with_x_dependent_cost_conserves_h(so3_j123, so3_j123_group, rng):
     assert np.abs(traj.hams - traj.hams[0]).max() < 1e-8
 
 
-def test_eliminate_newton_no_convergence(so3_m2):
+def test_eliminate_newton_no_convergence(so3_m2, monkeypatch):
     cost = quartic_cost(so3_m2)
+    monkeypatch.setattr(aoc.pmp, "NEWTON_MAX_ITER", 1)
     with pytest.raises(aoc.NoConvergence):
         eliminate_control(so3_m2, cost, State(np.eye(3), np.zeros(3)),
-                          np.array([50.0, -80.0, 0.0]), max_iter=1)
+                          np.array([50.0, -80.0, 0.0]))
 
 
 def test_stalled_control_elimination_is_a_failed_flow(so3_m2, so3_m2_group):

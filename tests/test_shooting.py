@@ -273,9 +273,9 @@ def test_failed_continuation_reruns_the_seed_on_the_requested_grid(monkeypatch):
     single = single_grid(monkeypatch, problem)
     lm = aoc.shooting._levenberg_marquardt
 
-    def cut(evaluate, theta0, tol, max_iter, probe=None, damping=None, jacobian=None):
-        return lm(evaluate, theta0, tol, 0 if damping is not None else max_iter, probe, damping,
-                  jacobian)
+    def cut(evaluate, theta0, tol, max_iter, geodesic=False, damping=None, jacobian=None):
+        return lm(evaluate, theta0, tol, 0 if damping is not None else max_iter, geodesic,
+                  damping, jacobian)
 
     monkeypatch.setattr(aoc.shooting, "_levenberg_marquardt", cut)
     nested = solve_shooting(*problem)
@@ -299,10 +299,10 @@ def test_rejected_step_with_a_stale_jacobian_refreshes_it(monkeypatch):
     lm = aoc.shooting._levenberg_marquardt
     continuations = []
 
-    def spy(evaluate, theta0, tol, max_iter, probe=None, damping=None, jacobian=None):
+    def spy(evaluate, theta0, tol, max_iter, geodesic=False, damping=None, jacobian=None):
         if jacobian is not None:
-            continuations.append((evaluate, theta0, tol, probe, damping, jacobian))
-        return lm(evaluate, theta0, tol, max_iter, probe, damping, jacobian)
+            continuations.append((evaluate, theta0, tol, geodesic, damping, jacobian))
+        return lm(evaluate, theta0, tol, max_iter, geodesic, damping, jacobian)
 
     monkeypatch.setattr(aoc.shooting, "_levenberg_marquardt", spy)
     flows = spy_flows(monkeypatch, prob)
@@ -311,7 +311,7 @@ def test_rejected_step_with_a_stale_jacobian_refreshes_it(monkeypatch):
     # with a fresh Jacobian on every step the requested grid took 42 flows
     fine = [f for f in flows if f[0] == 50]
     assert len(fine) == res.flows - res.coarse_flows <= 10
-    refreshes = [k for k, f in enumerate(fine) if len(f[1]) == 12]
+    refreshes = [k for k, f in enumerate(fine) if len(f[1]) == 13]
     assert len(refreshes) == 1
     k = refreshes[0]
     # the iterate is the last 1-row flow that lowered |r|, since a step is
@@ -324,15 +324,16 @@ def test_rejected_step_with_a_stale_jacobian_refreshes_it(monkeypatch):
     theta, r = current
     assert fine[k - 1][2][0] @ fine[k - 1][2][0] >= r @ r
     h = 1e-6 * (1.0 + np.abs(theta))
-    assert np.array_equal(fine[k][1], theta + np.vstack([np.diag(h), -np.diag(h)]))
+    assert np.array_equal(fine[k][1], theta + np.vstack([np.zeros(6), np.diag(h), -np.diag(h)]))
+    assert np.array_equal(fine[k][2][0], r)
     # rerun the continuation one step at a time: the step that refreshes leaves
     # (lambda, nu) as the step before left it
-    evaluate, theta0, tol, probe, damping, J0 = continuations[0]
+    evaluate, theta0, tol, geodesic, damping, J0 = continuations[0]
     reached = [damping]
     for steps in range(1, res.iterations + 1):
         start = len(flows)
-        reached.append(lm(evaluate, theta0, tol, steps, probe, damping, J0)[5])
-        if any(len(f[1]) == 12 for f in flows[start:]):
+        reached.append(lm(evaluate, theta0, tol, steps, geodesic, damping, J0).damping)
+        if any(len(f[1]) == 13 for f in flows[start:]):
             break
     assert len(reached) > 2 and reached[-1] == reached[-2] and reached[-2] != damping
     # the same extremal as the single-grid solve
