@@ -58,6 +58,14 @@ class LieAlgebraModel:
     name: str = "custom"
 
 
+def _count(value, what):
+    """An integer count; a float, even an integral one, or a bool is a ValueError
+    rather than a count truncated by ``int``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def make_model(n, m, C, inertia, name="custom", strict=True) -> LieAlgebraModel:
     """Build a model from raw arrays, checking shapes and (optionally) invariants.
 
@@ -68,9 +76,9 @@ def make_model(n, m, C, inertia, name="custom", strict=True) -> LieAlgebraModel:
     raises ``ValueError``; pass ``strict=False`` to construct
     deliberately broken models for validation reporting, in which case a
     failed factorization leaves ``inertia_inv`` (and so ``drift``) all NaN.
+    The counts ``n`` and ``m`` must be integers.
     """
-    n = int(n)
-    m = int(m)
+    n, m = _count(n, "algebra dimension n"), _count(m, "actuated dimension m")
     if n < 1:
         raise ValueError(f"algebra dimension must be positive, got {n}")
     if not 1 <= m <= n:
@@ -121,8 +129,8 @@ def so3_model(inertia_diag=(1.0, 1.0, 1.0), m=3) -> LieAlgebraModel:
 
 def abelian_model(n, m=None, inertia=None) -> LieAlgebraModel:
     """Abelian R^n (all structure constants zero)."""
-    n = int(n)
-    m = n if m is None else int(m)
+    n = _count(n, "algebra dimension n")
+    m = n if m is None else m
     inertia = np.eye(n) if inertia is None else np.asarray(inertia, dtype=float)
     if inertia.ndim == 1:
         inertia = np.diag(inertia)
@@ -157,6 +165,9 @@ def load_model(path):
     for key in ("n", "m", "rep_dim"):
         if key in data and type(data[key]) is not int:
             raise ValueError(f"'{key}' must be an integer, got {data[key]!r}")
+    name = data.get("name", "custom")
+    if not isinstance(name, str):
+        raise ValueError(f"'name' must be a string, got {name!r}")
     n, entries = data["n"], data.get("structure_constants", [])
     if not isinstance(entries, list):
         raise ValueError(f"structure_constants must be a list, got {entries!r}")
@@ -171,7 +182,7 @@ def load_model(path):
             raise ValueError(f"structure constant index out of range in {entry}")
         C[k - 1, i - 1, j - 1] = value
     model = make_model(n, data["m"], C, data["inertia"],
-                       name=str(data.get("name", "custom")), strict=False)
+                       name=name, strict=False)
     rep = None
     if "basis_matrices" in data or "rep_dim" in data:
         if not ("basis_matrices" in data and "rep_dim" in data):
@@ -180,6 +191,8 @@ def load_model(path):
         d = data["rep_dim"]
         if basis.shape != (n, d, d):
             raise DimensionMismatch(f"basis_matrices must have shape {(n, d, d)}, got {basis.shape}")
+        if not np.isfinite(basis).all():
+            raise ValueError("basis_matrices must be finite")
         rep = {"rep_dim": d, "basis_matrices": basis}
     return model, rep
 

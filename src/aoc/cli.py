@@ -414,11 +414,15 @@ _FLAGS = {"validate": (), "simulate": ("out",), "extremal": ("out", "mu0", "xi0"
           "shoot": ("out",), "compare": ("out",)}
 
 
-def _parse_vector(text):
+def _parse_vector(text, key):
+    """The finite numbers of a --mu0 or --xi0 flag, for ``costate0.<key>``."""
     try:
-        return [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",")]
     except ValueError:
         raise UsageError(f"expected a comma-separated list of numbers, got {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"costate0.{key} must be finite, got {text!r}")
+    return values
 
 
 def main(argv=None) -> int:
@@ -445,9 +449,12 @@ def main(argv=None) -> int:
             config["output"]["path"] = str(_out_base(args.out))
         for key in ("mu0", "xi0"):
             if getattr(args, key) is not None:
-                config.setdefault("costate0", {})[key] = _parse_vector(getattr(args, key))
+                config.setdefault("costate0", {})[key] = _parse_vector(getattr(args, key), key)
         if args.dump_config:
-            print(json.dumps(config, indent=2, sort_keys=True))
+            try:
+                print(json.dumps(config, indent=2, sort_keys=True, allow_nan=False))
+            except ValueError:
+                raise UsageError("the config holds a non-finite number; it has no JSON form")
             return 0
         return run(args.command, config)
     except (UsageError, NonFinite, NoConvergence, SingularRegularity, AngleOutOfRange) as e:

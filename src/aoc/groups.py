@@ -34,7 +34,13 @@ every cost the CLI accepts, is split as Munthe-Kaas splits a Lie-group
 integrator: the loop takes classical RK4 steps of v alone and keeps the
 stage velocities, and batched passes after the loop form the increments
 and exponentials of all steps, then the product over the steps in order.
-The split path gives the coupled step's bits.
+The split path gives the coupled step's bits.  A split field that also
+ignores the step and node, and never raises on a non-finite v (the fused
+extremal field), is checked once after the loop, and a flow of at least
+PARAREAL_MIN_STEPS steps takes its v-record from Parareal in time
+(``_parareal``), which matches the loop to rounding: the time loop is then
+a few sweeps over a batch of segments, each row deciding alone when it is
+done, so a batch still keeps each row's bits.
 """
 
 from __future__ import annotations
@@ -327,6 +333,18 @@ def rkmk_coupled_step(gm, x, v, k, h, rhs):
 # long or wide the flow
 _PASS_ROWS = 4096
 
+# Parareal (``_parareal``) steps flows of at least PARAREAL_MIN_STEPS steps in
+# PARAREAL_SEGMENTS segments; a row stops once its largest correction is at most
+# PARAREAL_ULPS ulps of its scale, and reruns the sequential loop if it has not
+# after PARAREAL_MAX_SWEEPS fine sweeps.  Paired so(3) extremal flows
+# (BENCH_pr18_parareal.json, "break_even") set K and the threshold: at K = 20
+# a 1-row flow took 0.68 of the loop's time at 200 steps and 0.40 at 2000,
+# while a 13-row flow took 1.06 at 200 steps and 0.80-1.06 from 300 steps up.
+PARAREAL_MIN_STEPS = 500
+PARAREAL_SEGMENTS = 20
+PARAREAL_MAX_SWEEPS = 8
+PARAREAL_ULPS = 8
+
 
 def _reconstruct(gm, zs, h, xs):
     """Fill ``xs[1:]`` with x after each of the steps whose stage velocities
@@ -341,7 +359,114 @@ def _reconstruct(gm, zs, h, xs):
     return np.isfinite(xs[1:].reshape(len(es), -1)).all(axis=1)
 
 
-def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False):
+def _rk4_step(x, v, k, h, rhs):
+    """Step k of classical RK4 on v for a field that ignores x: the four stage
+    velocities and the new v."""
+    z1, f1 = rhs(k, 0.0, x, v)
+    z2, f2 = rhs(k, 0.5, x, v + 0.5 * h * f1)
+    z3, f3 = rhs(k, 0.5, x, v + 0.5 * h * f2)
+    z4, f4 = rhs(k, 1.0, x, v + h * f3)
+    return (z1, z2, z3, z4), v + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+
+
+def _rk4_loop(x, steps, h, rhs, vs, check=True):
+    """``steps`` RK4 steps of v from ``vs[0]``, filling ``vs[1:]``.  Returns the
+    stage velocities, shape (4, steps, ..., n), and the number of steps done:
+    with ``check`` the loop stops at the first step whose v is not finite,
+    without it the loop runs on and the caller scans ``vs``."""
+    v, zs = vs[0], None
+    for k in range(steps):
+        z, v = _rk4_step(x, v, k, h, rhs)
+        if zs is None:
+            zs = np.empty((4, steps) + np.shape(z[0]))
+        zs[:, k] = z
+        if check and not np.isfinite(v).all():
+            return zs, k
+        vs[k + 1] = v
+    return zs, steps
+
+
+def _finite_steps(vs):
+    """The number of steps before the first whose recorded v is not finite."""
+    finite = np.isfinite(vs[1:].reshape(len(vs) - 1, -1)).all(axis=1)
+    return len(finite) if finite.all() else int(np.argmin(finite))
+
+
+def _parareal(x, steps, h, rhs, vs):
+    """The v-record of ``steps`` RK4 steps by Parareal (Lions, Maday and
+    Turinici 2001), for rows ``vs[0]`` of shape (R, p); fills ``vs[1:]`` and
+    returns the stage velocities (4, steps, R, n).
+
+    The grid is cut into K segments.  The fine propagator F is the RK4 loop,
+    run as one batch over the K x R segment starts; the coarse propagator G
+    is one RK4 step over each segment.  A sweep sets U[i + 1] = F(U_old[i])
+    + (G(U_new[i]) - G(U_old[i])) in order.  Every choice is per row, so a
+    row of a batch gets the bits it gets alone: a row whose largest
+    correction is at most PARAREAL_ULPS ulps of its scale keeps the record of
+    its last fine sweep and leaves the iteration; a row that goes non-finite,
+    in the coarse pass or a sweep, or reaches PARAREAL_MAX_SWEEPS reruns the
+    sequential loop.
+    """
+    K = PARAREAL_SEGMENTS
+    R, p = vs.shape[1:]
+    q, r = divmod(steps, K)
+    lengths = np.array([q + 1] * r + [q] * (K - r))
+    first = np.concatenate([[0], np.cumsum(lengths)])
+    # the segments of q steps run one step past their end in a sweep of q + 1
+    past_end = np.arange(q + (r > 0) + 1)[:, None] > lengths
+    U = np.empty((K + 1, R, p))
+    G = np.empty((K, R, p))
+    U[0] = vs[0]
+    for i in range(K):
+        z, U[i + 1] = _rk4_step(x, U[i], 0, lengths[i] * h, rhs)
+        G[i] = U[i + 1]
+    zs = np.empty((4, steps, R, z[0].shape[-1]))
+    # a row whose coarse pass is not finite would not be in its first sweep
+    active = np.flatnonzero(np.isfinite(U).all(axis=(0, 2)))
+    converged = np.zeros(R, dtype=bool)
+    for _ in range(PARAREAL_MAX_SWEEPS):
+        if not len(active):
+            break
+        fine = np.empty((len(past_end), K, len(active), p))
+        fine[0] = U[:K, active]
+        zf, _ = _rk4_loop(x, len(past_end) - 1, h, rhs, fine, check=False)
+        ends = fine[lengths, np.arange(K)]
+        # coarse[i] holds G(U_old[i]) of the active rows, then G(U_new[i])
+        old, coarse = U[:, active], G[:, active]
+        new = np.empty_like(old)
+        new[0] = old[0]
+        for i in range(K):
+            g = _rk4_step(x, new[i], 0, lengths[i] * h, rhs)[1]
+            new[i + 1] = ends[i] + (g - coarse[i])
+            coarse[i] = g
+        finite = (np.isfinite(new).all(axis=(0, 2))
+                  & (np.isfinite(fine).all(axis=3) | past_end[:, :, None]).all(axis=(0, 1)))
+        scale = np.abs(new).max(axis=(0, 2))
+        done = finite & (np.abs(new - old).max(axis=(0, 2))
+                         <= PARAREAL_ULPS * np.finfo(float).eps * scale)
+        rows = active[done]
+        converged[rows] = True
+        for i in range(K):
+            span = slice(first[i], first[i + 1])
+            zs[:, span, rows] = zf[:, :lengths[i], i, done]
+            vs[span, rows] = fine[:lengths[i], i, done]
+        vs[steps, rows] = ends[K - 1, done]
+        U[:, active], G[:, active] = new, coarse
+        active = active[finite & ~done]
+    rerun = ~converged
+    if rerun.any():
+        alone = np.empty((steps + 1, int(rerun.sum()), p))
+        alone[0] = vs[0, rerun]
+        # a lone row steps as a vector, as a 1-row flow does, which numpy's
+        # matmul runs faster than a stack of one
+        z = _rk4_loop(x, steps, h, rhs, alone[:, 0] if len(alone[0]) == 1 else alone,
+                      check=False)[0]
+        zs[:, :, rerun] = z.reshape(4, steps, -1, z.shape[-1])
+        vs[:, rerun] = alone
+    return zs
+
+
+def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False, parareal=False):
     """``steps`` RK-MK steps of size ``h``, the one time loop of the package.
 
     ``rhs`` is as in ``rkmk_coupled_step``.  With ``needs_x`` each step is a
@@ -353,36 +478,35 @@ def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False):
     the initial one first, of the batch of x and v broadcast together.  The
     state after each step must be finite, else NonFinite is raised with the
     1-based number of the first step that is not.
+
+    ``parareal`` marks a split field that ignores (k, c) as well, acts on
+    each row alone and never raises on a non-finite v.  The loop then checks
+    finiteness once, on the record after it, and a flow of at least
+    PARAREAL_MIN_STEPS steps takes the v-record of ``_parareal``, which
+    matches the loop to rounding rather than bit for bit.
     """
     lead = np.broadcast_shapes(np.shape(x)[:-2], np.shape(v)[:-1])
     xs = np.empty((steps + 1,) + lead + np.shape(x)[-2:])
     vs = np.empty((steps + 1,) + lead + np.shape(v)[-1:])
     xs[0], vs[0] = x, v
-    x, v = xs[0], vs[0]
+    x = xs[0]
     with np.errstate(over="ignore", invalid="ignore"):
         if needs_x:
+            v = vs[0]
             for k in range(steps):
                 x, v = rkmk_coupled_step(gm, x, v, k, h, rhs)
                 if not (np.isfinite(v).all() and np.isfinite(x).all()):
                     raise NonFinite(k + 1)
                 xs[k + 1], vs[k + 1] = x, v
             return xs, vs
-        zs = None
-        done, per_pass = steps, 1
-        for k in range(steps):
-            z1, f1 = rhs(k, 0.0, x, v)
-            z2, f2 = rhs(k, 0.5, x, v + 0.5 * h * f1)
-            z3, f3 = rhs(k, 0.5, x, v + 0.5 * h * f2)
-            z4, f4 = rhs(k, 1.0, x, v + h * f3)
-            v = v + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-            if zs is None:
-                zs = np.empty((4, steps) + np.shape(z1))
-                per_pass = max(1, _PASS_ROWS // max(1, np.size(z1) // np.shape(z1)[-1]))
-            zs[:, k] = z1, z2, z3, z4
-            if not np.isfinite(v).all():
-                done = k
-                break
-            vs[k + 1] = v
+        if parareal and steps >= PARAREAL_MIN_STEPS:
+            zs = _parareal(x, steps, h, rhs, vs.reshape(steps + 1, -1, vs.shape[-1]))
+            zs = zs.reshape((4, steps) + lead + zs.shape[-1:])
+        else:
+            zs, done = _rk4_loop(x, steps, h, rhs, vs, check=not parareal)
+        if parareal:
+            done = _finite_steps(vs)
+        per_pass = 1 if zs is None else max(1, _PASS_ROWS // max(1, zs[0, 0].size // zs.shape[-1]))
         for j in range(0, done, per_pass):
             stop = min(j + per_pass, done)
             finite = _reconstruct(gm, zs[:, j:stop], h, xs[j:stop + 1])

@@ -34,7 +34,12 @@ and the forward rollouts of ``dynamics`` share one drift tensor.
 ``propagate_endpoints`` steps the field through ``groups.rkmk_integrate``
 in one call over the grid, for a batch of shooting rows as for the
 single flow of ``flow_extremal``, and returns the stepper's record of the
-batch's flow with its terminal states; ``extremal_trajectory`` turns a
+batch's flow with its terminal states.  The fused field ignores the step
+and never raises on a non-finite state, so it alone turns on the
+stepper's ``parareal``: one finite check after the loop, and Parareal in
+time for flows of at least ``groups.PARAREAL_MIN_STEPS`` steps, which
+match the sequential loop to rounding while a batch keeps each row's
+bits; shorter flows keep the loop's bits.  ``extremal_trajectory`` turns a
 recorded flow into a trajectory, eliminating the control once per grid
 point.  x-independent flows step (y, mu, xi) alone and reconstruct x
 after the loop; x-dependent costs take coupled steps.  Only normal extremals are
@@ -357,7 +362,9 @@ def propagate_endpoints(model, gm, cost, x0, y0, mu0, xi0, T, steps):
 
     Every extremal flow runs here, the rows of a shooting step as well as
     the single flow of ``flow_extremal``, and a batch of flows is bitwise
-    the run of each element alone.  Returns (x_T, y_T, (xs, vs)), where
+    the run of each element alone.  The fused field of a quadratic cost
+    takes the stepper's ``parareal`` path (see the module docstring).
+    Returns (x_T, y_T, (xs, vs)), where
     (xs, vs) is the stepper's record of the batch's group elements and
     v = (y, mu, xi) at the steps + 1 grid points, the initial state first
     (see ``groups.rkmk_integrate``).
@@ -368,7 +375,8 @@ def propagate_endpoints(model, gm, cost, x0, y0, mu0, xi0, T, steps):
     steps = int(steps)
     xs, vs = groups.rkmk_integrate(gm, np.asarray(x0, dtype=float), v, steps, T / steps,
                                    extremal_field(model, gm, cost),
-                                   needs_x=not cost.x_independent)
+                                   needs_x=not cost.x_independent,
+                                   parareal=_is_quadratic(cost))
     return xs[-1], vs[-1, ..., : model.n], (xs, vs)
 
 

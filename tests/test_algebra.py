@@ -206,6 +206,23 @@ def test_strict_construction_rejects_bad_model():
         make_model(3, 4, np.zeros((3, 3, 3)), np.eye(3))
 
 
+@pytest.mark.parametrize("n,m", [(3.9, 2.7), (3, 2.7), (3.0, 3), (np.float64(3.0), 3),
+                                 (3, True), ("3", 3)],
+                         ids=["both-float", "m-float", "n-integral-float", "n-numpy-float",
+                              "m-bool", "n-string"])
+def test_make_model_rejects_non_integer_counts(n, m):
+    # never truncated: make_model(3.9, 2.7, ...) is not the n = 3, m = 2 model
+    with pytest.raises(ValueError, match="must be an integer"):
+        make_model(n, m, np.zeros((3, 3, 3)), np.eye(3), strict=False)
+    with pytest.raises(ValueError, match="must be an integer"):
+        aoc.abelian_model(n, m=m)
+
+
+def test_make_model_takes_numpy_integer_counts():
+    model = make_model(np.int64(3), np.int32(2), np.zeros((3, 3, 3)), np.eye(3))
+    assert (model.n, model.m) == (3, 2) and type(model.n) is int
+
+
 @pytest.mark.parametrize("inertia", [np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 0.0, 1.0]),
                                      np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])],
                          ids=["indefinite", "semidefinite", "off-diagonal-indefinite"])

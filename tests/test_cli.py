@@ -340,6 +340,21 @@ def test_non_numeric_array_entry_is_config_error(tmp_path, capsys, command, sect
 _NAN, _INF = float("nan"), float("inf")  # json writes these as NaN and Infinity
 
 
+@pytest.mark.parametrize("argv,section", [
+    (["--mu0", "nan,0,0", "--xi0", "0,0,0"], {}),
+    (["--mu0", "0,0,0", "--xi0", "0,inf,0"], {}),
+    ([], {"costate0": {"mu0": [_NAN, 0, 0], "xi0": [0, 0, 0]}}),
+], ids=["mu0-flag-nan", "xi0-flag-inf", "mu0-config-nan"])
+def test_dump_config_is_strict_json(tmp_path, capsys, argv, section):
+    # the dump reproduces a run, and no run takes a non-finite costate: exit 1,
+    # not a printed bare NaN
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **section)
+    assert main(["extremal", "--config", str(cfg), *argv, "--dump-config"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("command,section,argv,where", [
     ("shoot", {"cost": {"kind": "quadratic", "R": [[_NAN, 0, 0], [0, 1, 0], [0, 0, 1]]}}, [],
      "cost.R"),
@@ -384,16 +399,25 @@ _SO3_FILE = {"n": 3, "m": 3, "inertia": np.diag([1.0, 2.0, 3.0]).tolist(),
     5,
     None,
     [[1]],
+    {**_SO3_FILE, "name": [1, 2]},
+    {**_SO3_FILE, "basis_matrices": [[[0, 0, 0], [0, 0, -1], [0, 1, _NAN]]]
+     + _SO3_FILE["basis_matrices"][1:]},
+    {**_SO3_FILE, "basis_matrices": _SO3_FILE["basis_matrices"][:2]
+     + [[[0, -1, 0], [1, 0, 0], [0, 0, _INF]]]},
 ], ids=["m-float", "n-float", "m-bool", "rep_dim-float", "n-string", "index-float",
-        "value-string", "constants-number", "number", "null", "list"])
+        "value-string", "constants-number", "number", "null", "list", "name-list",
+        "basis-nan", "basis-inf"])
 def test_malformed_model_file_is_config_error(tmp_path, capsys, content):
-    # never truncated or converted into a model that validates
+    # never truncated or converted into a model that validates, and reported as
+    # what is wrong with the file, not as the failure of a routine it reached
     model_file = tmp_path / "model.json"
     model_file.write_text(json.dumps(content))
     cfg = tmp_path / "cfg.json"
     write_config(cfg, algebra={"kind": "custom", "file": str(model_file)})
     assert main(["validate", "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err.startswith("error: bad model file: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad model file: ")
+    assert "did not converge" not in err
 
 
 def test_the_valid_model_file_validates(tmp_path, capsys):
