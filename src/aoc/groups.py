@@ -36,11 +36,13 @@ stage velocities, and batched passes after the loop form the increments
 and exponentials of all steps, then the product over the steps in order.
 The split path gives the coupled step's bits.  A split field that also
 ignores the step and node, and never raises on a non-finite v (the fused
-extremal field), is checked once after the loop, and a flow of at least
-PARAREAL_MIN_STEPS steps takes its v-record from Parareal in time
+extremal field), is checked every FINITE_CHECK_STEPS steps, and a flow of
+at least PARAREAL_MIN_STEPS steps takes its v-record from Parareal in time
 (``_parareal``), which matches the loop to rounding: the time loop is then
-a few sweeps over a batch of segments, each row deciding alone when it is
-done, so a batch still keeps each row's bits.
+a few sweeps over a batch of segments.  Each row decides alone whether
+its coarse error lets it take part and when it is done, so a batch still
+keeps each row's bits, and a row that does not take part keeps the
+loop's.
 """
 
 from __future__ import annotations
@@ -333,17 +335,32 @@ def rkmk_coupled_step(gm, x, v, k, h, rhs):
 # long or wide the flow
 _PASS_ROWS = 4096
 
-# Parareal (``_parareal``) steps flows of at least PARAREAL_MIN_STEPS steps in
-# PARAREAL_SEGMENTS segments; a row stops once its largest correction is at most
-# PARAREAL_ULPS ulps of its scale, and reruns the sequential loop if it has not
-# after PARAREAL_MAX_SWEEPS fine sweeps.  Paired so(3) extremal flows
-# (BENCH_pr18_parareal.json, "break_even") set K and the threshold: at K = 20
-# a 1-row flow took 0.68 of the loop's time at 200 steps and 0.40 at 2000,
-# while a 13-row flow took 1.06 at 200 steps and 0.80-1.06 from 300 steps up.
+# Parareal (``_parareal``) steps a flow of at least PARAREAL_MIN_STEPS steps in
+# PARAREAL_SEGMENTS segments.  A row takes part only if one RK4 step over each
+# pair of segments lands within PARAREAL_MAX_COARSE_ERROR of the row's scale of
+# the pair's two coarse steps: that gap foretells the sweeps the row needs.  A
+# row stops once its largest correction is at most PARAREAL_ULPS ulps of its
+# scale, and reruns the sequential loop if it has not after
+# PARAREAL_MAX_SWEEPS sweeps.  Paired so(3) extremal flows
+# (BENCH_pr18_parareal.json) set the values.  At K = 20 a 1-row flow of 2000
+# steps took 0.33-0.41 of the loop's time at 2-3 sweeps and gained up to 8;
+# a sweep of a 13-row flow costs about a fifth of its loop, so that flow took
+# 0.92-0.93 at 2-3 sweeps and 1.13 at 4 (at 500 steps 0.90, 1.10, 1.30).  Of
+# 736 rows of so(3), se(2) and abelian flows, T 1-5 and costates up to 10,
+# the 238 with a gap up to 1e-6 took 2-3 sweeps; larger gaps took 3 to 14
+# sweeps or never converged.  Stopped rows' corrections settle at up to 7.3
+# ulps, so a stop at 8 ulps would cost 11 of them a fourth sweep.
 PARAREAL_MIN_STEPS = 500
 PARAREAL_SEGMENTS = 20
-PARAREAL_MAX_SWEEPS = 8
-PARAREAL_ULPS = 8
+PARAREAL_MAX_COARSE_ERROR = 1e-6
+PARAREAL_MAX_SWEEPS = 4
+PARAREAL_ULPS = 16
+
+# a split field that never raises on a non-finite v has its flow record looked
+# at every FINITE_CHECK_STEPS steps rather than after each: the look costs
+# about 2.7 us of a 47 us step of a 1-row so(3) extremal flow, and a flow that
+# blows up runs at most FINITE_CHECK_STEPS - 1 steps past its first bad one
+FINITE_CHECK_STEPS = 32
 
 
 def _reconstruct(gm, zs, h, xs):
@@ -369,20 +386,21 @@ def _rk4_step(x, v, k, h, rhs):
     return (z1, z2, z3, z4), v + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
 
 
-def _rk4_loop(x, steps, h, rhs, vs, check=True):
+def _rk4_loop(x, steps, h, rhs, vs, check=1):
     """``steps`` RK4 steps of v from ``vs[0]``, filling ``vs[1:]``.  Returns the
-    stage velocities, shape (4, steps, ..., n), and the number of steps done:
-    with ``check`` the loop stops at the first step whose v is not finite,
-    without it the loop runs on and the caller scans ``vs``."""
+    stage velocities, shape (4, steps, ..., n), and the number of steps
+    recorded: the loop looks at its record every ``check`` steps (never with
+    0) and stops at a look that finds a v that is not finite, which
+    ``_finite_steps`` then places."""
     v, zs = vs[0], None
     for k in range(steps):
         z, v = _rk4_step(x, v, k, h, rhs)
         if zs is None:
             zs = np.empty((4, steps) + np.shape(z[0]))
         zs[:, k] = z
-        if check and not np.isfinite(v).all():
-            return zs, k
         vs[k + 1] = v
+        if check and (k + 1) % check == 0 and not np.isfinite(vs[k + 2 - check:k + 2]).all():
+            return zs, k + 1
     return zs, steps
 
 
@@ -395,17 +413,21 @@ def _finite_steps(vs):
 def _parareal(x, steps, h, rhs, vs):
     """The v-record of ``steps`` RK4 steps by Parareal (Lions, Maday and
     Turinici 2001), for rows ``vs[0]`` of shape (R, p); fills ``vs[1:]`` and
-    returns the stage velocities (4, steps, R, n).
+    returns the stage velocities (4, steps, R, n) and the number of steps
+    recorded, as ``_rk4_loop`` does.
 
     The grid is cut into K segments.  The fine propagator F is the RK4 loop,
     run as one batch over the K x R segment starts; the coarse propagator G
     is one RK4 step over each segment.  A sweep sets U[i + 1] = F(U_old[i])
     + (G(U_new[i]) - G(U_old[i])) in order.  Every choice is per row, so a
-    row of a batch gets the bits it gets alone: a row whose largest
-    correction is at most PARAREAL_ULPS ulps of its scale keeps the record of
-    its last fine sweep and leaves the iteration; a row that goes non-finite,
-    in the coarse pass or a sweep, or reaches PARAREAL_MAX_SWEEPS reruns the
-    sequential loop.
+    row of a batch gets the bits it gets alone.  A row takes part if its
+    coarse pass is finite and one RK4 step over each pair of segments ends
+    within PARAREAL_MAX_COARSE_ERROR of its scale of the pair's two coarse
+    steps; a row whose largest
+    correction is at most PARAREAL_ULPS ulps of its scale keeps the record
+    of its last fine sweep and leaves the iteration; a row that does not
+    take part, goes non-finite in a sweep or reaches PARAREAL_MAX_SWEEPS
+    reruns the sequential loop.
     """
     K = PARAREAL_SEGMENTS
     R, p = vs.shape[1:]
@@ -420,16 +442,20 @@ def _parareal(x, steps, h, rhs, vs):
     for i in range(K):
         z, U[i + 1] = _rk4_step(x, U[i], 0, lengths[i] * h, rhs)
         G[i] = U[i + 1]
+    # one RK4 step over each pair of segments, all pairs as one batch, against
+    # the pair's two coarse steps; a NaN gap compares false
+    pairs = (lengths[0:K - 1:2] + lengths[1:K:2])[:, None, None] * h
+    gap = np.abs(_rk4_step(x, U[0:K - 1:2], 0, pairs, rhs)[1] - U[2:K + 1:2]).max(axis=(0, 2))
     zs = np.empty((4, steps, R, z[0].shape[-1]))
-    # a row whose coarse pass is not finite would not be in its first sweep
-    active = np.flatnonzero(np.isfinite(U).all(axis=(0, 2)))
+    active = np.flatnonzero(np.isfinite(U).all(axis=(0, 2))
+                            & (gap <= PARAREAL_MAX_COARSE_ERROR * np.abs(U).max(axis=(0, 2))))
     converged = np.zeros(R, dtype=bool)
     for _ in range(PARAREAL_MAX_SWEEPS):
         if not len(active):
             break
         fine = np.empty((len(past_end), K, len(active), p))
         fine[0] = U[:K, active]
-        zf, _ = _rk4_loop(x, len(past_end) - 1, h, rhs, fine, check=False)
+        zf, _ = _rk4_loop(x, len(past_end) - 1, h, rhs, fine, check=0)
         ends = fine[lengths, np.arange(K)]
         # coarse[i] holds G(U_old[i]) of the active rows, then G(U_new[i])
         old, coarse = U[:, active], G[:, active]
@@ -454,16 +480,17 @@ def _parareal(x, steps, h, rhs, vs):
         U[:, active], G[:, active] = new, coarse
         active = active[finite & ~done]
     rerun = ~converged
+    recorded = steps
     if rerun.any():
         alone = np.empty((steps + 1, int(rerun.sum()), p))
         alone[0] = vs[0, rerun]
         # a lone row steps as a vector, as a 1-row flow does, which numpy's
         # matmul runs faster than a stack of one
-        z = _rk4_loop(x, steps, h, rhs, alone[:, 0] if len(alone[0]) == 1 else alone,
-                      check=False)[0]
+        z, recorded = _rk4_loop(x, steps, h, rhs,
+                                alone[:, 0] if len(alone[0]) == 1 else alone, FINITE_CHECK_STEPS)
         zs[:, :, rerun] = z.reshape(4, steps, -1, z.shape[-1])
         vs[:, rerun] = alone
-    return zs
+    return zs, recorded
 
 
 def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False, parareal=False):
@@ -480,10 +507,11 @@ def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False, parareal=False):
     1-based number of the first step that is not.
 
     ``parareal`` marks a split field that ignores (k, c) as well, acts on
-    each row alone and never raises on a non-finite v.  The loop then checks
-    finiteness once, on the record after it, and a flow of at least
-    PARAREAL_MIN_STEPS steps takes the v-record of ``_parareal``, which
-    matches the loop to rounding rather than bit for bit.
+    each row alone and never raises on a non-finite v.  The loop then looks
+    at its record every FINITE_CHECK_STEPS steps, not after each, and a flow
+    of at least PARAREAL_MIN_STEPS steps takes the v-record of
+    ``_parareal``, which matches the loop to rounding rather than bit for
+    bit in the rows that take part in the iteration.
     """
     lead = np.broadcast_shapes(np.shape(x)[:-2], np.shape(v)[:-1])
     xs = np.empty((steps + 1,) + lead + np.shape(x)[-2:])
@@ -500,12 +528,11 @@ def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False, parareal=False):
                 xs[k + 1], vs[k + 1] = x, v
             return xs, vs
         if parareal and steps >= PARAREAL_MIN_STEPS:
-            zs = _parareal(x, steps, h, rhs, vs.reshape(steps + 1, -1, vs.shape[-1]))
+            zs, recorded = _parareal(x, steps, h, rhs, vs.reshape(steps + 1, -1, vs.shape[-1]))
             zs = zs.reshape((4, steps) + lead + zs.shape[-1:])
         else:
-            zs, done = _rk4_loop(x, steps, h, rhs, vs, check=not parareal)
-        if parareal:
-            done = _finite_steps(vs)
+            zs, recorded = _rk4_loop(x, steps, h, rhs, vs, FINITE_CHECK_STEPS if parareal else 1)
+        done = _finite_steps(vs[:recorded + 1])
         per_pass = 1 if zs is None else max(1, _PASS_ROWS // max(1, zs[0, 0].size // zs.shape[-1]))
         for j in range(0, done, per_pass):
             stop = min(j + per_pass, done)

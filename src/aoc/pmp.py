@@ -36,10 +36,12 @@ in one call over the grid, for a batch of shooting rows as for the
 single flow of ``flow_extremal``, and returns the stepper's record of the
 batch's flow with its terminal states.  The fused field ignores the step
 and never raises on a non-finite state, so it alone turns on the
-stepper's ``parareal``: one finite check after the loop, and Parareal in
-time for flows of at least ``groups.PARAREAL_MIN_STEPS`` steps, which
-match the sequential loop to rounding while a batch keeps each row's
-bits; shorter flows keep the loop's bits.  ``extremal_trajectory`` turns a
+stepper's ``parareal``: a finite check every
+``groups.FINITE_CHECK_STEPS`` steps rather than after each, and Parareal
+in time for flows of at least ``groups.PARAREAL_MIN_STEPS`` steps, whose
+rows of a small enough coarse error match the sequential loop to
+rounding while a batch keeps each row's bits; shorter flows and the
+other rows keep the loop's bits.  ``extremal_trajectory`` turns a
 recorded flow into a trajectory, eliminating the control once per grid
 point.  x-independent flows step (y, mu, xi) alone and reconstruct x
 after the loop; x-dependent costs take coupled steps.  Only normal extremals are

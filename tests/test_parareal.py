@@ -1,9 +1,11 @@
 """Parareal in time for long split flows (``groups._parareal``).
 
 Flows of at least PARAREAL_MIN_STEPS steps through ``rkmk_integrate`` with
-``parareal`` match the sequential RK4 loop to rounding, not bit for bit.
-Each row still gets the bits it gets alone, a blow-up is reported at the
-loop's step, and shorter flows keep the loop's bits.
+``parareal`` match the sequential RK4 loop to rounding, not bit for bit, in
+the rows whose coarse error admits them; other rows, and rows that reach
+the sweep cap, keep the loop's bits.  Each row still gets the bits it gets
+alone, a blow-up is reported at the loop's step, and shorter flows keep the
+loop's bits.
 """
 
 import numpy as np
@@ -11,11 +13,12 @@ import pytest
 
 import aoc
 from aoc import groups
-from aoc.groups import PARAREAL_MIN_STEPS, PARAREAL_SEGMENTS, rkmk_integrate
+from aoc.groups import (FINITE_CHECK_STEPS, PARAREAL_MIN_STEPS, PARAREAL_SEGMENTS,
+                        rkmk_integrate)
 from aoc.pmp import extremal_field, min_acc_cost, propagate_endpoints
 
 # the bound on a deviation from the sequential loop, in ulps of the flow's
-# largest entry: the stopping rule leaves corrections of at most 8 ulps
+# largest entry: the stopping rule leaves corrections of at most 16 ulps
 ULPS = 32
 
 
@@ -25,7 +28,7 @@ def spy_loops(monkeypatch):
     loops = []
     loop = groups._rk4_loop
 
-    def counted(x, steps, h, rhs, vs, check=True):
+    def counted(x, steps, h, rhs, vs, check=1):
         loops.append((steps, vs.shape[1:-1]))
         return loop(x, steps, h, rhs, vs, check)
 
@@ -73,8 +76,8 @@ GROUPS = {
 }
 
 
-def flow(gm, v0, steps, T=1.0, **kwargs):
-    rhs = extremal_field(gm.algebra, gm, min_acc_cost(gm.algebra))
+def flow(gm, v0, steps, T=1.0, rhs=None, **kwargs):
+    rhs = rhs or extremal_field(gm.algebra, gm, min_acc_cost(gm.algebra))
     return rkmk_integrate(gm, np.eye(gm.rep_dim), v0, steps, T / steps, rhs, **kwargs)
 
 
@@ -84,37 +87,59 @@ def flow(gm, v0, steps, T=1.0, **kwargs):
 def test_parareal_matches_the_sequential_loop_to_rounding(kind, steps, monkeypatch):
     gm = GROUPS[kind]()
     assert steps == PARAREAL_MIN_STEPS or steps % PARAREAL_SEGMENTS
-    v0 = np.random.default_rng(3).uniform(-2.0, 2.0, (4, 3 * gm.algebra.n))
+    v0 = np.random.default_rng(3).uniform(-0.5, 0.5, (4, 3 * gm.algebra.n))
     xs0, vs0 = flow(gm, v0, steps)
     loops = spy_loops(monkeypatch)
     xs1, vs1 = flow(gm, v0, steps, parareal=True)
-    assert loops and not reruns(loops, steps)  # every row converged
+    assert loops and not reruns(loops, steps)  # every row took part and converged
     assert xs1.shape == xs0.shape and vs1.shape == vs0.shape
     assert np.array_equal(vs1[0], v0) and np.array_equal(xs1[0], xs0[0])
     assert within_ulps(vs1, vs0) and within_ulps(xs1, xs0)
     assert not np.array_equal(vs1, vs0)  # the Parareal record, not the loop's
 
 
+@pytest.mark.parametrize("cap", [None, 2], ids=["cap", "cap-2"])
 @pytest.mark.parametrize("steps", [PARAREAL_MIN_STEPS, PARAREAL_MIN_STEPS + 7],
                          ids=["threshold", "not-divisible"])
-def test_batch_rows_are_bitwise_single_rows(steps, monkeypatch):
-    # rows from 0.05 to 4 in scale leave the iteration at different sweeps, and
-    # the largest reach the cap and rerun the sequential loop
+def test_batch_rows_are_bitwise_single_rows(steps, cap, monkeypatch):
+    # rows from 0.05 to 8 in scale leave the iteration at different sweeps, the
+    # largest do not take part, and with a cap of 2 sweeps most reach it; both
+    # kinds rerun the sequential loop
+    if cap is not None:
+        monkeypatch.setattr(groups, "PARAREAL_MAX_SWEEPS", cap)
     model = aoc.so3_model((1.0, 2.0, 3.0), m=2)
     gm = aoc.so3_group(model)
     cost = min_acc_cost(model)
     rng = np.random.default_rng(5)
-    th = rng.uniform(-1.0, 1.0, (13, 6)) * np.geomspace(0.05, 4.0, 13)[:, None]
+    th = rng.uniform(-1.0, 1.0, (13, 6)) * np.geomspace(0.05, 8.0, 13)[:, None]
     loops = spy_loops(monkeypatch)
     xT, yT, (xs, vs) = propagate_endpoints(model, gm, cost, np.eye(3), np.zeros(3),
-                                           th[:, :3], th[:, 3:], 4.0, steps)
+                                           th[:, :3], th[:, 3:], 1.0, steps)
     widths = [rows[1] for n, rows in loops if n < steps]
-    assert len(set(widths)) > 2 and 0 < reruns(loops, steps)[0][0] < 13
+    rerun = reruns(loops, steps)[0][0]
+    if cap is None:
+        # only the rows that did not take part rerun
+        assert len(set(widths)) > 1 and rerun == 13 - widths[0] > 0
+    else:
+        assert 13 - widths[0] < rerun < 13
     for r in range(13):
         x1, y1, (xs1, vs1) = propagate_endpoints(model, gm, cost, np.eye(3), np.zeros(3),
-                                                 th[r, :3], th[r, 3:], 4.0, steps)
+                                                 th[r, :3], th[r, 3:], 1.0, steps)
         assert np.array_equal(xs1, xs[:, r]) and np.array_equal(vs1, vs[:, r])
         assert np.array_equal(x1, xT[r]) and np.array_equal(y1, yT[r])
+
+
+def test_a_row_of_large_coarse_error_takes_the_loop_at_once(monkeypatch):
+    # a coarse RK4 step of 0.05 is too long for costates of this size: the row
+    # goes from the coarse pass straight to the sequential loop, with its bits
+    gm = GROUPS["so3-m2"]()
+    v0 = np.concatenate([np.zeros(3), np.random.default_rng(6).uniform(-8.0, 8.0, 6)])
+    steps = PARAREAL_MIN_STEPS
+    xs0, vs0 = flow(gm, v0, steps)
+    loops = spy_loops(monkeypatch)
+    xs1, vs1 = flow(gm, v0, steps, parareal=True)
+    assert loops == [(steps, ())]
+    assert np.array_equal(xs1, xs0) and np.array_equal(vs1, vs0)
 
 
 def test_no_sweeps_is_the_sequential_loop(monkeypatch):
@@ -166,3 +191,27 @@ def test_blow_up_is_reported_at_the_loop_step(steps, monkeypatch):
             flow(gm, v, steps, T, parareal=True)
         assert err.value.step_index == bad and sum(rebuilt) == bad - 1
     flow(gm, v0[1], steps, T, parareal=True)
+
+
+@pytest.mark.parametrize("steps", [PARAREAL_MIN_STEPS - 1, PARAREAL_MIN_STEPS],
+                         ids=["loop", "parareal"])
+def test_blow_up_stops_the_loop_within_a_check(steps):
+    # the record is looked at every FINITE_CHECK_STEPS steps, so a flow that
+    # blows up stops within that many steps of its first bad one
+    gm = affine_line_group()
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, 6)
+    T = 0.01 * steps
+    field = extremal_field(gm.algebra, gm, min_acc_cost(gm.algebra))
+    calls = []
+
+    def rhs(k, c, x, v):
+        calls.append(k)
+        return field(k, c, x, v)
+
+    with pytest.raises(aoc.NonFinite) as err:
+        flow(gm, v0, steps, T, rhs=rhs, parareal=True)
+    bad = err.value.step_index
+    # Parareal's coarse pass and its gap step take 4 stages each
+    coarse = 4 * (PARAREAL_SEGMENTS + 1) if steps >= PARAREAL_MIN_STEPS else 0
+    assert bad < steps - FINITE_CHECK_STEPS
+    assert len(calls) - coarse <= 4 * (bad - 1 + FINITE_CHECK_STEPS)
