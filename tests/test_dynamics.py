@@ -1,10 +1,16 @@
+import math
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import aoc
-from aoc.dynamics import (State, Trajectory, energy_drift, simulate,
-                          write_trajectory_csv, zero_control, zoh_rollout)
+from aoc.dynamics import (State, Trajectory, _csv_block, energy_drift, simulate,
+                          trajectory_header, write_trajectory_csv, zero_control, zoh_rollout)
 from aoc.groups import orthogonality_defect
 from aoc.pmp import Costate, ExtremalPoint, flow_extremal, min_acc_cost
 
@@ -107,25 +113,100 @@ def test_csv_roundtrip(tmp_path, so3_j123, so3_j123_group):
 
 def rowwise_csv(traj, model, gm):
     """The trajectory CSV formatted one value at a time, as the reference layout."""
+    with_costates = traj.mus is not None
     rows = []
     for k in range(len(traj)):
-        vals = [traj.times[k], *traj.xs[k].reshape(-1), *traj.ys[k], *traj.us[k],
-                *traj.mus[k], *traj.xis[k], traj.hams[k]]
+        vals = [traj.times[k], *traj.xs[k].reshape(-1), *traj.ys[k], *traj.us[k]]
+        if with_costates:
+            vals += [*traj.mus[k], *traj.xis[k], traj.hams[k]]
         rows.append(",".join("%.17g" % v for v in vals))
-    header = ",".join(aoc.dynamics.trajectory_header(model, gm, True))
+    header = ",".join(aoc.dynamics.trajectory_header(model, gm, with_costates))
     return header + "\n" + "\n".join(rows) + "\n"
 
 
-def test_csv_bytes_match_rowwise_formatting(tmp_path, so3_m2, so3_m2_group):
+def extremal_trajectory(model, gm, steps):
     a0 = ExtremalPoint(State(np.eye(3), np.array([0.1, -0.2, 0.3])),
                        Costate(np.array([0.5, -1.0, 0.25]), np.array([1.5, 0.0, -0.75])),
                        np.zeros(2))
-    traj = flow_extremal(so3_m2, so3_m2_group, min_acc_cost(so3_m2), a0, 1.0, 40)
+    traj = flow_extremal(model, gm, min_acc_cost(model), a0, 1.0, steps)
     # values whose formatting has corner cases: signed zero, subnormal, huge, integral
     traj.hams[:4] = [-0.0, 5e-324, -1.7976931348623157e308, 3.0]
+    return traj
+
+
+def test_csv_bytes_match_rowwise_formatting(tmp_path, so3_m2, so3_m2_group):
+    traj = extremal_trajectory(so3_m2, so3_m2_group, 40)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path, so3_m2, so3_m2_group)
     assert path.read_bytes() == rowwise_csv(traj, so3_m2, so3_m2_group).encode()
+
+
+def test_csv_bytes_match_rowwise_formatting_across_blocks(tmp_path, so3_m2, so3_m2_group):
+    traj = extremal_trajectory(so3_m2, so3_m2_group, 600)
+    assert len(traj) * 22 > 2 * aoc.dynamics._CSV_BLOCK_CELLS   # spans several blocks
+    traj.hams[-4:] = [float("nan"), float("-inf"), 1e15, 99999999999999.98]
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path, so3_m2, so3_m2_group)
+    assert path.read_bytes() == rowwise_csv(traj, so3_m2, so3_m2_group).encode()
+
+
+def test_simulate_csv_bytes_match_rowwise_formatting(tmp_path, abelian3):
+    gm = aoc.abelian_group(abelian3)
+    traj = simulate(abelian3, gm, State(np.eye(4), np.array([0.1, 20.0, -300.0])),
+                    lambda t: np.array([np.sin(7 * t), 1000.0 * t]), 2.0, 300)
+    path = tmp_path / "sim.csv"
+    write_trajectory_csv(traj, path, abelian3, gm)
+    assert path.read_bytes() == rowwise_csv(traj, abelian3, gm).encode()
+
+
+def percent_g_line(vals):
+    return (",".join("%.17g" % v for v in vals) + "\n").encode()
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_csv_cells_match_percent_g_on_any_float(vals):
+    assert _csv_block(np.array([vals])) == percent_g_line(vals)
+
+
+def near(x, ulps=1):
+    """x and its neighbours within ``ulps`` units in the last place."""
+    out = [x]
+    with np.errstate(over="ignore"):
+        for _ in range(ulps):
+            out = [np.nextafter(out[0], -np.inf), *out, np.nextafter(out[-1], np.inf)]
+    return out
+
+
+def test_csv_cells_match_percent_g_on_hard_cases():
+    powers = [float(f"1e{k}") for k in range(-320, 309)]
+    # doubles just under a power of ten whose 17 digits round up to it: 1e-14, 1e98, ...
+    under = [x for k, x in zip(range(-320, 309), powers)
+             if Fraction(x) < Fraction(10) ** k and ("%.17g" % x).startswith("1e")]
+    assert -14 in [round(math.log10(x)) for x in under]
+    # exact 18-digit halfway cases N * 2**-j (N odd), which round half to even
+    ties = [1 + 2.0 ** -17]
+    for j in range(2, 26):
+        lo = -(-10 ** 17 // 5 ** j) | 1
+        hi = min((10 ** 18 - 1) // 5 ** j, 2 ** 53 - 1)
+        ties += [math.ldexp(n, -j) for n in (lo, (lo + hi) // 2 | 1, hi - 1 + hi % 2)]
+    assert all(len(Decimal(x).as_tuple().digits) == 18 for x in ties)
+    integers = [float(c + d) for c in (10 ** 15, 10 ** 16, 2 ** 53, 10 ** 17)
+                for d in range(-3, 4)]
+    extremes = [0.0, 2.2250738585072014e-308, 1.7976931348623157e308, 5e-324, 1e-11, 1e15]
+    vals = [v for x in powers + ties + integers + extremes for v in near(x)]
+    vals += [-v for v in vals]
+    assert _csv_block(np.array([vals])) == percent_g_line(vals)
+    assert _csv_block(np.array([[-0.0, 0.0]])) == b"-0,0\n"
+
+
+def test_trajectory_header_names_are_unique_above_rep_dim_10(so3_j123, so3_j123_group):
+    ab = aoc.abelian_model(11)
+    header = trajectory_header(ab, aoc.abelian_group(ab), True)
+    assert len(set(header)) == len(header)
+    assert {"x_1_10", "x_11_0", "x_11_11"} <= set(header)
+    # rep_dim up to 10 keeps the short names
+    assert trajectory_header(so3_j123, so3_j123_group, False)[:4] == ["t", "x_00", "x_01", "x_02"]
 
 
 def test_zoh_rollout_exact_abelian():

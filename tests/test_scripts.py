@@ -46,6 +46,11 @@ def test_shooting_answers_match_the_pinned_corpus():
     assert "check: 24 of 24 targets match the corpus" in out
 
 
+def test_csv_format_check_script_runs():
+    out = run_script("csv_format_check.py", "--count", "20000", "--seed", "5")
+    assert "20000 values match" in out
+
+
 def test_integrator_order_script_runs():
     out = run_script("integrator_order.py", "--base-steps", "10", "--doublings", "2")
     assert out.split()[0] == "steps"
