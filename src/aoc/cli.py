@@ -3,7 +3,8 @@
 One JSON config per run; group elements may be written either as full
 d x d matrices or as exponential coordinates (an n-vector expanded
 through the group exponential at load time).  Unknown keys anywhere in
-the config are rejected.
+the config are rejected, and so are algebra and cost keys that the chosen
+kind does not read.
 
 Every command runs one pipeline (``run``): build the model and group and
 validate them once, then build the problem, the cost and the command's
@@ -40,9 +41,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# the keys each algebra and cost kind reads besides "kind"; any other is a usage error
+_KIND_KEYS = {
+    "algebra": {"so3": {"inertia", "m"}, "abelian": {"n", "m", "inertia"}, "custom": {"file"}},
+    "cost": {"min_acc": set(), "quadratic": {"R"}},
+}
 _SCHEMA = {
-    "algebra": {"kind", "inertia", "n", "m", "structure_constants", "file"},
-    "cost": {"kind", "R"},
+    **{section: {"kind"}.union(*kinds.values()) for section, kinds in _KIND_KEYS.items()},
     "problem": {"x0", "xT", "y0", "yT", "T", "steps"},
     "solver": {"tol", "max_iter", "fd_step", "guess"},
     "oracle": {"segments", "steps_per_segment"},
@@ -51,7 +56,8 @@ _SCHEMA = {
     "output": {"path"},
 }
 
-_SOLVER_DEFAULTS = {"tol": 1e-8, "max_iter": 200, "fd_step": 1e-6, "guess": None}
+_SOLVER_DEFAULTS = {"tol": shooting.TOL, "max_iter": shooting.MAX_ITER,
+                    "fd_step": shooting.FD_STEP, "guess": None}
 _OUTPUT_DEFAULTS = {"path": "aoc_out"}
 
 _INTEGERS = (("algebra", "n"), ("algebra", "m"), ("problem", "steps"), ("solver", "max_iter"),
@@ -111,6 +117,14 @@ def load_config(path):
             raise UsageError(f"unknown keys in config section '{section}': {sorted(bad)}")
     if "algebra" not in data:
         raise UsageError("config needs an 'algebra' section")
+    for section, kinds in _KIND_KEYS.items():
+        keys = data.get(section, {})
+        kind = keys.get("kind", "min_acc" if section == "cost" else None)
+        if isinstance(kind, str) and kind in kinds:
+            unread = sorted(set(keys) - {"kind"} - kinds[kind])
+            if unread:
+                raise UsageError(f"{section} kind {kind!r} does not read "
+                                 + ", ".join(f"{section}.{key}" for key in unread))
     data.setdefault("cost", {"kind": "min_acc"})
     data["solver"] = {**_SOLVER_DEFAULTS, **data.get("solver", {})}
     data["output"] = {**_OUTPUT_DEFAULTS, **data.get("output", {})}

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import _count
 from .dynamics import Trajectory, zoh_rollout
 from .shooting import endpoint_residual
 
@@ -47,6 +48,8 @@ class TranscriptionConfig:
     steps_per_segment: int = 2
 
     def __post_init__(self):
+        _count(self.segments, "segments")
+        _count(self.steps_per_segment, "steps_per_segment")
         if self.segments < 2:
             raise ValueError("need at least 2 control segments")
         if self.steps_per_segment < 2 or self.steps_per_segment % 2:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups
-from .algebra import bias, embed_control, kinetic_energy
+from .algebra import _count, bias, embed_control, kinetic_energy
 from .errors import DimensionMismatch
 
 
@@ -73,12 +73,12 @@ class Trajectory:
 def simulate(model, gm, s0, u, T, steps) -> Trajectory:
     """Integrate the controlled system on a uniform grid.
 
-    ``u`` is a callable t -> m-vector.  Raises NonFinite with the step
-    index if the state blows up.
+    ``u`` is a callable t -> m-vector and ``steps`` an integer.  Raises
+    NonFinite with the step index if the state blows up.
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    steps = int(steps)
+    steps = _count(steps, "steps")
     if steps < 1:
         raise ValueError("steps must be at least 1")
     h = T / steps
@@ -112,7 +112,7 @@ def zoh_rollout(gm, x0, y0, U, T, steps_per_segment=2):
     with the 1-based sub-grid step index if the state blows up.
     """
     U = np.asarray(U, dtype=float)
-    spb = int(steps_per_segment)
+    spb = _count(steps_per_segment, "steps_per_segment")
     steps = U.shape[-2] * spb
     h = T / steps
     times = np.linspace(0.0, T, steps + 1)

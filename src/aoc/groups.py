@@ -22,33 +22,28 @@ product per row, which keeps those bits.
 
 ``rkmk_integrate`` is the one time loop: the forward simulation, the
 zero-order-hold rollout of the oracle and the extremal flows all step
-through it, each in one call over its whole uniform grid.  The stepper
-owns the grid and the flow record: a right-hand side ``rhs(k, c, x, v)``
-sees the index k of the step and its RK4 node c, and the stepper returns
-the states of every grid point, the initial state first.  All callers
-share one finite check, which reports the 1-based step number.
+through it, each in one call over its whole uniform grid.  A right-hand
+side ``rhs(k, c, x, v)`` sees the index k of the step and its RK4 node c,
+and the stepper returns the states of every grid point, the initial
+state first.  It keeps two rules for every flow: a look at the record
+every FINITE_CHECK_STEPS steps, and a one-row batch stepped as a vector.
 ``munthe_kaas_increment`` is the one place of the scheme's
-bracket-corrected combination.  A vector field that reads x
-takes coupled steps (``rkmk_coupled_step``).  One that does not, which is
+bracket-corrected combination.  A vector field that reads x takes
+coupled steps (``rkmk_coupled_step``).  One that does not, which is
 every cost the CLI accepts, is split as Munthe-Kaas splits a Lie-group
 integrator: the loop takes classical RK4 steps of v alone and keeps the
-stage velocities, and batched passes after the loop form the increments
-and exponentials of all steps, then the product over the steps in order.
-The split path gives the coupled step's bits.  A split field that also
-ignores the step and node, and never raises on a non-finite v (the fused
-extremal field), is checked every FINITE_CHECK_STEPS steps, and a flow of
-at least PARAREAL_MIN_STEPS steps takes its v-record from Parareal in time
-(``_parareal``), which matches the loop to rounding: the time loop is then
-a few sweeps over a batch of segments.  Each row decides alone whether
-its coarse error lets it take part and when it is done, so a batch still
-keeps each row's bits, and a row that does not take part keeps the
-loop's.
+stage velocities, and batched passes after the loop rebuild x from them
+with the coupled step's bits.  A split field that also ignores the step
+and node and acts on each row alone (the fused extremal field) takes the
+v-record of a flow of at least PARAREAL_MIN_STEPS steps from Parareal in
+time (``_parareal``), which matches the loop to rounding while a batch
+keeps each row's bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2
+from math import atan2, prod
 
 import numpy as np
 
@@ -341,39 +336,30 @@ _PASS_ROWS = 4096
 # the pair's two coarse steps: that gap foretells the sweeps the row needs.  A
 # row stops once its largest correction is at most PARAREAL_ULPS ulps of its
 # scale, and reruns the sequential loop if it has not after
-# PARAREAL_MAX_SWEEPS sweeps.  Paired so(3) extremal flows
-# (BENCH_pr18_parareal.json) set the values.  At K = 20 a 1-row flow of 2000
-# steps took 0.33-0.41 of the loop's time at 2-3 sweeps and gained up to 8;
-# a sweep of a 13-row flow costs about a fifth of its loop, so that flow took
-# 0.92-0.93 at 2-3 sweeps and 1.13 at 4 (at 500 steps 0.90, 1.10, 1.30).  Of
-# 736 rows of so(3), se(2) and abelian flows, T 1-5 and costates up to 10,
-# the 238 with a gap up to 1e-6 took 2-3 sweeps; larger gaps took 3 to 14
-# sweeps or never converged.  Stopped rows' corrections settle at up to 7.3
-# ulps, so a stop at 8 ulps would cost 11 of them a fourth sweep.
+# PARAREAL_MAX_SWEEPS sweeps.  Paired so(3), se(2) and abelian flows set the
+# values (BENCH_pr18_parareal.json; ROADMAP item 5 has the figures).  Stopped
+# rows' corrections settle at up to 7.3 ulps, so a stop at 8 ulps would cost
+# 11 of them a fourth sweep.
 PARAREAL_MIN_STEPS = 500
 PARAREAL_SEGMENTS = 20
 PARAREAL_MAX_COARSE_ERROR = 1e-6
 PARAREAL_MAX_SWEEPS = 4
 PARAREAL_ULPS = 16
 
-# a split field that never raises on a non-finite v has its flow record looked
-# at every FINITE_CHECK_STEPS steps rather than after each: the look costs
-# about 2.7 us of a 47 us step of a 1-row so(3) extremal flow, and a flow that
-# blows up runs at most FINITE_CHECK_STEPS - 1 steps past its first bad one
+# every flow looks at its record every FINITE_CHECK_STEPS steps, not after each:
+# a look costs about 2.7 us of a 47 us step of a 1-row so(3) extremal flow, and
+# a flow runs at most FINITE_CHECK_STEPS - 1 steps past its first bad step
 FINITE_CHECK_STEPS = 32
 
 
 def _reconstruct(gm, zs, h, xs):
-    """Fill ``xs[1:]`` with x after each of the steps whose stage velocities
-    are ``zs``, shape (4, steps, ..., n), from x = ``xs[0]``: the increments
-    and their exponentials in one batched pass, then the product over the
-    steps in order.  Returns, per step, whether its x is finite.
-    """
+    """Fill ``xs[1:]`` with x after the steps whose stage velocities are ``zs``
+    (4, steps, ..., n), from x = ``xs[0]``: the increments and their
+    exponentials in one batched pass, then the product over the steps in order."""
     omega = munthe_kaas_increment(gm.algebra, h, zs[0], lambda i, theta: zs[i])
     es = exp_map(gm, omega)
     for k in range(len(es)):
         xs[k + 1] = compose(xs[k], es[k])
-    return np.isfinite(xs[1:].reshape(len(es), -1)).all(axis=1)
 
 
 def _rk4_step(x, v, k, h, rhs):
@@ -386,48 +372,64 @@ def _rk4_step(x, v, k, h, rhs):
     return (z1, z2, z3, z4), v + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
 
 
-def _rk4_loop(x, steps, h, rhs, vs, check=1):
+def _looks_bad(k, *records):
+    """Whether step k (0-based) ends a span of FINITE_CHECK_STEPS steps, where
+    a loop looks at its ``records``, with a state that is not finite."""
+    if (k + 1) % FINITE_CHECK_STEPS:
+        return False
+    return not all(np.isfinite(r[k + 2 - FINITE_CHECK_STEPS:k + 2]).all() for r in records)
+
+
+def _finite_steps(*records):
+    """The number of steps before the first whose state in a record is not finite."""
+    finite = np.logical_and.reduce([np.isfinite(r[1:]).all(axis=tuple(range(1, r.ndim)))
+                                    for r in records])
+    return len(finite) if finite.all() else int(np.argmin(finite))
+
+
+def _rk4_loop(x, steps, h, rhs, vs, look=True):
     """``steps`` RK4 steps of v from ``vs[0]``, filling ``vs[1:]``.  Returns the
     stage velocities, shape (4, steps, ..., n), and the number of steps
-    recorded: the loop looks at its record every ``check`` steps (never with
-    0) and stops at a look that finds a v that is not finite, which
-    ``_finite_steps`` then places."""
-    v, zs = vs[0], None
+    recorded: with ``look`` the loop stops at a look (``_looks_bad``) that
+    finds a v that is not finite.  A one-row batch steps as a vector, v and
+    x both, which numpy's matmul runs faster than a stack of one, same bits."""
+    batch = vs.shape[1:-1]
+    lone = batch and prod(batch) == 1
+    if lone:
+        vs, x = vs[(slice(None),) + (0,) * len(batch)], np.reshape(x, np.shape(x)[-2:])
+    v, zs, recorded = vs[0], None, steps
     for k in range(steps):
         z, v = _rk4_step(x, v, k, h, rhs)
         if zs is None:
             zs = np.empty((4, steps) + np.shape(z[0]))
         zs[:, k] = z
         vs[k + 1] = v
-        if check and (k + 1) % check == 0 and not np.isfinite(vs[k + 2 - check:k + 2]).all():
-            return zs, k + 1
-    return zs, steps
-
-
-def _finite_steps(vs):
-    """The number of steps before the first whose recorded v is not finite."""
-    finite = np.isfinite(vs[1:].reshape(len(vs) - 1, -1)).all(axis=1)
-    return len(finite) if finite.all() else int(np.argmin(finite))
+        if look and _looks_bad(k, vs):
+            recorded = k + 1
+            break
+    if lone and zs is not None:
+        zs = zs.reshape((4, steps) + batch + zs.shape[-1:])
+    return zs, recorded
 
 
 def _parareal(x, steps, h, rhs, vs):
     """The v-record of ``steps`` RK4 steps by Parareal (Lions, Maday and
-    Turinici 2001), for rows ``vs[0]`` of shape (R, p); fills ``vs[1:]`` and
-    returns the stage velocities (4, steps, R, n) and the number of steps
-    recorded, as ``_rk4_loop`` does.
+    Turinici 2001), for rows ``vs[0]`` of shape (R, p) and their x (R, d, d);
+    fills ``vs[1:]`` and returns the stage velocities (4, steps, R, n) and
+    the number of steps recorded, as ``_rk4_loop`` does.
 
     The grid is cut into K segments.  The fine propagator F is the RK4 loop,
-    run as one batch over the K x R segment starts; the coarse propagator G
-    is one RK4 step over each segment.  A sweep sets U[i + 1] = F(U_old[i])
-    + (G(U_new[i]) - G(U_old[i])) in order.  Every choice is per row, so a
-    row of a batch gets the bits it gets alone.  A row takes part if its
-    coarse pass is finite and one RK4 step over each pair of segments ends
-    within PARAREAL_MAX_COARSE_ERROR of its scale of the pair's two coarse
-    steps; a row whose largest
-    correction is at most PARAREAL_ULPS ulps of its scale keeps the record
-    of its last fine sweep and leaves the iteration; a row that does not
-    take part, goes non-finite in a sweep or reaches PARAREAL_MAX_SWEEPS
-    reruns the sequential loop.
+    run as one batch over the K x R segment starts, without a look, so that
+    a row that blows up does not cut the sweep of the others; the coarse
+    propagator G is one RK4 step over each segment.  A sweep sets U[i + 1] =
+    F(U_old[i]) + (G(U_new[i]) - G(U_old[i])) in order.  Every choice is per
+    row, so a row of a batch gets the bits it gets alone.  A row takes part
+    if its coarse pass is finite and one RK4 step over each pair of segments
+    ends within PARAREAL_MAX_COARSE_ERROR of its scale of the pair's two
+    coarse steps; a row whose largest correction is at most PARAREAL_ULPS
+    ulps of its scale keeps the record of its last fine sweep and leaves the
+    iteration; a row that does not take part, goes non-finite in a sweep or
+    reaches PARAREAL_MAX_SWEEPS reruns the sequential loop.
     """
     K = PARAREAL_SEGMENTS
     R, p = vs.shape[1:]
@@ -455,14 +457,14 @@ def _parareal(x, steps, h, rhs, vs):
             break
         fine = np.empty((len(past_end), K, len(active), p))
         fine[0] = U[:K, active]
-        zf, _ = _rk4_loop(x, len(past_end) - 1, h, rhs, fine, check=0)
+        zf, _ = _rk4_loop(x[active], len(past_end) - 1, h, rhs, fine, look=False)
         ends = fine[lengths, np.arange(K)]
         # coarse[i] holds G(U_old[i]) of the active rows, then G(U_new[i])
         old, coarse = U[:, active], G[:, active]
         new = np.empty_like(old)
         new[0] = old[0]
         for i in range(K):
-            g = _rk4_step(x, new[i], 0, lengths[i] * h, rhs)[1]
+            g = _rk4_step(x[active], new[i], 0, lengths[i] * h, rhs)[1]
             new[i + 1] = ends[i] + (g - coarse[i])
             coarse[i] = g
         finite = (np.isfinite(new).all(axis=(0, 2))
@@ -484,11 +486,7 @@ def _parareal(x, steps, h, rhs, vs):
     if rerun.any():
         alone = np.empty((steps + 1, int(rerun.sum()), p))
         alone[0] = vs[0, rerun]
-        # a lone row steps as a vector, as a 1-row flow does, which numpy's
-        # matmul runs faster than a stack of one
-        z, recorded = _rk4_loop(x, steps, h, rhs,
-                                alone[:, 0] if len(alone[0]) == 1 else alone, FINITE_CHECK_STEPS)
-        zs[:, :, rerun] = z.reshape(4, steps, -1, z.shape[-1])
+        zs[:, :, rerun], recorded = _rk4_loop(x[rerun], steps, h, rhs, alone)
         vs[:, rerun] = alone
     return zs, recorded
 
@@ -502,45 +500,46 @@ def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False, parareal=False):
     the four stage velocities z1..z4 of every step, and x is reconstructed
     from them after the loop (``_reconstruct``), with the bits of the
     coupled step.  Returns the flow (xs, vs) on the grid: steps + 1 states,
-    the initial one first, of the batch of x and v broadcast together.  The
-    state after each step must be finite, else NonFinite is raised with the
-    1-based number of the first step that is not.
+    the initial one first, of the batch of x and v broadcast together.
 
-    ``parareal`` marks a split field that ignores (k, c) as well, acts on
-    each row alone and never raises on a non-finite v.  The loop then looks
-    at its record every FINITE_CHECK_STEPS steps, not after each, and a flow
-    of at least PARAREAL_MIN_STEPS steps takes the v-record of
-    ``_parareal``, which matches the loop to rounding rather than bit for
-    bit in the rows that take part in the iteration.
+    Every flow keeps two rules.  The loop looks at its record every
+    FINITE_CHECK_STEPS steps and stops at a look that finds a state that is
+    not finite (so rhs must return on one, not raise); ``_finite_steps``
+    places the first such step over v and the x rebuilt up to the first bad
+    v, for NonFinite.  And a one-row batch steps as a vector (``_rk4_loop``).
+
+    ``parareal`` marks a split field that also ignores (k, c) and acts on
+    each row alone: a flow of at least PARAREAL_MIN_STEPS steps then takes
+    the v-record of ``_parareal``, which matches the loop to rounding
+    rather than bit for bit in the rows that take part in the iteration.
     """
     lead = np.broadcast_shapes(np.shape(x)[:-2], np.shape(v)[:-1])
     xs = np.empty((steps + 1,) + lead + np.shape(x)[-2:])
     vs = np.empty((steps + 1,) + lead + np.shape(v)[-1:])
     xs[0], vs[0] = x, v
-    x = xs[0]
+    done = steps
     with np.errstate(over="ignore", invalid="ignore"):
         if needs_x:
-            v = vs[0]
             for k in range(steps):
-                x, v = rkmk_coupled_step(gm, x, v, k, h, rhs)
-                if not (np.isfinite(v).all() and np.isfinite(x).all()):
-                    raise NonFinite(k + 1)
-                xs[k + 1], vs[k + 1] = x, v
-            return xs, vs
-        if parareal and steps >= PARAREAL_MIN_STEPS:
-            zs, recorded = _parareal(x, steps, h, rhs, vs.reshape(steps + 1, -1, vs.shape[-1]))
-            zs = zs.reshape((4, steps) + lead + zs.shape[-1:])
+                xs[k + 1], vs[k + 1] = rkmk_coupled_step(gm, xs[k], vs[k], k, h, rhs)
+                if _looks_bad(k, xs, vs):
+                    done = k + 1
+                    break
         else:
-            zs, recorded = _rk4_loop(x, steps, h, rhs, vs, FINITE_CHECK_STEPS if parareal else 1)
-        done = _finite_steps(vs[:recorded + 1])
-        per_pass = 1 if zs is None else max(1, _PASS_ROWS // max(1, zs[0, 0].size // zs.shape[-1]))
-        for j in range(0, done, per_pass):
-            stop = min(j + per_pass, done)
-            finite = _reconstruct(gm, zs[:, j:stop], h, xs[j:stop + 1])
-            if not finite.all():
-                raise NonFinite(j + int(np.argmin(finite)) + 1)
-        if done < steps:
-            raise NonFinite(done + 1)
+            if parareal and steps >= PARAREAL_MIN_STEPS:
+                zs, recorded = _parareal(xs[0].reshape((-1,) + xs.shape[-2:]), steps, h, rhs,
+                                         vs.reshape(steps + 1, -1, vs.shape[-1]))
+                zs = zs.reshape((4, steps) + lead + zs.shape[-1:])
+            else:
+                zs, recorded = _rk4_loop(xs[0], steps, h, rhs, vs)
+            done = _finite_steps(vs[:recorded + 1])
+            per_pass = max(1, _PASS_ROWS // max(1, prod(lead)))
+            for j in range(0, done, per_pass):
+                stop = min(j + per_pass, done)
+                _reconstruct(gm, zs[:, j:stop], h, xs[j:stop + 1])
+        done = _finite_steps(vs[:done + 1], xs[:done + 1])
+    if done < steps:
+        raise NonFinite(done + 1)
     return xs, vs
 
 

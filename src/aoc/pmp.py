@@ -34,10 +34,11 @@ and the forward rollouts of ``dynamics`` share one drift tensor.
 ``propagate_endpoints`` steps the field through ``groups.rkmk_integrate``
 in one call over the grid, for a batch of shooting rows as for the
 single flow of ``flow_extremal``, and returns the stepper's record of the
-batch's flow with its terminal states.  The fused field ignores the step
-and never raises on a non-finite state, so it alone turns on the
-stepper's ``parareal``: a finite check every
-``groups.FINITE_CHECK_STEPS`` steps rather than after each, and Parareal
+batch's flow with its terminal states, under the stepper's two rules (see
+``groups.rkmk_integrate``).  No field raises on a state that is not
+finite: the row-by-row field returns NaN rates for such a row, and the
+stepper reports the step.  The fused field ignores the step and acts on
+each row alone, so it alone turns on the stepper's ``parareal``: Parareal
 in time for flows of at least ``groups.PARAREAL_MIN_STEPS`` steps, whose
 rows of a small enough coarse error match the sequential loop to
 rounding while a batch keeps each row's bits; shorter flows and the
@@ -62,7 +63,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import groups
-from .algebra import ad_star, bias, bracket, embed_control, flat, sharp
+from .algebra import _count, ad_star, bias, bracket, embed_control, flat, sharp
 from .dynamics import State, Trajectory
 from .errors import DimensionMismatch, SingularRegularity, NoConvergence
 
@@ -301,7 +302,8 @@ def extremal_field(model, gm, cost):
     Quadratic x-independent costs get the fused field: one stacked matmul of
     v against the tensor K of ``_quadratic_tensor``, held as a (3n, 3n (n + 1))
     matrix, gives W[o, a] = K[o, a, q] v_q, and then W[:, 0] + W[:, 1:] y.
-    Other costs run ``eliminate_control`` and ``extremal_rhs`` row by row.
+    Other costs run ``eliminate_control`` and ``extremal_rhs`` row by row, and
+    give NaN rates for a row that is not finite rather than run its Newton.
     Either way each row gets the bits it gets alone."""
     n = model.n
     if _is_quadratic(cost):
@@ -316,6 +318,8 @@ def extremal_field(model, gm, cost):
         return rhs
 
     def point(x, y, v):
+        if not (np.isfinite(v).all() and np.isfinite(x).all()):
+            return np.full(3 * n, np.nan)
         s, mu, xi = State(x, y), v[n:2 * n], v[2 * n:]
         u = eliminate_control(model, cost, s, xi)
         r = extremal_rhs(model, gm, cost, ExtremalPoint(s, Costate(mu, xi), u))
@@ -365,7 +369,8 @@ def propagate_endpoints(model, gm, cost, x0, y0, mu0, xi0, T, steps):
     Every extremal flow runs here, the rows of a shooting step as well as
     the single flow of ``flow_extremal``, and a batch of flows is bitwise
     the run of each element alone.  The fused field of a quadratic cost
-    takes the stepper's ``parareal`` path (see the module docstring).
+    may take Parareal (see the module docstring).  ``steps`` must be an
+    integer, else ValueError.
     Returns (x_T, y_T, (xs, vs)), where
     (xs, vs) is the stepper's record of the batch's group elements and
     v = (y, mu, xi) at the steps + 1 grid points, the initial state first
@@ -374,7 +379,7 @@ def propagate_endpoints(model, gm, cost, x0, y0, mu0, xi0, T, steps):
     mu0 = np.asarray(mu0, dtype=float)
     y0b = np.broadcast_to(np.asarray(y0, dtype=float), mu0.shape)
     v = np.concatenate([y0b, mu0, np.asarray(xi0, dtype=float)], axis=-1)
-    steps = int(steps)
+    steps = _count(steps, "steps")
     xs, vs = groups.rkmk_integrate(gm, np.asarray(x0, dtype=float), v, steps, T / steps,
                                    extremal_field(model, gm, cost),
                                    needs_x=not cost.x_independent,

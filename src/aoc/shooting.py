@@ -86,6 +86,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import groups, pmp
+from .algebra import _count
 from .dynamics import State, Trajectory
 from .errors import AngleOutOfRange, NoConvergence, NonFinite
 
@@ -103,6 +104,10 @@ GEO_ALPHA = 0.75
 COARSE_MIN_STEPS = 16
 COARSE_DIVISOR = 8
 COARSE_RATIO = 2.5
+# the defaults of ``solve_shooting``, which the CLI's solver section reads too
+TOL = 1e-8
+MAX_ITER = 200
+FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,7 @@ class BoundaryProblem:
     def __post_init__(self):
         if self.T <= 0:
             raise ValueError("T must be positive")
-        if int(self.steps) < 1:
+        if _count(self.steps, "steps") < 1:
             raise ValueError("steps must be at least 1")
 
 
@@ -271,7 +276,7 @@ def _levenberg_marquardt(evaluate, theta0, tol, max_iter, geodesic=False, dampin
 
 
 def solve_shooting(model, gm, cost, problem, initial_guess=None,
-                   tol=1e-8, max_iter=200, fd_step=1e-6) -> ShootingResult:
+                   tol=TOL, max_iter=MAX_ITER, fd_step=FD_STEP) -> ShootingResult:
     """Find (mu0, xi0) whose extremal flow meets the boundary data.
 
     Runs Levenberg-Marquardt from the supplied guess, or from the eight

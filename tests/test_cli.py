@@ -77,6 +77,26 @@ def test_unknown_config_key_rejected(tmp_path):
     assert main(["simulate", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("section,key", [
+    ({"algebra": {"kind": "so3", "n": 7}}, "algebra.n"),
+    ({"algebra": {"kind": "so3", "file": "model.json"}}, "algebra.file"),
+    ({"algebra": {"kind": "so3", "structure_constants": []}}, "structure_constants"),
+    ({"algebra": {"kind": "abelian", "n": 3, "file": "model.json"}}, "algebra.file"),
+    ({"algebra": {"kind": "custom", "file": "model.json", "n": 3}}, "algebra.n"),
+    ({"algebra": {"kind": "custom", "file": "model.json", "m": 3}}, "algebra.m"),
+    ({"algebra": {"kind": "custom", "file": "model.json", "inertia": [1, 1, 1]}},
+     "algebra.inertia"),
+    ({"cost": {"kind": "min_acc", "R": np.eye(3).tolist()}}, "cost.R"),
+    ({"cost": {"R": np.eye(3).tolist()}}, "cost.R"),
+], ids=["so3-n", "so3-file", "structure_constants", "abelian-file", "custom-n", "custom-m",
+        "custom-inertia", "min_acc-R", "default-R"])
+def test_a_key_the_kind_does_not_read_is_rejected(tmp_path, capsys, section, key):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **section)
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert key in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
 

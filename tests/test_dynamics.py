@@ -11,7 +11,8 @@ from numpy.testing import assert_allclose
 import aoc
 from aoc.dynamics import (State, Trajectory, _csv_block, energy_drift, simulate,
                           trajectory_header, write_trajectory_csv, zero_control, zoh_rollout)
-from aoc.groups import orthogonality_defect
+from aoc.algebra import bias
+from aoc.groups import FINITE_CHECK_STEPS, orthogonality_defect
 from aoc.pmp import Costate, ExtremalPoint, flow_extremal, min_acc_cost
 
 
@@ -77,23 +78,35 @@ def test_trajectory_invariants():
 
 def test_nonfinite_reports_step_index(abelian3):
     gm = aoc.abelian_group(abelian3)
+    calls = []
 
     def u(t):
+        calls.append(t)
         return np.array([np.nan, 0.0]) if t > 0.5 else np.zeros(2)
 
     with pytest.raises(aoc.NonFinite) as err:
-        simulate(abelian3, gm, State(np.eye(4), np.zeros(3)), u, 1.0, 10)
-    # step 6 runs from t = 0.5; its midpoint stage samples the NaN
-    assert err.value.step_index == 6
+        simulate(abelian3, gm, State(np.eye(4), np.zeros(3)), u, 1.0, 100)
+    # step 51 runs from t = 0.5; its midpoint stage samples the NaN.  The loop
+    # stops at its first look at the record after it
+    assert err.value.step_index == 51
+    assert len(calls) <= 4 * (50 + FINITE_CHECK_STEPS) < 4 * 100
 
 
-def test_rollout_nonfinite_reports_global_step_index(so3_j123_group):
-    U = np.zeros((5, 3))
+def test_rollout_nonfinite_reports_global_step_index(so3_j123_group, monkeypatch):
+    calls = []
+
+    def counted(model, y):
+        calls.append(y.shape)
+        return bias(model, y)
+
+    monkeypatch.setattr(aoc.dynamics, "bias", counted)
+    U = np.zeros((50, 3))
     U[3, 0] = np.nan  # segment 3 holds steps 7 and 8 of the sub-grid
     with pytest.raises(aoc.NonFinite) as err:
         zoh_rollout(so3_j123_group, np.eye(3), np.zeros(3), U, 1.0,
                     steps_per_segment=2)
     assert err.value.step_index == 7
+    assert len(calls) <= 4 * (6 + FINITE_CHECK_STEPS) < 4 * 100
 
 
 def test_csv_roundtrip(tmp_path, so3_j123, so3_j123_group):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -341,6 +343,30 @@ def test_split_flow_is_bitwise_the_coupled_loop(kind, width, pass_rows, so3_m2, 
     xs2, vs2 = rkmk_integrate(gm, x0, v0, 30, h, rhs)
     assert xs2.shape == (31, width) + x0.shape and vs2.shape == (31, width, 9)
     assert np.array_equal(xs1, xs2) and np.array_equal(vs1, vs2)
+
+
+@pytest.mark.parametrize("kind", ["fused", "row-by-row"])
+def test_a_one_row_batch_steps_as_a_vector(kind, so3_m2, so3_m2_group):
+    # the right-hand side of a (1, p) flow sees v of shape (p,) and x of shape
+    # (d, d), and the record keeps the batch axis with the bits of the vector flow
+    model, gm = so3_m2, so3_m2_group
+    cost = min_acc_cost(model)
+    if kind == "row-by-row":
+        cost = dataclasses.replace(cost, quad_weight=None)
+    field = extremal_field(model, gm, cost)
+    seen = set()
+
+    def rhs(k, c, x, v):
+        seen.add((np.shape(x), np.shape(v)))
+        return field(k, c, x, v)
+
+    v0 = np.random.default_rng(2).uniform(-1.0, 1.0, 9)
+    x0 = aoc.exp_map(gm, np.array([0.3, -0.2, 0.4]))
+    xs, vs = rkmk_integrate(gm, x0, v0, 40, 0.05, field)
+    xs1, vs1 = rkmk_integrate(gm, x0[None], v0[None], 40, 0.05, rhs)
+    assert seen == {((3, 3), (9,))}
+    assert xs1.shape == (41, 1, 3, 3) and vs1.shape == (41, 1, 9)
+    assert np.array_equal(xs1[:, 0], xs) and np.array_equal(vs1[:, 0], vs)
 
 
 @pytest.mark.parametrize("pass_rows", [None, 3])

@@ -8,13 +8,15 @@ alone, a blow-up is reported at the loop's step, and shorter flows keep the
 loop's bits.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import aoc
 from aoc import groups
 from aoc.groups import (FINITE_CHECK_STEPS, PARAREAL_MIN_STEPS, PARAREAL_SEGMENTS,
-                        rkmk_integrate)
+                        rkmk_coupled_step, rkmk_integrate)
 from aoc.pmp import extremal_field, min_acc_cost, propagate_endpoints
 
 # the bound on a deviation from the sequential loop, in ulps of the flow's
@@ -23,14 +25,19 @@ ULPS = 32
 
 
 def spy_loops(monkeypatch):
-    """(steps, rows) of every RK4 loop the stepper runs: a fine sweep has
-    rows (K, active rows), a sequential loop (rows,) or ()."""
+    """(steps, rows) of every RK4 loop the stepper runs, the rows as its
+    right-hand side first sees them: a fine sweep has rows (K, active rows),
+    a sequential loop (rows,), or () for one row, which steps as a vector."""
     loops = []
     loop = groups._rk4_loop
 
-    def counted(x, steps, h, rhs, vs, check=1):
-        loops.append((steps, vs.shape[1:-1]))
-        return loop(x, steps, h, rhs, vs, check)
+    def counted(x, steps, h, rhs, vs, look=True):
+        def first(k, c, x, v):
+            if k == 0 and c == 0.0:
+                loops.append((steps, v.shape[:-1]))
+            return rhs(k, c, x, v)
+
+        return loop(x, steps, h, first, vs, look)
 
     monkeypatch.setattr(groups, "_rk4_loop", counted)
     return loops
@@ -215,3 +222,38 @@ def test_blow_up_stops_the_loop_within_a_check(steps):
     coarse = 4 * (PARAREAL_SEGMENTS + 1) if steps >= PARAREAL_MIN_STEPS else 0
     assert bad < steps - FINITE_CHECK_STEPS
     assert len(calls) - coarse <= 4 * (bad - 1 + FINITE_CHECK_STEPS)
+
+
+def test_a_row_by_row_flow_that_blows_up_is_reported_at_the_loop_step():
+    # a quartic cost runs row by row through Newton.  With xi = mu = 0 the
+    # control stays 0 while RK4 steps of 1.0 make y overflow; the loop runs on
+    # past that step to its look, and the field must give NaN rates for the
+    # rows that are not finite rather than a stalled Newton (NoConvergence)
+    gm = affine_line_group()
+    cost = dataclasses.replace(min_acc_cost(gm.algebra), quad_weight=None,
+                               eval=lambda s, u: 0.5 * u @ u + 0.1 * np.sum(u ** 4),
+                               dL_du=lambda s, u: u + 0.4 * u ** 3,
+                               d2L_du2=lambda s, u: np.eye(2) + 1.2 * np.diag(u ** 2))
+    field = extremal_field(gm.algebra, gm, cost)
+    calls = []
+
+    def rhs(k, c, x, v):
+        calls.append(k)
+        return field(k, c, x, v)
+
+    v0 = np.array([1.0, 2.0, 0.0, 0.0, 0.0, 0.0])
+    steps, h = 100, 1.0
+    x, v, bad = np.eye(2), v0, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            x, v = rkmk_coupled_step(gm, x, v, k, h, field)
+            if not (np.isfinite(x).all() and np.isfinite(v).all()):
+                bad = k + 1
+                break
+    assert bad is not None and 1 < bad < steps - FINITE_CHECK_STEPS
+    for needs_x in (False, True):
+        calls.clear()
+        with pytest.raises(aoc.NonFinite) as err:
+            rkmk_integrate(gm, np.eye(2), v0, steps, h, rhs, needs_x=needs_x)
+        assert err.value.step_index == bad
+        assert len(calls) <= 4 * (bad - 1 + FINITE_CHECK_STEPS)

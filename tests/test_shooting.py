@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import aoc
-from aoc.dynamics import State
+from aoc.direct import TranscriptionConfig
+from aoc.dynamics import State, zoh_rollout
 from aoc.pmp import Costate, ExtremalPoint, flow_extremal, min_acc_cost, running_cost
 from aoc.shooting import (BoundaryProblem, _residual_and_jacobian, boundary_residual,
                           extremal_defect, solve_shooting)
@@ -463,3 +464,27 @@ def test_batched_defect_matches_per_point_path():
     for key in ("y", "mu", "xi"):
         assert batched[key] == pytest.approx(per_point[key], rel=1e-6)
     assert batched["stationarity"] < 1e-12 and per_point["stationarity"] < 1e-12
+
+
+@pytest.mark.parametrize("count", [20.9, 20.0, True], ids=["fraction", "integral-float", "bool"])
+@pytest.mark.parametrize("call", ["BoundaryProblem", "flow_extremal", "simulate", "zoh_rollout",
+                                  "segments", "steps_per_segment"])
+def test_step_counts_must_be_integers(call, count, so3_j123, so3_j123_group):
+    # a count is never truncated: 20.9 steps is an error, not a 20-step grid
+    model, gm = so3_j123, so3_j123_group
+    zero = np.zeros(3)
+    run = {
+        "BoundaryProblem": lambda: BoundaryProblem(x0=np.eye(3), xT=np.eye(3), y0=zero,
+                                                   yT=zero, T=1.0, steps=count),
+        "flow_extremal": lambda: flow_extremal(
+            model, gm, min_acc_cost(model),
+            ExtremalPoint(State(np.eye(3), zero), Costate(zero, zero), zero), 1.0, count),
+        "simulate": lambda: aoc.simulate(model, gm, State(np.eye(3), zero),
+                                         aoc.zero_control(model), 1.0, count),
+        "zoh_rollout": lambda: zoh_rollout(gm, np.eye(3), zero, np.zeros((4, 3)), 1.0,
+                                           steps_per_segment=count),
+        "segments": lambda: TranscriptionConfig(segments=count),
+        "steps_per_segment": lambda: TranscriptionConfig(steps_per_segment=count),
+    }[call]
+    with pytest.raises(ValueError, match="must be an integer"):
+        run()
