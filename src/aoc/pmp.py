@@ -23,29 +23,26 @@ the Hamiltonian field of H for the trivialized symplectic form
         = vmu'(z) + vxi'(w) - vmu(z') - vxi(w') + <mu, [z, z']>.
 
 ``extremal_field`` is the flow as a right-hand side batched over rows for
-every cost; it, ``eliminate_control`` and ``_cost_values`` (L on a grid)
-are the only code that reads the cost's form.  For x-independent
-quadratic costs the flow is bilinear in (y; mu, xi), and the field
-evaluates a batch of RK stages by two stacked matmuls against a tensor
-built once per (model, cost); any other cost runs row by row, each row
-as a single point.  The y-block of that tensor is the model's ``drift``
-matrix, the one that ``algebra.bias`` contracts, so the extremal field
-and the forward rollouts of ``dynamics`` share one drift tensor.
-``propagate_endpoints`` steps the field through ``groups.rkmk_integrate``
-in one call over the grid, for a batch of shooting rows as for the
-single flow of ``flow_extremal``, and returns the stepper's record of the
-batch's flow with its terminal states, under the stepper's two rules (see
-``groups.rkmk_integrate``).  No field raises on a state that is not
-finite: the row-by-row field returns NaN rates for such a row, and the
-stepper reports the step.  The fused field ignores the step and acts on
-each row alone, so it alone turns on the stepper's ``parareal``: Parareal
-in time for flows of at least ``groups.PARAREAL_MIN_STEPS`` steps, whose
-rows of a small enough coarse error match the sequential loop to
-rounding while a batch keeps each row's bits; shorter flows and the
-other rows keep the loop's bits.  ``extremal_trajectory`` turns a
-recorded flow into a trajectory, eliminating the control once per grid
-point.  x-independent flows step (y, mu, xi) alone and reconstruct x
-after the loop; x-dependent costs take coupled steps.  Only normal extremals are
+every cost; it and ``eliminate_control`` are the only code that reads the
+cost's form.  Every ``CostModel`` callable takes a batch of points, so a
+batch or a grid costs one call of each.  For x-independent quadratic costs
+the flow is bilinear in (y; mu, xi), and the field evaluates a batch of RK
+stages by two stacked matmuls against a tensor built once per (model,
+cost), whose y-block is the model's ``drift`` matrix (the one that
+``algebra.bias`` contracts); any other cost takes one batched
+``eliminate_control``, whose damped Newton steps every row at once, and
+one batched ``extremal_rhs``.  ``propagate_endpoints`` steps the field
+through ``groups.rkmk_integrate`` in one call over the grid, for a batch
+of shooting rows as for the single flow of ``flow_extremal``, under the
+stepper's two rules.  No field raises on a state that is not finite:
+control elimination gives such a row a NaN control, and the stepper
+reports the step.  The fused field ignores the step and acts on each row
+alone, so it alone turns on the stepper's ``parareal``: flows of at least
+``groups.PARAREAL_MIN_STEPS`` steps then match the sequential loop to
+rounding in the rows Parareal admits, while a batch keeps each row's bits.
+``extremal_trajectory`` turns a recorded flow into a trajectory.
+x-independent flows step (y, mu, xi) alone and reconstruct x after the
+loop; x-dependent costs take coupled steps.  Only normal extremals are
 treated; a control Hessian with condition number above 1 / RCOND_MIN at
 the eliminated control raises SingularRegularity.
 
@@ -93,10 +90,14 @@ class ExtremalPoint:
 class CostModel:
     """Running cost with its left-trivialized partial derivatives.
 
-    ``dL_dx_triv`` returns the covector pairing with body directions of
-    x variations (x varied along x exp(eps E_i)); it must be identically
-    zero when ``x_independent`` is set.  ``quad_weight`` marks purely
-    quadratic control costs L = u^T R u / 2 for which control
+    Every callable takes ``(s, u)`` for a batch of points, ``s.x`` (..., d, d),
+    ``s.y`` (..., n) and ``u`` (..., m) with broadcast leading dimensions, and
+    returns one result per point (a scalar, an (n,) covector for ``dL_dx_triv``
+    and ``dL_dy``, (m,) for ``dL_du``, (m, m) for ``d2L_du2``) that depends on
+    that point alone, with the bits it gets alone; a single point is the batch
+    of shape ().  ``dL_dx_triv`` pairs with body directions of x variations
+    (x along x exp(eps E_i)) and is zero when ``x_independent`` is set.
+    ``quad_weight`` marks purely quadratic control costs L = u^T R u / 2, whose
     elimination has the closed form u = R^{-1} xi restricted.
     """
 
@@ -109,9 +110,9 @@ class CostModel:
     quad_weight: np.ndarray | None = None
 
 
-def _zero_cov(n):
-    z = np.zeros(n)
-    return lambda s, u: z
+def _lead(s, u):
+    """The leading (batch) shape of a cost's arguments, broadcast together."""
+    return np.broadcast_shapes(np.shape(s.x)[:-2], np.shape(s.y)[:-1], np.shape(u)[:-1])
 
 
 def min_acc_cost(model) -> CostModel:
@@ -128,105 +129,130 @@ def quadratic_cost(model, R) -> CostModel:
         raise DimensionMismatch(f"quadratic weight must be {m}x{m}, got {R.shape}")
     if np.abs(R - R.T).max() > 1e-12:
         raise ValueError("quadratic weight must be symmetric")
-    return CostModel(
-        eval=lambda s, u: 0.5 * float(np.dot(u, R @ u)),
-        dL_dx_triv=_zero_cov(model.n),
-        dL_dy=_zero_cov(model.n),
-        dL_du=lambda s, u: R @ u,
-        d2L_du2=lambda s, u: R,
-        x_independent=True,
-        quad_weight=R,
-    )
+    zero = lambda s, u: np.zeros(_lead(s, u) + (model.n,))
+    # stacked matmuls run the same product on every row, so each point keeps its bits
+    return CostModel(eval=lambda s, u: np.broadcast_to(
+                         0.5 * (u[..., None, :] @ (R @ u[..., None]))[..., 0, 0], _lead(s, u)),
+                     dL_dx_triv=zero, dL_dy=zero,
+                     dL_du=lambda s, u: (R @ u[..., None])[..., 0],
+                     d2L_du2=lambda s, u: np.broadcast_to(R, _lead(s, u) + (m, m)),
+                     x_independent=True, quad_weight=R)
 
 
 def fd_dL_dx_triv(gm, cost_eval, s, u, step=None):
-    """Left-trivialized x-derivative of a cost by central differences.
-
-    Varies x along x exp(t E_i) with step 1e-6 (1 + ||x||).
+    """Left-trivialized x-derivative of a cost by central differences, for a
+    batch of points as for one: x varies along x exp(t E_i), all n directions
+    in one call of ``cost_eval`` per sign, with each point's step 1e-6 (1 + ||x||).
     """
-    n = gm.algebra.n
-    h = step if step is not None else FD_STEP_COST * (1.0 + float(np.linalg.norm(s.x)))
-    out = np.empty(n)
-    eye = np.eye(n)
-    for i in range(n):
-        xp = groups.compose(s.x, groups.exp_map(gm, eye[i], h))
-        xm = groups.compose(s.x, groups.exp_map(gm, eye[i], -h))
-        out[i] = (cost_eval(State(xp, s.y), u) - cost_eval(State(xm, s.y), u)) / (2.0 * h)
-    return out
+    x = np.asarray(s.x, dtype=float)
+    if step is None:
+        step = FD_STEP_COST * (1.0 + np.sqrt(np.sum(x * x, axis=(-2, -1))))
+    h = np.asarray(step, dtype=float)[..., None, None]
+    x, y, u = x[..., None, :, :], np.asarray(s.y)[..., None, :], np.asarray(u)[..., None, :]
+    tilt = h * np.eye(gm.algebra.n)  # row i is h E_i
+    plus = cost_eval(State(groups.compose(x, groups.exp_map(gm, tilt)), y), u)
+    minus = cost_eval(State(groups.compose(x, groups.exp_map(gm, -tilt)), y), u)
+    return (plus - minus) / (2.0 * h[..., 0])
 
 
-def hamiltonian(model, cost, a) -> float:
-    """<mu, y> + <xi, embed(u) + bias(y)> - L(x, y, u)."""
+def hamiltonian(model, cost, a):
+    """<mu, y> + <xi, embed(u) + bias(y)> - L(x, y, u), at a point or at every
+    point of a batch."""
     y = np.asarray(a.state.y, dtype=float)
     u = np.asarray(a.u, dtype=float)
     acc = embed_control(model, u) + bias(model, y)
-    return float(np.dot(a.costate.mu, y) + np.dot(a.costate.xi, acc)
-                 - cost.eval(a.state, u))
+    return (np.einsum("...i,...i->...", a.costate.mu, y)
+            + np.einsum("...i,...i->...", a.costate.xi, acc) - cost.eval(a.state, u))
 
 
 def _check_regular(H, what):
-    """Raise SingularRegularity if cond(H) > 1 / RCOND_MIN (a scale-invariant test)."""
-    sv = np.linalg.svd(H, compute_uv=False)
-    if not sv[-1] > RCOND_MIN * sv[0]:
-        raise SingularRegularity(f"{what} is singular (singular values {sv[0]:.3g} "
-                                 f".. {sv[-1]:.3g})")
+    """Raise SingularRegularity if cond(H) > 1 / RCOND_MIN for H or for any
+    matrix of a stack (a scale-invariant test)."""
+    sv = np.linalg.svd(H, compute_uv=False).reshape(-1, np.shape(H)[-1])
+    singular = ~(sv[:, -1] > RCOND_MIN * sv[:, 0])
+    if singular.any():
+        top, low = sv[np.argmax(singular), [0, -1]]
+        raise SingularRegularity(f"{what} is singular (singular values {top:.3g} .. {low:.3g})")
 
 
 def eliminate_control(model, cost, s, xi) -> np.ndarray:
-    """Solve the stationarity condition dL/du = restricted xi for u.
-
-    Closed form for quadratic costs, damped Newton otherwise (start at
-    u = 0, retry from the restricted xi components on failure).  ``xi``
-    may carry a batch, which Newton takes row by row, ``s`` carrying the
-    matching states (x broadcasts).  Regularity is checked once per point,
-    on the weight or on the control Hessian at the returned u: it raises
-    SingularRegularity when that matrix is numerically singular, as does a
-    Newton iterate whose Hessian cannot be solved.  Raises NoConvergence
-    when Newton stalls.
-    """
+    """Solve dL/du = restricted xi for u, for a batch of points (``s.x``, ``s.y``
+    and ``xi`` broadcast together) as for one: in closed form for quadratic
+    costs, else by ``_newton`` on every row at once from u = 0, then from the
+    restricted xi on the rows that fail.  A row whose x, y or xi is not finite
+    gets a NaN control.  Regularity is checked on the weight, or per row on the
+    control Hessian at the returned u: SingularRegularity when that matrix is
+    numerically singular, as for a Newton iterate whose Hessian cannot be
+    solved.  NoConvergence when Newton stalls on any finite row."""
     xi = np.asarray(xi, dtype=float)
-    target = xi[..., : model.m]
+    m = model.m
+    target = xi[..., :m]
     if cost.quad_weight is not None:
         R = cost.quad_weight
         _check_regular(R, "quadratic weight")
         return np.linalg.solve(R, target[..., None])[..., 0] if target.ndim > 1 \
             else np.linalg.solve(R, target)
-    if xi.ndim > 1:
-        rows = [eliminate_control(model, cost, State(x, y), row)
-                for x, y, row in _rows(s.x, s.y, xi)]
-        return np.reshape(rows, target.shape)
+    x, y = np.asarray(s.x, dtype=float), np.asarray(s.y, dtype=float)
+    lead = np.broadcast_shapes(x.shape[:-2], y.shape[:-1], xi.shape[:-1])
+    x, y, xi = (_stack_rows(a, lead, k) for a, k in ((x, 2), (y, 1), (xi, 1)))
+    rows = np.flatnonzero(np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)
+                          & np.isfinite(xi).all(axis=1))
+    u = np.full((len(xi), m), np.nan)
+    if len(rows):
+        s, target = State(x[rows], y[rows]), xi[rows, :m]
+        tol = NEWTON_TOL * np.maximum(1.0, np.abs(target).max(axis=1))
+        ul, ok = _newton(cost, s, target, tol, np.zeros_like(target))
+        if not ok.all():  # converged rows stop at once; the others start from their xi
+            ul, ok = _newton(cost, s, target, tol, np.where(ok[:, None], ul, target))
+        if not ok.all():
+            raise NoConvergence("control elimination Newton failed to converge")
+        _check_regular(cost.d2L_du2(s, ul), "control Hessian")
+        u[rows] = ul
+    return u.reshape(lead + (m,))
 
-    def newton(u0):
-        u = u0.copy()
-        for _ in range(NEWTON_MAX_ITER):
-            g = np.asarray(cost.dL_du(s, u), dtype=float) - target
-            if np.abs(g).max() < NEWTON_TOL:
-                return u
-            Hm = np.asarray(cost.d2L_du2(s, u), dtype=float)
-            try:
-                du = np.linalg.solve(Hm, -g)
-            except np.linalg.LinAlgError:
-                raise SingularRegularity("control Hessian is singular at a Newton iterate")
-            step = 1.0
-            base = float(np.dot(g, g))
-            for _ in range(30):
-                g_try = np.asarray(cost.dL_du(s, u + step * du), dtype=float) - target
-                if float(np.dot(g_try, g_try)) < base:
-                    break
-                step *= 0.5
-            else:
-                return None
-            u = u + step * du
-        g = np.asarray(cost.dL_du(s, u), dtype=float) - target
-        return u if np.abs(g).max() < NEWTON_TOL else None
 
-    u = newton(np.zeros(model.m))
-    if u is None:
-        u = newton(target.copy())
-    if u is None:
-        raise NoConvergence("control elimination Newton failed to converge")
-    _check_regular(np.asarray(cost.d2L_du2(s, u), dtype=float), "control Hessian")
-    return u
+def _stack_rows(a, lead, k):
+    """``a`` broadcast to the leading shape ``lead``, one row per point of its last k axes."""
+    tail = a.shape[a.ndim - k:]
+    return (a if a.shape[:-k] == lead else np.broadcast_to(a, lead + tail)).reshape((-1,) + tail)
+
+
+def _newton(cost, s, target, tol, u):
+    """Damped Newton on g = dL/du(s, u) - target = 0 for rows (R, m) together,
+    from u, each row with the bits it gets alone.  A row stops once |g|_inf <
+    its ``tol`` (NEWTON_TOL max(1, |target|_inf)), or unconverged when 30
+    halvings of its step do not lower |g|^2 or after NEWTON_MAX_ITER steps; a
+    stopped row keeps its u and g but stays in the batch that the callables
+    and the solve take.  Returns every row's u and whether it converged."""
+    g = cost.dL_du(s, u) - target
+    gg = _sq(g)
+    live = np.ones(len(u), dtype=bool)
+    for it in range(NEWTON_MAX_ITER + 1):
+        live &= ~(np.abs(g).max(axis=1) < tol)
+        if it == NEWTON_MAX_ITER or not live.any():
+            break
+        try:
+            du = np.linalg.solve(cost.d2L_du2(s, u), -g[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            raise SingularRegularity("control Hessian is singular at a Newton iterate")
+        step, search = 1.0, live  # the rows still halving their step
+        for _ in range(30):
+            u_try = u + step * du
+            g_try = cost.dL_du(s, u_try) - target
+            gg_try = _sq(g_try)
+            took = search & (gg_try < gg)
+            u, g = np.where(took[:, None], u_try, u), np.where(took[:, None], g_try, g)
+            gg, search = np.where(took, gg_try, gg), search & ~took
+            if not search.any():
+                break
+            step *= 0.5
+        live &= ~search
+    return u, np.abs(g).max(axis=1) < tol
+
+
+def _sq(g):
+    """|g|^2 of every row, by a stacked matmul (each row keeps its bits)."""
+    return (g[..., None, :] @ g[..., None])[..., 0, 0]
 
 
 class ExtremalRHS(NamedTuple):
@@ -287,13 +313,6 @@ def _quadratic_tensor(model, R):
     return K.reshape(3 * n, n + 1, 3 * n)
 
 
-def _rows(x, *arrays):
-    """The rows of a batch of ``arrays``, each with its x (x broadcasts)."""
-    d = np.shape(x)[-2:]
-    x = np.broadcast_to(x, arrays[0].shape[:-1] + d).reshape((-1,) + d)
-    return zip(x, *(a.reshape(-1, a.shape[-1]) for a in arrays))
-
-
 @lru_cache(maxsize=16)
 def extremal_field(model, gm, cost):
     """The extremal flow as a stepper right-hand side ``rhs(k, c, x, v) -> (y, vdot)``
@@ -302,9 +321,10 @@ def extremal_field(model, gm, cost):
     Quadratic x-independent costs get the fused field: one stacked matmul of
     v against the tensor K of ``_quadratic_tensor``, held as a (3n, 3n (n + 1))
     matrix, gives W[o, a] = K[o, a, q] v_q, and then W[:, 0] + W[:, 1:] y.
-    Other costs run ``eliminate_control`` and ``extremal_rhs`` row by row, and
-    give NaN rates for a row that is not finite rather than run its Newton.
-    Either way each row gets the bits it gets alone."""
+    Any other cost takes one batched ``eliminate_control``, whose Newton runs
+    every row at once and gives a row that is not finite a NaN control, and
+    one batched ``extremal_rhs``.  Either way each row gets the bits it gets
+    alone."""
     n = model.n
     if _is_quadratic(cost):
         K = _quadratic_tensor(model, cost.quad_weight)
@@ -317,17 +337,11 @@ def extremal_field(model, gm, cost):
 
         return rhs
 
-    def point(x, y, v):
-        if not (np.isfinite(v).all() and np.isfinite(x).all()):
-            return np.full(3 * n, np.nan)
-        s, mu, xi = State(x, y), v[n:2 * n], v[2 * n:]
-        u = eliminate_control(model, cost, s, xi)
-        r = extremal_rhs(model, gm, cost, ExtremalPoint(s, Costate(mu, xi), u))
-        return np.concatenate([r.ydot, r.mudot, r.xidot])
-
     def rhs(k, c, x, v):
-        y = v[..., :n]
-        return y, np.reshape([point(*row) for row in _rows(x, y, v)], v.shape)
+        s, costate = State(x, v[..., :n]), Costate(v[..., n:2 * n], v[..., 2 * n:])
+        u = eliminate_control(model, cost, s, costate.xi)
+        r = extremal_rhs(model, gm, cost, ExtremalPoint(s, costate, u))
+        return s.y, np.concatenate([r.ydot, r.mudot, r.xidot], axis=-1)
 
     return rhs
 
@@ -344,20 +358,16 @@ def flow_extremal(model, gm, cost, a0, T, steps) -> Trajectory:
 
 def extremal_trajectory(model, gm, cost, T, xs, vs) -> Trajectory:
     """The trajectory of an extremal flow recorded on the uniform grid of [0, T]:
-    group elements ``xs`` and v = (y, mu, xi) rows ``vs``, with the controls and
-    H of the grid in one batched pass (L by ``_cost_values``).
-    The controls are eliminated once per point, and H reads
-    ydot = embed(u) + bias(y) from them.  ``xs`` and ``vs`` may be one row of
-    a recorded batch; the trajectory keeps compact copies, not views that pin
-    the batch."""
+    group elements ``xs`` and v = (y, mu, xi) rows ``vs``, with the controls
+    and H of the grid in one batched pass each.  ``xs`` and ``vs`` may be one
+    row of a recorded batch; the trajectory keeps compact copies, not views
+    that pin the batch."""
     n = model.n
     xs, vs = np.ascontiguousarray(xs), np.ascontiguousarray(vs)
     steps = len(vs) - 1
     ys, mus, xis = vs[:, :n], vs[:, n:2 * n], vs[:, 2 * n:]
     us = eliminate_control(model, cost, State(xs, ys), xis)
-    ydot = embed_control(model, us) + bias(model, ys)
-    L = _cost_values(cost, xs, ys, us)
-    hams = np.einsum("ki,ki->k", mus, ys) + np.einsum("ki,ki->k", xis, ydot) - L
+    hams = hamiltonian(model, cost, ExtremalPoint(State(xs, ys), Costate(mus, xis), us))
     return Trajectory(times=np.linspace(0.0, T, steps + 1), xs=xs, ys=ys, us=us,
                       mus=mus, xis=xis, hams=hams)
 
@@ -387,33 +397,21 @@ def propagate_endpoints(model, gm, cost, x0, y0, mu0, xi0, T, steps):
     return xs[-1], vs[-1, ..., : model.n], (xs, vs)
 
 
-def _cost_values(cost, xs, ys, us):
-    """L at every grid point.  A quadratic x-independent cost takes one batched
-    pass, whose stacked matmuls give each point the bits of ``cost.eval``;
-    any other cost runs ``cost.eval`` point by point."""
-    if _is_quadratic(cost):
-        return 0.5 * (us[:, None, :] @ (cost.quad_weight @ us[..., None]))[:, 0, 0]
-    return np.array([cost.eval(State(x, y), u) for x, y, u in zip(xs, ys, us)])
-
-
 def running_cost(cost, traj) -> float:
     """Composite Simpson quadrature of the running cost along a trajectory
     (the trapezoid on a grid of one interval)."""
     K = len(traj) - 1
-    vals = _cost_values(cost, traj.xs, traj.ys, traj.us)
+    vals = cost.eval(State(traj.xs, traj.ys), traj.us)
     h = float(traj.times[1] - traj.times[0])
     if K == 1:
         return float(0.5 * h * (vals[0] + vals[1]))
-    if K % 2 == 0:
-        w = np.ones(K + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return float(h / 3.0 * np.dot(w, vals))
-    # odd interval count: Simpson up to K-1, trapezoid on the last cell
-    w = np.ones(K)
+    # Simpson over an even number of cells; an odd count adds a trapezoid on the last
+    S = K - K % 2
+    w = np.ones(S + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return float(h / 3.0 * np.dot(w, vals[:-1]) + 0.5 * h * (vals[-2] + vals[-1]))
+    total = h / 3.0 * np.dot(w, vals[:S + 1])
+    return float(total + 0.5 * h * (vals[-2] + vals[-1]) if K % 2 else total)
 
 
 # -- symplectic and Poisson verification ----------------------------------------
@@ -465,10 +463,9 @@ def hamiltonian_field_check(model, gm, cost, a, n_directions=10,
         parts /= np.linalg.norm(parts)
         V = TangentTuple(*np.split(parts, 4))
         lhs = symplectic_form(model, (a.state, a.costate), X, V)
-        sp, cp = _shift_point(model, gm, a.state, a.costate, V, fd_step)
-        sm, cm = _shift_point(model, gm, a.state, a.costate, V, -fd_step)
-        hp = hamiltonian(model, cost, ExtremalPoint(sp, cp, eliminate_control(model, cost, sp, cp.xi)))
-        hm = hamiltonian(model, cost, ExtremalPoint(sm, cm, eliminate_control(model, cost, sm, cm.xi)))
+        # the points shifted by +-fd_step, as one batch of two
+        s, c = _shift_point(model, gm, a.state, a.costate, V, np.array([[fd_step], [-fd_step]]))
+        hp, hm = hamiltonian(model, cost, ExtremalPoint(s, c, eliminate_control(model, cost, s, c.xi)))
         worst = max(worst, abs(lhs - (hp - hm) / (2.0 * fd_step)))
     return worst
 

@@ -88,9 +88,10 @@ def so3_problem(target, m=3, steps=200):
 
 def test_non_quadratic_cost_rejected():
     ab, gm, quad, prob = abelian_problem()
-    cost = CostModel(eval=lambda s, u: float(np.sum(u ** 4)), dL_dx_triv=quad.dL_dx_triv,
+    cost = CostModel(eval=lambda s, u: np.sum(u ** 4, axis=-1), dL_dx_triv=quad.dL_dx_triv,
                      dL_dy=quad.dL_dy, dL_du=lambda s, u: 4.0 * u ** 3,
-                     d2L_du2=lambda s, u: np.diag(12.0 * u ** 2), x_independent=True)
+                     d2L_du2=lambda s, u: 12.0 * (u ** 2)[..., None] * np.eye(u.shape[-1]),
+                     x_independent=True)
     cfg = TranscriptionConfig(segments=10)
     with pytest.raises(ValueError, match="quadratic"):
         optimize_direct(ab, gm, cost, prob, cfg)

@@ -345,13 +345,13 @@ def test_split_flow_is_bitwise_the_coupled_loop(kind, width, pass_rows, so3_m2, 
     assert np.array_equal(xs1, xs2) and np.array_equal(vs1, vs2)
 
 
-@pytest.mark.parametrize("kind", ["fused", "row-by-row"])
+@pytest.mark.parametrize("kind", ["fused", "newton"])
 def test_a_one_row_batch_steps_as_a_vector(kind, so3_m2, so3_m2_group):
     # the right-hand side of a (1, p) flow sees v of shape (p,) and x of shape
     # (d, d), and the record keeps the batch axis with the bits of the vector flow
     model, gm = so3_m2, so3_m2_group
     cost = min_acc_cost(model)
-    if kind == "row-by-row":
+    if kind == "newton":
         cost = dataclasses.replace(cost, quad_weight=None)
     field = extremal_field(model, gm, cost)
     seen = set()

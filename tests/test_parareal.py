@@ -224,16 +224,18 @@ def test_blow_up_stops_the_loop_within_a_check(steps):
     assert len(calls) - coarse <= 4 * (bad - 1 + FINITE_CHECK_STEPS)
 
 
-def test_a_row_by_row_flow_that_blows_up_is_reported_at_the_loop_step():
-    # a quartic cost runs row by row through Newton.  With xi = mu = 0 the
-    # control stays 0 while RK4 steps of 1.0 make y overflow; the loop runs on
-    # past that step to its look, and the field must give NaN rates for the
-    # rows that are not finite rather than a stalled Newton (NoConvergence)
+def test_a_newton_flow_that_blows_up_is_reported_at_the_loop_step():
+    # a quartic cost runs through Newton.  With xi = mu = 0 the control stays 0
+    # while RK4 steps of 1.0 make y overflow; the loop runs on past that step to
+    # its look, and the field must give NaN rates for the rows that are not
+    # finite rather than a stalled Newton (NoConvergence)
     gm = affine_line_group()
+    eye = np.eye(2)
     cost = dataclasses.replace(min_acc_cost(gm.algebra), quad_weight=None,
-                               eval=lambda s, u: 0.5 * u @ u + 0.1 * np.sum(u ** 4),
+                               eval=lambda s, u: (0.5 * np.sum(u * u, axis=-1)
+                                                  + 0.1 * np.sum(u ** 4, axis=-1)),
                                dL_du=lambda s, u: u + 0.4 * u ** 3,
-                               d2L_du2=lambda s, u: np.eye(2) + 1.2 * np.diag(u ** 2))
+                               d2L_du2=lambda s, u: eye + 1.2 * (u ** 2)[..., None] * eye)
     field = extremal_field(gm.algebra, gm, cost)
     calls = []
 

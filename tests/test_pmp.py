@@ -25,11 +25,16 @@ def point(x, y, mu, xi, u):
                          np.asarray(u, dtype=float))
 
 
+def zeros(*shape):
+    """A cost callable with a zero result of ``shape`` for every point of its batch."""
+    return lambda s, u: np.zeros(np.shape(u)[:-1] + shape)
+
+
 def zero_cost(n):
-    z = np.zeros(n)
-    return CostModel(eval=lambda s, u: 0.0, dL_dx_triv=lambda s, u: z,
-                     dL_dy=lambda s, u: z, dL_du=lambda s, u: np.zeros(0),
-                     d2L_du2=lambda s, u: np.zeros((0, 0)), x_independent=True)
+    return CostModel(eval=zeros(), dL_dx_triv=zeros(n), dL_dy=zeros(n),
+                     dL_du=lambda s, u: np.zeros(np.shape(u)),
+                     d2L_du2=lambda s, u: np.zeros(np.shape(u) + np.shape(u)[-1:]),
+                     x_independent=True)
 
 
 # -- Hamiltonian ----------------------------------------------------------------
@@ -85,13 +90,12 @@ def test_eliminate_batched_matches_loop(so3_m2, rng):
 
 
 def quartic_cost(model):
-    m = model.m
-    z = np.zeros(model.n)
+    eye = np.eye(model.m)
     return CostModel(
-        eval=lambda s, u: 0.5 * float(np.dot(u, u)) + 0.1 * float(np.sum(np.asarray(u) ** 4)),
-        dL_dx_triv=lambda s, u: z, dL_dy=lambda s, u: z,
-        dL_du=lambda s, u: np.asarray(u) + 0.4 * np.asarray(u) ** 3,
-        d2L_du2=lambda s, u: np.eye(m) + 1.2 * np.diag(np.asarray(u) ** 2),
+        eval=lambda s, u: 0.5 * np.sum(u * u, axis=-1) + 0.1 * np.sum(u ** 4, axis=-1),
+        dL_dx_triv=zeros(model.n), dL_dy=zeros(model.n),
+        dL_du=lambda s, u: u + 0.4 * u ** 3,
+        d2L_du2=lambda s, u: eye + 1.2 * (u ** 2)[..., None] * eye,
         x_independent=True)
 
 
@@ -127,10 +131,9 @@ def test_singular_weight_rejected_by_flow(so3_m2):
 
 
 def test_eliminate_singular_hessian_newton(so3_m2):
-    z = np.zeros(3)
-    linear = CostModel(eval=lambda s, u: float(np.sum(u)), dL_dx_triv=lambda s, u: z,
-                       dL_dy=lambda s, u: z, dL_du=lambda s, u: np.ones(2),
-                       d2L_du2=lambda s, u: np.zeros((2, 2)), x_independent=True)
+    linear = CostModel(eval=lambda s, u: np.sum(u, axis=-1), dL_dx_triv=zeros(3),
+                       dL_dy=zeros(3), dL_du=lambda s, u: np.ones(np.shape(u)),
+                       d2L_du2=zeros(2, 2), x_independent=True)
     with pytest.raises(aoc.SingularRegularity):
         eliminate_control(so3_m2, linear, State(np.eye(3), np.zeros(3)),
                           np.array([2.0, 3.0, 0.0]))
@@ -229,20 +232,25 @@ def test_flow_abelian_cubic(abelian1, abelian1_group):
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
 def test_running_cost_of_a_constant_on_every_grid(K):
     # Simpson, Simpson plus a trapezoid cell, or (K = 1) the trapezoid alone
-    one = dataclasses.replace(zero_cost(1), eval=lambda s, u: 1.0)
+    one = dataclasses.replace(zero_cost(1), eval=lambda s, u: np.ones(np.shape(u)[:-1]))
     traj = Trajectory(times=np.linspace(0.0, 1.0, K + 1), xs=np.zeros((K + 1, 2, 2)),
                       ys=np.zeros((K + 1, 1)), us=np.zeros((K + 1, 0)))
     assert running_cost(one, traj) == pytest.approx(1.0, abs=1e-15)
 
 
+def pointwise(cost):
+    """``cost`` with an eval that runs ``cost.eval`` point by point over its batch."""
+    return dataclasses.replace(cost, eval=lambda s, u: np.array(
+        [cost.eval(State(x, y), v) for x, y, v in zip(s.x, s.y, u)]))
+
+
 @pytest.mark.parametrize("K", [1, 2, 3, 200, 201])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_batched_quadratic_running_cost_is_the_per_point_sum(K, m, rng):
-    # the same cost without its quad_weight takes the per-point cost.eval loop
     model = aoc.so3_model((1.0, 2.0, 3.0), m=m)
     A = rng.standard_normal((m, m))
     cost = quadratic_cost(model, A @ A.T + np.eye(m))
-    per_point = dataclasses.replace(cost, quad_weight=None)
+    per_point = pointwise(cost)
     traj = Trajectory(times=np.linspace(0.0, 1.0, K + 1),
                       xs=np.broadcast_to(np.eye(3), (K + 1, 3, 3)),
                       ys=rng.standard_normal((K + 1, 3)),
@@ -355,26 +363,34 @@ def test_field_check_zero_point(so3_j123, so3_j123_group):
 
 def x_dependent_cost(model, gm, A):
     """Quadratic control cost plus tr(A x), with analytic trivialized x-derivative."""
-    R = model.inertia[: model.m, : model.m].copy()
-    z = np.zeros(model.n)
+    quad = quadratic_cost(model, model.inertia[: model.m, : model.m])
+    # tr(A x E_i) = <x, (E_i A)^T> (Frobenius): x flattened times column i of G
+    G = np.stack([(E @ A).T.ravel() for E in gm.basis], axis=1)
+    cells = gm.rep_dim ** 2
 
     def dL_dx(s, u):
-        return np.array([np.trace(A @ s.x @ gm.basis[i]) for i in range(model.n)])
+        x = s.x.reshape(s.x.shape[:-2] + (1, cells))
+        return (x @ G)[..., 0, :]
 
-    return CostModel(
-        eval=lambda s, u: 0.5 * float(np.dot(u, R @ u)) + float(np.trace(A @ s.x)),
-        dL_dx_triv=dL_dx, dL_dy=lambda s, u: z,
-        dL_du=lambda s, u: R @ u, d2L_du2=lambda s, u: R,
-        x_independent=False, quad_weight=R)
+    return dataclasses.replace(
+        quad, eval=lambda s, u: quad.eval(s, u) + np.sum(s.x * A.T, axis=(-2, -1)),
+        dL_dx_triv=dL_dx, x_independent=False)
 
 
 def test_fd_cost_derivative_helper_matches_analytic(so3_j123, so3_j123_group, rng):
+    # a batch of points, each with its own step and the bits it gets alone
     A = rng.standard_normal((3, 3))
     cost = x_dependent_cost(so3_j123, so3_j123_group, A)
-    s = State(aoc.exp_map(so3_j123_group, rng.uniform(-1, 1, 3)), rng.standard_normal(3))
-    u = rng.standard_normal(3)
+    s = State(aoc.exp_map(so3_j123_group, rng.uniform(-1, 1, (6, 3))), rng.standard_normal((6, 3)))
+    u = rng.standard_normal((6, 3))
     fd = fd_dL_dx_triv(so3_j123_group, cost.eval, s, u)
     assert_allclose(fd, cost.dL_dx_triv(s, u), atol=1e-8)
+    for b in range(6):
+        alone = fd_dL_dx_triv(so3_j123_group, cost.eval, State(s.x[b], s.y[b]), u[b])
+        assert np.array_equal(alone, fd[b])
+    # a cost that does not read x has a zero x-derivative at every point
+    assert np.array_equal(fd_dL_dx_triv(so3_j123_group, min_acc_cost(so3_j123).eval, s, u),
+                          np.zeros((6, 3)))
 
 
 def test_field_check_x_dependent_cost(so3_j123, so3_j123_group, rng):
@@ -510,10 +526,12 @@ def test_eliminate_newton_no_convergence(so3_m2, monkeypatch):
                           np.array([50.0, -80.0, 0.0]))
 
 
-def test_stalled_control_elimination_is_a_failed_flow(so3_m2, so3_m2_group):
-    # with this cost the elimination Newton stalls at these large costates: the
-    # batch is a failed flow, as a blow-up is, not an error out of the solve
+def test_stalled_control_elimination_is_a_failed_flow(so3_m2, so3_m2_group, monkeypatch):
+    # one Newton step cannot solve u + 0.4 u^3 = xi at these large costates, so
+    # the elimination stalls: the batch is a failed flow, as a blow-up is, not
+    # an error out of the solve
     cost = quartic_cost(so3_m2)
+    monkeypatch.setattr(aoc.pmp, "NEWTON_MAX_ITER", 1)
     prob = BoundaryProblem(x0=np.eye(3), xT=np.eye(3), y0=np.zeros(3), yT=np.zeros(3),
                            T=1.0, steps=5)
     theta = 1e4 * np.array([1.0, -2.0, 3.0, 2.0, 1.0, -1.0])
@@ -524,26 +542,25 @@ def test_stalled_control_elimination_is_a_failed_flow(so3_m2, so3_m2_group):
 
 def test_eliminate_checks_regularity_at_the_returned_control(so3_m2):
     # L = |u|^4 / 4: at xi = 0 Newton stops at once at u = 0, where the Hessian vanishes
-    z = np.zeros(3)
-
     def hessian(s, u):
-        u = np.asarray(u)
-        return np.dot(u, u) * np.eye(2) + 2.0 * np.outer(u, u)
+        uu = np.sum(u * u, axis=-1)[..., None, None]
+        return uu * np.eye(2) + 2.0 * u[..., :, None] * u[..., None, :]
 
-    pure_quartic = CostModel(eval=lambda s, u: 0.25 * float(np.dot(u, u)) ** 2,
-                             dL_dx_triv=lambda s, u: z, dL_dy=lambda s, u: z,
-                             dL_du=lambda s, u: np.dot(u, u) * np.asarray(u),
+    pure_quartic = CostModel(eval=lambda s, u: 0.25 * np.sum(u * u, axis=-1) ** 2,
+                             dL_dx_triv=zeros(3), dL_dy=zeros(3),
+                             dL_du=lambda s, u: np.sum(u * u, axis=-1)[..., None] * u,
                              d2L_du2=hessian, x_independent=True)
     with pytest.raises(aoc.SingularRegularity):
         eliminate_control(so3_m2, pure_quartic, State(np.eye(3), np.zeros(3)), np.zeros(3))
 
 
 def test_trajectory_eliminates_control_once_per_point(so3_j123, so3_j123_group):
+    # counts the points the control Hessian is evaluated at
     calls = [0]
     base = quartic_cost(so3_j123)
 
     def counted(s, u):
-        calls[0] += 1
+        calls[0] += int(np.prod(np.shape(u)[:-1]))
         return base.d2L_du2(s, u)
 
     cost = dataclasses.replace(base, d2L_du2=counted)
@@ -587,16 +604,50 @@ def generic_costs(model, gm):
 
 @pytest.mark.parametrize("which", ["quartic", "x-dependent"])
 def test_generic_cost_batch_is_bitwise_single(so3_j123, so3_j123_group, which):
-    cost = generic_costs(so3_j123, so3_j123_group)[which]
-    x0 = aoc.exp_map(so3_j123_group, np.array([0.1, 0.2, -0.3]))
+    # the quartic cost takes split steps and Newton, the x-dependent one coupled
+    # steps; a 13-row flow of 50 steps keeps every row's bits
+    model, gm = so3_j123, so3_j123_group
+    cost = generic_costs(model, gm)[which]
+    x0 = aoc.exp_map(gm, np.array([0.1, 0.2, -0.3]))
     y0 = np.array([0.2, -0.1, 0.3])
-    thetas = np.random.default_rng(11).uniform(-1.0, 1.0, (5, 6))
-    xb, yb, _ = propagate_endpoints(so3_j123, so3_j123_group, cost, x0, y0,
-                                    thetas[:, :3], thetas[:, 3:], 1.0, 4)
-    for b in range(5):
-        x1, y1, _ = propagate_endpoints(so3_j123, so3_j123_group, cost, x0, y0,
-                                     thetas[b, :3], thetas[b, 3:], 1.0, 4)
-        assert np.array_equal(x1, xb[b]) and np.array_equal(y1, yb[b])
+    thetas = np.random.default_rng(11).uniform(-1.0, 1.0, (13, 6))
+    _, _, (xb, vb) = propagate_endpoints(model, gm, cost, x0, y0,
+                                         thetas[:, :3], thetas[:, 3:], 1.0, 50)
+    for b in range(13):
+        _, _, (x1, v1) = propagate_endpoints(model, gm, cost, x0, y0,
+                                             thetas[b, :3], thetas[b, 3:], 1.0, 50)
+        assert np.array_equal(x1, xb[:, b]) and np.array_equal(v1, vb[:, b])
+    traj = aoc.pmp.extremal_trajectory(model, gm, cost, 1.0, xb[:, 0], vb[:, 0])
+    assert np.array_equal(cost.eval(State(traj.xs, traj.ys), traj.us),
+                          [cost.eval(traj.state(k), traj.us[k]) for k in range(51)])
+    assert running_cost(cost, traj) == running_cost(pointwise(cost), traj)
+
+
+def test_eliminate_newton_stops_relative_to_the_costate(so3_m2):
+    # u + 0.4 u^3 = xi at |xi| ~ 1e4: the residual rounds to about 1e-12 |xi|,
+    # so an absolute stop at NEWTON_TOL would stall
+    cost = quartic_cost(so3_m2)
+    s = State(np.eye(3), np.zeros(3))
+    xi = np.array([-1.66e3, -8.52e3, 0.0])
+    u = eliminate_control(so3_m2, cost, s, xi)
+    assert_allclose(u, [-16.018, -27.690], atol=1e-3)
+    assert np.abs(cost.dL_du(s, u) - xi[:2]).max() < aoc.pmp.NEWTON_TOL * 8.52e3
+
+
+@pytest.mark.parametrize("which", ["quartic", "x-dependent"])
+def test_a_row_that_is_not_finite_gets_nan_rates(so3_j123, so3_j123_group, which):
+    model, gm = so3_j123, so3_j123_group
+    cost = generic_costs(model, gm)[which]
+    field = aoc.pmp.extremal_field(model, gm, cost)
+    x = aoc.exp_map(gm, np.random.default_rng(4).uniform(-1.0, 1.0, (5, 3)))
+    v = np.random.default_rng(5).uniform(-1.0, 1.0, (5, 9))
+    v[2] = np.nan
+    y, vdot = field(0, 0.0, x, v)
+    assert np.isnan(vdot[2]).all()
+    for b in (0, 1, 3, 4):
+        assert np.array_equal(field(0, 0.0, x[b], v[b])[1], vdot[b])
+    u = eliminate_control(model, cost, State(np.eye(3), np.zeros(3)), np.full(3, np.nan))
+    assert u.shape == (3,) and np.isnan(u).all()
 
 
 @pytest.mark.parametrize("which", ["quartic", "x-dependent"])

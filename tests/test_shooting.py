@@ -457,7 +457,7 @@ def test_shooting_survives_ill_posed_first_batch():
 def test_batched_defect_matches_per_point_path():
     model, gm, cost, prob = so3_problem(m=2, axis=CRIT8_AXIS, angle=0.4, steps=50)
     res = solve_shooting(model, gm, cost, prob)
-    # the same cost without its quadratic marker takes the per-point path
+    # the same cost without its quadratic marker takes the Newton path of the field
     generic = dataclasses.replace(cost, quad_weight=None)
     batched = extremal_defect(model, gm, cost, res.trajectory)
     per_point = extremal_defect(model, gm, generic, res.trajectory)
