@@ -449,6 +449,26 @@ def test_the_valid_model_file_validates(tmp_path, capsys):
     assert "overall: PASS" in capsys.readouterr().out
 
 
+def test_compare_on_so3_as_a_generic_group_matches_so3(tmp_path):
+    # the same problem through the generic-group code: scipy's logarithm in
+    # the residual and the series readback in the oracle's segment Jacobian
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps(_SO3_FILE))
+    gaps = []
+    for name, section in [("so3", {"kind": "so3", "inertia": [1.0, 2.0, 3.0], "m": 3}),
+                          ("generic", {"kind": "custom", "file": str(model_file)})]:
+        cfg = tmp_path / f"{name}-config.json"
+        write_config(cfg, algebra=section,
+                     problem={"x0": [0, 0, 0], "xT": [0.2, -0.3, 0.5], "y0": [0, 0, 0],
+                              "yT": [0, 0, 0], "T": 1.0, "steps": 40},
+                     oracle={"segments": 10}, output={"path": str(tmp_path / name)})
+        assert main(["compare", "--config", str(cfg)]) == 0
+        payload = json.loads((tmp_path / f"{name}.json").read_text())
+        assert payload["direct_summary"]["converged"] is True
+        gaps.append(payload["gap"])
+    assert abs(gaps[1] - gaps[0]) < 1e-8
+
+
 @pytest.mark.parametrize("times", [[0.0, 1.0, 0.5], [0.0, 0.5, 0.5]], ids=["back", "repeated"])
 def test_control_times_must_increase(tmp_path, capsys, times):
     cfg = tmp_path / "cfg.json"

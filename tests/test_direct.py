@@ -3,10 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import aoc
-from aoc.direct import TranscriptionConfig, _jacobian, optimize_direct, transcription_objective
+from aoc.direct import (FD_STEP, TranscriptionConfig, _jacobian, optimize_direct,
+                        transcription_objective)
 from aoc.dynamics import zoh_rollout
-from aoc.pmp import CostModel, min_acc_cost, running_cost
+from aoc.pmp import CostModel, min_acc_cost, quadratic_cost, running_cost
 from aoc.shooting import BoundaryProblem, endpoint_residual, solve_shooting
+from test_parareal import GROUPS
 
 
 def abelian_problem(xT_val=1.0):
@@ -112,17 +114,50 @@ def test_generic_axis_matches_shooting():
     assert gaps[1] < gaps[0]
 
 
+def whole_horizon_jacobian(gm, problem, U, spb):
+    """Reference: the forward-difference Jacobian of the boundary residual,
+    one rollout of all N m perturbed controls over the whole horizon."""
+    N, m = U.shape
+    Z = U + FD_STEP * np.eye(N * m).reshape(-1, N, m)
+    _, xs, ys = zoh_rollout(gm, problem.x0, problem.y0, np.concatenate([U[None], Z]),
+                            problem.T, steps_per_segment=spb)
+    r = endpoint_residual(gm, problem, xs[-1], ys[-1])
+    return (r[1:] - r[0]).T / FD_STEP
+
+
+def segment_jacobian(gm, problem, U, spb):
+    _, xs, ys = zoh_rollout(gm, problem.x0, problem.y0, U, problem.T, steps_per_segment=spb)
+    return _jacobian(gm, problem, U, xs, ys, spb)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+@pytest.mark.parametrize("spb", [2, 4])
+def test_segment_jacobian_matches_the_whole_horizon_one(rng, group, spb):
+    gm = GROUPS[group]()
+    n, m = gm.algebra.n, gm.algebra.m
+    prob = BoundaryProblem(x0=aoc.exp_map(gm, 0.5 * rng.standard_normal(n)),
+                           xT=aoc.exp_map(gm, 0.5 * rng.standard_normal(n)),
+                           y0=0.3 * rng.standard_normal(n), yT=0.3 * rng.standard_normal(n),
+                           T=1.5, steps=10)
+    U = rng.standard_normal((12, m))
+    A, ref = segment_jacobian(gm, prob, U, spb), whole_horizon_jacobian(gm, prob, U, spb)
+    assert A.shape == ref.shape == (2 * n, 12 * m)
+    assert np.abs(A - ref).max() < 1e-5 * np.abs(ref).max()
+
+
 def test_solution_satisfies_kkt_conditions():
-    # at a constrained minimum of z^T W z / 2 the gradient W z is A^T lambda
-    model, gm, cost, prob = so3_problem([0.3, -0.6, 0.5])
+    # at a constrained minimum of z^T W z / 2 the gradient W z is A^T lambda,
+    # also for a weight that couples the controls
+    model, gm, min_acc, prob = so3_problem([0.3, -0.6, 0.5])
+    R = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.4], [-0.2, 0.4, 0.7]])
     N = 12
-    out = optimize_direct(model, gm, cost, prob, TranscriptionConfig(segments=N))
-    assert out.converged
-    _, xs, ys = zoh_rollout(gm, prob.x0, prob.y0, out.U, prob.T)
-    A = _jacobian(gm, prob, out.U, endpoint_residual(gm, prob, xs[-1], ys[-1]), 2)
-    grad = (prob.T / N) * (out.U @ cost.quad_weight).reshape(-1)
-    lam = np.linalg.lstsq(A.T, grad, rcond=None)[0]
-    assert np.linalg.norm(A.T @ lam - grad) < 1e-6 * np.linalg.norm(grad)
+    for cost in (min_acc, quadratic_cost(model, R)):
+        out = optimize_direct(model, gm, cost, prob, TranscriptionConfig(segments=N))
+        assert out.converged
+        A = segment_jacobian(gm, prob, out.U, 2)
+        grad = (prob.T / N) * (out.U @ cost.quad_weight).reshape(-1)
+        lam = np.linalg.lstsq(A.T, grad, rcond=None)[0]
+        assert np.linalg.norm(A.T @ lam - grad) < 1e-6 * np.linalg.norm(grad)
 
 
 def test_underactuated_zero_start_reports_unconverged():
