@@ -22,10 +22,9 @@ class NonFinite(ArithmeticError):
     Carries the index of the first offending step in ``step_index``.
     """
 
-    def __init__(self, step_index: int, what: str = "state"):
+    def __init__(self, step_index: int):
         self.step_index = int(step_index)
-        self.what = what
-        super().__init__(f"non-finite {what} at step {step_index}")
+        super().__init__(f"non-finite state at step {step_index}")
 
 
 class SingularRegularity(RuntimeError):

@@ -20,24 +20,25 @@ forms the matrix ad(omega) once by a stacked matmul against the
 structure constants and applies it twice; a stacked matmul runs the same
 product per row, which keeps those bits.
 
-``rkmk_integrate`` is the one time loop: the forward simulation, the
+``rkmk_integrate`` is the one stepper: the forward simulation, the
 zero-order-hold rollout of the oracle and the extremal flows all step
 through it, each in one call over its whole uniform grid.  A right-hand
 side ``rhs(k, c, x, v)`` sees the index k of the step and its RK4 node c,
 and the stepper returns the states of every grid point, the initial
-state first.  It keeps two rules for every flow: a look at the record
-every FINITE_CHECK_STEPS steps, and a one-row batch stepped as a vector.
-``munthe_kaas_increment`` is the one place of the scheme's
-bracket-corrected combination.  A vector field that reads x takes
-coupled steps (``rkmk_coupled_step``).  One that does not, which is
-every cost the CLI accepts, is split as Munthe-Kaas splits a Lie-group
-integrator: the loop takes classical RK4 steps of v alone and keeps the
-stage velocities, and batched passes after the loop rebuild x from them
-with the coupled step's bits.  A split field that also ignores the step
-and node and acts on each row alone (the fused extremal field) takes the
-v-record of a flow of at least PARAREAL_MIN_STEPS steps from Parareal in
-time (``_parareal``), which matches the loop to rounding while a batch
-keeps each row's bits.
+state first.  Its one time loop, ``_rk4_loop``, keeps two rules for
+every flow: a look at the record every FINITE_CHECK_STEPS steps, and a
+one-row batch stepped as a vector.  ``munthe_kaas_increment`` is the one
+place of the scheme's bracket-corrected combination.  For a vector field
+that reads x each step of the loop is a coupled step
+(``rkmk_coupled_step``), which carries x along.  One that does not,
+which is every cost the CLI accepts, is split as Munthe-Kaas splits a
+Lie-group integrator: the loop takes classical RK4 steps of v alone.
+Either way the loop keeps the stage velocities, and batched passes after
+the loop rebuild x from them with the coupled step's bits.  A split
+field that also ignores the step and node and acts on each row alone
+(the fused extremal field) takes the v-record of a flow of at least
+PARAREAL_MIN_STEPS steps from Parareal in time (``_parareal``), which
+matches the loop to rounding while a batch keeps each row's bits.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from math import atan2, prod
 
 import numpy as np
 
-from .algebra import VALIDATE_TOL, LieAlgebraModel
+from .algebra import VALIDATE_TOL, CheckResult, LieAlgebraModel, ValidationReport
 from .errors import AngleOutOfRange, DimensionMismatch, NonFinite
 
 SO3_MAX_LOG_ANGLE = np.pi - 1e-6
@@ -309,20 +310,23 @@ def rkmk_coupled_step(gm, x, v, k, h, rhs):
     {0, 0.5, 1} of step k, the body velocity ``z`` of the group part and the
     plain derivative of the vector part; all arrays broadcast over leading
     batch dimensions.  Each stage is evaluated at its own group element
-    x exp(theta), and v takes the classical RK4 step.
+    x exp(theta), and v takes the classical RK4 step.  Returns the new x and
+    v and the four stage velocities z1..z4.
     """
     z1, f1 = rhs(k, 0.0, x, v)
-    fs = [f1]
+    zs, fs = [z1], [f1]
 
     def stage(i, theta):
         c = _RK4_NODES[i]
         z, f = rhs(k, c, compose(x, exp_map(gm, theta)), v + c * h * fs[-1])
+        zs.append(z)
         fs.append(f)
         return z
 
     omega = munthe_kaas_increment(gm.algebra, h, z1, stage)
     f1, f2, f3, f4 = fs
-    return compose(x, exp_map(gm, omega)), v + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+    return (compose(x, exp_map(gm, omega)), v + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4),
+            tuple(zs))
 
 
 # rows times steps per batched reconstruction pass: its temporaries take about
@@ -372,12 +376,12 @@ def _rk4_step(x, v, k, h, rhs):
     return (z1, z2, z3, z4), v + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
 
 
-def _looks_bad(k, *records):
+def _looks_bad(k, vs):
     """Whether step k (0-based) ends a span of FINITE_CHECK_STEPS steps, where
-    a loop looks at its ``records``, with a state that is not finite."""
+    the loop looks at its record ``vs``, with a state that is not finite."""
     if (k + 1) % FINITE_CHECK_STEPS:
         return False
-    return not all(np.isfinite(r[k + 2 - FINITE_CHECK_STEPS:k + 2]).all() for r in records)
+    return not np.isfinite(vs[k + 2 - FINITE_CHECK_STEPS:k + 2]).all()
 
 
 def _finite_steps(*records):
@@ -387,19 +391,25 @@ def _finite_steps(*records):
     return len(finite) if finite.all() else int(np.argmin(finite))
 
 
-def _rk4_loop(x, steps, h, rhs, vs, look=True):
+def _rk4_loop(x, steps, h, rhs, vs, look=True, coupled=None):
     """``steps`` RK4 steps of v from ``vs[0]``, filling ``vs[1:]``.  Returns the
     stage velocities, shape (4, steps, ..., n), and the number of steps
     recorded: with ``look`` the loop stops at a look (``_looks_bad``) that
-    finds a v that is not finite.  A one-row batch steps as a vector, v and
-    x both, which numpy's matmul runs faster than a stack of one, same bits."""
+    finds a v that is not finite.  A field that ignores x is passed ``x`` at
+    every stage; with ``coupled``, the group model of a field that reads x,
+    each step is a coupled step (``rkmk_coupled_step``), which carries x
+    along without recording it.  A one-row batch steps as a vector, v and x
+    both, which numpy's matmul runs faster than a stack of one, same bits."""
     batch = vs.shape[1:-1]
     lone = batch and prod(batch) == 1
     if lone:
         vs, x = vs[(slice(None),) + (0,) * len(batch)], np.reshape(x, np.shape(x)[-2:])
     v, zs, recorded = vs[0], None, steps
     for k in range(steps):
-        z, v = _rk4_step(x, v, k, h, rhs)
+        if coupled is None:
+            z, v = _rk4_step(x, v, k, h, rhs)
+        else:
+            x, v, z = rkmk_coupled_step(coupled, x, v, k, h, rhs)
         if zs is None:
             zs = np.empty((4, steps) + np.shape(z[0]))
         zs[:, k] = z
@@ -492,17 +502,19 @@ def _parareal(x, steps, h, rhs, vs):
 
 
 def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False, parareal=False):
-    """``steps`` RK-MK steps of size ``h``, the one time loop of the package.
+    """``steps`` RK-MK steps of size ``h`` through the one time loop of the
+    package (``_rk4_loop``).
 
-    ``rhs`` is as in ``rkmk_coupled_step``.  With ``needs_x`` each step is a
-    coupled step.  Otherwise rhs must ignore x (it is passed the initial x),
-    and the step splits: the loop takes classical RK4 steps of v and keeps
-    the four stage velocities z1..z4 of every step, and x is reconstructed
-    from them after the loop (``_reconstruct``), with the bits of the
-    coupled step.  Returns the flow (xs, vs) on the grid: steps + 1 states,
-    the initial one first, of the batch of x and v broadcast together.
+    ``rhs`` is as in ``rkmk_coupled_step``.  With ``needs_x`` each step of
+    the loop is a coupled step.  Otherwise rhs must ignore x (it is passed
+    the initial x), and the step splits: the loop takes classical RK4 steps
+    of v.  Either way the loop keeps the four stage velocities z1..z4 of
+    every step, and x is reconstructed from them after the loop
+    (``_reconstruct``), with the bits of the coupled step.  Returns the flow
+    (xs, vs) on the grid: steps + 1 states, the initial one first, of the
+    batch of x and v broadcast together.
 
-    Every flow keeps two rules.  The loop looks at its record every
+    Every flow keeps two rules.  The loop looks at its record of v every
     FINITE_CHECK_STEPS steps and stops at a look that finds a state that is
     not finite (so rhs must return on one, not raise); ``_finite_steps``
     places the first such step over v and the x rebuilt up to the first bad
@@ -517,26 +529,18 @@ def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False, parareal=False):
     xs = np.empty((steps + 1,) + lead + np.shape(x)[-2:])
     vs = np.empty((steps + 1,) + lead + np.shape(v)[-1:])
     xs[0], vs[0] = x, v
-    done = steps
     with np.errstate(over="ignore", invalid="ignore"):
-        if needs_x:
-            for k in range(steps):
-                xs[k + 1], vs[k + 1] = rkmk_coupled_step(gm, xs[k], vs[k], k, h, rhs)
-                if _looks_bad(k, xs, vs):
-                    done = k + 1
-                    break
+        if parareal and not needs_x and steps >= PARAREAL_MIN_STEPS:
+            zs, recorded = _parareal(xs[0].reshape((-1,) + xs.shape[-2:]), steps, h, rhs,
+                                     vs.reshape(steps + 1, -1, vs.shape[-1]))
+            zs = zs.reshape((4, steps) + lead + zs.shape[-1:])
         else:
-            if parareal and steps >= PARAREAL_MIN_STEPS:
-                zs, recorded = _parareal(xs[0].reshape((-1,) + xs.shape[-2:]), steps, h, rhs,
-                                         vs.reshape(steps + 1, -1, vs.shape[-1]))
-                zs = zs.reshape((4, steps) + lead + zs.shape[-1:])
-            else:
-                zs, recorded = _rk4_loop(xs[0], steps, h, rhs, vs)
-            done = _finite_steps(vs[:recorded + 1])
-            per_pass = max(1, _PASS_ROWS // max(1, prod(lead)))
-            for j in range(0, done, per_pass):
-                stop = min(j + per_pass, done)
-                _reconstruct(gm, zs[:, j:stop], h, xs[j:stop + 1])
+            zs, recorded = _rk4_loop(xs[0], steps, h, rhs, vs, coupled=gm if needs_x else None)
+        done = _finite_steps(vs[:recorded + 1])
+        per_pass = max(1, _PASS_ROWS // max(1, prod(lead)))
+        for j in range(0, done, per_pass):
+            stop = min(j + per_pass, done)
+            _reconstruct(gm, zs[:, j:stop], h, xs[j:stop + 1])
         done = _finite_steps(vs[:done + 1], xs[:done + 1])
     if done < steps:
         raise NonFinite(done + 1)
@@ -571,8 +575,6 @@ def adjoint_matrix(gm, g) -> np.ndarray:
 
 def validate_group(gm):
     """Check commutator consistency of the representation (reports, no throw)."""
-    from .algebra import CheckResult, ValidationReport  # local to avoid cycle noise
-
     n = gm.algebra.n
     comm = np.einsum("iab,jbc->ijac", gm.basis, gm.basis)
     comm = comm - np.transpose(comm, (1, 0, 2, 3))

@@ -41,8 +41,11 @@ alone, so it alone turns on the stepper's ``parareal``: flows of at least
 ``groups.PARAREAL_MIN_STEPS`` steps then match the sequential loop to
 rounding in the rows Parareal admits, while a batch keeps each row's bits.
 ``extremal_trajectory`` turns a recorded flow into a trajectory.
-x-independent flows step (y, mu, xi) alone and reconstruct x after the
-loop; x-dependent costs take coupled steps.  Only normal extremals are
+x-independent flows step (y, mu, xi) alone; x-dependent costs take
+coupled steps, which carry x along; every flow reconstructs x after the
+loop.  ``symplectic_form`` is the one pairing of the Hamiltonian checks:
+``poisson_bracket`` pairs the derivative tuples of two observables with
+it.  Only normal extremals are
 treated; a control Hessian with condition number above 1 / RCOND_MIN at
 the eliminated control raises SingularRegularity.
 
@@ -139,15 +142,13 @@ def quadratic_cost(model, R) -> CostModel:
                      x_independent=True, quad_weight=R)
 
 
-def fd_dL_dx_triv(gm, cost_eval, s, u, step=None):
+def fd_dL_dx_triv(gm, cost_eval, s, u):
     """Left-trivialized x-derivative of a cost by central differences, for a
     batch of points as for one: x varies along x exp(t E_i), all n directions
     in one call of ``cost_eval`` per sign, with each point's step 1e-6 (1 + ||x||).
     """
     x = np.asarray(s.x, dtype=float)
-    if step is None:
-        step = FD_STEP_COST * (1.0 + np.sqrt(np.sum(x * x, axis=(-2, -1))))
-    h = np.asarray(step, dtype=float)[..., None, None]
+    h = FD_STEP_COST * (1.0 + np.sqrt(np.sum(x * x, axis=(-2, -1))))[..., None, None]
     x, y, u = x[..., None, :, :], np.asarray(s.y)[..., None, :], np.asarray(u)[..., None, :]
     tilt = h * np.eye(gm.algebra.n)  # row i is h E_i
     plus = cost_eval(State(groups.compose(x, groups.exp_map(gm, tilt)), y), u)
@@ -190,8 +191,7 @@ def eliminate_control(model, cost, s, xi) -> np.ndarray:
     if cost.quad_weight is not None:
         R = cost.quad_weight
         _check_regular(R, "quadratic weight")
-        return np.linalg.solve(R, target[..., None])[..., 0] if target.ndim > 1 \
-            else np.linalg.solve(R, target)
+        return np.linalg.solve(R, target[..., None])[..., 0]
     x, y = np.asarray(s.x, dtype=float), np.asarray(s.y, dtype=float)
     lead = np.broadcast_shapes(x.shape[:-2], y.shape[:-1], xi.shape[:-1])
     x, y, xi = (_stack_rows(a, lead, k) for a, k in ((x, 2), (y, 1), (xi, 1)))
@@ -426,12 +426,13 @@ class TangentTuple(NamedTuple):
 
 
 def symplectic_form(model, p, A, B) -> float:
-    """Trivialized symplectic pairing of two tangent tuples at p = (state, costate)."""
+    """Trivialized symplectic pairing of two tangent tuples at p = (state, costate),
+    summed pair by pair."""
     _, costate = p
     mu = np.asarray(costate.mu, dtype=float)
     return float(
-        np.dot(B.v_mu, A.z) + np.dot(B.v_xi, A.w)
-        - np.dot(A.v_mu, B.z) - np.dot(A.v_xi, B.w)
+        np.dot(B.v_mu, A.z) - np.dot(A.v_mu, B.z)
+        + np.dot(B.v_xi, A.w) - np.dot(A.v_xi, B.w)
         + np.dot(mu, bracket(model, A.z, B.z))
     )
 
@@ -440,6 +441,13 @@ def _shift_point(model, gm, s, costate, V, eps):
     x = groups.compose(s.x, groups.exp_map(gm, V.z, eps))
     return State(x, s.y + eps * V.w), Costate(costate.mu + eps * V.v_mu,
                                               costate.xi + eps * V.v_xi)
+
+
+def _hamiltonian_vector(model, gm, cost, s, c) -> TangentTuple:
+    """X_H at (s, c): the extremal field with the control eliminated there."""
+    u = eliminate_control(model, cost, s, c.xi)
+    r = extremal_rhs(model, gm, cost, ExtremalPoint(s, c, u))
+    return TangentTuple(z=r.xdot_body, w=r.ydot, v_mu=r.mudot, v_xi=r.xidot)
 
 
 def hamiltonian_field_check(model, gm, cost, a, n_directions=10,
@@ -451,11 +459,7 @@ def hamiltonian_field_check(model, gm, cost, a, n_directions=10,
     shifted point.  Small residuals certify that the flow solves the
     symplectic equation.
     """
-    u = eliminate_control(model, cost, a.state, a.costate.xi)
-    a = ExtremalPoint(a.state, a.costate, u)
-    r = extremal_rhs(model, gm, cost, a)
-    X = TangentTuple(z=r.xdot_body, w=r.ydot, v_mu=r.mudot, v_xi=r.xidot)
-
+    X = _hamiltonian_vector(model, gm, cost, a.state, a.costate)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(int(n_directions)):
@@ -506,26 +510,16 @@ def coordinate_observable(model, slot, index) -> Observable:
 
 
 def fd_observable(model, gm, value_fn, step=FD_STEP_CHECK) -> Observable:
-    """Wrap a scalar function with central-difference functional derivatives."""
-    n = model.n
-    eye = np.eye(n)
+    """Wrap a scalar function with central-difference functional derivatives,
+    one per coordinate tangent direction (z, w, v_mu, v_xi) of the point."""
 
     def derivatives(s, c):
-        dx = np.empty(n)
-        dy = np.empty(n)
-        dmu = np.empty(n)
-        dxi = np.empty(n)
-        for i in range(n):
-            xp = groups.compose(s.x, groups.exp_map(gm, eye[i], step))
-            xm = groups.compose(s.x, groups.exp_map(gm, eye[i], -step))
-            dx[i] = (value_fn(State(xp, s.y), c) - value_fn(State(xm, s.y), c)) / (2 * step)
-            dy[i] = (value_fn(State(s.x, s.y + step * eye[i]), c)
-                     - value_fn(State(s.x, s.y - step * eye[i]), c)) / (2 * step)
-            dmu[i] = (value_fn(s, Costate(c.mu + step * eye[i], c.xi))
-                      - value_fn(s, Costate(c.mu - step * eye[i], c.xi))) / (2 * step)
-            dxi[i] = (value_fn(s, Costate(c.mu, c.xi + step * eye[i]))
-                      - value_fn(s, Costate(c.mu, c.xi - step * eye[i]))) / (2 * step)
-        return dx, dy, dmu, dxi
+        d = np.empty(4 * model.n)
+        for i, e in enumerate(np.eye(4 * model.n)):
+            V = TangentTuple(*np.split(e, 4))
+            d[i] = (value_fn(*_shift_point(model, gm, s, c, V, step))
+                    - value_fn(*_shift_point(model, gm, s, c, V, -step))) / (2 * step)
+        return tuple(np.split(d, 4))
 
     return Observable(value=value_fn, derivatives=derivatives)
 
@@ -543,10 +537,8 @@ def hamiltonian_observable(model, gm, cost) -> Observable:
         return hamiltonian(model, cost, ExtremalPoint(s, c, u))
 
     def derivatives(s, c):
-        u = eliminate_control(model, cost, s, c.xi)
-        r = extremal_rhs(model, gm, cost, ExtremalPoint(s, c, u))
-        dx = ad_star(model, s.y, c.mu) - r.mudot
-        return dx, -r.xidot, s.y.copy(), r.ydot
+        X = _hamiltonian_vector(model, gm, cost, s, c)
+        return ad_star(model, s.y, c.mu) - X.v_mu, -X.v_xi, s.y.copy(), X.w
 
     return Observable(value=value, derivatives=derivatives)
 
@@ -555,17 +547,14 @@ def poisson_bracket(model, f, g, p) -> float:
     """Linear Poisson bracket of two observables at p = (state, costate).
 
     Five-term formula: <g_x, f_mu> - <f_x, g_mu> + <g_y, f_xi>
-    - <f_y, g_xi> + <mu, [f_mu, g_mu]>.  With this orientation
-    {xi_i, y_j} = delta_ij and d/dt f = {H, f} along the extremal flow.
+    - <f_y, g_xi> + <mu, [f_mu, g_mu]>, the symplectic pairing of the
+    derivative tuples read as tangent tuples (f_mu, f_xi, f_x, f_y).  With
+    this orientation {xi_i, y_j} = delta_ij and d/dt f = {H, f} along the
+    extremal flow.
     """
-    s, c = p
-    fx, fy, fmu, fxi = f.derivatives(s, c)
-    gx, gy, gmu, gxi = g.derivatives(s, c)
-    return float(
-        np.dot(gx, fmu) - np.dot(fx, gmu)
-        + np.dot(gy, fxi) - np.dot(fy, gxi)
-        + np.dot(c.mu, bracket(model, fmu, gmu))
-    )
+    fx, fy, fmu, fxi = f.derivatives(*p)
+    gx, gy, gmu, gxi = g.derivatives(*p)
+    return symplectic_form(model, p, TangentTuple(fmu, fxi, fx, fy), TangentTuple(gmu, gxi, gx, gy))
 
 
 def spatial_momentum(gm, x, mu) -> np.ndarray:

@@ -155,6 +155,18 @@ def test_shoot_nonconvergence_exit_code(tmp_path):
     assert (tmp_path / "out.json").exists()  # best iterate still written
 
 
+def test_shoot_from_a_converged_guess_takes_no_step(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg)
+    assert main(["shoot", "--config", str(cfg)]) == 0
+    first = json.loads((tmp_path / "out.json").read_text())
+    write_config(cfg, solver={"guess": first["mu0"] + first["xi0"]})
+    assert main(["shoot", "--config", str(cfg)]) == 0
+    again = json.loads((tmp_path / "out.json").read_text())
+    assert again["iterations"] == 0
+    assert again["mu0"] == first["mu0"] and again["xi0"] == first["xi0"]
+
+
 def strict_json(text):
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
@@ -202,6 +214,18 @@ def test_compare_zero_motion_gap_zero(tmp_path):
     assert main(["compare", "--config", str(cfg)]) == 0
     payload = json.loads((tmp_path / "out.json").read_text())
     assert payload["gap"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_compare_unconverged_shooting_exit_code(tmp_path, capsys):
+    # shooting takes no step, so there is nothing to compare and no summary
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, algebra={"kind": "abelian", "n": 1},
+                 problem={"x0": [0.0], "xT": [1.0], "y0": [0.0], "yT": [0.0],
+                          "T": 1.0, "steps": 50},
+                 solver={"max_iter": 0}, oracle={"segments": 8})
+    assert main(["compare", "--config", str(cfg)]) == 4
+    assert "indirect solver did not converge" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_compare_unconverged_oracle_exit_code(tmp_path, capsys):

@@ -188,7 +188,7 @@ def test_split_flow_is_bitwise_coupled_steps_and_single_rows(case, width):
     xc, vc = x0, v0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(25 if bad is None else bad):
-            xc, vc = rkmk_coupled_step(gm, xc, vc, k, h, rhs)
+            xc, vc, _ = rkmk_coupled_step(gm, xc, vc, k, h, rhs)
             if bad is not None:
                 assert (np.isfinite(xc).all() and np.isfinite(vc).all()) == (k + 1 < bad)
             else:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -277,7 +278,7 @@ def test_coupled_step_vector_part_is_rk4(so3_j123_group):
         return np.zeros(3), -v + np.sin((k + c) * h)
 
     v = np.array([1.0, 0.5, -0.2])
-    x, v1 = rkmk_coupled_step(so3_j123_group, np.eye(3), v, 0, h, rhs)
+    x, v1, _ = rkmk_coupled_step(so3_j123_group, np.eye(3), v, 0, h, rhs)
     # classical RK4 by hand
     f = lambda t, w: -w + np.sin(t)
     k1 = f(0.0, v)
@@ -316,7 +317,7 @@ def coupled_loop(gm, x, v, steps, h, rhs):
     xs, vs = [np.broadcast_to(x, np.shape(v)[:-1] + np.shape(x))], [v]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            x, v = rkmk_coupled_step(gm, x, v, k, h, rhs)
+            x, v, _ = rkmk_coupled_step(gm, x, v, k, h, rhs)
             if not (np.isfinite(v).all() and np.isfinite(x).all()):
                 raise aoc.NonFinite(k + 1)
             xs.append(x)
@@ -345,7 +346,7 @@ def test_split_flow_is_bitwise_the_coupled_loop(kind, width, pass_rows, so3_m2, 
     assert np.array_equal(xs1, xs2) and np.array_equal(vs1, vs2)
 
 
-@pytest.mark.parametrize("kind", ["fused", "newton"])
+@pytest.mark.parametrize("kind", ["fused", "newton", "coupled"])
 def test_a_one_row_batch_steps_as_a_vector(kind, so3_m2, so3_m2_group):
     # the right-hand side of a (1, p) flow sees v of shape (p,) and x of shape
     # (d, d), and the record keeps the batch axis with the bits of the vector flow
@@ -353,6 +354,14 @@ def test_a_one_row_batch_steps_as_a_vector(kind, so3_m2, so3_m2_group):
     cost = min_acc_cost(model)
     if kind == "newton":
         cost = dataclasses.replace(cost, quad_weight=None)
+    if kind == "coupled":
+        # L + tr(A x), whose trivialized x-derivative is tr(A x E_i)
+        A, quad = np.random.default_rng(3).standard_normal((3, 3)), cost
+        cost = dataclasses.replace(
+            quad, eval=lambda s, u: quad.eval(s, u) + np.trace(A @ s.x, axis1=-2, axis2=-1),
+            dL_dx_triv=lambda s, u: np.einsum("...ab,iba->...i", s.x, gm.basis @ A),
+            x_independent=False)
+    needs_x = not cost.x_independent
     field = extremal_field(model, gm, cost)
     seen = set()
 
@@ -362,8 +371,8 @@ def test_a_one_row_batch_steps_as_a_vector(kind, so3_m2, so3_m2_group):
 
     v0 = np.random.default_rng(2).uniform(-1.0, 1.0, 9)
     x0 = aoc.exp_map(gm, np.array([0.3, -0.2, 0.4]))
-    xs, vs = rkmk_integrate(gm, x0, v0, 40, 0.05, field)
-    xs1, vs1 = rkmk_integrate(gm, x0[None], v0[None], 40, 0.05, rhs)
+    xs, vs = rkmk_integrate(gm, x0, v0, 40, 0.05, field, needs_x=needs_x)
+    xs1, vs1 = rkmk_integrate(gm, x0[None], v0[None], 40, 0.05, rhs, needs_x=needs_x)
     assert seen == {((3, 3), (9,))}
     assert xs1.shape == (41, 1, 3, 3) and vs1.shape == (41, 1, 9)
     assert np.array_equal(xs1[:, 0], xs) and np.array_equal(vs1[:, 0], vs)
@@ -371,7 +380,8 @@ def test_a_one_row_batch_steps_as_a_vector(kind, so3_m2, so3_m2_group):
 
 @pytest.mark.parametrize("pass_rows", [None, 3])
 def test_abelian_translation_overflow_reports_first_bad_step(abelian3, pass_rows, monkeypatch):
-    # v stays finite, but x translates by 2.5e307 per step and overflows at step 8
+    # v stays finite, but x translates by 2.5e307 per step and overflows at step 8,
+    # whether the loop takes split or coupled steps and however many rows it has
     if pass_rows is not None:
         monkeypatch.setattr(aoc.groups, "_PASS_ROWS", pass_rows)
     gm = aoc.abelian_group(abelian3)
@@ -382,15 +392,19 @@ def test_abelian_translation_overflow_reports_first_bad_step(abelian3, pass_rows
     def coasting_then_nan(k, c, x, v):
         return v, np.full_like(v, np.nan if k + c >= 12.0 else 0.0)
 
-    for v0, rhs, bad in ((np.array([2.5e307, 0.0, 0.0]), coasting, 8),
-                         (np.array([2.5e307, 0.0, 0.0]), coasting_then_nan, 8),
-                         # with a small velocity the NaN that step 12 samples
-                         # at its last stage comes first
-                         (np.array([1.0, 0.0, 0.0]), coasting_then_nan, 12)):
+    cases = ((np.array([2.5e307, 0.0, 0.0]), coasting, 8),
+             (np.array([2.5e307, 0.0, 0.0]), coasting_then_nan, 8),
+             # with a small velocity the NaN that step 12 samples
+             # at its last stage comes first
+             (np.array([1.0, 0.0, 0.0]), coasting_then_nan, 12))
+    # split or coupled steps, a vector, a lone row or a batch
+    for (v0, rhs, bad), needs_x, shape in itertools.product(cases, (False, True),
+                                                            ((3,), (1, 3), (4, 3))):
+        v0 = np.broadcast_to(v0, shape)
         with pytest.raises(aoc.NonFinite) as refd:
             coupled_loop(gm, np.eye(4), v0, 20, 1.0, rhs)
         with pytest.raises(aoc.NonFinite) as err:
-            rkmk_integrate(gm, np.eye(4), v0, 20, 1.0, rhs)
+            rkmk_integrate(gm, np.eye(4), v0, 20, 1.0, rhs, needs_x=needs_x)
         assert err.value.step_index == refd.value.step_index == bad
 
 

@@ -31,13 +31,13 @@ def spy_loops(monkeypatch):
     loops = []
     loop = groups._rk4_loop
 
-    def counted(x, steps, h, rhs, vs, look=True):
+    def counted(x, steps, h, rhs, vs, look=True, coupled=None):
         def first(k, c, x, v):
             if k == 0 and c == 0.0:
                 loops.append((steps, v.shape[:-1]))
             return rhs(k, c, x, v)
 
-        return loop(x, steps, h, first, vs, look)
+        return loop(x, steps, h, first, vs, look, coupled)
 
     monkeypatch.setattr(groups, "_rk4_loop", counted)
     return loops
@@ -248,7 +248,7 @@ def test_a_newton_flow_that_blows_up_is_reported_at_the_loop_step():
     x, v, bad = np.eye(2), v0, None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            x, v = rkmk_coupled_step(gm, x, v, k, h, field)
+            x, v, _ = rkmk_coupled_step(gm, x, v, k, h, field)
             if not (np.isfinite(x).all() and np.isfinite(v).all()):
                 bad = k + 1
                 break

@@ -355,6 +355,19 @@ def test_field_check_abelian_quadratic(rng):
         assert res < 1e-8
 
 
+def test_field_check_cost_that_reads_y(so3_m2, so3_m2_group, rng):
+    # u^T R u / 2 + k |y|^2 / 2 through Newton: its dL/dy term enters xidot
+    # (the check reads about 0.57 with that term's sign flipped)
+    quad, k = min_acc_cost(so3_m2), 0.7
+    cost = dataclasses.replace(
+        quad, quad_weight=None, dL_dy=lambda s, u: k * np.asarray(s.y, dtype=float),
+        eval=lambda s, u: quad.eval(s, u) + 0.5 * k * np.sum(s.y * s.y, axis=-1))
+    for seed in range(5):
+        a = random_point(rng, so3_m2_group)
+        assert hamiltonian_field_check(so3_m2, so3_m2_group, cost, a, n_directions=8,
+                                       seed=seed) < 1e-8
+
+
 def test_field_check_zero_point(so3_j123, so3_j123_group):
     cost = min_acc_cost(so3_j123)
     a = point(np.eye(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
@@ -468,6 +481,8 @@ def test_flow_derivative_matches_bracket_with_hamiltonian(so3_j123, so3_j123_gro
     a0 = point(np.eye(3), [0.3, -0.2, 0.4], [0.5, 0.1, -0.3], [0.2, 0.4, -0.1], np.zeros(3))
     traj = flow_extremal(model, gm, cost, a0, 1.0, 1000)
     H = hamiltonian_observable(model, gm, cost)
+    assert H.value(traj.state(500), Costate(traj.mus[500], traj.xis[500])) == \
+        pytest.approx(traj.hams[500], rel=1e-13)
     h = traj.times[1] - traj.times[0]
     for slot in ("y", "mu", "xi"):
         for idx in range(3):
