@@ -2,13 +2,20 @@
 """Seeded shooting traffic: ``solve_shooting`` on so(3) targets, per source tree.
 
 Target k of a kind draws rng = default_rng([7, k]), then an axis
-rng.standard_normal(3) (normalised) and an angle rng.uniform(lo, hi).  Every
-target is rest to rest from the identity, with T = 1, inertia (1, 2, 3), the
-minimum covariant acceleration cost and the default solver arguments.
+rng.standard_normal(3) (normalised; e3 draws it too, and rotates about the
+third axis instead) and an angle rng.uniform(lo, hi).  Every target is rest
+to rest from the identity, with T = 1, inertia (1, 2, 3), the minimum
+covariant acceleration cost and the default solver arguments.
 
     act    m = 3, 0.2-1.0 rad
     under  m = 2, 0.2-0.8 rad
     wide   m = 2, 1.0-3.1 rad
+    e3     m = 2, 0.2-0.8 rad about the unactuated axis e3
+    big    m = 2, 2.5-3.1 rad
+
+e3 and big reach the solver's other paths: on e3 targets most seeds stall
+on the coarse grid, so the solve tries several starts, and some big
+targets run their continuation to max_iter and rerun from the seed.
 
 Each ``--src`` is a source tree holding the ``aoc`` package (say ``src`` of a
 checkout of another commit, and ``src`` of this one); by default it is this
@@ -27,7 +34,8 @@ target, the converged flag and running cost of each side.
 FILE, a ``--json`` file: the converged flag must match and the cost must be
 within CHECK_RTOL relative.  It prints every target that does not and exits
 1 if there is one.  ``shooting_corpus.json`` next to this script is the
-pinned corpus of all 72 targets; a change that moves an answer rewrites it
+pinned corpus of all 120 targets (12 of each kind at 50 and 200 steps, the
+default arguments); a change that moves an answer rewrites it
 with ``--json`` and says why.
 
     python scripts/shooting_traffic.py --src ../parent/src --src src --json rows.json
@@ -44,7 +52,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-KINDS = {"act": (3, 0.2, 1.0), "under": (2, 0.2, 0.8), "wide": (2, 1.0, 3.1)}
+# m, the angle range and a fixed axis (None: the drawn one)
+KINDS = {"act": (3, 0.2, 1.0, None), "under": (2, 0.2, 0.8, None),
+         "wide": (2, 1.0, 3.1, None), "e3": (2, 0.2, 0.8, (0.0, 0.0, 1.0)),
+         "big": (2, 2.5, 3.1, None)}
 CHECK_RTOL = 1e-6
 # what a solve did, compared bit for bit between two sides for same_work
 WORK = ("converged", "requested", "coarse", "lm_steps", "cost")
@@ -66,10 +77,11 @@ def load(src):
     return aoc
 
 
-def target(k, lo, hi):
+def target(k, lo, hi, axis):
     rng = np.random.default_rng([7, k])
-    axis = rng.standard_normal(3)
-    return axis / np.linalg.norm(axis), rng.uniform(lo, hi)
+    drawn = rng.standard_normal(3)
+    axis = drawn / np.linalg.norm(drawn) if axis is None else np.array(axis)
+    return axis, rng.uniform(lo, hi)
 
 
 def solve(aoc, m, axis, angle, steps):
@@ -91,7 +103,7 @@ def main():
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--src", action="append", type=Path,
                     help="a source tree holding the aoc package; give it once per side")
-    ap.add_argument("--kinds", nargs="+", choices=sorted(KINDS), default=["act", "under", "wide"])
+    ap.add_argument("--kinds", nargs="+", choices=sorted(KINDS), default=list(KINDS))
     ap.add_argument("--steps", type=int, nargs="+", default=[50, 200])
     ap.add_argument("--targets", type=int, default=12)
     ap.add_argument("--json", type=Path, help="also write the rows and targets here")
@@ -106,10 +118,10 @@ def main():
     rows, targets = [], []
     for steps in args.steps:
         for kind in args.kinds:
-            m, lo, hi = KINDS[kind]
+            m, lo, hi, fixed = KINDS[kind]
             runs = [[] for _ in sides]
             for k in range(args.targets):
-                axis, angle = target(k, lo, hi)
+                axis, angle = target(k, lo, hi, fixed)
                 order = range(len(sides)) if k % 2 == 0 else reversed(range(len(sides)))
                 for s in order:
                     runs[s].append(solve(sides[s], m, axis, angle, steps))

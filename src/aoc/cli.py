@@ -447,7 +447,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None,
                         help="output base path (overrides config; all but validate)")
     parser.add_argument("--dump-config", action="store_true",
-                        help="print the fully resolved config and exit")
+                        help="print the resolved config and exit")
     parser.add_argument("--mu0", default=None,
                         help="initial mu costate, comma separated (extremal only)")
     parser.add_argument("--xi0", default=None,

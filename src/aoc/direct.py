@@ -55,12 +55,10 @@ class TranscriptionConfig:
     steps_per_segment: int = 2
 
     def __post_init__(self):
-        _count(self.segments, "segments")
-        _count(self.steps_per_segment, "steps_per_segment")
-        if self.segments < 2:
+        if _count(self.segments, "segments") < 2:
             raise ValueError("need at least 2 control segments")
-        if self.steps_per_segment < 2 or self.steps_per_segment % 2:
-            raise ValueError("steps_per_segment must be even and >= 2")
+        if _count(self.steps_per_segment, "steps_per_segment") < 1:
+            raise ValueError("steps_per_segment must be at least 1")
 
 
 @dataclass

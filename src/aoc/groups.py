@@ -39,16 +39,18 @@ field that also ignores the step and node and acts on each row alone
 (the fused extremal field) takes the v-record of a flow of at least
 PARAREAL_MIN_STEPS steps from Parareal in time (``_parareal``), which
 matches the loop to rounding while a batch keeps each row's bits.
+``_uniform_grid`` is the one check of a time grid, T and its step count,
+for every caller of the stepper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, prod
+from math import atan2, inf, prod
 
 import numpy as np
 
-from .algebra import VALIDATE_TOL, CheckResult, LieAlgebraModel, ValidationReport
+from .algebra import VALIDATE_TOL, CheckResult, LieAlgebraModel, ValidationReport, _count
 from .errors import AngleOutOfRange, DimensionMismatch, NonFinite
 
 SO3_MAX_LOG_ANGLE = np.pi - 1e-6
@@ -356,6 +358,18 @@ PARAREAL_ULPS = 16
 FINITE_CHECK_STEPS = 32
 
 
+def _uniform_grid(T, steps):
+    """``(steps, h)`` of the uniform grid of ``steps`` steps over [0, T], the
+    one check of a time grid in the package: ``steps`` must be an integer of
+    at least 1 and T finite and positive, else ValueError."""
+    steps = _count(steps, "steps")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    if not 0.0 < T < inf:
+        raise ValueError(f"T must be finite and positive, got {T}")
+    return steps, T / steps
+
+
 def _reconstruct(gm, zs, h, xs):
     """Fill ``xs[1:]`` with x after the steps whose stage velocities are ``zs``
     (4, steps, ..., n), from x = ``xs[0]``: the increments and their
@@ -548,9 +562,9 @@ def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False, parareal=False):
 
 
 def reconstruct_step(gm, x, y_of_t, t, h) -> np.ndarray:
-    """Advance x by one step of the group integrator for a known y(t)."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    """Advance x by one step of the group integrator for a known y(t); h must
+    be finite and positive (``_uniform_grid``)."""
+    _, h = _uniform_grid(h, 1)
     empty = np.zeros(0)
 
     def rhs(_k, c, _x, _v):

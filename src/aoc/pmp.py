@@ -63,7 +63,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import groups
-from .algebra import _count, ad_star, bias, bracket, embed_control, flat, sharp
+from .algebra import ad_star, bias, bracket, embed_control, flat, sharp
 from .dynamics import State, Trajectory
 from .errors import DimensionMismatch, SingularRegularity, NoConvergence
 
@@ -349,8 +349,6 @@ def extremal_field(model, gm, cost):
 def flow_extremal(model, gm, cost, a0, T, steps) -> Trajectory:
     """Integrate the critical flow by ``propagate_endpoints``, recording
     controls and H on the grid (see ``extremal_trajectory``)."""
-    if T <= 0:
-        raise ValueError("T must be positive")
     _, _, (xs, vs) = propagate_endpoints(model, gm, cost, a0.state.x, a0.state.y,
                                          a0.costate.mu, a0.costate.xi, T, steps)
     return extremal_trajectory(model, gm, cost, T, xs, vs)
@@ -379,8 +377,8 @@ def propagate_endpoints(model, gm, cost, x0, y0, mu0, xi0, T, steps):
     Every extremal flow runs here, the rows of a shooting step as well as
     the single flow of ``flow_extremal``, and a batch of flows is bitwise
     the run of each element alone.  The fused field of a quadratic cost
-    may take Parareal (see the module docstring).  ``steps`` must be an
-    integer, else ValueError.
+    may take Parareal (see the module docstring).  T and ``steps`` must
+    make a uniform grid (``groups._uniform_grid``), else ValueError.
     Returns (x_T, y_T, (xs, vs)), where
     (xs, vs) is the stepper's record of the batch's group elements and
     v = (y, mu, xi) at the steps + 1 grid points, the initial state first
@@ -389,8 +387,8 @@ def propagate_endpoints(model, gm, cost, x0, y0, mu0, xi0, T, steps):
     mu0 = np.asarray(mu0, dtype=float)
     y0b = np.broadcast_to(np.asarray(y0, dtype=float), mu0.shape)
     v = np.concatenate([y0b, mu0, np.asarray(xi0, dtype=float)], axis=-1)
-    steps = _count(steps, "steps")
-    xs, vs = groups.rkmk_integrate(gm, np.asarray(x0, dtype=float), v, steps, T / steps,
+    steps, h = groups._uniform_grid(T, steps)
+    xs, vs = groups.rkmk_integrate(gm, np.asarray(x0, dtype=float), v, steps, h,
                                    extremal_field(model, gm, cost),
                                    needs_x=not cost.x_independent,
                                    parareal=_is_quadratic(cost))

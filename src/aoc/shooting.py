@@ -86,7 +86,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import groups, pmp
-from .algebra import _count
 from .dynamics import State, Trajectory
 from .errors import AngleOutOfRange, NoConvergence, NonFinite
 
@@ -122,10 +121,7 @@ class BoundaryProblem:
     steps: int
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("T must be positive")
-        if _count(self.steps, "steps") < 1:
-            raise ValueError("steps must be at least 1")
+        groups._uniform_grid(self.T, self.steps)
 
 
 def endpoint_residual(gm, problem, xT, yT) -> np.ndarray:
@@ -342,8 +338,11 @@ def extremal_defect(model, gm, cost, traj):
     re-checked exactly.  Defects shrink as O(h^4) for a valid extremal.
     The rates and controls of the whole grid come from one batched pass of
     ``pmp.extremal_field`` (which evaluates ydot at the stationary control)
-    and ``pmp.eliminate_control``.
+    and ``pmp.eliminate_control``.  The stencils need at least 5 grid
+    points, else ValueError.
     """
+    if len(traj) < 5:
+        raise ValueError(f"the five-point stencils need at least 5 grid points, got {len(traj)}")
     h = float(traj.times[1] - traj.times[0])
     n = model.n
 

@@ -664,3 +664,76 @@ def test_commands_run_without_importing_scipy(tmp_path):
     assert result["scipy"] == []
     # a custom representation still takes its logarithm, through scipy
     assert result["log_error"] < 1e-10
+
+
+_DROP = object()  # a section the case removes from the config
+_CUSTOM_NO_REP = {key: value for key, value in _SO3_FILE.items()
+                  if key not in ("rep_dim", "basis_matrices")}
+
+
+@pytest.mark.parametrize("command,config,argv,message", [
+    ("validate", "{", [], "config is not valid JSON"),
+    ("validate", "[1, 2]", [], "config must be a JSON object"),
+    ("simulate", {"problem": [1]}, [], "config section 'problem' must be an object"),
+    ("validate", {"algebra": _DROP}, [], "config needs an 'algebra' section"),
+    ("validate", {"algebra": {"kind": "se3"}}, [], "algebra kind must be so3, abelian or custom"),
+    ("shoot", {"cost": {"kind": "l1"}}, [], "cost kind must be min_acc or quadratic"),
+    ("validate", {"algebra": {"kind": "abelian"}}, [], "abelian algebra needs 'n'"),
+    ("validate", {"algebra": {"kind": "custom"}}, [], "custom algebra needs 'file'"),
+    ("shoot", {"cost": {"kind": "quadratic"}}, [], "quadratic cost needs 'R'"),
+    ("simulate", {"problem": _DROP}, [], "this command needs a 'problem' section"),
+    ("simulate", {"problem": {k: v for k, v in _PROBLEM.items() if k != "T"}}, [],
+     "problem section missing 'T'"),
+    ("shoot", {"cost": {"kind": "quadratic", "R": [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]}}, [],
+     "bad quadratic weight: quadratic weight must be symmetric"),
+    ("simulate", {"problem": {**_PROBLEM, "x0": [0, 0]}}, [],
+     "problem.x0 must be a 3x3 matrix or an 3-vector"),
+    ("simulate", {"problem": {**_PROBLEM, "y0": [0, 0]}}, [], "y0 and yT must have 3 components"),
+    ("simulate", {"problem": {**_PROBLEM, "yT": [0, 0, 0, 0]}}, [],
+     "y0 and yT must have 3 components"),
+    ("simulate", {"problem": {**_PROBLEM, "steps": 0}}, [], "steps must be at least 1"),
+    ("simulate", {"control": {"times": [0.0, 1.0], "values": [[0, 0, 0]]}}, [],
+     "control samples need matching"),
+    ("simulate", {"control": "one"}, [], "control must be \"zero\" or an object"),
+    ("extremal", {}, [], "extremal needs mu0 and xi0"),
+    ("extremal", {"costate0": {"mu0": [0, 0], "xi0": [0, 0, 0]}}, [],
+     "mu0 and xi0 must have 3 components"),
+    ("shoot", {"solver": {"guess": [0, 0, 0]}}, [], "solver guess must have 6 components"),
+    ("compare", {"oracle": {"segments": 1}}, [],
+     "bad oracle section: need at least 2 control segments"),
+    ("simulate", {"algebra": {"kind": "custom", "file": "model.json"}}, [],
+     "this command needs a matrix representation"),
+    ("extremal", {}, ["--mu0", "a,b", "--xi0", "0,0,0"],
+     "expected a comma-separated list of numbers, got 'a,b'"),
+], ids=["invalid-json", "not-an-object", "section-not-an-object", "no-algebra",
+        "unknown-algebra-kind", "unknown-cost-kind", "abelian-without-n", "custom-without-file",
+        "quadratic-without-R", "no-problem", "missing-problem-key", "R-not-symmetric",
+        "x0-shape", "y0-length", "yT-length", "steps-zero", "control-mismatch",
+        "control-string", "extremal-without-costates", "costate-length", "guess-length",
+        "oracle-segments", "custom-without-representation", "mu0-flag-not-numbers"])
+def test_config_problem_is_usage_error(tmp_path, capsys, monkeypatch, command, config, argv,
+                                       message):
+    # each problem exits 1 with its own message before any flow runs
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr("aoc.groups.rkmk_integrate", no_flow)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "model.json").write_text(json.dumps(_CUSTOM_NO_REP))
+    cfg = tmp_path / "cfg.json"
+    if isinstance(config, str):
+        cfg.write_text(config)
+    else:
+        data = write_config(cfg, **{k: v for k, v in config.items() if v is not _DROP})
+        cfg.write_text(json.dumps({k: v for k, v in data.items() if config.get(k) is not _DROP}))
+    assert main([command, "--config", str(cfg), *argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_out_flag_suffix_is_stripped(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem=_PROBLEM)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
+    assert f"wrote {tmp_path / 'x.csv'}" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.glob("x*")) == ["x.csv"]

@@ -62,8 +62,8 @@ def test_objective_rejects_bad_shape():
 def test_config_validation():
     with pytest.raises(ValueError):
         TranscriptionConfig(segments=1)
-    with pytest.raises(ValueError):
-        TranscriptionConfig(steps_per_segment=3)
+    with pytest.raises(ValueError, match="at least 1"):
+        TranscriptionConfig(steps_per_segment=0)
 
 
 def test_batched_boundary_residual_matches_single(rng):
@@ -112,6 +112,18 @@ def test_generic_axis_matches_shooting():
         gaps.append(abs(out.running_cost - indirect) / indirect)
     assert gaps[0] < 0.02
     assert gaps[1] < gaps[0]
+
+
+@pytest.mark.parametrize("spb", [1, 3])
+def test_odd_steps_per_segment_converge(spb):
+    # the cost z^T W z / 2 is exact for any count, so no count needs to be even
+    model, gm, cost, prob = so3_problem([0.3, -0.6, 0.5])
+    indirect = running_cost(cost, solve_shooting(model, gm, cost, prob).trajectory)
+    out = optimize_direct(model, gm, cost, prob,
+                          TranscriptionConfig(segments=20, steps_per_segment=spb))
+    assert out.converged and out.boundary_error < 1e-10
+    assert len(out.trajectory) == 20 * spb + 1
+    assert 0.0 <= (out.running_cost - indirect) / indirect < 0.005
 
 
 def whole_horizon_jacobian(gm, problem, U, spb):

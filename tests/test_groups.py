@@ -176,6 +176,17 @@ def test_generic_log_matches_closed_form(so3_j123, so3_j123_group, rng):
     assert_allclose(aoc.log_map(generic, g), y, atol=1e-10)
 
 
+@pytest.mark.parametrize("g, message", [
+    (np.diag([-1.0, 1.0, 1.0]), "left the real algebra"),
+    (np.diag([2.0, 1.0, 1.0]), "round trip failed"),
+], ids=["reflection", "scaling"])
+def test_generic_log_rejects_an_element_outside_the_chart(so3_j123, so3_j123_group, g, message):
+    # a reflection has no real logarithm; a scaling has one, outside the algebra
+    generic = aoc.generic_group(so3_j123, so3_j123_group.basis)
+    with pytest.raises(aoc.AngleOutOfRange, match=message):
+        aoc.log_map(generic, g)
+
+
 @given(st.lists(st.floats(-0.6, 0.6), min_size=3, max_size=3).map(np.array))
 @settings(max_examples=40, deadline=None)
 def test_log_exp_roundtrip_hypothesis(y):

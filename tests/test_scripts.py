@@ -39,11 +39,16 @@ def test_shooting_traffic_script_runs():
 
 
 def test_shooting_answers_match_the_pinned_corpus():
-    # the fast part of the 72-target corpus: the 24 act and under targets at 50 steps
+    # fast parts of the 120-target corpus: the 24 act and under targets at 50
+    # steps, and two e3 and two big ones, which take the multi-start and the
+    # rerun after a failed continuation
     corpus = ROOT / "scripts" / "shooting_corpus.json"
     out = run_script("shooting_traffic.py", "--check", str(corpus),
                      "--kinds", "act", "under", "--steps", "50")
     assert "check: 24 of 24 targets match the corpus" in out
+    out = run_script("shooting_traffic.py", "--check", str(corpus),
+                     "--kinds", "e3", "big", "--steps", "50", "--targets", "2")
+    assert "check: 4 of 4 targets match the corpus" in out
 
 
 def test_csv_format_check_script_runs():

@@ -7,9 +7,10 @@ from numpy.testing import assert_allclose
 import aoc
 from aoc.direct import TranscriptionConfig
 from aoc.dynamics import State, zoh_rollout
-from aoc.pmp import Costate, ExtremalPoint, flow_extremal, min_acc_cost, running_cost
-from aoc.shooting import (BoundaryProblem, _residual_and_jacobian, boundary_residual,
-                          extremal_defect, solve_shooting)
+from aoc.pmp import (Costate, ExtremalPoint, flow_extremal, min_acc_cost, propagate_endpoints,
+                     running_cost)
+from aoc.shooting import (BoundaryProblem, _levenberg_marquardt, _residual_and_jacobian,
+                          boundary_residual, extremal_defect, solve_shooting)
 
 
 def abelian_problem(xT_val=1.0, steps=200):
@@ -428,6 +429,30 @@ def test_defect_is_fourth_order():
     assert d1["stationarity"] < 1e-12
 
 
+def test_singular_normal_matrix_ends_the_run():
+    # J = 0 makes the damping 0 and J^T J + lambda I singular: the run stops, unconverged
+    def evaluate(theta, jacobian=True):
+        return np.ones(2), np.zeros((2, 2)), "flow"
+
+    run = _levenberg_marquardt(evaluate, np.zeros(2), 1e-8, 10)
+    assert not run.converged and run.steps == 0 and run.flows == 1
+    assert run.norm == 1.0 and run.flow == "flow"
+
+
+def test_failed_refresh_of_a_stale_jacobian_ends_the_run():
+    # with a carried (stale) J the failed trial asks for a refresh at theta, which fails too
+    calls = []
+
+    def evaluate(theta, jacobian=True):
+        calls.append(jacobian)
+        return (np.ones(2), None, "flow") if len(calls) == 1 else None
+
+    run = _levenberg_marquardt(evaluate, np.zeros(2), 1e-8, 10, jacobian=np.eye(2))
+    assert calls == [False, False, True]
+    assert not run.converged and run.steps == 1 and run.flows == 3
+    assert np.array_equal(run.theta, np.zeros(2)) and run.flow == "flow"
+
+
 def test_nonconverged_returns_best_iterate():
     ab, gm, cost, prob = abelian_problem()
     res = solve_shooting(ab, gm, cost, prob, max_iter=0)
@@ -452,6 +477,16 @@ def test_shooting_survives_ill_posed_first_batch():
     assert _residual_and_jacobian(*problem, np.zeros(6), 1e-6) is None
     res = solve_shooting(*problem)
     assert np.isfinite(res.residual_norm) and res.trajectory is not None
+
+
+def test_defect_needs_five_grid_points():
+    ab, gm, cost, prob = abelian_problem(steps=3)
+    res = solve_shooting(ab, gm, cost, prob)
+    assert res.converged and len(res.trajectory) == 4
+    with pytest.raises(ValueError, match="at least 5 grid points, got 4"):
+        extremal_defect(ab, gm, cost, res.trajectory)
+    assert extremal_defect(ab, gm, cost, solve_shooting(
+        ab, gm, cost, dataclasses.replace(prob, steps=4)).trajectory)["y"] < 1e-9
 
 
 def test_batched_defect_matches_per_point_path():
@@ -487,4 +522,34 @@ def test_step_counts_must_be_integers(call, count, so3_j123, so3_j123_group):
         "steps_per_segment": lambda: TranscriptionConfig(steps_per_segment=count),
     }[call]
     with pytest.raises(ValueError, match="must be an integer"):
+        run()
+
+
+@pytest.mark.parametrize("call, T, count", [
+    ("propagate_endpoints", 1.0, 0), ("propagate_endpoints", -1.0, 20),
+    ("propagate_endpoints", np.nan, 20), ("simulate", np.nan, 20), ("simulate", 0.0, 20),
+    ("zoh_rollout", 1.0, 0), ("zoh_rollout-no-segments", 1.0, 2),
+    ("BoundaryProblem", np.inf, 20), ("BoundaryProblem", np.nan, 20),
+    ("BoundaryProblem", 1.0, 0), ("reconstruct_step", np.inf, 1),
+    ("reconstruct_step", 0.0, 1)])
+def test_bad_grids_are_value_errors(call, T, count, so3_j123, so3_j123_group):
+    # one rule for every uniform grid: an integer count of at least 1 over a
+    # finite positive T; nothing runs backward, divides by zero or is reported
+    # as a blow-up
+    model, gm = so3_j123, so3_j123_group
+    zero = np.zeros(3)
+    run = {
+        "propagate_endpoints": lambda: propagate_endpoints(
+            model, gm, min_acc_cost(model), np.eye(3), zero, zero, zero, T, count),
+        "simulate": lambda: aoc.simulate(model, gm, State(np.eye(3), zero),
+                                         aoc.zero_control(model), T, count),
+        "zoh_rollout": lambda: zoh_rollout(gm, np.eye(3), zero, np.zeros((4, 3)), T,
+                                           steps_per_segment=count),
+        "zoh_rollout-no-segments": lambda: zoh_rollout(gm, np.eye(3), zero, np.zeros((0, 3)),
+                                                       T, steps_per_segment=count),
+        "BoundaryProblem": lambda: BoundaryProblem(x0=np.eye(3), xT=np.eye(3), y0=zero,
+                                                   yT=zero, T=T, steps=count),
+        "reconstruct_step": lambda: aoc.reconstruct_step(gm, np.eye(3), lambda t: zero, 0.0, T),
+    }[call]
+    with pytest.raises(ValueError, match="T must be finite and positive|steps must be at least 1"):
         run()
