@@ -20,7 +20,7 @@ from .pmp import (CostModel, Costate, ExtremalPoint, TangentTuple,
                   coordinate_observable, eliminate_control, extremal_rhs,
                   fd_observable, flow_extremal, hamiltonian,
                   hamiltonian_field_check, hamiltonian_observable,
-                  min_acc_cost, min_acc_rhs, poisson_bracket, quadratic_cost,
+                  min_acc_cost, poisson_bracket, quadratic_cost,
                   running_cost, spatial_momentum, symplectic_form)
 from .shooting import (BoundaryProblem, ShootingResult, boundary_residual,
                        extremal_defect, solve_shooting)

@@ -8,15 +8,15 @@ group element, body velocity and two algebra covectors.  The Hamiltonian
 is maximized over u on the regular set where the control Hessian of L
 is invertible; ``eliminate_control`` solves the stationarity condition
 (components 1..m of xi equal dL/du) in closed form for quadratic costs
-and by damped Newton otherwise.  ``extremal_rhs`` evaluates the critical
-flow
+and by damped Newton otherwise.  ``extremal_field`` is the one form of
+the critical flow
 
     xdot   = x hat(y)
     ydot   = embed(u) + bias(y)
     mudot  = (dL/dx trivialized) + ad_star(y, mu)
     xidot  = -mu + dL/dy - flat([y, sharp(xi)]) + ad_star(sharp(xi), flat(y))
 
-and ``hamiltonian_field_check`` verifies numerically that this flow is
+and ``hamiltonian_field_check`` verifies numerically that this field is
 the Hamiltonian field of H for the trivialized symplectic form
 
     Omega((z,w,vmu,vxi), (z',w',vmu',vxi'))
@@ -31,7 +31,11 @@ stages by two stacked matmuls against a tensor built once per (model,
 cost), whose y-block is the model's ``drift`` matrix (the one that
 ``algebra.bias`` contracts); any other cost takes one batched
 ``eliminate_control``, whose damped Newton steps every row at once, and
-one batched ``extremal_rhs``.  ``propagate_endpoints`` steps the field
+one batched ``extremal_rhs``, the general-cost kernel, which is also the
+reference the fused field is tested against.  The Hamiltonian checks
+(``hamiltonian_field_check``, ``hamiltonian_observable``) evaluate
+``extremal_field`` itself, so they certify the kernel that the flows step.
+``propagate_endpoints`` steps the field
 through ``groups.rkmk_integrate`` in one call over the grid, for a batch
 of shooting rows as for the single flow of ``flow_extremal``, under the
 stepper's two rules.  No field raises on a state that is not finite:
@@ -255,15 +259,10 @@ def _sq(g):
     return (g[..., None, :] @ g[..., None])[..., 0, 0]
 
 
-class ExtremalRHS(NamedTuple):
-    ydot: np.ndarray
-    mudot: np.ndarray
-    xidot: np.ndarray
-    xdot_body: np.ndarray
-
-
-def extremal_rhs(model, gm, cost, a) -> ExtremalRHS:
-    """Critical-flow right-hand sides at a stationarity point."""
+def extremal_rhs(model, gm, cost, a):
+    """The critical flow at a stationarity point as the field's pair (y, vdot),
+    vdot = (ydot, mudot, xidot): the kernel of ``extremal_field`` for every
+    cost that is not fused, and the reference the fused field is tested against."""
     y = np.asarray(a.state.y, dtype=float)
     mu = np.asarray(a.costate.mu, dtype=float)
     xi = np.asarray(a.costate.xi, dtype=float)
@@ -277,15 +276,7 @@ def extremal_rhs(model, gm, cost, a) -> ExtremalRHS:
     dLdy = np.asarray(cost.dL_dy(a.state, u), dtype=float)
     if dLdy.any():
         xidot = xidot + dLdy
-    return ExtremalRHS(ydot=ydot, mudot=mudot, xidot=xidot, xdot_body=y)
-
-
-def min_acc_rhs(model, gm, a) -> ExtremalRHS:
-    """Minimum-acceleration specialization with the control inlined:
-    ydot = sharp(restricted xi) + bias(y), evaluated by the fused field."""
-    v = np.concatenate([a.state.y, a.costate.mu, a.costate.xi]).astype(float)
-    y, vdot = extremal_field(model, gm, min_acc_cost(model))(0, 0.0, a.state.x, v)
-    return ExtremalRHS(*np.split(vdot, 3), xdot_body=y)
+    return y, np.concatenate([ydot, mudot, xidot], axis=-1)
 
 
 # -- extremal flow --------------------------------------------------------------
@@ -340,8 +331,7 @@ def extremal_field(model, gm, cost):
     def rhs(k, c, x, v):
         s, costate = State(x, v[..., :n]), Costate(v[..., n:2 * n], v[..., 2 * n:])
         u = eliminate_control(model, cost, s, costate.xi)
-        r = extremal_rhs(model, gm, cost, ExtremalPoint(s, costate, u))
-        return s.y, np.concatenate([r.ydot, r.mudot, r.xidot], axis=-1)
+        return extremal_rhs(model, gm, cost, ExtremalPoint(s, costate, u))
 
     return rhs
 
@@ -442,10 +432,10 @@ def _shift_point(model, gm, s, costate, V, eps):
 
 
 def _hamiltonian_vector(model, gm, cost, s, c) -> TangentTuple:
-    """X_H at (s, c): the extremal field with the control eliminated there."""
-    u = eliminate_control(model, cost, s, c.xi)
-    r = extremal_rhs(model, gm, cost, ExtremalPoint(s, c, u))
-    return TangentTuple(z=r.xdot_body, w=r.ydot, v_mu=r.mudot, v_xi=r.xidot)
+    """X_H at (s, c): ``extremal_field``, the field every flow steps, evaluated there."""
+    v = np.concatenate([s.y, c.mu, c.xi], axis=-1).astype(float)
+    y, vdot = extremal_field(model, gm, cost)(0, 0.0, s.x, v)
+    return TangentTuple(y, *np.split(vdot, 3, axis=-1))
 
 
 def hamiltonian_field_check(model, gm, cost, a, n_directions=10,
@@ -491,14 +481,10 @@ def coordinate_observable(model, slot, index) -> Observable:
     """The coordinate function y_i, mu_i or xi_i with exact derivatives."""
     if slot not in ("y", "mu", "xi"):
         raise ValueError(f"slot must be y, mu or xi, got {slot!r}")
-    n = model.n
-    e = np.zeros(n)
-    e[index] = 1.0
-    zero = np.zeros(n)
+    e, zero = np.eye(model.n)[index], np.zeros(model.n)
 
     def value(s, c):
-        src = {"y": s.y, "mu": c.mu, "xi": c.xi}[slot]
-        return float(src[index])
+        return float({"y": s.y, "mu": c.mu, "xi": c.xi}[slot][index])
 
     def derivatives(s, c):
         return (zero, e if slot == "y" else zero,

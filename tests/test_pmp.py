@@ -7,10 +7,10 @@ from numpy.testing import assert_allclose
 import aoc
 from aoc.dynamics import State, Trajectory
 from aoc.pmp import (Costate, CostModel, ExtremalPoint, TangentTuple,
-                     coordinate_observable, eliminate_control, extremal_rhs,
-                     fd_dL_dx_triv, fd_observable, flow_extremal, hamiltonian,
+                     coordinate_observable, eliminate_control, extremal_field,
+                     extremal_rhs, fd_dL_dx_triv, fd_observable, flow_extremal, hamiltonian,
                      hamiltonian_field_check, hamiltonian_observable,
-                     min_acc_cost, min_acc_rhs, poisson_bracket,
+                     min_acc_cost, poisson_bracket,
                      propagate_endpoints, quadratic_cost, running_cost,
                      spatial_momentum, symplectic_form)
 from aoc.shooting import (BoundaryProblem, _residual_and_jacobian, boundary_residual,
@@ -28,6 +28,12 @@ def point(x, y, mu, xi, u):
 def zeros(*shape):
     """A cost callable with a zero result of ``shape`` for every point of its batch."""
     return lambda s, u: np.zeros(np.shape(u)[:-1] + shape)
+
+
+def field_rates(model, gm, cost, x, y, mu, xi):
+    """(xdot_body, ydot, mudot, xidot) of ``extremal_field`` at one point."""
+    z, vdot = extremal_field(model, gm, cost)(0, 0.0, x, np.concatenate([y, mu, xi]))
+    return (z, *np.split(vdot, 3))
 
 
 def zero_cost(n):
@@ -147,10 +153,12 @@ def test_extremal_rhs_abelian_identity():
     mu = np.array([0.3, -0.7])
     xi = np.array([1.5, 0.25])
     u = eliminate_control(ab, cost, State(np.eye(3), np.zeros(2)), xi)
-    r = extremal_rhs(ab, aoc.abelian_group(ab), cost, point(np.eye(3), [0.1, 0.2], mu, xi, u))
-    assert_allclose(r.ydot, xi)
-    assert_allclose(r.mudot, 0.0)
-    assert_allclose(r.xidot, -mu)
+    _, vdot = extremal_rhs(ab, aoc.abelian_group(ab), cost,
+                           point(np.eye(3), [0.1, 0.2], mu, xi, u))
+    ydot, mudot, xidot = np.split(vdot, 3)
+    assert_allclose(ydot, xi)
+    assert_allclose(mudot, 0.0)
+    assert_allclose(xidot, -mu)
 
 
 def hand_eq6_rates(J, y, mu, xi, m):
@@ -169,13 +177,12 @@ def test_min_acc_rhs_matches_hand_coded_rigid_body(m, rng):
     J = (1.0, 2.0, 3.0)
     model = aoc.so3_model(J, m=m)
     gm = aoc.so3_group(model)
+    cost = min_acc_cost(model)
     for _ in range(100):
         y, mu, xi = rng.standard_normal((3, 3))
-        r = min_acc_rhs(model, gm, point(np.eye(3), y, mu, xi, np.zeros(m)))
-        ydot, mudot, xidot = hand_eq6_rates(J, y, mu, xi, m)
-        assert_allclose(r.ydot, ydot, atol=1e-12)
-        assert_allclose(r.mudot, mudot, atol=1e-12)
-        assert_allclose(r.xidot, xidot, atol=1e-12)
+        _, *rates = field_rates(model, gm, cost, np.eye(3), y, mu, xi)
+        for got, want in zip(rates, hand_eq6_rates(J, y, mu, xi, m)):
+            assert_allclose(got, want, atol=1e-12)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -187,33 +194,31 @@ def test_min_acc_rhs_equals_eliminated_extremal_rhs(m, rng):
         y, mu, xi = rng.standard_normal((3, 3))
         s = State(np.eye(3), y)
         u = eliminate_control(model, cost, s, xi)
-        a = ExtremalPoint(s, Costate(mu, xi), u)
-        r1 = extremal_rhs(model, gm, cost, a)
-        r2 = min_acc_rhs(model, gm, a)
-        for v1, v2 in zip(r1, r2):
-            assert_allclose(v1, v2, atol=1e-13)
+        y1, vdot1 = extremal_rhs(model, gm, cost, ExtremalPoint(s, Costate(mu, xi), u))
+        y2, *rates = field_rates(model, gm, cost, np.eye(3), y, mu, xi)
+        assert np.array_equal(y1, y2)
+        assert_allclose(np.concatenate(rates), vdot1, atol=1e-13)
 
 
 def test_extremal_rhs_zero_point(so3_j123, so3_j123_group):
     # spinning about a principal axis with zero costates: only xdot is nonzero
     cost = min_acc_cost(so3_j123)
     a = point(np.eye(3), E1, np.zeros(3), np.zeros(3), np.zeros(3))
-    r = extremal_rhs(so3_j123, so3_j123_group, cost, a)
-    assert_allclose(r.ydot, 0.0, atol=1e-15)
-    assert_allclose(r.mudot, 0.0, atol=1e-15)
-    assert_allclose(r.xidot, 0.0, atol=1e-15)
-    assert_allclose(r.xdot_body, E1)
+    xdot_body, vdot = extremal_rhs(so3_j123, so3_j123_group, cost, a)
+    assert_allclose(vdot, 0.0, atol=1e-15)
+    assert_allclose(xdot_body, E1)
 
 
 def test_min_acc_rhs_abelian(abelian3, rng):
     gm = aoc.abelian_group(abelian3)
     y, mu, xi = rng.standard_normal((3, 3))
-    r = min_acc_rhs(abelian3, gm, point(np.eye(4), y, mu, xi, np.zeros(2)))
+    _, ydot, mudot, xidot = field_rates(abelian3, gm, min_acc_cost(abelian3), np.eye(4),
+                                        y, mu, xi)
     actuated = xi.copy()
     actuated[abelian3.m:] = 0.0
-    assert_allclose(r.ydot, aoc.sharp(abelian3, actuated))
-    assert_allclose(r.mudot, 0.0)
-    assert_allclose(r.xidot, -mu)
+    assert_allclose(ydot, aoc.sharp(abelian3, actuated))
+    assert_allclose(mudot, 0.0)
+    assert_allclose(xidot, -mu)
 
 
 # -- extremal flow ------------------------------------------------------------------
@@ -366,6 +371,29 @@ def test_field_check_cost_that_reads_y(so3_m2, so3_m2_group, rng):
         a = random_point(rng, so3_m2_group)
         assert hamiltonian_field_check(so3_m2, so3_m2_group, cost, a, n_directions=8,
                                        seed=seed) < 1e-8
+
+
+def test_checks_evaluate_the_integrated_field(so3_m2, so3_m2_group, monkeypatch):
+    # X_H of hamiltonian_field_check and of hamiltonian_observable's derivatives
+    # is bitwise the extremal field the flows step, fused (quadratic) or Newton
+    model, gm = so3_m2, so3_m2_group
+    pairing, seen = aoc.pmp.symplectic_form, []
+    monkeypatch.setattr(aoc.pmp, "symplectic_form",
+                        lambda model, p, A, B: seen.append(A) or pairing(model, p, A, B))
+    rng = np.random.default_rng(5)
+    for cost in (min_acc_cost(model), quartic_cost(model)):
+        H = hamiltonian_observable(model, gm, cost)
+        for _ in range(5):
+            a = random_point(rng, gm)
+            s, c = a.state, a.costate
+            z, ydot, mudot, xidot = field_rates(model, gm, cost, s.x, s.y, c.mu, c.xi)
+            seen.clear()
+            hamiltonian_field_check(model, gm, cost, a, n_directions=1)
+            for got, want in zip(seen[0], (z, ydot, mudot, xidot)):
+                assert np.array_equal(got, want)
+            dx, dy, dmu, dxi = H.derivatives(s, c)
+            assert np.array_equal(dxi, ydot) and np.array_equal(dy, -xidot)
+            assert np.array_equal(dx, aoc.ad_star(model, s.y, c.mu) - mudot)
 
 
 def test_field_check_zero_point(so3_j123, so3_j123_group):
@@ -590,7 +618,7 @@ def test_trajectory_eliminates_control_once_per_point(so3_j123, so3_j123_group):
     traj = aoc.pmp.extremal_trajectory(so3_j123, so3_j123_group, cost, 1.0, xs, vs)
     assert once >= steps + 1 and calls[0] == once
     ydot = np.array([extremal_rhs(so3_j123, so3_j123_group, cost,
-                                  point(x, y, mu, xi, u)).ydot
+                                  point(x, y, mu, xi, u))[1][:3]
                      for x, y, mu, xi, u in zip(traj.xs, traj.ys, traj.mus, traj.xis, traj.us)])
     hams = (np.einsum("ki,ki->k", traj.mus, traj.ys) + np.einsum("ki,ki->k", traj.xis, ydot)
             - [cost.eval(traj.state(k), traj.us[k]) for k in range(steps + 1)])
