@@ -66,6 +66,15 @@ def _count(value, what):
     return int(value)
 
 
+def _positive(value, what):
+    """A finite positive real number; a bool, a string or any other value that
+    is not a real number is a ValueError, as are 0, negatives, inf and nan."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not 0.0 < value < np.inf):
+        raise ValueError(f"{what} must be finite and positive, got {value!r}")
+    return value
+
+
 def make_model(n, m, C, inertia, name="custom", strict=True) -> LieAlgebraModel:
     """Build a model from raw arrays, checking shapes and (optionally) invariants.
 

@@ -46,11 +46,11 @@ for every caller of the stepper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, inf, prod
+from math import atan2, prod
 
 import numpy as np
 
-from .algebra import VALIDATE_TOL, CheckResult, LieAlgebraModel, ValidationReport, _count
+from .algebra import VALIDATE_TOL, CheckResult, LieAlgebraModel, ValidationReport, _count, _positive
 from .errors import AngleOutOfRange, DimensionMismatch, NonFinite
 
 SO3_MAX_LOG_ANGLE = np.pi - 1e-6
@@ -361,13 +361,12 @@ FINITE_CHECK_STEPS = 32
 def _uniform_grid(T, steps):
     """``(steps, h)`` of the uniform grid of ``steps`` steps over [0, T], the
     one check of a time grid in the package: ``steps`` must be an integer of
-    at least 1 and T finite and positive, else ValueError."""
+    at least 1 and T a finite positive real (``algebra._positive``), else
+    ValueError."""
     steps = _count(steps, "steps")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    if not 0.0 < T < inf:
-        raise ValueError(f"T must be finite and positive, got {T}")
-    return steps, T / steps
+    return steps, _positive(T, "T") / steps
 
 
 def _reconstruct(gm, zs, h, xs):

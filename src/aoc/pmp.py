@@ -129,13 +129,20 @@ def min_acc_cost(model) -> CostModel:
 
 
 def quadratic_cost(model, R) -> CostModel:
-    """L = u^T R u / 2 with a symmetric positive definite weight."""
+    """L = u^T R u / 2 with a symmetric positive definite weight: ValueError for
+    a weight that fails a Cholesky factorization (as ``make_model`` tests the
+    inertia) or that ``_check_regular`` calls singular."""
     R = np.asarray(R, dtype=float)
     m = model.m
     if R.shape != (m, m):
         raise DimensionMismatch(f"quadratic weight must be {m}x{m}, got {R.shape}")
     if np.abs(R - R.T).max() > 1e-12:
         raise ValueError("quadratic weight must be symmetric")
+    try:
+        np.linalg.cholesky(R)
+        _check_regular(R, "quadratic weight")
+    except (np.linalg.LinAlgError, SingularRegularity) as e:
+        raise ValueError(f"quadratic weight must be positive definite and regular: {e}") from None
     zero = lambda s, u: np.zeros(_lead(s, u) + (model.n,))
     # stacked matmuls run the same product on every row, so each point keeps its bits
     return CostModel(eval=lambda s, u: np.broadcast_to(

@@ -86,6 +86,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import groups, pmp
+from .algebra import _count, _positive
 from .dynamics import State, Trajectory
 from .errors import AngleOutOfRange, NoConvergence, NonFinite
 
@@ -280,7 +281,15 @@ def solve_shooting(model, gm, cost, problem, initial_guess=None,
     as in the module docstring; returns the best iterate with
     ``converged=False`` rather than raising when every start stalls.  The
     trajectory is row 0 of that iterate's LM flow on the requested grid.
+    ``tol`` (the residual norm that stops a start) and ``fd_step`` (the
+    Jacobian's difference step) must be finite positive reals and
+    ``max_iter`` (the LM steps of one run) an integer >= 0, else ValueError
+    before any flow.
     """
+    _positive(tol, "tol")
+    _positive(fd_step, "fd_step")
+    if _count(max_iter, "max_iter") < 0:
+        raise ValueError(f"max_iter must be at least 0, got {max_iter}")
     n = model.n
     coarse_steps = max(COARSE_MIN_STEPS, int(problem.steps) // COARSE_DIVISOR)
     coarse = (replace(problem, steps=coarse_steps)

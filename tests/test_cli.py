@@ -686,6 +686,10 @@ _CUSTOM_NO_REP = {key: value for key, value in _SO3_FILE.items()
      "problem section missing 'T'"),
     ("shoot", {"cost": {"kind": "quadratic", "R": [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]}}, [],
      "bad quadratic weight: quadratic weight must be symmetric"),
+    ("shoot", {"cost": {"kind": "quadratic", "R": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}}, [],
+     "bad quadratic weight: quadratic weight must be positive definite"),
+    ("compare", {"cost": {"kind": "quadratic", "R": [[1, 0, 0], [0, 1, 0], [0, 0, 0]]}}, [],
+     "bad quadratic weight: quadratic weight must be positive definite"),
     ("simulate", {"problem": {**_PROBLEM, "x0": [0, 0]}}, [],
      "problem.x0 must be a 3x3 matrix or an 3-vector"),
     ("simulate", {"problem": {**_PROBLEM, "y0": [0, 0]}}, [], "y0 and yT must have 3 components"),
@@ -708,6 +712,7 @@ _CUSTOM_NO_REP = {key: value for key, value in _SO3_FILE.items()
 ], ids=["invalid-json", "not-an-object", "section-not-an-object", "no-algebra",
         "unknown-algebra-kind", "unknown-cost-kind", "abelian-without-n", "custom-without-file",
         "quadratic-without-R", "no-problem", "missing-problem-key", "R-not-symmetric",
+        "R-indefinite", "R-singular",
         "x0-shape", "y0-length", "yT-length", "steps-zero", "control-mismatch",
         "control-string", "extremal-without-costates", "costate-length", "guess-length",
         "oracle-segments", "custom-without-representation", "mu0-flag-not-numbers"])

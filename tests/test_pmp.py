@@ -114,10 +114,13 @@ def test_eliminate_newton_on_quartic(so3_m2):
 
 
 def test_eliminate_singular_quadratic(so3_m2):
-    # rank one at the 1e-12 scale: singular whatever the units of the weight
-    cost = quadratic_cost(so3_m2, np.full((2, 2), 1e-12))
-    with pytest.raises(aoc.SingularRegularity):
-        eliminate_control(so3_m2, cost, State(np.eye(3), np.zeros(3)), np.ones(3))
+    # rank one at the 1e-12 scale is singular whatever the units of the weight;
+    # it is refused where the cost is built, as are indefinite, semidefinite,
+    # negative definite and numerically singular weights
+    for R in (np.full((2, 2), 1e-12), np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), -np.eye(2),
+              np.diag([1.0, 1e-14])):
+        with pytest.raises(ValueError, match="positive definite"):
+            quadratic_cost(so3_m2, R)
 
 
 @pytest.mark.parametrize("scale", [1e-4, 1e-12, 1e8])
@@ -130,7 +133,11 @@ def test_eliminate_small_weight_is_regular(so3_j123, scale):
 
 
 def test_singular_weight_rejected_by_flow(so3_m2):
-    cost = quadratic_cost(so3_m2, np.array([[1.0, 2.0], [2.0, 4.0]]))
+    R = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(ValueError, match="positive definite"):
+        quadratic_cost(so3_m2, R)
+    # a hand-built cost is checked where the flow uses it
+    cost = dataclasses.replace(min_acc_cost(so3_m2), quad_weight=R)
     with pytest.raises(aoc.SingularRegularity):
         propagate_endpoints(so3_m2, aoc.so3_group(so3_m2), cost, np.eye(3), np.zeros(3),
                             np.ones(3), np.ones(3), 1.0, 4)
@@ -392,7 +399,8 @@ def test_checks_evaluate_the_integrated_field(so3_m2, so3_m2_group, monkeypatch)
             for got, want in zip(seen[0], (z, ydot, mudot, xidot)):
                 assert np.array_equal(got, want)
             dx, dy, dmu, dxi = H.derivatives(s, c)
-            assert np.array_equal(dxi, ydot) and np.array_equal(dy, -xidot)
+            assert np.array_equal(dmu, z) and np.array_equal(dxi, ydot)
+            assert np.array_equal(dy, -xidot)
             assert np.array_equal(dx, aoc.ad_star(model, s.y, c.mu) - mudot)
 
 

@@ -59,3 +59,11 @@ def test_csv_format_check_script_runs():
 def test_integrator_order_script_runs():
     out = run_script("integrator_order.py", "--base-steps", "10", "--doublings", "2")
     assert out.split()[0] == "steps"
+
+
+def test_code_lines_total_is_the_sum_of_the_modules():
+    rows = [line.split() for line in run_script("code_lines.py").splitlines()]
+    counts = {name: int(count) for name, count in rows}
+    total = counts.pop("total")
+    assert "pmp.py" in counts and "__init__.py" in counts
+    assert total == sum(counts.values()) > 0

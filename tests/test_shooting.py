@@ -460,6 +460,23 @@ def test_nonconverged_returns_best_iterate():
     assert res.residual_norm > 0.0
 
 
+@pytest.mark.parametrize("name, value", [
+    ("tol", 0.0), ("tol", -1.0), ("tol", np.nan), ("tol", True), ("fd_step", 0),
+    ("fd_step", np.inf), ("fd_step", "1e-6"), ("max_iter", 2.5), ("max_iter", -2),
+    ("max_iter", True)])
+def test_bad_solver_arguments_are_value_errors(name, value, monkeypatch):
+    # refused before any flow: nothing is reported as a run that stopped at once
+    # or ran every start to max_iter
+    def no_flow(*args, **kw):
+        raise AssertionError("a flow ran")
+
+    ab, gm, cost, prob = abelian_problem()
+    monkeypatch.setattr("aoc.groups.rkmk_integrate", no_flow)
+    with pytest.raises(ValueError, match="must be finite and positive|must be an integer"
+                                         "|must be at least 0"):
+        solve_shooting(ab, gm, cost, prob, **{name: value})
+
+
 def test_residual_propagates_angle_out_of_range():
     model = aoc.so3_model((1.0, 2.0, 3.0))
     gm = aoc.so3_group(model)
@@ -531,11 +548,11 @@ def test_step_counts_must_be_integers(call, count, so3_j123, so3_j123_group):
     ("zoh_rollout", 1.0, 0), ("zoh_rollout-no-segments", 1.0, 2),
     ("BoundaryProblem", np.inf, 20), ("BoundaryProblem", np.nan, 20),
     ("BoundaryProblem", 1.0, 0), ("reconstruct_step", np.inf, 1),
-    ("reconstruct_step", 0.0, 1)])
+    ("reconstruct_step", 0.0, 1), ("BoundaryProblem", True, 20), ("BoundaryProblem", "1", 20)])
 def test_bad_grids_are_value_errors(call, T, count, so3_j123, so3_j123_group):
     # one rule for every uniform grid: an integer count of at least 1 over a
-    # finite positive T; nothing runs backward, divides by zero or is reported
-    # as a blow-up
+    # finite positive real T; nothing runs backward, divides by zero, is reported
+    # as a blow-up or reads a bool as T = 1
     model, gm = so3_j123, so3_j123_group
     zero = np.zeros(3)
     run = {
