@@ -1,22 +1,20 @@
 #!/usr/bin/env python3
-"""Count the code lines of each module of a Python package and their total.
+"""Count the code lines of each module of the aoc package and their total.
 
 A code line is a line that holds part of a token other than a comment or a
 docstring (the string that opens a module, class or function body); blank
 lines, comment lines and docstring lines do not count.  A line shared by code
 and a trailing comment counts once.
 
-    python scripts/code_lines.py            # the modules of src/aoc
-    python scripts/code_lines.py some/pkg   # any directory of .py files
+    python scripts/code_lines.py
 """
 
-import argparse
 import ast
 import io
 import tokenize
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "aoc"
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
         tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -45,13 +43,8 @@ def code_lines(source):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("package", nargs="?", default=str(ROOT / "src" / "aoc"))
-    args = ap.parse_args()
-    counts = {path.name: code_lines(path.read_text())
-              for path in sorted(Path(args.package).glob("*.py"))}
-    width = max(map(len, counts), default=5)
+    counts = {path.name: code_lines(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    width = max(map(len, counts))
     for name, count in counts.items():
         print(f"{name:<{width}} {count:>6}")
     print(f"{'total':<{width}} {sum(counts.values()):>6}")

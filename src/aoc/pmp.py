@@ -130,19 +130,17 @@ def min_acc_cost(model) -> CostModel:
 
 def quadratic_cost(model, R) -> CostModel:
     """L = u^T R u / 2 with a symmetric positive definite weight: ValueError for
-    a weight that fails a Cholesky factorization (as ``make_model`` tests the
-    inertia) or that ``_check_regular`` calls singular."""
+    a weight that is not finite, not symmetric, or whose least eigenvalue is
+    not above RCOND_MIN times its greatest (the regularity rule of
+    ``_check_regular``, which a negative or zero eigenvalue fails too)."""
     R = np.asarray(R, dtype=float)
     m = model.m
     if R.shape != (m, m):
         raise DimensionMismatch(f"quadratic weight must be {m}x{m}, got {R.shape}")
-    if np.abs(R - R.T).max() > 1e-12:
-        raise ValueError("quadratic weight must be symmetric")
-    try:
-        np.linalg.cholesky(R)
-        _check_regular(R, "quadratic weight")
-    except (np.linalg.LinAlgError, SingularRegularity) as e:
-        raise ValueError(f"quadratic weight must be positive definite and regular: {e}") from None
+    lo, hi = np.linalg.eigvalsh(R)[[0, -1]]  # of R's lower triangle; no error when R is not finite
+    if not (np.isfinite(R).all() and np.abs(R - R.T).max() <= 1e-12 and lo > RCOND_MIN * hi):
+        raise ValueError("quadratic weight must be symmetric positive definite with a condition "
+                         f"number below {1 / RCOND_MIN:g}, got {R.tolist()}")
     zero = lambda s, u: np.zeros(_lead(s, u) + (model.n,))
     # stacked matmuls run the same product on every row, so each point keeps its bits
     return CostModel(eval=lambda s, u: np.broadcast_to(
@@ -488,10 +486,14 @@ def coordinate_observable(model, slot, index) -> Observable:
     """The coordinate function y_i, mu_i or xi_i with exact derivatives."""
     if slot not in ("y", "mu", "xi"):
         raise ValueError(f"slot must be y, mu or xi, got {slot!r}")
-    e, zero = np.eye(model.n)[index], np.zeros(model.n)
+    n = model.n
+    e = np.zeros(n)
+    e[index] = 1.0
+    zero = np.zeros(n)
 
     def value(s, c):
-        return float({"y": s.y, "mu": c.mu, "xi": c.xi}[slot][index])
+        src = {"y": s.y, "mu": c.mu, "xi": c.xi}[slot]
+        return float(src[index])
 
     def derivatives(s, c):
         return (zero, e if slot == "y" else zero,

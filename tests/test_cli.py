@@ -687,9 +687,9 @@ _CUSTOM_NO_REP = {key: value for key, value in _SO3_FILE.items()
     ("shoot", {"cost": {"kind": "quadratic", "R": [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]}}, [],
      "bad quadratic weight: quadratic weight must be symmetric"),
     ("shoot", {"cost": {"kind": "quadratic", "R": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}}, [],
-     "bad quadratic weight: quadratic weight must be positive definite"),
+     "bad quadratic weight: quadratic weight must be symmetric positive definite"),
     ("compare", {"cost": {"kind": "quadratic", "R": [[1, 0, 0], [0, 1, 0], [0, 0, 0]]}}, [],
-     "bad quadratic weight: quadratic weight must be positive definite"),
+     "bad quadratic weight: quadratic weight must be symmetric positive definite"),
     ("simulate", {"problem": {**_PROBLEM, "x0": [0, 0]}}, [],
      "problem.x0 must be a 3x3 matrix or an 3-vector"),
     ("simulate", {"problem": {**_PROBLEM, "y0": [0, 0]}}, [], "y0 and yT must have 3 components"),

@@ -113,14 +113,19 @@ def test_eliminate_newton_on_quartic(so3_m2):
     assert_allclose(cost.dL_du(s, u), xi[:2], atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
 def test_eliminate_singular_quadratic(so3_m2):
     # rank one at the 1e-12 scale is singular whatever the units of the weight;
     # it is refused where the cost is built, as are indefinite, semidefinite,
-    # negative definite and numerically singular weights
+    # negative definite, numerically singular and non-finite weights
     for R in (np.full((2, 2), 1e-12), np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), -np.eye(2),
-              np.diag([1.0, 1e-14])):
+              np.diag([1.0, 1e-14]), np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0])):
         with pytest.raises(ValueError, match="positive definite"):
             quadratic_cost(so3_m2, R)
+    # a hand-built cost is checked where its control is eliminated
+    cost = dataclasses.replace(min_acc_cost(so3_m2), quad_weight=np.full((2, 2), 1e-12))
+    with pytest.raises(aoc.SingularRegularity):
+        eliminate_control(so3_m2, cost, State(np.eye(3), np.zeros(3)), np.ones(3))
 
 
 @pytest.mark.parametrize("scale", [1e-4, 1e-12, 1e8])
