@@ -171,13 +171,10 @@ def load_model(path):
     for key in ("n", "m", "inertia"):
         if key not in data:
             raise ValueError(f"model file missing required key '{key}'")
-    for key in ("n", "m", "rep_dim"):
-        if key in data and type(data[key]) is not int:
-            raise ValueError(f"'{key}' must be an integer, got {data[key]!r}")
     name = data.get("name", "custom")
     if not isinstance(name, str):
         raise ValueError(f"'name' must be a string, got {name!r}")
-    n, entries = data["n"], data.get("structure_constants", [])
+    n, entries = _count(data["n"], "'n'"), data.get("structure_constants", [])
     if not isinstance(entries, list):
         raise ValueError(f"structure_constants must be a list, got {entries!r}")
     C = np.zeros((n, n, n))
@@ -196,8 +193,8 @@ def load_model(path):
     if "basis_matrices" in data or "rep_dim" in data:
         if not ("basis_matrices" in data and "rep_dim" in data):
             raise ValueError("rep_dim and basis_matrices must be given together")
+        d = _count(data["rep_dim"], "'rep_dim'")
         basis = np.asarray(data["basis_matrices"], dtype=float)
-        d = data["rep_dim"]
         if basis.shape != (n, d, d):
             raise DimensionMismatch(f"basis_matrices must have shape {(n, d, d)}, got {basis.shape}")
         if not np.isfinite(basis).all():

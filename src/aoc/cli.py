@@ -8,8 +8,13 @@ kind does not read.
 
 Every command runs one pipeline (``run``): build the model and group and
 validate them once, then build the problem, the cost and the command's
-own inputs before any flow runs.  A flag the command does not read is a
-usage error.
+own inputs before any flow runs.  ``load_config`` checks the config's
+form only (JSON, known keys and kinds); each value is checked once, by the
+library rule of what it builds (``BoundaryProblem``'s grid, ``CostModel``'s
+weight, ``solve_shooting``'s arguments, ``TranscriptionConfig``), and a
+rule that fails exits 1 naming the config key or section.  So
+``--dump-config``, which prints the loaded config, checks no value.  A flag
+the command does not read is a usage error.
 
 Exit codes: 0 ok, 1 usage or config error, 2 validation failure,
 3 numeric blow-up, 4 no convergence.
@@ -19,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -59,26 +63,6 @@ _SCHEMA = {
 _SOLVER_DEFAULTS = {"tol": shooting.TOL, "max_iter": shooting.MAX_ITER,
                     "fd_step": shooting.FD_STEP, "guess": None}
 _OUTPUT_DEFAULTS = {"path": "aoc_out"}
-
-_INTEGERS = (("algebra", "n"), ("algebra", "m"), ("problem", "steps"), ("solver", "max_iter"),
-             ("oracle", "segments"), ("oracle", "steps_per_segment"))
-_POSITIVE = (("problem", "T"), ("solver", "tol"), ("solver", "fd_step"))
-
-
-def _check_numbers(data):
-    """Counts must be JSON integers (bools are not), T, tol and fd_step
-    finite positive numbers, and max_iter must not be negative."""
-    def given(keys):
-        return [(f"{s}.{k}", data[s][k]) for s, k in keys if k in data.get(s, {})]
-
-    for where, value in given(_INTEGERS):
-        if type(value) is not int:
-            raise UsageError(f"{where} must be an integer, got {value!r}")
-    for where, value in given(_POSITIVE):
-        if type(value) not in (int, float) or not (math.isfinite(value) and value > 0):
-            raise UsageError(f"{where} must be a finite positive number, got {value!r}")
-    if data["solver"]["max_iter"] < 0:
-        raise UsageError(f"solver.max_iter must be >= 0, got {data['solver']['max_iter']}")
 
 
 def _floats(raw, what):
@@ -129,7 +113,6 @@ def load_config(path):
     data["solver"] = {**_SOLVER_DEFAULTS, **data.get("solver", {})}
     data["output"] = {**_OUTPUT_DEFAULTS, **data.get("output", {})}
     data.setdefault("control", "zero")
-    _check_numbers(data)
     return data
 
 
@@ -152,7 +135,9 @@ def build_model(config):
         if kind == "abelian":
             if "n" not in section:
                 raise UsageError("abelian algebra needs 'n'")
-            n = section["n"]
+            n = algebra._count(section["n"], "algebra.n")
+            if n < 1:  # before any array of n entries is made
+                raise ValueError(f"algebra.n must be at least 1, got {n}")
             inertia = section.get("inertia")
             inertia = np.eye(n) if inertia is None else _floats(inertia, "algebra.inertia")
             model = algebra.make_model(n, section.get("m", n), np.zeros((n, n, n)),
@@ -221,13 +206,13 @@ def build_problem(config, model, gm):
     yT = _floats(section["yT"], "problem.yT")
     if y0.shape != (model.n,) or yT.shape != (model.n,):
         raise UsageError(f"y0 and yT must have {model.n} components")
+    x0 = _group_element(gm, section["x0"], "problem.x0")
+    xT = _group_element(gm, section["xT"], "problem.xT")
     try:
-        return shooting.BoundaryProblem(
-            x0=_group_element(gm, section["x0"], "problem.x0"),
-            xT=_group_element(gm, section["xT"], "problem.xT"),
-            y0=y0, yT=yT, T=float(section["T"]), steps=section["steps"])
-    except ValueError as e:
-        raise UsageError(str(e))
+        return shooting.BoundaryProblem(x0=x0, xT=xT, y0=y0, yT=yT, T=section["T"],
+                                        steps=section["steps"])
+    except ValueError as e:  # the grid rule, which names T or steps
+        raise UsageError(f"problem.{e}")
 
 
 def build_control(config, model):
@@ -269,14 +254,18 @@ def _solver(config, model):
         if guess.shape != (2 * model.n,):
             raise UsageError(f"solver guess must have {2 * model.n} components")
         guess = (guess[: model.n], guess[model.n:])
-    return {"initial_guess": guess, "tol": float(sol["tol"]), "max_iter": sol["max_iter"],
-            "fd_step": float(sol["fd_step"])}
+    try:  # the rule that solve_shooting applies, checked before any flow
+        shooting._check_solver_arguments(sol["tol"], sol["max_iter"], sol["fd_step"])
+    except ValueError as e:
+        raise UsageError(f"solver.{e}")
+    return {"initial_guess": guess, "tol": sol["tol"], "max_iter": sol["max_iter"],
+            "fd_step": sol["fd_step"]}
 
 
 def _oracle_config(config):
     try:
         return direct.TranscriptionConfig(**config.get("oracle", {}))
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise UsageError(f"bad oracle section: {e}")
 
 
@@ -428,15 +417,13 @@ _FLAGS = {"validate": (), "simulate": ("out",), "extremal": ("out", "mu0", "xi0"
           "shoot": ("out",), "compare": ("out",)}
 
 
-def _parse_vector(text, key):
-    """The finite numbers of a --mu0 or --xi0 flag, for ``costate0.<key>``."""
+def _parse_vector(text):
+    """The numbers of a --mu0 or --xi0 flag; ``_costate`` checks them as
+    ``costate0.mu0`` or ``costate0.xi0``."""
     try:
-        values = [float(v) for v in text.split(",")]
+        return [float(v) for v in text.split(",")]
     except ValueError:
         raise UsageError(f"expected a comma-separated list of numbers, got {text!r}")
-    if not all(map(math.isfinite, values)):
-        raise UsageError(f"costate0.{key} must be finite, got {text!r}")
-    return values
 
 
 def main(argv=None) -> int:
@@ -463,7 +450,7 @@ def main(argv=None) -> int:
             config["output"]["path"] = str(_out_base(args.out))
         for key in ("mu0", "xi0"):
             if getattr(args, key) is not None:
-                config.setdefault("costate0", {})[key] = _parse_vector(getattr(args, key), key)
+                config.setdefault("costate0", {})[key] = _parse_vector(getattr(args, key))
         if args.dump_config:
             try:
                 print(json.dumps(config, indent=2, sort_keys=True, allow_nan=False))

@@ -50,8 +50,10 @@ coupled steps, which carry x along; every flow reconstructs x after the
 loop.  ``symplectic_form`` is the one pairing of the Hamiltonian checks:
 ``poisson_bracket`` pairs the derivative tuples of two observables with
 it.  Only normal extremals are
-treated; a control Hessian with condition number above 1 / RCOND_MIN at
-the eliminated control raises SingularRegularity.
+treated: ``CostModel`` refuses a quadratic weight whose condition number
+is above 1 / RCOND_MIN (ValueError, where the cost is made), and any other
+cost's control Hessian with such a condition number at the eliminated
+control raises SingularRegularity.
 
 Note on orientation: with the five-term linear Poisson bracket
 implemented here ({xi_i, y_j} = delta_ij), observables evolve along the
@@ -105,7 +107,10 @@ class CostModel:
     of shape ().  ``dL_dx_triv`` pairs with body directions of x variations
     (x along x exp(eps E_i)) and is zero when ``x_independent`` is set.
     ``quad_weight`` marks purely quadratic control costs L = u^T R u / 2, whose
-    elimination has the closed form u = R^{-1} xi restricted.
+    elimination has the closed form u = R^{-1} xi restricted.  It is checked
+    once, here (``dataclasses.replace`` runs the check too): ValueError unless R
+    is finite, symmetric and its least eigenvalue is above RCOND_MIN times its
+    greatest, a scale-invariant rule that a negative or zero eigenvalue fails.
     """
 
     eval: Callable
@@ -115,6 +120,16 @@ class CostModel:
     d2L_du2: Callable
     x_independent: bool
     quad_weight: np.ndarray | None = None
+
+    def __post_init__(self):
+        R = self.quad_weight
+        if R is not None:
+            # eigvalsh reads R's lower triangle and raises no error when R is not finite
+            lo, hi = np.linalg.eigvalsh(R)[[0, -1]]
+            if not (np.isfinite(R).all() and np.abs(R - R.T).max() <= 1e-12
+                    and lo > RCOND_MIN * hi):
+                raise ValueError("quadratic weight must be symmetric positive definite with a "
+                                 f"condition number below {1 / RCOND_MIN:g}, got {R.tolist()}")
 
 
 def _lead(s, u):
@@ -129,18 +144,12 @@ def min_acc_cost(model) -> CostModel:
 
 
 def quadratic_cost(model, R) -> CostModel:
-    """L = u^T R u / 2 with a symmetric positive definite weight: ValueError for
-    a weight that is not finite, not symmetric, or whose least eigenvalue is
-    not above RCOND_MIN times its greatest (the regularity rule of
-    ``_check_regular``, which a negative or zero eigenvalue fails too)."""
+    """L = u^T R u / 2 with an m x m weight (DimensionMismatch otherwise), which
+    ``CostModel`` checks: ValueError unless it is symmetric positive definite."""
     R = np.asarray(R, dtype=float)
     m = model.m
     if R.shape != (m, m):
         raise DimensionMismatch(f"quadratic weight must be {m}x{m}, got {R.shape}")
-    lo, hi = np.linalg.eigvalsh(R)[[0, -1]]  # of R's lower triangle; no error when R is not finite
-    if not (np.isfinite(R).all() and np.abs(R - R.T).max() <= 1e-12 and lo > RCOND_MIN * hi):
-        raise ValueError("quadratic weight must be symmetric positive definite with a condition "
-                         f"number below {1 / RCOND_MIN:g}, got {R.tolist()}")
     zero = lambda s, u: np.zeros(_lead(s, u) + (model.n,))
     # stacked matmuls run the same product on every row, so each point keeps its bits
     return CostModel(eval=lambda s, u: np.broadcast_to(
@@ -190,17 +199,16 @@ def eliminate_control(model, cost, s, xi) -> np.ndarray:
     and ``xi`` broadcast together) as for one: in closed form for quadratic
     costs, else by ``_newton`` on every row at once from u = 0, then from the
     restricted xi on the rows that fail.  A row whose x, y or xi is not finite
-    gets a NaN control.  Regularity is checked on the weight, or per row on the
-    control Hessian at the returned u: SingularRegularity when that matrix is
-    numerically singular, as for a Newton iterate whose Hessian cannot be
-    solved.  NoConvergence when Newton stalls on any finite row."""
+    gets a NaN control.  A quadratic weight is regular by construction
+    (``CostModel``); any other cost's control Hessian is checked per row at the
+    returned u: SingularRegularity when it is numerically singular, as for a
+    Newton iterate whose Hessian cannot be solved.  NoConvergence when Newton
+    stalls on any finite row."""
     xi = np.asarray(xi, dtype=float)
     m = model.m
     target = xi[..., :m]
     if cost.quad_weight is not None:
-        R = cost.quad_weight
-        _check_regular(R, "quadratic weight")
-        return np.linalg.solve(R, target[..., None])[..., 0]
+        return np.linalg.solve(cost.quad_weight, target[..., None])[..., 0]
     x, y = np.asarray(s.x, dtype=float), np.asarray(s.y, dtype=float)
     lead = np.broadcast_shapes(x.shape[:-2], y.shape[:-1], xi.shape[:-1])
     x, y, xi = (_stack_rows(a, lead, k) for a, k in ((x, 2), (y, 1), (xi, 1)))
@@ -295,8 +303,8 @@ def _quadratic_tensor(model, R):
     a = 0 is linear (the control map embed(R^-1 xi[:m]) and -mu), the y slices
     hold sharp(ad_star(y, flat y)) (the model's ``drift`` matrix, the tensor
     ``algebra.bias`` contracts), ad_star(y, mu) and the xi terms
-    -flat([y, sharp xi]) + ad_star(sharp xi, flat y)."""
-    _check_regular(R, "quadratic weight")
+    -flat([y, sharp xi]) + ad_star(sharp xi, flat y).  R is the cost's weight,
+    which ``CostModel`` has checked."""
     n, m = model.n, model.m
     C, J, Jinv = model.C, model.inertia, model.inertia_inv
     K = np.zeros((3, n, n + 1, 3, n))  # (out block, out, 1 or y index, in block, in)

@@ -272,6 +272,15 @@ def _levenberg_marquardt(evaluate, theta0, tol, max_iter, geodesic=False, dampin
     return _Run(theta, norm, steps, norm < tol, flow, (lam, nu), J, flows)
 
 
+def _check_solver_arguments(tol, max_iter, fd_step):
+    """ValueError unless ``tol`` and ``fd_step`` are finite positive reals and
+    ``max_iter`` an integer >= 0: the rule of ``solve_shooting``'s arguments."""
+    _positive(tol, "tol")
+    _positive(fd_step, "fd_step")
+    if _count(max_iter, "max_iter") < 0:
+        raise ValueError(f"max_iter must be at least 0, got {max_iter}")
+
+
 def solve_shooting(model, gm, cost, problem, initial_guess=None,
                    tol=TOL, max_iter=MAX_ITER, fd_step=FD_STEP) -> ShootingResult:
     """Find (mu0, xi0) whose extremal flow meets the boundary data.
@@ -284,12 +293,9 @@ def solve_shooting(model, gm, cost, problem, initial_guess=None,
     ``tol`` (the residual norm that stops a start) and ``fd_step`` (the
     Jacobian's difference step) must be finite positive reals and
     ``max_iter`` (the LM steps of one run) an integer >= 0, else ValueError
-    before any flow.
+    before any flow (``_check_solver_arguments``, which the CLI applies too).
     """
-    _positive(tol, "tol")
-    _positive(fd_step, "fd_step")
-    if _count(max_iter, "max_iter") < 0:
-        raise ValueError(f"max_iter must be at least 0, got {max_iter}")
+    _check_solver_arguments(tol, max_iter, fd_step)
     n = model.n
     coarse_steps = max(COARSE_MIN_STEPS, int(problem.steps) // COARSE_DIVISOR)
     coarse = (replace(problem, steps=coarse_steps)

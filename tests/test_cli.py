@@ -329,25 +329,38 @@ def test_missing_model_file_is_config_error(tmp_path):
     assert main(["validate", "--config", str(cfg)]) == 1
 
 
-@pytest.mark.parametrize("command,section", [
-    ("simulate", {"problem": {"x0": [0, 0, 0], "xT": [0, 0, 0.5], "y0": [0, 0, 0],
-                              "yT": [0, 0, 0], "T": 1.0, "steps": 40.7}}),
-    ("shoot", {"solver": {"max_iter": 3.7}}),
-    ("shoot", {"solver": {"fd_step": 0}}),
-    ("shoot", {"solver": {"tol": -1}}),
-    ("shoot", {"solver": {"max_iter": -5}}),
-    ("shoot", {"solver": {"tol": "1e-8"}}),
-    ("compare", {"oracle": {"segments": 20.5}}),
-    ("compare", {"oracle": {"steps_per_segment": 2.0}}),
-    ("validate", {"algebra": {"kind": "so3", "m": 2.7}}),
-    ("validate", {"algebra": {"kind": "abelian", "n": 3.9}}),
-    ("validate", {"algebra": {"kind": "abelian", "n": 3, "m": True}}),
-], ids=["steps-float", "max_iter-float", "fd_step-zero", "tol-negative", "max_iter-negative",
-        "tol-string", "segments-float", "steps_per_segment-float", "so3-m-float",
-        "abelian-n-float", "abelian-m-bool"])
+_PROBLEM = {"x0": [0, 0, 0], "xT": [0, 0, 0.5], "y0": [0, 0, 0], "yT": [0, 0, 0],
+            "T": 1.0, "steps": 20}
+
+
+@pytest.mark.parametrize("command,section,message", [
+    ("simulate", {"problem": {**_PROBLEM, "steps": 40.7}},
+     "problem.steps must be an integer, got 40.7"),
+    ("simulate", {"problem": {**_PROBLEM, "T": True}}, "problem.T must be finite and positive"),
+    ("simulate", {"problem": {**_PROBLEM, "T": "1"}}, "problem.T must be finite and positive"),
+    ("shoot", {"solver": {"max_iter": 3.7}}, "solver.max_iter must be an integer, got 3.7"),
+    ("shoot", {"solver": {"fd_step": 0}}, "solver.fd_step must be finite and positive"),
+    ("shoot", {"solver": {"tol": -1}}, "solver.tol must be finite and positive"),
+    ("shoot", {"solver": {"max_iter": -5}}, "solver.max_iter must be at least 0"),
+    ("shoot", {"solver": {"tol": "1e-8"}}, "solver.tol must be finite and positive"),
+    ("compare", {"oracle": {"segments": 20.5}},
+     "bad oracle section: segments must be an integer"),
+    ("compare", {"oracle": {"steps_per_segment": 2.0}},
+     "bad oracle section: steps_per_segment must be an integer"),
+    ("validate", {"algebra": {"kind": "so3", "m": 2.7}},
+     "actuated dimension m must be an integer"),
+    ("validate", {"algebra": {"kind": "abelian", "n": 3.9}}, "algebra.n must be an integer"),
+    ("validate", {"algebra": {"kind": "abelian", "n": 2.0}}, "algebra.n must be an integer"),
+    ("validate", {"algebra": {"kind": "abelian", "n": -1}}, "algebra.n must be at least 1"),
+    ("validate", {"algebra": {"kind": "abelian", "n": 3, "m": True}},
+     "actuated dimension m must be an integer"),
+], ids=["steps-float", "T-bool", "T-string", "max_iter-float", "fd_step-zero", "tol-negative",
+        "max_iter-negative", "tol-string", "segments-float", "steps_per_segment-float",
+        "so3-m-float", "abelian-n-float", "abelian-n-integral-float", "abelian-n-negative",
+        "abelian-m-bool"])
 def test_bad_numeric_config_value_is_config_error(tmp_path, capsys, monkeypatch,
-                                                  command, section):
-    # rejected at load time: no flow runs and nothing is written
+                                                  command, section, message):
+    # the library's rule, reported with its key before any flow runs; nothing is written
     def no_flow(*args, **kwargs):
         raise AssertionError("a flow ran")
 
@@ -355,12 +368,32 @@ def test_bad_numeric_config_value_is_config_error(tmp_path, capsys, monkeypatch,
     cfg = tmp_path / "cfg.json"
     write_config(cfg, **section)
     assert main([command, "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not list(tmp_path.glob("out*"))
 
 
-_PROBLEM = {"x0": [0, 0, 0], "xT": [0, 0, 0.5], "y0": [0, 0, 0], "yT": [0, 0, 0],
-            "T": 1.0, "steps": 20}
+def test_dump_config_checks_form_not_values(tmp_path, capsys):
+    # the dump prints a config with a bad value, and a run of the dump fails as
+    # the original does
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={**_PROBLEM, "steps": 40.7})
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    original = capsys.readouterr().err
+    assert original.startswith("error: problem.steps must be an integer")
+    assert main(["simulate", "--config", str(cfg), "--dump-config"]) == 0
+    dumped = tmp_path / "dumped.json"
+    dumped.write_text(capsys.readouterr().out)
+    assert main(["simulate", "--config", str(dumped)]) == 1
+    assert capsys.readouterr().err == original
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("solver", [{"tol": -1}, {"guess": [0, 0, 0]}], ids=["tol", "guess"])
+def test_validate_does_not_read_the_solver_section(tmp_path, capsys, solver):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, solver=solver)
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command,section,where", [
@@ -437,6 +470,8 @@ _SO3_FILE = {"n": 3, "m": 3, "inertia": np.diag([1.0, 2.0, 3.0]).tolist(),
     {**_SO3_FILE, "m": True},
     {**_SO3_FILE, "rep_dim": 3.5},
     {**_SO3_FILE, "n": "3"},
+    {**_SO3_FILE, "n": 2.0},
+    {**_SO3_FILE, "rep_dim": True},
     {**_SO3_FILE, "structure_constants": [[3, 1.5, 2, 1.0]] + _SO3_FILE["structure_constants"][1:]},
     {**_SO3_FILE, "structure_constants": [[3, 1, 2, "1"]] + _SO3_FILE["structure_constants"][1:]},
     {**_SO3_FILE, "structure_constants": 7},
@@ -448,7 +483,8 @@ _SO3_FILE = {"n": 3, "m": 3, "inertia": np.diag([1.0, 2.0, 3.0]).tolist(),
      + _SO3_FILE["basis_matrices"][1:]},
     {**_SO3_FILE, "basis_matrices": _SO3_FILE["basis_matrices"][:2]
      + [[[0, -1, 0], [1, 0, 0], [0, 0, _INF]]]},
-], ids=["m-float", "n-float", "m-bool", "rep_dim-float", "n-string", "index-float",
+], ids=["m-float", "n-float", "m-bool", "rep_dim-float", "n-string", "n-integral-float",
+        "rep_dim-bool", "index-float",
         "value-string", "constants-number", "number", "null", "list", "name-list",
         "basis-nan", "basis-inf"])
 def test_malformed_model_file_is_config_error(tmp_path, capsys, content):
@@ -695,7 +731,7 @@ _CUSTOM_NO_REP = {key: value for key, value in _SO3_FILE.items()
     ("simulate", {"problem": {**_PROBLEM, "y0": [0, 0]}}, [], "y0 and yT must have 3 components"),
     ("simulate", {"problem": {**_PROBLEM, "yT": [0, 0, 0, 0]}}, [],
      "y0 and yT must have 3 components"),
-    ("simulate", {"problem": {**_PROBLEM, "steps": 0}}, [], "steps must be at least 1"),
+    ("simulate", {"problem": {**_PROBLEM, "steps": 0}}, [], "problem.steps must be at least 1"),
     ("simulate", {"control": {"times": [0.0, 1.0], "values": [[0, 0, 0]]}}, [],
      "control samples need matching"),
     ("simulate", {"control": "one"}, [], "control must be \"zero\" or an object"),

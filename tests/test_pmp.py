@@ -116,16 +116,17 @@ def test_eliminate_newton_on_quartic(so3_m2):
 @pytest.mark.filterwarnings("error")
 def test_eliminate_singular_quadratic(so3_m2):
     # rank one at the 1e-12 scale is singular whatever the units of the weight;
-    # it is refused where the cost is built, as are indefinite, semidefinite,
+    # it is refused where any cost is made, as are indefinite, semidefinite,
     # negative definite, numerically singular and non-finite weights
+    quad = min_acc_cost(so3_m2)
     for R in (np.full((2, 2), 1e-12), np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), -np.eye(2),
               np.diag([1.0, 1e-14]), np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0])):
-        with pytest.raises(ValueError, match="positive definite"):
-            quadratic_cost(so3_m2, R)
-    # a hand-built cost is checked where its control is eliminated
-    cost = dataclasses.replace(min_acc_cost(so3_m2), quad_weight=np.full((2, 2), 1e-12))
-    with pytest.raises(aoc.SingularRegularity):
-        eliminate_control(so3_m2, cost, State(np.eye(3), np.zeros(3)), np.ones(3))
+        for make in (lambda: quadratic_cost(so3_m2, R),
+                     lambda: dataclasses.replace(quad, quad_weight=R),
+                     lambda: CostModel(quad.eval, quad.dL_dx_triv, quad.dL_dy, quad.dL_du,
+                                       quad.d2L_du2, True, quad_weight=R)):
+            with pytest.raises(ValueError, match="positive definite"):
+                make()
 
 
 @pytest.mark.parametrize("scale", [1e-4, 1e-12, 1e8])
@@ -139,13 +140,11 @@ def test_eliminate_small_weight_is_regular(so3_j123, scale):
 
 def test_singular_weight_rejected_by_flow(so3_m2):
     R = np.array([[1.0, 2.0], [2.0, 4.0]])
+    # no flow can be given the weight: it is refused where the cost is made
     with pytest.raises(ValueError, match="positive definite"):
         quadratic_cost(so3_m2, R)
-    # a hand-built cost is checked where the flow uses it
-    cost = dataclasses.replace(min_acc_cost(so3_m2), quad_weight=R)
-    with pytest.raises(aoc.SingularRegularity):
-        propagate_endpoints(so3_m2, aoc.so3_group(so3_m2), cost, np.eye(3), np.zeros(3),
-                            np.ones(3), np.ones(3), 1.0, 4)
+    with pytest.raises(ValueError, match="positive definite"):
+        dataclasses.replace(min_acc_cost(so3_m2), quad_weight=R)
 
 
 def test_eliminate_singular_hessian_newton(so3_m2):
