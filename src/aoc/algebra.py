@@ -68,9 +68,10 @@ def _count(value, what):
 
 def _positive(value, what):
     """A finite positive real number; a bool, a string or any other value that
-    is not a real number is a ValueError, as are 0, negatives, inf and nan."""
+    is not a real number is a ValueError, as are 0, negatives, inf, nan and an
+    integer beyond the largest float, which has no float value."""
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-            or not 0.0 < value < np.inf):
+            or not 0.0 < value <= float(np.finfo(float).max)):
         raise ValueError(f"{what} must be finite and positive, got {value!r}")
     return value
 
@@ -175,6 +176,8 @@ def load_model(path):
     if not isinstance(name, str):
         raise ValueError(f"'name' must be a string, got {name!r}")
     n, entries = _count(data["n"], "'n'"), data.get("structure_constants", [])
+    if n < 1:
+        raise ValueError(f"'n' must be at least 1, got {n}")
     if not isinstance(entries, list):
         raise ValueError(f"structure_constants must be a list, got {entries!r}")
     C = np.zeros((n, n, n))

@@ -30,17 +30,21 @@ every flow: a look at the record every FINITE_CHECK_STEPS steps, and a
 one-row batch stepped as a vector.  ``munthe_kaas_increment`` is the one
 place of the scheme's bracket-corrected combination.  For a vector field
 that reads x each step of the loop is a coupled step
-(``rkmk_coupled_step``), which carries x along.  One that does not,
-which is every cost the CLI accepts, is split as Munthe-Kaas splits a
-Lie-group integrator: the loop takes classical RK4 steps of v alone.
-Either way the loop keeps the stage velocities, and batched passes after
-the loop rebuild x from them with the coupled step's bits.  A split
-field that also ignores the step and node and acts on each row alone
-(the fused extremal field) takes the v-record of a flow of at least
-PARAREAL_MIN_STEPS steps from Parareal in time (``_parareal``), which
-matches the loop to rounding while a batch keeps each row's bits.
-``_uniform_grid`` is the one check of a time grid, T and its step count,
-for every caller of the stepper.
+(``rkmk_coupled_step``), which carries x along, and the loop records that
+x.  One that does not, which is every cost the CLI accepts, is split as
+Munthe-Kaas splits a Lie-group integrator: the loop takes classical RK4
+steps of v alone and keeps the stage velocities, and batched passes after
+the loop (``_reconstruct``) rebuild x from them.  Below
+PARAREAL_MIN_STEPS steps they multiply the step exponentials in order,
+with the coupled step's bits.  A longer flow multiplies them by the
+segments that Parareal cuts (``_segments``), in about steps / segments +
+segments stacked matmuls rather than one per step, and matches the
+coupled step to rounding.  A split field that also ignores the step and
+node and acts on each row alone (the fused extremal field) takes the
+v-record of a flow of at least PARAREAL_MIN_STEPS steps from Parareal in
+time (``_parareal``), which matches the loop to rounding.  Either way a
+batch keeps each row's bits.  ``_uniform_grid`` is the one check of a
+time grid, T and its step count, for every caller of the stepper.
 """
 
 from __future__ import annotations
@@ -337,15 +341,16 @@ def rkmk_coupled_step(gm, x, v, k, h, rhs):
 _PASS_ROWS = 4096
 
 # Parareal (``_parareal``) steps a flow of at least PARAREAL_MIN_STEPS steps in
-# PARAREAL_SEGMENTS segments.  A row takes part only if one RK4 step over each
-# pair of segments lands within PARAREAL_MAX_COARSE_ERROR of the row's scale of
-# the pair's two coarse steps: that gap foretells the sweeps the row needs.  A
-# row stops once its largest correction is at most PARAREAL_ULPS ulps of its
-# scale, and reruns the sequential loop if it has not after
-# PARAREAL_MAX_SWEEPS sweeps.  Paired so(3), se(2) and abelian flows set the
-# values (BENCH_pr18_parareal.json; ROADMAP item 5 has the figures).  Stopped
-# rows' corrections settle at up to 7.3 ulps, so a stop at 8 ulps would cost
-# 11 of them a fourth sweep.
+# PARAREAL_SEGMENTS segments, and ``_reconstruct`` multiplies the x of any split
+# flow that long by the same segments (``_segments``).  A row takes part only
+# if one RK4 step over each pair of segments lands within
+# PARAREAL_MAX_COARSE_ERROR of the row's scale of the pair's two coarse steps:
+# that gap foretells the sweeps the row needs.  A row stops once its largest
+# correction is at most PARAREAL_ULPS ulps of its scale, and reruns the
+# sequential loop if it has not after PARAREAL_MAX_SWEEPS sweeps.  Paired so(3),
+# se(2) and abelian flows set the values (BENCH_pr18_parareal.json; ROADMAP
+# item 5 has the figures).  Stopped rows' corrections settle at up to 7.3 ulps,
+# so a stop at 8 ulps would cost 11 of them a fourth sweep.
 PARAREAL_MIN_STEPS = 500
 PARAREAL_SEGMENTS = 20
 PARAREAL_MAX_COARSE_ERROR = 1e-6
@@ -369,14 +374,51 @@ def _uniform_grid(T, steps):
     return steps, _positive(T, "T") / steps
 
 
+def _segments(steps):
+    """The partition of a grid of ``steps`` steps into PARAREAL_SEGMENTS
+    segments, the longer ones first: their lengths, and the first step of each
+    followed by ``steps``."""
+    q, r = divmod(steps, PARAREAL_SEGMENTS)
+    lengths = np.array([q + 1] * r + [q] * (PARAREAL_SEGMENTS - r))
+    return lengths, np.concatenate([[0], np.cumsum(lengths)])
+
+
 def _reconstruct(gm, zs, h, xs):
-    """Fill ``xs[1:]`` with x after the steps whose stage velocities are ``zs``
-    (4, steps, ..., n), from x = ``xs[0]``: the increments and their
-    exponentials in one batched pass, then the product over the steps in order."""
-    omega = munthe_kaas_increment(gm.algebra, h, zs[0], lambda i, theta: zs[i])
-    es = exp_map(gm, omega)
-    for k in range(len(es)):
-        xs[k + 1] = compose(xs[k], es[k])
+    """Fill ``xs[1:len(zs[0]) + 1]`` with x after the steps whose stage
+    velocities are ``zs`` (4, done, ..., n), from x = ``xs[0]``, in batched
+    passes of at most _PASS_ROWS rows times steps that form the increments and
+    their exponentials.  A record ``xs`` of fewer than PARAREAL_MIN_STEPS steps
+    takes the product over the steps in order.  A longer one takes it by the
+    segments of ``_segments``, cut from the record's grid alone: the
+    exponentials go into the record, every segment's prefix products are
+    formed there at once, and then each segment is carried from its first x
+    in order.  Steps from ``done`` on take the identity."""
+    done, steps = zs.shape[1], len(xs) - 1
+    per_pass = max(1, _PASS_ROWS // max(1, prod(xs.shape[1:-2])))
+    for j in range(0, done, per_pass):
+        stop = min(j + per_pass, done)
+        omega = munthe_kaas_increment(gm.algebra, h, zs[0, j:stop], lambda i, theta: zs[i, j:stop])
+        es = exp_map(gm, omega)
+        if steps >= PARAREAL_MIN_STEPS:
+            xs[j + 1:stop + 1] = es
+        else:
+            for k in range(j, stop):
+                np.matmul(xs[k], es[k - j], out=xs[k + 1])
+    if steps < PARAREAL_MIN_STEPS:
+        return
+    xs[done + 1:] = np.eye(xs.shape[-1])
+    lengths, first = _segments(steps)
+    # the segments of each length as one (segments, length, ...) view of the
+    # record; r is the first of the shorter segments, or 0 if none is shorter
+    r = int(np.argmin(lengths))
+    runs = [xs[1 + first[i]:1 + first[j]].reshape((j - i, lengths[i]) + xs.shape[1:])
+            for i, j in ((0, r), (r, len(lengths))) if j > i]
+    for run in runs:
+        for t in range(1, run.shape[1]):
+            np.matmul(run[:, t - 1], run[:, t], out=run[:, t])
+    for i in range(len(lengths)):
+        span = xs[1 + first[i]:1 + first[i + 1]]
+        np.matmul(xs[first[i]], span, out=span)
 
 
 def _rk4_step(x, v, k, h, rhs):
@@ -409,23 +451,26 @@ def _rk4_loop(x, steps, h, rhs, vs, look=True, coupled=None):
     stage velocities, shape (4, steps, ..., n), and the number of steps
     recorded: with ``look`` the loop stops at a look (``_looks_bad``) that
     finds a v that is not finite.  A field that ignores x is passed ``x`` at
-    every stage; with ``coupled``, the group model of a field that reads x,
-    each step is a coupled step (``rkmk_coupled_step``), which carries x
-    along without recording it.  A one-row batch steps as a vector, v and x
-    both, which numpy's matmul runs faster than a stack of one, same bits."""
+    every stage.  With ``coupled``, the group model of a field that reads x,
+    ``x`` is the record of x, filled like ``vs``, and each step is a coupled
+    step (``rkmk_coupled_step``), which carries x along; the loop then keeps
+    no stage velocities and returns None for them.  A one-row batch steps as
+    a vector, v and x both, which numpy's matmul runs faster than a stack of
+    one, same bits."""
     batch = vs.shape[1:-1]
     lone = batch and prod(batch) == 1
     if lone:
-        vs, x = vs[(slice(None),) + (0,) * len(batch)], np.reshape(x, np.shape(x)[-2:])
+        row = (slice(None),) + (0,) * len(batch)
+        vs, x = vs[row], x[row] if coupled is not None else np.reshape(x, np.shape(x)[-2:])
     v, zs, recorded = vs[0], None, steps
     for k in range(steps):
-        if coupled is None:
-            z, v = _rk4_step(x, v, k, h, rhs)
+        if coupled is not None:
+            x[k + 1], v, _ = rkmk_coupled_step(coupled, x[k], v, k, h, rhs)
         else:
-            x, v, z = rkmk_coupled_step(coupled, x, v, k, h, rhs)
-        if zs is None:
-            zs = np.empty((4, steps) + np.shape(z[0]))
-        zs[:, k] = z
+            z, v = _rk4_step(x, v, k, h, rhs)
+            if zs is None:
+                zs = np.empty((4, steps) + np.shape(z[0]))
+            zs[:, k] = z
         vs[k + 1] = v
         if look and _looks_bad(k, vs):
             recorded = k + 1
@@ -456,11 +501,9 @@ def _parareal(x, steps, h, rhs, vs):
     """
     K = PARAREAL_SEGMENTS
     R, p = vs.shape[1:]
-    q, r = divmod(steps, K)
-    lengths = np.array([q + 1] * r + [q] * (K - r))
-    first = np.concatenate([[0], np.cumsum(lengths)])
-    # the segments of q steps run one step past their end in a sweep of q + 1
-    past_end = np.arange(q + (r > 0) + 1)[:, None] > lengths
+    lengths, first = _segments(steps)
+    # the shorter segments run one step past their end in a sweep of the longest
+    past_end = np.arange(lengths[0] + 1)[:, None] > lengths
     U = np.empty((K + 1, R, p))
     G = np.empty((K, R, p))
     U[0] = vs[0]
@@ -519,19 +562,21 @@ def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False, parareal=False):
     package (``_rk4_loop``).
 
     ``rhs`` is as in ``rkmk_coupled_step``.  With ``needs_x`` each step of
-    the loop is a coupled step.  Otherwise rhs must ignore x (it is passed
-    the initial x), and the step splits: the loop takes classical RK4 steps
-    of v.  Either way the loop keeps the four stage velocities z1..z4 of
-    every step, and x is reconstructed from them after the loop
-    (``_reconstruct``), with the bits of the coupled step.  Returns the flow
-    (xs, vs) on the grid: steps + 1 states, the initial one first, of the
-    batch of x and v broadcast together.
+    the loop is a coupled step, and the loop records the x it carries.
+    Otherwise rhs must ignore x (it is passed the initial x), and the step
+    splits: the loop takes classical RK4 steps of v and keeps the four stage
+    velocities z1..z4 of every step, and x is reconstructed from them after
+    the loop (``_reconstruct``).  Below PARAREAL_MIN_STEPS steps that x has
+    the bits of the coupled step; a longer flow takes the product of the
+    step exponentials by segments, which matches the coupled step to
+    rounding.  Returns the flow (xs, vs) on the grid: steps + 1 states, the
+    initial one first, of the batch of x and v broadcast together.
 
     Every flow keeps two rules.  The loop looks at its record of v every
     FINITE_CHECK_STEPS steps and stops at a look that finds a state that is
     not finite (so rhs must return on one, not raise); ``_finite_steps``
-    places the first such step over v and the x rebuilt up to the first bad
-    v, for NonFinite.  And a one-row batch steps as a vector (``_rk4_loop``).
+    places the first such step over v and the x carried or rebuilt up to the
+    first bad v, for NonFinite.  And a one-row batch steps as a vector (``_rk4_loop``).
 
     ``parareal`` marks a split field that also ignores (k, c) and acts on
     each row alone: a flow of at least PARAREAL_MIN_STEPS steps then takes
@@ -543,17 +588,17 @@ def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False, parareal=False):
     vs = np.empty((steps + 1,) + lead + np.shape(v)[-1:])
     xs[0], vs[0] = x, v
     with np.errstate(over="ignore", invalid="ignore"):
-        if parareal and not needs_x and steps >= PARAREAL_MIN_STEPS:
+        if needs_x:
+            zs, recorded = _rk4_loop(xs, steps, h, rhs, vs, coupled=gm)
+        elif parareal and steps >= PARAREAL_MIN_STEPS:
             zs, recorded = _parareal(xs[0].reshape((-1,) + xs.shape[-2:]), steps, h, rhs,
                                      vs.reshape(steps + 1, -1, vs.shape[-1]))
             zs = zs.reshape((4, steps) + lead + zs.shape[-1:])
         else:
-            zs, recorded = _rk4_loop(xs[0], steps, h, rhs, vs, coupled=gm if needs_x else None)
+            zs, recorded = _rk4_loop(xs[0], steps, h, rhs, vs)
         done = _finite_steps(vs[:recorded + 1])
-        per_pass = max(1, _PASS_ROWS // max(1, prod(lead)))
-        for j in range(0, done, per_pass):
-            stop = min(j + per_pass, done)
-            _reconstruct(gm, zs[:, j:stop], h, xs[j:stop + 1])
+        if not needs_x:
+            _reconstruct(gm, zs[:, :done], h, xs)
         done = _finite_steps(vs[:done + 1], xs[:done + 1])
     if done < steps:
         raise NonFinite(done + 1)

@@ -46,8 +46,8 @@ alone, so it alone turns on the stepper's ``parareal``: flows of at least
 rounding in the rows Parareal admits, while a batch keeps each row's bits.
 ``extremal_trajectory`` turns a recorded flow into a trajectory.
 x-independent flows step (y, mu, xi) alone; x-dependent costs take
-coupled steps, which carry x along; every flow reconstructs x after the
-loop.  ``symplectic_form`` is the one pairing of the Hamiltonian checks:
+coupled steps, which carry x along and record it; the others reconstruct
+x after the loop.  ``symplectic_form`` is the one pairing of the Hamiltonian checks:
 ``poisson_bracket`` pairs the derivative tuples of two observables with
 it.  Only normal extremals are
 treated: ``CostModel`` refuses a quadratic weight whose condition number

@@ -338,11 +338,14 @@ _PROBLEM = {"x0": [0, 0, 0], "xT": [0, 0, 0.5], "y0": [0, 0, 0], "yT": [0, 0, 0]
      "problem.steps must be an integer, got 40.7"),
     ("simulate", {"problem": {**_PROBLEM, "T": True}}, "problem.T must be finite and positive"),
     ("simulate", {"problem": {**_PROBLEM, "T": "1"}}, "problem.T must be finite and positive"),
+    ("simulate", {"problem": {**_PROBLEM, "T": 10**400}}, "problem.T must be finite and positive"),
     ("shoot", {"solver": {"max_iter": 3.7}}, "solver.max_iter must be an integer, got 3.7"),
     ("shoot", {"solver": {"fd_step": 0}}, "solver.fd_step must be finite and positive"),
     ("shoot", {"solver": {"tol": -1}}, "solver.tol must be finite and positive"),
     ("shoot", {"solver": {"max_iter": -5}}, "solver.max_iter must be at least 0"),
     ("shoot", {"solver": {"tol": "1e-8"}}, "solver.tol must be finite and positive"),
+    ("shoot", {"solver": {"tol": 10**400}}, "solver.tol must be finite and positive"),
+    ("shoot", {"solver": {"fd_step": 10**400}}, "solver.fd_step must be finite and positive"),
     ("compare", {"oracle": {"segments": 20.5}},
      "bad oracle section: segments must be an integer"),
     ("compare", {"oracle": {"steps_per_segment": 2.0}},
@@ -354,8 +357,9 @@ _PROBLEM = {"x0": [0, 0, 0], "xT": [0, 0, 0.5], "y0": [0, 0, 0], "yT": [0, 0, 0]
     ("validate", {"algebra": {"kind": "abelian", "n": -1}}, "algebra.n must be at least 1"),
     ("validate", {"algebra": {"kind": "abelian", "n": 3, "m": True}},
      "actuated dimension m must be an integer"),
-], ids=["steps-float", "T-bool", "T-string", "max_iter-float", "fd_step-zero", "tol-negative",
-        "max_iter-negative", "tol-string", "segments-float", "steps_per_segment-float",
+], ids=["steps-float", "T-bool", "T-string", "T-beyond-float", "max_iter-float", "fd_step-zero",
+        "tol-negative", "max_iter-negative", "tol-string", "tol-beyond-float",
+        "fd_step-beyond-float", "segments-float", "steps_per_segment-float",
         "so3-m-float", "abelian-n-float", "abelian-n-integral-float", "abelian-n-negative",
         "abelian-m-bool"])
 def test_bad_numeric_config_value_is_config_error(tmp_path, capsys, monkeypatch,
@@ -498,6 +502,17 @@ def test_malformed_model_file_is_config_error(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert err.startswith("error: bad model file: ")
     assert "did not converge" not in err
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_a_model_file_of_no_dimension_names_n(tmp_path, capsys, n):
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps({**_SO3_FILE, "n": n}))
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, algebra={"kind": "custom", "file": str(model_file)})
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: bad model file: 'n' must be at least 1, "
+                                              f"got {n}")
 
 
 def test_the_valid_model_file_validates(tmp_path, capsys):

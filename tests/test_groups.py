@@ -419,6 +419,25 @@ def test_abelian_translation_overflow_reports_first_bad_step(abelian3, pass_rows
         assert err.value.step_index == refd.value.step_index == bad
 
 
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (4, 3)])
+def test_a_coupled_flow_records_the_x_it_carries(shape, so3_j123_group, monkeypatch):
+    # nothing rebuilds x after the loop
+    gm = so3_j123_group
+
+    def attracted(k, c, x, v):
+        return v, x[..., :, 0] - v
+
+    def rebuilt(*args):
+        raise AssertionError("x was rebuilt")
+
+    v0 = np.random.default_rng(9).uniform(-1.0, 1.0, shape)
+    x0 = aoc.exp_map(gm, np.array([0.3, -0.2, 0.4]))
+    xs1, vs1 = coupled_loop(gm, x0, v0, 20, 0.1, attracted)
+    monkeypatch.setattr(aoc.groups, "_reconstruct", rebuilt)
+    xs2, vs2 = rkmk_integrate(gm, x0, v0, 20, 0.1, attracted, needs_x=True)
+    assert np.array_equal(xs1, xs2) and np.array_equal(vs1, vs2)
+
+
 @pytest.mark.parametrize("shape", [(3,), (4, 3)])
 def test_coupled_flow_is_bitwise_the_coupled_loop(shape, so3_j123_group):
     gm = so3_j123_group

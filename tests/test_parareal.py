@@ -1,11 +1,13 @@
-"""Parareal in time for long split flows (``groups._parareal``).
+"""Long split flows: Parareal in time (``groups._parareal``) and x by segments.
 
 Flows of at least PARAREAL_MIN_STEPS steps through ``rkmk_integrate`` with
 ``parareal`` match the sequential RK4 loop to rounding, not bit for bit, in
 the rows whose coarse error admits them; other rows, and rows that reach
-the sweep cap, keep the loop's bits.  Each row still gets the bits it gets
-alone, a blow-up is reported at the loop's step, and shorter flows keep the
-loop's bits.
+the sweep cap, keep the loop's bits.  The x record of such a flow is the
+product of its step exponentials by Parareal's segments
+(``groups._reconstruct``), which matches the product in order to rounding.
+Each row still gets the bits it gets alone, a blow-up is reported at the
+loop's step, and shorter flows keep the loop's bits.
 """
 
 import dataclasses
@@ -16,7 +18,7 @@ import pytest
 import aoc
 from aoc import groups
 from aoc.groups import (FINITE_CHECK_STEPS, PARAREAL_MIN_STEPS, PARAREAL_SEGMENTS,
-                        rkmk_coupled_step, rkmk_integrate)
+                        munthe_kaas_increment, rkmk_coupled_step, rkmk_integrate)
 from aoc.pmp import extremal_field, min_acc_cost, propagate_endpoints
 
 # the bound on a deviation from the sequential loop, in ulps of the flow's
@@ -167,6 +169,57 @@ def test_below_the_threshold_the_loop_keeps_its_bits(monkeypatch):
     xs1, vs1 = flow(gm, v0, steps, parareal=True)
     assert loops == [(steps, (3,))]
     assert np.array_equal(xs1, xs0) and np.array_equal(vs1, vs0)
+
+
+def sequential_product(gm, zs, h, x0):
+    """The reference for the x record: the exponentials of the steps whose
+    stage velocities are ``zs``, multiplied in order from x0."""
+    omega = munthe_kaas_increment(gm.algebra, h, zs[0], lambda i, theta: zs[i])
+    xs = [x0]
+    for e in aoc.exp_map(gm, omega):
+        xs.append(xs[-1] @ e)
+    return np.array(xs)
+
+
+@pytest.mark.parametrize("kind", ["so3-m2", "se2", "abelian"])
+@pytest.mark.parametrize("steps", [PARAREAL_MIN_STEPS, PARAREAL_MIN_STEPS + 7, 5000],
+                         ids=["threshold", "not-divisible", "5000"])
+def test_long_flow_x_matches_the_sequential_product_to_rounding(kind, steps, monkeypatch):
+    # within one ulp per step of the largest entry of the product in order
+    gm = GROUPS[kind]()
+    v0 = np.random.default_rng(3).uniform(-0.5, 0.5, (4, 3 * gm.algebra.n))
+    seen = []
+    reconstruct = groups._reconstruct
+
+    def kept(gm, zs, h, xs):
+        seen.append((zs.copy(), h, xs[0].copy()))
+        return reconstruct(gm, zs, h, xs)
+
+    monkeypatch.setattr(groups, "_reconstruct", kept)
+    xs, _ = flow(gm, v0, steps, parareal=True)
+    [(zs, h, x0)] = seen
+    ref = sequential_product(gm, zs, h, x0)
+    assert zs.shape[1] == steps and np.array_equal(xs[0], ref[0])
+    assert np.abs(xs - ref).max() <= steps * np.finfo(float).eps * np.abs(ref).max()
+    assert not np.array_equal(xs, ref)  # the product by segments, not in order
+
+
+@pytest.mark.parametrize("pass_rows", [None, 20], ids=["passes", "passes-20"])
+@pytest.mark.parametrize("steps", [PARAREAL_MIN_STEPS, 2000])
+def test_long_flow_rows_of_a_batch_are_bitwise_single_rows(steps, pass_rows, monkeypatch):
+    # passes of 20 rows times steps cut the segments of the product, in other
+    # places for the batch than for a row alone
+    if pass_rows is not None:
+        monkeypatch.setattr(groups, "_PASS_ROWS", pass_rows)
+    gm = GROUPS["so3-m2"]()
+    rhs = extremal_field(gm.algebra, gm, min_acc_cost(gm.algebra))
+    rng = np.random.default_rng(8)
+    v0 = rng.uniform(-1.0, 1.0, (5, 9)) * np.geomspace(0.05, 2.0, 5)[:, None]
+    x0 = aoc.exp_map(gm, rng.uniform(-1.0, 1.0, (5, 3)))
+    xs, vs = rkmk_integrate(gm, x0, v0, steps, 1.0 / steps, rhs, parareal=True)
+    for r in range(5):
+        xs1, vs1 = rkmk_integrate(gm, x0[r], v0[r], steps, 1.0 / steps, rhs, parareal=True)
+        assert np.array_equal(xs1, xs[:, r]) and np.array_equal(vs1, vs[:, r])
 
 
 @pytest.mark.parametrize("steps", [PARAREAL_MIN_STEPS - 1, PARAREAL_MIN_STEPS],

@@ -463,7 +463,7 @@ def test_nonconverged_returns_best_iterate():
 @pytest.mark.parametrize("name, value", [
     ("tol", 0.0), ("tol", -1.0), ("tol", np.nan), ("tol", True), ("fd_step", 0),
     ("fd_step", np.inf), ("fd_step", "1e-6"), ("max_iter", 2.5), ("max_iter", -2),
-    ("max_iter", True)])
+    ("max_iter", True), pytest.param("tol", 10**400, id="tol-beyond-float")])
 def test_bad_solver_arguments_are_value_errors(name, value, monkeypatch):
     # refused before any flow: nothing is reported as a run that stopped at once
     # or ran every start to max_iter
