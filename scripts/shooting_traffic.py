@@ -13,9 +13,9 @@ covariant acceleration cost and the default solver arguments.
     e3     m = 2, 0.2-0.8 rad about the unactuated axis e3
     big    m = 2, 2.5-3.1 rad
 
-e3 and big reach the solver's other paths: on e3 targets most seeds stall
-on the coarse grid, so the solve tries several starts, and some big
-targets run their continuation to max_iter and rerun from the seed.
+e3 and big reach the solver's other paths: on e3 targets several seeds
+stall on the coarse grid, so the solve tries several starts, and big
+targets take the longest coarse runs and continuations.
 
 Each ``--src`` is a source tree holding the ``aoc`` package (say ``src`` of a
 checkout of another commit, and ``src`` of this one); by default it is this
@@ -27,16 +27,19 @@ running cost of the converged targets.  With two sides it adds how many
 targets reach the same extremal (running cost within 1e-6 relative), the
 largest relative cost difference, and how many targets do the same work
 (``same_work``: the converged flag, the requested and coarse flows, the LM
-steps and the running cost all equal, the cost bit for bit).  ``--json`` writes these rows and, per
-target, the converged flag and running cost of each side.
+steps and the running cost all equal, the cost bit for bit).  ``--json``
+writes these rows and, per target, each side's converged flag, running cost
+and work (``COUNTS``: the requested and coarse flows and the LM steps).
 
 ``--check FILE`` runs one side and compares each target with its record in
 FILE, a ``--json`` file: the converged flag must match and the cost must be
 within CHECK_RTOL relative.  It prints every target that does not and exits
-1 if there is one.  ``shooting_corpus.json`` next to this script is the
-pinned corpus of all 120 targets (12 of each kind at 50 and 200 steps, the
-default arguments); a change that moves an answer rewrites it
-with ``--json`` and says why.
+1 if there is one.  It also counts the targets whose work matches their
+record; when one does not, it prints this run's and FILE's work totals for
+each steps and kind that moved, and still exits 0.  ``shooting_corpus.json``
+next to this script is the pinned corpus of all 120 targets (12 of each kind
+at 50 and 200 steps, the default arguments); a change that moves an answer
+or the work rewrites it with ``--json`` and says why.
 
     python scripts/shooting_traffic.py --src ../parent/src --src src --json rows.json
     python scripts/shooting_traffic.py --check scripts/shooting_corpus.json
@@ -57,8 +60,10 @@ KINDS = {"act": (3, 0.2, 1.0, None), "under": (2, 0.2, 0.8, None),
          "wide": (2, 1.0, 3.1, None), "e3": (2, 0.2, 0.8, (0.0, 0.0, 1.0)),
          "big": (2, 2.5, 3.1, None)}
 CHECK_RTOL = 1e-6
+# the work of a solve: requested-grid flows, coarse-grid flows and LM steps
+COUNTS = ("requested", "coarse", "lm_steps")
 # what a solve did, compared bit for bit between two sides for same_work
-WORK = ("converged", "requested", "coarse", "lm_steps", "cost")
+WORK = ("converged", *COUNTS, "cost")
 
 
 def load(src):
@@ -126,10 +131,9 @@ def main():
                 for s in order:
                     runs[s].append(solve(sides[s], m, axis, angle, steps))
                 targets.append({"steps": steps, "kind": kind, "k": k,
-                                "converged": [side[k]["converged"] for side in runs],
-                                "cost": [side[k]["cost"] for side in runs]})
+                                **{key: [side[k][key] for side in runs] for key in WORK}})
             row = {"steps": steps, "kind": kind, "targets": args.targets}
-            for key in ("converged", "requested", "coarse", "lm_steps"):
+            for key in ("converged", *COUNTS):
                 row[key] = [sum(r[key] for r in side) for side in runs]
             row["wall_s"] = [round(sum(r["wall_s"] for r in side), 3) for side in runs]
             row["cost"] = [sum(r["cost"] for r in side if r["converged"]) for side in runs]
@@ -150,16 +154,24 @@ def main():
 
 
 def check(targets, pinned):
-    """Compare each run target with its pinned record; print the ones that
-    differ and return the exit code."""
+    """Compare each run target with its pinned record; print the ones whose
+    answer differs and return the exit code.  Count the ones whose work
+    matches, and print the work totals of each steps and kind that moved."""
     pinned = {(t["steps"], t["kind"], t["k"]): t for t in pinned}
-    bad = 0
+    bad, same_work, totals, moved = 0, 0, {}, set()
     for t in targets:
         key = (t["steps"], t["kind"], t["k"])
         if key not in pinned:
             print(f"check: steps={key[0]} kind={key[1]} k={key[2]} is not in the corpus")
             bad += 1
             continue
+        work = [t[count][0] for count in COUNTS]
+        work0 = [pinned[key][count][0] for count in COUNTS]
+        same_work += work == work0
+        if work != work0:
+            moved.add(key[:2])
+        total = totals.setdefault(key[:2], np.zeros((2, len(COUNTS)), dtype=int))
+        total += [work, work0]
         ok, cost = t["converged"][0], t["cost"][0]
         ok0, cost0 = pinned[key]["converged"][0], pinned[key]["cost"][0]
         same = ok == ok0 and (cost == cost0 if cost is None or cost0 is None
@@ -169,6 +181,11 @@ def check(targets, pinned):
                   f", pinned converged={ok0} cost={cost0}")
             bad += 1
     print(f"check: {len(targets) - bad} of {len(targets)} targets match the corpus")
+    print(f"check: {same_work} of {len(targets)} targets do the corpus's work")
+    for steps, kind in sorted(moved):
+        run, corpus = totals[steps, kind]
+        print(f"check: work steps={steps} kind={kind} " + " ".join(
+            f"{count}={a} (corpus {b})" for count, a, b in zip(COUNTS, run, corpus)))
     return 1 if bad else 0
 
 

@@ -58,11 +58,23 @@ class LieAlgebraModel:
     name: str = "custom"
 
 
-def _count(value, what):
-    """An integer count; a float, even an integral one, or a bool is a ValueError
-    rather than a count truncated by ``int``."""
+def _shown(value):
+    """repr(value) for an error message, or the size of an integer too long for
+    Python to print (more than 4,300 digits), whose repr is itself a ValueError."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
+def _count(value, what, least):
+    """An integer count of at least ``least``; a float, even an integral one, or a
+    bool is a ValueError rather than a count truncated by ``int``, as is a count
+    below ``least``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {_shown(value)}")
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}, got {_shown(value)}")
     return int(value)
 
 
@@ -72,7 +84,7 @@ def _positive(value, what):
     integer beyond the largest float, which has no float value."""
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
             or not 0.0 < value <= float(np.finfo(float).max)):
-        raise ValueError(f"{what} must be finite and positive, got {value!r}")
+        raise ValueError(f"{what} must be finite and positive, got {_shown(value)}")
     return value
 
 
@@ -86,12 +98,10 @@ def make_model(n, m, C, inertia, name="custom", strict=True) -> LieAlgebraModel:
     raises ``ValueError``; pass ``strict=False`` to construct
     deliberately broken models for validation reporting, in which case a
     failed factorization leaves ``inertia_inv`` (and so ``drift``) all NaN.
-    The counts ``n`` and ``m`` must be integers.
+    The counts ``n`` and ``m`` must be integers with 1 <= m <= n.
     """
-    n, m = _count(n, "algebra dimension n"), _count(m, "actuated dimension m")
-    if n < 1:
-        raise ValueError(f"algebra dimension must be positive, got {n}")
-    if not 1 <= m <= n:
+    n, m = _count(n, "algebra dimension n", 1), _count(m, "actuated dimension m", 1)
+    if m > n:
         raise ValueError(f"actuated dimension m={m} must satisfy 1 <= m <= n={n}")
     C = np.asarray(C, dtype=float)
     inertia = np.asarray(inertia, dtype=float)
@@ -139,7 +149,7 @@ def so3_model(inertia_diag=(1.0, 1.0, 1.0), m=3) -> LieAlgebraModel:
 
 def abelian_model(n, m=None, inertia=None) -> LieAlgebraModel:
     """Abelian R^n (all structure constants zero)."""
-    n = _count(n, "algebra dimension n")
+    n = _count(n, "algebra dimension n", 1)
     m = n if m is None else m
     inertia = np.eye(n) if inertia is None else np.asarray(inertia, dtype=float)
     if inertia.ndim == 1:
@@ -175,9 +185,7 @@ def load_model(path):
     name = data.get("name", "custom")
     if not isinstance(name, str):
         raise ValueError(f"'name' must be a string, got {name!r}")
-    n, entries = _count(data["n"], "'n'"), data.get("structure_constants", [])
-    if n < 1:
-        raise ValueError(f"'n' must be at least 1, got {n}")
+    n, entries = _count(data["n"], "'n'", 1), data.get("structure_constants", [])
     if not isinstance(entries, list):
         raise ValueError(f"structure_constants must be a list, got {entries!r}")
     C = np.zeros((n, n, n))
@@ -196,7 +204,7 @@ def load_model(path):
     if "basis_matrices" in data or "rep_dim" in data:
         if not ("basis_matrices" in data and "rep_dim" in data):
             raise ValueError("rep_dim and basis_matrices must be given together")
-        d = _count(data["rep_dim"], "'rep_dim'")
+        d = _count(data["rep_dim"], "'rep_dim'", 1)
         basis = np.asarray(data["basis_matrices"], dtype=float)
         if basis.shape != (n, d, d):
             raise DimensionMismatch(f"basis_matrices must have shape {(n, d, d)}, got {basis.shape}")

@@ -84,7 +84,7 @@ def load_config(path):
         data = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON, or an integer beyond Python's 4,300-digit limit
         raise UsageError(f"config is not valid JSON: {e}")
     if not isinstance(data, dict):
         raise UsageError("config must be a JSON object")
@@ -135,9 +135,7 @@ def build_model(config):
         if kind == "abelian":
             if "n" not in section:
                 raise UsageError("abelian algebra needs 'n'")
-            n = algebra._count(section["n"], "algebra.n")
-            if n < 1:  # before any array of n entries is made
-                raise ValueError(f"algebra.n must be at least 1, got {n}")
+            n = algebra._count(section["n"], "algebra.n", 1)  # before any array of n entries
             inertia = section.get("inertia")
             inertia = np.eye(n) if inertia is None else _floats(inertia, "algebra.inertia")
             model = algebra.make_model(n, section.get("m", n), np.zeros((n, n, n)),

@@ -55,10 +55,8 @@ class TranscriptionConfig:
     steps_per_segment: int = 2
 
     def __post_init__(self):
-        if _count(self.segments, "segments") < 2:
-            raise ValueError("need at least 2 control segments")
-        if _count(self.steps_per_segment, "steps_per_segment") < 1:
-            raise ValueError("steps_per_segment must be at least 1")
+        _count(self.segments, "segments", 2)
+        _count(self.steps_per_segment, "steps_per_segment", 1)
 
 
 @dataclass

@@ -103,14 +103,14 @@ def zoh_rollout(gm, x0, y0, U, T, steps_per_segment=2):
     ``U`` has shape (N, m) or (B, N, m); integrates with
     ``steps_per_segment`` steps per control segment so that every step
     (stage times included) lies inside one segment and sees that
-    segment's control.  ``steps_per_segment`` must be an integer, and the
-    N * steps_per_segment steps over [0, T] a uniform grid
+    segment's control.  ``steps_per_segment`` must be an integer of at
+    least 1, and the N * steps_per_segment steps over [0, T] a uniform grid
     (``groups._uniform_grid``).  Returns ``(times, xs, ys)`` sampled on
     the full sub-grid, with shapes (K, B?, d, d) and (K, B?, n).  Raises
     NonFinite with the 1-based sub-grid step index if the state blows up.
     """
     U = np.asarray(U, dtype=float)
-    spb = _count(steps_per_segment, "steps_per_segment")
+    spb = _count(steps_per_segment, "steps_per_segment", 1)
     steps, h = groups._uniform_grid(T, U.shape[-2] * spb)
     times = np.linspace(0.0, T, steps + 1)
     drifts = np.moveaxis(embed_control(gm.algebra, U), -2, 0)  # (N, B?, n)

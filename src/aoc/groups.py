@@ -368,9 +368,7 @@ def _uniform_grid(T, steps):
     one check of a time grid in the package: ``steps`` must be an integer of
     at least 1 and T a finite positive real (``algebra._positive``), else
     ValueError."""
-    steps = _count(steps, "steps")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    steps = _count(steps, "steps", 1)
     return steps, _positive(T, "T") / steps
 
 

@@ -50,10 +50,11 @@ coupled steps, which carry x along and record it; the others reconstruct
 x after the loop.  ``symplectic_form`` is the one pairing of the Hamiltonian checks:
 ``poisson_bracket`` pairs the derivative tuples of two observables with
 it.  Only normal extremals are
-treated: ``CostModel`` refuses a quadratic weight whose condition number
-is above 1 / RCOND_MIN (ValueError, where the cost is made), and any other
-cost's control Hessian with such a condition number at the eliminated
-control raises SingularRegularity.
+treated, with a control Hessian that is symmetric positive definite with a
+condition number below 1 / RCOND_MIN (``_regular``): ``CostModel`` refuses
+a quadratic weight that is not (ValueError, where the cost is made), and any
+other cost's control Hessian that is not, at the eliminated control, raises
+SingularRegularity, so the control maximizes H and never minimizes it.
 
 Note on orientation: with the five-term linear Poisson bracket
 implemented here ({xi_i, y_j} = delta_ij), observables evolve along the
@@ -109,8 +110,7 @@ class CostModel:
     ``quad_weight`` marks purely quadratic control costs L = u^T R u / 2, whose
     elimination has the closed form u = R^{-1} xi restricted.  It is checked
     once, here (``dataclasses.replace`` runs the check too): ValueError unless R
-    is finite, symmetric and its least eigenvalue is above RCOND_MIN times its
-    greatest, a scale-invariant rule that a negative or zero eigenvalue fails.
+    is regular (``_regular``).
     """
 
     eval: Callable
@@ -123,13 +123,22 @@ class CostModel:
 
     def __post_init__(self):
         R = self.quad_weight
-        if R is not None:
-            # eigvalsh reads R's lower triangle and raises no error when R is not finite
-            lo, hi = np.linalg.eigvalsh(R)[[0, -1]]
-            if not (np.isfinite(R).all() and np.abs(R - R.T).max() <= 1e-12
-                    and lo > RCOND_MIN * hi):
-                raise ValueError("quadratic weight must be symmetric positive definite with a "
-                                 f"condition number below {1 / RCOND_MIN:g}, got {R.tolist()}")
+        if R is not None and not _regular(R):
+            raise ValueError("quadratic weight must be symmetric positive definite with a "
+                             f"condition number below {1 / RCOND_MIN:g}, got {R.tolist()}")
+
+
+def _regular(H):
+    """Whether H, or each matrix of a stack H (..., m, m), is a regular control
+    Hessian: finite, symmetric and with its least eigenvalue above RCOND_MIN
+    times its greatest, a scale-invariant rule that a negative or zero
+    eigenvalue fails.  The one rule for a quadratic weight and for the Hessian
+    at an eliminated control."""
+    finite = np.isfinite(H).all(axis=(-2, -1))
+    H = np.where(finite[..., None, None], H, 0.0)  # a zero matrix fails the eigenvalue test
+    ev = np.linalg.eigvalsh(H)  # which reads H's lower triangle
+    return (finite & (np.abs(H - np.swapaxes(H, -2, -1)).max(axis=(-2, -1)) <= 1e-12)
+            & (ev[..., 0] > RCOND_MIN * ev[..., -1]))
 
 
 def _lead(s, u):
@@ -184,16 +193,6 @@ def hamiltonian(model, cost, a):
             + np.einsum("...i,...i->...", a.costate.xi, acc) - cost.eval(a.state, u))
 
 
-def _check_regular(H, what):
-    """Raise SingularRegularity if cond(H) > 1 / RCOND_MIN for H or for any
-    matrix of a stack (a scale-invariant test)."""
-    sv = np.linalg.svd(H, compute_uv=False).reshape(-1, np.shape(H)[-1])
-    singular = ~(sv[:, -1] > RCOND_MIN * sv[:, 0])
-    if singular.any():
-        top, low = sv[np.argmax(singular), [0, -1]]
-        raise SingularRegularity(f"{what} is singular (singular values {top:.3g} .. {low:.3g})")
-
-
 def eliminate_control(model, cost, s, xi) -> np.ndarray:
     """Solve dL/du = restricted xi for u, for a batch of points (``s.x``, ``s.y``
     and ``xi`` broadcast together) as for one: in closed form for quadratic
@@ -201,9 +200,9 @@ def eliminate_control(model, cost, s, xi) -> np.ndarray:
     restricted xi on the rows that fail.  A row whose x, y or xi is not finite
     gets a NaN control.  A quadratic weight is regular by construction
     (``CostModel``); any other cost's control Hessian is checked per row at the
-    returned u: SingularRegularity when it is numerically singular, as for a
-    Newton iterate whose Hessian cannot be solved.  NoConvergence when Newton
-    stalls on any finite row."""
+    returned u by the same rule (``_regular``): SingularRegularity when it is
+    not regular, as for a Newton iterate whose Hessian cannot be solved.
+    NoConvergence when Newton stalls on any finite row."""
     xi = np.asarray(xi, dtype=float)
     m = model.m
     target = xi[..., :m]
@@ -223,7 +222,12 @@ def eliminate_control(model, cost, s, xi) -> np.ndarray:
             ul, ok = _newton(cost, s, target, tol, np.where(ok[:, None], ul, target))
         if not ok.all():
             raise NoConvergence("control elimination Newton failed to converge")
-        _check_regular(cost.d2L_du2(s, ul), "control Hessian")
+        H = cost.d2L_du2(s, ul)
+        bad = ~_regular(H)
+        if bad.any():
+            ev = np.linalg.eigvalsh(H[np.argmax(bad)])
+            raise SingularRegularity("control Hessian is not regular at the eliminated control "
+                                     f"(eigenvalues {ev[0]:.3g} .. {ev[-1]:.3g})")
         u[rows] = ul
     return u.reshape(lead + (m,))
 

@@ -33,11 +33,11 @@ evaluation (a 1-row probe flow) at theta + GEO_H delta gives the second
 directional derivative r_vv of the residual, the same damped normal
 matrix gives the acceleration
 a = -(J^T J + lambda I)^-1 J^T r_vv, and the trial moves to
-theta + delta + a / 2.  A step with 2 |a| > GEO_ALPHA |delta|, or whose
-probe fails, is rejected without a trial flow; the gain ratio is still
-measured against the model of delta.  A step therefore costs a probe
-flow plus a trial flow.  Fully actuated problems (m = n) converge in a
-few plain steps, where the probe would only add flows, so they run
+theta + delta + a / 2.  A step whose probe fails is rejected without a
+trial flow; every other step is judged by its trial flow's gain ratio, as
+in plain LM, measured against the model of delta.  A step therefore costs
+a probe flow plus a trial flow.  Fully actuated problems (m = n) converge
+in a few plain steps, where the probe would only add flows, so they run
 without it.
 
 Each start is nested over two grids (nested iteration; P. Deuflhard,
@@ -91,9 +91,8 @@ from .dynamics import State, Trajectory
 from .errors import AngleOutOfRange, NoConvergence, NonFinite
 
 # Geodesic acceleration (Transtrum and Sethna, arXiv:1201.5885): the
-# finite-difference step along delta and the largest accepted 2 |a| / |delta|
+# finite-difference step along delta
 GEO_H = 0.1
-GEO_ALPHA = 0.75
 # Nested iteration: each start is first solved on a coarse copy of the
 # problem with max(COARSE_MIN_STEPS, steps // COARSE_DIVISOR) steps, when
 # the requested grid is at least COARSE_RATIO times longer (40 steps and up).
@@ -249,8 +248,7 @@ def _levenberg_marquardt(evaluate, theta0, tol, max_iter, geodesic=False, dampin
             if probe is not None:
                 r_vv = (2.0 / GEO_H) * ((probe[0] - r) / GEO_H - J @ delta)
                 a = -np.linalg.solve(A, J.T @ r_vv)
-                if 2.0 * np.linalg.norm(a) <= GEO_ALPHA * np.linalg.norm(delta):
-                    step = delta + 0.5 * a
+                step = delta + 0.5 * a
         trial = None
         if step is not None:
             trial, flows = evaluate(theta + step, jacobian=not carried), flows + 1
@@ -277,8 +275,7 @@ def _check_solver_arguments(tol, max_iter, fd_step):
     ``max_iter`` an integer >= 0: the rule of ``solve_shooting``'s arguments."""
     _positive(tol, "tol")
     _positive(fd_step, "fd_step")
-    if _count(max_iter, "max_iter") < 0:
-        raise ValueError(f"max_iter must be at least 0, got {max_iter}")
+    _count(max_iter, "max_iter", 0)
 
 
 def solve_shooting(model, gm, cost, problem, initial_guess=None,

@@ -218,6 +218,27 @@ def test_make_model_rejects_non_integer_counts(n, m):
         aoc.abelian_model(n, m=m)
 
 
+def test_counts_below_their_floor_name_the_key():
+    # one rule for every count: an integer of at least its floor
+    with pytest.raises(ValueError, match=r"^algebra dimension n must be at least 1, got 0$"):
+        make_model(0, 1, np.zeros((0, 0, 0)), np.eye(0))
+    with pytest.raises(ValueError, match=r"^actuated dimension m must be at least 1, got 0$"):
+        make_model(3, 0, np.zeros((3, 3, 3)), np.eye(3))
+    with pytest.raises(ValueError, match=r"^algebra dimension n must be at least 1, got -2$"):
+        aoc.abelian_model(-2)
+
+
+def test_huge_integers_are_named_without_their_digits():
+    # an integer of more than 4,300 digits has no repr: the message names the
+    # key and the integer's size instead of failing in its own f-string
+    with pytest.raises(ValueError, match=r"^tol must be finite and positive, got an integer of "
+                                         r"16610 bits$"):
+        aoc.algebra._positive(10 ** 5000, "tol")
+    with pytest.raises(ValueError, match=r"^steps must be at least 1, got an integer of "
+                                         r"16610 bits$"):
+        aoc.algebra._count(-10 ** 5000, "steps", 1)
+
+
 def test_make_model_takes_numpy_integer_counts():
     model = make_model(np.int64(3), np.int32(2), np.zeros((3, 3, 3)), np.eye(3))
     assert (model.n, model.m) == (3, 2) and type(model.n) is int

@@ -724,6 +724,8 @@ _CUSTOM_NO_REP = {key: value for key, value in _SO3_FILE.items()
 
 @pytest.mark.parametrize("command,config,argv,message", [
     ("validate", "{", [], "config is not valid JSON"),
+    ("simulate", '{"algebra": {"kind": "so3"}, "problem": {"T": 1' + "0" * 5000 + "}}", [],
+     "config is not valid JSON: Exceeds the limit (4300 digits)"),
     ("validate", "[1, 2]", [], "config must be a JSON object"),
     ("simulate", {"problem": [1]}, [], "config section 'problem' must be an object"),
     ("validate", {"algebra": _DROP}, [], "config needs an 'algebra' section"),
@@ -755,12 +757,12 @@ _CUSTOM_NO_REP = {key: value for key, value in _SO3_FILE.items()
      "mu0 and xi0 must have 3 components"),
     ("shoot", {"solver": {"guess": [0, 0, 0]}}, [], "solver guess must have 6 components"),
     ("compare", {"oracle": {"segments": 1}}, [],
-     "bad oracle section: need at least 2 control segments"),
+     "bad oracle section: segments must be at least 2, got 1"),
     ("simulate", {"algebra": {"kind": "custom", "file": "model.json"}}, [],
      "this command needs a matrix representation"),
     ("extremal", {}, ["--mu0", "a,b", "--xi0", "0,0,0"],
      "expected a comma-separated list of numbers, got 'a,b'"),
-], ids=["invalid-json", "not-an-object", "section-not-an-object", "no-algebra",
+], ids=["invalid-json", "integer-beyond-the-digit-limit", "not-an-object", "section-not-an-object", "no-algebra",
         "unknown-algebra-kind", "unknown-cost-kind", "abelian-without-n", "custom-without-file",
         "quadratic-without-R", "no-problem", "missing-problem-key", "R-not-symmetric",
         "R-indefinite", "R-singular",

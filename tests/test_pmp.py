@@ -609,6 +609,31 @@ def test_eliminate_checks_regularity_at_the_returned_control(so3_m2):
         eliminate_control(so3_m2, pure_quartic, State(np.eye(3), np.zeros(3)), np.zeros(3))
 
 
+def test_eliminate_refuses_a_control_that_minimizes_h(so3_m2):
+    # L = -|u|^2 / 2 + |u|^4 / 4: near xi = 0 Newton from u = 0 reaches a
+    # stationary point where the Hessian is negative definite (eigenvalues -0.987
+    # and -0.962), so H has a minimum in u there and not the PMP's maximum;
+    # the Hessian's condition number alone would pass it
+    def hessian(s, u):
+        uu = np.sum(u * u, axis=-1)[..., None, None]
+        return (uu - 1.0) * np.eye(2) + 2.0 * u[..., :, None] * u[..., None, :]
+
+    concave = CostModel(eval=lambda s, u: (-0.5 * np.sum(u * u, axis=-1)
+                                           + 0.25 * np.sum(u * u, axis=-1) ** 2),
+                        dL_dx_triv=zeros(3), dL_dy=zeros(3),
+                        dL_du=lambda s, u: (np.sum(u * u, axis=-1)[..., None] - 1.0) * u,
+                        d2L_du2=hessian, x_independent=True)
+    s, xi = State(np.eye(3), np.zeros(3)), np.array([0.1, -0.05, 0.2])
+    with pytest.raises(aoc.SingularRegularity, match="eigenvalues -0.987 .. -0.962"):
+        eliminate_control(so3_m2, concave, s, xi)
+    # a batch fails when any row does, here the second of two
+    far = np.array([2.0, -2.0, 0.0])  # u about (1.17, -1.17), where the Hessian is definite
+    with pytest.raises(aoc.SingularRegularity):
+        eliminate_control(so3_m2, concave, s, np.stack([far, xi]))
+    u = eliminate_control(so3_m2, concave, s, far)
+    assert np.all(np.linalg.eigvalsh(hessian(s, u)) > 0)
+
+
 def test_trajectory_eliminates_control_once_per_point(so3_j123, so3_j123_group):
     # counts the points the control Hessian is evaluated at
     calls = [0]

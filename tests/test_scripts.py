@@ -39,16 +39,17 @@ def test_shooting_traffic_script_runs():
 
 
 def test_shooting_answers_match_the_pinned_corpus():
-    # fast parts of the 120-target corpus: the 24 act and under targets at 50
-    # steps, and two e3 and two big ones, which take the multi-start and the
-    # rerun after a failed continuation
+    # fast parts of the 120-target corpus, with the answers and the work (flows
+    # and LM steps) of each: the 24 act and under targets at 50 steps, e3
+    # k = 0-9, which take the multi-start, and two big ones; e3 k = 9 converges
+    # only when the trial flow's gain ratio judges every geodesic step
     corpus = ROOT / "scripts" / "shooting_corpus.json"
-    out = run_script("shooting_traffic.py", "--check", str(corpus),
-                     "--kinds", "act", "under", "--steps", "50")
-    assert "check: 24 of 24 targets match the corpus" in out
-    out = run_script("shooting_traffic.py", "--check", str(corpus),
-                     "--kinds", "e3", "big", "--steps", "50", "--targets", "2")
-    assert "check: 4 of 4 targets match the corpus" in out
+    for kinds, targets in ((["act", "under"], 12), (["e3"], 10), (["big"], 2)):
+        out = run_script("shooting_traffic.py", "--check", str(corpus), "--kinds", *kinds,
+                         "--steps", "50", "--targets", str(targets))
+        count = len(kinds) * targets
+        assert f"check: {count} of {count} targets match the corpus" in out
+        assert f"check: {count} of {count} targets do the corpus's work" in out
 
 
 def test_csv_format_check_script_runs():
