@@ -48,7 +48,7 @@ def main():
     if ind.trajectory is None:
         return
     ind_cost = running_cost(cost, ind.trajectory)
-    defects = extremal_defect(model, gm, cost, ind.trajectory)
+    defects = extremal_defect(model, cost, ind.trajectory)
     print(f"  cost = {ind_cost:.6f}")
     print("  extremal defects: " + ", ".join(f"{k}={v:.2e}" for k, v in defects.items()))
 

@@ -27,9 +27,13 @@ running cost of the converged targets.  With two sides it adds how many
 targets reach the same extremal (running cost within 1e-6 relative), the
 largest relative cost difference, and how many targets do the same work
 (``same_work``: the converged flag, the requested and coarse flows, the LM
-steps and the running cost all equal, the cost bit for bit).  ``--json``
-writes these rows and, per target, each side's converged flag, running cost
-and work (``COUNTS``: the requested and coarse flows and the LM steps).
+steps, the row-steps and the running cost all equal, the cost bit for bit).
+The row-steps of a solve are the rows times the steps of each of its flows,
+summed: each tree's ``pmp.propagate_endpoints``, which runs every extremal
+flow, is wrapped to count them before the flow runs, so a flow that blows
+up counts its full grid.  ``--json`` writes these rows and, per target, each
+side's converged flag, running cost and work (``COUNTS``: the requested and
+coarse flows, the LM steps and the row-steps).
 
 ``--check FILE`` runs one side and compares each target with its record in
 FILE, a ``--json`` file: the converged flag must match and the cost must be
@@ -50,6 +54,7 @@ import importlib
 import json
 import sys
 import time
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +65,9 @@ KINDS = {"act": (3, 0.2, 1.0, None), "under": (2, 0.2, 0.8, None),
          "wide": (2, 1.0, 3.1, None), "e3": (2, 0.2, 0.8, (0.0, 0.0, 1.0)),
          "big": (2, 2.5, 3.1, None)}
 CHECK_RTOL = 1e-6
-# the work of a solve: requested-grid flows, coarse-grid flows and LM steps
-COUNTS = ("requested", "coarse", "lm_steps")
+# the work of a solve: requested-grid flows, coarse-grid flows, LM steps and
+# row-steps (``count_row_steps``)
+COUNTS = ("requested", "coarse", "lm_steps", "row_steps")
 # what a solve did, compared bit for bit between two sides for same_work
 WORK = ("converged", *COUNTS, "cost")
 
@@ -82,6 +88,22 @@ def load(src):
     return aoc
 
 
+def count_row_steps(pmp):
+    """Wrap ``pmp.propagate_endpoints`` to add each flow's rows times steps to
+    the returned tally, a one-item list, before the flow runs, so that a flow
+    that blows up counts its full grid."""
+    flow, tally = pmp.propagate_endpoints, [0]
+
+    def counted(model, gm, cost, x0, y0, mu0, xi0, T, steps):
+        rows = np.broadcast_shapes(np.shape(x0)[:-2], np.shape(y0)[:-1],
+                                   np.shape(mu0)[:-1], np.shape(xi0)[:-1])
+        tally[0] += prod(rows) * steps
+        return flow(model, gm, cost, x0, y0, mu0, xi0, T, steps)
+
+    pmp.propagate_endpoints = counted
+    return tally
+
+
 def target(k, lo, hi, axis):
     rng = np.random.default_rng([7, k])
     drawn = rng.standard_normal(3)
@@ -89,17 +111,18 @@ def target(k, lo, hi, axis):
     return axis, rng.uniform(lo, hi)
 
 
-def solve(aoc, m, axis, angle, steps):
+def solve(aoc, tally, m, axis, angle, steps):
     model = aoc.so3_model((1.0, 2.0, 3.0), m=m)
     gm = aoc.so3_group(model)
     cost = aoc.min_acc_cost(model)
     prob = aoc.BoundaryProblem(x0=np.eye(3), xT=aoc.exp_map(gm, axis, angle),
                                y0=np.zeros(3), yT=np.zeros(3), T=1.0, steps=steps)
-    t0 = time.perf_counter()
+    row_steps, t0 = tally[0], time.perf_counter()
     res = aoc.solve_shooting(model, gm, cost, prob)
     wall = time.perf_counter() - t0
     return {"converged": bool(res.converged), "requested": res.flows - res.coarse_flows,
-            "coarse": res.coarse_flows, "lm_steps": res.iterations, "wall_s": wall,
+            "coarse": res.coarse_flows, "lm_steps": res.iterations,
+            "row_steps": tally[0] - row_steps, "wall_s": wall,
             "cost": None if res.trajectory is None else aoc.running_cost(cost, res.trajectory)}
 
 
@@ -119,6 +142,7 @@ def main():
     if args.check and len(srcs) != 1:
         ap.error("--check runs one side")
     sides = [load(src) for src in srcs]
+    tallies = [count_row_steps(aoc.pmp) for aoc in sides]
 
     rows, targets = [], []
     for steps in args.steps:
@@ -129,7 +153,7 @@ def main():
                 axis, angle = target(k, lo, hi, fixed)
                 order = range(len(sides)) if k % 2 == 0 else reversed(range(len(sides)))
                 for s in order:
-                    runs[s].append(solve(sides[s], m, axis, angle, steps))
+                    runs[s].append(solve(sides[s], tallies[s], m, axis, angle, steps))
                 targets.append({"steps": steps, "kind": kind, "k": k,
                                 **{key: [side[k][key] for side in runs] for key in WORK}})
             row = {"steps": steps, "kind": kind, "targets": args.targets}

@@ -13,9 +13,9 @@ from .direct import DirectResult, TranscriptionConfig, optimize_direct, transcri
 from .dynamics import State, Trajectory, simulate, write_trajectory_csv, zero_control
 from .errors import (AngleOutOfRange, DimensionMismatch, NoConvergence,
                      NonFinite, SingularRegularity)
-from .groups import (GroupModel, abelian_group, adjoint_matrix, compose,
-                     exp_map, generic_group, hat, identity, inverse, log_map,
-                     reconstruct_step, so3_group, unhat, validate_group)
+from .groups import (GroupModel, abelian_group, adjoint_matrix, exp_map,
+                     generic_group, hat, inverse, log_map, reconstruct_step,
+                     so3_group, unhat, validate_group)
 from .pmp import (CostModel, Costate, ExtremalPoint, TangentTuple,
                   coordinate_observable, eliminate_control, extremal_rhs,
                   fd_observable, flow_extremal, hamiltonian,

@@ -336,9 +336,8 @@ def cmd_simulate(s, u):
 
 
 def cmd_extremal(s, costate):
-    a0 = pmp.ExtremalPoint(dynamics.State(s.problem.x0, s.problem.y0), costate,
-                           np.zeros(s.model.m))
-    traj = pmp.flow_extremal(s.model, s.gm, s.cost, a0, s.problem.T, s.problem.steps)
+    p0 = dynamics.State(s.problem.x0, s.problem.y0), costate
+    traj = pmp.flow_extremal(s.model, s.gm, s.cost, p0, s.problem.T, s.problem.steps)
     dynamics.write_trajectory_csv(traj, s.base.with_suffix(".csv"), s.model, s.gm)
     print(f"wrote {s.base.with_suffix('.csv')}")
     print(f"H drift: {np.abs(traj.hams - traj.hams[0]).max():.6e}")

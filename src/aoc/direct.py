@@ -115,7 +115,7 @@ def _jacobian(gm, problem, U, xs, ys, spb):
     return A.reshape(2 * n, N * m)
 
 
-def transcription_objective(model, gm, cost, problem, U, config) -> float:
+def transcription_objective(model, cost, problem, U, config) -> float:
     """Running cost of one piecewise-constant control (exact for the ZOH)."""
     U = np.asarray(U, dtype=float)
     if U.shape != (config.segments, model.m):
@@ -149,7 +149,7 @@ def optimize_direct(model, gm, cost, problem, config) -> DirectResult:
         iterations += 1
 
     node_u = U[np.minimum(np.arange(N * spb + 1) // spb, N - 1)]
-    run = transcription_objective(model, gm, cost, problem, U, config)
+    run = transcription_objective(model, cost, problem, U, config)
     return DirectResult(U=U, trajectory=Trajectory(times=times, xs=xs, ys=ys, us=node_u),
                         iterations=iterations, converged=converged,
                         boundary_error=float(np.linalg.norm(c)), running_cost=run)

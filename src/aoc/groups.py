@@ -1,7 +1,7 @@
 """Matrix Lie group layer: exp, log and group-aware integration steps.
 
-Group elements are plain ``(d, d)`` numpy arrays (leading batch
-dimensions broadcast through ``compose``, ``exp_map`` and the
+Group elements are plain ``(d, d)`` numpy arrays, composed by ``@``
+(leading batch dimensions broadcast through it, ``exp_map`` and the
 integrator).  Reconstruction always uses the left-translation form
 ``xdot = x @ hat(y)``, so one step of the fourth order Munthe-Kaas
 scheme composes ``x`` with the exponential of a bracket-corrected
@@ -124,14 +124,6 @@ def unhat(gm, M) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     d = gm.rep_dim
     return np.einsum("ij,...j->...i", gm.unhat_pinv, M.reshape(M.shape[:-2] + (d * d,)))
-
-
-def identity(gm) -> np.ndarray:
-    return np.eye(gm.rep_dim)
-
-
-def compose(a, b) -> np.ndarray:
-    return np.matmul(a, b)
 
 
 def inverse(gm, g) -> np.ndarray:
@@ -317,22 +309,20 @@ def rkmk_coupled_step(gm, x, v, k, h, rhs):
     plain derivative of the vector part; all arrays broadcast over leading
     batch dimensions.  Each stage is evaluated at its own group element
     x exp(theta), and v takes the classical RK4 step.  Returns the new x and
-    v and the four stage velocities z1..z4.
+    v.
     """
     z1, f1 = rhs(k, 0.0, x, v)
-    zs, fs = [z1], [f1]
+    fs = [f1]
 
     def stage(i, theta):
         c = _RK4_NODES[i]
-        z, f = rhs(k, c, compose(x, exp_map(gm, theta)), v + c * h * fs[-1])
-        zs.append(z)
+        z, f = rhs(k, c, x @ exp_map(gm, theta), v + c * h * fs[-1])
         fs.append(f)
         return z
 
     omega = munthe_kaas_increment(gm.algebra, h, z1, stage)
     f1, f2, f3, f4 = fs
-    return (compose(x, exp_map(gm, omega)), v + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4),
-            tuple(zs))
+    return x @ exp_map(gm, omega), v + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
 
 
 # rows times steps per batched reconstruction pass: its temporaries take about
@@ -463,7 +453,7 @@ def _rk4_loop(x, steps, h, rhs, vs, look=True, coupled=None):
     v, zs, recorded = vs[0], None, steps
     for k in range(steps):
         if coupled is not None:
-            x[k + 1], v, _ = rkmk_coupled_step(coupled, x[k], v, k, h, rhs)
+            x[k + 1], v = rkmk_coupled_step(coupled, x[k], v, k, h, rhs)
         else:
             z, v = _rk4_step(x, v, k, h, rhs)
             if zs is None:

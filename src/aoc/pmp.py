@@ -8,8 +8,10 @@ group element, body velocity and two algebra covectors.  The Hamiltonian
 is maximized over u on the regular set where the control Hessian of L
 is invertible; ``eliminate_control`` solves the stationarity condition
 (components 1..m of xi equal dL/du) in closed form for quadratic costs
-and by damped Newton otherwise.  ``extremal_field`` is the one form of
-the critical flow
+and by damped Newton otherwise.  ``extremal_field(model, cost)`` is the one
+form of the critical flow, built from the structure constants, the inertia
+and the cost (the group model enters only where the stepper carries or
+rebuilds x)
 
     xdot   = x hat(y)
     ydot   = embed(u) + bias(y)
@@ -44,7 +46,9 @@ reports the step.  The fused field ignores the step and acts on each row
 alone, so it alone turns on the stepper's ``parareal``: flows of at least
 ``groups.PARAREAL_MIN_STEPS`` steps then match the sequential loop to
 rounding in the rows Parareal admits, while a batch keeps each row's bits.
-``extremal_trajectory`` turns a recorded flow into a trajectory.
+``extremal_trajectory`` turns a recorded flow into a trajectory.  A flow
+(``flow_extremal``) and the field check start from p = (state, costate), the
+point that ``symplectic_form`` and ``poisson_bracket`` take.
 x-independent flows step (y, mu, xi) alone; x-dependent costs take
 coupled steps, which carry x along and record it; the others reconstruct
 x after the loop.  ``symplectic_form`` is the one pairing of the Hamiltonian checks:
@@ -70,7 +74,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import groups
-from .algebra import ad_star, bias, bracket, embed_control, flat, sharp
+from .algebra import _count, _positive, ad_star, bias, bracket, embed_control, flat, sharp
 from .dynamics import State, Trajectory
 from .errors import DimensionMismatch, SingularRegularity, NoConvergence
 
@@ -178,8 +182,8 @@ def fd_dL_dx_triv(gm, cost_eval, s, u):
     h = FD_STEP_COST * (1.0 + np.sqrt(np.sum(x * x, axis=(-2, -1))))[..., None, None]
     x, y, u = x[..., None, :, :], np.asarray(s.y)[..., None, :], np.asarray(u)[..., None, :]
     tilt = h * np.eye(gm.algebra.n)  # row i is h E_i
-    plus = cost_eval(State(groups.compose(x, groups.exp_map(gm, tilt)), y), u)
-    minus = cost_eval(State(groups.compose(x, groups.exp_map(gm, -tilt)), y), u)
+    plus = cost_eval(State(x @ groups.exp_map(gm, tilt), y), u)
+    minus = cost_eval(State(x @ groups.exp_map(gm, -tilt), y), u)
     return (plus - minus) / (2.0 * h[..., 0])
 
 
@@ -276,7 +280,7 @@ def _sq(g):
     return (g[..., None, :] @ g[..., None])[..., 0, 0]
 
 
-def extremal_rhs(model, gm, cost, a):
+def extremal_rhs(model, cost, a):
     """The critical flow at a stationarity point as the field's pair (y, vdot),
     vdot = (ydot, mudot, xidot): the kernel of ``extremal_field`` for every
     cost that is not fused, and the reference the fused field is tested against."""
@@ -322,7 +326,7 @@ def _quadratic_tensor(model, R):
 
 
 @lru_cache(maxsize=16)
-def extremal_field(model, gm, cost):
+def extremal_field(model, cost):
     """The extremal flow as a stepper right-hand side ``rhs(k, c, x, v) -> (y, vdot)``
     with v = (y, mu, xi), batched over leading dimensions of v for every cost.
 
@@ -332,7 +336,7 @@ def extremal_field(model, gm, cost):
     Any other cost takes one batched ``eliminate_control``, whose Newton runs
     every row at once and gives a row that is not finite a NaN control, and
     one batched ``extremal_rhs``.  Either way each row gets the bits it gets
-    alone."""
+    alone.  Cached per (model, cost)."""
     n = model.n
     if _is_quadratic(cost):
         K = _quadratic_tensor(model, cost.quad_weight)
@@ -348,20 +352,21 @@ def extremal_field(model, gm, cost):
     def rhs(k, c, x, v):
         s, costate = State(x, v[..., :n]), Costate(v[..., n:2 * n], v[..., 2 * n:])
         u = eliminate_control(model, cost, s, costate.xi)
-        return extremal_rhs(model, gm, cost, ExtremalPoint(s, costate, u))
+        return extremal_rhs(model, cost, ExtremalPoint(s, costate, u))
 
     return rhs
 
 
-def flow_extremal(model, gm, cost, a0, T, steps) -> Trajectory:
-    """Integrate the critical flow by ``propagate_endpoints``, recording
-    controls and H on the grid (see ``extremal_trajectory``)."""
-    _, _, (xs, vs) = propagate_endpoints(model, gm, cost, a0.state.x, a0.state.y,
-                                         a0.costate.mu, a0.costate.xi, T, steps)
-    return extremal_trajectory(model, gm, cost, T, xs, vs)
+def flow_extremal(model, gm, cost, p0, T, steps) -> Trajectory:
+    """Integrate the critical flow from p0 = (state, costate) by
+    ``propagate_endpoints``, recording controls and H on the grid (see
+    ``extremal_trajectory``)."""
+    s, c = p0
+    _, _, (xs, vs) = propagate_endpoints(model, gm, cost, s.x, s.y, c.mu, c.xi, T, steps)
+    return extremal_trajectory(model, cost, T, xs, vs)
 
 
-def extremal_trajectory(model, gm, cost, T, xs, vs) -> Trajectory:
+def extremal_trajectory(model, cost, T, xs, vs) -> Trajectory:
     """The trajectory of an extremal flow recorded on the uniform grid of [0, T]:
     group elements ``xs`` and v = (y, mu, xi) rows ``vs``, with the controls
     and H of the grid in one batched pass each.  ``xs`` and ``vs`` may be one
@@ -396,7 +401,7 @@ def propagate_endpoints(model, gm, cost, x0, y0, mu0, xi0, T, steps):
     v = np.concatenate([y0b, mu0, np.asarray(xi0, dtype=float)], axis=-1)
     steps, h = groups._uniform_grid(T, steps)
     xs, vs = groups.rkmk_integrate(gm, np.asarray(x0, dtype=float), v, steps, h,
-                                   extremal_field(model, gm, cost),
+                                   extremal_field(model, cost),
                                    needs_x=not cost.x_independent,
                                    parareal=_is_quadratic(cost))
     return xs[-1], vs[-1, ..., : model.n], (xs, vs)
@@ -442,41 +447,47 @@ def symplectic_form(model, p, A, B) -> float:
     )
 
 
-def _shift_point(model, gm, s, costate, V, eps):
-    x = groups.compose(s.x, groups.exp_map(gm, V.z, eps))
+def _shift_point(gm, s, costate, V, eps):
+    x = s.x @ groups.exp_map(gm, V.z, eps)
     return State(x, s.y + eps * V.w), Costate(costate.mu + eps * V.v_mu,
                                               costate.xi + eps * V.v_xi)
 
 
-def _hamiltonian_vector(model, gm, cost, s, c) -> TangentTuple:
+def _hamiltonian_vector(model, cost, s, c) -> TangentTuple:
     """X_H at (s, c): ``extremal_field``, the field every flow steps, evaluated there."""
     v = np.concatenate([s.y, c.mu, c.xi], axis=-1).astype(float)
-    y, vdot = extremal_field(model, gm, cost)(0, 0.0, s.x, v)
+    y, vdot = extremal_field(model, cost)(0, 0.0, s.x, v)
     return TangentTuple(y, *np.split(vdot, 3, axis=-1))
 
 
-def hamiltonian_field_check(model, gm, cost, a, n_directions=10,
+def hamiltonian_field_check(model, gm, cost, p, n_directions=10,
                             fd_step=FD_STEP_CHECK, seed=0) -> float:
-    """Max mismatch of Omega(X_H, V) against the directional derivative of H.
+    """Max mismatch of Omega(X_H, V) against the directional derivative of H
+    at p = (state, costate), over ``n_directions`` random unit directions V.
 
-    X_H is the extremal field at ``a`` (control re-eliminated), dH is a
-    central finite difference with the control re-eliminated at each
+    X_H is the extremal field at p, with the control eliminated there, and dH
+    is a central finite difference with the control eliminated at each
     shifted point.  Small residuals certify that the flow solves the
-    symplectic equation.
+    symplectic equation.  ``fd_step`` must be finite and positive
+    (``algebra._positive``) and ``n_directions`` an integer of at least 1
+    (``algebra._count``), else ValueError; a residual that is NaN (a point
+    that is not finite) makes the result NaN.
     """
-    X = _hamiltonian_vector(model, gm, cost, a.state, a.costate)
+    fd_step = _positive(fd_step, "fd_step")
+    residuals = np.empty(_count(n_directions, "n_directions", 1))
+    state, costate = p
+    X = _hamiltonian_vector(model, cost, state, costate)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(int(n_directions)):
+    for i in range(len(residuals)):
         parts = rng.standard_normal(4 * model.n)
         parts /= np.linalg.norm(parts)
         V = TangentTuple(*np.split(parts, 4))
-        lhs = symplectic_form(model, (a.state, a.costate), X, V)
+        lhs = symplectic_form(model, p, X, V)
         # the points shifted by +-fd_step, as one batch of two
-        s, c = _shift_point(model, gm, a.state, a.costate, V, np.array([[fd_step], [-fd_step]]))
+        s, c = _shift_point(gm, state, costate, V, np.array([[fd_step], [-fd_step]]))
         hp, hm = hamiltonian(model, cost, ExtremalPoint(s, c, eliminate_control(model, cost, s, c.xi)))
-        worst = max(worst, abs(lhs - (hp - hm) / (2.0 * fd_step)))
-    return worst
+        residuals[i] = abs(lhs - (hp - hm) / (2.0 * fd_step))
+    return float(residuals.max())
 
 
 # -- observables and the linear Poisson bracket ---------------------------------
@@ -522,14 +533,14 @@ def fd_observable(model, gm, value_fn, step=FD_STEP_CHECK) -> Observable:
         d = np.empty(4 * model.n)
         for i, e in enumerate(np.eye(4 * model.n)):
             V = TangentTuple(*np.split(e, 4))
-            d[i] = (value_fn(*_shift_point(model, gm, s, c, V, step))
-                    - value_fn(*_shift_point(model, gm, s, c, V, -step))) / (2 * step)
+            d[i] = (value_fn(*_shift_point(gm, s, c, V, step))
+                    - value_fn(*_shift_point(gm, s, c, V, -step))) / (2 * step)
         return tuple(np.split(d, 4))
 
     return Observable(value=value_fn, derivatives=derivatives)
 
 
-def hamiltonian_observable(model, gm, cost) -> Observable:
+def hamiltonian_observable(model, cost) -> Observable:
     """The reduced Hamiltonian as an observable with analytic derivatives.
 
     The functional derivatives are read off the extremal field:
@@ -542,7 +553,7 @@ def hamiltonian_observable(model, gm, cost) -> Observable:
         return hamiltonian(model, cost, ExtremalPoint(s, c, u))
 
     def derivatives(s, c):
-        X = _hamiltonian_vector(model, gm, cost, s, c)
+        X = _hamiltonian_vector(model, cost, s, c)
         return ad_star(model, s.y, c.mu) - X.v_mu, -X.v_xi, s.y.copy(), X.w
 
     return Observable(value=value, derivatives=derivatives)

@@ -126,7 +126,7 @@ class BoundaryProblem:
 
 def endpoint_residual(gm, problem, xT, yT) -> np.ndarray:
     """(log(x(T)^-1 xT), yT - y(T)) for terminal states that may carry a batch dimension."""
-    err_x = groups.log_map(gm, groups.compose(groups.inverse(gm, xT), problem.xT))
+    err_x = groups.log_map(gm, groups.inverse(gm, xT) @ problem.xT)
     return np.concatenate([err_x, np.asarray(problem.yT, dtype=float) - yT], axis=-1)
 
 
@@ -333,7 +333,7 @@ def solve_shooting(model, gm, cost, problem, initial_guess=None,
                 break
 
     trajectory = None if found.flow is None else pmp.extremal_trajectory(
-        model, gm, cost, problem.T, *found.flow)
+        model, cost, problem.T, *found.flow)
     runs = fine_runs + coarse_runs
     return ShootingResult(mu0=found.theta[:n].copy(), xi0=found.theta[n:].copy(),
                           residual_norm=found.norm, iterations=sum(run.steps for run in runs),
@@ -342,7 +342,7 @@ def solve_shooting(model, gm, cost, problem, initial_guess=None,
                           coarse_flows=sum(run.flows for run in coarse_runs))
 
 
-def extremal_defect(model, gm, cost, traj):
+def extremal_defect(model, cost, traj):
     """Sup-norm defects of the stored trajectory against the critical flow.
 
     Fourth order five-point stencils approximate the time derivatives of
@@ -362,7 +362,7 @@ def extremal_defect(model, gm, cost, traj):
         return (arr[:-4] - 8 * arr[1:-3] + 8 * arr[3:-1] - arr[4:]) / (12.0 * h)
 
     vs = np.concatenate([traj.ys, traj.mus, traj.xis], axis=1)
-    vdot = pmp.extremal_field(model, gm, cost)(0, 0.0, traj.xs, vs)[1]
+    vdot = pmp.extremal_field(model, cost)(0, 0.0, traj.xs, vs)[1]
     us = pmp.eliminate_control(model, cost, State(traj.xs, traj.ys), traj.xis)
     return {
         "y": float(np.abs(ddt(traj.ys) - vdot[2:-2, :n]).max()),

@@ -12,7 +12,7 @@ import aoc
 from aoc.direct import TranscriptionConfig, optimize_direct
 from aoc.dynamics import State
 from aoc.groups import orthogonality_defect, reconstruct_step
-from aoc.pmp import (Costate, ExtremalPoint, coordinate_observable, extremal_field,
+from aoc.pmp import (Costate, coordinate_observable, extremal_field,
                      fd_observable, flow_extremal, hamiltonian_field_check,
                      min_acc_cost, poisson_bracket, running_cost,
                      spatial_momentum)
@@ -67,7 +67,7 @@ def test_criterion_03_rigid_body_equation_cross_check():
     model = aoc.so3_model(tuple(J), m=2)
     gm = aoc.so3_group(model)
     Jm, Jinv = np.diag(J), np.diag(1.0 / J)
-    rhs = extremal_field(model, gm, min_acc_cost(model))
+    rhs = extremal_field(model, min_acc_cost(model))
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(100):
@@ -94,11 +94,9 @@ def test_criterion_04_symplectic_identity():
         gm = group_fn(model)
         cost = min_acc_cost(model)
         for k in range(100):
-            a = ExtremalPoint(
-                State(aoc.exp_map(gm, rng.uniform(-1, 1, model.n)), rng.uniform(-1, 1, model.n)),
-                Costate(rng.uniform(-1, 1, model.n), rng.uniform(-1, 1, model.n)),
-                np.zeros(model.m))
-            res = hamiltonian_field_check(model, gm, cost, a, n_directions=6,
+            p = (State(aoc.exp_map(gm, rng.uniform(-1, 1, model.n)), rng.uniform(-1, 1, model.n)),
+                 Costate(rng.uniform(-1, 1, model.n), rng.uniform(-1, 1, model.n)))
+            res = hamiltonian_field_check(model, gm, cost, p, n_directions=6,
                                           fd_step=1e-5, seed=k)
             worst = max(worst, res)
     report(4, "Hamiltonian field solves the symplectic equation", worst < 1e-6,
@@ -110,10 +108,9 @@ def test_criterion_05_conservation():
     model = aoc.so3_model((1.0, 2.0, 3.0))
     gm = aoc.so3_group(model)
     cost = min_acc_cost(model)
-    a0 = ExtremalPoint(State(np.eye(3), np.array([0.3, -0.2, 0.4])),
-                       Costate(np.array([0.5, 0.1, -0.3]), np.array([0.2, 0.4, -0.1])),
-                       np.zeros(3))
-    traj = flow_extremal(model, gm, cost, a0, 1.0, 1000)
+    p0 = (State(np.eye(3), np.array([0.3, -0.2, 0.4])),
+          Costate(np.array([0.5, 0.1, -0.3]), np.array([0.2, 0.4, -0.1])))
+    traj = flow_extremal(model, gm, cost, p0, 1.0, 1000)
     dh = float(np.abs(traj.hams - traj.hams[0]).max())
     norms = np.linalg.norm(traj.mus, axis=1)
     dmu = float(np.abs(norms - norms[0]).max())
@@ -176,10 +173,10 @@ def test_criterion_08_underactuated_run():
     prob = BoundaryProblem(x0=np.eye(3), xT=xT, y0=np.zeros(3), yT=np.zeros(3),
                            T=1.0, steps=200)
     res = solve_shooting(model, gm, cost, prob)
-    d1 = extremal_defect(model, gm, cost, res.trajectory)
-    a0 = ExtremalPoint(State(prob.x0, prob.y0), Costate(res.mu0, res.xi0), np.zeros(2))
-    fine = flow_extremal(model, gm, cost, a0, prob.T, 2 * prob.steps)
-    d2 = extremal_defect(model, gm, cost, fine)
+    d1 = extremal_defect(model, cost, res.trajectory)
+    p0 = State(prob.x0, prob.y0), Costate(res.mu0, res.xi0)
+    fine = flow_extremal(model, gm, cost, p0, prob.T, 2 * prob.steps)
+    d2 = extremal_defect(model, cost, fine)
     ratios = {k: d1[k] / d2[k] for k in ("y", "mu", "xi")}
     ok = (res.converged and res.residual_norm < 1e-8
           and all(8.0 <= r <= 32.0 for r in ratios.values())

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -307,3 +308,41 @@ def test_load_model_rejects_bad_indices(tmp_path):
                                 "structure_constants": [[3, 1, 2, 1.0]]}))
     with pytest.raises(ValueError, match="out of range"):
         load_model(path)
+
+
+EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda tmp: make_model(2, 2, np.zeros((2, 2)), np.eye(2)), aoc.DimensionMismatch,
+     "structure constants must have shape (2, 2, 2), got (2, 2)"),
+    (lambda tmp: make_model(2, 2, np.zeros((2, 2, 2)), np.eye(3)), aoc.DimensionMismatch,
+     "inertia must have shape (2, 2), got (3, 3)"),
+    (lambda tmp: make_model(2, 2, np.zeros((2, 2, 2)), np.diag([1.0, np.nan])), ValueError,
+     "model arrays must be finite"),
+    # a 1-D inertia is the diagonal, so three moments make a 3x3 inertia for n = 2
+    (lambda tmp: aoc.abelian_model(2, inertia=[1.0, 2.0, 3.0]), aoc.DimensionMismatch,
+     "inertia must have shape (2, 2), got (3, 3)"),
+    (lambda tmp: model_file(tmp, m=1, inertia=[[1.0]]), ValueError,
+     "model file missing required key 'n'"),
+    (lambda tmp: model_file(tmp, n=1, inertia=[[1.0]]), ValueError,
+     "model file missing required key 'm'"),
+    (lambda tmp: model_file(tmp, n=1, m=1), ValueError,
+     "model file missing required key 'inertia'"),
+    (lambda tmp: model_file(tmp, n=2, m=2, inertia=EYE2, rep_dim=2), ValueError,
+     "rep_dim and basis_matrices must be given together"),
+    (lambda tmp: model_file(tmp, n=2, m=2, inertia=EYE2, rep_dim=3,
+                            basis_matrices=np.zeros((2, 2, 2)).tolist()),
+     aoc.DimensionMismatch, "basis_matrices must have shape (2, 3, 3), got (2, 2, 2)"),
+], ids=["structure-constants-shape", "inertia-shape", "non-finite", "abelian-diagonal-inertia",
+        "missing-n", "missing-m", "missing-inertia", "rep-dim-without-basis", "basis-shape"])
+def test_model_inputs_are_checked(build, error, message, tmp_path):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        build(tmp_path)
+
+
+def model_file(tmp_path, **data):
+    """load_model of a model file holding ``data``."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    return load_model(path)

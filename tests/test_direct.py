@@ -24,7 +24,7 @@ def abelian_problem(xT_val=1.0):
 def test_objective_zero_motion_is_zero():
     ab, gm, cost, prob = abelian_problem(xT_val=0.0)
     cfg = TranscriptionConfig(segments=10)
-    assert transcription_objective(ab, gm, cost, prob, np.zeros((10, 1)), cfg) == 0.0
+    assert transcription_objective(ab, cost, prob, np.zeros((10, 1)), cfg) == 0.0
 
 
 def test_objective_at_analytic_samples():
@@ -34,7 +34,7 @@ def test_objective_at_analytic_samples():
     mids = (np.arange(N) + 0.5) / N
     U = (6.0 - 12.0 * mids)[:, None]
     cfg = TranscriptionConfig(segments=N)
-    val = transcription_objective(ab, gm, cost, prob, U, cfg)
+    val = transcription_objective(ab, cost, prob, U, cfg)
     assert val == pytest.approx(6.0, abs=1e-2)
 
 
@@ -48,7 +48,7 @@ def test_objective_near_indirect_cost_at_sampled_solution():
                   0, len(res.trajectory) - 1)
     U = res.trajectory.us[idx]
     cfg = TranscriptionConfig(segments=N)
-    val = transcription_objective(ab, gm, cost, prob, U, cfg)
+    val = transcription_objective(ab, cost, prob, U, cfg)
     assert val == pytest.approx(indirect, rel=1e-3)
 
 
@@ -56,7 +56,7 @@ def test_objective_rejects_bad_shape():
     ab, gm, cost, prob = abelian_problem()
     cfg = TranscriptionConfig(segments=10)
     with pytest.raises(ValueError):
-        transcription_objective(ab, gm, cost, prob, np.zeros((5, 1)), cfg)
+        transcription_objective(ab, cost, prob, np.zeros((5, 1)), cfg)
 
 
 def test_config_validation():
@@ -98,7 +98,7 @@ def test_non_quadratic_cost_rejected():
     with pytest.raises(ValueError, match="quadratic"):
         optimize_direct(ab, gm, cost, prob, cfg)
     with pytest.raises(ValueError, match="quadratic"):
-        transcription_objective(ab, gm, cost, prob, np.zeros((10, 1)), cfg)
+        transcription_objective(ab, cost, prob, np.zeros((10, 1)), cfg)
 
 
 def test_generic_axis_matches_shooting():

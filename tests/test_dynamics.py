@@ -13,7 +13,7 @@ from aoc.dynamics import (State, Trajectory, _csv_block, energy_drift, simulate,
                           trajectory_header, write_trajectory_csv, zero_control, zoh_rollout)
 from aoc.algebra import bias
 from aoc.groups import FINITE_CHECK_STEPS, orthogonality_defect
-from aoc.pmp import Costate, ExtremalPoint, flow_extremal, min_acc_cost
+from aoc.pmp import Costate, flow_extremal, min_acc_cost
 
 
 def test_ep_rhs_abelian(abelian3):
@@ -138,10 +138,9 @@ def rowwise_csv(traj, model, gm):
 
 
 def extremal_trajectory(model, gm, steps):
-    a0 = ExtremalPoint(State(np.eye(3), np.array([0.1, -0.2, 0.3])),
-                       Costate(np.array([0.5, -1.0, 0.25]), np.array([1.5, 0.0, -0.75])),
-                       np.zeros(2))
-    traj = flow_extremal(model, gm, min_acc_cost(model), a0, 1.0, steps)
+    p0 = (State(np.eye(3), np.array([0.1, -0.2, 0.3])),
+          Costate(np.array([0.5, -1.0, 0.25]), np.array([1.5, 0.0, -0.75])))
+    traj = flow_extremal(model, gm, min_acc_cost(model), p0, 1.0, steps)
     # values whose formatting has corner cases: signed zero, subnormal, huge, integral
     traj.hams[:4] = [-0.0, 5e-324, -1.7976931348623157e308, 3.0]
     return traj

@@ -106,7 +106,7 @@ def test_fused_field_matches_extremal_rhs(case):
     model, _, rng = draw(*case)
     n, m = model.n, model.m
     cost = quadratic_cost(model, spd(rng, m))
-    rhs = extremal_field(model, None, cost)
+    rhs = extremal_field(model, cost)
     V = rng.uniform(-1.0, 1.0, (5, 3 * n))
     z, vdot = rhs(0, 0.0, None, V)
     assert_allclose(z, V[:, :n], rtol=0, atol=0)
@@ -114,7 +114,7 @@ def test_fused_field_matches_extremal_rhs(case):
         y, mu, xi = v[:n], v[n:2 * n], v[2 * n:]
         s = State(np.eye(n + 1), y)
         u = eliminate_control(model, cost, s, xi)
-        _, ref = extremal_rhs(model, None, cost, ExtremalPoint(s, Costate(mu, xi), u))
+        _, ref = extremal_rhs(model, cost, ExtremalPoint(s, Costate(mu, xi), u))
         assert_allclose(row, ref, rtol=0, atol=1e-13)
         assert_allclose(rhs(0, 0.0, None, v)[1], row, rtol=0, atol=0)
 
@@ -152,8 +152,8 @@ def test_extremal_field_is_hamiltonian(case):
     model, gm, rng = draw(*case)
     cost = quadratic_cost(model, spd(rng, model.m))
     y, mu, xi = rng.uniform(-1.0, 1.0, (3, model.n))
-    a = ExtremalPoint(State(np.eye(gm.rep_dim), y), Costate(mu, xi), np.zeros(model.m))
-    assert aoc.hamiltonian_field_check(model, gm, cost, a, n_directions=4) < 1e-6
+    p = State(np.eye(gm.rep_dim), y), Costate(mu, xi)
+    assert aoc.hamiltonian_field_check(model, gm, cost, p, n_directions=4) < 1e-6
 
 
 @given(algebras)
@@ -175,7 +175,7 @@ def test_split_flow_is_bitwise_coupled_steps_and_single_rows(case, width):
     # product after it; it must give the bits of coupled steps, row by row
     model, gm, rng = draw(*case)
     n = model.n
-    rhs = extremal_field(model, gm, quadratic_cost(model, spd(rng, model.m)))
+    rhs = extremal_field(model, quadratic_cost(model, spd(rng, model.m)))
     v0 = rng.uniform(-1.0, 1.0, (width, 3 * n))
     x0 = np.eye(gm.rep_dim)
     h = 0.04
@@ -188,7 +188,7 @@ def test_split_flow_is_bitwise_coupled_steps_and_single_rows(case, width):
     xc, vc = x0, v0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(25 if bad is None else bad):
-            xc, vc, _ = rkmk_coupled_step(gm, xc, vc, k, h, rhs)
+            xc, vc = rkmk_coupled_step(gm, xc, vc, k, h, rhs)
             if bad is not None:
                 assert (np.isfinite(xc).all() and np.isfinite(vc).all()) == (k + 1 < bad)
             else:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,19 @@ def test_log_exp_roundtrip_hypothesis(y):
     assert_allclose(aoc.log_map(gm, aoc.exp_map(gm, y)), y, atol=1e-10)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda model, gm: aoc.generic_group(model, np.zeros((2, 3, 3))),
+     "basis matrices must have shape (3, 3, 3), got (2, 3, 3)"),
+    (lambda model, gm: aoc.so3_group(aoc.abelian_model(2)), "so3 group needs a 3-dimensional algebra"),
+    (lambda model, gm: aoc.hat(gm, np.zeros(2)), "expected 3 components, got shape (2,)"),
+    (lambda model, gm: aoc.exp_map(gm, np.zeros((4, 2))), "expected 3 components, got shape (4, 2)"),
+    (lambda model, gm: aoc.log_map(gm, np.eye(2)), "expected (3, 3) matrices, got shape (2, 2)"),
+], ids=["generic-basis-shape", "so3-of-another-dimension", "hat-shape", "exp-shape", "log-shape"])
+def test_group_inputs_are_checked(call, message, so3_j123, so3_j123_group):
+    with pytest.raises(aoc.DimensionMismatch, match="^" + re.escape(message) + "$"):
+        call(so3_j123, so3_j123_group)
+
+
 def test_hat_unhat_roundtrip(so3_j123_group, rng):
     y = rng.standard_normal(3)
     assert_allclose(aoc.unhat(so3_j123_group, aoc.hat(so3_j123_group, y)), y, atol=1e-13)
@@ -208,10 +222,10 @@ def test_group_validation(so3_j123, so3_j123_group, abelian3):
 
 def test_inverse(so3_j123_group, abelian3, rng):
     g = aoc.exp_map(so3_j123_group, rng.standard_normal(3))
-    assert_allclose(aoc.compose(g, aoc.inverse(so3_j123_group, g)), np.eye(3), atol=1e-14)
+    assert_allclose(g @ aoc.inverse(so3_j123_group, g), np.eye(3), atol=1e-14)
     gm = aoc.abelian_group(abelian3)
     t = aoc.exp_map(gm, rng.standard_normal(3))
-    assert_allclose(aoc.compose(t, aoc.inverse(gm, t)), np.eye(4), atol=1e-14)
+    assert_allclose(t @ aoc.inverse(gm, t), np.eye(4), atol=1e-14)
 
 
 def test_adjoint_matrix_so3_is_rotation(so3_j123_group, rng):
@@ -289,7 +303,7 @@ def test_coupled_step_vector_part_is_rk4(so3_j123_group):
         return np.zeros(3), -v + np.sin((k + c) * h)
 
     v = np.array([1.0, 0.5, -0.2])
-    x, v1, _ = rkmk_coupled_step(so3_j123_group, np.eye(3), v, 0, h, rhs)
+    x, v1 = rkmk_coupled_step(so3_j123_group, np.eye(3), v, 0, h, rhs)
     # classical RK4 by hand
     f = lambda t, w: -w + np.sin(t)
     k1 = f(0.0, v)
@@ -328,7 +342,7 @@ def coupled_loop(gm, x, v, steps, h, rhs):
     xs, vs = [np.broadcast_to(x, np.shape(v)[:-1] + np.shape(x))], [v]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            x, v, _ = rkmk_coupled_step(gm, x, v, k, h, rhs)
+            x, v = rkmk_coupled_step(gm, x, v, k, h, rhs)
             if not (np.isfinite(v).all() and np.isfinite(x).all()):
                 raise aoc.NonFinite(k + 1)
             xs.append(x)
@@ -347,7 +361,7 @@ def test_split_flow_is_bitwise_the_coupled_loop(kind, width, pass_rows, so3_m2, 
     model = abelian3 if kind == "abelian" else so3_m2
     gm = {"so3": aoc.so3_group, "abelian": aoc.abelian_group,
           "generic": lambda m: aoc.generic_group(m, aoc.so3_group(m).basis)}[kind](model)
-    rhs = extremal_field(model, gm, min_acc_cost(model))
+    rhs = extremal_field(model, min_acc_cost(model))
     v0 = np.random.default_rng(7).uniform(-1.5, 1.5, (width, 9))
     x0 = aoc.exp_map(gm, np.array([0.3, -0.2, 0.4]))
     h = 0.05
@@ -373,7 +387,7 @@ def test_a_one_row_batch_steps_as_a_vector(kind, so3_m2, so3_m2_group):
             dL_dx_triv=lambda s, u: np.einsum("...ab,iba->...i", s.x, gm.basis @ A),
             x_independent=False)
     needs_x = not cost.x_independent
-    field = extremal_field(model, gm, cost)
+    field = extremal_field(model, cost)
     seen = set()
 
     def rhs(k, c, x, v):

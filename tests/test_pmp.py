@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -19,10 +20,13 @@ from aoc.shooting import (BoundaryProblem, _residual_and_jacobian, boundary_resi
 E1, E2, E3 = np.eye(3)
 
 
+def phase_point(x, y, mu, xi):
+    return (State(np.asarray(x, dtype=float), np.asarray(y, dtype=float)),
+            Costate(np.asarray(mu, dtype=float), np.asarray(xi, dtype=float)))
+
+
 def point(x, y, mu, xi, u):
-    return ExtremalPoint(State(np.asarray(x, dtype=float), np.asarray(y, dtype=float)),
-                         Costate(np.asarray(mu, dtype=float), np.asarray(xi, dtype=float)),
-                         np.asarray(u, dtype=float))
+    return ExtremalPoint(*phase_point(x, y, mu, xi), np.asarray(u, dtype=float))
 
 
 def zeros(*shape):
@@ -32,7 +36,7 @@ def zeros(*shape):
 
 def field_rates(model, gm, cost, x, y, mu, xi):
     """(xdot_body, ydot, mudot, xidot) of ``extremal_field`` at one point."""
-    z, vdot = extremal_field(model, gm, cost)(0, 0.0, x, np.concatenate([y, mu, xi]))
+    z, vdot = extremal_field(model, cost)(0, 0.0, x, np.concatenate([y, mu, xi]))
     return (z, *np.split(vdot, 3))
 
 
@@ -164,8 +168,7 @@ def test_extremal_rhs_abelian_identity():
     mu = np.array([0.3, -0.7])
     xi = np.array([1.5, 0.25])
     u = eliminate_control(ab, cost, State(np.eye(3), np.zeros(2)), xi)
-    _, vdot = extremal_rhs(ab, aoc.abelian_group(ab), cost,
-                           point(np.eye(3), [0.1, 0.2], mu, xi, u))
+    _, vdot = extremal_rhs(ab, cost, point(np.eye(3), [0.1, 0.2], mu, xi, u))
     ydot, mudot, xidot = np.split(vdot, 3)
     assert_allclose(ydot, xi)
     assert_allclose(mudot, 0.0)
@@ -205,7 +208,7 @@ def test_min_acc_rhs_equals_eliminated_extremal_rhs(m, rng):
         y, mu, xi = rng.standard_normal((3, 3))
         s = State(np.eye(3), y)
         u = eliminate_control(model, cost, s, xi)
-        y1, vdot1 = extremal_rhs(model, gm, cost, ExtremalPoint(s, Costate(mu, xi), u))
+        y1, vdot1 = extremal_rhs(model, cost, ExtremalPoint(s, Costate(mu, xi), u))
         y2, *rates = field_rates(model, gm, cost, np.eye(3), y, mu, xi)
         assert np.array_equal(y1, y2)
         assert_allclose(np.concatenate(rates), vdot1, atol=1e-13)
@@ -215,7 +218,7 @@ def test_extremal_rhs_zero_point(so3_j123, so3_j123_group):
     # spinning about a principal axis with zero costates: only xdot is nonzero
     cost = min_acc_cost(so3_j123)
     a = point(np.eye(3), E1, np.zeros(3), np.zeros(3), np.zeros(3))
-    xdot_body, vdot = extremal_rhs(so3_j123, so3_j123_group, cost, a)
+    xdot_body, vdot = extremal_rhs(so3_j123, cost, a)
     assert_allclose(vdot, 0.0, atol=1e-15)
     assert_allclose(xdot_body, E1)
 
@@ -236,8 +239,8 @@ def test_min_acc_rhs_abelian(abelian3, rng):
 
 def test_flow_abelian_cubic(abelian1, abelian1_group):
     cost = min_acc_cost(abelian1)
-    a0 = point(np.eye(2), [0.0], [12.0], [6.0], [0.0])
-    traj = flow_extremal(abelian1, abelian1_group, cost, a0, 1.0, 200)
+    p0 = phase_point(np.eye(2), [0.0], [12.0], [6.0])
+    traj = flow_extremal(abelian1, abelian1_group, cost, p0, 1.0, 200)
     t = traj.times
     assert_allclose(traj.xs[:, 0, 1], 3 * t ** 2 - 2 * t ** 3, atol=1e-12)
     assert_allclose(traj.xis[:, 0], 6 - 12 * t, atol=1e-12)
@@ -276,23 +279,23 @@ def test_batched_quadratic_running_cost_is_the_per_point_sum(K, m, rng):
 
 def test_flow_hamiltonian_drift_small(so3_j123, so3_j123_group):
     cost = min_acc_cost(so3_j123)
-    a0 = point(np.eye(3), [0.3, -0.2, 0.4], [0.5, 0.1, -0.3], [0.2, 0.4, -0.1], np.zeros(3))
-    traj = flow_extremal(so3_j123, so3_j123_group, cost, a0, 1.0, 1000)
+    p0 = phase_point(np.eye(3), [0.3, -0.2, 0.4], [0.5, 0.1, -0.3], [0.2, 0.4, -0.1])
+    traj = flow_extremal(so3_j123, so3_j123_group, cost, p0, 1.0, 1000)
     assert np.abs(traj.hams - traj.hams[0]).max() < 1e-8
 
 
 def test_flow_stationary_zero_point(so3_j123, so3_j123_group):
     cost = min_acc_cost(so3_j123)
-    a0 = point(np.eye(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
-    traj = flow_extremal(so3_j123, so3_j123_group, cost, a0, 1.0, 50)
+    p0 = phase_point(np.eye(3), np.zeros(3), np.zeros(3), np.zeros(3))
+    traj = flow_extremal(so3_j123, so3_j123_group, cost, p0, 1.0, 50)
     assert_allclose(traj.ys, 0.0, atol=1e-15)
     assert_allclose(traj.xs[-1], np.eye(3), atol=1e-15)
 
 
 def test_flow_coadjoint_and_spatial_momentum_invariants(so3_j123, so3_j123_group):
     cost = min_acc_cost(so3_j123)
-    a0 = point(np.eye(3), [0.3, -0.2, 0.4], [0.5, 0.1, -0.3], [0.2, 0.4, -0.1], np.zeros(3))
-    traj = flow_extremal(so3_j123, so3_j123_group, cost, a0, 1.0, 1000)
+    p0 = phase_point(np.eye(3), [0.3, -0.2, 0.4], [0.5, 0.1, -0.3], [0.2, 0.4, -0.1])
+    traj = flow_extremal(so3_j123, so3_j123_group, cost, p0, 1.0, 1000)
     norms = np.linalg.norm(traj.mus, axis=1)
     assert np.abs(norms - norms[0]).max() < 1e-8
     pi0 = spatial_momentum(so3_j123_group, traj.xs[0], traj.mus[0])
@@ -344,19 +347,17 @@ def test_symplectic_form_antisymmetric(so3_j123, rng):
 
 # -- Hamiltonian field verification ----------------------------------------------------
 
-def random_point(rng, gm):
+def random_phase_point(rng, gm):
     n = gm.algebra.n
-    x = aoc.exp_map(gm, rng.uniform(-1, 1, n))
-    return ExtremalPoint(State(x, rng.uniform(-1, 1, n)),
-                         Costate(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)),
-                         np.zeros(gm.algebra.m))
+    return (State(aoc.exp_map(gm, rng.uniform(-1, 1, n)), rng.uniform(-1, 1, n)),
+            Costate(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)))
 
 
 def test_field_check_so3_minacc(so3_j123, so3_j123_group, rng):
     cost = min_acc_cost(so3_j123)
     for k in range(20):
-        a = random_point(rng, so3_j123_group)
-        res = hamiltonian_field_check(so3_j123, so3_j123_group, cost, a,
+        p = random_phase_point(rng, so3_j123_group)
+        res = hamiltonian_field_check(so3_j123, so3_j123_group, cost, p,
                                       n_directions=8, seed=k)
         assert res < 1e-6
 
@@ -366,8 +367,8 @@ def test_field_check_abelian_quadratic(rng):
     gm = aoc.abelian_group(ab)
     cost = quadratic_cost(ab, np.array([[2.0, 0.5], [0.5, 1.0]]))
     for k in range(20):
-        a = random_point(rng, gm)
-        res = hamiltonian_field_check(ab, gm, cost, a, n_directions=8, seed=k)
+        p = random_phase_point(rng, gm)
+        res = hamiltonian_field_check(ab, gm, cost, p, n_directions=8, seed=k)
         assert res < 1e-8
 
 
@@ -379,8 +380,8 @@ def test_field_check_cost_that_reads_y(so3_m2, so3_m2_group, rng):
         quad, quad_weight=None, dL_dy=lambda s, u: k * np.asarray(s.y, dtype=float),
         eval=lambda s, u: quad.eval(s, u) + 0.5 * k * np.sum(s.y * s.y, axis=-1))
     for seed in range(5):
-        a = random_point(rng, so3_m2_group)
-        assert hamiltonian_field_check(so3_m2, so3_m2_group, cost, a, n_directions=8,
+        p = random_phase_point(rng, so3_m2_group)
+        assert hamiltonian_field_check(so3_m2, so3_m2_group, cost, p, n_directions=8,
                                        seed=seed) < 1e-8
 
 
@@ -393,13 +394,12 @@ def test_checks_evaluate_the_integrated_field(so3_m2, so3_m2_group, monkeypatch)
                         lambda model, p, A, B: seen.append(A) or pairing(model, p, A, B))
     rng = np.random.default_rng(5)
     for cost in (min_acc_cost(model), quartic_cost(model)):
-        H = hamiltonian_observable(model, gm, cost)
+        H = hamiltonian_observable(model, cost)
         for _ in range(5):
-            a = random_point(rng, gm)
-            s, c = a.state, a.costate
+            p = s, c = random_phase_point(rng, gm)
             z, ydot, mudot, xidot = field_rates(model, gm, cost, s.x, s.y, c.mu, c.xi)
             seen.clear()
-            hamiltonian_field_check(model, gm, cost, a, n_directions=1)
+            hamiltonian_field_check(model, gm, cost, p, n_directions=1)
             for got, want in zip(seen[0], (z, ydot, mudot, xidot)):
                 assert np.array_equal(got, want)
             dx, dy, dmu, dxi = H.derivatives(s, c)
@@ -410,8 +410,41 @@ def test_checks_evaluate_the_integrated_field(so3_m2, so3_m2_group, monkeypatch)
 
 def test_field_check_zero_point(so3_j123, so3_j123_group):
     cost = min_acc_cost(so3_j123)
-    a = point(np.eye(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
-    assert hamiltonian_field_check(so3_j123, so3_j123_group, cost, a) < 1e-10
+    p = phase_point(np.eye(3), np.zeros(3), np.zeros(3), np.zeros(3))
+    assert hamiltonian_field_check(so3_j123, so3_j123_group, cost, p) < 1e-10
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"fd_step": 0.0}, "fd_step must be finite and positive, got 0.0"),
+    ({"n_directions": 0}, "n_directions must be at least 1, got 0"),
+    ({"n_directions": 2.7}, "n_directions must be an integer, got 2.7"),
+], ids=["zero-step", "no-direction", "fractional-directions"])
+def test_field_check_refuses_arguments_that_certify_nothing(kwargs, message, so3_j123,
+                                                          so3_j123_group):
+    # none of these certifies anything: a zero step divides by zero, no direction
+    # checks nothing, and 2.7 is not a count of directions
+    p = phase_point(np.eye(3), [0.3, -0.2, 0.4], [0.5, 0.1, -0.3], [0.2, 0.4, -0.1])
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        hamiltonian_field_check(so3_j123, so3_j123_group, min_acc_cost(so3_j123), p, **kwargs)
+
+
+@pytest.mark.parametrize("which", ["quadratic", "quartic"])
+def test_field_check_of_a_point_that_is_not_finite_is_nan(which, so3_m2, so3_m2_group):
+    # a NaN residual must not read as a perfect 0.0 (Python's max would drop it)
+    cost = {"quadratic": min_acc_cost, "quartic": quartic_cost}[which](so3_m2)
+    p = phase_point(np.eye(3), [np.nan, -0.2, 0.4], [0.5, 0.1, -0.3], [0.2, 0.4, -0.1])
+    assert np.isnan(hamiltonian_field_check(so3_m2, so3_m2_group, cost, p))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda model: quadratic_cost(model, np.eye(2)), aoc.DimensionMismatch,
+     "quadratic weight must be 3x3, got (2, 2)"),
+    (lambda model: coordinate_observable(model, "x", 0), ValueError,
+     "slot must be y, mu or xi, got 'x'"),
+], ids=["weight-shape", "unknown-slot"])
+def test_cost_and_observable_inputs_are_checked(call, error, message, so3_j123):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        call(so3_j123)
 
 
 def x_dependent_cost(model, gm, A):
@@ -450,18 +483,13 @@ def test_field_check_x_dependent_cost(so3_j123, so3_j123_group, rng):
     A = 0.5 * rng.standard_normal((3, 3))
     cost = x_dependent_cost(so3_j123, so3_j123_group, A)
     for k in range(10):
-        a = random_point(rng, so3_j123_group)
-        res = hamiltonian_field_check(so3_j123, so3_j123_group, cost, a,
+        p = random_phase_point(rng, so3_j123_group)
+        res = hamiltonian_field_check(so3_j123, so3_j123_group, cost, p,
                                       n_directions=8, seed=k)
         assert res < 1e-5
 
 
 # -- Poisson bracket ---------------------------------------------------------------------
-
-def random_phase_point(rng, gm):
-    n = gm.algebra.n
-    return (State(aoc.exp_map(gm, rng.uniform(-1, 1, n)), rng.uniform(-1, 1, n)),
-            Costate(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)))
 
 
 def test_poisson_xi_y_pairing(so3_j123, so3_j123_group, rng):
@@ -518,9 +546,9 @@ def test_flow_derivative_matches_bracket_with_hamiltonian(so3_j123, so3_j123_gro
     # along the extremal flow, df/dt = {H, f} for this bracket orientation
     model, gm = so3_j123, so3_j123_group
     cost = min_acc_cost(model)
-    a0 = point(np.eye(3), [0.3, -0.2, 0.4], [0.5, 0.1, -0.3], [0.2, 0.4, -0.1], np.zeros(3))
-    traj = flow_extremal(model, gm, cost, a0, 1.0, 1000)
-    H = hamiltonian_observable(model, gm, cost)
+    p0 = phase_point(np.eye(3), [0.3, -0.2, 0.4], [0.5, 0.1, -0.3], [0.2, 0.4, -0.1])
+    traj = flow_extremal(model, gm, cost, p0, 1.0, 1000)
+    H = hamiltonian_observable(model, cost)
     assert H.value(traj.state(500), Costate(traj.mus[500], traj.xis[500])) == \
         pytest.approx(traj.hams[500], rel=1e-13)
     h = traj.times[1] - traj.times[0]
@@ -539,8 +567,8 @@ def test_fully_actuated_costate_recovery_from_velocity(so3_j123, so3_j123_group)
     # both costates must be recoverable from time derivatives of y alone
     model, gm = so3_j123, so3_j123_group
     cost = min_acc_cost(model)
-    a0 = point(np.eye(3), [0.3, -0.2, 0.4], [0.5, 0.1, -0.3], [0.2, 0.4, -0.1], np.zeros(3))
-    traj = flow_extremal(model, gm, cost, a0, 1.0, 1000)
+    p0 = phase_point(np.eye(3), [0.3, -0.2, 0.4], [0.5, 0.1, -0.3], [0.2, 0.4, -0.1])
+    traj = flow_extremal(model, gm, cost, p0, 1.0, 1000)
     h = traj.times[1] - traj.times[0]
 
     def ddt(arr):
@@ -568,8 +596,8 @@ def test_flow_with_x_dependent_cost_conserves_h(so3_j123, so3_j123_group, rng):
     # elements, analytic trivialized x-derivative, mudot correction term
     A = 0.5 * rng.standard_normal((3, 3))
     cost = x_dependent_cost(so3_j123, so3_j123_group, A)
-    a0 = point(np.eye(3), [0.3, -0.2, 0.4], [0.5, 0.1, -0.3], [0.2, 0.4, -0.1], np.zeros(3))
-    traj = flow_extremal(so3_j123, so3_j123_group, cost, a0, 1.0, 1000)
+    p0 = phase_point(np.eye(3), [0.3, -0.2, 0.4], [0.5, 0.1, -0.3], [0.2, 0.4, -0.1])
+    traj = flow_extremal(so3_j123, so3_j123_group, cost, p0, 1.0, 1000)
     assert np.abs(traj.hams - traj.hams[0]).max() < 1e-8
 
 
@@ -652,10 +680,9 @@ def test_trajectory_eliminates_control_once_per_point(so3_j123, so3_j123_group):
     eliminate_control(so3_j123, cost, State(xs, vs[:, :3]), vs[:, 6:])
     once = calls[0]
     calls[0] = 0
-    traj = aoc.pmp.extremal_trajectory(so3_j123, so3_j123_group, cost, 1.0, xs, vs)
+    traj = aoc.pmp.extremal_trajectory(so3_j123, cost, 1.0, xs, vs)
     assert once >= steps + 1 and calls[0] == once
-    ydot = np.array([extremal_rhs(so3_j123, so3_j123_group, cost,
-                                  point(x, y, mu, xi, u))[1][:3]
+    ydot = np.array([extremal_rhs(so3_j123, cost, point(x, y, mu, xi, u))[1][:3]
                      for x, y, mu, xi, u in zip(traj.xs, traj.ys, traj.mus, traj.xis, traj.us)])
     hams = (np.einsum("ki,ki->k", traj.mus, traj.ys) + np.einsum("ki,ki->k", traj.xis, ydot)
             - [cost.eval(traj.state(k), traj.us[k]) for k in range(steps + 1)])
@@ -667,8 +694,8 @@ def test_field_check_underactuated(so3_m2, so3_m2_group, rng):
     # symplectic equation on the stationarity locus
     cost = min_acc_cost(so3_m2)
     for k in range(10):
-        a = random_point(rng, so3_m2_group)
-        res = hamiltonian_field_check(so3_m2, so3_m2_group, cost, a,
+        p = random_phase_point(rng, so3_m2_group)
+        res = hamiltonian_field_check(so3_m2, so3_m2_group, cost, p,
                                       n_directions=8, seed=k)
         assert res < 1e-6
 
@@ -697,7 +724,7 @@ def test_generic_cost_batch_is_bitwise_single(so3_j123, so3_j123_group, which):
         _, _, (x1, v1) = propagate_endpoints(model, gm, cost, x0, y0,
                                              thetas[b, :3], thetas[b, 3:], 1.0, 50)
         assert np.array_equal(x1, xb[:, b]) and np.array_equal(v1, vb[:, b])
-    traj = aoc.pmp.extremal_trajectory(model, gm, cost, 1.0, xb[:, 0], vb[:, 0])
+    traj = aoc.pmp.extremal_trajectory(model, cost, 1.0, xb[:, 0], vb[:, 0])
     assert np.array_equal(cost.eval(State(traj.xs, traj.ys), traj.us),
                           [cost.eval(traj.state(k), traj.us[k]) for k in range(51)])
     assert running_cost(cost, traj) == running_cost(pointwise(cost), traj)
@@ -718,7 +745,7 @@ def test_eliminate_newton_stops_relative_to_the_costate(so3_m2):
 def test_a_row_that_is_not_finite_gets_nan_rates(so3_j123, so3_j123_group, which):
     model, gm = so3_j123, so3_j123_group
     cost = generic_costs(model, gm)[which]
-    field = aoc.pmp.extremal_field(model, gm, cost)
+    field = aoc.pmp.extremal_field(model, cost)
     x = aoc.exp_map(gm, np.random.default_rng(4).uniform(-1.0, 1.0, (5, 3)))
     v = np.random.default_rng(5).uniform(-1.0, 1.0, (5, 9))
     v[2] = np.nan

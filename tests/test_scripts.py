@@ -39,8 +39,8 @@ def test_shooting_traffic_script_runs():
 
 
 def test_shooting_answers_match_the_pinned_corpus():
-    # fast parts of the 120-target corpus, with the answers and the work (flows
-    # and LM steps) of each: the 24 act and under targets at 50 steps, e3
+    # fast parts of the 120-target corpus, with the answers and the work (flows,
+    # LM steps and row-steps) of each: the 24 act and under targets at 50 steps, e3
     # k = 0-9, which take the multi-start, and two big ones; e3 k = 9 converges
     # only when the trial flow's gain ratio judges every geodesic step
     corpus = ROOT / "scripts" / "shooting_corpus.json"

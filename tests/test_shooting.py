@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import aoc
 from aoc.direct import TranscriptionConfig
 from aoc.dynamics import State, zoh_rollout
-from aoc.pmp import (Costate, ExtremalPoint, flow_extremal, min_acc_cost, propagate_endpoints,
+from aoc.pmp import (Costate, flow_extremal, min_acc_cost, propagate_endpoints,
                      running_cost)
 from aoc.shooting import (BoundaryProblem, _levenberg_marquardt, _residual_and_jacobian,
                           boundary_residual, extremal_defect, solve_shooting)
@@ -164,8 +164,8 @@ def test_trajectory_is_bitwise_the_flow_of_the_returned_costates(monkeypatch, m,
     fine = [f for f in flows if f[0] == steps]
     assert len(fine) == res.flows - res.coarse_flows > 0
     assert all(len(f[1]) == 1 for f in fine)
-    a0 = ExtremalPoint(State(prob.x0, prob.y0), Costate(res.mu0, res.xi0), np.zeros(m))
-    ref = flow_extremal(model, gm, cost, a0, prob.T, prob.steps)
+    p0 = State(prob.x0, prob.y0), Costate(res.mu0, res.xi0)
+    ref = flow_extremal(model, gm, cost, p0, prob.T, prob.steps)
     for name in ("times", "xs", "ys", "us", "mus", "xis", "hams"):
         assert np.array_equal(getattr(res.trajectory, name), getattr(ref, name)), name
 
@@ -418,11 +418,10 @@ def test_defect_is_fourth_order():
                              T=1.0, steps=100)
     res = solve_shooting(model, gm, cost, coarse)
     assert res.converged
-    d1 = extremal_defect(model, gm, cost, res.trajectory)
-    a0 = ExtremalPoint(State(coarse.x0, coarse.y0), Costate(res.mu0, res.xi0),
-                       np.zeros(model.m))
-    fine = flow_extremal(model, gm, cost, a0, coarse.T, 2 * coarse.steps)
-    d2 = extremal_defect(model, gm, cost, fine)
+    d1 = extremal_defect(model, cost, res.trajectory)
+    p0 = State(coarse.x0, coarse.y0), Costate(res.mu0, res.xi0)
+    fine = flow_extremal(model, gm, cost, p0, coarse.T, 2 * coarse.steps)
+    d2 = extremal_defect(model, cost, fine)
     for key in ("y", "mu", "xi"):
         ratio = d1[key] / d2[key]
         assert 8.0 <= ratio <= 32.0
@@ -501,8 +500,8 @@ def test_defect_needs_five_grid_points():
     res = solve_shooting(ab, gm, cost, prob)
     assert res.converged and len(res.trajectory) == 4
     with pytest.raises(ValueError, match="at least 5 grid points, got 4"):
-        extremal_defect(ab, gm, cost, res.trajectory)
-    assert extremal_defect(ab, gm, cost, solve_shooting(
+        extremal_defect(ab, cost, res.trajectory)
+    assert extremal_defect(ab, cost, solve_shooting(
         ab, gm, cost, dataclasses.replace(prob, steps=4)).trajectory)["y"] < 1e-9
 
 
@@ -511,8 +510,8 @@ def test_batched_defect_matches_per_point_path():
     res = solve_shooting(model, gm, cost, prob)
     # the same cost without its quadratic marker takes the Newton path of the field
     generic = dataclasses.replace(cost, quad_weight=None)
-    batched = extremal_defect(model, gm, cost, res.trajectory)
-    per_point = extremal_defect(model, gm, generic, res.trajectory)
+    batched = extremal_defect(model, cost, res.trajectory)
+    per_point = extremal_defect(model, generic, res.trajectory)
     for key in ("y", "mu", "xi"):
         assert batched[key] == pytest.approx(per_point[key], rel=1e-6)
     assert batched["stationarity"] < 1e-12 and per_point["stationarity"] < 1e-12
@@ -530,7 +529,7 @@ def test_step_counts_must_be_integers(call, count, so3_j123, so3_j123_group):
                                                    yT=zero, T=1.0, steps=count),
         "flow_extremal": lambda: flow_extremal(
             model, gm, min_acc_cost(model),
-            ExtremalPoint(State(np.eye(3), zero), Costate(zero, zero), zero), 1.0, count),
+            (State(np.eye(3), zero), Costate(zero, zero)), 1.0, count),
         "simulate": lambda: aoc.simulate(model, gm, State(np.eye(3), zero),
                                          aoc.zero_control(model), 1.0, count),
         "zoh_rollout": lambda: zoh_rollout(gm, np.eye(3), zero, np.zeros((4, 3)), 1.0,
