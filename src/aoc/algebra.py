@@ -67,14 +67,16 @@ def _shown(value):
         return f"an integer of {value.bit_length()} bits"
 
 
-def _count(value, what, least):
-    """An integer count of at least ``least``; a float, even an integral one, or a
-    bool is a ValueError rather than a count truncated by ``int``, as is a count
-    below ``least``."""
+def _count(value, what, least, most=None):
+    """An integer count of at least ``least`` (and at most ``most``, if given); a
+    float, even an integral one, or a bool is a ValueError rather than a count
+    truncated by ``int``, as is a count outside those bounds."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {_shown(value)}")
     if value < least:
         raise ValueError(f"{what} must be at least {least}, got {_shown(value)}")
+    if most is not None and value > most:
+        raise ValueError(f"{what} must be at most {most}, got {_shown(value)}")
     return int(value)
 
 

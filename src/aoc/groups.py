@@ -32,19 +32,26 @@ place of the scheme's bracket-corrected combination.  For a vector field
 that reads x each step of the loop is a coupled step
 (``rkmk_coupled_step``), which carries x along, and the loop records that
 x.  One that does not, which is every cost the CLI accepts, is split as
-Munthe-Kaas splits a Lie-group integrator: the loop takes classical RK4
-steps of v alone and keeps the stage velocities, and batched passes after
-the loop (``_reconstruct``) rebuild x from them.  Below
-PARAREAL_MIN_STEPS steps they multiply the step exponentials in order,
-with the coupled step's bits.  A longer flow multiplies them by the
-segments that Parareal cuts (``_segments``), in about steps / segments +
-segments stacked matmuls rather than one per step, and matches the
-coupled step to rounding.  A split field that also ignores the step and
-node and acts on each row alone (the fused extremal field) takes the
-v-record of a flow of at least PARAREAL_MIN_STEPS steps from Parareal in
-time (``_parareal``), which matches the loop to rounding.  Either way a
-batch keeps each row's bits.  ``_uniform_grid`` is the one check of a
-time grid, T and its step count, for every caller of the stepper.
+Munthe-Kaas splits a Lie-group integrator: the loop takes RK4 steps of v
+alone and keeps the stage velocities, and batched passes after the loop
+(``_reconstruct``) rebuild x from them.  A callable field takes classical
+RK4 steps over its rhs: four right-hand sides and 13 more numpy calls a
+step.  A field that carries a lifted matrix ``Kf``, with vdot =
+[v, y (x) v] @ Kf (the fused extremal field), takes lifted RK4 steps
+(``_lifted_loop``): per stage one outer product into a lift buffer and one
+stacked matmul against the stage's coefficients times h Kf give the next
+stage input and the stage's share of the step, 15 calls a step in all,
+which matches classical RK4 over the field's rhs to rounding.  Below
+PARAREAL_MIN_STEPS steps x is the product of the step exponentials in
+order, with the coupled step's bits for a callable field.  A longer flow
+multiplies them by the segments that Parareal cuts (``_segments``), in
+about steps / segments + segments stacked matmuls rather than one per
+step, and matches the coupled step to rounding.  A field that carries ``Kf`` also ignores the step and node and
+acts on each row alone, so it takes the v-record of a flow of at least
+PARAREAL_MIN_STEPS steps from Parareal in time (``_parareal``), which
+matches the loop to rounding.  Either way a batch keeps each row's bits.
+``_uniform_grid`` is the one check of a time grid, T and its step count,
+for every caller of the stepper.
 """
 
 from __future__ import annotations
@@ -298,6 +305,9 @@ def munthe_kaas_increment(model, h, z1, stage):
 
 
 _RK4_NODES = (0.0, 0.5, 0.5, 1.0)
+_RK4_WEIGHTS = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
+# the lifted step's coefficients: each stage's next node (0 after the last), weight
+_STAGE_COEFS = np.array([_RK4_NODES[1:] + (0.0,), _RK4_WEIGHTS]).T
 
 
 def rkmk_coupled_step(gm, x, v, k, h, rhs):
@@ -347,6 +357,10 @@ PARAREAL_MAX_COARSE_ERROR = 1e-6
 PARAREAL_MAX_SWEEPS = 4
 PARAREAL_ULPS = 16
 
+# the most steps of a time grid: a one-row so(3) extremal flow takes about
+# 0.4 kB per step, so a flow at the ceiling takes about 0.4 GB
+MAX_STEPS = 10 ** 6
+
 # every flow looks at its record every FINITE_CHECK_STEPS steps, not after each:
 # a look costs about 2.7 us of a 47 us step of a 1-row so(3) extremal flow, and
 # a flow runs at most FINITE_CHECK_STEPS - 1 steps past its first bad step
@@ -355,11 +369,17 @@ FINITE_CHECK_STEPS = 32
 
 def _uniform_grid(T, steps):
     """``(steps, h)`` of the uniform grid of ``steps`` steps over [0, T], the
-    one check of a time grid in the package: ``steps`` must be an integer of
-    at least 1 and T a finite positive real (``algebra._positive``), else
-    ValueError."""
-    steps = _count(steps, "steps", 1)
-    return steps, _positive(T, "T") / steps
+    one check of a time grid in the package: ``steps`` must be an integer
+    from 1 to MAX_STEPS (``algebra._count``), T a finite positive real
+    (``algebra._positive``), and the grid times, k h before the last and T at
+    the last as ``np.linspace`` places them, must strictly increase; else
+    ValueError, which names ``steps`` or T."""
+    steps = _count(steps, "steps", 1, MAX_STEPS)
+    h = _positive(T, "T") / steps
+    if not (h > 0.0 and (steps - 1) * h < T):
+        raise ValueError(f"T must leave the {steps + 1} grid times strictly increasing, "
+                         f"got {T!r}")
+    return steps, h
 
 
 def _segments(steps):
@@ -409,9 +429,66 @@ def _reconstruct(gm, zs, h, xs):
         np.matmul(xs[first[i]], span, out=span)
 
 
+def _stage_matrices(Kf, h):
+    """The four matrices [c h Kf | b h Kf] of a lifted RK4 step of size h, each
+    stage's weight b next to the node c of the stage after it (0 after the last),
+    stacked (4, ..., (n + 1) p, 2 p).  h is a scalar or one per row, of shape
+    (..., 1) against v's (..., p); either way each product c h and b h has the
+    bits it has alone."""
+    h = np.asarray(h)
+    coefs = _STAGE_COEFS.reshape((4,) + (1,) * max(h.ndim - 1, 0) + (1, 2, 1))
+    M = (coefs * h[..., None, None]) * Kf[:, None, :]
+    return M.reshape(M.shape[:-2] + (-1,))
+
+
+def _lifted_loop(Kf, steps, h, vs, look):
+    """``steps`` lifted RK4 steps of a field vdot = [v, y (x) v] @ Kf from
+    ``vs[0]``, filling ``vs[1:]``, with the return and the look of
+    ``_rk4_loop``.  The four stage inputs u sit in one buffer as rows (1, u),
+    so that per stage one outer product (1, y) (x) u into the lift buffer and
+    one stacked matmul against the stage's ``_stage_matrices`` give the next
+    stage input v + G[:p] and the stage's share g = b h vdot of the step;
+    then the stage y's go into the z record and v takes v + (((g1 + g2) + g3)
+    + g4).  That is 4 outer products, 4 matmuls, 5 adds and 2 copies per step,
+    against four right-hand sides and 13 more calls for classical RK4."""
+    p = vs.shape[-1]
+    n, lead = len(Kf) // p - 1, vs.shape[1:-1]
+    S = np.empty((4,) + lead + (1 + p,))
+    S[..., 0] = 1.0
+    lift = np.empty(lead + (1, len(Kf)))
+    outer = lift.reshape(lead + (n + 1, p))
+    G = np.empty((4,) + lead + (1, 2 * p))
+    u, ys, shares = S[..., 1:], S[..., 1:n + 1], G[..., 0, p:]
+    stages = list(zip(S[..., :n + 1, None], S[..., None, 1:], _stage_matrices(Kf, h), G,
+                      G[..., 0, :p], list(u[1:]) + [None]))
+    zs = np.empty((4, steps) + lead + (n,))
+    v, recorded = u[0], steps
+    v[...] = vs[0]
+    for k in range(steps):
+        for y1, ui, M, g, move, following in stages:
+            np.multiply(y1, ui, out=outer)
+            np.matmul(lift, M, out=g)
+            if following is not None:
+                np.add(v, move, out=following)
+        zs[:, k] = ys
+        np.add(v, np.add.reduce(shares, axis=0), out=v)
+        vs[k + 1] = v
+        if look and _looks_bad(k, vs):
+            recorded = k + 1
+            break
+    return zs, recorded
+
+
 def _rk4_step(x, v, k, h, rhs):
-    """Step k of classical RK4 on v for a field that ignores x: the four stage
-    velocities and the new v."""
+    """Step k of RK4 on v for a field that ignores x, of size h (a scalar, or
+    one per row as in ``_stage_matrices``): the four stage velocities and the
+    new v.  A field that carries ``Kf`` takes the lifted step
+    (``_lifted_loop``), any other classical RK4 over its rhs."""
+    if hasattr(rhs, "Kf"):
+        vs = np.empty((2,) + v.shape)
+        vs[0] = v
+        zs, _ = _lifted_loop(rhs.Kf, 1, h, vs, False)
+        return tuple(zs[:, 0]), vs[1]
     z1, f1 = rhs(k, 0.0, x, v)
     z2, f2 = rhs(k, 0.5, x, v + 0.5 * h * f1)
     z3, f3 = rhs(k, 0.5, x, v + 0.5 * h * f2)
@@ -438,31 +515,36 @@ def _rk4_loop(x, steps, h, rhs, vs, look=True, coupled=None):
     """``steps`` RK4 steps of v from ``vs[0]``, filling ``vs[1:]``.  Returns the
     stage velocities, shape (4, steps, ..., n), and the number of steps
     recorded: with ``look`` the loop stops at a look (``_looks_bad``) that
-    finds a v that is not finite.  A field that ignores x is passed ``x`` at
-    every stage.  With ``coupled``, the group model of a field that reads x,
-    ``x`` is the record of x, filled like ``vs``, and each step is a coupled
-    step (``rkmk_coupled_step``), which carries x along; the loop then keeps
-    no stage velocities and returns None for them.  A one-row batch steps as
-    a vector, v and x both, which numpy's matmul runs faster than a stack of
+    finds a v that is not finite.  A field that carries ``Kf`` takes lifted
+    steps (``_lifted_loop``); any other field that ignores x takes classical
+    RK4 steps over its rhs and is passed ``x`` at every stage.  With
+    ``coupled``, the group model of a field that reads x, ``x`` is the record
+    of x, filled like ``vs``, and each step is a coupled step
+    (``rkmk_coupled_step``), which carries x along; the loop then keeps no
+    stage velocities and returns None for them.  A one-row batch steps as a
+    vector, v and x both, which numpy's matmul runs faster than a stack of
     one, same bits."""
     batch = vs.shape[1:-1]
     lone = batch and prod(batch) == 1
     if lone:
         row = (slice(None),) + (0,) * len(batch)
         vs, x = vs[row], x[row] if coupled is not None else np.reshape(x, np.shape(x)[-2:])
-    v, zs, recorded = vs[0], None, steps
-    for k in range(steps):
-        if coupled is not None:
-            x[k + 1], v = rkmk_coupled_step(coupled, x[k], v, k, h, rhs)
-        else:
-            z, v = _rk4_step(x, v, k, h, rhs)
-            if zs is None:
-                zs = np.empty((4, steps) + np.shape(z[0]))
-            zs[:, k] = z
-        vs[k + 1] = v
-        if look and _looks_bad(k, vs):
-            recorded = k + 1
-            break
+    if coupled is None and hasattr(rhs, "Kf"):
+        zs, recorded = _lifted_loop(rhs.Kf, steps, h, vs, look)
+    else:
+        v, zs, recorded = vs[0], None, steps
+        for k in range(steps):
+            if coupled is not None:
+                x[k + 1], v = rkmk_coupled_step(coupled, x[k], v, k, h, rhs)
+            else:
+                z, v = _rk4_step(x, v, k, h, rhs)
+                if zs is None:
+                    zs = np.empty((4, steps) + np.shape(z[0]))
+                zs[:, k] = z
+            vs[k + 1] = v
+            if look and _looks_bad(k, vs):
+                recorded = k + 1
+                break
     if lone and zs is not None:
         zs = zs.reshape((4, steps) + batch + zs.shape[-1:])
     return zs, recorded
@@ -545,20 +627,24 @@ def _parareal(x, steps, h, rhs, vs):
     return zs, recorded
 
 
-def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False, parareal=False):
+def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False):
     """``steps`` RK-MK steps of size ``h`` through the one time loop of the
     package (``_rk4_loop``).
 
     ``rhs`` is as in ``rkmk_coupled_step``.  With ``needs_x`` each step of
     the loop is a coupled step, and the loop records the x it carries.
     Otherwise rhs must ignore x (it is passed the initial x), and the step
-    splits: the loop takes classical RK4 steps of v and keeps the four stage
+    splits: the loop takes RK4 steps of v and keeps the four stage
     velocities z1..z4 of every step, and x is reconstructed from them after
-    the loop (``_reconstruct``).  Below PARAREAL_MIN_STEPS steps that x has
-    the bits of the coupled step; a longer flow takes the product of the
-    step exponentials by segments, which matches the coupled step to
-    rounding.  Returns the flow (xs, vs) on the grid: steps + 1 states, the
-    initial one first, of the batch of x and v broadcast together.
+    the loop (``_reconstruct``).  A field that carries a lifted matrix
+    ``Kf`` (``pmp.extremal_field`` of a quadratic cost) takes lifted RK4
+    steps (``_lifted_loop``), any other classical RK4 steps over its rhs.
+    Below PARAREAL_MIN_STEPS steps x is the product of the step exponentials
+    in order, which for a callable field has the bits of the coupled step; a
+    longer flow takes that product by segments, which matches the coupled
+    step to rounding.  Returns the flow (xs, vs) on the grid: steps + 1
+    states, the initial one first, of the batch of x and v broadcast
+    together.
 
     Every flow keeps two rules.  The loop looks at its record of v every
     FINITE_CHECK_STEPS steps and stops at a look that finds a state that is
@@ -566,10 +652,11 @@ def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False, parareal=False):
     places the first such step over v and the x carried or rebuilt up to the
     first bad v, for NonFinite.  And a one-row batch steps as a vector (``_rk4_loop``).
 
-    ``parareal`` marks a split field that also ignores (k, c) and acts on
-    each row alone: a flow of at least PARAREAL_MIN_STEPS steps then takes
-    the v-record of ``_parareal``, which matches the loop to rounding
-    rather than bit for bit in the rows that take part in the iteration.
+    A field that carries ``Kf`` ignores x, the step and the node and acts on
+    each row alone, which is what Parareal needs: a flow of at least
+    PARAREAL_MIN_STEPS steps takes the v-record of ``_parareal``, which
+    matches the loop to rounding rather than bit for bit in the rows that
+    take part in the iteration.
     """
     lead = np.broadcast_shapes(np.shape(x)[:-2], np.shape(v)[:-1])
     xs = np.empty((steps + 1,) + lead + np.shape(x)[-2:])
@@ -578,7 +665,7 @@ def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False, parareal=False):
     with np.errstate(over="ignore", invalid="ignore"):
         if needs_x:
             zs, recorded = _rk4_loop(xs, steps, h, rhs, vs, coupled=gm)
-        elif parareal and steps >= PARAREAL_MIN_STEPS:
+        elif hasattr(rhs, "Kf") and steps >= PARAREAL_MIN_STEPS:
             zs, recorded = _parareal(xs[0].reshape((-1,) + xs.shape[-2:]), steps, h, rhs,
                                      vs.reshape(steps + 1, -1, vs.shape[-1]))
             zs = zs.reshape((4, steps) + lead + zs.shape[-1:])

@@ -28,13 +28,16 @@ the Hamiltonian field of H for the trivialized symplectic form
 every cost; it and ``eliminate_control`` are the only code that reads the
 cost's form.  Every ``CostModel`` callable takes a batch of points, so a
 batch or a grid costs one call of each.  For x-independent quadratic costs
-the flow is bilinear in (y; mu, xi), and the field evaluates a batch of RK
-stages by two stacked matmuls against a tensor built once per (model,
-cost), whose y-block is the model's ``drift`` matrix (the one that
-``algebra.bias`` contracts); any other cost takes one batched
-``eliminate_control``, whose damped Newton steps every row at once, and
-one batched ``extremal_rhs``, the general-cost kernel, which is also the
-reference the fused field is tested against.  The Hamiltonian checks
+the flow is bilinear in v = (y; mu, xi): vdot = [v, y (x) v] @ Kf, with the
+lifted matrix Kf built once per (model, cost) from a tensor whose y-block
+is the model's ``drift`` matrix (the one that ``algebra.bias`` contracts).
+The field evaluates that product by one outer product and one stacked
+matmul, and carries Kf, so that the stepper folds the RK4 coefficients
+into it and steps the field by a lifted RK4 step (``groups._lifted_loop``);
+any other cost takes one batched ``eliminate_control``, whose damped
+Newton steps every row at once, and one batched ``extremal_rhs``, the
+general-cost kernel, which is also the reference the fused field is
+tested against.  The Hamiltonian checks
 (``hamiltonian_field_check``, ``hamiltonian_observable``) evaluate
 ``extremal_field`` itself, so they certify the kernel that the flows step.
 ``propagate_endpoints`` steps the field
@@ -43,9 +46,9 @@ of shooting rows as for the single flow of ``flow_extremal``, under the
 stepper's two rules.  No field raises on a state that is not finite:
 control elimination gives such a row a NaN control, and the stepper
 reports the step.  The fused field ignores the step and acts on each row
-alone, so it alone turns on the stepper's ``parareal``: flows of at least
-``groups.PARAREAL_MIN_STEPS`` steps then match the sequential loop to
-rounding in the rows Parareal admits, while a batch keeps each row's bits.
+alone, so its flows of at least ``groups.PARAREAL_MIN_STEPS`` steps take
+Parareal, which matches the sequential loop to rounding in the rows it
+admits, while a batch keeps each row's bits.
 ``extremal_trajectory`` turns a recorded flow into a trajectory.  A flow
 (``flow_extremal``) and the field check start from p = (state, costate), the
 point that ``symplectic_form`` and ``poisson_bracket`` take.
@@ -302,10 +305,6 @@ def extremal_rhs(model, cost, a):
 
 # -- extremal flow --------------------------------------------------------------
 
-def _is_quadratic(cost):
-    return cost.quad_weight is not None and cost.x_independent
-
-
 def _quadratic_tensor(model, R):
     """K with vdot_o = K[o, a, q] y1_a v_q for v = (y, mu, xi), y1 = (1, y): slice
     a = 0 is linear (the control map embed(R^-1 xi[:m]) and -mu), the y slices
@@ -330,23 +329,27 @@ def extremal_field(model, cost):
     """The extremal flow as a stepper right-hand side ``rhs(k, c, x, v) -> (y, vdot)``
     with v = (y, mu, xi), batched over leading dimensions of v for every cost.
 
-    Quadratic x-independent costs get the fused field: one stacked matmul of
-    v against the tensor K of ``_quadratic_tensor``, held as a (3n, 3n (n + 1))
-    matrix, gives W[o, a] = K[o, a, q] v_q, and then W[:, 0] + W[:, 1:] y.
+    Quadratic x-independent costs get the fused field: the tensor K of
+    ``_quadratic_tensor``, held as the lifted matrix Kf of shape
+    ((n + 1) p, p), p = 3n, with Kf[a p + q, o] = K[o, a, q], gives
+    vdot = [v, y (x) v] @ Kf, the lift being the outer product (1, y) (x) v;
+    the field carries Kf (``rhs.Kf``) for the stepper's lifted RK4 step.
     Any other cost takes one batched ``eliminate_control``, whose Newton runs
     every row at once and gives a row that is not finite a NaN control, and
     one batched ``extremal_rhs``.  Either way each row gets the bits it gets
     alone.  Cached per (model, cost)."""
     n = model.n
-    if _is_quadratic(cost):
+    if cost.quad_weight is not None and cost.x_independent:
         K = _quadratic_tensor(model, cost.quad_weight)
-        Kt = np.ascontiguousarray(K.transpose(2, 0, 1).reshape(3 * n, 3 * n * (n + 1)))
+        Kf = np.ascontiguousarray(K.transpose(1, 2, 0).reshape(3 * n * (n + 1), 3 * n))
+        Kf.flags.writeable = False  # the cached field hands it to every flow
 
         def rhs(k, c, x, v):
-            y = v[..., :n]
-            W = (v[..., None, :] @ Kt).reshape(v.shape[:-1] + (3 * n, n + 1))
-            return y, W[..., 0] + (W[..., 1:] @ y[..., None])[..., 0]
+            y1 = np.concatenate([np.ones(v.shape[:-1] + (1,)), v[..., :n]], axis=-1)
+            lift = (y1[..., :, None] * v[..., None, :]).reshape(v.shape[:-1] + (1, len(Kf)))
+            return v[..., :n], (lift @ Kf)[..., 0, :]
 
+        rhs.Kf = Kf
         return rhs
 
     def rhs(k, c, x, v):
@@ -389,9 +392,9 @@ def propagate_endpoints(model, gm, cost, x0, y0, mu0, xi0, T, steps):
     Every extremal flow runs here, the rows of a shooting step as well as
     the single flow of ``flow_extremal``, and a batch of flows is bitwise
     the run of each element alone.  The fused field of a quadratic cost
-    may take Parareal (see the module docstring).  T and ``steps`` must
-    make a uniform grid (``groups._uniform_grid``), else ValueError.
-    Returns (x_T, y_T, (xs, vs)), where
+    takes lifted RK4 steps, and Parareal on long grids (see the module
+    docstring).  T and ``steps`` must make a uniform grid
+    (``groups._uniform_grid``), else ValueError.  Returns (x_T, y_T, (xs, vs)), where
     (xs, vs) is the stepper's record of the batch's group elements and
     v = (y, mu, xi) at the steps + 1 grid points, the initial state first
     (see ``groups.rkmk_integrate``).
@@ -402,8 +405,7 @@ def propagate_endpoints(model, gm, cost, x0, y0, mu0, xi0, T, steps):
     steps, h = groups._uniform_grid(T, steps)
     xs, vs = groups.rkmk_integrate(gm, np.asarray(x0, dtype=float), v, steps, h,
                                    extremal_field(model, cost),
-                                   needs_x=not cost.x_independent,
-                                   parareal=_is_quadratic(cost))
+                                   needs_x=not cost.x_independent)
     return xs[-1], vs[-1, ..., : model.n], (xs, vs)
 
 

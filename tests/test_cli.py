@@ -339,6 +339,12 @@ _PROBLEM = {"x0": [0, 0, 0], "xT": [0, 0, 0.5], "y0": [0, 0, 0], "yT": [0, 0, 0]
     ("simulate", {"problem": {**_PROBLEM, "T": True}}, "problem.T must be finite and positive"),
     ("simulate", {"problem": {**_PROBLEM, "T": "1"}}, "problem.T must be finite and positive"),
     ("simulate", {"problem": {**_PROBLEM, "T": 10**400}}, "problem.T must be finite and positive"),
+    *[(command, {"problem": {**_PROBLEM, "steps": 10**30}},
+       "problem.steps must be at most 1000000, got 1000000000000000000000000000000")
+      for command in ("simulate", "extremal", "shoot")],
+    *[(command, {"problem": {**_PROBLEM, "T": 5e-324, "steps": 4}},
+       "problem.T must leave the 5 grid times strictly increasing, got 5e-324")
+      for command in ("simulate", "extremal", "shoot")],
     ("shoot", {"solver": {"max_iter": 3.7}}, "solver.max_iter must be an integer, got 3.7"),
     ("shoot", {"solver": {"fd_step": 0}}, "solver.fd_step must be finite and positive"),
     ("shoot", {"solver": {"tol": -1}}, "solver.tol must be finite and positive"),
@@ -357,7 +363,9 @@ _PROBLEM = {"x0": [0, 0, 0], "xT": [0, 0, 0.5], "y0": [0, 0, 0], "yT": [0, 0, 0]
     ("validate", {"algebra": {"kind": "abelian", "n": -1}}, "algebra.n must be at least 1"),
     ("validate", {"algebra": {"kind": "abelian", "n": 3, "m": True}},
      "actuated dimension m must be an integer"),
-], ids=["steps-float", "T-bool", "T-string", "T-beyond-float", "max_iter-float", "fd_step-zero",
+], ids=["steps-float", "T-bool", "T-string", "T-beyond-float", "simulate-steps-beyond-ceiling",
+        "extremal-steps-beyond-ceiling", "shoot-steps-beyond-ceiling", "simulate-T-subnormal",
+        "extremal-T-subnormal", "shoot-T-subnormal", "max_iter-float", "fd_step-zero",
         "tol-negative", "max_iter-negative", "tol-string", "tol-beyond-float",
         "fd_step-beyond-float", "segments-float", "steps_per_segment-float",
         "so3-m-float", "abelian-n-float", "abelian-n-integral-float", "abelian-n-negative",

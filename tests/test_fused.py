@@ -7,10 +7,13 @@ scaled, permuted generators and an adapted inertia.  Every case is checked
 to be a valid model (Jacobi identity included) whose connection is metric
 compatible and whose extremal field is Hamiltonian.  The batch tests pin the
 bitwise equality of a batched flow with each of its rows run alone, of
-the split x-independent flow with a loop of coupled steps, and of
-shooting's fused residual-and-Jacobian batch with separate flows and with
-its row subsets (the residual row alone, the perturbation rows alone).
+the split flow of a callable x-independent field with a loop of coupled
+steps (the lifted steps of the fused field match those to rounding), and
+of shooting's fused residual-and-Jacobian batch with separate flows and
+with its row subsets (the residual row alone, the perturbation rows alone).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from aoc.pmp import (Costate, ExtremalPoint, _quadratic_tensor, eliminate_contro
                      quadratic_cost)
 from aoc.shooting import (BoundaryProblem, _residual_and_jacobian, _residual_batch,
                           boundary_residual)
+from test_parareal import ULPS
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -168,36 +172,71 @@ def test_dexpinv_matches_bracket_series(case):
         assert_allclose(dexpinv(model, w[b], v[b]), dexpinv(model, w, v)[b], rtol=0, atol=0)
 
 
+def split_and_coupled(gm, rhs, x0, v0, h, steps=25):
+    """The split flow of ``rhs`` and the same flow by coupled steps, each as
+    (xs, vs) after the first grid point; None if the split flow blows up, after
+    checking that the coupled steps blow up at the same step."""
+    try:
+        xs, vs = rkmk_integrate(gm, x0, v0, steps, h, rhs)
+        bad = None
+    except aoc.NonFinite as e:
+        bad = e.step_index
+    xc, vc = [x0], [v0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps if bad is None else bad):
+            x, v = rkmk_coupled_step(gm, xc[-1], vc[-1], k, h, rhs)
+            xc.append(x)
+            vc.append(v)
+            if bad is not None:
+                assert (np.isfinite(x).all() and np.isfinite(v).all()) == (k + 1 < bad)
+    if bad is not None:
+        return None
+    return (xs[1:], vs[1:]), (np.array(xc[1:]), np.array(vc[1:]))
+
+
+def ulps_apart(a, b):
+    """The largest distance of two flows (x, v), in ulps of b's largest entry of each."""
+    return max(np.abs(p - q).max() / (np.finfo(float).eps * np.abs(q).max()) for p, q in zip(a, b))
+
+
 @given(algebras, st.sampled_from([1, 2, 13, 60]))
 @settings(max_examples=20, deadline=None)
 def test_split_flow_is_bitwise_coupled_steps_and_single_rows(case, width):
     # x-independent fields take the split path: RK4 on v in the loop, the group
-    # product after it; it must give the bits of coupled steps, row by row
+    # product after it.  A callable field (the fused field's rhs as a plain
+    # function, and the Newton form of the cost) takes classical RK4 steps and
+    # must give the bits of coupled steps, row by row.  The fused field takes
+    # lifted RK4 steps and must match the same coupled steps to rounding:
+    # within ULPS ulps, or, on a draw whose flow amplifies rounding beyond
+    # that, no farther than 8 times the Newton form, another rounding of the
+    # same field, is from them.  Either way each row gets its bits alone
     model, gm, rng = draw(*case)
     n = model.n
-    rhs = extremal_field(model, quadratic_cost(model, spd(rng, model.m)))
+    cost = quadratic_cost(model, spd(rng, model.m))
     v0 = rng.uniform(-1.0, 1.0, (width, 3 * n))
     x0 = np.eye(gm.rep_dim)
     h = 0.04
-    try:
-        xs, vs = rkmk_integrate(gm, x0, v0, 25, h, rhs)
-        bad = None
-    except aoc.NonFinite as e:
-        # some drawn flows blow up: the coupled steps must blow up at the same step
-        bad = e.step_index
-    xc, vc = x0, v0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(25 if bad is None else bad):
-            xc, vc = rkmk_coupled_step(gm, xc, vc, k, h, rhs)
-            if bad is not None:
-                assert (np.isfinite(xc).all() and np.isfinite(vc).all()) == (k + 1 < bad)
-            else:
-                assert np.array_equal(xs[k + 1], xc) and np.array_equal(vs[k + 1], vc)
-    if bad is not None:
+    fused = extremal_field(model, cost)
+    plain = lambda k, c, x, v: fused(k, c, x, v)
+    flows = split_and_coupled(gm, plain, x0, v0, h)
+    if flows is None:
+        # some drawn flows blow up, at the step of the coupled steps; near the
+        # largest float the lifted step, which scales each stage's rates by
+        # b h before adding them, may overflow a step later or not at all
         return
-    for b in {0, width - 1}:
-        xb, vb = rkmk_integrate(gm, x0, v0[b], 25, h, rhs)
-        assert np.array_equal(xb, xs[:, b]) and np.array_equal(vb, vs[:, b])
+    split, reference = flows
+    assert all(np.array_equal(a, b) for a, b in zip(split, reference))
+    split, coupled = split_and_coupled(
+        gm, extremal_field(model, dataclasses.replace(cost, quad_weight=None)), x0, v0, h)
+    assert all(np.array_equal(a, b) for a, b in zip(split, coupled))
+    lifted, coupled = split_and_coupled(gm, fused, x0, v0, h)
+    assert all(np.array_equal(a, b) for a, b in zip(coupled, reference))
+    assert ulps_apart(lifted, reference) <= max(ULPS, 8.0 * ulps_apart(split, reference))
+    for rhs in (plain, fused):
+        xs, vs = rkmk_integrate(gm, x0, v0, 25, h, rhs)
+        for b in {0, width - 1}:
+            xb, vb = rkmk_integrate(gm, x0, v0[b], 25, h, rhs)
+            assert np.array_equal(xb, xs[:, b]) and np.array_equal(vb, vs[:, b])
 
 
 @pytest.fixture(scope="module")

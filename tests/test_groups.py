@@ -13,6 +13,7 @@ from aoc.dynamics import zoh_rollout
 from aoc.groups import (dexpinv, orthogonality_defect, reconstruct_step,
                         rkmk_coupled_step, rkmk_integrate, validate_group)
 from aoc.pmp import extremal_field, min_acc_cost
+from test_parareal import within_ulps
 
 
 def series_exp(A, terms=30):
@@ -355,26 +356,37 @@ def coupled_loop(gm, x, v, steps, h, rhs):
 @pytest.mark.parametrize("pass_rows", [None, 20])
 def test_split_flow_is_bitwise_the_coupled_loop(kind, width, pass_rows, so3_m2, abelian3,
                                                 monkeypatch):
-    # pass_rows 20 splits the reconstruction into several passes of whole steps
+    # pass_rows 20 splits the reconstruction into several passes of whole steps.
+    # A callable x-independent field (the Newton form of the cost) takes
+    # classical RK4 steps and gives the bits of coupled steps; the fused field
+    # takes lifted steps and matches coupled steps to rounding
     if pass_rows is not None:
         monkeypatch.setattr(aoc.groups, "_PASS_ROWS", pass_rows)
     model = abelian3 if kind == "abelian" else so3_m2
     gm = {"so3": aoc.so3_group, "abelian": aoc.abelian_group,
           "generic": lambda m: aoc.generic_group(m, aoc.so3_group(m).basis)}[kind](model)
-    rhs = extremal_field(model, min_acc_cost(model))
+    cost = min_acc_cost(model)
     v0 = np.random.default_rng(7).uniform(-1.5, 1.5, (width, 9))
     x0 = aoc.exp_map(gm, np.array([0.3, -0.2, 0.4]))
     h = 0.05
+    rhs = extremal_field(model, dataclasses.replace(cost, quad_weight=None))
+    assert not hasattr(rhs, "Kf")
     xs1, vs1 = coupled_loop(gm, x0, v0, 30, h, rhs)
     xs2, vs2 = rkmk_integrate(gm, x0, v0, 30, h, rhs)
     assert xs2.shape == (31, width) + x0.shape and vs2.shape == (31, width, 9)
     assert np.array_equal(xs1, xs2) and np.array_equal(vs1, vs2)
+    fused = extremal_field(model, cost)
+    xs1, vs1 = coupled_loop(gm, x0, v0, 30, h, fused)
+    xs2, vs2 = rkmk_integrate(gm, x0, v0, 30, h, fused)
+    assert within_ulps(xs2, xs1) and within_ulps(vs2, vs1)
 
 
 @pytest.mark.parametrize("kind", ["fused", "newton", "coupled"])
-def test_a_one_row_batch_steps_as_a_vector(kind, so3_m2, so3_m2_group):
+def test_a_one_row_batch_steps_as_a_vector(kind, so3_m2, so3_m2_group, monkeypatch):
     # the right-hand side of a (1, p) flow sees v of shape (p,) and x of shape
-    # (d, d), and the record keeps the batch axis with the bits of the vector flow
+    # (d, d), the lifted loop of the fused field fills a record of v of shape
+    # (steps + 1, p), and the record keeps the batch axis with the bits of the
+    # vector flow
     model, gm = so3_m2, so3_m2_group
     cost = min_acc_cost(model)
     if kind == "newton":
@@ -397,8 +409,17 @@ def test_a_one_row_batch_steps_as_a_vector(kind, so3_m2, so3_m2_group):
     v0 = np.random.default_rng(2).uniform(-1.0, 1.0, 9)
     x0 = aoc.exp_map(gm, np.array([0.3, -0.2, 0.4]))
     xs, vs = rkmk_integrate(gm, x0, v0, 40, 0.05, field, needs_x=needs_x)
+    if kind == "fused":
+        lifted = aoc.groups._lifted_loop
+
+        def spy(Kf, steps, h, vs, look):
+            seen.add(vs.shape)
+            return lifted(Kf, steps, h, vs, look)
+
+        monkeypatch.setattr(aoc.groups, "_lifted_loop", spy)
+        rhs = field
     xs1, vs1 = rkmk_integrate(gm, x0[None], v0[None], 40, 0.05, rhs, needs_x=needs_x)
-    assert seen == {((3, 3), (9,))}
+    assert seen == ({(41, 9)} if kind == "fused" else {((3, 3), (9,))})
     assert xs1.shape == (41, 1, 3, 3) and vs1.shape == (41, 1, 9)
     assert np.array_equal(xs1[:, 0], xs) and np.array_equal(vs1[:, 0], vs)
 
@@ -479,3 +500,21 @@ def test_coupled_flow_is_bitwise_the_coupled_loop(shape, so3_j123_group):
     with pytest.raises(aoc.NonFinite) as err:
         rkmk_integrate(gm, x0, v0, 20, 0.1, attracted_then_nan, needs_x=True)
     assert err.value.step_index == refd.value.step_index == 7
+
+
+@pytest.mark.parametrize("steps", range(1, 13))
+def test_the_grid_rule_refuses_times_that_do_not_strictly_increase(steps):
+    # T of 1 to 40 of the smallest subnormals: the rule accepts exactly the
+    # grids whose times, as np.linspace places them, strictly increase
+    for units in range(1, 41):
+        T = units * 5e-324
+        times = np.linspace(0.0, T, steps + 1)
+        if (np.diff(times) > 0).all():
+            assert aoc.groups._uniform_grid(T, steps) == (steps, T / steps)
+        else:
+            with pytest.raises(ValueError, match=rf"^T must leave the {steps + 1} grid times "
+                                                 "strictly increasing, got"):
+                aoc.groups._uniform_grid(T, steps)
+    assert aoc.groups._uniform_grid(1.0, aoc.groups.MAX_STEPS)[0] == aoc.groups.MAX_STEPS
+    with pytest.raises(ValueError, match=r"^steps must be at most 1000000, got 1000001$"):
+        aoc.groups._uniform_grid(1.0, aoc.groups.MAX_STEPS + 1)

@@ -1,0 +1,88 @@
+"""The lifted RK4 step of the fused extremal field (``groups._lifted_loop``).
+
+The fused field carries its lifted matrix Kf, vdot = [v, y (x) v] @ Kf, and
+the stepper folds the RK4 coefficients and h into Kf: one outer product and
+one stacked matmul per stage.  That step matches classical RK4 over the
+field's rhs to rounding, one step and whole flows alike, and every row of a
+batch gets the bits it gets alone, with one h for all rows or one per row
+(Parareal's pair step).
+"""
+
+import numpy as np
+import pytest
+
+from aoc import groups
+from aoc.pmp import extremal_field, min_acc_cost
+from test_parareal import GROUPS, flow, within_ulps
+
+
+def field(gm):
+    return extremal_field(gm.algebra, min_acc_cost(gm.algebra))
+
+
+def classical(rhs):
+    """The same field as a plain callable, which takes classical RK4 steps."""
+    return lambda k, c, x, v: rhs(k, c, x, v)
+
+
+def test_the_fused_field_carries_its_lifted_matrix():
+    gm = GROUPS["so3-m3"]()
+    rhs = field(gm)
+    v = np.random.default_rng(1).uniform(-1.0, 1.0, (5, 9))
+    y1 = np.concatenate([np.ones((5, 1)), v[:, :3]], axis=1)
+    lift = (y1[:, :, None] * v[:, None, :]).reshape(5, 36)
+    assert rhs.Kf.shape == (36, 9)
+    assert np.array_equal(rhs(0, 0.0, None, v)[1], (lift[:, None, :] @ rhs.Kf)[:, 0])
+
+
+@pytest.mark.parametrize("kind", sorted(GROUPS))
+def test_one_lifted_step_matches_classical_rk4_to_rounding(kind):
+    gm = GROUPS[kind]()
+    rhs = field(gm)
+    v = np.random.default_rng(2).uniform(-1.0, 1.0, (13, 3 * gm.algebra.n))
+    for h in (0.005, 0.05):
+        z, w = groups._rk4_step(None, v, 0, h, rhs)
+        zc, wc = groups._rk4_step(None, v, 0, h, classical(rhs))
+        assert within_ulps(w, wc)
+        assert all(within_ulps(a, b) for a, b in zip(z, zc))
+
+
+@pytest.mark.parametrize("kind", sorted(GROUPS))
+@pytest.mark.parametrize("steps", [200, 2000])
+def test_lifted_flows_match_classical_rk4_to_rounding(kind, steps):
+    # at 2000 steps the lifted flow takes Parareal and the callable the loop
+    gm = GROUPS[kind]()
+    v0 = np.random.default_rng(3).uniform(-0.5, 0.5, (4, 3 * gm.algebra.n))
+    xs, vs = flow(gm, v0, steps)
+    xc, vc = flow(gm, v0, steps, rhs=classical(field(gm)))
+    assert within_ulps(vs, vc) and within_ulps(xs, xc)
+
+
+@pytest.mark.parametrize("kind", sorted(GROUPS))
+@pytest.mark.parametrize("steps", [16, 200, 507])
+def test_batch_rows_of_a_lifted_flow_are_bitwise_single_rows(kind, steps):
+    gm = GROUPS[kind]()
+    rng = np.random.default_rng(4)
+    v0 = rng.uniform(-1.0, 1.0, (6, 3 * gm.algebra.n)) * np.geomspace(0.05, 2.0, 6)[:, None]
+    v0[1] = 0.0  # a row at rest, whose zero increments keep their signs
+    xs, vs = flow(gm, v0, steps)
+    for r in range(len(v0)):
+        for v in (v0[r], v0[r:r + 1]):
+            x1, v1 = flow(gm, v, steps)
+            assert np.array_equal(x1.reshape(xs[:, r].shape), xs[:, r])
+            assert np.array_equal(v1.reshape(vs[:, r].shape), vs[:, r])
+
+
+@pytest.mark.parametrize("kind", sorted(GROUPS))
+def test_a_per_row_h_gives_each_row_its_bits_alone(kind):
+    # Parareal's pair step: 10 pairs of segments of different lengths, R rows each
+    gm = GROUPS[kind]()
+    rng = np.random.default_rng(5)
+    v = rng.uniform(-1.0, 1.0, (10, 3, 3 * gm.algebra.n))
+    h = rng.uniform(0.01, 0.1, (10, 1, 1))
+    z, w = groups._rk4_step(None, v, 0, h, field(gm))
+    for i in range(10):
+        for r in range(3):
+            z1, w1 = groups._rk4_step(None, v[i, r], 0, float(h[i, 0, 0]), field(gm))
+            assert np.array_equal(w1, w[i, r])
+            assert all(np.array_equal(a[i, r], b) for a, b in zip(z, z1))

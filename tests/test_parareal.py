@@ -1,13 +1,14 @@
 """Long split flows: Parareal in time (``groups._parareal``) and x by segments.
 
-Flows of at least PARAREAL_MIN_STEPS steps through ``rkmk_integrate`` with
-``parareal`` match the sequential RK4 loop to rounding, not bit for bit, in
-the rows whose coarse error admits them; other rows, and rows that reach
-the sweep cap, keep the loop's bits.  The x record of such a flow is the
-product of its step exponentials by Parareal's segments
-(``groups._reconstruct``), which matches the product in order to rounding.
-Each row still gets the bits it gets alone, a blow-up is reported at the
-loop's step, and shorter flows keep the loop's bits.
+Flows of a field that carries a lifted matrix ``Kf`` (the fused extremal
+field) of at least PARAREAL_MIN_STEPS steps through ``rkmk_integrate``
+match the sequential RK4 loop to rounding, not bit for bit, in the rows
+whose coarse error admits them; other rows, and rows that reach the sweep
+cap, keep the loop's bits.  The x record of such a flow is the product of
+its step exponentials by Parareal's segments (``groups._reconstruct``),
+which matches the product in order to rounding.  Each row still gets the
+bits it gets alone, a blow-up is reported at the loop's step, and shorter
+flows keep the loop's bits.
 """
 
 import dataclasses
@@ -27,26 +28,34 @@ ULPS = 32
 
 
 def spy_loops(monkeypatch):
-    """(steps, rows) of every RK4 loop the stepper runs, the rows as its
-    right-hand side first sees them: a fine sweep has rows (K, active rows),
-    a sequential loop (rows,), or () for one row, which steps as a vector."""
-    loops = []
-    loop = groups._rk4_loop
+    """(steps, rows, recorded) of every lifted RK4 loop that the time loop
+    ``groups._rk4_loop`` runs (not the one-step loops of ``groups._rk4_step``),
+    the rows as the lifted loop fills them: a fine sweep has rows (K, active
+    rows), a sequential loop (rows,), or () for one row, which steps as a
+    vector; ``recorded`` is the number of steps it ran."""
+    loops, inside = [], []
+    loop, lifted = groups._rk4_loop, groups._lifted_loop
 
-    def counted(x, steps, h, rhs, vs, look=True, coupled=None):
-        def first(k, c, x, v):
-            if k == 0 and c == 0.0:
-                loops.append((steps, v.shape[:-1]))
-            return rhs(k, c, x, v)
+    def time_loop(*args, **kwargs):
+        inside.append(True)
+        try:
+            return loop(*args, **kwargs)
+        finally:
+            inside.pop()
 
-        return loop(x, steps, h, first, vs, look, coupled)
+    def counted(Kf, steps, h, vs, look):
+        zs, recorded = lifted(Kf, steps, h, vs, look)
+        if inside:
+            loops.append((steps, vs.shape[1:-1], recorded))
+        return zs, recorded
 
-    monkeypatch.setattr(groups, "_rk4_loop", counted)
+    monkeypatch.setattr(groups, "_rk4_loop", time_loop)
+    monkeypatch.setattr(groups, "_lifted_loop", counted)
     return loops
 
 
 def reruns(loops, steps):
-    return [rows for n, rows in loops if n == steps]
+    return [rows for n, rows, _ in loops if n == steps]
 
 
 def within_ulps(got, ref):
@@ -85,9 +94,27 @@ GROUPS = {
 }
 
 
-def flow(gm, v0, steps, T=1.0, rhs=None, **kwargs):
+def flow(gm, v0, steps, T=1.0, rhs=None):
     rhs = rhs or extremal_field(gm.algebra, min_acc_cost(gm.algebra))
-    return rkmk_integrate(gm, np.eye(gm.rep_dim), v0, steps, T / steps, rhs, **kwargs)
+    return rkmk_integrate(gm, np.eye(gm.rep_dim), v0, steps, T / steps, rhs)
+
+
+def loop_flow(gm, v0, steps, T=1.0):
+    """The reference for a split fused flow from the identity: the v-record of
+    the sequential time loop (``groups._rk4_loop``), NonFinite at its first
+    step that is not finite, and x rebuilt from its stage velocities."""
+    h = T / steps
+    xs = np.empty((steps + 1,) + v0.shape[:-1] + (gm.rep_dim,) * 2)
+    vs = np.empty((steps + 1,) + v0.shape)
+    xs[0], vs[0] = np.eye(gm.rep_dim), v0
+    with np.errstate(over="ignore", invalid="ignore"):
+        zs, recorded = groups._rk4_loop(xs[0], steps, h, extremal_field(
+            gm.algebra, min_acc_cost(gm.algebra)), vs)
+        done = groups._finite_steps(vs[:recorded + 1])
+        if done < steps:
+            raise aoc.NonFinite(done + 1)
+        groups._reconstruct(gm, zs, h, xs)
+    return xs, vs
 
 
 @pytest.mark.parametrize("kind", sorted(GROUPS))
@@ -97,9 +124,9 @@ def test_parareal_matches_the_sequential_loop_to_rounding(kind, steps, monkeypat
     gm = GROUPS[kind]()
     assert steps == PARAREAL_MIN_STEPS or steps % PARAREAL_SEGMENTS
     v0 = np.random.default_rng(3).uniform(-0.5, 0.5, (4, 3 * gm.algebra.n))
-    xs0, vs0 = flow(gm, v0, steps)
+    xs0, vs0 = loop_flow(gm, v0, steps)
     loops = spy_loops(monkeypatch)
-    xs1, vs1 = flow(gm, v0, steps, parareal=True)
+    xs1, vs1 = flow(gm, v0, steps)
     assert loops and not reruns(loops, steps)  # every row took part and converged
     assert xs1.shape == xs0.shape and vs1.shape == vs0.shape
     assert np.array_equal(vs1[0], v0) and np.array_equal(xs1[0], xs0[0])
@@ -124,7 +151,7 @@ def test_batch_rows_are_bitwise_single_rows(steps, cap, monkeypatch):
     loops = spy_loops(monkeypatch)
     xT, yT, (xs, vs) = propagate_endpoints(model, gm, cost, np.eye(3), np.zeros(3),
                                            th[:, :3], th[:, 3:], 1.0, steps)
-    widths = [rows[1] for n, rows in loops if n < steps]
+    widths = [rows[1] for n, rows, _ in loops if n < steps]
     rerun = reruns(loops, steps)[0][0]
     if cap is None:
         # only the rows that did not take part rerun
@@ -144,10 +171,10 @@ def test_a_row_of_large_coarse_error_takes_the_loop_at_once(monkeypatch):
     gm = GROUPS["so3-m2"]()
     v0 = np.concatenate([np.zeros(3), np.random.default_rng(6).uniform(-8.0, 8.0, 6)])
     steps = PARAREAL_MIN_STEPS
-    xs0, vs0 = flow(gm, v0, steps)
+    xs0, vs0 = loop_flow(gm, v0, steps)
     loops = spy_loops(monkeypatch)
-    xs1, vs1 = flow(gm, v0, steps, parareal=True)
-    assert loops == [(steps, ())]
+    xs1, vs1 = flow(gm, v0, steps)
+    assert loops == [(steps, (), steps)]
     assert np.array_equal(xs1, xs0) and np.array_equal(vs1, vs0)
 
 
@@ -155,8 +182,8 @@ def test_no_sweeps_is_the_sequential_loop(monkeypatch):
     monkeypatch.setattr(groups, "PARAREAL_MAX_SWEEPS", 0)
     gm = GROUPS["so3-m2"]()
     v0 = np.random.default_rng(4).uniform(-1.0, 1.0, (3, 9))
-    xs0, vs0 = flow(gm, v0, PARAREAL_MIN_STEPS)
-    xs1, vs1 = flow(gm, v0, PARAREAL_MIN_STEPS, parareal=True)
+    xs0, vs0 = loop_flow(gm, v0, PARAREAL_MIN_STEPS)
+    xs1, vs1 = flow(gm, v0, PARAREAL_MIN_STEPS)
     assert np.array_equal(xs1, xs0) and np.array_equal(vs1, vs0)
 
 
@@ -164,10 +191,10 @@ def test_below_the_threshold_the_loop_keeps_its_bits(monkeypatch):
     gm = GROUPS["so3-m2"]()
     v0 = np.random.default_rng(4).uniform(-1.0, 1.0, (3, 9))
     steps = PARAREAL_MIN_STEPS - 1
-    xs0, vs0 = flow(gm, v0, steps)
+    xs0, vs0 = loop_flow(gm, v0, steps)
     loops = spy_loops(monkeypatch)
-    xs1, vs1 = flow(gm, v0, steps, parareal=True)
-    assert loops == [(steps, (3,))]
+    xs1, vs1 = flow(gm, v0, steps)
+    assert loops == [(steps, (3,), steps)]
     assert np.array_equal(xs1, xs0) and np.array_equal(vs1, vs0)
 
 
@@ -196,7 +223,7 @@ def test_long_flow_x_matches_the_sequential_product_to_rounding(kind, steps, mon
         return reconstruct(gm, zs, h, xs)
 
     monkeypatch.setattr(groups, "_reconstruct", kept)
-    xs, _ = flow(gm, v0, steps, parareal=True)
+    xs, _ = flow(gm, v0, steps)
     [(zs, h, x0)] = seen
     ref = sequential_product(gm, zs, h, x0)
     assert zs.shape[1] == steps and np.array_equal(xs[0], ref[0])
@@ -216,9 +243,9 @@ def test_long_flow_rows_of_a_batch_are_bitwise_single_rows(steps, pass_rows, mon
     rng = np.random.default_rng(8)
     v0 = rng.uniform(-1.0, 1.0, (5, 9)) * np.geomspace(0.05, 2.0, 5)[:, None]
     x0 = aoc.exp_map(gm, rng.uniform(-1.0, 1.0, (5, 3)))
-    xs, vs = rkmk_integrate(gm, x0, v0, steps, 1.0 / steps, rhs, parareal=True)
+    xs, vs = rkmk_integrate(gm, x0, v0, steps, 1.0 / steps, rhs)
     for r in range(5):
-        xs1, vs1 = rkmk_integrate(gm, x0[r], v0[r], steps, 1.0 / steps, rhs, parareal=True)
+        xs1, vs1 = rkmk_integrate(gm, x0[r], v0[r], steps, 1.0 / steps, rhs)
         assert np.array_equal(xs1, xs[:, r]) and np.array_equal(vs1, vs[:, r])
 
 
@@ -234,7 +261,7 @@ def test_blow_up_is_reported_at_the_loop_step(steps, monkeypatch):
     v0 = np.stack([rng.uniform(-1.0, 1.0, 6), rng.uniform(-0.01, 0.01, 6)])
     T = 0.01 * steps
     with pytest.raises(aoc.NonFinite) as ref:
-        flow(gm, v0[0], steps, T)
+        loop_flow(gm, v0[0], steps, T)
     bad = ref.value.step_index
     assert 1 < bad < steps
     rebuilt = []
@@ -248,33 +275,27 @@ def test_blow_up_is_reported_at_the_loop_step(steps, monkeypatch):
     for v in (v0[0], v0):
         rebuilt.clear()
         with pytest.raises(aoc.NonFinite) as err:
-            flow(gm, v, steps, T, parareal=True)
+            flow(gm, v, steps, T)
         assert err.value.step_index == bad and sum(rebuilt) == bad - 1
-    flow(gm, v0[1], steps, T, parareal=True)
+    flow(gm, v0[1], steps, T)
 
 
 @pytest.mark.parametrize("steps", [PARAREAL_MIN_STEPS - 1, PARAREAL_MIN_STEPS],
                          ids=["loop", "parareal"])
-def test_blow_up_stops_the_loop_within_a_check(steps):
+def test_blow_up_stops_the_loop_within_a_check(steps, monkeypatch):
     # the record is looked at every FINITE_CHECK_STEPS steps, so a flow that
     # blows up stops within that many steps of its first bad one
     gm = affine_line_group()
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, 6)
     T = 0.01 * steps
-    field = extremal_field(gm.algebra, min_acc_cost(gm.algebra))
-    calls = []
-
-    def rhs(k, c, x, v):
-        calls.append(k)
-        return field(k, c, x, v)
-
+    loops = spy_loops(monkeypatch)
     with pytest.raises(aoc.NonFinite) as err:
-        flow(gm, v0, steps, T, rhs=rhs, parareal=True)
+        flow(gm, v0, steps, T)
     bad = err.value.step_index
-    # Parareal's coarse pass and its gap step take 4 stages each
-    coarse = 4 * (PARAREAL_SEGMENTS + 1) if steps >= PARAREAL_MIN_STEPS else 0
+    # the row's coarse pass blows up, so Parareal runs no sweep
+    assert [(n, rows) for n, rows, _ in loops] == [(steps, ())]
     assert bad < steps - FINITE_CHECK_STEPS
-    assert len(calls) - coarse <= 4 * (bad - 1 + FINITE_CHECK_STEPS)
+    assert loops[0][2] <= bad - 1 + FINITE_CHECK_STEPS
 
 
 def test_a_newton_flow_that_blows_up_is_reported_at_the_loop_step():
