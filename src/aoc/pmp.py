@@ -252,8 +252,9 @@ def _newton(cost, s, target, tol, u):
     halvings of its step do not lower |g|^2 or after NEWTON_MAX_ITER steps; a
     stopped row keeps its u and g but stays in the batch that the callables
     and the solve take.  Returns every row's u and whether it converged."""
+    e = np.frexp(tol)[1][:, None]  # 2^e is within a factor 2 of each row's tol
     g = cost.dL_du(s, u) - target
-    gg = _sq(g)
+    gg = _sq(g, e)
     live = np.ones(len(u), dtype=bool)
     for it in range(NEWTON_MAX_ITER + 1):
         live &= ~(np.abs(g).max(axis=1) < tol)
@@ -267,7 +268,7 @@ def _newton(cost, s, target, tol, u):
         for _ in range(30):
             u_try = u + step * du
             g_try = cost.dL_du(s, u_try) - target
-            gg_try = _sq(g_try)
+            gg_try = _sq(g_try, e)
             took = search & (gg_try < gg)
             u, g = np.where(took[:, None], u_try, u), np.where(took[:, None], g_try, g)
             gg, search = np.where(took, gg_try, gg), search & ~took
@@ -278,8 +279,13 @@ def _newton(cost, s, target, tol, u):
     return u, np.abs(g).max(axis=1) < tol
 
 
-def _sq(g):
-    """|g|^2 of every row, by a stacked matmul (each row keeps its bits)."""
+def _sq(g, e):
+    """|g 2^-e|^2 of every row, by a stacked matmul (each row keeps its bits).
+    Scaling by a power of two changes no comparison between squares that
+    stay finite and normal either way, and with 2^e near the row's tol a row
+    near the largest float keeps a finite square that its line search can
+    lower, where |g|^2 is inf."""
+    g = np.ldexp(g, -e)
     return (g[..., None, :] @ g[..., None])[..., 0, 0]
 
 

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import aoc
-from aoc.direct import (FD_STEP, TranscriptionConfig, _jacobian, optimize_direct,
+from aoc.direct import (FD_STEP, TranscriptionConfig, _linearize, optimize_direct,
                         transcription_objective)
 from aoc.dynamics import zoh_rollout
 from aoc.pmp import CostModel, min_acc_cost, quadratic_cost, running_cost
@@ -138,8 +140,9 @@ def whole_horizon_jacobian(gm, problem, U, spb):
 
 
 def segment_jacobian(gm, problem, U, spb):
+    """A from the linearization about the nodes of U's own rollout."""
     _, xs, ys = zoh_rollout(gm, problem.x0, problem.y0, U, problem.T, steps_per_segment=spb)
-    return _jacobian(gm, problem, U, xs, ys, spb)
+    return _linearize(gm, problem, U, xs[::spb], ys[::spb], spb)[0]
 
 
 @pytest.mark.parametrize("group", GROUPS)
@@ -157,19 +160,88 @@ def test_segment_jacobian_matches_the_whole_horizon_one(rng, group, spb):
     assert np.abs(A - ref).max() < 1e-5 * np.abs(ref).max()
 
 
+COUPLED_R = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.4], [-0.2, 0.4, 0.7]])
+
+
+def kkt_miss(gm, prob, cost, U):
+    """|A^T lambda - W z| / |W z| at the best lambda: 0 at a constrained
+    minimum of z^T W z / 2, where the gradient W z is A^T lambda."""
+    A = segment_jacobian(gm, prob, U, 2)
+    grad = (prob.T / len(U)) * (U @ cost.quad_weight).reshape(-1)
+    lam = np.linalg.lstsq(A.T, grad, rcond=None)[0]
+    return np.linalg.norm(A.T @ lam - grad) / np.linalg.norm(grad)
+
+
 def test_solution_satisfies_kkt_conditions():
-    # at a constrained minimum of z^T W z / 2 the gradient W z is A^T lambda,
     # also for a weight that couples the controls
     model, gm, min_acc, prob = so3_problem([0.3, -0.6, 0.5])
-    R = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.4], [-0.2, 0.4, 0.7]])
     N = 12
-    for cost in (min_acc, quadratic_cost(model, R)):
+    for cost in (min_acc, quadratic_cost(model, COUPLED_R)):
         out = optimize_direct(model, gm, cost, prob, TranscriptionConfig(segments=N))
         assert out.converged
-        A = segment_jacobian(gm, prob, out.U, 2)
-        grad = (prob.T / N) * (out.U @ cost.quad_weight).reshape(-1)
-        lam = np.linalg.lstsq(A.T, grad, rcond=None)[0]
-        assert np.linalg.norm(A.T @ lam - grad) < 1e-6 * np.linalg.norm(grad)
+        assert kkt_miss(gm, prob, cost, out.U) < 1e-6
+
+
+@pytest.mark.parametrize("yT", [np.zeros(3), np.array([-0.2, 0.5, 0.1])],
+                         ids=["rest-end", "moving-end"])
+def test_a_start_off_rest_converges_to_the_shooting_cost(yT):
+    # from y0 != 0 the first iterate's nodes (all at s_0) miss the flow: every
+    # defect is nonzero, and the linearization must close them with c
+    model, gm, min_acc, prob = so3_problem([0.3, -0.6, 0.5])
+    prob = dataclasses.replace(prob, y0=np.array([0.4, -0.3, 0.2]), yT=yT)
+    for cost in (min_acc, quadratic_cost(model, COUPLED_R)):
+        indirect = solve_shooting(model, gm, cost, prob)
+        assert indirect.converged
+        ref = running_cost(cost, indirect.trajectory)
+        out = optimize_direct(model, gm, cost, prob, TranscriptionConfig(segments=20))
+        assert out.converged and out.boundary_error < 1e-10
+        assert kkt_miss(gm, prob, cost, out.U) < 1e-6
+        assert abs(out.running_cost - ref) / ref < 0.02
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_linearization_predicts_the_residual_across_defects(rng, group):
+    # nodes eps away from U's own rollout: c~ = c + sum_j G_{j+1} d_j is the
+    # residual once the nodes close their defects, which is U's rollout's, to O(eps^2)
+    gm = GROUPS[group]()
+    n, m, N, spb = gm.algebra.n, gm.algebra.m, 12, 2
+    prob = BoundaryProblem(x0=aoc.exp_map(gm, 0.5 * rng.standard_normal(n)),
+                           xT=aoc.exp_map(gm, 0.5 * rng.standard_normal(n)),
+                           y0=0.3 * rng.standard_normal(n), yT=0.3 * rng.standard_normal(n),
+                           T=1.5, steps=10)
+    U = rng.standard_normal((N, m))
+    _, xs, ys = zoh_rollout(gm, prob.x0, prob.y0, U, prob.T, steps_per_segment=spb)
+    c = endpoint_residual(gm, prob, xs[-1], ys[-1])
+    ds = rng.standard_normal((N, 2 * n))  # node 0 is the fixed start
+    misses = []
+    for eps in (1e-2, 5e-3):
+        xn = np.concatenate([xs[:1], xs[spb::spb] @ aoc.exp_map(gm, eps * ds[:, :n])])
+        yn = np.concatenate([ys[:1], ys[spb::spb] + eps * ds[:, n:]])
+        _, c_pred, _, D, _ = _linearize(gm, prob, U, xn, yn, spb)
+        assert np.abs(D[:, -1]).max() > eps / 10.0  # the defects d_j are there
+        misses.append(np.linalg.norm(c_pred - c))
+    if group == "abelian":  # a linear flow: the prediction is exact but for rounding
+        assert max(misses) < 1e-8
+    else:
+        assert misses[0] < 1e-2 * np.abs(c).max()
+        assert misses[0] >= 3.0 * misses[1]
+
+
+def test_the_criterion_7_oracle_makes_one_segment_rollout_per_iteration(monkeypatch):
+    # lifted Gauss-Newton: each iteration's only rollout is the batched flow of
+    # every segment's N (2n + m + 1) rows over its own steps, one more for the
+    # final check, and no one-row rollout of the whole horizon
+    model, gm, cost, prob = so3_problem([0.0, 0.0, 0.5])
+    calls = []
+
+    def counted(gm, x0, y0, U, T, steps_per_segment=2):
+        calls.append((len(x0), U.shape[-2] * steps_per_segment))
+        return zoh_rollout(gm, x0, y0, U, T, steps_per_segment=steps_per_segment)
+
+    monkeypatch.setattr(aoc.direct, "zoh_rollout", counted)
+    out = optimize_direct(model, gm, cost, prob, TranscriptionConfig(segments=20))
+    assert out.converged and out.iterations == 2
+    assert calls == [(20 * (2 * 3 + 3 + 1), 2)] * 3
 
 
 def test_underactuated_zero_start_reports_unconverged():

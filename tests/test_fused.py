@@ -239,6 +239,20 @@ def test_split_flow_is_bitwise_coupled_steps_and_single_rows(case, width):
             assert np.array_equal(xb, xs[:, b]) and np.array_equal(vb, vs[:, b])
 
 
+def test_a_newton_flow_near_the_largest_float_ends_in_non_finite():
+    # rows 4, 8 and 12 of this draw's Newton form reach control targets near
+    # 1e264, where |g|^2 overflows; the line search must still lower a finite
+    # measure of g there, so each flow ends in NonFinite, not NoConvergence
+    model, gm, rng = draw("se3", 1390)
+    cost = quadratic_cost(model, spd(rng, model.m))
+    v0 = rng.uniform(-1.0, 1.0, (13, 3 * model.n))
+    newton = extremal_field(model, dataclasses.replace(cost, quad_weight=None))
+    for rows, step in ((slice(None), 21), (4, 21), (8, 22), (12, 23)):
+        with pytest.raises(aoc.NonFinite) as e:
+            rkmk_integrate(gm, np.eye(gm.rep_dim), v0[rows], 25, 0.04, newton)
+        assert e.value.step_index == step
+
+
 @pytest.fixture(scope="module")
 def so3_m2_problem():
     model = aoc.so3_model((1.0, 2.0, 3.0), m=2)
