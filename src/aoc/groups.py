@@ -49,7 +49,14 @@ about steps / segments + segments stacked matmuls rather than one per
 step, and matches the coupled step to rounding.  A field that carries ``Kf`` also ignores the step and node and
 acts on each row alone, so it takes the v-record of a flow of at least
 PARAREAL_MIN_STEPS steps from Parareal in time (``_parareal``), which
-matches the loop to rounding.  Either way a batch keeps each row's bits.
+matches the loop to rounding.  Its fine sweep multiplies the segments of
+each flow row by one matmul per stage, a product of as many rows as there
+are segments, and never the segments of several flow rows together: the
+bits of a product's rows depend on its row count, so a row's bits would
+then depend on the batch.  Its coarse steps are lifted steps whose stage
+matrices it forms once per flow, one set per segment length, and whose
+buffers (``_lifted_stepper``) it builds once per pass over the segments.
+Either way a batch keeps each row's bits.
 ``_uniform_grid`` is the one check of a time grid, T and its step count,
 for every caller of the stepper.
 """
@@ -348,9 +355,9 @@ _PASS_ROWS = 4096
 # that gap foretells the sweeps the row needs.  A row stops once its largest
 # correction is at most PARAREAL_ULPS ulps of its scale, and reruns the
 # sequential loop if it has not after PARAREAL_MAX_SWEEPS sweeps.  Paired so(3),
-# se(2) and abelian flows set the values (BENCH_pr18_parareal.json; ROADMAP
-# item 5 has the figures).  Stopped rows' corrections settle at up to 7.3 ulps,
-# so a stop at 8 ulps would cost 11 of them a fourth sweep.
+# se(2) and abelian flows set the values (BENCH_pr18_parareal.json has the
+# figures).  Stopped rows' corrections settle at up to 7.3 ulps, so a stop at
+# 8 ulps would cost 11 of them a fourth sweep.
 PARAREAL_MIN_STEPS = 500
 PARAREAL_SEGMENTS = 20
 PARAREAL_MAX_COARSE_ERROR = 1e-6
@@ -362,8 +369,9 @@ PARAREAL_ULPS = 16
 MAX_STEPS = 10 ** 6
 
 # every flow looks at its record every FINITE_CHECK_STEPS steps, not after each:
-# a look costs about 2.7 us of a 47 us step of a 1-row so(3) extremal flow, and
-# a flow runs at most FINITE_CHECK_STEPS - 1 steps past its first bad step
+# a look costs about 1.8 us, against 12 us for a lifted step of a 1-row so(3)
+# extremal flow, and a flow runs at most FINITE_CHECK_STEPS - 1 steps past its
+# first bad step
 FINITE_CHECK_STEPS = 32
 
 
@@ -432,47 +440,70 @@ def _reconstruct(gm, zs, h, xs):
 def _stage_matrices(Kf, h):
     """The four matrices [c h Kf | b h Kf] of a lifted RK4 step of size h, each
     stage's weight b next to the node c of the stage after it (0 after the last),
-    stacked (4, ..., (n + 1) p, 2 p).  h is a scalar or one per row, of shape
-    (..., 1) against v's (..., p); either way each product c h and b h has the
-    bits it has alone."""
+    stacked (4, ..., (n + 1) p, 2 p).  h is a scalar or one per product, of a
+    shape (..., 1) that broadcasts against the (..., m) of a state laid
+    (..., m, p) as in ``_lifted_stepper``; either way each product c h and b h
+    has the bits it has alone."""
     h = np.asarray(h)
     coefs = _STAGE_COEFS.reshape((4,) + (1,) * max(h.ndim - 1, 0) + (1, 2, 1))
     M = (coefs * h[..., None, None]) * Kf[:, None, :]
     return M.reshape(M.shape[:-2] + (-1,))
 
 
-def _lifted_loop(Kf, steps, h, vs, look):
-    """``steps`` lifted RK4 steps of a field vdot = [v, y (x) v] @ Kf from
-    ``vs[0]``, filling ``vs[1:]``, with the return and the look of
-    ``_rk4_loop``.  The four stage inputs u sit in one buffer as rows (1, u),
-    so that per stage one outer product (1, y) (x) u into the lift buffer and
-    one stacked matmul against the stage's ``_stage_matrices`` give the next
-    stage input v + G[:p] and the stage's share g = b h vdot of the step;
-    then the stage y's go into the z record and v takes v + (((g1 + g2) + g3)
-    + g4).  That is 4 outer products, 4 matmuls, 5 adds and 2 copies per step,
-    against four right-hand sides and 13 more calls for classical RK4."""
-    p = vs.shape[-1]
-    n, lead = len(Kf) // p - 1, vs.shape[1:-1]
+def _lifted_stepper(Ms, shape):
+    """Lifted RK4 steps of a field vdot = [v, y (x) v] @ Kf for a state laid
+    as ``shape``, (..., m, p) or a vector (p,), with buffers and views built
+    once for every step size whose ``_stage_matrices`` are listed in ``Ms``.
+    The four stage inputs u sit in one buffer as rows (1, u), so that per
+    stage one outer product (1, y) (x) u into the lift buffer and one stacked
+    matmul against the stage's matrices give the next stage input v + G[:p]
+    and the stage's share g = b h vdot of the step.  The m rows of each
+    (m, p) matrix of the state share that matmul, one product of m rows,
+    whose bits under OpenBLAS depend on m and on each row's place in it, so a
+    caller that needs each row's bits alone lays m = 1.  Returns the stage input v, the stage y's (4, ..., m, n) and
+    ``step(i, out)``, which steps from v by the i-th step size and writes
+    v + (((g1 + g2) + g3) + g4) into ``out``, leaving v and the stage y's as
+    the step found them: 4 outer products, 4 matmuls and 5 adds."""
+    p = shape[-1]
+    lead, width = shape[:-1], Ms[0].shape[-2]
+    n = width // p - 1
     S = np.empty((4,) + lead + (1 + p,))
     S[..., 0] = 1.0
-    lift = np.empty(lead + (1, len(Kf)))
+    lift = np.empty(lead + (width,))
     outer = lift.reshape(lead + (n + 1, p))
-    G = np.empty((4,) + lead + (1, 2 * p))
-    u, ys, shares = S[..., 1:], S[..., 1:n + 1], G[..., 0, p:]
-    stages = list(zip(S[..., :n + 1, None], S[..., None, 1:], _stage_matrices(Kf, h), G,
-                      G[..., 0, :p], list(u[1:]) + [None]))
-    zs = np.empty((4, steps) + lead + (n,))
-    v, recorded = u[0], steps
-    v[...] = vs[0]
-    for k in range(steps):
-        for y1, ui, M, g, move, following in stages:
+    G = np.empty((4,) + lead + (2 * p,))
+    u, shares = S[..., 1:], G[..., p:]
+    views = list(zip(S[..., :n + 1, None], S[..., None, 1:], G, G[..., :p], list(u[1:]) + [None]))
+    stages = [[view + (M,) for view, M in zip(views, Mi)] for Mi in Ms]
+    v = u[0]
+
+    def step(i, out):
+        for y1, ui, g, move, following, M in stages[i]:
             np.multiply(y1, ui, out=outer)
             np.matmul(lift, M, out=g)
             if following is not None:
                 np.add(v, move, out=following)
+        np.add(v, np.add.reduce(shares, axis=0), out=out)
+
+    return v, S[..., 1:n + 1], step
+
+
+def _lifted_loop(Kf, steps, h, vs, look):
+    """``steps`` lifted RK4 steps (``_lifted_stepper``) of a field vdot =
+    [v, y (x) v] @ Kf from ``vs[0]``, filling ``vs[1:]``, with the return and
+    the look of ``_rk4_loop``.  Each record ``vs[k]`` is laid as the stepper's
+    state, so its (m, p) matrices share a product: m = 1 gives each row the
+    bits it gets alone, and Parareal's fine sweep lays the segments of each of
+    its rows as one matrix.  A step is 15 numpy calls, against four
+    right-hand sides and 13 more calls for classical RK4."""
+    v, ys, step = _lifted_stepper([_stage_matrices(Kf, h)], vs.shape[1:])
+    zs = np.empty((4, steps) + ys.shape[1:])
+    v[...], recorded = vs[0], steps
+    for k in range(steps):
+        out = vs[k + 1]
+        step(0, out)
         zs[:, k] = ys
-        np.add(v, np.add.reduce(shares, axis=0), out=v)
-        vs[k + 1] = v
+        v[...] = out
         if look and _looks_bad(k, vs):
             recorded = k + 1
             break
@@ -480,15 +511,8 @@ def _lifted_loop(Kf, steps, h, vs, look):
 
 
 def _rk4_step(x, v, k, h, rhs):
-    """Step k of RK4 on v for a field that ignores x, of size h (a scalar, or
-    one per row as in ``_stage_matrices``): the four stage velocities and the
-    new v.  A field that carries ``Kf`` takes the lifted step
-    (``_lifted_loop``), any other classical RK4 over its rhs."""
-    if hasattr(rhs, "Kf"):
-        vs = np.empty((2,) + v.shape)
-        vs[0] = v
-        zs, _ = _lifted_loop(rhs.Kf, 1, h, vs, False)
-        return tuple(zs[:, 0]), vs[1]
+    """Step k of classical RK4 on v, of size h, for a field that ignores x:
+    the four stage velocities and the new v."""
     z1, f1 = rhs(k, 0.0, x, v)
     z2, f2 = rhs(k, 0.5, x, v + 0.5 * h * f1)
     z3, f3 = rhs(k, 0.5, x, v + 0.5 * h * f2)
@@ -516,95 +540,114 @@ def _rk4_loop(x, steps, h, rhs, vs, look=True, coupled=None):
     stage velocities, shape (4, steps, ..., n), and the number of steps
     recorded: with ``look`` the loop stops at a look (``_looks_bad``) that
     finds a v that is not finite.  A field that carries ``Kf`` takes lifted
-    steps (``_lifted_loop``); any other field that ignores x takes classical
-    RK4 steps over its rhs and is passed ``x`` at every stage.  With
-    ``coupled``, the group model of a field that reads x, ``x`` is the record
-    of x, filled like ``vs``, and each step is a coupled step
-    (``rkmk_coupled_step``), which carries x along; the loop then keeps no
-    stage velocities and returns None for them.  A one-row batch steps as a
-    vector, v and x both, which numpy's matmul runs faster than a stack of
-    one, same bits."""
+    steps (``_lifted_loop``), each row its own product, and never reads
+    ``x``; any other field that ignores x takes classical RK4 steps over its
+    rhs and is passed ``x`` at every stage.  With ``coupled``, the group
+    model of a field that reads x, ``x`` is the record of x, filled like
+    ``vs``, and each step is a coupled step (``rkmk_coupled_step``), which
+    carries x along; the loop then keeps no stage velocities and returns None
+    for them.  A one-row batch steps as a vector, v and x both, which numpy's
+    matmul runs faster than a stack of one, same bits."""
     batch = vs.shape[1:-1]
-    lone = batch and prod(batch) == 1
-    if lone:
-        row = (slice(None),) + (0,) * len(batch)
-        vs, x = vs[row], x[row] if coupled is not None else np.reshape(x, np.shape(x)[-2:])
+    lone = prod(batch) == 1
+    row = (slice(None),) + (0,) * len(batch)
     if coupled is None and hasattr(rhs, "Kf"):
-        zs, recorded = _lifted_loop(rhs.Kf, steps, h, vs, look)
-    else:
-        v, zs, recorded = vs[0], None, steps
-        for k in range(steps):
-            if coupled is not None:
-                x[k + 1], v = rkmk_coupled_step(coupled, x[k], v, k, h, rhs)
-            else:
-                z, v = _rk4_step(x, v, k, h, rhs)
-                if zs is None:
-                    zs = np.empty((4, steps) + np.shape(z[0]))
-                zs[:, k] = z
-            vs[k + 1] = v
-            if look and _looks_bad(k, vs):
-                recorded = k + 1
-                break
+        zs, recorded = _lifted_loop(rhs.Kf, steps, h, vs[row] if lone else vs[..., None, :], look)
+        return zs.reshape((4, steps) + batch + zs.shape[-1:]), recorded
+    if lone:
+        vs, x = vs[row], x[row] if coupled is not None else np.reshape(x, np.shape(x)[-2:])
+    v, zs, recorded = vs[0], None, steps
+    for k in range(steps):
+        if coupled is not None:
+            x[k + 1], v = rkmk_coupled_step(coupled, x[k], v, k, h, rhs)
+        else:
+            z, v = _rk4_step(x, v, k, h, rhs)
+            if zs is None:
+                zs = np.empty((4, steps) + np.shape(z[0]))
+            zs[:, k] = z
+        vs[k + 1] = v
+        if look and _looks_bad(k, vs):
+            recorded = k + 1
+            break
     if lone and zs is not None:
         zs = zs.reshape((4, steps) + batch + zs.shape[-1:])
     return zs, recorded
 
 
-def _parareal(x, steps, h, rhs, vs):
+def _parareal(steps, h, rhs, vs):
     """The v-record of ``steps`` RK4 steps by Parareal (Lions, Maday and
-    Turinici 2001), for rows ``vs[0]`` of shape (R, p) and their x (R, d, d);
-    fills ``vs[1:]`` and returns the stage velocities (4, steps, R, n) and
-    the number of steps recorded, as ``_rk4_loop`` does.
+    Turinici 2001) of a field that carries ``Kf``, for rows ``vs[0]`` of shape
+    (R, p); fills ``vs[1:]`` and returns the stage velocities (4, steps, R, n)
+    and the number of steps recorded, as ``_rk4_loop`` does.
 
-    The grid is cut into K segments.  The fine propagator F is the RK4 loop,
-    run as one batch over the K x R segment starts, without a look, so that
-    a row that blows up does not cut the sweep of the others; the coarse
-    propagator G is one RK4 step over each segment.  A sweep sets U[i + 1] =
-    F(U_old[i]) + (G(U_new[i]) - G(U_old[i])) in order.  Every choice is per
-    row, so a row of a batch gets the bits it gets alone.  A row takes part
-    if its coarse pass is finite and one RK4 step over each pair of segments
-    ends within PARAREAL_MAX_COARSE_ERROR of its scale of the pair's two
-    coarse steps; a row whose largest correction is at most PARAREAL_ULPS
-    ulps of its scale keeps the record of its last fine sweep and leaves the
-    iteration; a row that does not take part, goes non-finite in a sweep or
-    reaches PARAREAL_MAX_SWEEPS reruns the sequential loop.
+    The grid is cut into K segments.  The fine propagator F is the lifted
+    loop, run without a look, so that a row that blows up does not cut the
+    sweep of the others, over a record laid (A, K, p) for the A rows that
+    take part: the K segment starts of each row are one matrix, and each
+    stage multiplies them by one product of K rows.  A product of all A K
+    rows would run faster, but its bits would depend on A, so a row would not
+    get the bits it gets alone.  The coarse propagator G is one lifted RK4
+    step over each segment, with the stage matrices of each segment length
+    formed once and the stepper's buffers (``_lifted_stepper``) built once
+    per pass over the segments; each row is its own product there.  A sweep
+    sets U[i + 1] = F(U_old[i]) + (G(U_new[i]) - G(U_old[i])) in order.
+    Every choice is per row, so a row of a batch gets the bits it gets
+    alone.  A row takes part if its coarse pass is finite and one RK4 step
+    over each pair of segments ends within PARAREAL_MAX_COARSE_ERROR of its
+    scale of the pair's two coarse steps; a row whose largest correction is
+    at most PARAREAL_ULPS ulps of its scale keeps the record of its last fine
+    sweep and leaves the iteration; a row that does not take part, goes
+    non-finite in a sweep or reaches PARAREAL_MAX_SWEEPS reruns the
+    sequential loop.
     """
-    K = PARAREAL_SEGMENTS
+    K, Kf = PARAREAL_SEGMENTS, rhs.Kf
     R, p = vs.shape[1:]
     lengths, first = _segments(steps)
+    # the stage matrices of each segment length; segment i steps by Ms[size[i]]
+    sizes, size = np.unique(lengths, return_inverse=True)
+    Ms = [_stage_matrices(Kf, length * h) for length in sizes]
     # the shorter segments run one step past their end in a sweep of the longest
     past_end = np.arange(lengths[0] + 1)[:, None] > lengths
     U = np.empty((K + 1, R, p))
-    G = np.empty((K, R, p))
+    v, _, coarse_step = _lifted_stepper(Ms, (R, 1, p))
     U[0] = vs[0]
     for i in range(K):
-        z, U[i + 1] = _rk4_step(x, U[i], 0, lengths[i] * h, rhs)
-        G[i] = U[i + 1]
+        v[:, 0] = U[i]
+        coarse_step(size[i], U[i + 1, :, None])
+    G = U[1:].copy()
     # one RK4 step over each pair of segments, all pairs as one batch, against
     # the pair's two coarse steps; a NaN gap compares false
     pairs = (lengths[0:K - 1:2] + lengths[1:K:2])[:, None, None] * h
-    gap = np.abs(_rk4_step(x, U[0:K - 1:2], 0, pairs, rhs)[1] - U[2:K + 1:2]).max(axis=(0, 2))
-    zs = np.empty((4, steps, R, z[0].shape[-1]))
+    v, _, pair_step = _lifted_stepper([_stage_matrices(Kf, pairs)], (len(pairs), R, 1, p))
+    v[..., 0, :] = U[0:K - 1:2]
+    ends = np.empty_like(v)
+    pair_step(0, ends)
+    gap = np.abs(ends[..., 0, :] - U[2:K + 1:2]).max(axis=(0, 2))
+    zs = np.empty((4, steps, R, len(Kf) // p - 1))
     active = np.flatnonzero(np.isfinite(U).all(axis=(0, 2))
                             & (gap <= PARAREAL_MAX_COARSE_ERROR * np.abs(U).max(axis=(0, 2))))
     converged = np.zeros(R, dtype=bool)
     for _ in range(PARAREAL_MAX_SWEEPS):
         if not len(active):
             break
-        fine = np.empty((len(past_end), K, len(active), p))
-        fine[0] = U[:K, active]
-        zf, _ = _rk4_loop(x[active], len(past_end) - 1, h, rhs, fine, look=False)
-        ends = fine[lengths, np.arange(K)]
+        A = len(active)
+        fine = np.empty((len(past_end), A, K, p))
+        fine[0] = U[:K, active].swapaxes(0, 1)
+        zf, _ = _lifted_loop(Kf, len(past_end) - 1, h, fine, False)
+        ends = fine[lengths, :, np.arange(K)]
         # coarse[i] holds G(U_old[i]) of the active rows, then G(U_new[i])
         old, coarse = U[:, active], G[:, active]
         new = np.empty_like(old)
         new[0] = old[0]
+        v, _, coarse_step = _lifted_stepper(Ms, (A, 1, p))
+        g = np.empty((A, 1, p))
         for i in range(K):
-            g = _rk4_step(x[active], new[i], 0, lengths[i] * h, rhs)[1]
-            new[i + 1] = ends[i] + (g - coarse[i])
-            coarse[i] = g
+            v[:, 0] = new[i]
+            coarse_step(size[i], g)
+            new[i + 1] = ends[i] + (g[:, 0] - coarse[i])
+            coarse[i] = g[:, 0]
         finite = (np.isfinite(new).all(axis=(0, 2))
-                  & (np.isfinite(fine).all(axis=3) | past_end[:, :, None]).all(axis=(0, 1)))
+                  & (np.isfinite(fine).all(axis=3) | past_end[:, None, :]).all(axis=(0, 2)))
         scale = np.abs(new).max(axis=(0, 2))
         done = finite & (np.abs(new - old).max(axis=(0, 2))
                          <= PARAREAL_ULPS * np.finfo(float).eps * scale)
@@ -612,8 +655,8 @@ def _parareal(x, steps, h, rhs, vs):
         converged[rows] = True
         for i in range(K):
             span = slice(first[i], first[i + 1])
-            zs[:, span, rows] = zf[:, :lengths[i], i, done]
-            vs[span, rows] = fine[:lengths[i], i, done]
+            zs[:, span, rows] = zf[:, :lengths[i], done, i]
+            vs[span, rows] = fine[:lengths[i], done, i]
         vs[steps, rows] = ends[K - 1, done]
         U[:, active], G[:, active] = new, coarse
         active = active[finite & ~done]
@@ -622,7 +665,7 @@ def _parareal(x, steps, h, rhs, vs):
     if rerun.any():
         alone = np.empty((steps + 1, int(rerun.sum()), p))
         alone[0] = vs[0, rerun]
-        zs[:, :, rerun], recorded = _rk4_loop(x[rerun], steps, h, rhs, alone)
+        zs[:, :, rerun], recorded = _rk4_loop(None, steps, h, rhs, alone)
         vs[:, rerun] = alone
     return zs, recorded
 
@@ -666,8 +709,7 @@ def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False):
         if needs_x:
             zs, recorded = _rk4_loop(xs, steps, h, rhs, vs, coupled=gm)
         elif hasattr(rhs, "Kf") and steps >= PARAREAL_MIN_STEPS:
-            zs, recorded = _parareal(xs[0].reshape((-1,) + xs.shape[-2:]), steps, h, rhs,
-                                     vs.reshape(steps + 1, -1, vs.shape[-1]))
+            zs, recorded = _parareal(steps, h, rhs, vs.reshape(steps + 1, -1, vs.shape[-1]))
             zs = zs.reshape((4, steps) + lead + zs.shape[-1:])
         else:
             zs, recorded = _rk4_loop(xs[0], steps, h, rhs, vs)

@@ -5,7 +5,8 @@ the stepper folds the RK4 coefficients and h into Kf: one outer product and
 one stacked matmul per stage.  That step matches classical RK4 over the
 field's rhs to rounding, one step and whole flows alike, and every row of a
 batch gets the bits it gets alone, with one h for all rows or one per row
-(Parareal's pair step).
+(Parareal's pair step).  Parareal's coarse steps come from a stepper built
+once (``groups._lifted_stepper``), which gives the bits of a one-step loop.
 """
 
 import numpy as np
@@ -18,6 +19,16 @@ from test_parareal import GROUPS, flow, within_ulps
 
 def field(gm):
     return extremal_field(gm.algebra, min_acc_cost(gm.algebra))
+
+
+def lifted_step(rhs, v, h):
+    """One lifted RK4 step of rows ``v`` (..., p), each row its own product
+    (``groups._lifted_loop`` of one step): the four stage velocities and the
+    new v."""
+    vs = np.empty((2,) + v.shape[:-1] + (1,) + v.shape[-1:])
+    vs[0] = v[..., None, :]
+    zs, _ = groups._lifted_loop(rhs.Kf, 1, h, vs, False)
+    return tuple(zs[:, 0, ..., 0, :]), vs[1, ..., 0, :]
 
 
 def classical(rhs):
@@ -41,7 +52,7 @@ def test_one_lifted_step_matches_classical_rk4_to_rounding(kind):
     rhs = field(gm)
     v = np.random.default_rng(2).uniform(-1.0, 1.0, (13, 3 * gm.algebra.n))
     for h in (0.005, 0.05):
-        z, w = groups._rk4_step(None, v, 0, h, rhs)
+        z, w = lifted_step(rhs, v, h)
         zc, wc = groups._rk4_step(None, v, 0, h, classical(rhs))
         assert within_ulps(w, wc)
         assert all(within_ulps(a, b) for a, b in zip(z, zc))
@@ -80,9 +91,32 @@ def test_a_per_row_h_gives_each_row_its_bits_alone(kind):
     rng = np.random.default_rng(5)
     v = rng.uniform(-1.0, 1.0, (10, 3, 3 * gm.algebra.n))
     h = rng.uniform(0.01, 0.1, (10, 1, 1))
-    z, w = groups._rk4_step(None, v, 0, h, field(gm))
+    z, w = lifted_step(field(gm), v, h)
     for i in range(10):
         for r in range(3):
-            z1, w1 = groups._rk4_step(None, v[i, r], 0, float(h[i, 0, 0]), field(gm))
+            z1, w1 = lifted_step(field(gm), v[i, r], float(h[i, 0, 0]))
             assert np.array_equal(w1, w[i, r])
             assert all(np.array_equal(a[i, r], b) for a, b in zip(z, z1))
+
+
+@pytest.mark.parametrize("kind", sorted(GROUPS))
+def test_the_built_once_step_gives_the_bits_of_a_one_step_loop(kind):
+    # Parareal's coarse steps of two segment lengths, and its pair step, with
+    # one h per pair of segments; each size steps twice, from the last
+    # step's end, through the same buffers
+    gm = GROUPS[kind]()
+    rhs = field(gm)
+    rng = np.random.default_rng(6)
+    v = rng.uniform(-1.0, 1.0, (10, 3, 3 * gm.algebra.n))
+    hs = [0.05, 0.045, rng.uniform(0.01, 0.1, (10, 1, 1))]
+    start, ys, step = groups._lifted_stepper([groups._stage_matrices(rhs.Kf, h) for h in hs],
+                                             v.shape[:-1] + (1,) + v.shape[-1:])
+    out = np.empty_like(start)
+    for i, h in enumerate(hs):
+        start[...], w = v[..., None, :], v
+        for _ in range(2):
+            z, w = lifted_step(rhs, w, h)
+            step(i, out)
+            assert np.array_equal(out[..., 0, :], w)
+            assert all(np.array_equal(a, b) for a, b in zip(ys[..., 0, :], z))
+            start[...] = out

@@ -28,28 +28,22 @@ ULPS = 32
 
 
 def spy_loops(monkeypatch):
-    """(steps, rows, recorded) of every lifted RK4 loop that the time loop
-    ``groups._rk4_loop`` runs (not the one-step loops of ``groups._rk4_step``),
-    the rows as the lifted loop fills them: a fine sweep has rows (K, active
-    rows), a sequential loop (rows,), or () for one row, which steps as a
-    vector; ``recorded`` is the number of steps it ran."""
-    loops, inside = [], []
-    loop, lifted = groups._rk4_loop, groups._lifted_loop
-
-    def time_loop(*args, **kwargs):
-        inside.append(True)
-        try:
-            return loop(*args, **kwargs)
-        finally:
-            inside.pop()
+    """(steps, rows, recorded) of every lifted RK4 loop (``groups._lifted_loop``),
+    the rows read from the layout of its record: a fine sweep lays (active rows,
+    K), the K segments of each row as one product, and has rows (K, active
+    rows); a sequential loop lays (rows, 1), one product per row, and has rows
+    (rows,), or () for one row, which steps as a vector; ``recorded`` is the
+    number of steps it ran."""
+    loops = []
+    lifted = groups._lifted_loop
 
     def counted(Kf, steps, h, vs, look):
         zs, recorded = lifted(Kf, steps, h, vs, look)
-        if inside:
-            loops.append((steps, vs.shape[1:-1], recorded))
+        laid = vs.shape[1:-1]
+        rows = laid[:-1] if laid[-1:] == (1,) else laid[-1:] + laid[:-1]
+        loops.append((steps, rows, recorded))
         return zs, recorded
 
-    monkeypatch.setattr(groups, "_rk4_loop", time_loop)
     monkeypatch.setattr(groups, "_lifted_loop", counted)
     return loops
 
@@ -135,8 +129,8 @@ def test_parareal_matches_the_sequential_loop_to_rounding(kind, steps, monkeypat
 
 
 @pytest.mark.parametrize("cap", [None, 2], ids=["cap", "cap-2"])
-@pytest.mark.parametrize("steps", [PARAREAL_MIN_STEPS, PARAREAL_MIN_STEPS + 7],
-                         ids=["threshold", "not-divisible"])
+@pytest.mark.parametrize("steps", [PARAREAL_MIN_STEPS, PARAREAL_MIN_STEPS + 7, 2000],
+                         ids=["threshold", "not-divisible", "2000"])
 def test_batch_rows_are_bitwise_single_rows(steps, cap, monkeypatch):
     # rows from 0.05 to 8 in scale leave the iteration at different sweeps, the
     # largest do not take part, and with a cap of 2 sweeps most reach it; both
