@@ -43,10 +43,13 @@ class LieAlgebraModel:
     """Structure constants, inertia and actuation split of a Lie algebra.
 
     ``C[k, i, j]`` is the coefficient of the k-th basis vector in the
-    bracket of basis vectors i and j.  ``inertia_inv`` and ``drift`` are
-    precomputed once at construction: ``drift`` is the quadratic form of
-    ``bias`` as an (n, n n) matrix, ``drift[p, l n + i]`` being the
-    coefficient of y_p y_i in component l.
+    bracket of basis vectors i and j.  ``inertia_inv``, ``drift`` and
+    ``ad_form`` are precomputed once at construction: ``drift`` is the
+    quadratic form of ``bias`` as an (n, n n) matrix, ``drift[p, l n + i]``
+    being the coefficient of y_p y_i in component l, and ``ad_form`` is the
+    bilinear form of the bracket as an (n, n n) matrix, ``ad_form[k, i n + j]
+    = C[i, k, j]``, so that omega @ ad_form, read as (n, n), is the matrix of
+    ad(omega) (``groups.dexpinv``).
     """
 
     n: int
@@ -55,6 +58,7 @@ class LieAlgebraModel:
     inertia: np.ndarray
     inertia_inv: np.ndarray
     drift: np.ndarray
+    ad_form: np.ndarray
     name: str = "custom"
 
 
@@ -125,8 +129,9 @@ def make_model(n, m, C, inertia, name="custom", strict=True) -> LieAlgebraModel:
 
     # sharp(ad_star(y, flat y))_l = inv[l, j] C[k, i, j] y_i inertia[k, p] y_p
     drift = np.einsum("lj,kij,kp->pli", inv, C, inertia).reshape(n, n * n)
-    model = LieAlgebraModel(n=n, m=m, C=C.copy(), inertia=inertia.copy(),
-                            inertia_inv=inv, drift=drift, name=name)
+    model = LieAlgebraModel(n=n, m=m, C=C.copy(), inertia=inertia.copy(), inertia_inv=inv,
+                            drift=drift, ad_form=C.transpose(1, 0, 2).reshape(n, n * n).copy(),
+                            name=name)
     if strict:
         report = validate_model(model)
         if not report.passed:

@@ -46,7 +46,7 @@ import numpy as np
 
 from .algebra import _count
 from .dynamics import Trajectory, zoh_rollout
-from .groups import exp_map, inverse, log_map, unhat
+from .groups import MAX_STEPS, exp_map, inverse, log_map, unhat
 from .shooting import endpoint_residual
 
 FD_STEP = 1e-7      # forward-difference step of the constraint Jacobian
@@ -62,8 +62,11 @@ class TranscriptionConfig:
     steps_per_segment: int = 2
 
     def __post_init__(self):
-        _count(self.segments, "segments", 2)
-        _count(self.steps_per_segment, "steps_per_segment", 1)
+        steps = (_count(self.segments, "segments", 2)
+                 * _count(self.steps_per_segment, "steps_per_segment", 1))
+        if steps > MAX_STEPS:  # the oracle's grid, which each segment's check does not see
+            raise ValueError(f"segments * steps_per_segment must be at most {MAX_STEPS}, "
+                             f"got {steps}")
 
 
 @dataclass

@@ -17,8 +17,9 @@ row.  That is the only scipy use in the package, and it imports scipy on
 its first call, so ``import aoc`` loads numpy alone.  On every branch
 each row of a batch gets the bits it gets alone.  ``dexpinv``
 forms the matrix ad(omega) once by a stacked matmul against the
-structure constants and applies it twice; a stacked matmul runs the same
-product per row, which keeps those bits.
+structure constants as the model holds them (``ad_form``) and applies it
+twice; a stacked matmul runs the same product per row, which keeps those
+bits.
 
 ``rkmk_integrate`` is the one stepper: the forward simulation, the
 zero-order-hold rollout of the oracle and the extremal flows all step
@@ -41,7 +42,9 @@ step.  A field that carries a lifted matrix ``Kf``, with vdot =
 (``_lifted_loop``): per stage one outer product into a lift buffer and one
 stacked matmul against the stage's coefficients times h Kf give the next
 stage input and the stage's share of the step, 15 calls a step in all,
-which matches classical RK4 over the field's rhs to rounding.  Below
+which matches classical RK4 over the field's rhs to rounding.  Those stage
+matrices are formed once per field and step size, and the field keeps them
+read-only (``_stages``), so a short flow does not pay for them.  Below
 PARAREAL_MIN_STEPS steps x is the product of the step exponentials in
 order, with the coupled step's bits for a callable field.  A longer flow
 multiplies them by the segments that Parareal cuts (``_segments``), in
@@ -53,9 +56,9 @@ matches the loop to rounding.  Its fine sweep multiplies the segments of
 each flow row by one matmul per stage, a product of as many rows as there
 are segments, and never the segments of several flow rows together: the
 bits of a product's rows depend on its row count, so a row's bits would
-then depend on the batch.  Its coarse steps are lifted steps whose stage
-matrices it forms once per flow, one set per segment length, and whose
-buffers (``_lifted_stepper``) it builds once per pass over the segments.
+then depend on the batch.  Its coarse steps are lifted steps with the
+field's stage matrices of each segment length, and with buffers
+(``_lifted_stepper``) it builds once per pass over the segments.
 Either way a batch keeps each row's bits.
 ``_uniform_grid`` is the one check of a time grid, T and its step count,
 for every caller of the stepper.
@@ -175,21 +178,30 @@ def _so3_log(R, max_angle):
     """Rotation vectors of a (B, 3, 3) stack by quaternion extraction: q is the
     row of Q = 4 q q^T (q = w, x, y, z) at the pivot (w if the trace is positive,
     else the largest diagonal axis) over 2 sqrt(pivot entry), which stays stable
-    near pi where the skew part alone cancels."""
+    near pi where the skew part alone cancels.  When every trace is positive,
+    as near the identity, every pivot is w and Q is not formed: q = (s / 4,
+    skew / s) with s = 2 sqrt(1 + trace), the same operations on the same
+    entries, and w > 0 needs no sign flip."""
     t = R[:, 0, 0] + R[:, 1, 1] + R[:, 2, 2]
-    d = np.diagonal(R, axis1=1, axis2=2)
-    Q = np.empty((len(R), 4, 4))
-    Q[:, 0, 0] = t + 1.0
-    Q[:, 1:, 1:] = R + np.swapaxes(R, 1, 2)
-    Q[:, [1, 2, 3], [1, 2, 3]] = 1.0 + d - d[:, [1, 0, 0]] - d[:, [2, 2, 1]]
-    Q[:, 0, 1:] = Q[:, 1:, 0] = R[:, [2, 0, 1], [1, 2, 0]] - R[:, [1, 2, 0], [2, 0, 1]]
-    rows = np.arange(len(R))
-    pivot = np.where(t > 0.0, 0, 1 + np.argmax(d, axis=1))
-    s = 2.0 * np.sqrt(np.maximum(Q[rows, pivot, pivot], 0.0))
-    q = Q[rows, pivot] / s[:, None]
-    q[rows, pivot] = 0.25 * s
-    q *= np.where(q[:, :1] < 0.0, -1.0, 1.0)
-    qw, qv = q[:, 0], np.ascontiguousarray(q[:, 1:])
+    flat = R.reshape(-1, 9)
+    skew = flat[:, [7, 2, 3]] - flat[:, [5, 6, 1]]  # R21 - R12, R02 - R20, R10 - R01
+    if (t > 0.0).all():
+        s = 2.0 * np.sqrt(t + 1.0)
+        qw, qv = 0.25 * s, skew / s[:, None]
+    else:
+        d = np.diagonal(R, axis1=1, axis2=2)
+        Q = np.empty((len(R), 4, 4))
+        Q[:, 0, 0] = t + 1.0
+        Q[:, 1:, 1:] = R + np.swapaxes(R, 1, 2)
+        Q[:, [1, 2, 3], [1, 2, 3]] = 1.0 + d - d[:, [1, 0, 0]] - d[:, [2, 2, 1]]
+        Q[:, 0, 1:] = Q[:, 1:, 0] = skew
+        rows = np.arange(len(R))
+        pivot = np.where(t > 0.0, 0, 1 + np.argmax(d, axis=1))
+        s = 2.0 * np.sqrt(np.maximum(Q[rows, pivot, pivot], 0.0))
+        q = Q[rows, pivot] / s[:, None]
+        q[rows, pivot] = 0.25 * s
+        q *= np.where(q[:, :1] < 0.0, -1.0, 1.0)
+        qw, qv = q[:, 0], np.ascontiguousarray(q[:, 1:])
     # a dot product and libm's atan2 per row, so every row gets the bits
     # of the one-matrix computation (numpy's SIMD arctan2 differs in the last bit)
     vn = np.sqrt(np.matmul(qv[:, None, :], qv[:, :, None])[:, 0, 0])
@@ -283,12 +295,12 @@ def log_map(gm, g, max_angle=SO3_MAX_LOG_ANGLE) -> np.ndarray:
 def dexpinv(model, omega, v) -> np.ndarray:
     """Inverse differential of exp truncated for order 4:
     v + [omega, v]/2 + [omega, [omega, v]]/12, with the matrix ad(omega)
-    formed once, by a stacked matmul of omega against the structure
-    constants held as an (n, n n) matrix, and applied twice by stacked
-    matmuls, so each row of a batch gets the bits it gets alone."""
+    formed once, by a stacked matmul of omega against the model's
+    ``ad_form`` (the structure constants as an (n, n n) matrix, built with
+    the model), and applied twice by stacked matmuls, so each row of a batch
+    gets the bits it gets alone."""
     n = model.n
-    Ct = model.C.transpose(1, 0, 2).reshape(n, n * n)
-    ad = (omega[..., None, :] @ Ct).reshape(omega.shape[:-1] + (n, n))
+    ad = (omega[..., None, :] @ model.ad_form).reshape(omega.shape[:-1] + (n, n))
     c1 = (ad @ v[..., None])[..., 0]
     return v + 0.5 * c1 + (ad @ c1[..., None])[..., 0] / 12.0
 
@@ -418,8 +430,8 @@ def _reconstruct(gm, zs, h, xs):
         if steps >= PARAREAL_MIN_STEPS:
             xs[j + 1:stop + 1] = es
         else:
-            for k in range(j, stop):
-                np.matmul(xs[k], es[k - j], out=xs[k + 1])
+            for x, e, following in zip(xs[j:stop], es, xs[j + 1:stop + 1]):
+                np.matmul(x, e, out=following)
     if steps < PARAREAL_MIN_STEPS:
         return
     xs[done + 1:] = np.eye(xs.shape[-1])
@@ -440,14 +452,23 @@ def _reconstruct(gm, zs, h, xs):
 def _stage_matrices(Kf, h):
     """The four matrices [c h Kf | b h Kf] of a lifted RK4 step of size h, each
     stage's weight b next to the node c of the stage after it (0 after the last),
-    stacked (4, ..., (n + 1) p, 2 p).  h is a scalar or one per product, of a
-    shape (..., 1) that broadcasts against the (..., m) of a state laid
-    (..., m, p) as in ``_lifted_stepper``; either way each product c h and b h
-    has the bits it has alone."""
+    stacked (4, ..., (n + 1) p, 2 p) and read-only.  h is a scalar or one per
+    product, of a shape (..., 1) that broadcasts against the (..., m) of a
+    state laid (..., m, p) as in ``_lifted_stepper``; either way each product
+    c h and b h has the bits it has alone."""
     h = np.asarray(h)
     coefs = _STAGE_COEFS.reshape((4,) + (1,) * max(h.ndim - 1, 0) + (1, 2, 1))
     M = (coefs * h[..., None, None]) * Kf[:, None, :]
-    return M.reshape(M.shape[:-2] + (-1,))
+    M = M.reshape(M.shape[:-2] + (-1,))
+    M.flags.writeable = False  # a field's cache (``_stages``) hands it to every flow
+    return M
+
+
+def _stages(rhs, h):
+    """The ``_stage_matrices`` of steps of size h for a field that carries Kf:
+    for a scalar h, the field's own (``rhs.stages(h)``), which it forms once per
+    step size, and for one h per product, new ones."""
+    return rhs.stages(h) if isinstance(h, float) else _stage_matrices(rhs.Kf, h)
 
 
 def _lifted_stepper(Ms, shape):
@@ -488,15 +509,16 @@ def _lifted_stepper(Ms, shape):
     return v, S[..., 1:n + 1], step
 
 
-def _lifted_loop(Kf, steps, h, vs, look):
-    """``steps`` lifted RK4 steps (``_lifted_stepper``) of a field vdot =
-    [v, y (x) v] @ Kf from ``vs[0]``, filling ``vs[1:]``, with the return and
+def _lifted_loop(rhs, steps, h, vs, look):
+    """``steps`` lifted RK4 steps (``_lifted_stepper``) of a field ``rhs`` that
+    carries Kf, vdot = [v, y (x) v] @ Kf, from ``vs[0]``, filling ``vs[1:]``,
+    with the stage matrices of ``_stages``, and with the return and
     the look of ``_rk4_loop``.  Each record ``vs[k]`` is laid as the stepper's
     state, so its (m, p) matrices share a product: m = 1 gives each row the
     bits it gets alone, and Parareal's fine sweep lays the segments of each of
     its rows as one matrix.  A step is 15 numpy calls, against four
     right-hand sides and 13 more calls for classical RK4."""
-    v, ys, step = _lifted_stepper([_stage_matrices(Kf, h)], vs.shape[1:])
+    v, ys, step = _lifted_stepper([_stages(rhs, h)], vs.shape[1:])
     zs = np.empty((4, steps) + ys.shape[1:])
     v[...], recorded = vs[0], steps
     for k in range(steps):
@@ -528,11 +550,14 @@ def _looks_bad(k, vs):
     return not np.isfinite(vs[k + 2 - FINITE_CHECK_STEPS:k + 2]).all()
 
 
-def _finite_steps(*records):
-    """The number of steps before the first whose state in a record is not finite."""
-    finite = np.logical_and.reduce([np.isfinite(r[1:]).all(axis=tuple(range(1, r.ndim)))
-                                    for r in records])
-    return len(finite) if finite.all() else int(np.argmin(finite))
+def _finite_steps(record):
+    """The number of steps before the first whose state in ``record`` is not
+    finite: one scan of the record when every state is, and the steps placed
+    only when one is not."""
+    finite = np.isfinite(record[1:])
+    if finite.all():
+        return len(finite)
+    return int(np.argmin(finite.all(axis=tuple(range(1, record.ndim)))))
 
 
 def _rk4_loop(x, steps, h, rhs, vs, look=True, coupled=None):
@@ -552,7 +577,7 @@ def _rk4_loop(x, steps, h, rhs, vs, look=True, coupled=None):
     lone = prod(batch) == 1
     row = (slice(None),) + (0,) * len(batch)
     if coupled is None and hasattr(rhs, "Kf"):
-        zs, recorded = _lifted_loop(rhs.Kf, steps, h, vs[row] if lone else vs[..., None, :], look)
+        zs, recorded = _lifted_loop(rhs, steps, h, vs[row] if lone else vs[..., None, :], look)
         return zs.reshape((4, steps) + batch + zs.shape[-1:]), recorded
     if lone:
         vs, x = vs[row], x[row] if coupled is not None else np.reshape(x, np.shape(x)[-2:])
@@ -587,9 +612,9 @@ def _parareal(steps, h, rhs, vs):
     stage multiplies them by one product of K rows.  A product of all A K
     rows would run faster, but its bits would depend on A, so a row would not
     get the bits it gets alone.  The coarse propagator G is one lifted RK4
-    step over each segment, with the stage matrices of each segment length
-    formed once and the stepper's buffers (``_lifted_stepper``) built once
-    per pass over the segments; each row is its own product there.  A sweep
+    step over each segment, with the field's stage matrices of each segment
+    length (``_stages``) and the stepper's buffers (``_lifted_stepper``) built
+    once per pass over the segments; each row is its own product there.  A sweep
     sets U[i + 1] = F(U_old[i]) + (G(U_new[i]) - G(U_old[i])) in order.
     Every choice is per row, so a row of a batch gets the bits it gets
     alone.  A row takes part if its coarse pass is finite and one RK4 step
@@ -600,12 +625,12 @@ def _parareal(steps, h, rhs, vs):
     non-finite in a sweep or reaches PARAREAL_MAX_SWEEPS reruns the
     sequential loop.
     """
-    K, Kf = PARAREAL_SEGMENTS, rhs.Kf
+    K = PARAREAL_SEGMENTS
     R, p = vs.shape[1:]
     lengths, first = _segments(steps)
     # the stage matrices of each segment length; segment i steps by Ms[size[i]]
     sizes, size = np.unique(lengths, return_inverse=True)
-    Ms = [_stage_matrices(Kf, length * h) for length in sizes]
+    Ms = [_stages(rhs, length * h) for length in sizes]
     # the shorter segments run one step past their end in a sweep of the longest
     past_end = np.arange(lengths[0] + 1)[:, None] > lengths
     U = np.empty((K + 1, R, p))
@@ -618,12 +643,12 @@ def _parareal(steps, h, rhs, vs):
     # one RK4 step over each pair of segments, all pairs as one batch, against
     # the pair's two coarse steps; a NaN gap compares false
     pairs = (lengths[0:K - 1:2] + lengths[1:K:2])[:, None, None] * h
-    v, _, pair_step = _lifted_stepper([_stage_matrices(Kf, pairs)], (len(pairs), R, 1, p))
+    v, _, pair_step = _lifted_stepper([_stage_matrices(rhs.Kf, pairs)], (len(pairs), R, 1, p))
     v[..., 0, :] = U[0:K - 1:2]
     ends = np.empty_like(v)
     pair_step(0, ends)
     gap = np.abs(ends[..., 0, :] - U[2:K + 1:2]).max(axis=(0, 2))
-    zs = np.empty((4, steps, R, len(Kf) // p - 1))
+    zs = np.empty((4, steps, R, len(rhs.Kf) // p - 1))
     active = np.flatnonzero(np.isfinite(U).all(axis=(0, 2))
                             & (gap <= PARAREAL_MAX_COARSE_ERROR * np.abs(U).max(axis=(0, 2))))
     converged = np.zeros(R, dtype=bool)
@@ -633,7 +658,7 @@ def _parareal(steps, h, rhs, vs):
         A = len(active)
         fine = np.empty((len(past_end), A, K, p))
         fine[0] = U[:K, active].swapaxes(0, 1)
-        zf, _ = _lifted_loop(Kf, len(past_end) - 1, h, fine, False)
+        zf, _ = _lifted_loop(rhs, len(past_end) - 1, h, fine, False)
         ends = fine[lengths, :, np.arange(K)]
         # coarse[i] holds G(U_old[i]) of the active rows, then G(U_new[i])
         old, coarse = U[:, active], G[:, active]
@@ -680,8 +705,9 @@ def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False):
     splits: the loop takes RK4 steps of v and keeps the four stage
     velocities z1..z4 of every step, and x is reconstructed from them after
     the loop (``_reconstruct``).  A field that carries a lifted matrix
-    ``Kf`` (``pmp.extremal_field`` of a quadratic cost) takes lifted RK4
-    steps (``_lifted_loop``), any other classical RK4 steps over its rhs.
+    ``Kf`` and its stage matrices ``stages(h)`` (``pmp.extremal_field`` of a
+    quadratic cost) takes lifted RK4 steps (``_lifted_loop``), any other
+    classical RK4 steps over its rhs.
     Below PARAREAL_MIN_STEPS steps x is the product of the step exponentials
     in order, which for a callable field has the bits of the coupled step; a
     longer flow takes that product by segments, which matches the coupled
@@ -716,7 +742,7 @@ def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False):
         done = _finite_steps(vs[:recorded + 1])
         if not needs_x:
             _reconstruct(gm, zs[:, :done], h, xs)
-        done = _finite_steps(vs[:done + 1], xs[:done + 1])
+        done = _finite_steps(xs[:done + 1])  # v is finite up to step done
     if done < steps:
         raise NonFinite(done + 1)
     return xs, vs

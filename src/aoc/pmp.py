@@ -71,7 +71,7 @@ flow as df/dt = {H, f}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -339,7 +339,9 @@ def extremal_field(model, cost):
     ``_quadratic_tensor``, held as the lifted matrix Kf of shape
     ((n + 1) p, p), p = 3n, with Kf[a p + q, o] = K[o, a, q], gives
     vdot = [v, y (x) v] @ Kf, the lift being the outer product (1, y) (x) v;
-    the field carries Kf (``rhs.Kf``) for the stepper's lifted RK4 step.
+    the field carries Kf (``rhs.Kf``) for the stepper's lifted RK4 step, and
+    ``rhs.stages(h)``, the step's read-only stage matrices
+    (``groups._stage_matrices``), formed once per step size h.
     Any other cost takes one batched ``eliminate_control``, whose Newton runs
     every row at once and gives a row that is not finite a NaN control, and
     one batched ``extremal_rhs``.  Either way each row gets the bits it gets
@@ -356,6 +358,11 @@ def extremal_field(model, cost):
             return v[..., :n], (lift @ Kf)[..., 0, :]
 
         rhs.Kf = Kf
+        # the read-only stage matrices of each step size (``groups._stages``), a
+        # few per field: a solve steps two grids, a Parareal flow its step and
+        # one or two segment lengths; they live as long as the field, and this
+        # function's cache bounds how many fields live
+        rhs.stages = lru_cache(maxsize=8)(partial(groups._stage_matrices, Kf))
         return rhs
 
     def rhs(k, c, x, v):

@@ -159,6 +159,17 @@ def test_bias_matches_sharp_ad_star_flat(kind, so3_j123, rng):
     assert np.abs(aoc.bias(model, ys) - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("kind", ["so3", "random6"])
+def test_ad_form_gives_the_matrix_of_ad(kind, so3_j123, rng):
+    # omega @ ad_form, read as (n, n), maps v to [omega, v]
+    model = so3_j123 if kind == "so3" else random_model(rng, 6)
+    n = model.n
+    omega, v = rng.standard_normal((2, 50, n))
+    ad = (omega[:, None, :] @ model.ad_form).reshape(50, n, n)
+    assert_allclose((ad @ v[..., None])[..., 0], aoc.bracket(model, omega, v), rtol=0,
+                    atol=1e-13)
+
+
 def test_embed_control_pads(so3_m2):
     assert_allclose(aoc.embed_control(so3_m2, [4.0, 5.0]), [4.0, 5.0, 0.0])
     with pytest.raises(aoc.DimensionMismatch):

@@ -766,6 +766,8 @@ _CUSTOM_NO_REP = {key: value for key, value in _SO3_FILE.items()
     ("shoot", {"solver": {"guess": [0, 0, 0]}}, [], "solver guess must have 6 components"),
     ("compare", {"oracle": {"segments": 1}}, [],
      "bad oracle section: segments must be at least 2, got 1"),
+    ("compare", {"oracle": {"segments": 2, "steps_per_segment": 1000000}}, [],
+     "bad oracle section: segments * steps_per_segment must be at most 1000000, got 2000000"),
     ("simulate", {"algebra": {"kind": "custom", "file": "model.json"}}, [],
      "this command needs a matrix representation"),
     ("extremal", {}, ["--mu0", "a,b", "--xi0", "0,0,0"],
@@ -776,7 +778,8 @@ _CUSTOM_NO_REP = {key: value for key, value in _SO3_FILE.items()
         "R-indefinite", "R-singular",
         "x0-shape", "y0-length", "yT-length", "steps-zero", "control-mismatch",
         "control-string", "extremal-without-costates", "costate-length", "guess-length",
-        "oracle-segments", "custom-without-representation", "mu0-flag-not-numbers"])
+        "oracle-segments", "oracle-grid-beyond-ceiling", "custom-without-representation",
+        "mu0-flag-not-numbers"])
 def test_config_problem_is_usage_error(tmp_path, capsys, monkeypatch, command, config, argv,
                                        message):
     # each problem exits 1 with its own message before any flow runs

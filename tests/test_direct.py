@@ -8,6 +8,7 @@ import aoc
 from aoc.direct import (FD_STEP, TranscriptionConfig, _linearize, optimize_direct,
                         transcription_objective)
 from aoc.dynamics import zoh_rollout
+from aoc.groups import MAX_STEPS
 from aoc.pmp import CostModel, min_acc_cost, quadratic_cost, running_cost
 from aoc.shooting import BoundaryProblem, endpoint_residual, solve_shooting
 from test_parareal import GROUPS
@@ -66,6 +67,11 @@ def test_config_validation():
         TranscriptionConfig(segments=1)
     with pytest.raises(ValueError, match="at least 1"):
         TranscriptionConfig(steps_per_segment=0)
+    # each count is within the grid ceiling, their product, the oracle's grid, is not
+    TranscriptionConfig(segments=2, steps_per_segment=MAX_STEPS // 2)
+    with pytest.raises(ValueError, match=r"segments \* steps_per_segment must be at most "
+                                         r"1000000, got 2000000"):
+        TranscriptionConfig(segments=2, steps_per_segment=MAX_STEPS)
 
 
 def test_batched_boundary_residual_matches_single(rng):

@@ -145,6 +145,25 @@ def test_batched_log_matches_scalar_on_every_branch(so3_j123_group, rng):
                     got.reshape(20, 30, 3), rtol=0, atol=0)
 
 
+def test_a_mixed_log_batch_gives_each_row_its_bits_alone(so3_j123_group, rng):
+    # a batch with traces on both sides of 0 pivots per row, while a row alone,
+    # or a batch, whose traces are all positive skips the pivots: same bits
+    gm = so3_j123_group
+    near_axis = np.eye(3)[rng.integers(0, 3, 40)] + 0.1 * rng.standard_normal((40, 3))
+    axes = np.concatenate([rng.standard_normal((40, 3)), near_axis])
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    angles = np.concatenate([rng.uniform(0.0, np.pi - 1e-3, 40), rng.uniform(2.0, 3.1, 40),
+                             [0.0, 1e-14, 1e-9]])
+    axes = np.concatenate([axes, rng.standard_normal((3, 3))])
+    R = aoc.exp_map(gm, axes * angles[:, None])
+    assert {scalar_log(r)[1] for r in R} == {0, 1, 2, 3}
+    got = aoc.log_map(gm, R)
+    for r in range(len(R)):
+        assert np.array_equal(aoc.log_map(gm, R[r]), got[r])
+    positive = np.trace(R, axis1=1, axis2=2) > 0.0
+    assert np.array_equal(aoc.log_map(gm, R[positive]), got[positive])
+
+
 def test_batched_log_near_zero(so3_j123_group, rng):
     axes = rng.standard_normal((4, 3))
     w = axes * np.array([0.0, 1e-14, 1e-9, 1e-6])[:, None]

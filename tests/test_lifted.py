@@ -7,13 +7,21 @@ field's rhs to rounding, one step and whole flows alike, and every row of a
 batch gets the bits it gets alone, with one h for all rows or one per row
 (Parareal's pair step).  Parareal's coarse steps come from a stepper built
 once (``groups._lifted_stepper``), which gives the bits of a one-step loop.
+The field forms the stage matrices of each scalar step size once and keeps
+them read-only (``rhs.stages``); a per-row h forms its own, and the cache
+lives and dies with the field.
 """
+
+import gc
+import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 
+import aoc
 from aoc import groups
-from aoc.pmp import extremal_field, min_acc_cost
+from aoc.pmp import extremal_field, min_acc_cost, quadratic_cost
 from test_parareal import GROUPS, flow, within_ulps
 
 
@@ -27,7 +35,7 @@ def lifted_step(rhs, v, h):
     new v."""
     vs = np.empty((2,) + v.shape[:-1] + (1,) + v.shape[-1:])
     vs[0] = v[..., None, :]
-    zs, _ = groups._lifted_loop(rhs.Kf, 1, h, vs, False)
+    zs, _ = groups._lifted_loop(rhs, 1, h, vs, False)
     return tuple(zs[:, 0, ..., 0, :]), vs[1, ..., 0, :]
 
 
@@ -120,3 +128,62 @@ def test_the_built_once_step_gives_the_bits_of_a_one_step_loop(kind):
             assert np.array_equal(out[..., 0, :], w)
             assert all(np.array_equal(a, b) for a, b in zip(ys[..., 0, :], z))
             start[...] = out
+
+
+def uncached(rhs):
+    """The field ``rhs`` with stage matrices formed anew for every flow."""
+    fresh = lambda k, c, x, v: rhs(k, c, x, v)
+    fresh.Kf, fresh.stages = rhs.Kf, partial(groups._stage_matrices, rhs.Kf)
+    return fresh
+
+
+def test_fields_flown_alternately_keep_their_bits():
+    # three fields at the same h and widths, each with its own cached stage
+    # matrices, formed once per field and h
+    so3 = GROUPS["so3-m2"]()
+    gms = [so3, so3, aoc.so3_group(aoc.so3_model((1.0, 2.5, 4.0), m=2))]
+    weighted = quadratic_cost(so3.algebra, np.diag([2.0, 0.5]))
+    rhss = [field(so3), extremal_field(so3.algebra, weighted), field(gms[2])]
+    v0 = np.random.default_rng(7).uniform(-1.0, 1.0, (13, 9))
+    refs = [[flow(gm, v, 16, rhs=uncached(rhs)) for v in (v0, v0[0])]
+            for gm, rhs in zip(gms, rhss)]
+    assert not np.array_equal(refs[0][0][1], refs[1][0][1])
+    assert not np.array_equal(refs[0][0][1], refs[2][0][1])
+    for _ in range(2):
+        for gm, rhs, ref in zip(gms, rhss, refs):
+            for v, (x1, v1) in zip((v0, v0[0]), ref):
+                xs, vs = flow(gm, v, 16, rhs=rhs)
+                assert np.array_equal(xs, x1) and np.array_equal(vs, v1)
+    assert [rhs.stages.cache_info().misses for rhs in rhss] == [1, 1, 1]
+
+
+def test_cached_stage_matrices_are_read_only_and_a_per_row_h_bypasses_them():
+    rhs = field(GROUPS["so3-m2"]())
+    M = rhs.stages(0.05)
+    assert rhs.stages(0.05) is M and not M.flags.writeable
+    with pytest.raises(ValueError):
+        M[0] = 0.0
+    v = np.random.default_rng(8).uniform(-1.0, 1.0, (10, 3, 9))
+    before = rhs.stages.cache_info()
+    lifted_step(rhs, v, np.full((10, 1, 1), 0.05))
+    assert rhs.stages.cache_info() == before
+    lifted_step(rhs, v[0, 0], 0.05)
+    assert rhs.stages.cache_info().hits == before.hits + 1
+
+
+def test_fields_and_their_stage_matrices_live_no_longer_than_the_field_cache():
+    # each op of the CLI builds its own model, so a cache of stage matrices
+    # that outlived the field cache would keep every op's
+    models, stages = [], []
+    v0 = np.random.default_rng(9).uniform(-1.0, 1.0, (13, 9))
+    for i in range(40):
+        gm = aoc.so3_group(aoc.so3_model((1.0, 2.0, 3.0 + i), m=2))
+        rhs = field(gm)
+        flow(gm, v0, 16, rhs=rhs)
+        models.append(weakref.ref(gm.algebra))
+        stages.append(weakref.ref(rhs.stages(1.0 / 16)))
+    del gm, rhs
+    gc.collect()
+    bound = extremal_field.cache_info().maxsize
+    assert sum(ref() is not None for ref in models) <= bound
+    assert sum(ref() is not None for ref in stages) <= bound

@@ -1,5 +1,6 @@
 """The example scripts still run against the library API."""
 
+import json
 import os
 import subprocess
 import sys
@@ -68,3 +69,13 @@ def test_code_lines_total_is_the_sum_of_the_modules():
     total = counts.pop("total")
     assert "pmp.py" in counts and "__init__.py" in counts
     assert total == sum(counts.values()) > 0
+
+
+def test_flow_cost_script_runs(tmp_path):
+    out = run_script("flow_cost.py", "--calls", "3", "--warmup", "1",
+                     "--json", str(tmp_path / "cost.json"))
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(1, 16), (13, 16), (1, 200), (13, 200)]
+    for _, _, total, alone, fixed in rows:
+        assert float(total) > float(alone) > 0.0 and float(fixed) > 0.0
+    assert len(json.loads((tmp_path / "cost.json").read_text())["figures"]) == 4
