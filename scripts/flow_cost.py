@@ -6,12 +6,15 @@ m = 2, inertia (1, 2, 3), the minimum covariant acceleration cost, rest to
 rest from the identity, T = 1): at 1 row (the residual alone, as a probe or
 a continuation step evaluates it) and at 13 rows (the residual and its
 central-difference Jacobian), on grids of 16 steps (the coarse grid of a
-50-step solve) and 200 steps.  The steps alone are the time spent inside the
-lifted RK4 loop (``groups._lifted_loop``, wrapped by a timer for the run),
-the loop's set-up included; the evaluation's time less theirs is the flow's
-fixed cost: the stage matrices, x rebuilt from the stage velocities, the
-boundary residual and the glue around them.  Each figure is the median over
-``--calls`` evaluations, after ``--warmup`` untimed ones.
+50-step solve), 200 steps and 2000 steps.  The steps alone are the time spent
+inside the lifted RK4 loop (``groups._lifted_loop``, wrapped by a timer for
+the run), the loop's set-up included; the evaluation's time less theirs is
+the flow's fixed cost: the stage matrices, x rebuilt from the stage
+velocities, the boundary residual and the glue around them.  A 2000-step
+flow takes Parareal (``groups._parareal``): its steps are its fine sweeps and
+any rerun of the sequential loop, and its fixed cost also holds Parareal's
+coarse passes and bookkeeping.  Each figure is the median over ``--calls``
+evaluations, after ``--warmup`` untimed ones.
 
     PYTHONPATH=src python scripts/flow_cost.py
     PYTHONPATH=src python scripts/flow_cost.py --calls 3000 --json cost.json
@@ -32,7 +35,7 @@ from aoc.pmp import min_acc_cost
 from aoc.shooting import BoundaryProblem
 
 ROWS = (1, 13)
-STEPS = (16, 200)
+STEPS = (16, 200, 2000)
 
 
 def problem(steps):

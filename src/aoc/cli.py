@@ -292,13 +292,19 @@ class Setup(NamedTuple):
     cost: pmp.CostModel
     base: Path
 
+    def out(self, suffix):
+        """The output file of ``suffix``: the base path with it appended, so
+        that a dot in the base's name keeps what follows it."""
+        return self.base.with_name(self.base.name + suffix)
+
 
 def run(command, config):
     """The pipeline of every command.  Builds the model and group and
     validates them once: ``validate`` prints the report, and any other
-    command exits 2 on a failed one.  Then builds the problem, the cost and
-    the command's own inputs, so that a bad input exits 1 before any flow
-    runs, and hands them to the command."""
+    command exits 2 on a failed one.  Then checks that the output base's
+    directory exists and builds the problem, the cost and the command's own
+    inputs, so that a bad input exits 1 before any flow runs, and hands them
+    to the command."""
     model, gm = build_model(config)
     if command != "validate" and gm is None:
         raise UsageError("this command needs a matrix representation "
@@ -314,8 +320,10 @@ def run(command, config):
     if not report.passed:
         print("validation failed: " + ", ".join(report.failures()), file=sys.stderr)
         return 2
-    setup = Setup(model, gm, build_problem(config, model, gm), build_cost(config, model),
-                  _out_base(config["output"]["path"]))
+    base = _out_base(config["output"]["path"])
+    if not base.parent.is_dir():
+        raise UsageError(f"output.path: no directory {str(base.parent)!r} to write into")
+    setup = Setup(model, gm, build_problem(config, model, gm), build_cost(config, model), base)
     if command == "simulate":
         return cmd_simulate(setup, build_control(config, model))
     if command == "extremal":
@@ -329,8 +337,8 @@ def run(command, config):
 def cmd_simulate(s, u):
     traj = dynamics.simulate(s.model, s.gm, dynamics.State(s.problem.x0, s.problem.y0),
                              u, s.problem.T, s.problem.steps)
-    dynamics.write_trajectory_csv(traj, s.base.with_suffix(".csv"), s.model, s.gm)
-    print(f"wrote {s.base.with_suffix('.csv')}")
+    dynamics.write_trajectory_csv(traj, s.out(".csv"), s.model, s.gm)
+    print(f"wrote {s.out('.csv')}")
     print(f"kinetic energy drift: {dynamics.energy_drift(s.model, traj):.6e}")
     return 0
 
@@ -338,8 +346,8 @@ def cmd_simulate(s, u):
 def cmd_extremal(s, costate):
     p0 = dynamics.State(s.problem.x0, s.problem.y0), costate
     traj = pmp.flow_extremal(s.model, s.gm, s.cost, p0, s.problem.T, s.problem.steps)
-    dynamics.write_trajectory_csv(traj, s.base.with_suffix(".csv"), s.model, s.gm)
-    print(f"wrote {s.base.with_suffix('.csv')}")
+    dynamics.write_trajectory_csv(traj, s.out(".csv"), s.model, s.gm)
+    print(f"wrote {s.out('.csv')}")
     print(f"H drift: {np.abs(traj.hams - traj.hams[0]).max():.6e}")
     return 0
 
@@ -353,10 +361,9 @@ def cmd_shoot(s, solver):
                "converged": result.converged}
     if result.trajectory is not None:
         payload["cost"] = pmp.running_cost(s.cost, result.trajectory)
-        dynamics.write_trajectory_csv(result.trajectory, s.base.with_suffix(".csv"),
-                                      s.model, s.gm)
-    _write_json(s.base.with_suffix(".json"), payload)
-    print(f"wrote {s.base.with_suffix('.json')}")
+        dynamics.write_trajectory_csv(result.trajectory, s.out(".csv"), s.model, s.gm)
+    _write_json(s.out(".json"), payload)
+    print(f"wrote {s.out('.json')}")
     print(f"converged: {result.converged}  residual: {result.residual_norm:.3e}")
     return 0 if result.converged else 4
 
@@ -397,8 +404,8 @@ def cmd_compare(s, solver, oracle_cfg):
             "converged": direct_res.converged,
         },
     }
-    _write_json(s.base.with_suffix(".json"), payload)
-    print(f"wrote {s.base.with_suffix('.json')}")
+    _write_json(s.out(".json"), payload)
+    print(f"wrote {s.out('.json')}")
     if not direct_res.converged:
         print(f"indirect {indirect_cost:.6f}")
         print(f"direct oracle did not converge (boundary error "

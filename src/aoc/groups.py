@@ -40,9 +40,12 @@ RK4 steps over its rhs: four right-hand sides and 13 more numpy calls a
 step.  A field that carries a lifted matrix ``Kf``, with vdot =
 [v, y (x) v] @ Kf (the fused extremal field), takes lifted RK4 steps
 (``_lifted_loop``): per stage one outer product into a lift buffer and one
-stacked matmul against the stage's coefficients times h Kf give the next
+matrix product with the stage's coefficients times h Kf give the next
 stage input and the stage's share of the step, 15 calls a step in all,
-which matches classical RK4 over the field's rhs to rounding.  Those stage
+which matches classical RK4 over the field's rhs to rounding.  The loop
+lays its state (..., p, m), and the m columns of each (p, m) matrix share
+those products; with m = 1 the buffers hold the memory of rows, and each
+row of a flow is its own stacked product, lift @ M.  Those stage
 matrices are formed once per field and step size, and the field keeps them
 read-only (``_stages``), so a short flow does not pay for them.  Below
 PARAREAL_MIN_STEPS steps x is the product of the step exponentials in
@@ -52,12 +55,14 @@ about steps / segments + segments stacked matmuls rather than one per
 step, and matches the coupled step to rounding.  A field that carries ``Kf`` also ignores the step and node and
 acts on each row alone, so it takes the v-record of a flow of at least
 PARAREAL_MIN_STEPS steps from Parareal in time (``_parareal``), which
-matches the loop to rounding.  Its fine sweep multiplies the segments of
-each flow row by one matmul per stage, a product of as many rows as there
-are segments, and never the segments of several flow rows together: the
-bits of a product's rows depend on its row count, so a row's bits would
-then depend on the batch.  Its coarse steps are lifted steps with the
-field's stage matrices of each segment length, and with buffers
+matches the loop to rounding.  Its fine sweep lays the segments of each
+flow row as the m = segments columns of one matrix, so that per stage one
+product M^T @ lift of as many columns as there are segments serves them,
+and the outer product and the adds run on contiguous (p, segments)
+blocks.  It never multiplies the segments of several flow rows together:
+the bits of a product's columns depend on its column count, so a row's
+bits would then depend on the batch.  Its coarse steps are lifted steps
+with the field's stage matrices of each segment length, and with buffers
 (``_lifted_stepper``) it builds once per pass over the segments.
 Either way a batch keeps each row's bits.
 ``_uniform_grid`` is the one check of a time grid, T and its step count,
@@ -404,11 +409,13 @@ def _uniform_grid(T, steps):
 
 def _segments(steps):
     """The partition of a grid of ``steps`` steps into PARAREAL_SEGMENTS
-    segments, the longer ones first: their lengths, and the first step of each
-    followed by ``steps``."""
+    segments, the longer ones first: their lengths, the first step of each
+    followed by ``steps``, and the runs (i, j) of segments i to j - 1 of one
+    length."""
     q, r = divmod(steps, PARAREAL_SEGMENTS)
     lengths = np.array([q + 1] * r + [q] * (PARAREAL_SEGMENTS - r))
-    return lengths, np.concatenate([[0], np.cumsum(lengths)])
+    runs = [(i, j) for i, j in ((0, r), (r, PARAREAL_SEGMENTS)) if j > i]
+    return lengths, np.concatenate([[0], np.cumsum(lengths)]), runs
 
 
 def _reconstruct(gm, zs, h, xs):
@@ -435,13 +442,10 @@ def _reconstruct(gm, zs, h, xs):
     if steps < PARAREAL_MIN_STEPS:
         return
     xs[done + 1:] = np.eye(xs.shape[-1])
-    lengths, first = _segments(steps)
-    # the segments of each length as one (segments, length, ...) view of the
-    # record; r is the first of the shorter segments, or 0 if none is shorter
-    r = int(np.argmin(lengths))
-    runs = [xs[1 + first[i]:1 + first[j]].reshape((j - i, lengths[i]) + xs.shape[1:])
-            for i, j in ((0, r), (r, len(lengths))) if j > i]
-    for run in runs:
+    lengths, first, runs = _segments(steps)
+    # the segments of each length as one (segments, length, ...) view of the record
+    for i, j in runs:
+        run = xs[1 + first[i]:1 + first[j]].reshape((j - i, lengths[i]) + xs.shape[1:])
         for t in range(1, run.shape[1]):
             np.matmul(run[:, t - 1], run[:, t], out=run[:, t])
     for i in range(len(lengths)):
@@ -454,8 +458,8 @@ def _stage_matrices(Kf, h):
     stage's weight b next to the node c of the stage after it (0 after the last),
     stacked (4, ..., (n + 1) p, 2 p) and read-only.  h is a scalar or one per
     product, of a shape (..., 1) that broadcasts against the (..., m) of a
-    state laid (..., m, p) as in ``_lifted_stepper``; either way each product
-    c h and b h has the bits it has alone."""
+    state laid (..., p, m) with m = 1 as in ``_lifted_stepper``; either way
+    each product c h and b h has the bits it has alone."""
     h = np.asarray(h)
     coefs = _STAGE_COEFS.reshape((4,) + (1,) * max(h.ndim - 1, 0) + (1, 2, 1))
     M = (coefs * h[..., None, None]) * Kf[:, None, :]
@@ -473,40 +477,51 @@ def _stages(rhs, h):
 
 def _lifted_stepper(Ms, shape):
     """Lifted RK4 steps of a field vdot = [v, y (x) v] @ Kf for a state laid
-    as ``shape``, (..., m, p) or a vector (p,), with buffers and views built
+    as ``shape``, (..., p, m) or a vector (p,), with buffers and views built
     once for every step size whose ``_stage_matrices`` are listed in ``Ms``.
-    The four stage inputs u sit in one buffer as rows (1, u), so that per
-    stage one outer product (1, y) (x) u into the lift buffer and one stacked
-    matmul against the stage's matrices give the next stage input v + G[:p]
-    and the stage's share g = b h vdot of the step.  The m rows of each
-    (m, p) matrix of the state share that matmul, one product of m rows,
-    whose bits under OpenBLAS depend on m and on each row's place in it, so a
-    caller that needs each row's bits alone lays m = 1.  Returns the stage input v, the stage y's (4, ..., m, n) and
-    ``step(i, out)``, which steps from v by the i-th step size and writes
-    v + (((g1 + g2) + g3) + g4) into ``out``, leaving v and the stage y's as
-    the step found them: 4 outer products, 4 matmuls and 5 adds."""
-    p = shape[-1]
-    lead, width = shape[:-1], Ms[0].shape[-2]
+    The four stage inputs u sit in one buffer as columns (1, u), so that per
+    stage one outer product (1, y) (x) u into the lift buffer and one product
+    with the stage's matrices give the next stage input v + G[:p] and the
+    stage's share g = b h vdot of the step.  The m columns of each (p, m)
+    matrix of the state share that product, M^T @ lift, whose bits under
+    OpenBLAS depend on m and on each column's place in it, so a caller that
+    needs each column's bits alone lays m = 1.  The buffers then hold the
+    memory of rows, and each row is its own product lift @ M, stacked over the
+    leading dimensions, as a vector is.  Returns the stage input v, the stage
+    y's (4, ..., n, m) and ``step(i, out)``, which steps from v by the i-th
+    step size and writes v + (((g1 + g2) + g3) + g4) into ``out``, leaving v
+    and the stage y's as the step found them: 4 outer products, 4 products and
+    5 adds."""
+    cols = shape[-1:] if len(shape) > 1 else ()
+    lead, p = shape[:-1 - len(cols)], shape[-1 - len(cols)]
+    c = (slice(None),) * len(cols)  # all columns, after an index into the (1 + p) axis
+    width = Ms[0].shape[-2]
     n = width // p - 1
-    S = np.empty((4,) + lead + (1 + p,))
-    S[..., 0] = 1.0
-    lift = np.empty(lead + (width,))
-    outer = lift.reshape(lead + (n + 1, p))
-    G = np.empty((4,) + lead + (2 * p,))
-    u, shares = S[..., 1:], G[..., p:]
-    views = list(zip(S[..., :n + 1, None], S[..., None, 1:], G, G[..., :p], list(u[1:]) + [None]))
-    stages = [[view + (M,) for view, M in zip(views, Mi)] for Mi in Ms]
+    S = np.ones((4,) + lead + (1 + p,) + cols)  # the 1 of (1, u) is never written
+    lift = np.empty(lead + (width,) + cols)
+    G = np.empty((4,) + lead + (2 * p,) + cols)
+    if prod(cols) == 1:
+        rows = lead + cols
+        products = [[(lift.reshape(rows + (width,)), M, g.reshape(rows + (2 * p,)))
+                     for M, g in zip(Mi, G)] for Mi in Ms]
+    else:
+        products = [[(np.swapaxes(M, -1, -2), lift, g) for M, g in zip(Mi, G)] for Mi in Ms]
+    u, shares = S[np.s_[..., 1:] + c], G[np.s_[..., p:] + c]
+    views = list(zip(S[np.s_[..., :n + 1, None] + c], S[np.s_[..., None, 1:] + c],
+                     G[np.s_[..., :p] + c], list(u[1:]) + [None]))
+    stages = [[view + product for view, product in zip(views, Pi)] for Pi in products]
+    outer = lift.reshape(lead + (n + 1, p) + cols)
     v = u[0]
 
     def step(i, out):
-        for y1, ui, g, move, following, M in stages[i]:
+        for y1, ui, move, following, a, b, g in stages[i]:
             np.multiply(y1, ui, out=outer)
-            np.matmul(lift, M, out=g)
+            np.matmul(a, b, out=g)
             if following is not None:
                 np.add(v, move, out=following)
         np.add(v, np.add.reduce(shares, axis=0), out=out)
 
-    return v, S[..., 1:n + 1], step
+    return v, S[np.s_[..., 1:n + 1] + c], step
 
 
 def _lifted_loop(rhs, steps, h, vs, look):
@@ -514,10 +529,12 @@ def _lifted_loop(rhs, steps, h, vs, look):
     carries Kf, vdot = [v, y (x) v] @ Kf, from ``vs[0]``, filling ``vs[1:]``,
     with the stage matrices of ``_stages``, and with the return and
     the look of ``_rk4_loop``.  Each record ``vs[k]`` is laid as the stepper's
-    state, so its (m, p) matrices share a product: m = 1 gives each row the
-    bits it gets alone, and Parareal's fine sweep lays the segments of each of
-    its rows as one matrix.  A step is 15 numpy calls, against four
-    right-hand sides and 13 more calls for classical RK4."""
+    state, so the m columns of each (p, m) matrix share a product: m = 1 gives
+    each row the bits it gets alone, and Parareal's fine sweep lays the
+    segments of each of its rows as the columns of one matrix.  The stage
+    velocities come back laid as the record, (4, steps, ..., n, m).  A step
+    is 15 numpy calls, against four right-hand sides and 13 more calls for
+    classical RK4."""
     v, ys, step = _lifted_stepper([_stages(rhs, h)], vs.shape[1:])
     zs = np.empty((4, steps) + ys.shape[1:])
     v[...], recorded = vs[0], steps
@@ -577,8 +594,8 @@ def _rk4_loop(x, steps, h, rhs, vs, look=True, coupled=None):
     lone = prod(batch) == 1
     row = (slice(None),) + (0,) * len(batch)
     if coupled is None and hasattr(rhs, "Kf"):
-        zs, recorded = _lifted_loop(rhs, steps, h, vs[row] if lone else vs[..., None, :], look)
-        return zs.reshape((4, steps) + batch + zs.shape[-1:]), recorded
+        zs, recorded = _lifted_loop(rhs, steps, h, vs[row] if lone else vs[..., None], look)
+        return zs.reshape((4, steps) + batch + (len(rhs.Kf) // vs.shape[-1] - 1,)), recorded
     if lone:
         vs, x = vs[row], x[row] if coupled is not None else np.reshape(x, np.shape(x)[-2:])
     v, zs, recorded = vs[0], None, steps
@@ -607,15 +624,18 @@ def _parareal(steps, h, rhs, vs):
 
     The grid is cut into K segments.  The fine propagator F is the lifted
     loop, run without a look, so that a row that blows up does not cut the
-    sweep of the others, over a record laid (A, K, p) for the A rows that
-    take part: the K segment starts of each row are one matrix, and each
-    stage multiplies them by one product of K rows.  A product of all A K
-    rows would run faster, but its bits would depend on A, so a row would not
-    get the bits it gets alone.  The coarse propagator G is one lifted RK4
-    step over each segment, with the field's stage matrices of each segment
-    length (``_stages``) and the stepper's buffers (``_lifted_stepper``) built
-    once per pass over the segments; each row is its own product there.  A sweep
-    sets U[i + 1] = F(U_old[i]) + (G(U_new[i]) - G(U_old[i])) in order.
+    sweep of the others, over a record laid (A, p, K) for the A rows that
+    take part: the K segment states of each row are the columns of one
+    matrix, each stage multiplies them by one product of K columns, and the
+    stage arithmetic runs on contiguous (p, K) blocks.  A product of all A K
+    columns would run faster, but its bits would depend on A, so a row would
+    not get the bits it gets alone.  A row that leaves the iteration has its
+    segments copied into the record by one assignment per segment length.
+    The coarse propagator G is one lifted RK4 step over each segment, with
+    the field's stage matrices of each segment length (``_stages``) and the
+    stepper's buffers (``_lifted_stepper``) built once per pass over the
+    segments; each row is its own product there.  A sweep sets
+    U[i + 1] = F(U_old[i]) + (G(U_new[i]) - G(U_old[i])) in order.
     Every choice is per row, so a row of a batch gets the bits it gets
     alone.  A row takes part if its coarse pass is finite and one RK4 step
     over each pair of segments ends within PARAREAL_MAX_COARSE_ERROR of its
@@ -627,28 +647,29 @@ def _parareal(steps, h, rhs, vs):
     """
     K = PARAREAL_SEGMENTS
     R, p = vs.shape[1:]
-    lengths, first = _segments(steps)
+    n = len(rhs.Kf) // p - 1
+    lengths, first, runs = _segments(steps)
     # the stage matrices of each segment length; segment i steps by Ms[size[i]]
     sizes, size = np.unique(lengths, return_inverse=True)
     Ms = [_stages(rhs, length * h) for length in sizes]
     # the shorter segments run one step past their end in a sweep of the longest
     past_end = np.arange(lengths[0] + 1)[:, None] > lengths
     U = np.empty((K + 1, R, p))
-    v, _, coarse_step = _lifted_stepper(Ms, (R, 1, p))
+    v, _, coarse_step = _lifted_stepper(Ms, (R, p, 1))
     U[0] = vs[0]
     for i in range(K):
-        v[:, 0] = U[i]
-        coarse_step(size[i], U[i + 1, :, None])
+        v[..., 0] = U[i]
+        coarse_step(size[i], U[i + 1, ..., None])
     G = U[1:].copy()
     # one RK4 step over each pair of segments, all pairs as one batch, against
     # the pair's two coarse steps; a NaN gap compares false
     pairs = (lengths[0:K - 1:2] + lengths[1:K:2])[:, None, None] * h
-    v, _, pair_step = _lifted_stepper([_stage_matrices(rhs.Kf, pairs)], (len(pairs), R, 1, p))
-    v[..., 0, :] = U[0:K - 1:2]
+    v, _, pair_step = _lifted_stepper([_stage_matrices(rhs.Kf, pairs)], (len(pairs), R, p, 1))
+    v[..., 0] = U[0:K - 1:2]
     ends = np.empty_like(v)
     pair_step(0, ends)
-    gap = np.abs(ends[..., 0, :] - U[2:K + 1:2]).max(axis=(0, 2))
-    zs = np.empty((4, steps, R, len(rhs.Kf) // p - 1))
+    gap = np.abs(ends[..., 0] - U[2:K + 1:2]).max(axis=(0, 2))
+    zs = np.empty((4, steps, R, n))
     active = np.flatnonzero(np.isfinite(U).all(axis=(0, 2))
                             & (gap <= PARAREAL_MAX_COARSE_ERROR * np.abs(U).max(axis=(0, 2))))
     converged = np.zeros(R, dtype=bool)
@@ -656,33 +677,37 @@ def _parareal(steps, h, rhs, vs):
         if not len(active):
             break
         A = len(active)
-        fine = np.empty((len(past_end), A, K, p))
-        fine[0] = U[:K, active].swapaxes(0, 1)
+        fine = np.empty((len(past_end), A, p, K))
+        fine[0] = U[:K, active].transpose(1, 2, 0)
         zf, _ = _lifted_loop(rhs, len(past_end) - 1, h, fine, False)
-        ends = fine[lengths, :, np.arange(K)]
+        ends = fine[lengths, ..., np.arange(K)]
         # coarse[i] holds G(U_old[i]) of the active rows, then G(U_new[i])
         old, coarse = U[:, active], G[:, active]
         new = np.empty_like(old)
         new[0] = old[0]
-        v, _, coarse_step = _lifted_stepper(Ms, (A, 1, p))
-        g = np.empty((A, 1, p))
+        v, _, coarse_step = _lifted_stepper(Ms, (A, p, 1))
+        g = np.empty((A, p, 1))
         for i in range(K):
-            v[:, 0] = new[i]
+            v[..., 0] = new[i]
             coarse_step(size[i], g)
-            new[i + 1] = ends[i] + (g[:, 0] - coarse[i])
-            coarse[i] = g[:, 0]
+            new[i + 1] = ends[i] + (g[..., 0] - coarse[i])
+            coarse[i] = g[..., 0]
         finite = (np.isfinite(new).all(axis=(0, 2))
-                  & (np.isfinite(fine).all(axis=3) | past_end[:, None, :]).all(axis=(0, 2)))
+                  & (np.isfinite(fine).all(axis=2) | past_end[:, None, :]).all(axis=(0, 2)))
         scale = np.abs(new).max(axis=(0, 2))
         done = finite & (np.abs(new - old).max(axis=(0, 2))
                          <= PARAREAL_ULPS * np.finfo(float).eps * scale)
         rows = active[done]
-        converged[rows] = True
-        for i in range(K):
-            span = slice(first[i], first[i + 1])
-            zs[:, span, rows] = zf[:, :lengths[i], done, i]
-            vs[span, rows] = fine[:lengths[i], done, i]
-        vs[steps, rows] = ends[K - 1, done]
+        if len(rows):
+            converged[rows] = True
+            # the segments of each length in one assignment, as (segments, length) views
+            for i, j in runs:
+                span, length = slice(first[i], first[j]), lengths[i]
+                vs[span].reshape(j - i, length, R, p)[:, :, rows] = np.moveaxis(
+                    fine[:length, done, :, i:j], -1, 0)
+                zs[:, span].reshape(4, j - i, length, R, n)[:, :, :, rows] = np.moveaxis(
+                    zf[:, :length, done, :, i:j], -1, 1)
+            vs[steps, rows] = ends[K - 1, done]
         U[:, active], G[:, active] = new, coarse
         active = active[finite & ~done]
     rerun = ~converged

@@ -806,3 +806,44 @@ def test_out_flag_suffix_is_stripped(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
     assert f"wrote {tmp_path / 'x.csv'}" in capsys.readouterr().out
     assert sorted(p.name for p in tmp_path.glob("x*")) == ["x.csv"]
+
+
+@pytest.mark.parametrize("out,names", [
+    ("t.2026", ["t.2026.csv", "t.2026.json"]),
+    ("t.json", ["t.csv", "t.json"]),
+], ids=["dotted-base", "json-suffix"])
+def test_out_flag_appends_the_suffix_to_a_dotted_base(tmp_path, capsys, out, names):
+    # a dot in the base is kept, so t.a and t.b write apart; only .csv and
+    # .json are stripped before the suffixes are appended
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, algebra={"kind": "abelian", "n": 1},
+                 problem={"x0": [0.0], "xT": [1.0], "y0": [0.0], "yT": [0.0],
+                          "T": 1.0, "steps": 20})
+    assert main(["shoot", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+    assert f"wrote {tmp_path / names[1]}" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.glob("t*")) == names
+
+
+@pytest.mark.parametrize("command,argv", [
+    ("simulate", []),
+    ("extremal", ["--mu0", "0.5,-0.2,0.3", "--xi0", "1,0.4,-0.6"]),
+    ("shoot", []),
+    ("compare", []),
+])
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_a_missing_output_directory_exits_before_any_flow(tmp_path, capsys, monkeypatch,
+                                                          command, argv, where):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr("aoc.groups.rkmk_integrate", no_flow)
+    cfg = tmp_path / "cfg.json"
+    base = tmp_path / "missing" / "o"
+    if where == "config":
+        write_config(cfg, problem=_PROBLEM, output={"path": str(base)})
+    else:
+        write_config(cfg, problem=_PROBLEM)
+        argv = [*argv, "--out", str(base)]
+    assert main([command, "--config", str(cfg), *argv]) == 1
+    assert capsys.readouterr().err.startswith("error: output.path: no directory ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

@@ -30,13 +30,13 @@ def field(gm):
 
 
 def lifted_step(rhs, v, h):
-    """One lifted RK4 step of rows ``v`` (..., p), each row its own product
-    (``groups._lifted_loop`` of one step): the four stage velocities and the
-    new v."""
-    vs = np.empty((2,) + v.shape[:-1] + (1,) + v.shape[-1:])
-    vs[0] = v[..., None, :]
+    """One lifted RK4 step of rows ``v`` (..., p), laid (..., p, 1) so that each
+    row is its own product (``groups._lifted_loop`` of one step): the four
+    stage velocities and the new v."""
+    vs = np.empty((2,) + v.shape + (1,))
+    vs[0] = v[..., None]
     zs, _ = groups._lifted_loop(rhs, 1, h, vs, False)
-    return tuple(zs[:, 0, ..., 0, :]), vs[1, ..., 0, :]
+    return tuple(zs[:, 0, ..., 0]), vs[1, ..., 0]
 
 
 def classical(rhs):
@@ -118,15 +118,15 @@ def test_the_built_once_step_gives_the_bits_of_a_one_step_loop(kind):
     v = rng.uniform(-1.0, 1.0, (10, 3, 3 * gm.algebra.n))
     hs = [0.05, 0.045, rng.uniform(0.01, 0.1, (10, 1, 1))]
     start, ys, step = groups._lifted_stepper([groups._stage_matrices(rhs.Kf, h) for h in hs],
-                                             v.shape[:-1] + (1,) + v.shape[-1:])
+                                             v.shape + (1,))
     out = np.empty_like(start)
     for i, h in enumerate(hs):
-        start[...], w = v[..., None, :], v
+        start[...], w = v[..., None], v
         for _ in range(2):
             z, w = lifted_step(rhs, w, h)
             step(i, out)
-            assert np.array_equal(out[..., 0, :], w)
-            assert all(np.array_equal(a, b) for a, b in zip(ys[..., 0, :], z))
+            assert np.array_equal(out[..., 0], w)
+            assert all(np.array_equal(a, b) for a, b in zip(ys[..., 0], z))
             start[...] = out
 
 

@@ -30,16 +30,16 @@ ULPS = 32
 def spy_loops(monkeypatch):
     """(steps, rows, recorded) of every lifted RK4 loop (``groups._lifted_loop``),
     the rows read from the layout of its record: a fine sweep lays (active rows,
-    K), the K segments of each row as one product, and has rows (K, active
-    rows); a sequential loop lays (rows, 1), one product per row, and has rows
-    (rows,), or () for one row, which steps as a vector; ``recorded`` is the
-    number of steps it ran."""
+    p, K), the K segments of each row as the columns of one product, and has
+    rows (K, active rows); a sequential loop lays (rows, p, 1), one product per
+    row, and has rows (rows,), or () for one row, which steps as a vector (p,);
+    ``recorded`` is the number of steps it ran."""
     loops = []
     lifted = groups._lifted_loop
 
-    def counted(Kf, steps, h, vs, look):
-        zs, recorded = lifted(Kf, steps, h, vs, look)
-        laid = vs.shape[1:-1]
+    def counted(rhs, steps, h, vs, look):
+        zs, recorded = lifted(rhs, steps, h, vs, look)
+        laid = vs.shape[1:-2] + vs.shape[-1:] if vs.ndim > 2 else ()
         rows = laid[:-1] if laid[-1:] == (1,) else laid[-1:] + laid[:-1]
         loops.append((steps, rows, recorded))
         return zs, recorded
@@ -128,32 +128,44 @@ def test_parareal_matches_the_sequential_loop_to_rounding(kind, steps, monkeypat
     assert not np.array_equal(vs1, vs0)  # the Parareal record, not the loop's
 
 
+_BATCH_CASES = [("so3-m2", PARAREAL_MIN_STEPS, "threshold"),
+                ("so3-m2", PARAREAL_MIN_STEPS + 7, "not-divisible"), ("so3-m2", 2000, "2000")]
+_BATCH_CASES += [(kind, steps, f"{kind}-{name}") for kind in ("so3-m3", "se2", "abelian")
+                 for steps, name in ((PARAREAL_MIN_STEPS + 7, "not-divisible"), (2000, "2000"))]
+
+
 @pytest.mark.parametrize("cap", [None, 2], ids=["cap", "cap-2"])
-@pytest.mark.parametrize("steps", [PARAREAL_MIN_STEPS, PARAREAL_MIN_STEPS + 7, 2000],
-                         ids=["threshold", "not-divisible", "2000"])
-def test_batch_rows_are_bitwise_single_rows(steps, cap, monkeypatch):
+@pytest.mark.parametrize("kind,steps", [case[:2] for case in _BATCH_CASES],
+                         ids=[case[2] for case in _BATCH_CASES])
+def test_batch_rows_are_bitwise_single_rows(kind, steps, cap, monkeypatch):
     # rows from 0.05 to 8 in scale leave the iteration at different sweeps, the
     # largest do not take part, and with a cap of 2 sweeps most reach it; both
-    # kinds rerun the sequential loop
+    # kinds rerun the sequential loop.  A fine sweep multiplies the segments of
+    # each row as the columns of one product, whose bits are checked on every
+    # kind of algebra
     if cap is not None:
         monkeypatch.setattr(groups, "PARAREAL_MAX_SWEEPS", cap)
-    model = aoc.so3_model((1.0, 2.0, 3.0), m=2)
-    gm = aoc.so3_group(model)
+    gm = GROUPS[kind]()
+    model = gm.algebra
     cost = min_acc_cost(model)
     rng = np.random.default_rng(5)
     th = rng.uniform(-1.0, 1.0, (13, 6)) * np.geomspace(0.05, 8.0, 13)[:, None]
     loops = spy_loops(monkeypatch)
-    xT, yT, (xs, vs) = propagate_endpoints(model, gm, cost, np.eye(3), np.zeros(3),
+    x0 = np.eye(gm.rep_dim)
+    xT, yT, (xs, vs) = propagate_endpoints(model, gm, cost, x0, np.zeros(3),
                                            th[:, :3], th[:, 3:], 1.0, steps)
     widths = [rows[1] for n, rows, _ in loops if n < steps]
-    rerun = reruns(loops, steps)[0][0]
-    if cap is None:
+    if kind == "abelian":
+        # its flows are cubic in t, which a coarse RK4 step takes exactly: every
+        # row takes part and leaves at the second sweep, and none reruns
+        assert widths == [13, 13] and not reruns(loops, steps)
+    elif cap is None:
         # only the rows that did not take part rerun
-        assert len(set(widths)) > 1 and rerun == 13 - widths[0] > 0
+        assert len(set(widths)) > 1 and reruns(loops, steps)[0][0] == 13 - widths[0] > 0
     else:
-        assert 13 - widths[0] < rerun < 13
+        assert 13 - widths[0] < reruns(loops, steps)[0][0] < 13
     for r in range(13):
-        x1, y1, (xs1, vs1) = propagate_endpoints(model, gm, cost, np.eye(3), np.zeros(3),
+        x1, y1, (xs1, vs1) = propagate_endpoints(model, gm, cost, x0, np.zeros(3),
                                                  th[r, :3], th[r, 3:], 1.0, steps)
         assert np.array_equal(xs1, xs[:, r]) and np.array_equal(vs1, vs[:, r])
         assert np.array_equal(x1, xT[r]) and np.array_equal(y1, yT[r])

@@ -75,7 +75,8 @@ def test_flow_cost_script_runs(tmp_path):
     out = run_script("flow_cost.py", "--calls", "3", "--warmup", "1",
                      "--json", str(tmp_path / "cost.json"))
     rows = [line.split() for line in out.splitlines()[1:]]
-    assert [(int(r[0]), int(r[1])) for r in rows] == [(1, 16), (13, 16), (1, 200), (13, 200)]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(1, 16), (13, 16), (1, 200), (13, 200),
+                                                       (1, 2000), (13, 2000)]
     for _, _, total, alone, fixed in rows:
         assert float(total) > float(alone) > 0.0 and float(fixed) > 0.0
-    assert len(json.loads((tmp_path / "cost.json").read_text())["figures"]) == 4
+    assert len(json.loads((tmp_path / "cost.json").read_text())["figures"]) == 6
