@@ -12,10 +12,13 @@ covariant acceleration cost and the default solver arguments.
     wide   m = 2, 1.0-3.1 rad
     e3     m = 2, 0.2-0.8 rad about the unactuated axis e3
     big    m = 2, 2.5-3.1 rad
+    far    m = 3, 1.0-3.1 rad
 
 e3 and big reach the solver's other paths: on e3 targets several seeds
 stall on the coarse grid, so the solve tries several starts, and big
-targets take the longest coarse runs and continuations.
+targets take the longest coarse runs and continuations.  far targets are
+fully actuated ones far from the rest linearization that starts their
+solves.
 
 Each ``--src`` is a source tree holding the ``aoc`` package (say ``src`` of a
 checkout of another commit, and ``src`` of this one); by default it is this
@@ -41,7 +44,7 @@ within CHECK_RTOL relative.  It prints every target that does not and exits
 1 if there is one.  It also counts the targets whose work matches their
 record; when one does not, it prints this run's and FILE's work totals for
 each steps and kind that moved, and still exits 0.  ``shooting_corpus.json``
-next to this script is the pinned corpus of all 120 targets (12 of each kind
+next to this script is the pinned corpus of all 144 targets (12 of each kind
 at 50 and 200 steps, the default arguments); a change that moves an answer
 or the work rewrites it with ``--json`` and says why.
 
@@ -63,7 +66,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # m, the angle range and a fixed axis (None: the drawn one)
 KINDS = {"act": (3, 0.2, 1.0, None), "under": (2, 0.2, 0.8, None),
          "wide": (2, 1.0, 3.1, None), "e3": (2, 0.2, 0.8, (0.0, 0.0, 1.0)),
-         "big": (2, 2.5, 3.1, None)}
+         "big": (2, 2.5, 3.1, None), "far": (3, 1.0, 3.1, None)}
 CHECK_RTOL = 1e-6
 # the work of a solve: requested-grid flows, coarse-grid flows, LM steps and
 # row-steps (``count_row_steps``)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -268,8 +269,9 @@ def _oracle_config(config):
 
 
 def _out_base(path):
-    if not isinstance(path, str) or not Path(path).name:
-        raise UsageError(f"output path must name a file, got {path!r}")
+    # the text itself, since Path drops a trailing separator and a last "."
+    if not isinstance(path, str) or os.path.basename(path) in ("", ".", ".."):
+        raise UsageError(f"output.path must name a file, got {path!r}")
     p = Path(path)
     if p.suffix in (".csv", ".json"):
         p = p.with_suffix("")

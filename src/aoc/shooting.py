@@ -73,8 +73,13 @@ costates, with no flow run for it.  It is None only when no start's seed
 flow succeeded.
 
 Globalization is a deterministic multi-start (scale patterns {0, +-1,
-+-10} on two sign masks, 8 seeds total); there is no continuation or
-homotopy in the costates or the weights, only the nested grids above.
++-10} on two sign masks, 8 seeds total, ``_start_points``).  A fully
+actuated problem with a quadratic cost starts from the closed-form root of
+its linearization at rest in place of 0 (``_linear_root``): the coarse
+guess of nested iteration, exact where the field's quadratic terms vanish
+along it (criterion 7 converges there with no step), and about one coarse
+step closer elsewhere.  There is no continuation or homotopy in the
+costates or the weights, only the nested grids above.
 """
 
 from __future__ import annotations
@@ -181,14 +186,42 @@ def _residual_and_jacobian(model, gm, cost, problem, theta, fd_step, jacobian=Tr
     return res[0], J, (xs[:, 0], vs[:, 0])
 
 
-def _start_points(n):
+def _start_points(model, gm, cost, problem):
     """Eight deterministic seeds: scales {0, +-1, +-10} on all-ones,
-    {1, -1, 10} on the (ones, -ones) mask."""
+    {1, -1, 10} on the (ones, -ones) mask.  A fully actuated problem (m = n)
+    with a quadratic cost starts from ``_linear_root`` in place of 0."""
+    n = model.n
     ones = np.ones(2 * n)
     mask = np.concatenate([np.ones(n), -np.ones(n)])
     seeds = [s * ones for s in (0.0, 1.0, -1.0, 10.0, -10.0)]
     seeds += [s * mask for s in (1.0, -1.0, 10.0)]
+    if model.m == n and cost.quad_weight is not None:
+        seeds[0] = _linear_root(gm, cost.quad_weight, problem)
     return seeds
+
+
+def _linear_root(gm, R, problem):
+    """The costates (mu0, xi0) that close the problem linearized at rest.
+
+    There the bias, ad* and bracket terms, all quadratic, drop out of the
+    field: omega' = y, y' = R^-1 xi, mu' = 0 and xi' = -mu, with omega the
+    log of x0^-1 x.  Its two-point problem is the double integrator's, whose
+    root is mu0 = 12 R (omega - T (y0 + yT) / 2) / T^3 and
+    xi0 = R (yT - y0) / T + mu0 T / 2 for omega = log(x0^-1 xT).  It is 0 when
+    the ends coincide, and an exact root wherever the quadratic terms vanish
+    along it (abelian groups, rotations about a principal axis of a diagonal
+    inertia).  Zeros when that log is ill-posed or the root not finite.
+    """
+    zero = np.zeros(2 * len(R))
+    try:
+        omega = groups.log_map(gm, groups.inverse(gm, problem.x0) @ problem.xT)
+    except AngleOutOfRange:
+        return zero
+    T, y0, yT = float(problem.T), np.asarray(problem.y0, float), np.asarray(problem.yT, float)
+    with np.errstate(all="ignore"):
+        mu0 = 12.0 * (R @ (omega - 0.5 * T * (y0 + yT))) / T / T / T
+        theta = np.concatenate([mu0, R @ (yT - y0) / T + 0.5 * T * mu0])
+    return theta if np.isfinite(theta).all() else zero
 
 
 class _Run(NamedTuple):
@@ -305,7 +338,7 @@ def solve_shooting(model, gm, cost, problem, initial_guess=None,
         (coarse_runs if prob is coarse else fine_runs).append(run)
         return run
 
-    starts = (_start_points(n) if initial_guess is None
+    starts = (_start_points(model, gm, cost, problem) if initial_guess is None
               else [np.concatenate([np.asarray(part, dtype=float) for part in initial_guess])])
 
     @cache

@@ -146,10 +146,11 @@ def test_shoot_writes_json_and_trajectory(tmp_path):
 
 
 def test_shoot_nonconvergence_exit_code(tmp_path):
+    # an off-axis so(3) target: the linearized root that starts a fully actuated
+    # solve misses it, so no start converges without a step
     cfg = tmp_path / "cfg.json"
-    write_config(cfg, algebra={"kind": "abelian", "n": 1},
-                 problem={"x0": [0.0], "xT": [1.0], "y0": [0.0], "yT": [0.0],
-                          "T": 1.0, "steps": 50},
+    write_config(cfg, problem={"x0": [0, 0, 0], "xT": [0.3, -0.6, 0.5], "y0": [0, 0, 0],
+                               "yT": [0, 0, 0], "T": 1.0, "steps": 50},
                  solver={"max_iter": 0})
     assert main(["shoot", "--config", str(cfg)]) == 4
     assert (tmp_path / "out.json").exists()  # best iterate still written
@@ -217,11 +218,11 @@ def test_compare_zero_motion_gap_zero(tmp_path):
 
 
 def test_compare_unconverged_shooting_exit_code(tmp_path, capsys):
-    # shooting takes no step, so there is nothing to compare and no summary
+    # shooting takes no step, so there is nothing to compare and no summary; the
+    # target is off-axis, where the linearized root of the first start misses
     cfg = tmp_path / "cfg.json"
-    write_config(cfg, algebra={"kind": "abelian", "n": 1},
-                 problem={"x0": [0.0], "xT": [1.0], "y0": [0.0], "yT": [0.0],
-                          "T": 1.0, "steps": 50},
+    write_config(cfg, problem={"x0": [0, 0, 0], "xT": [0.3, -0.6, 0.5], "y0": [0, 0, 0],
+                               "yT": [0, 0, 0], "T": 1.0, "steps": 50},
                  solver={"max_iter": 0}, oracle={"segments": 8})
     assert main(["compare", "--config", str(cfg)]) == 4
     assert "indirect solver did not converge" in capsys.readouterr().err
@@ -847,3 +848,27 @@ def test_a_missing_output_directory_exits_before_any_flow(tmp_path, capsys, monk
     assert main([command, "--config", str(cfg), *argv]) == 1
     assert capsys.readouterr().err.startswith("error: output.path: no directory ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("tail", ["/", "/.", "/.."], ids=["separator", "dot", "dot-dot"])
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_an_output_path_naming_a_directory_exits_1(tmp_path, capsys, monkeypatch, where, tail):
+    # "runs/" names the directory, not a file in it: Path would drop the
+    # separator and write runs.csv beside it
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr("aoc.groups.rkmk_integrate", no_flow)
+    (tmp_path / "runs").mkdir()
+    cfg = tmp_path / "cfg.json"
+    out = str(tmp_path / "runs") + tail
+    if where == "config":
+        write_config(cfg, problem=_PROBLEM, output={"path": out})
+        argv = []
+    else:
+        write_config(cfg, problem=_PROBLEM)
+        argv = ["--out", out]
+    assert main(["simulate", "--config", str(cfg), *argv]) == 1
+    assert capsys.readouterr().err == f"error: output.path must name a file, got {out!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "runs"]
+    assert not list((tmp_path / "runs").iterdir())

@@ -92,6 +92,25 @@ def test_batch_rows_of_a_lifted_flow_are_bitwise_single_rows(kind, steps):
             assert np.array_equal(v1.reshape(vs[:, r].shape), vs[:, r])
 
 
+def test_each_matrix_of_a_column_state_keeps_the_bits_it_gets_alone():
+    # Parareal's fine sweep lays a batch (rows, p, K): the K columns of each row
+    # share one product, and no product spans rows.  With OpenBLAS 0.3.31 on a
+    # Haswell core, one product of all 13 x 20 columns at this width (n = 6)
+    # gave some rows other bits, where narrower fields kept them
+    rng = np.random.default_rng(0)
+    C, A = rng.standard_normal((6, 6, 6)), rng.standard_normal((6, 6))
+    model = aoc.make_model(6, 6, C - C.transpose(0, 2, 1), A @ A.T / 6 + np.eye(6), strict=False)
+    rhs = extremal_field(model, min_acc_cost(model))
+    vs = np.empty((6, 13, 18, 20))
+    vs[0] = rng.uniform(-0.3, 0.3, (13, 18, 20))
+    zs, _ = groups._lifted_loop(rhs, 5, 0.01, vs, False)
+    for r in range(13):
+        alone = np.empty((6, 18, 20))
+        alone[0] = vs[0, r]
+        z1, _ = groups._lifted_loop(rhs, 5, 0.01, alone, False)
+        assert np.array_equal(alone, vs[:, r]) and np.array_equal(z1, zs[:, :, r])
+
+
 @pytest.mark.parametrize("kind", sorted(GROUPS))
 def test_a_per_row_h_gives_each_row_its_bits_alone(kind):
     # Parareal's pair step: 10 pairs of segments of different lengths, R rows each

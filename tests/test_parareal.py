@@ -154,7 +154,12 @@ def test_batch_rows_are_bitwise_single_rows(kind, steps, cap, monkeypatch):
     x0 = np.eye(gm.rep_dim)
     xT, yT, (xs, vs) = propagate_endpoints(model, gm, cost, x0, np.zeros(3),
                                            th[:, :3], th[:, 3:], 1.0, steps)
-    widths = [rows[1] for n, rows, _ in loops if n < steps]
+    sweeps = [rows for n, rows, _ in loops if n < steps]
+    # each product of a fine sweep holds the PARAREAL_SEGMENTS segments of one
+    # flow row: a product of several rows' columns would give a row bits that
+    # depend on the others, which a block of it often keeps all the same
+    assert sweeps and all(len(rows) == 2 and rows[0] == PARAREAL_SEGMENTS for rows in sweeps)
+    widths = [rows[1] for rows in sweeps]
     if kind == "abelian":
         # its flows are cubic in t, which a coarse RK4 step takes exactly: every
         # row takes part and leaves at the second sweep, and none reruns

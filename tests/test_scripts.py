@@ -40,12 +40,13 @@ def test_shooting_traffic_script_runs():
 
 
 def test_shooting_answers_match_the_pinned_corpus():
-    # fast parts of the 120-target corpus, with the answers and the work (flows,
+    # fast parts of the 144-target corpus, with the answers and the work (flows,
     # LM steps and row-steps) of each: the 24 act and under targets at 50 steps, e3
-    # k = 0-9, which take the multi-start, and two big ones; e3 k = 9 converges
-    # only when the trial flow's gain ratio judges every geodesic step
+    # k = 0-9, which take the multi-start, two big ones and two far ones, which
+    # start far from the rest linearization; e3 k = 9 converges only when the trial
+    # flow's gain ratio judges every geodesic step
     corpus = ROOT / "scripts" / "shooting_corpus.json"
-    for kinds, targets in ((["act", "under"], 12), (["e3"], 10), (["big"], 2)):
+    for kinds, targets in ((["act", "under"], 12), (["e3"], 10), (["big"], 2), (["far"], 2)):
         out = run_script("shooting_traffic.py", "--check", str(corpus), "--kinds", *kinds,
                          "--steps", "50", "--targets", str(targets))
         count = len(kinds) * targets

@@ -9,8 +9,10 @@ from aoc.direct import TranscriptionConfig
 from aoc.dynamics import State, zoh_rollout
 from aoc.pmp import (Costate, flow_extremal, min_acc_cost, propagate_endpoints,
                      running_cost)
-from aoc.shooting import (BoundaryProblem, _levenberg_marquardt, _residual_and_jacobian,
-                          boundary_residual, extremal_defect, solve_shooting)
+from aoc.shooting import (BoundaryProblem, _levenberg_marquardt, _linear_root,
+                          _residual_and_jacobian, _start_points, boundary_residual,
+                          extremal_defect, solve_shooting)
+from test_pmp import quartic_cost
 
 
 def abelian_problem(xT_val=1.0, steps=200):
@@ -89,16 +91,21 @@ def so3_problem(m=3, axis=(0.0, 0.0, 1.0), angle=0.5, steps=200):
 
 
 def test_criterion_7_problem_converges_in_few_steps():
+    # a rotation about a principal axis of a diagonal inertia: the bias and the
+    # brackets vanish along the root of the linearization at rest, which starts
+    # the solve, so it converges there with one flow on each grid
     res = solve_shooting(*so3_problem())
     assert res.converged
-    assert res.iterations <= 5
+    assert res.iterations == 0
+    assert res.coarse_flows == 1 and res.flows - res.coarse_flows == 1
 
 
 def test_fully_actuated_steps_take_no_probe_flow(monkeypatch):
     # m = n: plain LM, one seed flow per grid plus one flow per step: 4n + 1 rows
     # on the coarse grid, 1 row on the requested grid, which carries the coarse
     # Jacobian; the trajectory comes from the last accepted flow, not from a flow
-    # of its own
+    # of its own.  The target is off-axis, so that the solve takes steps from its
+    # linear-root seed
     widths = []
     propagate = aoc.pmp.propagate_endpoints
 
@@ -111,8 +118,8 @@ def test_fully_actuated_steps_take_no_probe_flow(monkeypatch):
 
     monkeypatch.setattr(aoc.pmp, "propagate_endpoints", counted)
     monkeypatch.setattr(aoc.pmp, "flow_extremal", not_called)
-    res = solve_shooting(*so3_problem())
-    assert res.converged
+    res = solve_shooting(*so3_problem(axis=(0.3, -0.6, 0.5), angle=1.0))
+    assert res.converged and res.iterations > 0
     # the coarse phase converged, so each grid ran one seed flow
     assert 0 < res.coarse_flows < res.flows
     assert res.flows == res.iterations + 2 == len(widths)
@@ -124,9 +131,13 @@ CRIT8_AXIS = np.array([0.6, 0.7, 0.25]) / np.linalg.norm([0.6, 0.7, 0.25])
 
 
 def test_criterion_8_problem_steps_and_costates():
-    res = solve_shooting(*so3_problem(m=2, axis=CRIT8_AXIS, angle=0.4, steps=50))
+    # m < n: the linearization at rest is not controllable, so the solve starts
+    # from zero costates
+    problem = so3_problem(m=2, axis=CRIT8_AXIS, angle=0.4, steps=50)
+    assert not _start_points(*problem)[0].any()
+    res = solve_shooting(*problem)
     assert res.converged
-    assert res.iterations <= 30
+    assert res.iterations == 24 and res.flows == 47
     # a seed flow per grid plus a probe and a trial flow per step at most
     assert res.flows <= 2 * res.iterations + 2
     # the extremal found by the previous unscaled-damping solver
@@ -453,8 +464,8 @@ def test_failed_refresh_of_a_stale_jacobian_ends_the_run():
 
 
 def test_nonconverged_returns_best_iterate():
-    ab, gm, cost, prob = abelian_problem()
-    res = solve_shooting(ab, gm, cost, prob, max_iter=0)
+    # off-axis, so the linearized root that starts a fully actuated solve is no root
+    res = solve_shooting(*so3_problem(axis=(0.3, -0.6, 0.5), angle=1.0), max_iter=0)
     assert not res.converged
     assert res.residual_norm > 0.0
 
@@ -493,6 +504,60 @@ def test_shooting_survives_ill_posed_first_batch():
     assert _residual_and_jacobian(*problem, np.zeros(6), 1e-6) is None
     res = solve_shooting(*problem)
     assert np.isfinite(res.residual_norm) and res.trajectory is not None
+
+
+def test_linear_root_solves_an_abelian_problem_with_moving_ends():
+    # the field of a quadratic cost on an abelian group is linear, so the root of
+    # its linearization at rest is the root: the first seed takes no LM step, with
+    # a non-diagonal inertia (which the field never reads) and weight
+    ab = aoc.abelian_model(2, inertia=np.array([[2.0, 0.5], [0.5, 1.0]]))
+    gm = aoc.abelian_group(ab)
+    cost = aoc.quadratic_cost(ab, [[1.5, -0.4], [-0.4, 0.8]])
+    x0, xT = np.eye(3), np.eye(3)
+    x0[:2, 2], xT[:2, 2] = [0.3, -0.2], [1.1, 0.6]
+    prob = BoundaryProblem(x0=x0, xT=xT, y0=np.array([0.4, -0.3]), yT=np.array([-0.5, 0.2]),
+                           T=1.7, steps=120)
+    res = solve_shooting(ab, gm, cost, prob)
+    assert res.converged and res.iterations == 0
+    assert res.coarse_flows == 1 and res.flows == 2
+    assert np.array_equal(np.concatenate([res.mu0, res.xi0]), _linear_root(gm, cost.quad_weight,
+                                                                           prob))
+
+
+def test_linear_root_is_the_cubic():
+    ab, gm, cost, prob = abelian_problem()
+    assert_allclose(_linear_root(gm, cost.quad_weight, prob), [12.0, 6.0], rtol=1e-15)
+
+
+def test_linear_root_saves_coarse_flows_off_axis():
+    problem = so3_problem(axis=(0.3, -0.6, 0.5), angle=1.0)
+    res = solve_shooting(*problem)
+    ref = solve_shooting(*problem, initial_guess=(np.zeros(3), np.zeros(3)))
+    assert res.converged and ref.converged
+    assert res.coarse_flows < ref.coarse_flows
+    theta, theta0 = (np.concatenate([r.mu0, r.xi0]) for r in (res, ref))
+    assert np.abs(theta - theta0).max() <= 1e-8 * np.abs(theta0).max()
+
+
+def test_a_quartic_cost_keeps_the_zero_seed(monkeypatch):
+    model, gm, _, prob = so3_problem(steps=20)
+    cost = quartic_cost(model)
+    assert not _start_points(model, gm, cost, prob)[0].any()
+    assert _start_points(model, gm, min_acc_cost(model), prob)[0].any()
+    seeds = spy_flows(monkeypatch, prob)
+    res = solve_shooting(model, gm, cost, prob)
+    assert res.converged and not seeds[0][1][0].any()
+
+
+@pytest.mark.parametrize("angle, T", [(np.pi, 1.0), (np.pi - 1e-9, 1.0), (0.5, 1e-120)],
+                         ids=["half-turn", "near-half-turn", "root-beyond-float"])
+def test_linear_root_falls_back_to_zero(angle, T):
+    # an ill-posed log or a root that is not finite leaves start 0 at 0; never an error
+    model, gm, cost, prob = so3_problem(angle=angle)
+    prob = dataclasses.replace(prob, T=T)
+    with np.errstate(all="raise"):
+        assert not _linear_root(gm, cost.quad_weight, prob).any()
+        assert not _start_points(model, gm, cost, prob)[0].any()
 
 
 def test_defect_needs_five_grid_points():
