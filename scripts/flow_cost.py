@@ -14,7 +14,8 @@ velocities, the boundary residual and the glue around them.  A 2000-step
 flow takes Parareal (``groups._parareal``): its steps are its fine sweeps and
 any rerun of the sequential loop, and its fixed cost also holds Parareal's
 coarse passes and bookkeeping.  Each figure is the median over ``--calls``
-evaluations, after ``--warmup`` untimed ones.
+evaluations, after ``--warmup`` untimed ones, and is followed by itself over
+the grid's steps, in microseconds per step.
 
     PYTHONPATH=src python scripts/flow_cost.py
     PYTHONPATH=src python scripts/flow_cost.py --calls 3000 --json cost.json
@@ -88,15 +89,20 @@ def main():
     ap.add_argument("--json", help="also write the figures to this file")
     args = ap.parse_args()
 
-    print(f"{'rows':>5} {'steps':>6} {'evaluation us':>14} {'steps us':>9} {'fixed us':>9}")
+    names = ("evaluation", "steps", "fixed")
+    print(f"{'rows':>5} {'steps':>6} " + " ".join(f"{name + ' us':>14} {'per step':>8}"
+                                                  for name in names))
     figures = []
     for steps in STEPS:
         for rows in ROWS:
-            total, alone, fixed = time_evaluations(rows, steps, args.calls, args.warmup)
-            figures.append({"rows": rows, "steps": steps, "evaluation_us": round(total * 1e6, 1),
-                            "steps_us": round(alone * 1e6, 1), "fixed_us": round(fixed * 1e6, 1)})
-            print(f"{rows:>5} {steps:>6} {total * 1e6:>14.1f} {alone * 1e6:>9.1f} "
-                  f"{fixed * 1e6:>9.1f}")
+            seconds = time_evaluations(rows, steps, args.calls, args.warmup)
+            figure = {"rows": rows, "steps": steps}
+            for name, s in zip(names, seconds):
+                figure[f"{name}_us"] = round(s * 1e6, 1)
+                figure[f"{name}_us_per_step"] = round(s * 1e6 / steps, 2)
+            figures.append(figure)
+            print(f"{rows:>5} {steps:>6} " + " ".join(
+                f"{s * 1e6:>14.1f} {s * 1e6 / steps:>8.2f}" for s in seconds))
     if args.json:
         with open(args.json, "w") as f:
             json.dump({"calls": args.calls, "warmup": args.warmup, "figures": figures}, f,

@@ -22,11 +22,12 @@ solves.
 
 Each ``--src`` is a source tree holding the ``aoc`` package (say ``src`` of a
 checkout of another commit, and ``src`` of this one); by default it is this
-tree's.  Each tree gets its own copy of the package, and the trees take turns
-to run first, target by target.  For each steps and kind, and each side, the
-summary prints the converged targets, the flows on the requested grid and on
-the coarse grid, the LM steps, the wall time of the solves and the summed
-running cost of the converged targets.  With two sides it adds how many
+tree's.  ``--json`` records each tree as a path from this checkout's root,
+``src`` for this tree's.  Each tree gets its own copy of the package, and
+the trees take turns to run first, target by target.  For each steps and
+kind, and each side, the summary prints the converged targets, the flows on
+the requested grid and on the coarse grid, the LM steps, the wall time of
+the solves and the summed running cost of the converged targets.  With two sides it adds how many
 targets reach the same extremal (running cost within 1e-6 relative), the
 largest relative cost difference, and how many targets do the same work
 (``same_work``: the converged flag, the requested and coarse flows, the LM
@@ -55,6 +56,7 @@ or the work rewrites it with ``--json`` and says why.
 import argparse
 import importlib
 import json
+import os
 import sys
 import time
 from math import prod
@@ -174,7 +176,9 @@ def main():
             rows.append(row)
             print(" ".join(f"{key}={value}" for key, value in row.items()), flush=True)
     if args.json:
-        args.json.write_text(json.dumps({"sources": [str(s) for s in srcs], "rows": rows,
+        # each tree as a path from this checkout's root, so a file names no machine path
+        sources = [os.path.relpath(src.resolve(), ROOT) for src in srcs]
+        args.json.write_text(json.dumps({"sources": sources, "rows": rows,
                                          "targets": targets}, indent=1) + "\n")
     if args.check:
         sys.exit(check(targets, json.loads(args.check.read_text())["targets"]))

@@ -45,7 +45,10 @@ stage input and the stage's share of the step, 15 calls a step in all,
 which matches classical RK4 over the field's rhs to rounding.  The loop
 lays its state (..., p, m), and the m columns of each (p, m) matrix share
 those products; with m = 1 the buffers hold the memory of rows, and each
-row of a flow is its own stacked product, lift @ M.  Those stage
+row of a flow is its own stacked product, lift @ M.  A state of one such
+matrix (a lone row, or the segments of one Parareal row) takes its
+products by ``ndarray.dot``, the BLAS call of matmul at less cost per
+call, with the same bits.  Those stage
 matrices are formed once per field and step size, and the field keeps them
 read-only (``_stages``), so a short flow does not pay for them.  Below
 PARAREAL_MIN_STEPS steps x is the product of the step exponentials in
@@ -386,9 +389,9 @@ PARAREAL_ULPS = 16
 MAX_STEPS = 10 ** 6
 
 # every flow looks at its record every FINITE_CHECK_STEPS steps, not after each:
-# a look costs about 1.8 us, against 12 us for a lifted step of a 1-row so(3)
-# extremal flow, and a flow runs at most FINITE_CHECK_STEPS - 1 steps past its
-# first bad step
+# a look costs about 1.7 us, against about 7 us for a lifted step of a 1-row so(3)
+# extremal flow (BENCH_pr38_lone_row_dot.json), and a flow runs at most
+# FINITE_CHECK_STEPS - 1 steps past its first bad step
 FINITE_CHECK_STEPS = 32
 
 
@@ -423,13 +426,18 @@ def _reconstruct(gm, zs, h, xs):
     velocities are ``zs`` (4, done, ..., n), from x = ``xs[0]``, in batched
     passes of at most _PASS_ROWS rows times steps that form the increments and
     their exponentials.  A record ``xs`` of fewer than PARAREAL_MIN_STEPS steps
-    takes the product over the steps in order.  A longer one takes it by the
-    segments of ``_segments``, cut from the record's grid alone: the
+    takes the product over the steps in order, by ``ndarray.dot`` for one
+    row, matmul's BLAS call at less cost per call.  A longer one takes it by
+    the segments of ``_segments``, cut from the record's grid alone: the
     exponentials go into the record, every segment's prefix products are
     formed there at once, and then each segment is carried from its first x
     in order.  Steps from ``done`` on take the identity."""
     done, steps = zs.shape[1], len(xs) - 1
-    per_pass = max(1, _PASS_ROWS // max(1, prod(xs.shape[1:-2])))
+    rows, square = prod(xs.shape[1:-2]), xs.shape[-2:]
+    per_pass = max(1, _PASS_ROWS // max(1, rows))
+    chain, multiply = xs, np.matmul
+    if rows == 1:
+        chain, multiply = xs.reshape((steps + 1,) + square), np.ndarray.dot
     for j in range(0, done, per_pass):
         stop = min(j + per_pass, done)
         omega = munthe_kaas_increment(gm.algebra, h, zs[0, j:stop], lambda i, theta: zs[i, j:stop])
@@ -437,8 +445,10 @@ def _reconstruct(gm, zs, h, xs):
         if steps >= PARAREAL_MIN_STEPS:
             xs[j + 1:stop + 1] = es
         else:
-            for x, e, following in zip(xs[j:stop], es, xs[j + 1:stop + 1]):
-                np.matmul(x, e, out=following)
+            if rows == 1:
+                es = es.reshape((-1,) + square)
+            for x, e, following in zip(chain[j:stop], es, chain[j + 1:stop + 1]):
+                multiply(x, e, following)
     if steps < PARAREAL_MIN_STEPS:
         return
     xs[done + 1:] = np.eye(xs.shape[-1])
@@ -487,7 +497,12 @@ def _lifted_stepper(Ms, shape):
     OpenBLAS depend on m and on each column's place in it, so a caller that
     needs each column's bits alone lays m = 1.  The buffers then hold the
     memory of rows, and each row is its own product lift @ M, stacked over the
-    leading dimensions, as a vector is.  Returns the stage input v, the stage
+    leading dimensions.  A state of one matrix, a vector or (..., p, m) with
+    every leading dimension 1, stepped with one h per step size, takes each
+    product by ``ndarray.dot`` into the same buffers, and with m = 1 each
+    outer product too: the BLAS call that matmul makes, with the same bits,
+    at about 0.4 us a call against 0.8-1.2 us for matmul and np.multiply at
+    the so(3) m = 3 stage shape.  Returns the stage input v, the stage
     y's (4, ..., n, m) and ``step(i, out)``, which steps from v by the i-th
     step size and writes v + (((g1 + g2) + g3) + g4) into ``out``, leaving v
     and the stage y's as the step found them: 4 outer products, 4 products and
@@ -495,28 +510,41 @@ def _lifted_stepper(Ms, shape):
     cols = shape[-1:] if len(shape) > 1 else ()
     lead, p = shape[:-1 - len(cols)], shape[-1 - len(cols)]
     c = (slice(None),) * len(cols)  # all columns, after an index into the (1 + p) axis
-    width = Ms[0].shape[-2]
+    width, m = Ms[0].shape[-2], prod(cols)
     n = width // p - 1
     S = np.ones((4,) + lead + (1 + p,) + cols)  # the 1 of (1, u) is never written
     lift = np.empty(lead + (width,) + cols)
     G = np.empty((4,) + lead + (2 * p,) + cols)
-    if prod(cols) == 1:
+    y1s, us = S[np.s_[..., :n + 1, None] + c], S[np.s_[..., None, 1:] + c]
+    outer, multiply, product = lift.reshape(lead + (n + 1, p) + cols), np.multiply, np.matmul
+    if prod(lead) == 1 and Ms[0].ndim == 3:
+        # with m = 1, the outer product of k = 1 by ndarray.dot gives np.multiply's
+        # bits but for the signs of zeros, which no sum of the product keeps
+        product = np.ndarray.dot
+        if m == 1:
+            flat, s = lift.reshape(width), S.reshape(4, 1 + p)
+            products = [[(flat, M, g) for M, g in zip(Mi, G.reshape(4, 2 * p))] for Mi in Ms]
+            y1s, us, outer = s[:, :n + 1, None], s[:, None, 1:], flat.reshape(n + 1, p)
+            multiply = np.ndarray.dot
+        else:
+            flat = lift.reshape(width, m)
+            products = [[(M.T, flat, g) for M, g in zip(Mi, G.reshape(4, 2 * p, m))]
+                        for Mi in Ms]
+    elif m == 1:
         rows = lead + cols
         products = [[(lift.reshape(rows + (width,)), M, g.reshape(rows + (2 * p,)))
                      for M, g in zip(Mi, G)] for Mi in Ms]
     else:
         products = [[(np.swapaxes(M, -1, -2), lift, g) for M, g in zip(Mi, G)] for Mi in Ms]
     u, shares = S[np.s_[..., 1:] + c], G[np.s_[..., p:] + c]
-    views = list(zip(S[np.s_[..., :n + 1, None] + c], S[np.s_[..., None, 1:] + c],
-                     G[np.s_[..., :p] + c], list(u[1:]) + [None]))
+    views = list(zip(y1s, us, G[np.s_[..., :p] + c], list(u[1:]) + [None]))
     stages = [[view + product for view, product in zip(views, Pi)] for Pi in products]
-    outer = lift.reshape(lead + (n + 1, p) + cols)
     v = u[0]
 
     def step(i, out):
         for y1, ui, move, following, a, b, g in stages[i]:
-            np.multiply(y1, ui, out=outer)
-            np.matmul(a, b, out=g)
+            multiply(y1, ui, outer)
+            product(a, b, g)
             if following is not None:
                 np.add(v, move, out=following)
         np.add(v, np.add.reduce(shares, axis=0), out=out)
@@ -534,7 +562,8 @@ def _lifted_loop(rhs, steps, h, vs, look):
     segments of each of its rows as the columns of one matrix.  The stage
     velocities come back laid as the record, (4, steps, ..., n, m).  A step
     is 15 numpy calls, against four right-hand sides and 13 more calls for
-    classical RK4."""
+    classical RK4: on so(3) m = 3 about 7 us at one row and 24-26 us at 13
+    rows, against 28-30 and 39-42 us (BENCH_pr38_lone_row_dot.json)."""
     v, ys, step = _lifted_stepper([_stages(rhs, h)], vs.shape[1:])
     zs = np.empty((4, steps) + ys.shape[1:])
     v[...], recorded = vs[0], steps
@@ -588,8 +617,11 @@ def _rk4_loop(x, steps, h, rhs, vs, look=True, coupled=None):
     model of a field that reads x, ``x`` is the record of x, filled like
     ``vs``, and each step is a coupled step (``rkmk_coupled_step``), which
     carries x along; the loop then keeps no stage velocities and returns None
-    for them.  A one-row batch steps as a vector, v and x both, which numpy's
-    matmul runs faster than a stack of one, same bits."""
+    for them.  A one-row batch steps as a vector, v and x both, with the bits
+    of a stack of one.  A lifted step of either is a state of one matrix
+    (``_lifted_stepper``): on so(3) m = 3 the vector's took 6.8-7.2 us and the
+    stack's 7.0-7.4, and a classical step took 28-30 us either way
+    (BENCH_pr38_lone_row_dot.json)."""
     batch = vs.shape[1:-1]
     lone = prod(batch) == 1
     row = (slice(None),) + (0,) * len(batch)

@@ -315,6 +315,27 @@ def test_usage_error_exit_code():
     assert main(["simulate"]) == 1  # missing --config
 
 
+def test_the_parser_is_built_on_first_use_and_serves_every_command(capsys):
+    # importing the CLI builds no parser; the one built on first use gives
+    # every later command the usage errors and help of a parser built anew
+    proc = subprocess.run([sys.executable, "-c", "import aoc.cli as c; "
+                           "print(c._parser.cache_info().currsize)"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(Path(aoc.__file__).parents[1])})
+    assert proc.stdout.split() == ["0"], proc.stderr
+    errors, helps = [], []
+    for _ in range(2):
+        assert main(["simulate"]) == 1
+        errors.append(capsys.readouterr().err)
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert errors[0] == errors[1] and "the following arguments are required: --config" in errors[0]
+    assert helps[0] == helps[1] == aoc.cli._parser.__wrapped__().format_help()
+    assert aoc.cli._parser() is aoc.cli._parser()
+
+
 def test_numeric_blowup_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     write_config(cfg, problem={"x0": [0, 0, 0], "xT": [0, 0, 0], "y0": [0, 0, 0],

@@ -2,10 +2,11 @@
 
 The fused field carries its lifted matrix Kf, vdot = [v, y (x) v] @ Kf, and
 the stepper folds the RK4 coefficients and h into Kf: one outer product and
-one stacked matmul per stage.  That step matches classical RK4 over the
-field's rhs to rounding, one step and whole flows alike, and every row of a
-batch gets the bits it gets alone, with one h for all rows or one per row
-(Parareal's pair step).  Parareal's coarse steps come from a stepper built
+one stacked matmul per stage, or ``ndarray.dot`` for a state of one matrix.
+That step matches classical RK4 over the field's rhs to rounding, one step
+and whole flows alike, and every row of a batch gets the bits it gets alone,
+laid as a vector, as one row or as one row's columns, with one h for all
+rows or one per row (Parareal's pair step).  Parareal's coarse steps come from a stepper built
 once (``groups._lifted_stepper``), which gives the bits of a one-step loop.
 The field forms the stage matrices of each scalar step size once and keeps
 them read-only (``rhs.stages``); a per-row h forms its own, and the cache
@@ -21,6 +22,7 @@ import pytest
 
 import aoc
 from aoc import groups
+from aoc.groups import PARAREAL_SEGMENTS
 from aoc.pmp import extremal_field, min_acc_cost, quadratic_cost
 from test_parareal import GROUPS, flow, within_ulps
 
@@ -109,6 +111,36 @@ def test_each_matrix_of_a_column_state_keeps_the_bits_it_gets_alone():
         alone[0] = vs[0, r]
         z1, _ = groups._lifted_loop(rhs, 5, 0.01, alone, False)
         assert np.array_equal(alone, vs[:, r]) and np.array_equal(z1, zs[:, :, r])
+
+
+def loop_record(rhs, v, steps, h):
+    """The record and stage velocities of ``steps`` lifted steps from ``v``,
+    laid as ``v`` is (``groups._lifted_loop`` without a look)."""
+    vs = np.empty((steps + 1,) + v.shape)
+    vs[0] = v
+    zs, _ = groups._lifted_loop(rhs, steps, h, vs, False)
+    return vs, zs
+
+
+@pytest.mark.parametrize("kind", sorted(GROUPS))
+@pytest.mark.parametrize("K", [1, PARAREAL_SEGMENTS], ids=["rows", "columns"])
+def test_a_state_of_one_matrix_keeps_the_bits_of_a_row_of_a_batch(kind, K):
+    # a state of one (p, K) matrix, laid (p, K) or (1, p, K), or as a vector
+    # (p,) when K = 1, takes its products by ndarray.dot, and a batch (3, p, K)
+    # by stacked matmul: the lone-row flows with K = 1, a Parareal fine sweep of
+    # one row with K = 20.  A column at rest keeps the signs of its zeros
+    gm = GROUPS[kind]()
+    rhs = field(gm)
+    p = 3 * gm.algebra.n
+    rng = np.random.default_rng(10)
+    v = rng.uniform(-1.0, 1.0, (3, p, K)) * np.geomspace(0.05, 2.0, 3)[:, None, None]
+    v[1, :, 0] = 0.0
+    vs, zs = loop_record(rhs, v, 16, 0.05)
+    for r in range(3):
+        for alone in [v[r:r + 1], v[r]] + ([v[r, :, 0]] if K == 1 else []):
+            vs1, zs1 = loop_record(rhs, alone, 16, 0.05)
+            assert np.array_equal(vs1.reshape(vs[:, r].shape), vs[:, r])
+            assert np.array_equal(zs1.reshape(zs[:, :, r].shape), zs[:, :, r])
 
 
 @pytest.mark.parametrize("kind", sorted(GROUPS))

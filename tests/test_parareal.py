@@ -291,6 +291,38 @@ def test_blow_up_is_reported_at_the_loop_step(steps, monkeypatch):
     flow(gm, v0[1], steps, T)
 
 
+def test_an_so3_lone_row_blows_up_at_the_step_it_has_in_a_batch():
+    # a lone row takes its outer products and products by ndarray.dot (BLAS),
+    # a batch by np.multiply and stacked matmul.  Large costates make RK4 steps
+    # of 0.05 overflow: the first bad step is the same alone and in a batch, and
+    # past it the records match NaN for NaN, laid as a vector, as one row and
+    # in the batch; so do they after a step from a state whose y has a 0 next to
+    # an infinite costate, where the lift holds 0 * inf
+    gm = GROUPS["so3-m2"]()
+    rhs = extremal_field(gm.algebra, min_acc_cost(gm.algebra))
+    rng = np.random.default_rng(0)
+    v0 = np.stack([np.concatenate([np.zeros(3), rng.uniform(-20.0, 20.0, 6)]),
+                   rng.uniform(-0.01, 0.01, 9)])
+    steps = 200
+    with pytest.raises(aoc.NonFinite) as alone:
+        flow(gm, v0[0], steps, 10.0)
+    with pytest.raises(aoc.NonFinite) as batch:
+        flow(gm, v0, steps, 10.0)
+    assert 1 < alone.value.step_index == batch.value.step_index < steps
+    start = v0[0].copy()
+    start[[0, 3]] = 0.0, np.inf
+    for v, h, count in ((v0, 0.05, steps), (np.stack([start, v0[1]]), 0.01, 1)):
+        records = []
+        for laid in (v[0], v[:1, :, None], v[..., None]):
+            vs = np.empty((count + 1,) + laid.shape)
+            vs[0] = laid
+            with np.errstate(over="ignore", invalid="ignore"):
+                groups._lifted_loop(rhs, count, h, vs, False)
+            records.append(vs.reshape((count + 1, -1, 9))[:, 0])
+        assert not np.isfinite(records[0][-1]).any()
+        assert all(np.array_equal(r, records[2], equal_nan=True) for r in records[:2])
+
+
 @pytest.mark.parametrize("steps", [PARAREAL_MIN_STEPS - 1, PARAREAL_MIN_STEPS],
                          ids=["loop", "parareal"])
 def test_blow_up_stops_the_loop_within_a_check(steps, monkeypatch):

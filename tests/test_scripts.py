@@ -39,6 +39,15 @@ def test_shooting_traffic_script_runs():
     assert "converged=[2, 2]" in out and "same_work=2" in out
 
 
+def test_shooting_traffic_records_its_trees_from_the_checkout_root(tmp_path):
+    # by default and by an absolute --src alike, this tree is `src`, as
+    # `--src src` names it, so a --json file names no machine path
+    for args in ((), ("--src", str(ROOT / "src"))):
+        run_script("shooting_traffic.py", *args, "--kinds", "act", "--steps", "16",
+                   "--targets", "1", "--json", str(tmp_path / "rows.json"))
+        assert json.loads((tmp_path / "rows.json").read_text())["sources"] == ["src"]
+
+
 def test_shooting_answers_match_the_pinned_corpus():
     # fast parts of the 144-target corpus, with the answers and the work (flows,
     # LM steps and row-steps) of each: the 24 act and under targets at 50 steps, e3
@@ -78,6 +87,13 @@ def test_flow_cost_script_runs(tmp_path):
     rows = [line.split() for line in out.splitlines()[1:]]
     assert [(int(r[0]), int(r[1])) for r in rows] == [(1, 16), (13, 16), (1, 200), (13, 200),
                                                        (1, 2000), (13, 2000)]
-    for _, _, total, alone, fixed in rows:
+    for _, steps, total, total_per_step, alone, alone_per_step, fixed, fixed_per_step in rows:
         assert float(total) > float(alone) > 0.0 and float(fixed) > 0.0
-    assert len(json.loads((tmp_path / "cost.json").read_text())["figures"]) == 6
+        # each figure is followed by itself over the grid's steps, to its 2 decimals
+        for figure, per_step in ((total, total_per_step), (alone, alone_per_step),
+                                 (fixed, fixed_per_step)):
+            assert abs(float(per_step) - float(figure) / int(steps)) <= 0.01
+    figures = json.loads((tmp_path / "cost.json").read_text())["figures"]
+    assert len(figures) == 6
+    assert all(abs(f[f"{name}_us_per_step"] - f[f"{name}_us"] / f["steps"]) <= 0.01
+               for f in figures for name in ("evaluation", "steps", "fixed"))
