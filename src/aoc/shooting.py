@@ -42,7 +42,7 @@ without it.
 
 Each start is nested over two grids (nested iteration; P. Deuflhard,
 "Newton Methods for Nonlinear Problems", Springer, 2004).  LM first runs
-to the same tol on a coarse copy of the problem with
+on a coarse copy of the problem with
 max(COARSE_MIN_STEPS, steps // COARSE_DIVISOR) steps, when the requested
 grid is at least COARSE_RATIO times longer, and then continues on the
 requested grid from the coarse costates with the damping (lambda, nu) and
@@ -50,13 +50,19 @@ the Jacobian it reached, so the early steps far from the root cost short
 flows.  The continuation is Deuflhard's simplified Newton iteration: the
 root moves by only O(h_coarse^4) between the grids, so the coarse Jacobian
 still gives good steps, and each of its evaluations is a 1-row flow of
-the residual alone.  While the Jacobian is stale (not taken at the
-current theta) a step takes no geodesic probe, and a step rejected with
-a stale Jacobian refreshes it with one full 4n + 1-row evaluation at
-theta (whose row 0 repeats r(theta) bit for bit) and retries with the
-same (lambda, nu).  When that continuation does not converge, the start
-reruns on the requested grid from its seed with fresh damping, the
-single-grid run.  A start whose coarse run does not converge takes no
+the residual alone.  The coarse run stops at max(tol, sqrt(tol)), not
+at tol: from a residual eps the continuation's first step lands at
+O(eps^2) plus the grid mismatch, so from sqrt(tol) it already reaches
+about tol, and coarse digits below that would be over-solving
+(S. C. Eisenstat and H. F. Walker, "Choosing the forcing terms in an
+inexact Newton method", SIAM J. Sci. Comput. 17, 1996).  While the
+Jacobian is stale (not taken at the current theta) a step takes no
+geodesic probe, and a step rejected with a stale Jacobian refreshes it
+with one full 4n + 1-row evaluation at theta (whose row 0 repeats
+r(theta) bit for bit) and retries with the same (lambda, nu).  When
+that continuation does not converge, the start reruns on the requested
+grid from its seed with fresh damping, the single-grid run.  A start
+whose coarse run does not converge takes no
 requested-grid flow: the solve moves on to the next seed.  When no start
 converges this way, the solve is the single-grid multi-start (every
 seed's run on the requested grid, each run at most once), bitwise the
@@ -98,13 +104,15 @@ from .errors import AngleOutOfRange, NoConvergence, NonFinite
 # Geodesic acceleration (Transtrum and Sethna, arXiv:1201.5885): the
 # finite-difference step along delta
 GEO_H = 0.1
-# Nested iteration: each start is first solved on a coarse copy of the
-# problem with max(COARSE_MIN_STEPS, steps // COARSE_DIVISOR) steps, when
-# the requested grid is at least COARSE_RATIO times longer (40 steps and up).
-# Paired solves of seeded so(3) targets (BENCH_pr13_nested_grid.json,
-# "break_even") put the break-even there: fully actuated ones took
-# 0.92-1.06x the single-grid time at 32-36 steps and 0.87-0.92x at 40 over
-# three runs, while underactuated ones already won at 28.
+# Nested iteration: each start is first solved to max(tol, sqrt(tol)) on a
+# coarse copy of the problem with max(COARSE_MIN_STEPS, steps // COARSE_DIVISOR)
+# steps, when the requested grid is at least COARSE_RATIO times longer (40
+# steps and up).  Nesting also pays below that: over paired solves of 12 seeded
+# so(3) targets per kind (BENCH_pr39_coarse_stop.json, "break_even"), fully
+# actuated ones took 0.71-0.72x the single-grid time at 28 steps, 0.61-0.66x at
+# 32-36 and 0.57-0.63x at 40 over three runs, underactuated ones 0.67-0.68x,
+# 0.55-0.62x and 0.52-0.53x, and both still won at 20 steps (0.78-0.87x over
+# two runs).
 COARSE_MIN_STEPS = 16
 COARSE_DIVISOR = 8
 COARSE_RATIO = 2.5
@@ -334,7 +342,8 @@ def solve_shooting(model, gm, cost, problem, initial_guess=None,
 
     def lm(prob, theta0, damping=None, J0=None):
         evaluate = partial(_residual_and_jacobian, model, gm, cost, prob, fd_step=fd_step)
-        run = _levenberg_marquardt(evaluate, theta0, tol, max_iter, model.m < n, damping, J0)
+        stop = max(tol, tol ** 0.5) if prob is coarse else tol
+        run = _levenberg_marquardt(evaluate, theta0, stop, max_iter, model.m < n, damping, J0)
         (coarse_runs if prob is coarse else fine_runs).append(run)
         return run
 

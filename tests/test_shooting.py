@@ -137,7 +137,7 @@ def test_criterion_8_problem_steps_and_costates():
     assert not _start_points(*problem)[0].any()
     res = solve_shooting(*problem)
     assert res.converged
-    assert res.iterations == 24 and res.flows == 47
+    assert res.iterations == 22 and res.flows == 43
     # a seed flow per grid plus a probe and a trial flow per step at most
     assert res.flows <= 2 * res.iterations + 2
     # the extremal found by the previous unscaled-damping solver
@@ -181,27 +181,27 @@ def test_trajectory_is_bitwise_the_flow_of_the_returned_costates(monkeypatch, m,
         assert np.array_equal(getattr(res.trajectory, name), getattr(ref, name)), name
 
 
-@pytest.mark.parametrize("m, axis, angle, steps", [(3, (0.0, 0.0, 1.0), 0.5, 200),
-                                                   (2, CRIT8_AXIS, 0.4, 50)],
-                         ids=["criterion-7", "criterion-8"])
-def test_coarse_flows_come_first(monkeypatch, m, axis, angle, steps):
-    # the coarse grid has max(16, steps // 8) steps; the requested grid runs
-    # only 1-row residual flows, and neither a Jacobian refresh nor a probe
-    # (these targets take neither)
-    flows = []
-    propagate = aoc.pmp.propagate_endpoints
-
-    def counted(*args):
-        flows.append((args[8], np.shape(args[5])[0]))
-        return propagate(*args)
-
-    monkeypatch.setattr(aoc.pmp, "propagate_endpoints", counted)
-    res = solve_shooting(*so3_problem(m=m, axis=axis, angle=angle, steps=steps))
+@pytest.mark.parametrize("m, axis, angle, steps, tol, stop", [
+    (3, (0.0, 0.0, 1.0), 0.5, 200, 1e-8, 1e-4),
+    (2, CRIT8_AXIS, 0.4, 50, 1e-8, 1e-4),
+    (2, CRIT8_AXIS, 3.0, 50, 1.5, 1.5),  # sqrt(tol) < tol: the coarse run keeps tol
+], ids=["criterion-7", "criterion-8", "tol-above-1"])
+def test_coarse_flows_come_first(monkeypatch, m, axis, angle, steps, tol, stop):
+    # the coarse grid has max(16, steps // 8) steps and its run stops at the
+    # first residual below max(tol, sqrt(tol)); the requested grid runs only
+    # 1-row residual flows, and neither a Jacobian refresh nor a probe (these
+    # targets take neither), and ends below tol
+    problem = so3_problem(m=m, axis=axis, angle=angle, steps=steps)
+    flows = spy_flows(monkeypatch, problem[3])
+    res = solve_shooting(*problem, tol=tol)
     assert res.converged and len(flows) == res.flows
     coarse, fine = flows[:res.coarse_flows], flows[res.coarse_flows:]
     assert coarse and fine
     assert all(f[0] == max(16, steps // 8) for f in coarse)
-    assert all(f == (steps, 1) for f in fine)
+    assert all(f[0] == steps and len(f[1]) == 1 for f in fine)
+    coarse_norms = [np.abs(f[2][0]).max() for f in coarse]
+    assert all(norm >= stop for norm in coarse_norms[:-1]) and coarse_norms[-1] < stop
+    assert np.abs(fine[-1][2][0]).max() == res.residual_norm < tol
 
 
 @pytest.mark.parametrize("steps", [50, 200])
@@ -274,7 +274,7 @@ def test_stalled_starts_take_no_requested_grid_flow(monkeypatch):
     res = solve_shooting(model, gm, c, prob)
     assert res.converged and res.residual_norm < 1e-8
     assert flows == [16] * res.coarse_flows + [50] * (res.flows - res.coarse_flows)
-    assert res.flows - res.coarse_flows <= 1 + 2 * 3 and res.flows == 129
+    assert res.flows - res.coarse_flows <= 1 + 2 * 3 and res.flows == 123
     # the single-grid solve takes 126 flows of 50 steps to the same extremal
     assert running_cost(c, res.trajectory) == pytest.approx(238.25792808865097, rel=1e-7)
 
