@@ -26,9 +26,10 @@ zero-order-hold rollout of the oracle and the extremal flows all step
 through it, each in one call over its whole uniform grid.  A right-hand
 side ``rhs(k, c, x, v)`` sees the index k of the step and its RK4 node c,
 and the stepper returns the states of every grid point, the initial
-state first.  Its one time loop, ``_rk4_loop``, keeps two rules for
-every flow: a look at the record every FINITE_CHECK_STEPS steps, and a
-one-row batch stepped as a vector.  ``munthe_kaas_increment`` is the one
+state first.  Its one time loop, ``_rk4_loop``, keeps one rule for every
+flow: a look at the record every FINITE_CHECK_STEPS steps.  Every flow
+keeps its record's batch axis, so a one-row batch steps as a stack of one,
+with the bits of the unbatched flow.  ``munthe_kaas_increment`` is the one
 place of the scheme's bracket-corrected combination.  For a vector field
 that reads x each step of the loop is a coupled step
 (``rkmk_coupled_step``), which carries x along, and the loop records that
@@ -487,18 +488,18 @@ def _stages(rhs, h):
 
 def _lifted_stepper(Ms, shape):
     """Lifted RK4 steps of a field vdot = [v, y (x) v] @ Kf for a state laid
-    as ``shape``, (..., p, m) or a vector (p,), with buffers and views built
-    once for every step size whose ``_stage_matrices`` are listed in ``Ms``.
-    The four stage inputs u sit in one buffer as columns (1, u), so that per
-    stage one outer product (1, y) (x) u into the lift buffer and one product
+    as ``shape``, (..., p, m), with buffers and views built once for every
+    step size whose ``_stage_matrices`` are listed in ``Ms``.  The four
+    stage inputs u sit in one buffer as columns (1, u), so that per stage
+    one outer product (1, y) (x) u into the lift buffer and one product
     with the stage's matrices give the next stage input v + G[:p] and the
     stage's share g = b h vdot of the step.  The m columns of each (p, m)
     matrix of the state share that product, M^T @ lift, whose bits under
     OpenBLAS depend on m and on each column's place in it, so a caller that
     needs each column's bits alone lays m = 1.  The buffers then hold the
     memory of rows, and each row is its own product lift @ M, stacked over the
-    leading dimensions.  A state of one matrix, a vector or (..., p, m) with
-    every leading dimension 1, stepped with one h per step size, takes each
+    leading dimensions.  A state of one matrix, (..., p, m) with every
+    leading dimension 1, stepped with one h per step size, takes each
     product by ``ndarray.dot`` into the same buffers, and with m = 1 each
     outer product too: the BLAS call that matmul makes, with the same bits,
     at about 0.4 us a call against 0.8-1.2 us for matmul and np.multiply at
@@ -507,16 +508,14 @@ def _lifted_stepper(Ms, shape):
     step size and writes v + (((g1 + g2) + g3) + g4) into ``out``, leaving v
     and the stage y's as the step found them: 4 outer products, 4 products and
     5 adds."""
-    cols = shape[-1:] if len(shape) > 1 else ()
-    lead, p = shape[:-1 - len(cols)], shape[-1 - len(cols)]
-    c = (slice(None),) * len(cols)  # all columns, after an index into the (1 + p) axis
-    width, m = Ms[0].shape[-2], prod(cols)
+    lead, (p, m) = shape[:-2], shape[-2:]
+    width = Ms[0].shape[-2]
     n = width // p - 1
-    S = np.ones((4,) + lead + (1 + p,) + cols)  # the 1 of (1, u) is never written
-    lift = np.empty(lead + (width,) + cols)
-    G = np.empty((4,) + lead + (2 * p,) + cols)
-    y1s, us = S[np.s_[..., :n + 1, None] + c], S[np.s_[..., None, 1:] + c]
-    outer, multiply, product = lift.reshape(lead + (n + 1, p) + cols), np.multiply, np.matmul
+    S = np.ones((4,) + lead + (1 + p, m))  # the 1 of (1, u) is never written
+    lift = np.empty(lead + (width, m))
+    G = np.empty((4,) + lead + (2 * p, m))
+    y1s, us = S[..., :n + 1, None, :], S[..., None, 1:, :]
+    outer, multiply, product = lift.reshape(lead + (n + 1, p, m)), np.multiply, np.matmul
     if prod(lead) == 1 and Ms[0].ndim == 3:
         # with m = 1, the outer product of k = 1 by ndarray.dot gives np.multiply's
         # bits but for the signs of zeros, which no sum of the product keeps
@@ -531,13 +530,12 @@ def _lifted_stepper(Ms, shape):
             products = [[(M.T, flat, g) for M, g in zip(Mi, G.reshape(4, 2 * p, m))]
                         for Mi in Ms]
     elif m == 1:
-        rows = lead + cols
-        products = [[(lift.reshape(rows + (width,)), M, g.reshape(rows + (2 * p,)))
+        products = [[(lift.reshape(lead + (1, width)), M, g.reshape(lead + (1, 2 * p)))
                      for M, g in zip(Mi, G)] for Mi in Ms]
     else:
         products = [[(np.swapaxes(M, -1, -2), lift, g) for M, g in zip(Mi, G)] for Mi in Ms]
-    u, shares = S[np.s_[..., 1:] + c], G[np.s_[..., p:] + c]
-    views = list(zip(y1s, us, G[np.s_[..., :p] + c], list(u[1:]) + [None]))
+    u, shares = S[..., 1:, :], G[..., p:, :]
+    views = list(zip(y1s, us, G[..., :p, :], list(u[1:]) + [None]))
     stages = [[view + product for view, product in zip(views, Pi)] for Pi in products]
     v = u[0]
 
@@ -549,7 +547,7 @@ def _lifted_stepper(Ms, shape):
                 np.add(v, move, out=following)
         np.add(v, np.add.reduce(shares, axis=0), out=out)
 
-    return v, S[np.s_[..., 1:n + 1] + c], step
+    return v, S[..., 1:n + 1, :], step
 
 
 def _lifted_loop(rhs, steps, h, vs, look):
@@ -557,13 +555,14 @@ def _lifted_loop(rhs, steps, h, vs, look):
     carries Kf, vdot = [v, y (x) v] @ Kf, from ``vs[0]``, filling ``vs[1:]``,
     with the stage matrices of ``_stages``, and with the return and
     the look of ``_rk4_loop``.  Each record ``vs[k]`` is laid as the stepper's
-    state, so the m columns of each (p, m) matrix share a product: m = 1 gives
-    each row the bits it gets alone, and Parareal's fine sweep lays the
-    segments of each of its rows as the columns of one matrix.  The stage
-    velocities come back laid as the record, (4, steps, ..., n, m).  A step
-    is 15 numpy calls, against four right-hand sides and 13 more calls for
-    classical RK4: on so(3) m = 3 about 7 us at one row and 24-26 us at 13
-    rows, against 28-30 and 39-42 us (BENCH_pr38_lone_row_dot.json)."""
+    state, (..., p, m), so the m columns of each (p, m) matrix share a
+    product: ``_rk4_loop`` lays m = 1, which gives each row the bits it gets
+    alone, and Parareal's fine sweep lays the segments of each of its rows as
+    the columns of one matrix.  The stage velocities come back laid as the
+    record, (4, steps, ..., n, m).  A step is 15 numpy calls, against four
+    right-hand sides and 13 more calls for classical RK4: on so(3) m = 3
+    about 7 us at one row and 24-26 us at 13 rows, against 28-30 and
+    39-42 us (BENCH_pr38_lone_row_dot.json)."""
     v, ys, step = _lifted_stepper([_stages(rhs, h)], vs.shape[1:])
     zs = np.empty((4, steps) + ys.shape[1:])
     v[...], recorded = vs[0], steps
@@ -617,19 +616,13 @@ def _rk4_loop(x, steps, h, rhs, vs, look=True, coupled=None):
     model of a field that reads x, ``x`` is the record of x, filled like
     ``vs``, and each step is a coupled step (``rkmk_coupled_step``), which
     carries x along; the loop then keeps no stage velocities and returns None
-    for them.  A one-row batch steps as a vector, v and x both, with the bits
-    of a stack of one.  A lifted step of either is a state of one matrix
-    (``_lifted_stepper``): on so(3) m = 3 the vector's took 6.8-7.2 us and the
-    stack's 7.0-7.4, and a classical step took 28-30 us either way
-    (BENCH_pr38_lone_row_dot.json)."""
-    batch = vs.shape[1:-1]
-    lone = prod(batch) == 1
-    row = (slice(None),) + (0,) * len(batch)
+    for them.  Every flow keeps the batch axis of its record: a lifted flow
+    lays ``vs`` (..., p, 1), so a one-row batch, or a flow of no batch, is a
+    state of one matrix (``_lifted_stepper``), and any other flow steps the
+    record's rows as they are."""
     if coupled is None and hasattr(rhs, "Kf"):
-        zs, recorded = _lifted_loop(rhs, steps, h, vs[row] if lone else vs[..., None], look)
-        return zs.reshape((4, steps) + batch + (len(rhs.Kf) // vs.shape[-1] - 1,)), recorded
-    if lone:
-        vs, x = vs[row], x[row] if coupled is not None else np.reshape(x, np.shape(x)[-2:])
+        zs, recorded = _lifted_loop(rhs, steps, h, vs[..., None], look)
+        return zs[..., 0], recorded
     v, zs, recorded = vs[0], None, steps
     for k in range(steps):
         if coupled is not None:
@@ -643,8 +636,6 @@ def _rk4_loop(x, steps, h, rhs, vs, look=True, coupled=None):
         if look and _looks_bad(k, vs):
             recorded = k + 1
             break
-    if lone and zs is not None:
-        zs = zs.reshape((4, steps) + batch + zs.shape[-1:])
     return zs, recorded
 
 
@@ -772,11 +763,12 @@ def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False):
     states, the initial one first, of the batch of x and v broadcast
     together.
 
-    Every flow keeps two rules.  The loop looks at its record of v every
+    Every flow keeps one rule.  The loop looks at its record of v every
     FINITE_CHECK_STEPS steps and stops at a look that finds a state that is
     not finite (so rhs must return on one, not raise); ``_finite_steps``
     places the first such step over v and the x carried or rebuilt up to the
-    first bad v, for NonFinite.  And a one-row batch steps as a vector (``_rk4_loop``).
+    first bad v, for NonFinite.  A one-row batch keeps its batch axis through
+    the loop and gets the bits of the unbatched flow.
 
     A field that carries ``Kf`` ignores x, the step and the node and acts on
     each row alone, which is what Parareal needs: a flow of at least

@@ -43,7 +43,7 @@ tested against.  The Hamiltonian checks
 ``propagate_endpoints`` steps the field
 through ``groups.rkmk_integrate`` in one call over the grid, for a batch
 of shooting rows as for the single flow of ``flow_extremal``, under the
-stepper's two rules.  No field raises on a state that is not finite:
+stepper's one rule.  No field raises on a state that is not finite:
 control elimination gives such a row a NaN control, and the stepper
 reports the step.  The fused field ignores the step and acts on each row
 alone, so its flows of at least ``groups.PARAREAL_MIN_STEPS`` steps take

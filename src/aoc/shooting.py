@@ -293,7 +293,9 @@ def _levenberg_marquardt(evaluate, theta0, tol, max_iter, geodesic=False, dampin
         trial = None
         if step is not None:
             trial, flows = evaluate(theta + step, jacobian=not carried), flows + 1
-        gain = -1.0 if trial is None else (r @ r - trial[0] @ trial[0]) / (delta @ (lam * delta - g))
+        # |r|^2 may overflow: inf - inf is a NaN gain, which rejects the step
+        with np.errstate(over="ignore", invalid="ignore"):
+            gain = -1.0 if trial is None else (r @ r - trial[0] @ trial[0]) / (delta @ (lam * delta - g))
         if gain > 0:
             theta, (r, J_trial, flow) = theta + step, trial
             J, fresh = (J, False) if carried else (J_trial, True)

@@ -232,13 +232,15 @@ def test_zoh_rollout_exact_abelian():
 
 
 def test_zoh_rollout_batch_matches_loop(so3_j123_group, rng):
-    U = rng.standard_normal((5, 8, 3))
-    _, xs, ys = zoh_rollout(so3_j123_group, np.eye(3), np.array([0.1, 0, 0]),
-                            U, 1.0)
-    for b in range(5):
-        _, xs1, ys1 = zoh_rollout(so3_j123_group, np.eye(3),
-                                  np.array([0.1, 0, 0]), U[b], 1.0)
-        assert np.array_equal(xs[:, b], xs1) and np.array_equal(ys[:, b], ys1)
+    # a batch of one steps as a stack of one and keeps the unbatched bits
+    for B in (1, 5):
+        U = rng.standard_normal((B, 8, 3))
+        _, xs, ys = zoh_rollout(so3_j123_group, np.eye(3), np.array([0.1, 0, 0]),
+                                U, 1.0)
+        for b in range(B):
+            _, xs1, ys1 = zoh_rollout(so3_j123_group, np.eye(3),
+                                      np.array([0.1, 0, 0]), U[b], 1.0)
+            assert np.array_equal(xs[:, b], xs1) and np.array_equal(ys[:, b], ys1)
 
 
 def segment_chain(gm, x0, y0, U, T, spb):
@@ -263,7 +265,7 @@ def segment_chain(gm, x0, y0, U, T, spb):
 
 
 @pytest.mark.parametrize("spb", [2, 4])
-@pytest.mark.parametrize("lead", [(), (5,)])
+@pytest.mark.parametrize("lead", [(), (5,), (1,)])
 def test_zoh_rollout_is_bitwise_a_chain_of_segments(so3_j123_group, lead, spb):
     U = np.random.default_rng(11).standard_normal(lead + (6, 3))
     x0 = aoc.exp_map(so3_j123_group, np.array([0.2, -0.1, 0.3]))

@@ -5,7 +5,7 @@ the stepper folds the RK4 coefficients and h into Kf: one outer product and
 one stacked matmul per stage, or ``ndarray.dot`` for a state of one matrix.
 That step matches classical RK4 over the field's rhs to rounding, one step
 and whole flows alike, and every row of a batch gets the bits it gets alone,
-laid as a vector, as one row or as one row's columns, with one h for all
+laid as one row or as one row's columns, with one h for all
 rows or one per row (Parareal's pair step).  Parareal's coarse steps come from a stepper built
 once (``groups._lifted_stepper``), which gives the bits of a one-step loop.
 The field forms the stage matrices of each scalar step size once and keeps
@@ -125,10 +125,10 @@ def loop_record(rhs, v, steps, h):
 @pytest.mark.parametrize("kind", sorted(GROUPS))
 @pytest.mark.parametrize("K", [1, PARAREAL_SEGMENTS], ids=["rows", "columns"])
 def test_a_state_of_one_matrix_keeps_the_bits_of_a_row_of_a_batch(kind, K):
-    # a state of one (p, K) matrix, laid (p, K) or (1, p, K), or as a vector
-    # (p,) when K = 1, takes its products by ndarray.dot, and a batch (3, p, K)
-    # by stacked matmul: the lone-row flows with K = 1, a Parareal fine sweep of
-    # one row with K = 20.  A column at rest keeps the signs of its zeros
+    # a state of one (p, K) matrix, laid (p, K) or (1, p, K), takes its
+    # products by ndarray.dot, and a batch (3, p, K) by stacked matmul: the
+    # lone-row flows with K = 1, a Parareal fine sweep of one row with K = 20.
+    # A column at rest keeps the signs of its zeros
     gm = GROUPS[kind]()
     rhs = field(gm)
     p = 3 * gm.algebra.n
@@ -137,7 +137,7 @@ def test_a_state_of_one_matrix_keeps_the_bits_of_a_row_of_a_batch(kind, K):
     v[1, :, 0] = 0.0
     vs, zs = loop_record(rhs, v, 16, 0.05)
     for r in range(3):
-        for alone in [v[r:r + 1], v[r]] + ([v[r, :, 0]] if K == 1 else []):
+        for alone in (v[r:r + 1], v[r]):
             vs1, zs1 = loop_record(rhs, alone, 16, 0.05)
             assert np.array_equal(vs1.reshape(vs[:, r].shape), vs[:, r])
             assert np.array_equal(zs1.reshape(zs[:, :, r].shape), zs[:, :, r])

@@ -32,14 +32,14 @@ def spy_loops(monkeypatch):
     the rows read from the layout of its record: a fine sweep lays (active rows,
     p, K), the K segments of each row as the columns of one product, and has
     rows (K, active rows); a sequential loop lays (rows, p, 1), one product per
-    row, and has rows (rows,), or () for one row, which steps as a vector (p,);
-    ``recorded`` is the number of steps it ran."""
+    row, and has rows (rows,), or (p, 1) for an unbatched flow, which has rows
+    (1,) as a lone row does; ``recorded`` is the number of steps it ran."""
     loops = []
     lifted = groups._lifted_loop
 
     def counted(rhs, steps, h, vs, look):
         zs, recorded = lifted(rhs, steps, h, vs, look)
-        laid = vs.shape[1:-2] + vs.shape[-1:] if vs.ndim > 2 else ()
+        laid = (vs.shape[1:-2] or (1,)) + vs.shape[-1:]
         rows = laid[:-1] if laid[-1:] == (1,) else laid[-1:] + laid[:-1]
         loops.append((steps, rows, recorded))
         return zs, recorded
@@ -185,7 +185,7 @@ def test_a_row_of_large_coarse_error_takes_the_loop_at_once(monkeypatch):
     xs0, vs0 = loop_flow(gm, v0, steps)
     loops = spy_loops(monkeypatch)
     xs1, vs1 = flow(gm, v0, steps)
-    assert loops == [(steps, (), steps)]
+    assert loops == [(steps, (1,), steps)]
     assert np.array_equal(xs1, xs0) and np.array_equal(vs1, vs0)
 
 
@@ -295,8 +295,8 @@ def test_an_so3_lone_row_blows_up_at_the_step_it_has_in_a_batch():
     # a lone row takes its outer products and products by ndarray.dot (BLAS),
     # a batch by np.multiply and stacked matmul.  Large costates make RK4 steps
     # of 0.05 overflow: the first bad step is the same alone and in a batch, and
-    # past it the records match NaN for NaN, laid as a vector, as one row and
-    # in the batch; so do they after a step from a state whose y has a 0 next to
+    # past it the records match NaN for NaN, laid as one row and in the
+    # batch; so do they after a step from a state whose y has a 0 next to
     # an infinite costate, where the lift holds 0 * inf
     gm = GROUPS["so3-m2"]()
     rhs = extremal_field(gm.algebra, min_acc_cost(gm.algebra))
@@ -313,14 +313,14 @@ def test_an_so3_lone_row_blows_up_at_the_step_it_has_in_a_batch():
     start[[0, 3]] = 0.0, np.inf
     for v, h, count in ((v0, 0.05, steps), (np.stack([start, v0[1]]), 0.01, 1)):
         records = []
-        for laid in (v[0], v[:1, :, None], v[..., None]):
+        for laid in (v[:1, :, None], v[..., None]):
             vs = np.empty((count + 1,) + laid.shape)
             vs[0] = laid
             with np.errstate(over="ignore", invalid="ignore"):
                 groups._lifted_loop(rhs, count, h, vs, False)
             records.append(vs.reshape((count + 1, -1, 9))[:, 0])
         assert not np.isfinite(records[0][-1]).any()
-        assert all(np.array_equal(r, records[2], equal_nan=True) for r in records[:2])
+        assert np.array_equal(records[0], records[1], equal_nan=True)
 
 
 @pytest.mark.parametrize("steps", [PARAREAL_MIN_STEPS - 1, PARAREAL_MIN_STEPS],
@@ -336,7 +336,7 @@ def test_blow_up_stops_the_loop_within_a_check(steps, monkeypatch):
         flow(gm, v0, steps, T)
     bad = err.value.step_index
     # the row's coarse pass blows up, so Parareal runs no sweep
-    assert [(n, rows) for n, rows, _ in loops] == [(steps, ())]
+    assert [(n, rows) for n, rows, _ in loops] == [(steps, (1,))]
     assert bad < steps - FINITE_CHECK_STEPS
     assert loops[0][2] <= bad - 1 + FINITE_CHECK_STEPS
 

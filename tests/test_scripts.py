@@ -97,3 +97,12 @@ def test_flow_cost_script_runs(tmp_path):
     assert len(figures) == 6
     assert all(abs(f[f"{name}_us_per_step"] - f[f"{name}_us"] / f["steps"]) <= 0.01
                for f in figures for name in ("evaluation", "steps", "fixed"))
+
+
+def test_op_digests_script_prints_one_digest_per_workload():
+    # run_script requires exit 0, which every op passing its check gives
+    lines = run_script("op_digests.py", "--seed", "121").splitlines()
+    assert len(lines) == len({line.split()[0] for line in lines}) == 4
+    for line in lines:
+        workload, _, seed, sha = line.split()
+        assert seed == "121" and len(sha) == 64 and set(sha) <= set("0123456789abcdef")

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -468,6 +469,20 @@ def test_nonconverged_returns_best_iterate():
     res = solve_shooting(*so3_problem(axis=(0.3, -0.6, 0.5), angle=1.0), max_iter=0)
     assert not res.converged
     assert res.residual_norm > 0.0
+
+
+def test_an_overflowing_residual_rejects_steps_without_a_warning():
+    # |r|^2 of a terminal velocity of 1e200 overflows, and the gain ratio of
+    # every step is inf - inf, a NaN that rejects it: the solve returns
+    # unconverged, and no RuntimeWarning leaks from the gain ratio
+    model = aoc.so3_model((1.0, 2.0, 3.0), m=3)
+    gm = aoc.so3_group(model)
+    prob = BoundaryProblem(x0=np.eye(3), xT=np.eye(3), y0=np.zeros(3),
+                           yT=np.array([1e200, 0.0, 0.0]), T=1.0, steps=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_shooting(model, gm, min_acc_cost(model), prob)
+    assert not res.converged and res.residual_norm == 1e200
 
 
 @pytest.mark.parametrize("name, value", [
