@@ -7,15 +7,16 @@ rest from the identity, T = 1): at 1 row (the residual alone, as a probe or
 a continuation step evaluates it) and at 13 rows (the residual and its
 central-difference Jacobian), on grids of 16 steps (the coarse grid of a
 50-step solve), 200 steps and 2000 steps.  The steps alone are the time spent
-inside the lifted RK4 loop (``groups._lifted_loop``, wrapped by a timer for
-the run), the loop's set-up included; the evaluation's time less theirs is
-the flow's fixed cost: the stage matrices, x rebuilt from the stage
-velocities, the boundary residual and the glue around them.  A 2000-step
-flow takes Parareal (``groups._parareal``): its steps are its fine sweeps and
-any rerun of the sequential loop, and its fixed cost also holds Parareal's
-coarse passes and bookkeeping.  Each figure is the median over ``--calls``
-evaluations, after ``--warmup`` untimed ones, and is followed by itself over
-the grid's steps, in microseconds per step.
+inside the one time loop (``groups._rk4_loop``, wrapped by a timer for the
+run), which takes the field's lifted RK4 steps, the loop's set-up included;
+the evaluation's time less theirs is the flow's fixed cost: the stage
+matrices, x rebuilt from the stage velocities, the boundary residual and the
+glue around them.  A 2000-step flow takes Parareal (``groups._parareal``):
+its steps are its fine sweeps and any rerun of the sequential loop, and its
+fixed cost also holds Parareal's coarse passes, pair steps and bookkeeping.
+Each figure is the median over ``--calls`` evaluations, after ``--warmup``
+untimed ones, and is followed by itself over the grid's steps, in
+microseconds per step.
 
     PYTHONPATH=src python scripts/flow_cost.py
     PYTHONPATH=src python scripts/flow_cost.py --calls 3000 --json cost.json
@@ -53,16 +54,16 @@ def time_evaluations(rows, steps, calls, warmup):
     model, cost = gm.algebra, min_acc_cost(gm.algebra)
     theta = np.linspace(-0.3, 0.3, 2 * model.n)
     inside = []
-    loop = groups._lifted_loop
+    loop = groups._rk4_loop
 
-    def timed(*args):
+    def timed(*args, **kwargs):
         start = time.perf_counter()
-        out = loop(*args)
+        out = loop(*args, **kwargs)
         inside.append(time.perf_counter() - start)
         return out
 
     totals, steps_alone = [], []
-    groups._lifted_loop = timed
+    groups._rk4_loop = timed
     try:
         for i in range(warmup + calls):
             inside.clear()
@@ -76,7 +77,7 @@ def time_evaluations(rows, steps, calls, warmup):
                 totals.append(total)
                 steps_alone.append(sum(inside))
     finally:
-        groups._lifted_loop = loop
+        groups._rk4_loop = loop
     fixed = np.array(totals) - np.array(steps_alone)
     return float(np.median(totals)), float(np.median(steps_alone)), float(np.median(fixed))
 

@@ -26,11 +26,12 @@ zero-order-hold rollout of the oracle and the extremal flows all step
 through it, each in one call over its whole uniform grid.  A right-hand
 side ``rhs(k, c, x, v)`` sees the index k of the step and its RK4 node c,
 and the stepper returns the states of every grid point, the initial
-state first.  Its one time loop, ``_rk4_loop``, keeps one rule for every
-flow: a look at the record every FINITE_CHECK_STEPS steps.  Every flow
-keeps its record's batch axis, so a one-row batch steps as a stack of one,
-with the bits of the unbatched flow.  ``munthe_kaas_increment`` is the one
-place of the scheme's bracket-corrected combination.  For a vector field
+state first.  Its one time loop, ``_rk4_loop``, steps every flow, Parareal's
+fine sweeps and reruns included, with one rule: a look at the record every
+FINITE_CHECK_STEPS steps.  Each kind of field supplies only its step.  Every
+flow keeps its record's batch axis, so a one-row batch steps as a stack of
+one, with the bits of the unbatched flow.  ``munthe_kaas_increment`` is the
+one place of the scheme's bracket-corrected combination.  For a vector field
 that reads x each step of the loop is a coupled step
 (``rkmk_coupled_step``), which carries x along, and the loop records that
 x.  One that does not, which is every cost the CLI accepts, is split as
@@ -40,35 +41,36 @@ alone and keeps the stage velocities, and batched passes after the loop
 RK4 steps over its rhs: four right-hand sides and 13 more numpy calls a
 step.  A field that carries a lifted matrix ``Kf``, with vdot =
 [v, y (x) v] @ Kf (the fused extremal field), takes lifted RK4 steps
-(``_lifted_loop``): per stage one outer product into a lift buffer and one
+(``_lifted_stepper``): per stage one outer product into a lift buffer and one
 matrix product with the stage's coefficients times h Kf give the next
 stage input and the stage's share of the step, 15 calls a step in all,
-which matches classical RK4 over the field's rhs to rounding.  The loop
-lays its state (..., p, m), and the m columns of each (p, m) matrix share
-those products; with m = 1 the buffers hold the memory of rows, and each
-row of a flow is its own stacked product, lift @ M.  A state of one such
-matrix (a lone row, or the segments of one Parareal row) takes its
-products by ``ndarray.dot``, the BLAS call of matmul at less cost per
-call, with the same bits.  Those stage
-matrices are formed once per field and step size, and the field keeps them
-read-only (``_stages``), so a short flow does not pay for them.  Below
-PARAREAL_MIN_STEPS steps x is the product of the step exponentials in
+which matches classical RK4 over the field's rhs to rounding.  Its state is
+laid (..., p, m), and ``rkmk_integrate`` lays a flow's rows with m = 1.  The
+product is two choices: its orientation, lift @ M for m = 1, where each row
+is its own product, and M^T @ lift for m > 1, where the m columns of each
+(p, m) matrix share one; and its call, ``ndarray.dot`` for a state of one
+matrix (a lone row, or the segments of one Parareal row), the BLAS call of
+matmul at less cost per call with the same bits, and stacked matmul for any
+other.  The stage matrices of a step size are formed once per field and
+kept read-only (``rhs.stages``), so a short flow does not pay for them.
+Below PARAREAL_MIN_STEPS steps x is the product of the step exponentials in
 order, with the coupled step's bits for a callable field.  A longer flow
 multiplies them by the segments that Parareal cuts (``_segments``), in
 about steps / segments + segments stacked matmuls rather than one per
-step, and matches the coupled step to rounding.  A field that carries ``Kf`` also ignores the step and node and
-acts on each row alone, so it takes the v-record of a flow of at least
-PARAREAL_MIN_STEPS steps from Parareal in time (``_parareal``), which
-matches the loop to rounding.  Its fine sweep lays the segments of each
-flow row as the m = segments columns of one matrix, so that per stage one
-product M^T @ lift of as many columns as there are segments serves them,
-and the outer product and the adds run on contiguous (p, segments)
-blocks.  It never multiplies the segments of several flow rows together:
-the bits of a product's columns depend on its column count, so a row's
-bits would then depend on the batch.  Its coarse steps are lifted steps
-with the field's stage matrices of each segment length, and with buffers
-(``_lifted_stepper``) it builds once per pass over the segments.
-Either way a batch keeps each row's bits.
+step, and matches the coupled step to rounding.  A field that carries ``Kf``
+also ignores the step and node and acts on each row alone, so it takes the
+v-record of a flow of at least PARAREAL_MIN_STEPS steps from Parareal in
+time (``_parareal``), which matches the loop to rounding.  Its fine sweep
+lays the segments of each flow row as the m = segments columns of one
+matrix, so that per stage one product M^T @ lift of as many columns as there
+are segments serves them, and the outer product and the adds run on
+contiguous (p, segments) blocks.  It never multiplies the segments of
+several flow rows together: the bits of a product's columns depend on its
+column count, so a row's bits would then depend on the batch.  Its coarse
+steps and its pair steps, one lifted step over each pair of segments, take
+the field's stage matrices of each segment or pair length, with buffers
+(``_lifted_stepper``) built once per pass.  Either way a batch keeps each
+row's bits.
 ``_uniform_grid`` is the one check of a time grid, T and its step count,
 for every caller of the stepper.
 """
@@ -268,11 +270,11 @@ def exp_map(gm, y, t=1.0) -> np.ndarray:
     return _exp_series(hat(gm, w))
 
 
-def log_map(gm, g, max_angle=SO3_MAX_LOG_ANGLE) -> np.ndarray:
+def log_map(gm, g) -> np.ndarray:
     """Smallest-magnitude algebra coordinates with exp_map(log_map(g)) = g.
 
-    Raises AngleOutOfRange outside the injectivity radius (for so3 the
-    default cutoff is pi - 1e-6; pass a larger ``max_angle`` to relax).
+    Raises AngleOutOfRange outside the injectivity radius (for so3 at the
+    rotation angle SO3_MAX_LOG_ANGLE, pi - 1e-6).
     """
     g = np.asarray(g, dtype=float)
     d = gm.rep_dim
@@ -283,7 +285,7 @@ def log_map(gm, g, max_angle=SO3_MAX_LOG_ANGLE) -> np.ndarray:
     lead = g.shape[:-2]
     flat_g = g.reshape((-1, d, d))
     if gm.kind == "so3":
-        return _so3_log(flat_g, max_angle).reshape(lead + (3,))
+        return _so3_log(flat_g, SO3_MAX_LOG_ANGLE).reshape(lead + (3,))
     import scipy.linalg  # here, not at module level: see the module docstring
 
     out = np.empty((flat_g.shape[0], gm.algebra.n))
@@ -465,25 +467,13 @@ def _reconstruct(gm, zs, h, xs):
 
 
 def _stage_matrices(Kf, h):
-    """The four matrices [c h Kf | b h Kf] of a lifted RK4 step of size h, each
-    stage's weight b next to the node c of the stage after it (0 after the last),
-    stacked (4, ..., (n + 1) p, 2 p) and read-only.  h is a scalar or one per
-    product, of a shape (..., 1) that broadcasts against the (..., m) of a
-    state laid (..., p, m) with m = 1 as in ``_lifted_stepper``; either way
-    each product c h and b h has the bits it has alone."""
-    h = np.asarray(h)
-    coefs = _STAGE_COEFS.reshape((4,) + (1,) * max(h.ndim - 1, 0) + (1, 2, 1))
-    M = (coefs * h[..., None, None]) * Kf[:, None, :]
+    """The four matrices [c h Kf | b h Kf] of a lifted RK4 step of size h, a
+    scalar, each stage's weight b next to the node c of the stage after it (0
+    after the last), stacked (4, (n + 1) p, 2 p) and read-only."""
+    M = (_STAGE_COEFS * h)[:, None, :, None] * Kf[:, None, :]
     M = M.reshape(M.shape[:-2] + (-1,))
-    M.flags.writeable = False  # a field's cache (``_stages``) hands it to every flow
+    M.flags.writeable = False  # a field's cache (``rhs.stages``) hands it to every flow
     return M
-
-
-def _stages(rhs, h):
-    """The ``_stage_matrices`` of steps of size h for a field that carries Kf:
-    for a scalar h, the field's own (``rhs.stages(h)``), which it forms once per
-    step size, and for one h per product, new ones."""
-    return rhs.stages(h) if isinstance(h, float) else _stage_matrices(rhs.Kf, h)
 
 
 def _lifted_stepper(Ms, shape):
@@ -493,17 +483,17 @@ def _lifted_stepper(Ms, shape):
     stage inputs u sit in one buffer as columns (1, u), so that per stage
     one outer product (1, y) (x) u into the lift buffer and one product
     with the stage's matrices give the next stage input v + G[:p] and the
-    stage's share g = b h vdot of the step.  The m columns of each (p, m)
-    matrix of the state share that product, M^T @ lift, whose bits under
-    OpenBLAS depend on m and on each column's place in it, so a caller that
-    needs each column's bits alone lays m = 1.  The buffers then hold the
-    memory of rows, and each row is its own product lift @ M, stacked over the
-    leading dimensions.  A state of one matrix, (..., p, m) with every
-    leading dimension 1, stepped with one h per step size, takes each
-    product by ``ndarray.dot`` into the same buffers, and with m = 1 each
-    outer product too: the BLAS call that matmul makes, with the same bits,
-    at about 0.4 us a call against 0.8-1.2 us for matmul and np.multiply at
-    the so(3) m = 3 stage shape.  Returns the stage input v, the stage
+    stage's share g = b h vdot of the step.  The product is two choices.
+    Its orientation: with m = 1 the buffers hold the memory of rows, and each
+    row is its own product lift @ M; with m > 1 the m columns of each (p, m)
+    matrix share one product M^T @ lift, whose bits under OpenBLAS depend on
+    m and on each column's place in it, so a caller that needs each column's
+    bits alone lays m = 1.  Its call: a state of one matrix, every leading
+    dimension 1, takes each product by ``ndarray.dot`` on views without those
+    axes, and with m = 1 each outer product too: the BLAS call that matmul
+    makes, with the same bits, at about 0.4 us a call against 0.8-1.2 us for
+    matmul and np.multiply at the so(3) m = 3 stage shape; any other state
+    takes them by stacked matmul.  Returns the stage input v, the stage
     y's (4, ..., n, m) and ``step(i, out)``, which steps from v by the i-th
     step size and writes v + (((g1 + g2) + g3) + g4) into ``out``, leaving v
     and the stage y's as the step found them: 4 outer products, 4 products and
@@ -514,67 +504,38 @@ def _lifted_stepper(Ms, shape):
     S = np.ones((4,) + lead + (1 + p, m))  # the 1 of (1, u) is never written
     lift = np.empty(lead + (width, m))
     G = np.empty((4,) + lead + (2 * p, m))
-    y1s, us = S[..., :n + 1, None, :], S[..., None, 1:, :]
-    outer, multiply, product = lift.reshape(lead + (n + 1, p, m)), np.multiply, np.matmul
-    if prod(lead) == 1 and Ms[0].ndim == 3:
-        # with m = 1, the outer product of k = 1 by ndarray.dot gives np.multiply's
-        # bits but for the signs of zeros, which no sum of the product keeps
-        product = np.ndarray.dot
-        if m == 1:
-            flat, s = lift.reshape(width), S.reshape(4, 1 + p)
-            products = [[(flat, M, g) for M, g in zip(Mi, G.reshape(4, 2 * p))] for Mi in Ms]
-            y1s, us, outer = s[:, :n + 1, None], s[:, None, 1:], flat.reshape(n + 1, p)
-            multiply = np.ndarray.dot
-        else:
-            flat = lift.reshape(width, m)
-            products = [[(M.T, flat, g) for M, g in zip(Mi, G.reshape(4, 2 * p, m))]
-                        for Mi in Ms]
-    elif m == 1:
-        products = [[(lift.reshape(lead + (1, width)), M, g.reshape(lead + (1, 2 * p)))
-                     for M, g in zip(Mi, G)] for Mi in Ms]
+    # the call: ndarray.dot for a state of one matrix, on views without its unit lead axes
+    product = np.matmul
+    if prod(lead) == 1:
+        lead, product = (), np.ndarray.dot
+    s, g = S.reshape((4,) + lead + (1 + p, m)), G.reshape((4,) + lead + (2 * p, m))
+    y1s, us, outer, multiply = (s[..., :n + 1, None, :], s[..., None, 1:, :],
+                                lift.reshape(lead + (n + 1, p, m)), np.multiply)
+    if m == 1:  # the orientation: each row its own product lift @ M, else M^T @ lift
+        operands = [[(lift.reshape(lead + (1, width)), M, gi.reshape(lead + (1, 2 * p)))
+                     for M, gi in zip(Mi, g)] for Mi in Ms]
+        if product is np.ndarray.dot:
+            # the outer product of k = 1 by ndarray.dot gives np.multiply's bits
+            # but for the signs of zeros, which no sum of the product keeps
+            y1s, us, outer = s[:, :n + 1], s[:, None, 1:, 0], lift.reshape(n + 1, p)
+            multiply = product
     else:
-        products = [[(np.swapaxes(M, -1, -2), lift, g) for M, g in zip(Mi, G)] for Mi in Ms]
+        operands = [[(M.T, lift.reshape(lead + (width, m)), gi) for M, gi in zip(Mi, g)]
+                    for Mi in Ms]
     u, shares = S[..., 1:, :], G[..., p:, :]
     views = list(zip(y1s, us, G[..., :p, :], list(u[1:]) + [None]))
-    stages = [[view + product for view, product in zip(views, Pi)] for Pi in products]
+    stages = [[view + args for view, args in zip(views, Oi)] for Oi in operands]
     v = u[0]
 
     def step(i, out):
-        for y1, ui, move, following, a, b, g in stages[i]:
+        for y1, ui, move, following, a, b, gi in stages[i]:
             multiply(y1, ui, outer)
-            product(a, b, g)
+            product(a, b, gi)
             if following is not None:
                 np.add(v, move, out=following)
         np.add(v, np.add.reduce(shares, axis=0), out=out)
 
     return v, S[..., 1:n + 1, :], step
-
-
-def _lifted_loop(rhs, steps, h, vs, look):
-    """``steps`` lifted RK4 steps (``_lifted_stepper``) of a field ``rhs`` that
-    carries Kf, vdot = [v, y (x) v] @ Kf, from ``vs[0]``, filling ``vs[1:]``,
-    with the stage matrices of ``_stages``, and with the return and
-    the look of ``_rk4_loop``.  Each record ``vs[k]`` is laid as the stepper's
-    state, (..., p, m), so the m columns of each (p, m) matrix share a
-    product: ``_rk4_loop`` lays m = 1, which gives each row the bits it gets
-    alone, and Parareal's fine sweep lays the segments of each of its rows as
-    the columns of one matrix.  The stage velocities come back laid as the
-    record, (4, steps, ..., n, m).  A step is 15 numpy calls, against four
-    right-hand sides and 13 more calls for classical RK4: on so(3) m = 3
-    about 7 us at one row and 24-26 us at 13 rows, against 28-30 and
-    39-42 us (BENCH_pr38_lone_row_dot.json)."""
-    v, ys, step = _lifted_stepper([_stages(rhs, h)], vs.shape[1:])
-    zs = np.empty((4, steps) + ys.shape[1:])
-    v[...], recorded = vs[0], steps
-    for k in range(steps):
-        out = vs[k + 1]
-        step(0, out)
-        zs[:, k] = ys
-        v[...] = out
-        if look and _looks_bad(k, vs):
-            recorded = k + 1
-            break
-    return zs, recorded
 
 
 def _rk4_step(x, v, k, h, rhs):
@@ -606,46 +567,62 @@ def _finite_steps(record):
 
 
 def _rk4_loop(x, steps, h, rhs, vs, look=True, coupled=None):
-    """``steps`` RK4 steps of v from ``vs[0]``, filling ``vs[1:]``.  Returns the
-    stage velocities, shape (4, steps, ..., n), and the number of steps
-    recorded: with ``look`` the loop stops at a look (``_looks_bad``) that
-    finds a v that is not finite.  A field that carries ``Kf`` takes lifted
-    steps (``_lifted_loop``), each row its own product, and never reads
-    ``x``; any other field that ignores x takes classical RK4 steps over its
-    rhs and is passed ``x`` at every stage.  With ``coupled``, the group
-    model of a field that reads x, ``x`` is the record of x, filled like
-    ``vs``, and each step is a coupled step (``rkmk_coupled_step``), which
-    carries x along; the loop then keeps no stage velocities and returns None
-    for them.  Every flow keeps the batch axis of its record: a lifted flow
-    lays ``vs`` (..., p, 1), so a one-row batch, or a flow of no batch, is a
-    state of one matrix (``_lifted_stepper``), and any other flow steps the
-    record's rows as they are."""
-    if coupled is None and hasattr(rhs, "Kf"):
-        zs, recorded = _lifted_loop(rhs, steps, h, vs[..., None], look)
-        return zs[..., 0], recorded
-    v, zs, recorded = vs[0], None, steps
-    for k in range(steps):
-        if coupled is not None:
-            x[k + 1], v = rkmk_coupled_step(coupled, x[k], v, k, h, rhs)
-        else:
-            z, v = _rk4_step(x, v, k, h, rhs)
+    """``steps`` RK4 steps of v from ``vs[0]``, filling ``vs[1:]``: the one
+    time loop of the package.  Returns the stage velocities, laid as the
+    record (4, steps, ...), and the number of steps recorded: with ``look``
+    the loop stops at a look (``_looks_bad``) that finds a v that is not
+    finite.  Each kind of field supplies only its step.  A field that
+    carries ``Kf`` takes lifted steps (``_lifted_stepper``) with the stage
+    matrices ``rhs.stages(h)`` and never reads ``x``; its record is laid as
+    the stepper's state, (..., p, m), so the m columns of each (p, m) matrix
+    share a product: a flow of rows lays m = 1 (``rkmk_integrate``), which
+    gives each row the bits it gets alone, and Parareal's fine sweep lays
+    the segments of each of its rows as the columns of one matrix.  Any
+    other field that ignores x takes classical RK4 steps over its rhs and
+    is passed ``x`` at every stage.  With ``coupled``, the group model of a
+    field that reads x, ``x`` is the record of x, filled like ``vs``, and
+    each step is a coupled step (``rkmk_coupled_step``), which carries x
+    along; the loop then keeps no stage velocities and returns None for
+    them.  A lifted step is 15 numpy calls, against four right-hand sides
+    and 13 more calls for a classical step: on so(3) m = 3 about 7 us at one
+    row and 24-26 us at 13 rows, against 28-30 and 39-42 us
+    (BENCH_pr38_lone_row_dot.json)."""
+    zs = None
+    if coupled is not None:
+        def step(k):
+            x[k + 1], vs[k + 1] = rkmk_coupled_step(coupled, x[k], vs[k], k, h, rhs)
+    elif hasattr(rhs, "Kf"):
+        v, ys, lifted = _lifted_stepper([rhs.stages(h)], vs.shape[1:])
+        zs = np.empty((4, steps) + ys.shape[1:])
+        v[...] = vs[0]
+
+        def step(k):
+            out = vs[k + 1]
+            lifted(0, out)
+            zs[:, k] = ys
+            v[...] = out
+    else:
+        def step(k):
+            nonlocal zs
+            z, vs[k + 1] = _rk4_step(x, vs[k], k, h, rhs)
             if zs is None:
                 zs = np.empty((4, steps) + np.shape(z[0]))
             zs[:, k] = z
-        vs[k + 1] = v
+    for k in range(steps):
+        step(k)
         if look and _looks_bad(k, vs):
-            recorded = k + 1
-            break
-    return zs, recorded
+            return zs, k + 1
+    return zs, steps
 
 
 def _parareal(steps, h, rhs, vs):
     """The v-record of ``steps`` RK4 steps by Parareal (Lions, Maday and
-    Turinici 2001) of a field that carries ``Kf``, for rows ``vs[0]`` of shape
-    (R, p); fills ``vs[1:]`` and returns the stage velocities (4, steps, R, n)
-    and the number of steps recorded, as ``_rk4_loop`` does.
+    Turinici 2001) of a field that carries ``Kf``, for rows ``vs[0]`` laid
+    (R, p, 1); fills ``vs[1:]`` and returns the stage velocities
+    (4, steps, R, n, 1) and the number of steps recorded, as ``_rk4_loop``
+    does.
 
-    The grid is cut into K segments.  The fine propagator F is the lifted
+    The grid is cut into K segments.  The fine propagator F is the one time
     loop, run without a look, so that a row that blows up does not cut the
     sweep of the others, over a record laid (A, p, K) for the A rows that
     take part: the K segment states of each row are the columns of one
@@ -655,70 +632,70 @@ def _parareal(steps, h, rhs, vs):
     not get the bits it gets alone.  A row that leaves the iteration has its
     segments copied into the record by one assignment per segment length.
     The coarse propagator G is one lifted RK4 step over each segment, with
-    the field's stage matrices of each segment length (``_stages``) and the
-    stepper's buffers (``_lifted_stepper``) built once per pass over the
+    the field's stage matrices of each segment length (``rhs.stages``) and
+    the stepper's buffers (``_lifted_stepper``) built once per pass over the
     segments; each row is its own product there.  A sweep sets
     U[i + 1] = F(U_old[i]) + (G(U_new[i]) - G(U_old[i])) in order.
     Every choice is per row, so a row of a batch gets the bits it gets
-    alone.  A row takes part if its coarse pass is finite and one RK4 step
-    over each pair of segments ends within PARAREAL_MAX_COARSE_ERROR of its
-    scale of the pair's two coarse steps; a row whose largest correction is
-    at most PARAREAL_ULPS ulps of its scale keeps the record of its last fine
-    sweep and leaves the iteration; a row that does not take part, goes
-    non-finite in a sweep or reaches PARAREAL_MAX_SWEEPS reruns the
-    sequential loop.
+    alone.  A row takes part if its coarse pass is finite and one lifted
+    step over each pair of segments, with the field's stage matrices of the
+    pair's length, ends within PARAREAL_MAX_COARSE_ERROR of its scale of the
+    pair's two coarse steps; a row whose largest correction is at most
+    PARAREAL_ULPS ulps of its scale keeps the record of its last fine sweep
+    and leaves the iteration; a row that does not take part, goes non-finite
+    in a sweep or reaches PARAREAL_MAX_SWEEPS reruns the sequential loop.
     """
     K = PARAREAL_SEGMENTS
-    R, p = vs.shape[1:]
+    R, p = vs.shape[1:3]
     n = len(rhs.Kf) // p - 1
     lengths, first, runs = _segments(steps)
-    # the stage matrices of each segment length; segment i steps by Ms[size[i]]
+    # segment i steps by the stage matrices of sizes[size[i]], pair j by pairs[pair[j]]
     sizes, size = np.unique(lengths, return_inverse=True)
-    Ms = [_stages(rhs, length * h) for length in sizes]
+    pairs, pair = np.unique(lengths[0:K - 1:2] + lengths[1:K:2], return_inverse=True)
+    Ms = [rhs.stages(length * h) for length in sizes]
     # the shorter segments run one step past their end in a sweep of the longest
     past_end = np.arange(lengths[0] + 1)[:, None] > lengths
-    U = np.empty((K + 1, R, p))
-    v, _, coarse_step = _lifted_stepper(Ms, (R, p, 1))
+    U = np.empty((K + 1,) + vs.shape[1:])
+    v, _, coarse_step = _lifted_stepper(Ms, U.shape[1:])
     U[0] = vs[0]
     for i in range(K):
-        v[..., 0] = U[i]
-        coarse_step(size[i], U[i + 1, ..., None])
+        v[...] = U[i]
+        coarse_step(size[i], U[i + 1])
     G = U[1:].copy()
-    # one RK4 step over each pair of segments, all pairs as one batch, against
-    # the pair's two coarse steps; a NaN gap compares false
-    pairs = (lengths[0:K - 1:2] + lengths[1:K:2])[:, None, None] * h
-    v, _, pair_step = _lifted_stepper([_stage_matrices(rhs.Kf, pairs)], (len(pairs), R, p, 1))
-    v[..., 0] = U[0:K - 1:2]
-    ends = np.empty_like(v)
-    pair_step(0, ends)
-    gap = np.abs(ends[..., 0] - U[2:K + 1:2]).max(axis=(0, 2))
-    zs = np.empty((4, steps, R, n))
-    active = np.flatnonzero(np.isfinite(U).all(axis=(0, 2))
-                            & (gap <= PARAREAL_MAX_COARSE_ERROR * np.abs(U).max(axis=(0, 2))))
+    # each pair's one step against its two coarse steps; a NaN gap compares false
+    v, _, pair_step = _lifted_stepper([rhs.stages(length * h) for length in pairs], U.shape[1:])
+    ends = np.empty((len(pair),) + U.shape[1:])
+    for j, i in enumerate(pair):
+        v[...] = U[2 * j]
+        pair_step(i, ends[j])
+    gap = np.abs(ends - U[2:K + 1:2]).max(axis=(0, 2, 3))
+    zs = np.empty((4, steps, R, n, 1))
+    active = np.flatnonzero(np.isfinite(U).all(axis=(0, 2, 3))
+                            & (gap <= PARAREAL_MAX_COARSE_ERROR * np.abs(U).max(axis=(0, 2, 3))))
     converged = np.zeros(R, dtype=bool)
     for _ in range(PARAREAL_MAX_SWEEPS):
         if not len(active):
             break
         A = len(active)
         fine = np.empty((len(past_end), A, p, K))
-        fine[0] = U[:K, active].transpose(1, 2, 0)
-        zf, _ = _lifted_loop(rhs, len(past_end) - 1, h, fine, False)
-        ends = fine[lengths, ..., np.arange(K)]
+        fine[0] = U[:K, active][..., 0].transpose(1, 2, 0)
+        zf, _ = _rk4_loop(None, len(past_end) - 1, h, rhs, fine, look=False)
+        ends = fine[lengths, ..., np.arange(K), None]
         # coarse[i] holds G(U_old[i]) of the active rows, then G(U_new[i])
         old, coarse = U[:, active], G[:, active]
         new = np.empty_like(old)
         new[0] = old[0]
-        v, _, coarse_step = _lifted_stepper(Ms, (A, p, 1))
-        g = np.empty((A, p, 1))
+        v, _, coarse_step = _lifted_stepper(Ms, old.shape[1:])
+        g = np.empty_like(v)
         for i in range(K):
-            v[..., 0] = new[i]
+            v[...] = new[i]
             coarse_step(size[i], g)
-            new[i + 1] = ends[i] + (g[..., 0] - coarse[i])
-            coarse[i] = g[..., 0]
-        finite = (np.isfinite(new).all(axis=(0, 2))
+            new[i + 1] = ends[i] + (g - coarse[i])
+            coarse[i] = g
+        finite = (np.isfinite(new).all(axis=(0, 2, 3))
                   & (np.isfinite(fine).all(axis=2) | past_end[:, None, :]).all(axis=(0, 2)))
-        scale = np.abs(new).max(axis=(0, 2))
-        done = finite & (np.abs(new - old).max(axis=(0, 2))
+        scale = np.abs(new).max(axis=(0, 2, 3))
+        done = finite & (np.abs(new - old).max(axis=(0, 2, 3))
                          <= PARAREAL_ULPS * np.finfo(float).eps * scale)
         rows = active[done]
         if len(rows):
@@ -726,17 +703,17 @@ def _parareal(steps, h, rhs, vs):
             # the segments of each length in one assignment, as (segments, length) views
             for i, j in runs:
                 span, length = slice(first[i], first[j]), lengths[i]
-                vs[span].reshape(j - i, length, R, p)[:, :, rows] = np.moveaxis(
-                    fine[:length, done, :, i:j], -1, 0)
-                zs[:, span].reshape(4, j - i, length, R, n)[:, :, :, rows] = np.moveaxis(
-                    zf[:, :length, done, :, i:j], -1, 1)
+                vs[span].reshape(j - i, length, R, p, 1)[:, :, rows] = np.moveaxis(
+                    fine[:length, done, :, i:j, None], -2, 0)
+                zs[:, span].reshape(4, j - i, length, R, n, 1)[:, :, :, rows] = np.moveaxis(
+                    zf[:, :length, done, :, i:j, None], -2, 1)
             vs[steps, rows] = ends[K - 1, done]
         U[:, active], G[:, active] = new, coarse
         active = active[finite & ~done]
     rerun = ~converged
     recorded = steps
     if rerun.any():
-        alone = np.empty((steps + 1, int(rerun.sum()), p))
+        alone = np.empty((steps + 1, int(rerun.sum()), p, 1))
         alone[0] = vs[0, rerun]
         zs[:, :, rerun], recorded = _rk4_loop(None, steps, h, rhs, alone)
         vs[:, rerun] = alone
@@ -754,14 +731,15 @@ def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False):
     velocities z1..z4 of every step, and x is reconstructed from them after
     the loop (``_reconstruct``).  A field that carries a lifted matrix
     ``Kf`` and its stage matrices ``stages(h)`` (``pmp.extremal_field`` of a
-    quadratic cost) takes lifted RK4 steps (``_lifted_loop``), any other
-    classical RK4 steps over its rhs.
-    Below PARAREAL_MIN_STEPS steps x is the product of the step exponentials
-    in order, which for a callable field has the bits of the coupled step; a
-    longer flow takes that product by segments, which matches the coupled
-    step to rounding.  Returns the flow (xs, vs) on the grid: steps + 1
-    states, the initial one first, of the batch of x and v broadcast
-    together.
+    quadratic cost) takes lifted RK4 steps, any other classical RK4 steps
+    over its rhs.  A lifted flow's record lays each row as a (p, 1) matrix,
+    its own product (``_lifted_stepper``), here, for the loop and Parareal
+    alike.  Below PARAREAL_MIN_STEPS steps x is the product of the step
+    exponentials in order, which for a callable field has the bits of the
+    coupled step; a longer flow takes that product by segments, which
+    matches the coupled step to rounding.  Returns the flow (xs, vs) on the
+    grid: steps + 1 states, the initial one first, of the batch of x and v
+    broadcast together.
 
     Every flow keeps one rule.  The loop looks at its record of v every
     FINITE_CHECK_STEPS steps and stops at a look that finds a state that is
@@ -780,17 +758,19 @@ def rkmk_integrate(gm, x, v, steps, h, rhs, needs_x=False):
     xs = np.empty((steps + 1,) + lead + np.shape(x)[-2:])
     vs = np.empty((steps + 1,) + lead + np.shape(v)[-1:])
     xs[0], vs[0] = x, v
+    lifted = not needs_x and hasattr(rhs, "Kf")
+    laid = vs[..., None] if lifted else vs
     with np.errstate(over="ignore", invalid="ignore"):
         if needs_x:
             zs, recorded = _rk4_loop(xs, steps, h, rhs, vs, coupled=gm)
-        elif hasattr(rhs, "Kf") and steps >= PARAREAL_MIN_STEPS:
-            zs, recorded = _parareal(steps, h, rhs, vs.reshape(steps + 1, -1, vs.shape[-1]))
-            zs = zs.reshape((4, steps) + lead + zs.shape[-1:])
+        elif lifted and steps >= PARAREAL_MIN_STEPS:
+            zs, recorded = _parareal(steps, h, rhs, laid.reshape((steps + 1, -1) + laid.shape[-2:]))
+            zs = zs.reshape((4, steps) + lead + zs.shape[-2:])
         else:
-            zs, recorded = _rk4_loop(xs[0], steps, h, rhs, vs)
+            zs, recorded = _rk4_loop(xs[0], steps, h, rhs, laid)
         done = _finite_steps(vs[:recorded + 1])
         if not needs_x:
-            _reconstruct(gm, zs[:, :done], h, xs)
+            _reconstruct(gm, zs[:, :done, ..., 0] if lifted else zs[:, :done], h, xs)
         done = _finite_steps(xs[:done + 1])  # v is finite up to step done
     if done < steps:
         raise NonFinite(done + 1)

@@ -33,7 +33,8 @@ lifted matrix Kf built once per (model, cost) from a tensor whose y-block
 is the model's ``drift`` matrix (the one that ``algebra.bias`` contracts).
 The field evaluates that product by one outer product and one stacked
 matmul, and carries Kf, so that the stepper folds the RK4 coefficients
-into it and steps the field by a lifted RK4 step (``groups._lifted_loop``);
+into it and steps the field by a lifted RK4 step (``groups._lifted_stepper``)
+in the one time loop (``groups._rk4_loop``);
 any other cost takes one batched ``eliminate_control``, whose damped
 Newton steps every row at once, and one batched ``extremal_rhs``, the
 general-cost kernel, which is also the reference the fused field is
@@ -358,10 +359,10 @@ def extremal_field(model, cost):
             return v[..., :n], (lift @ Kf)[..., 0, :]
 
         rhs.Kf = Kf
-        # the read-only stage matrices of each step size (``groups._stages``), a
-        # few per field: a solve steps two grids, a Parareal flow its step and
-        # one or two segment lengths; they live as long as the field, and this
-        # function's cache bounds how many fields live
+        # the read-only stage matrices of each step size, a few per field: a
+        # solve steps two grids, a Parareal flow its step, one or two segment
+        # lengths and up to three pair lengths; they live as long as the field,
+        # and this function's cache bounds how many fields live
         rhs.stages = lru_cache(maxsize=8)(partial(groups._stage_matrices, Kf))
         return rhs
 

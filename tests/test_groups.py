@@ -93,7 +93,8 @@ def test_log_exp_roundtrip_1000(so3_j123_group, rng):
 
 def test_log_half_turn_with_relaxed_clamp(so3_j123_group):
     g = np.diag([-1.0, -1.0, 1.0])
-    w = aoc.log_map(so3_j123_group, g, max_angle=np.pi + 1e-9)
+    # the so(3) log past its package cutoff SO3_MAX_LOG_ANGLE
+    w = aoc.groups._so3_log(g[None], np.pi + 1e-9)[0]
     assert_allclose(np.abs(w), [0.0, 0.0, np.pi], atol=1e-12)
     assert_allclose(aoc.exp_map(so3_j123_group, w), g, atol=1e-12)
 

@@ -1,16 +1,19 @@
-"""The lifted RK4 step of the fused extremal field (``groups._lifted_loop``).
+"""The lifted RK4 step of the fused extremal field in the one time loop
+(``groups._rk4_loop``).
 
 The fused field carries its lifted matrix Kf, vdot = [v, y (x) v] @ Kf, and
-the stepper folds the RK4 coefficients and h into Kf: one outer product and
-one stacked matmul per stage, or ``ndarray.dot`` for a state of one matrix.
-That step matches classical RK4 over the field's rhs to rounding, one step
-and whole flows alike, and every row of a batch gets the bits it gets alone,
-laid as one row or as one row's columns, with one h for all
-rows or one per row (Parareal's pair step).  Parareal's coarse steps come from a stepper built
-once (``groups._lifted_stepper``), which gives the bits of a one-step loop.
-The field forms the stage matrices of each scalar step size once and keeps
-them read-only (``rhs.stages``); a per-row h forms its own, and the cache
-lives and dies with the field.
+the stepper (``groups._lifted_stepper``) folds the RK4 coefficients and h
+into Kf: per stage one outer product and one product, lift @ M for a state
+laid (..., p, 1) and M^T @ lift for m > 1 columns, by ``ndarray.dot`` for a
+state of one matrix and by stacked matmul otherwise.  That step matches
+classical RK4 over the field's rhs to rounding, one step and whole flows
+alike, and every row of a batch gets the bits it gets alone, laid as one
+row or as one row's columns.  Parareal's coarse steps and its pair steps
+come from a stepper built once for their step sizes, which gives the bits
+of a one-step loop: each pair's admission end is one lifted step of the
+pair's length.  The field forms the stage matrices of each step size once
+and keeps them read-only (``rhs.stages``), and the cache lives and dies
+with the field.
 """
 
 import gc
@@ -22,7 +25,7 @@ import pytest
 
 import aoc
 from aoc import groups
-from aoc.groups import PARAREAL_SEGMENTS
+from aoc.groups import PARAREAL_MIN_STEPS, PARAREAL_SEGMENTS
 from aoc.pmp import extremal_field, min_acc_cost, quadratic_cost
 from test_parareal import GROUPS, flow, within_ulps
 
@@ -33,11 +36,11 @@ def field(gm):
 
 def lifted_step(rhs, v, h):
     """One lifted RK4 step of rows ``v`` (..., p), laid (..., p, 1) so that each
-    row is its own product (``groups._lifted_loop`` of one step): the four
+    row is its own product (``groups._rk4_loop`` of one step): the four
     stage velocities and the new v."""
     vs = np.empty((2,) + v.shape + (1,))
     vs[0] = v[..., None]
-    zs, _ = groups._lifted_loop(rhs, 1, h, vs, False)
+    zs, _ = groups._rk4_loop(None, 1, h, rhs, vs, look=False)
     return tuple(zs[:, 0, ..., 0]), vs[1, ..., 0]
 
 
@@ -105,20 +108,20 @@ def test_each_matrix_of_a_column_state_keeps_the_bits_it_gets_alone():
     rhs = extremal_field(model, min_acc_cost(model))
     vs = np.empty((6, 13, 18, 20))
     vs[0] = rng.uniform(-0.3, 0.3, (13, 18, 20))
-    zs, _ = groups._lifted_loop(rhs, 5, 0.01, vs, False)
+    zs, _ = groups._rk4_loop(None, 5, 0.01, rhs, vs, look=False)
     for r in range(13):
         alone = np.empty((6, 18, 20))
         alone[0] = vs[0, r]
-        z1, _ = groups._lifted_loop(rhs, 5, 0.01, alone, False)
+        z1, _ = groups._rk4_loop(None, 5, 0.01, rhs, alone, look=False)
         assert np.array_equal(alone, vs[:, r]) and np.array_equal(z1, zs[:, :, r])
 
 
 def loop_record(rhs, v, steps, h):
     """The record and stage velocities of ``steps`` lifted steps from ``v``,
-    laid as ``v`` is (``groups._lifted_loop`` without a look)."""
+    laid as ``v`` is (``groups._rk4_loop`` without a look)."""
     vs = np.empty((steps + 1,) + v.shape)
     vs[0] = v
-    zs, _ = groups._lifted_loop(rhs, steps, h, vs, False)
+    zs, _ = groups._rk4_loop(None, steps, h, rhs, vs, look=False)
     return vs, zs
 
 
@@ -144,30 +147,53 @@ def test_a_state_of_one_matrix_keeps_the_bits_of_a_row_of_a_batch(kind, K):
 
 
 @pytest.mark.parametrize("kind", sorted(GROUPS))
-def test_a_per_row_h_gives_each_row_its_bits_alone(kind):
-    # Parareal's pair step: 10 pairs of segments of different lengths, R rows each
+def test_each_pair_admission_end_is_one_lifted_step_of_its_length(kind, monkeypatch):
+    # Parareal admits a row by one lifted step over each pair of segments; at
+    # 507 steps the pairs take three lengths.  Each end is bitwise one step of
+    # the time loop, of the pair's length, from the pair's start, of each row alone
     gm = GROUPS[kind]()
-    rng = np.random.default_rng(5)
-    v = rng.uniform(-1.0, 1.0, (10, 3, 3 * gm.algebra.n))
-    h = rng.uniform(0.01, 0.1, (10, 1, 1))
-    z, w = lifted_step(field(gm), v, h)
-    for i in range(10):
-        for r in range(3):
-            z1, w1 = lifted_step(field(gm), v[i, r], float(h[i, 0, 0]))
-            assert np.array_equal(w1, w[i, r])
-            assert all(np.array_equal(a[i, r], b) for a, b in zip(z, z1))
+    rhs = field(gm)
+    steps = PARAREAL_MIN_STEPS + 7
+    h = 1.0 / steps
+    lengths = groups._segments(steps)[0]
+    pairs = (lengths[0::2] + lengths[1::2]) * h
+    assert len(set(pairs)) == 3
+    built, stepper = [], groups._lifted_stepper
+
+    def kept(Ms, shape):
+        v, ys, step = stepper(Ms, shape)
+        calls = []
+        built.append(calls)
+
+        def counted(i, out):
+            step(i, out)
+            calls.append((Ms[i], v.copy(), out.copy()))
+
+        return v, ys, counted
+
+    monkeypatch.setattr(groups, "_lifted_stepper", kept)
+    v0 = np.random.default_rng(5).uniform(-0.5, 0.5, (3, 3 * gm.algebra.n))
+    flow(gm, v0, steps, rhs=rhs)
+    # the coarse passes take 20 steps, the time loops 26 or 507
+    [calls] = [calls for calls in built if len(calls) == len(pairs)]
+    for (M, start, end), length in zip(calls, pairs):
+        assert np.array_equal(M, groups._stage_matrices(rhs.Kf, length))
+        for r in range(len(v0)):
+            vs = np.empty((2,) + start[r].shape)
+            vs[0] = start[r]
+            groups._rk4_loop(None, 1, length, rhs, vs, look=False)
+            assert np.array_equal(vs[1], end[r])
 
 
 @pytest.mark.parametrize("kind", sorted(GROUPS))
 def test_the_built_once_step_gives_the_bits_of_a_one_step_loop(kind):
-    # Parareal's coarse steps of two segment lengths, and its pair step, with
-    # one h per pair of segments; each size steps twice, from the last
-    # step's end, through the same buffers
+    # Parareal's coarse steps of two segment lengths; each size steps twice,
+    # from the last step's end, through the same buffers
     gm = GROUPS[kind]()
     rhs = field(gm)
     rng = np.random.default_rng(6)
     v = rng.uniform(-1.0, 1.0, (10, 3, 3 * gm.algebra.n))
-    hs = [0.05, 0.045, rng.uniform(0.01, 0.1, (10, 1, 1))]
+    hs = [0.05, 0.045]
     start, ys, step = groups._lifted_stepper([groups._stage_matrices(rhs.Kf, h) for h in hs],
                                              v.shape + (1,))
     out = np.empty_like(start)
@@ -208,7 +234,7 @@ def test_fields_flown_alternately_keep_their_bits():
     assert [rhs.stages.cache_info().misses for rhs in rhss] == [1, 1, 1]
 
 
-def test_cached_stage_matrices_are_read_only_and_a_per_row_h_bypasses_them():
+def test_cached_stage_matrices_are_read_only_and_shared():
     rhs = field(GROUPS["so3-m2"]())
     M = rhs.stages(0.05)
     assert rhs.stages(0.05) is M and not M.flags.writeable
@@ -216,10 +242,10 @@ def test_cached_stage_matrices_are_read_only_and_a_per_row_h_bypasses_them():
         M[0] = 0.0
     v = np.random.default_rng(8).uniform(-1.0, 1.0, (10, 3, 9))
     before = rhs.stages.cache_info()
-    lifted_step(rhs, v, np.full((10, 1, 1), 0.05))
-    assert rhs.stages.cache_info() == before
+    lifted_step(rhs, v, 0.05)
     lifted_step(rhs, v[0, 0], 0.05)
-    assert rhs.stages.cache_info().hits == before.hits + 1
+    assert rhs.stages.cache_info().hits == before.hits + 2
+    assert rhs.stages.cache_info().misses == before.misses
 
 
 def test_fields_and_their_stage_matrices_live_no_longer_than_the_field_cache():

@@ -28,23 +28,24 @@ ULPS = 32
 
 
 def spy_loops(monkeypatch):
-    """(steps, rows, recorded) of every lifted RK4 loop (``groups._lifted_loop``),
-    the rows read from the layout of its record: a fine sweep lays (active rows,
-    p, K), the K segments of each row as the columns of one product, and has
-    rows (K, active rows); a sequential loop lays (rows, p, 1), one product per
-    row, and has rows (rows,), or (p, 1) for an unbatched flow, which has rows
-    (1,) as a lone row does; ``recorded`` is the number of steps it ran."""
+    """(steps, rows, recorded) of every run of the time loop (``groups._rk4_loop``)
+    of a lifted flow, the rows read from the layout of its record: a fine sweep
+    lays (active rows, p, K), the K segments of each row as the columns of one
+    product, and has rows (K, active rows); a sequential loop or a rerun lays
+    (rows, p, 1), one product per row, and has rows (rows,), or (p, 1) for an
+    unbatched flow, which has rows (1,) as a lone row does; ``recorded`` is the
+    number of steps it ran."""
     loops = []
-    lifted = groups._lifted_loop
+    loop = groups._rk4_loop
 
-    def counted(rhs, steps, h, vs, look):
-        zs, recorded = lifted(rhs, steps, h, vs, look)
+    def counted(x, steps, h, rhs, vs, look=True, coupled=None):
+        zs, recorded = loop(x, steps, h, rhs, vs, look, coupled)
         laid = (vs.shape[1:-2] or (1,)) + vs.shape[-1:]
         rows = laid[:-1] if laid[-1:] == (1,) else laid[-1:] + laid[:-1]
         loops.append((steps, rows, recorded))
         return zs, recorded
 
-    monkeypatch.setattr(groups, "_lifted_loop", counted)
+    monkeypatch.setattr(groups, "_rk4_loop", counted)
     return loops
 
 
@@ -95,19 +96,20 @@ def flow(gm, v0, steps, T=1.0, rhs=None):
 
 def loop_flow(gm, v0, steps, T=1.0):
     """The reference for a split fused flow from the identity: the v-record of
-    the sequential time loop (``groups._rk4_loop``), NonFinite at its first
-    step that is not finite, and x rebuilt from its stage velocities."""
+    the sequential time loop (``groups._rk4_loop``), over a record that lays
+    each row as a (p, 1) matrix, NonFinite at its first step that is not
+    finite, and x rebuilt from its stage velocities."""
     h = T / steps
     xs = np.empty((steps + 1,) + v0.shape[:-1] + (gm.rep_dim,) * 2)
     vs = np.empty((steps + 1,) + v0.shape)
     xs[0], vs[0] = np.eye(gm.rep_dim), v0
     with np.errstate(over="ignore", invalid="ignore"):
         zs, recorded = groups._rk4_loop(xs[0], steps, h, extremal_field(
-            gm.algebra, min_acc_cost(gm.algebra)), vs)
+            gm.algebra, min_acc_cost(gm.algebra)), vs[..., None])
         done = groups._finite_steps(vs[:recorded + 1])
         if done < steps:
             raise aoc.NonFinite(done + 1)
-        groups._reconstruct(gm, zs, h, xs)
+        groups._reconstruct(gm, zs[..., 0], h, xs)
     return xs, vs
 
 
@@ -317,7 +319,7 @@ def test_an_so3_lone_row_blows_up_at_the_step_it_has_in_a_batch():
             vs = np.empty((count + 1,) + laid.shape)
             vs[0] = laid
             with np.errstate(over="ignore", invalid="ignore"):
-                groups._lifted_loop(rhs, count, h, vs, False)
+                groups._rk4_loop(None, count, h, rhs, vs, look=False)
             records.append(vs.reshape((count + 1, -1, 9))[:, 0])
         assert not np.isfinite(records[0][-1]).any()
         assert np.array_equal(records[0], records[1], equal_nan=True)
